@@ -15,7 +15,7 @@ import os
 import sys
 import time
 
-from .dedekind import SumContext, d_norm, d_sum
+from .dedekind import SumContext, d_sum, normalize_value
 from .density import Target, construct, find_prime
 from .errors import (
     ConstructionError,
@@ -43,13 +43,14 @@ _ENV_PREFIX = "ELLIPTIC_DEDEKIND_"
 
 
 def _env_default(name: str, cast, fallback):
-    raw = os.environ.get(_ENV_PREFIX + name)
+    var = _ENV_PREFIX + name
+    raw = os.environ.get(var)
     if raw is None:
         return fallback
     try:
         return cast(raw)
     except ValueError:
-        return fallback
+        raise ValueError(f"environment variable {var}={raw!r} is not a valid {cast.__name__}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -141,19 +142,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--omega1", type=_parse_complex, default=None, help="custom basis vector omega1")
         p.add_argument("--omega2", type=_parse_complex, default=None, help="custom basis vector omega2")
         p.add_argument(
-            "--zeta-radius",
-            type=int,
-            default=_env_default("ZETA_RADIUS", int, 40),
-            help="direct-sum shell radius for reference oracles",
-        )
-        p.add_argument(
             "--q-terms", type=int, default=_env_default("Q_TERMS", int, 64), help="q-series truncation length"
         )
         p.add_argument("--tol", type=float, default=_env_default("TOL", float, 1e-9), help="numerical tolerance")
         p.add_argument("--seed", type=int, default=_DEFAULT_SEED, help="PRNG seed for randomized suites")
-        p.add_argument("--threads", type=int, default=1, help="worker threads for coset summation")
         p.add_argument("--format", choices=("text", "json", "csv"), default="text", help="output format")
-        p.add_argument("--max-prime", type=int, default=2_000_000, help="prime-search candidate budget")
+        p.add_argument("--max-prime", type=int, default=2_000_000, help="per-step prime-search candidate budget")
 
     p_sum = sub.add_parser("sum", help="compute D_L and the normalized sum for one (h, k) pair")
     add_common(p_sum)
@@ -177,11 +171,9 @@ def _config_dict(args) -> dict:
         "command": args.command,
         "d_k": args.dk,
         "conductor": args.conductor,
-        "zeta_radius": args.zeta_radius,
         "q_terms": args.q_terms,
         "tol": args.tol,
         "seed": args.seed,
-        "threads": args.threads,
         "format": args.format,
         "max_prime": args.max_prime,
     }
@@ -193,7 +185,7 @@ def _config_dict(args) -> dict:
 
 def _make_context(args) -> SumContext:
     order = QuadOrder(args.dk, args.conductor)
-    precision = PrecisionPolicy(zeta_radius=args.zeta_radius, q_terms=args.q_terms, tol=args.tol)
+    precision = PrecisionPolicy(q_terms=args.q_terms, tol=args.tol)
     if args.omega1 is not None or args.omega2 is not None:
         if args.omega1 is None or args.omega2 is None:
             raise InadmissibleTargetError("--omega1 and --omega2 must be given together")
@@ -216,8 +208,8 @@ def _cmd_sum(args) -> int:
     if k.is_zero():
         print("error: zero modulus (k must be nonzero)", file=sys.stderr)
         return _EXIT_USAGE
-    value = d_sum(h, k, ctx, threads=args.threads)
-    normalized = d_norm(h, k, ctx, threads=args.threads)
+    value = d_sum(h, k, ctx)
+    normalized = normalize_value(value, ctx)
     e2 = ctx.lattice.e2_zero()
     elapsed = time.perf_counter() - started
     record = {
@@ -296,13 +288,12 @@ def _cmd_approximate(args) -> int:
     records = []
     rows = []
     started = time.perf_counter()
-    steps = []
+    p = 0
     for index in range(args.steps):
         t0 = time.perf_counter()
-        p = find_prime(target, index, max_candidates=args.max_prime)
+        p = find_prime(target, after=p, max_candidates=args.max_prime)
         step = construct(target, p)
         wall = time.perf_counter() - t0
-        steps.append(step)
         bound = (2.0 / args.b + 1.0) / step.p
         records.append(
             {
@@ -347,9 +338,9 @@ def _cmd_approximate(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        parser = build_parser()
+        args = parser.parse_args(argv)
         if args.command == "sum":
             return _cmd_sum(args)
         if args.command == "verify":

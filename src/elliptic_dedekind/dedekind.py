@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,31 +128,23 @@ def i_map(z: complex) -> complex:
     return zc - zc.conjugate()
 
 
-def d_sum(h: OrderElem, k: OrderElem, ctx: SumContext, threads: int = 1) -> complex:
+def d_sum(h: OrderElem, k: OrderElem, ctx: SumContext) -> complex:
     """Elliptic Dedekind sum D_L(h, k) by direct coset summation.
 
-    Cosets are processed in fixed-size chunks and the partial sums reduced in
-    chunk-index order, so results are identical for any thread count.
+    Cosets are processed in fixed-size chunks, which bounds peak memory; the
+    partial sums are added in chunk-index order, which fixes the rounding.
     """
     if k.is_zero():
         raise ZeroDivisorError("zero modulus")
     lattice = ctx.lattice
     mu = CosetSystem(k, lattice).reps()
     kc = k.embed()
-    hc = h.embed()
-    z1 = (hc * mu) / kc
+    z1 = (h.embed() * mu) / kc
     z2 = mu / kc
-
-    def chunk_sum(i: int) -> complex:
-        sl = slice(i * _CHUNK, (i + 1) * _CHUNK)
-        return complex(np.sum(lattice.e1_many(z1[sl]) * lattice.e1_many(z2[sl])))
-
-    n_chunks = (len(mu) + _CHUNK - 1) // _CHUNK
-    if threads > 1 and n_chunks > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(chunk_sum, range(n_chunks)))
-    else:
-        partials = [chunk_sum(i) for i in range(n_chunks)]
+    partials = (
+        complex(np.sum(lattice.e1_many(z1[i : i + _CHUNK]) * lattice.e1_many(z2[i : i + _CHUNK])))
+        for i in range(0, len(mu), _CHUNK)
+    )
     return sum(partials, 0.0 + 0.0j) / kc
 
 
@@ -177,12 +168,12 @@ def normalize_value(value: complex, ctx: SumContext) -> float:
     return w.real
 
 
-def d_norm(h: OrderElem, k: OrderElem, ctx: SumContext, threads: int = 1) -> float:
+def d_norm(h: OrderElem, k: OrderElem, ctx: SumContext) -> float:
     """Normalized elliptic Dedekind sum Dtilde(h, k), a real number."""
-    return normalize_value(d_sum(h, k, ctx, threads=threads), ctx)
+    return normalize_value(d_sum(h, k, ctx), ctx)
 
 
-def phi(a_mat: Mat2, ctx: SumContext, threads: int = 1) -> complex:
+def phi(a_mat: Mat2, ctx: SumContext) -> complex:
     """The Phi homomorphism SL2(O_L) -> (C, +)."""
     if not a_mat.is_unimodular():
         raise NotUnimodularError(f"determinant is {a_mat.det()!r}, expected 1")
@@ -190,7 +181,7 @@ def phi(a_mat: Mat2, ctx: SumContext, threads: int = 1) -> complex:
     if a_mat.c.is_zero():
         return e2 * i_map(a_mat.b.embed() / a_mat.d.embed())
     head = e2 * i_map((a_mat.a.embed() + a_mat.d.embed()) / a_mat.c.embed())
-    return head - d_sum(a_mat.a, a_mat.c, ctx, threads=threads)
+    return head - d_sum(a_mat.a, a_mat.c, ctx)
 
 
 def three_term_residual(a1: Mat2, a2: Mat2, a3: Mat2, ctx: SumContext) -> complex:

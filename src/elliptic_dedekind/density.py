@@ -109,30 +109,26 @@ def _progression(target: Target) -> tuple[int, int]:
     return crt([(1, m1), (a_bar, target.b)])
 
 
-def find_prime(target: Target, index: int = 0, max_candidates: int = 2_000_000) -> int:
-    """The index-th prime (0-based) in the target's arithmetic progression.
+def find_prime(target: Target, *, after: int = 0, max_candidates: int = 2_000_000) -> int:
+    """The smallest prime of the target's arithmetic progression greater than `after`.
 
-    Every returned prime is re-checked to make d^2*e^2 + 4*d a square mod p.
+    Chaining `p = find_prime(target, after=p)` walks the progression's primes
+    in order.  At most `max_candidates` terms above `after` are tested.  Every
+    returned prime is re-checked to make d^2*e^2 + 4*d a square mod p.
     """
-    if index < 0:
-        raise ValueError("index must be >= 0")
     r, m = _progression(target)
     d = target.order.discriminant
-    found = 0
-    candidate = r if r > 1 else r + m
+    lo = max(after, 1)  # 1 is no prime
+    candidate = lo + 1 + (r - lo - 1) % m  # the first term above lo
     for _ in range(max_candidates):
         if is_probable_prime(candidate):
-            if found == index:
-                e = (target.a * candidate - 1) // target.b
-                if legendre_symbol((d * d * e * e + 4 * d) % candidate, candidate) != 1:
-                    raise ConstructionError(
-                        f"reciprocity guarantee failed at p={candidate} (arithmetic bug)"
-                    )
-                return candidate
-            found += 1
+            e = (target.a * candidate - 1) // target.b
+            if legendre_symbol((d * d * e * e + 4 * d) % candidate, candidate) != 1:
+                raise ConstructionError(f"reciprocity guarantee failed at p={candidate} (arithmetic bug)")
+            return candidate
         candidate += m
     raise SearchLimitError(
-        f"no prime with index {index} within {max_candidates} candidates of the progression {r} mod {m}"
+        f"no prime above {after} within {max_candidates} candidates of the progression {r} mod {m}"
     )
 
 
@@ -209,8 +205,9 @@ def approximate(target: Target, steps: int, max_candidates: int = 2_000_000) -> 
     """ApproxSteps for the first `steps` primes; checks |dtilde - 2a/b| <= (2/b+1)/p."""
     out = []
     bound_scale = Fraction(2, target.b) + 1
-    for i in range(steps):
-        p = find_prime(target, i, max_candidates=max_candidates)
+    p = 0
+    for _ in range(steps):
+        p = find_prime(target, after=p, max_candidates=max_candidates)
         step = construct(target, p)
         if step.err_exact > bound_scale / p:
             raise ConstructionError(
@@ -238,7 +235,7 @@ def approximate_real(
     if a % b == 0:
         a += 1
     target = Target(a, b, order)
-    step = construct(target, find_prime(target, 0, max_candidates=max_candidates))
+    step = construct(target, find_prime(target, max_candidates=max_candidates))
     if abs(step.dtilde - r) >= tol:
         raise ConstructionError(f"approximation missed: |{step.dtilde} - {r}| >= {tol}")
     return target, step

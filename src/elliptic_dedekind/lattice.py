@@ -44,15 +44,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PrecisionPolicy:
-    """Evaluation controls: direct-sum shell radius, q-series length, tolerance."""
+    """Evaluation controls: q-series length and the tolerance of the lattice-point test."""
 
-    zeta_radius: int = 40
     q_terms: int = 64
     tol: float = 1e-9
 
     def __post_init__(self):
-        if self.zeta_radius < 8:
-            raise ValueError(f"zeta_radius must be >= 8, got {self.zeta_radius}")
         if self.q_terms < 16:
             raise ValueError(f"q_terms must be >= 16, got {self.q_terms}")
         if not self.tol > 0:
@@ -153,9 +150,6 @@ class Lattice:
         self._s2 = (g2 - math.pi / tau.imag) / (self._r1 * self._r1)
         self._eta1_tau = g2
         self._eta2_tau = g2 * tau - 2j * math.pi
-        # Truncation tail of the zeta q-series (decay ratio exp(-pi*Im tau)).
-        rho = math.exp(-math.pi * tau.imag)
-        self.series_tail_bound = 4.0 * math.pi * rho ** (n_terms + 1) / max((1.0 - rho) ** 2, 1e-300)
         self._qn_pows = np.array([qbar**n for n in range(1, n_terms + 1)])
 
     # -- point reduction -------------------------------------------------------

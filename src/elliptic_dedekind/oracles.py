@@ -32,15 +32,13 @@ def lattice_points_in_disk(lattice: Lattice, radius: float) -> np.ndarray:
     return z[mask]
 
 
-def weierstrass_zeta_direct(z: complex, lattice: Lattice, radius_shells: int | None = None) -> complex:
+def weierstrass_zeta_direct(z: complex, lattice: Lattice, radius_shells: int = 40) -> complex:
     """Truncated defining sum 1/z + sum' [1/(z-w) + 1/w + z/w^2].
 
-    The truncation is a centered disk of radius `radius_shells` basis lengths
-    (default: the lattice's precision policy), so odd-symmetry cancellation
-    leaves an O(1/R^2) tail.
+    The truncation is a centered disk of radius `radius_shells` basis lengths,
+    so odd-symmetry cancellation leaves an O(1/R^2) tail.
     """
-    shells = radius_shells if radius_shells is not None else lattice.precision.zeta_radius
-    radius = shells * max(abs(lattice.omega1), abs(lattice.omega2))
+    radius = radius_shells * max(abs(lattice.omega1), abs(lattice.omega2))
     pts = lattice_points_in_disk(lattice, radius)
     zc = complex(z)
     terms = 1.0 / (zc - pts) + 1.0 / pts + zc / (pts * pts)

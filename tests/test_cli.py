@@ -126,12 +126,11 @@ def test_approximate_json_determinism(capsys):
     assert out1 == out2
 
 
-def test_sum_threads_flag_same_result(capsys):
-    base = ("sum", "--dk", "-8", "--h", "3,1", "--k", "7,2", "--format", "json")
-    _, out1, _ = run_cli(capsys, *base)
-    _, out2, _ = run_cli(capsys, *base, "--threads", "4")
-    doc1, doc2 = json.loads(out1), json.loads(out2)
-    assert doc1["records"][0]["d_sum"] == doc2["records"][0]["d_sum"]
+@pytest.mark.parametrize("flag", ["--threads", "--zeta-radius"])
+def test_sum_removed_flags_usage_error(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["sum", "--dk", "-8", "--h", "3,1", "--k", "7,2", flag, "4"])
+    assert exc.value.code == 2
 
 
 def test_verify_json_determinism(capsys):
@@ -150,3 +149,12 @@ def test_precision_env_overrides(capsys, monkeypatch):
     assert doc["config"]["q_terms"] == 32
     assert doc["config"]["tol"] == 1e-8
     assert abs(doc["records"][0]["d_norm"] - 8 / 9) < 1e-8
+
+
+@pytest.mark.parametrize("name, value", [("Q_TERMS", "abc"), ("TOL", "1e-8x")])
+def test_malformed_precision_env_is_usage_error(capsys, monkeypatch, name, value):
+    monkeypatch.setenv("ELLIPTIC_DEDEKIND_" + name, value)
+    code, out, err = run_cli(capsys, "sum", "--dk", "-8", "--h", "1,0", "--k", "0,1")
+    assert code == 2
+    assert out == ""
+    assert f"ELLIPTIC_DEDEKIND_{name}" in err

@@ -105,15 +105,6 @@ def test_d_sum_inverse_congruence(ctx_m8):
         checked += 1
 
 
-def test_d_sum_threads_deterministic(ctx_m8):
-    order = ctx_m8.order
-    h = order.element(3, 1)
-    k = order.element(7, 2)
-    serial = d_sum(h, k, ctx_m8, threads=1)
-    threaded = d_sum(h, k, ctx_m8, threads=4)
-    assert serial == threaded  # bitwise identical reduction order
-
-
 # --- d_norm --------------------------------------------------------------------
 
 

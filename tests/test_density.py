@@ -13,6 +13,7 @@ from elliptic_dedekind import (
     approximate_real,
     construct,
     find_prime,
+    is_probable_prime,
     three_term_closed_form,
     legendre_symbol,
     normalize_value,
@@ -40,26 +41,48 @@ def test_target_validation():
 def test_find_prime_worked_example():
     # modulus lcm(4*|4*9*(-8) + 64|, 3) = lcm(896, 3) = 2688, residue 1
     target = Target(1, 3, QuadOrder(-8))
-    assert find_prime(target, 0) == 2689
+    assert find_prime(target) == 2689
 
 
 def test_find_prime_properties():
     target = Target(2, 5, QuadOrder(-8))
     d = target.order.discriminant
-    previous = 0
-    for index in range(3):
-        p = find_prime(target, index)
-        assert p > previous
+    p = 0
+    for _ in range(3):
         previous = p
+        p = find_prime(target, after=p)
+        assert p > previous
         assert p % 4 == 1
         e = (target.a * p - 1) // target.b
         assert legendre_symbol((d * d * e * e + 4 * d) % p, p) == 1
+    with pytest.raises(TypeError):
+        find_prime(target, 1)  # `after` is keyword-only
+
+
+@pytest.mark.parametrize("a, b, dk", [(1, 3, -8), (2, 5, -7), (5, 7, -11), (0, 1, -20)])
+def test_find_prime_chain_matches_plain_scan(a, b, dk):
+    target = Target(a, b, QuadOrder(dk))
+    d = target.order.discriminant
+    modulus = 4 * abs(4 * b * b * d + d * d)
+    scanned = []
+    candidate = 1
+    while len(scanned) < 8:
+        candidate += modulus
+        if (a * candidate - 1) % b == 0 and is_probable_prime(candidate):
+            scanned.append(candidate)
+    chained = [0]
+    for _ in range(8):
+        chained.append(find_prime(target, after=chained[-1]))
+    assert chained[1:] == scanned
+    # Starting inside the progression resumes at the next prime.
+    assert find_prime(target, after=scanned[2] - 1) == scanned[2]
+    assert find_prime(target, after=scanned[2]) == scanned[3]
 
 
 def test_find_prime_regressions():
-    assert find_prime(Target(2, 5, QuadOrder(-8)), 0) == 38273
-    assert find_prime(Target(7, 9, QuadOrder(-8)), 0) == 151681
-    assert find_prime(Target(1, 3, QuadOrder(-20)), 0) == 7681
+    assert find_prime(Target(2, 5, QuadOrder(-8))) == 38273
+    assert find_prime(Target(7, 9, QuadOrder(-8))) == 151681
+    assert find_prime(Target(1, 3, QuadOrder(-20))) == 7681
 
 
 def test_construct_worked_example():
@@ -80,7 +103,7 @@ def test_construct_exact_invariants():
         d = order.discriminant
         for a, b in ((1, 3), (7, 9)):
             target = Target(a, b, order)
-            p = find_prime(target, 0)
+            p = find_prime(target)
             step = construct(target, p)
             one = order.one()
             assert step.A1.det() == one and step.A2.det() == one and step.A3.det() == one
@@ -130,7 +153,7 @@ def test_dtilde_consistency_with_lemma_normalization():
     order = QuadOrder(-8)
     ctx = SumContext(order)
     target = Target(1, 3, order)
-    step = construct(target, find_prime(target, 0))
+    step = construct(target, find_prime(target))
     c3 = (step.p * step.e) * sqrt_discriminant(order)
     val = three_term_closed_form(order.element(step.p), c3, ctx)
     assert abs(normalize_value(val, ctx) - float(step.dtilde_exact)) < 1e-10

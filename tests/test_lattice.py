@@ -57,8 +57,6 @@ def test_degenerate_and_misoriented_bases():
 
 def test_precision_policy_validation():
     with pytest.raises(ValueError):
-        PrecisionPolicy(zeta_radius=2)
-    with pytest.raises(ValueError):
         PrecisionPolicy(q_terms=4)
     with pytest.raises(ValueError):
         PrecisionPolicy(tol=0.0)

@@ -1,0 +1,44 @@
+import numpy as np
+import pytest
+
+from elliptic_dedekind import CosetSystem, Lattice, QuadOrder
+from elliptic_dedekind.verification import _colliding_pairs, run_phi_suite
+
+
+def pair_loop_collisions(system, coords):
+    """Reference count: every pair whose difference lies in kL."""
+    count = 0
+    for i in range(len(coords)):
+        for j in range(i + 1, len(coords)):
+            delta = (int(coords[i, 0] - coords[j, 0]), int(coords[i, 1] - coords[j, 1]))
+            if system.in_sublattice(delta):
+                count += 1
+    return count
+
+
+@pytest.mark.parametrize("dk, seed", [(-11, 12345), (-8, 2)])
+def test_phi_suite_generates_words_on_hard_seeds(dk, seed):
+    checks = run_phi_suite(QuadOrder(dk), seed=seed)
+    assert len(checks) == 50
+    assert all(c.passed for c in checks)
+
+
+@pytest.mark.parametrize("dk, f", [(-8, 1), (-7, 1), (-4, 3)])
+def test_colliding_pairs_matches_pair_loop(dk, f):
+    order = QuadOrder(dk, f)
+    lattice = Lattice.from_order(order)
+    rng = np.random.default_rng(7)
+    for u, v in ((3, 1), (7, 2), (-5, 3), (2, 0), (1, 0)):
+        system = CosetSystem(order.element(u, v), lattice)
+        coords = system.coords()
+        assert _colliding_pairs(system, coords) == pair_loop_collisions(system, coords) == 0
+        # Inject representatives shifted by elements of kL (columns of M) and
+        # arbitrary points, which collide with the box and with each other.
+        m = system.mult
+        shifts = rng.integers(-3, 4, size=(6, 2))
+        picks = coords[rng.integers(0, len(coords), size=6)]
+        moved = picks + shifts[:, :1] * [m.a11, m.a21] + shifts[:, 1:] * [m.a12, m.a22]
+        noisy = np.concatenate([coords, moved, moved[:2], rng.integers(-20, 20, size=(5, 2))])
+        expected = pair_loop_collisions(system, noisy)
+        assert expected >= 8
+        assert _colliding_pairs(system, noisy) == expected
