@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import math
-import os
 import sys
 import time
 
@@ -26,7 +25,7 @@ from .errors import (
     PrecisionLossError,
     SearchLimitError,
 )
-from .lattice import Lattice, PrecisionPolicy
+from .lattice import Lattice
 from .ring import QuadOrder
 from .verification import SUITE_NAMES, run_suite
 
@@ -38,19 +37,6 @@ _EXIT_USAGE = 2
 _EXIT_INTERNAL = 3
 
 _DEFAULT_SEED = 12345
-
-_ENV_PREFIX = "ELLIPTIC_DEDEKIND_"
-
-
-def _env_default(name: str, cast, fallback):
-    var = _ENV_PREFIX + name
-    raw = os.environ.get(var)
-    if raw is None:
-        return fallback
-    try:
-        return cast(raw)
-    except ValueError:
-        raise ValueError(f"environment variable {var}={raw!r} is not a valid {cast.__name__}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -136,30 +122,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_subcommand(name, help_text):
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--dk", type=int, default=-8, help="fundamental discriminant d_K < 0 (default -8)")
         p.add_argument("-f", "--conductor", type=int, default=1, help="conductor f >= 1 (default 1)")
-        p.add_argument("--omega1", type=_parse_complex, default=None, help="custom basis vector omega1")
-        p.add_argument("--omega2", type=_parse_complex, default=None, help="custom basis vector omega2")
-        p.add_argument(
-            "--q-terms", type=int, default=_env_default("Q_TERMS", int, 64), help="q-series truncation length"
-        )
-        p.add_argument("--tol", type=float, default=_env_default("TOL", float, 1e-9), help="numerical tolerance")
-        p.add_argument("--seed", type=int, default=_DEFAULT_SEED, help="PRNG seed for randomized suites")
         p.add_argument("--format", choices=("text", "json", "csv"), default="text", help="output format")
-        p.add_argument("--max-prime", type=int, default=2_000_000, help="per-step prime-search candidate budget")
+        return p
 
-    p_sum = sub.add_parser("sum", help="compute D_L and the normalized sum for one (h, k) pair")
-    add_common(p_sum)
+    p_sum = add_subcommand("sum", "compute D_L and the normalized sum for one (h, k) pair")
+    p_sum.add_argument("--omega1", type=_parse_complex, default=None, help="custom basis vector omega1")
+    p_sum.add_argument("--omega2", type=_parse_complex, default=None, help="custom basis vector omega2")
     p_sum.add_argument("--h", type=_parse_coords, required=True, metavar="U,V", help="h in theta-coordinates")
     p_sum.add_argument("--k", type=_parse_coords, required=True, metavar="U,V", help="k in theta-coordinates")
 
-    p_verify = sub.add_parser("verify", help="run an invariant suite")
-    add_common(p_verify)
+    p_verify = add_subcommand("verify", "run an invariant suite")
     p_verify.add_argument("--suite", choices=SUITE_NAMES, required=True)
+    p_verify.add_argument("--seed", type=int, default=_DEFAULT_SEED, help="PRNG seed for randomized suites")
 
-    p_approx = sub.add_parser("approximate", help="approximate 2a/b by normalized sums")
-    add_common(p_approx)
+    p_approx = add_subcommand("approximate", "approximate 2a/b by normalized sums")
     p_approx.add_argument("--a", type=int, required=True)
     p_approx.add_argument("--b", type=int, required=True)
     p_approx.add_argument("--steps", type=int, default=3)
@@ -167,32 +147,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_dict(args) -> dict:
-    cfg = {
-        "command": args.command,
-        "d_k": args.dk,
-        "conductor": args.conductor,
-        "q_terms": args.q_terms,
-        "tol": args.tol,
-        "seed": args.seed,
-        "format": args.format,
-        "max_prime": args.max_prime,
-    }
-    if args.omega1 is not None or args.omega2 is not None:
-        cfg["omega1"] = args.omega1 if args.omega1 is not None else 1.0 + 0.0j
+    cfg = {"command": args.command, "d_k": args.dk, "conductor": args.conductor}
+    if args.command == "verify":
+        cfg["seed"] = args.seed
+    cfg["format"] = args.format
+    if args.command == "sum" and args.omega1 is not None:  # a sum succeeds only with both vectors
+        cfg["omega1"] = args.omega1
         cfg["omega2"] = args.omega2
     return cfg
 
 
 def _make_context(args) -> SumContext:
     order = QuadOrder(args.dk, args.conductor)
-    precision = PrecisionPolicy(q_terms=args.q_terms, tol=args.tol)
     if args.omega1 is not None or args.omega2 is not None:
         if args.omega1 is None or args.omega2 is None:
             raise InadmissibleTargetError("--omega1 and --omega2 must be given together")
-        lattice = Lattice(args.omega1, args.omega2, precision)
-    else:
-        lattice = Lattice.from_order(order, precision)
-    return SumContext(order, lattice)
+        return SumContext(order, Lattice(args.omega1, args.omega2))
+    return SumContext(order)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +262,7 @@ def _cmd_approximate(args) -> int:
     p = 0
     for index in range(args.steps):
         t0 = time.perf_counter()
-        p = find_prime(target, after=p, max_candidates=args.max_prime)
+        p = find_prime(target, after=p)
         step = construct(target, p)
         wall = time.perf_counter() - t0
         bound = (2.0 / args.b + 1.0) / step.p

@@ -1,10 +1,10 @@
 """Exact enumeration of coset representatives of L/kL.
 
-The multiplication-by-k matrix on the basis (omega1, omega2) is recovered as
-an exact integer matrix, its column Hermite normal form [[h11, h12], [0, h22]]
-is computed over Z, and the box {a*omega1 + b*omega2 : 0 <= a < h11,
-0 <= b < h22} is a complete transversal of L/kL with exactly
-h11*h22 = |det| = norm(k) members.
+The multiplication-by-k matrix on the basis (omega1, omega2) is built as an
+exact integer matrix from the matrix of theta, its column Hermite normal form
+[[h11, h12], [0, h22]] is computed over Z, and the box
+{a*omega1 + b*omega2 : 0 <= a < h11, 0 <= b < h22} is a complete transversal
+of L/kL with exactly h11*h22 = |det| = norm(k) members.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import NotAMultiplierError, ZeroDivisorError
 from .lattice import Lattice
-from .ring import OrderElem, egcd
+from .ring import OrderElem, QuadOrder, egcd
 
 __all__ = ["MultMatrix", "mult_matrix", "CosetSystem", "coset_reps"]
 
@@ -34,33 +34,45 @@ class MultMatrix:
         return self.a11 * self.a22 - self.a12 * self.a21
 
 
-def mult_matrix(k: OrderElem, lattice: Lattice) -> MultMatrix:
-    """Exact matrix M with (k*omega1, k*omega2) = (omega1, omega2) @ M.
+def _theta_matrix(order: QuadOrder, lattice: Lattice) -> MultMatrix:
+    """Multiplication by the order's theta on (omega1, omega2), solved in floats.
 
-    Columns are recovered by solving the 2x2 real system and rounding; a
-    coordinate residual >= 1e-6 means k does not multiply the lattice into
-    itself.
+    Columns come from the 2x2 real system, rounded; a coordinate residual
+    >= 1e-6, or a determinant other than norm(theta), means theta does not
+    multiply the lattice into itself.
     """
-    if k.is_zero():
-        raise ZeroDivisorError("k must be nonzero")
-    kc = k.embed()
+    tc = order.theta_embedding()
     w1, w2 = lattice.omega1, lattice.omega2
     a = lattice.area()
     cols = []
     for wj in (w1, w2):
-        target = kc * wj
+        target = tc * wj
         x = -(target * w2.conjugate()).imag / a
         y = (target * w1.conjugate()).imag / a
         xi, yi = round(x), round(y)
         if abs(x - xi) >= 1e-6 or abs(y - yi) >= 1e-6:
             raise NotAMultiplierError(
-                f"{k!r} is not a multiplier of this lattice (residual {max(abs(x - xi), abs(y - yi)):.2e})"
+                f"theta of {order} is not a multiplier of this lattice "
+                f"(residual {max(abs(x - xi), abs(y - yi)):.2e})"
             )
         cols.append((int(xi), int(yi)))
     m = MultMatrix(cols[0][0], cols[1][0], cols[0][1], cols[1][1])
-    if m.det != k.norm():
-        raise NotAMultiplierError(f"determinant {m.det} does not match norm {k.norm()}")
+    if m.det != order.theta_norm:
+        raise NotAMultiplierError(f"determinant {m.det} does not match norm {order.theta_norm}")
     return m
+
+
+def mult_matrix(k: OrderElem, lattice: Lattice) -> MultMatrix:
+    """Exact matrix M with (k*omega1, k*omega2) = (omega1, omega2) @ M.
+
+    For k = u + v*theta, M = u*I + v*M(theta): only the small matrix of theta
+    is recovered in floats, so k may have coordinates of any size.
+    """
+    if k.is_zero():
+        raise ZeroDivisorError("k must be nonzero")
+    t = _theta_matrix(k.order, lattice)
+    u, v = k.u, k.v
+    return MultMatrix(u + v * t.a11, v * t.a12, v * t.a21, u + v * t.a22)
 
 
 def _column_hnf(m: MultMatrix) -> tuple[int, int, int]:

@@ -33,7 +33,7 @@ from .errors import (
     PreconditionError,
     ZeroDivisorError,
 )
-from .lattice import Lattice, PrecisionPolicy
+from .lattice import Lattice
 from .ring import OrderElem, QuadOrder, egcd_order
 
 __all__ = [
@@ -99,22 +99,18 @@ class Mat2:
 
 
 class SumContext:
-    """Order + lattice + precision bundle for sum evaluation.
+    """An order and a lattice it acts on, for sum evaluation.
 
-    Construction checks that the order's generator actually multiplies the
-    lattice into itself (so all OrderElem arguments are valid multipliers).
+    The lattice defaults to the order itself, basis (1, theta).  Construction
+    checks that the order's generator actually multiplies the lattice into
+    itself (so all OrderElem arguments are valid multipliers).
     """
 
-    def __init__(self, order: QuadOrder, lattice: Lattice | None = None, precision: PrecisionPolicy | None = None):
+    def __init__(self, order: QuadOrder, lattice: Lattice | None = None):
         self.order = order
-        if lattice is None:
-            lattice = Lattice.from_order(order, precision)
-        elif precision is not None and lattice.precision != precision:
-            lattice = Lattice(lattice.omega1, lattice.omega2, precision)
-        self.lattice = lattice
-        self.precision = lattice.precision
+        self.lattice = lattice if lattice is not None else Lattice.from_order(order)
         try:
-            mult_matrix(order.theta(), lattice)
+            mult_matrix(order.theta(), self.lattice)
         except NotAMultiplierError as exc:
             raise NotAMultiplierError(f"order (d_k={order.d_k}, f={order.f}) does not act on this lattice") from exc
 
@@ -153,10 +149,11 @@ def normalize_value(value: complex, ctx: SumContext) -> float:
 
     Raises ExcludedRingError when E2(0) vanishes (multiplier ring Z[i] or
     Z[rho]), and PrecisionLossError when j(L) is real but the normalized value
-    keeps a residual imaginary part.
+    keeps a residual imaginary part.  E2(0) has weight 2, so the vanishing test
+    is on |E2(0)|*area, which does not change when the lattice is scaled.
     """
     e2 = ctx.lattice.e2_zero()
-    if abs(e2) < 1e-12:
+    if abs(e2) * ctx.lattice.area() < 1e-12:
         raise ExcludedRingError(
             f"E2(0) = {e2:.3e} vanishes for this ring; normalized sums are undefined"
         )

@@ -52,6 +52,9 @@ from .ring import (
 
 __all__ = ["Target", "ApproxStep", "find_prime", "construct", "approximate", "approximate_real"]
 
+# Progression terms one prime search tests before it gives up.
+_MAX_CANDIDATES = 2_000_000
+
 
 @dataclass(frozen=True)
 class Target:
@@ -109,18 +112,19 @@ def _progression(target: Target) -> tuple[int, int]:
     return crt([(1, m1), (a_bar, target.b)])
 
 
-def find_prime(target: Target, *, after: int = 0, max_candidates: int = 2_000_000) -> int:
+def find_prime(target: Target, *, after: int = 0) -> int:
     """The smallest prime of the target's arithmetic progression greater than `after`.
 
     Chaining `p = find_prime(target, after=p)` walks the progression's primes
-    in order.  At most `max_candidates` terms above `after` are tested.  Every
-    returned prime is re-checked to make d^2*e^2 + 4*d a square mod p.
+    in order.  At most _MAX_CANDIDATES terms above `after` are tested, so a
+    search that cannot succeed raises SearchLimitError.  Every returned prime
+    is re-checked to make d^2*e^2 + 4*d a square mod p.
     """
     r, m = _progression(target)
     d = target.order.discriminant
     lo = max(after, 1)  # 1 is no prime
     candidate = lo + 1 + (r - lo - 1) % m  # the first term above lo
-    for _ in range(max_candidates):
+    for _ in range(_MAX_CANDIDATES):
         if is_probable_prime(candidate):
             e = (target.a * candidate - 1) // target.b
             if legendre_symbol((d * d * e * e + 4 * d) % candidate, candidate) != 1:
@@ -128,7 +132,7 @@ def find_prime(target: Target, *, after: int = 0, max_candidates: int = 2_000_00
             return candidate
         candidate += m
     raise SearchLimitError(
-        f"no prime above {after} within {max_candidates} candidates of the progression {r} mod {m}"
+        f"no prime above {after} within {_MAX_CANDIDATES} candidates of the progression {r} mod {m}"
     )
 
 
@@ -201,13 +205,16 @@ def construct(target: Target, p: int) -> ApproxStep:
     )
 
 
-def approximate(target: Target, steps: int, max_candidates: int = 2_000_000) -> list[ApproxStep]:
-    """ApproxSteps for the first `steps` primes; checks |dtilde - 2a/b| <= (2/b+1)/p."""
+def approximate(target: Target, steps: int) -> list[ApproxStep]:
+    """ApproxSteps for the target's first `steps` progression primes, in order.
+
+    Checks |dtilde - 2a/b| <= (2/b+1)/p at every step.
+    """
     out = []
     bound_scale = Fraction(2, target.b) + 1
     p = 0
     for _ in range(steps):
-        p = find_prime(target, after=p, max_candidates=max_candidates)
+        p = find_prime(target, after=p)
         step = construct(target, p)
         if step.err_exact > bound_scale / p:
             raise ConstructionError(
@@ -217,9 +224,7 @@ def approximate(target: Target, steps: int, max_candidates: int = 2_000_000) -> 
     return out
 
 
-def approximate_real(
-    r: float, order: QuadOrder, tol: float = 1e-2, max_candidates: int = 2_000_000
-) -> tuple[Target, ApproxStep]:
+def approximate_real(r: float, order: QuadOrder, tol: float = 1e-2) -> tuple[Target, ApproxStep]:
     """A target and a single step whose dtilde lands within tol of the real r.
 
     Picks an odd prime denominator b > 4/tol coprime to 2d, so the grid
@@ -235,7 +240,7 @@ def approximate_real(
     if a % b == 0:
         a += 1
     target = Target(a, b, order)
-    step = construct(target, find_prime(target, max_candidates=max_candidates))
+    step = construct(target, find_prime(target))
     if abs(step.dtilde - r) >= tol:
         raise ConstructionError(f"approximation missed: |{step.dtilde} - {r}| >= {tol}")
     return target, step

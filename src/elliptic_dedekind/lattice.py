@@ -10,7 +10,10 @@ convergent cotangent + q-power series
                        - 2*pi*i * sum_{n>=1} (alpha^n - beta^n)/(1 - qbar^n),
 
 with alpha = exp(2*pi*i*(tau+u)), beta = exp(2*pi*i*(tau-u)) and
-qbar = exp(2*pi*i*tau).  Quasi-period constants eta(1) = G2(tau) and
+qbar = exp(2*pi*i*tau).  A reduced u has |alpha|, |beta| <= exp(-pi*Im tau),
+so ceil(18*ln(10)/(pi*Im tau)) terms bring the n-th power below 1e-18; as
+Im tau >= sqrt(3)/2 that is at most 16 terms.  The same count truncates the
+q-expansions of G2, E4 and E6.  Quasi-period constants eta(1) = G2(tau) and
 eta(tau) = G2(tau)*tau - 2*pi*i un-reduce the value.  E1 uses the closed
 expression
 
@@ -24,14 +27,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateLatticeError, PoleError
 
 __all__ = [
-    "PrecisionPolicy",
     "Lattice",
     "area",
     "weierstrass_zeta",
@@ -42,18 +43,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PrecisionPolicy:
-    """Evaluation controls: q-series length and the tolerance of the lattice-point test."""
-
-    q_terms: int = 64
-    tol: float = 1e-9
-
-    def __post_init__(self):
-        if self.q_terms < 16:
-            raise ValueError(f"q_terms must be >= 16, got {self.q_terms}")
-        if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+# Reduced coordinates closer than this to an integer pair count as a lattice point.
+_TOL = 1e-9
 
 
 def _divisor_sums(n_max: int, power: int) -> list[int]:
@@ -75,14 +66,14 @@ def _cot(w: np.ndarray) -> np.ndarray:
 class Lattice:
     """Oriented complex lattice Z*omega1 + Z*omega2 with Im(omega2/omega1) > 0.
 
-    Instances are immutable after construction apart from the lazily cached
-    j-invariant; the cache is idempotent, so concurrent use is safe.
+    The q-series length is fixed by Im tau of the reduced basis.  Instances are
+    immutable after construction apart from the lazily cached j-invariant; the
+    cache is idempotent, so concurrent use is safe.
     """
 
-    def __init__(self, omega1: complex, omega2: complex, precision: PrecisionPolicy | None = None):
+    def __init__(self, omega1: complex, omega2: complex):
         self.omega1 = complex(omega1)
         self.omega2 = complex(omega2)
-        self.precision = precision if precision is not None else PrecisionPolicy()
         a = (self.omega1.conjugate() * self.omega2).imag
         scale = abs(self.omega1) * abs(self.omega2)
         if not math.isfinite(a) or scale == 0.0 or abs(a) <= 1e-14 * scale:
@@ -95,12 +86,12 @@ class Lattice:
         self._j = None
 
     @classmethod
-    def from_order(cls, order, precision: PrecisionPolicy | None = None) -> "Lattice":
+    def from_order(cls, order) -> "Lattice":
         """The order itself as a lattice, basis (1, theta)."""
-        return cls(1.0, order.theta_embedding(), precision)
+        return cls(1.0, order.theta_embedding())
 
     def scaled(self, c: complex) -> "Lattice":
-        return Lattice(c * self.omega1, c * self.omega2, self.precision)
+        return Lattice(c * self.omega1, c * self.omega2)
 
     def area(self) -> float:
         """Fundamental-domain area Im(conj(omega1)*omega2)."""
@@ -135,8 +126,9 @@ class Lattice:
     # -- series preparation ----------------------------------------------------
 
     def _prepare_series(self):
-        n_terms = self.precision.q_terms
         tau = self._tau
+        n_terms = math.ceil(18.0 * math.log(10.0) / (math.pi * tau.imag))
+        self._n_terms = n_terms
         qbar = cmath.exp(2j * math.pi * tau)
         sig1 = _divisor_sums(n_terms, 1)
         acc = 0.0 + 0.0j
@@ -166,8 +158,7 @@ class Lattice:
         n2 = np.round(y)
         xr = x - n1
         yr = y - n2
-        tol = self.precision.tol
-        on_lattice = (np.abs(xr) < tol) & (np.abs(yr) < tol)
+        on_lattice = (np.abs(xr) < _TOL) & (np.abs(yr) < _TOL)
         u = xr + yr * self._tau
         return u, n1, n2, on_lattice
 
@@ -177,15 +168,13 @@ class Lattice:
         val = self._g2_tau * u + math.pi * _cot(math.pi * u)
         alpha = np.exp(2j * math.pi * (self._tau + u))
         beta = np.exp(2j * math.pi * (self._tau - u))
-        an = alpha.copy()
-        bn = beta.copy()
-        for n in range(1, self.precision.q_terms + 1):
-            if n > 1:
+        an = alpha
+        bn = beta
+        for n, qn in enumerate(self._qn_pows):
+            if n:
                 an = an * alpha
                 bn = bn * beta
-            val = val - 2j * math.pi * (an - bn) / (1.0 - self._qn_pows[n - 1])
-            if max(np.max(np.abs(an)), np.max(np.abs(bn))) < 1e-18:
-                break
+            val = val - 2j * math.pi * (an - bn) / (1.0 - qn)
         return val
 
     def weierstrass_zeta(self, z: complex) -> complex:
@@ -193,7 +182,7 @@ class Lattice:
         arr = np.asarray([complex(z)])
         u, n1, n2, on_lattice = self._reduce_many(arr)
         if bool(on_lattice[0]):
-            raise PoleError(f"z = {z} lies on the lattice (within tol)")
+            raise PoleError(f"z = {z} lies on the lattice (within {_TOL:g})")
         full = self._zeta_tau_many(u)[0] + n1[0] * self._eta1_tau + n2[0] * self._eta2_tau
         return complex(full / self._r1)
 
@@ -229,7 +218,7 @@ class Lattice:
     def j_invariant(self) -> complex:
         """Modular invariant 1728*E4^3/(E4^3 - E6^2) from the q-expansion."""
         if self._j is None:
-            n_terms = self.precision.q_terms
+            n_terms = self._n_terms
             sig3 = _divisor_sums(n_terms, 3)
             sig5 = _divisor_sums(n_terms, 5)
             e4 = 1.0 + 0.0j

@@ -126,11 +126,72 @@ def test_approximate_json_determinism(capsys):
     assert out1 == out2
 
 
-@pytest.mark.parametrize("flag", ["--threads", "--zeta-radius"])
-def test_sum_removed_flags_usage_error(capsys, flag):
+def assert_usage_error(*argv):
     with pytest.raises(SystemExit) as exc:
-        main(["sum", "--dk", "-8", "--h", "3,1", "--k", "7,2", flag, "4"])
+        main(list(argv))
     assert exc.value.code == 2
+
+
+# Each subcommand accepts only the flags it reads; the ones below were removed.
+
+
+@pytest.mark.parametrize("flag", ["--threads", "--zeta-radius", "--q-terms", "--tol", "--seed", "--max-prime"])
+def test_sum_removed_flags_usage_error(flag):
+    assert_usage_error("sum", "--dk", "-8", "--h", "3,1", "--k", "7,2", flag, "4")
+
+
+@pytest.mark.parametrize("flag", ["--omega1", "--omega2", "--q-terms", "--tol", "--max-prime"])
+def test_verify_removed_flags_usage_error(flag):
+    assert_usage_error("verify", "--suite", "lemma", flag, "4")
+
+
+@pytest.mark.parametrize("flag", ["--omega1", "--omega2", "--q-terms", "--tol", "--seed", "--max-prime"])
+def test_approximate_removed_flags_usage_error(flag):
+    assert_usage_error("approximate", "--a", "1", "--b", "3", flag, "4")
+
+
+@pytest.mark.parametrize(
+    "argv, keys",
+    [
+        (["sum", "--h", "1,0", "--k", "0,1"], ["command", "d_k", "conductor", "format"]),
+        (
+            ["sum", "--h", "1,0", "--k", "0,1", "--omega1", "1", "--omega2", "1.4142135623730951j"],
+            ["command", "d_k", "conductor", "format", "omega1", "omega2"],
+        ),
+        (["verify", "--suite", "cosets"], ["command", "d_k", "conductor", "seed", "format"]),
+        (["approximate", "--a", "1", "--b", "3", "--steps", "1"], ["command", "d_k", "conductor", "format"]),
+    ],
+)
+def test_config_has_exactly_the_command_keys(capsys, argv, keys):
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert list(json.loads(out)["config"]) == keys
+
+
+def test_sum_scaled_basis_is_not_an_excluded_ring(capsys):
+    # 1e7 times the basis (1, sqrt(-2)): E2(0) is ~1e-14, but the ring is Z[sqrt(-2)].
+    code, out, err = run_cli(
+        capsys,
+        "sum",
+        "--dk",
+        "-8",
+        "--h",
+        "1,0",
+        "--k",
+        "0,1",
+        "--omega1",
+        "10000000",
+        "--omega2",
+        "14142135.623730951j",
+        "--format",
+        "json",
+    )
+    assert code == 0, err
+    assert abs(json.loads(out)["records"][0]["d_norm"] - 8 / 9) < 1e-8
+    for dk in ("-4", "-3"):
+        code, _, err = run_cli(capsys, "sum", "--dk", dk, "--h", "1,0", "--k", "2,0")
+        assert code == 2
+        assert "normalized sums are undefined" in err
 
 
 def test_verify_json_determinism(capsys):
@@ -138,23 +199,3 @@ def test_verify_json_determinism(capsys):
     _, out1, _ = run_cli(capsys, *args)
     _, out2, _ = run_cli(capsys, *args)
     assert out1 == out2
-
-
-def test_precision_env_overrides(capsys, monkeypatch):
-    monkeypatch.setenv("ELLIPTIC_DEDEKIND_Q_TERMS", "32")
-    monkeypatch.setenv("ELLIPTIC_DEDEKIND_TOL", "1e-8")
-    code, out, _ = run_cli(capsys, "sum", "--dk", "-8", "--h", "1,0", "--k", "0,1", "--format", "json")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["config"]["q_terms"] == 32
-    assert doc["config"]["tol"] == 1e-8
-    assert abs(doc["records"][0]["d_norm"] - 8 / 9) < 1e-8
-
-
-@pytest.mark.parametrize("name, value", [("Q_TERMS", "abc"), ("TOL", "1e-8x")])
-def test_malformed_precision_env_is_usage_error(capsys, monkeypatch, name, value):
-    monkeypatch.setenv("ELLIPTIC_DEDEKIND_" + name, value)
-    code, out, err = run_cli(capsys, "sum", "--dk", "-8", "--h", "1,0", "--k", "0,1")
-    assert code == 2
-    assert out == ""
-    assert f"ELLIPTIC_DEDEKIND_{name}" in err

@@ -53,6 +53,41 @@ def test_mult_matrix_rejects_non_multiplier(order_m7):
         mult_matrix(order_m7.theta(), lat)
 
 
+def test_mult_matrix_large_multiplier(order_m8):
+    # Coordinates ~1e10 are beyond a float solve for k's own columns.
+    k = order_m8.element(10**10 + 7, 3333333333)
+    m = mult_matrix(k, Lattice.from_order(order_m8))
+    assert m.det == k.norm()
+
+
+def float_solve_reference(k, lattice):
+    """Matrix of k recovered column by column from the real 2x2 system, rounded."""
+    kc, w1, w2, a = k.embed(), lattice.omega1, lattice.omega2, lattice.area()
+    cols = []
+    for wj in (w1, w2):
+        target = kc * wj
+        x = -(target * w2.conjugate()).imag / a
+        y = (target * w1.conjugate()).imag / a
+        assert abs(x - round(x)) < 1e-6 and abs(y - round(y)) < 1e-6
+        cols.append((round(x), round(y)))
+    return cols[0][0], cols[1][0], cols[0][1], cols[1][1]
+
+
+@pytest.mark.parametrize("dk,f", [(-8, 1), (-7, 1), (-11, 1), (-4, 3), (-3, 2), (-20, 1), (-15, 2), (-8, 3)])
+def test_mult_matrix_matches_float_solve_reference(dk, f):
+    order = QuadOrder(dk, f)
+    theta = order.theta_embedding()
+    c = complex(1.3, 0.7)
+    bases = [(1.0, theta), (c, c * theta), (c * (2 + theta), c * (1 + theta))]
+    rng = random.Random(1000 + dk * f)
+    for w1, w2 in bases:
+        lat = Lattice(w1, w2)
+        for _ in range(40):
+            k = random_nonzero(rng, order, 10**6)
+            m = mult_matrix(k, lat)
+            assert (m.a11, m.a12, m.a21, m.a22) == float_solve_reference(k, lat)
+
+
 def test_mult_matrix_rejects_zero(order_m8):
     lat = Lattice(1.0, 1j * SQRT2)
     with pytest.raises(ZeroDivisorError):

@@ -1,13 +1,14 @@
+import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 
 from elliptic_dedekind import (
     DegenerateLatticeError,
     Lattice,
     PoleError,
-    PrecisionPolicy,
     QuadOrder,
     area,
     e1,
@@ -55,13 +56,6 @@ def test_degenerate_and_misoriented_bases():
         Lattice(1.0, -1j)  # negatively oriented
 
 
-def test_precision_policy_validation():
-    with pytest.raises(ValueError):
-        PrecisionPolicy(q_terms=4)
-    with pytest.raises(ValueError):
-        PrecisionPolicy(tol=0.0)
-
-
 # --- weierstrass zeta ---------------------------------------------------------
 
 
@@ -106,6 +100,29 @@ def test_zeta_homogeneity():
         lhs = lat.scaled(c).weierstrass_zeta(c * z)
         rhs = lat.weierstrass_zeta(z) / c
         assert abs(lhs - rhs) < 1e-8 * (1 + abs(rhs))
+
+
+def zeta_tau_reference(u: complex, tau: complex, n_terms: int = 200) -> complex:
+    """zeta(u; Z + Z*tau) from the cotangent + q-power series, n_terms terms of each series."""
+    q = cmath.exp(2j * math.pi * tau)
+    sigma1 = [sum(d for d in range(1, m + 1) if m % d == 0) for m in range(n_terms + 1)]
+    g2 = (math.pi**2 / 3.0) * (1.0 - 24.0 * sum(sigma1[m] * q**m for m in range(1, n_terms + 1)))
+    alpha = cmath.exp(2j * math.pi * (tau + u))
+    beta = cmath.exp(2j * math.pi * (tau - u))
+    tail = sum((alpha**n - beta**n) / (1.0 - q**n) for n in range(1, n_terms + 1))
+    return g2 * u + math.pi * cmath.cos(math.pi * u) / cmath.sin(math.pi * u) - 2j * math.pi * tail
+
+
+def test_zeta_series_length_matches_long_reference():
+    # Reduced points on the strip edge |y| = 1/2 are where alpha, beta are largest.
+    lattices = [Lattice(1.0, RHO), Lattice(1.0, 1j), Lattice(1.0, 1j * SQRT2), Lattice.from_order(QuadOrder(-8, 3))]
+    for lat in lattices:
+        tau = lat._tau
+        us = [x + y * tau for y in (0.5, -0.5, 0.49, -0.49) for x in (-0.5, -0.31, 0.0, 0.17, 0.5)]
+        got = lat._zeta_tau_many(np.asarray(us))
+        for u, val in zip(us, got):
+            ref = zeta_tau_reference(u, tau)
+            assert abs(val - ref) <= 1e-14 * abs(ref)
 
 
 def test_zeta_against_direct_sum():
