@@ -101,6 +101,9 @@ class CosetSystem:
         self.mult = mult_matrix(k, lattice)
         self.h11, self.h12, self.h22 = _column_hnf(self.mult)
         self.size = self.h11 * self.h22
+        # adj(M) reduced mod det(M) = norm(k) = size, for torsion_key.
+        m = self.mult
+        self._adj = tuple(x % self.size for x in (m.a22, -m.a12, -m.a21, m.a11))
 
     def coords(self) -> np.ndarray:
         """Integer (a, b) pairs of the box transversal, row-major in a then b."""
@@ -116,23 +119,29 @@ class CosetSystem:
         ab = self.coords()
         return ab[:, 0] * self.lattice.omega1 + ab[:, 1] * self.lattice.omega2
 
-    def reduce_coords(self, ab: tuple[int, int]) -> tuple[int, int]:
-        """Box representative of an arbitrary lattice point, exactly."""
-        x, y = int(ab[0]), int(ab[1])
-        q2 = y // self.h22
-        x -= q2 * self.h12
-        y -= q2 * self.h22
-        x -= (x // self.h11) * self.h11
-        return x, y
+    def torsion_key(self, a, b):
+        """(s, t) = adj(M)*(a, b) mod det(M), the exact torsion coordinates.
+
+        (a*omega1 + b*omega2)/k = (s*omega1 + t*omega2)/det modulo L, with
+        det = norm(k) = size, and two points share a coset of kL exactly when
+        their keys agree.  Works on Python ints and on int64 arrays; for a
+        point of the box every product is below size**2.
+        """
+        s11, s12, s21, s22 = self._adj
+        return (s11 * a + s12 * b) % self.size, (s21 * a + s22 * b) % self.size
+
+    def reduce_coords(self, ab):
+        """Box representative (x', y') of x*omega1 + y*omega2 modulo kL, exactly.
+
+        `ab` is a pair of Python ints or of int64 arrays.
+        """
+        x, y = ab
+        q = y // self.h22
+        return (x - q * self.h12) % self.h11, y - q * self.h22
 
     def in_sublattice(self, delta: tuple[int, int]) -> bool:
         """Exact test whether dx*omega1 + dy*omega2 lies in kL."""
-        dx, dy = int(delta[0]), int(delta[1])
-        m = self.mult
-        det = m.det
-        s = m.a22 * dx - m.a12 * dy
-        t = -m.a21 * dx + m.a11 * dy
-        return s % det == 0 and t % det == 0
+        return self.torsion_key(int(delta[0]), int(delta[1])) == (0, 0)
 
 
 def coset_reps(k: OrderElem, lattice: Lattice) -> np.ndarray:

@@ -12,6 +12,17 @@ The fundamental objects:
 Phi is a homomorphism into (C, +); for triples A1 = A2*A3 with
 c1 = c2 = c != 0 and a1*a2 = 1 (mod c) this collapses to the closed form
 D_L(a3, c3) = E2(0)*I(2/c3 + c3/c^2).
+
+D_L is summed from one table of E1.  CosetSystem(k) gives the box
+{a*omega1 + b*omega2 : 0 <= a < h11, 0 <= b < h22}, a transversal of L/kL with
+N(k) members, indexed a*h22 + b.  With M the integer matrix of k, the torsion
+point mu/k has the exact coordinates adj(M)*(a, b)/det(M), and E1 is evaluated
+there once per pair {mu, -mu} (E1 is odd); mu = 0 and the 2-torsion points get
+exactly 0.  Multiplication by h permutes (1/k)L/L: the images of omega1 and
+omega2 under h are reduced into the box with Python ints, after which the
+index of h*mu comes from int64 operations, so h enters only modulo k, and
+D_L(h, k) = sum(table[index(h*mu)] * table[index(mu)]) / k.  Those operations
+stay below 2*N(k)**2, exact for N(k) < 2**31; a larger N(k) is refused.
 """
 
 from __future__ import annotations
@@ -50,6 +61,8 @@ __all__ = [
 ]
 
 _CHUNK = 4096
+# d_sum works with int64 coset indices, exact for N(k) below this bound.
+_MAX_NORM = 2**31
 
 
 @dataclass(frozen=True)
@@ -124,24 +137,63 @@ def i_map(z: complex) -> complex:
     return zc - zc.conjugate()
 
 
-def d_sum(h: OrderElem, k: OrderElem, ctx: SumContext) -> complex:
-    """Elliptic Dedekind sum D_L(h, k) by direct coset summation.
+def _e1_table(system: CosetSystem) -> np.ndarray:
+    """E1(mu/k) for every mu of the box, indexed a*h22 + b for mu = a*omega1 + b*omega2.
 
-    Cosets are processed in fixed-size chunks, which bounds peak memory; the
-    partial sums are added in chunk-index order, which fixes the rounding.
+    Each torsion point mu/k has the exact coordinates torsion_key(a, b)/det.
+    E1 is odd, so it is evaluated once per pair {mu, -mu}, at the member with
+    the smaller index, and stored negated at the other.  mu = 0 and the
+    2-torsion points (mu = -mu) keep the exact value 0.
+    """
+    lattice = system.lattice
+    n, h22 = system.size, system.h22
+    table = np.zeros(n, dtype=complex)
+    for start in range(0, n, _CHUNK):
+        idx = np.arange(start, min(start + _CHUNK, n), dtype=np.int64)
+        a, b = np.divmod(idx, h22)
+        neg_a, neg_b = system.reduce_coords((-a, -b))
+        neg = neg_a * h22 + neg_b
+        first = idx < neg
+        s, t = system.torsion_key(a[first], b[first])
+        # Coordinates centred into (-1/2, 1/2] keep the float reduction short.
+        s = np.where(2 * s > n, s - n, s)
+        t = np.where(2 * t > n, t - n, t)
+        values = lattice.e1_many((s / n) * lattice.omega1 + (t / n) * lattice.omega2)
+        table[idx[first]] = values
+        table[neg[first]] = -values
+    return table
+
+
+def d_sum(h: OrderElem, k: OrderElem, ctx: SumContext) -> complex:
+    """Elliptic Dedekind sum D_L(h, k) from one E1 table (see the module docstring).
+
+    Cosets are processed in fixed-size chunks, so only the N(k)-entry table
+    grows with N(k); the partial sums are added in chunk-index order, which
+    fixes the rounding.  Raises PreconditionError when N(k) >= 2**31.
     """
     if k.is_zero():
         raise ZeroDivisorError("zero modulus")
-    lattice = ctx.lattice
-    mu = CosetSystem(k, lattice).reps()
+    system = CosetSystem(k, ctx.lattice)
+    n, h22 = system.size, system.h22
+    if n >= _MAX_NORM:
+        raise PreconditionError(
+            f"N(k) = {n} is at or above {_MAX_NORM} = 2**31, the bound for exact int64 coset indices"
+        )
     kc = k.embed()
-    z1 = (h.embed() * mu) / kc
-    z2 = mu / kc
-    partials = (
-        complex(np.sum(lattice.e1_many(z1[i : i + _CHUNK]) * lattice.e1_many(z2[i : i + _CHUNK])))
-        for i in range(0, len(mu), _CHUNK)
-    )
-    return sum(partials, 0.0 + 0.0j) / kc
+    if h.is_zero():
+        return 0j / kc
+    hm = mult_matrix(h, ctx.lattice)
+    # Images of omega1 and omega2 under h, reduced into the box.
+    x1, y1 = system.reduce_coords((hm.a11, hm.a21))
+    x2, y2 = system.reduce_coords((hm.a12, hm.a22))
+    table = _e1_table(system)
+    total = 0j
+    for start in range(0, n, _CHUNK):
+        stop = min(start + _CHUNK, n)
+        a, b = np.divmod(np.arange(start, stop, dtype=np.int64), h22)
+        hx, hy = system.reduce_coords((a * x1 + b * x2, a * y1 + b * y2))
+        total += complex(np.sum(table[hx * h22 + hy] * table[start:stop]))
+    return total / kc
 
 
 def normalize_value(value: complex, ctx: SumContext) -> float:

@@ -44,7 +44,10 @@ __all__ = [
 
 
 # Reduced coordinates closer than this to an integer pair count as a lattice point.
-_TOL = 1e-9
+# It stays below 2**-31: d_sum evaluates only points mu/k off the lattice with
+# N(k) < 2**31, and such a point has a reduced coordinate that is a nonzero
+# multiple of 1/N(k) modulo 1.
+_TOL = 1e-10
 
 
 def _divisor_sums(n_max: int, power: int) -> list[int]:

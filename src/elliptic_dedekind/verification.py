@@ -245,9 +245,7 @@ def _colliding_pairs(system: CosetSystem, coords: np.ndarray) -> int:
     (a, b) and (a', b') share a coset exactly when adj(M)*(a, b) and
     adj(M)*(a', b') agree mod det(M), so pairs are counted per key group.
     """
-    m = system.mult
-    a, b = coords[:, 0], coords[:, 1]
-    keys = np.stack(((m.a22 * a - m.a12 * b) % m.det, (m.a11 * b - m.a21 * a) % m.det), axis=1)
+    keys = np.stack(system.torsion_key(coords[:, 0], coords[:, 1]), axis=1)
     _, sizes = np.unique(keys, axis=0, return_counts=True)
     return int(np.sum(sizes * (sizes - 1) // 2))
 

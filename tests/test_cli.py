@@ -41,6 +41,25 @@ def test_sum_zero_modulus(capsys):
     assert "zero modulus" in err
 
 
+def test_sum_huge_h_equals_its_residue(capsys):
+    # h = (3 + theta) + (7 + 2*theta)*(10**17 + 10**17*theta), so h = 3 + theta (mod k).
+    records = []
+    for h in ("-2899999999999999997,-699999999999999999", "3,1"):
+        code, out, _ = run_cli(capsys, "sum", "--dk", "-8", f"--h={h}", "--k", "7,2", "--format", "json")
+        assert code == 0
+        records.append(json.loads(out)["records"][0])
+    assert records[0]["d_sum"] == records[1]["d_sum"]
+    assert records[0]["d_norm"] == records[1]["d_norm"]
+    assert abs(records[1]["d_norm"] + 4 / 9) < 1e-12
+
+
+def test_sum_norm_above_int64_bound_usage_error(capsys):
+    code, out, err = run_cli(capsys, "sum", "--dk", "-8", "--h", "1,0", "--k", "46341,0", "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert "N(k) = 2147488281" in err and "2147483648" in err
+
+
 def test_sum_excluded_ring_exit_code(capsys):
     code, _, err = run_cli(capsys, "sum", "--dk", "-4", "--h", "1,0", "--k", "2,0")
     assert code == 2

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from elliptic_dedekind import (
@@ -151,6 +152,23 @@ def test_coset_reduction_completeness(order_m8):
             assert system.in_sublattice((pt[0] - a, pt[1] - b))
             # idempotent
             assert system.reduce_coords((a, b)) == (a, b)
+
+
+@pytest.mark.parametrize("dk,f", [(-8, 1), (-7, 1), (-4, 3)])
+def test_coset_arithmetic_on_arrays_matches_ints(dk, f):
+    order = QuadOrder(dk, f)
+    lat = Lattice.from_order(order)
+    rng = np.random.default_rng(18)
+    for k in (order.element(7, 2), order.element(2), order.element(-31, 5)):
+        system = CosetSystem(k, lat)
+        pts = rng.integers(-10**6, 10**6, size=(50, 2))
+        keys = system.torsion_key(pts[:, 0], pts[:, 1])
+        boxed = system.reduce_coords((pts[:, 0], pts[:, 1]))
+        for i, (x, y) in enumerate(pts.tolist()):
+            assert (int(keys[0][i]), int(keys[1][i])) == system.torsion_key(x, y)
+            assert (int(boxed[0][i]), int(boxed[1][i])) == system.reduce_coords((x, y))
+            # Points share a torsion key exactly when they share a coset.
+            assert system.torsion_key(*system.reduce_coords((x, y))) == system.torsion_key(x, y)
 
 
 def test_coset_reps_row_major_order(order_m8):

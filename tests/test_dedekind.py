@@ -2,24 +2,30 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from elliptic_dedekind import (
+    CosetSystem,
     ExcludedRingError,
     GenerationError,
+    Lattice,
     Mat2,
     NotUnimodularError,
     PreconditionError,
+    QuadOrder,
     SumContext,
     ZeroDivisorError,
     d_norm,
     d_sum,
     gen_sl2_triple,
     i_map,
+    normalize_value,
     three_term_closed_form,
     phi,
     three_term_residual,
 )
+from elliptic_dedekind.dedekind import _e1_table
 from elliptic_dedekind.verification import random_unimodular_word
 
 SQRT2 = math.sqrt(2.0)
@@ -62,25 +68,103 @@ def test_d_sum_zero_modulus(ctx_m8):
         d_sum(ctx_m8.order.one(), ctx_m8.order.zero(), ctx_m8)
 
 
-def test_d_sum_shift_invariance(ctx_m8):
+# The order lattice of Z[sqrt(-2)], the conductor-3 order, and a scaled basis.
+EXACT_CONTEXTS = [(-8, 1, None), (-8, 3, None), (-8, 1, complex(1.3, 0.7))]
+
+
+def make_ctx(dk, f, scale):
+    ctx = SumContext(QuadOrder(dk, f))
+    return ctx if scale is None else ctx.scaled(scale)
+
+
+def test_d_sum_shift_invariance():
+    # h enters only mod k, so shifting h by k*m leaves every bit unchanged.
     rng = random.Random(21)
-    order = ctx_m8.order
-    for _ in range(8):
-        h = random_elem(rng, order, 40)
-        k = random_elem(rng, order, 40)
-        m = order.element(rng.randint(-2, 2), rng.randint(-2, 2))
-        v0 = d_sum(h, k, ctx_m8)
-        v1 = d_sum(h + k * m, k, ctx_m8)
-        assert abs(v1 - v0) < 1e-8 * (1 + abs(v0))
+    for dk, f, scale in EXACT_CONTEXTS:
+        ctx = make_ctx(dk, f, scale)
+        order = ctx.order
+        for i in range(20):
+            h = random_elem(rng, order, 60)
+            k = random_elem(rng, order, 60)
+            bound = (2, 10**6, 10**15)[i % 3]
+            m = order.element(rng.randint(-bound, bound), rng.randint(-bound, bound))
+            assert d_sum(h + k * m, k, ctx) == d_sum(h, k, ctx)
 
 
-def test_d_sum_oddness(ctx_m8):
+def test_d_sum_oddness():
     rng = random.Random(22)
+    for dk, f, scale in EXACT_CONTEXTS:
+        ctx = make_ctx(dk, f, scale)
+        order = ctx.order
+        for _ in range(10):
+            h = random_elem(rng, order, 60)
+            k = random_elem(rng, order, 60)
+            assert d_sum(-h, k, ctx) == -d_sum(h, k, ctx)
+
+
+def float_d_sum_reference(h, k, ctx):
+    """D_L(h, k) with h*mu/k formed in floats: the earlier kernel, kept as a reference."""
+    mu = CosetSystem(k, ctx.lattice).reps()
+    kc = k.embed()
+    return complex(np.sum(ctx.lattice.e1_many(h.embed() * mu / kc) * ctx.lattice.e1_many(mu / kc))) / kc
+
+
+@pytest.mark.parametrize("dk, f, scale", EXACT_CONTEXTS + [(-7, 1, None), (-11, 1, None)])
+def test_d_sum_matches_float_reference(dk, f, scale):
+    ctx = make_ctx(dk, f, scale)
+    rng = random.Random(30)
+    order = ctx.order
+    for _ in range(10):
+        h = random_elem(rng, order, 300, bound=20)
+        k = random_elem(rng, order, 300, bound=20)
+        expected = float_d_sum_reference(h, k, ctx)
+        assert abs(d_sum(h, k, ctx) - expected) <= 1e-10 * (1 + abs(expected))
+
+
+def test_d_sum_zero_numerator(ctx_m8):
     order = ctx_m8.order
-    for _ in range(8):
-        h = random_elem(rng, order, 40)
-        k = random_elem(rng, order, 40)
-        assert abs(d_sum(-h, k, ctx_m8) + d_sum(h, k, ctx_m8)) < 1e-8
+    k = order.element(7, 2)
+    assert d_sum(order.zero(), k, ctx_m8) == 0
+    assert d_sum(k * order.element(3, -1), k, ctx_m8) == 0
+
+
+@pytest.mark.parametrize("u, v", [(7, 2), (2, 0), (0, 1), (40, 9), (6, 3)])
+def test_e1_table_evaluates_each_pair_once(ctx_m8, monkeypatch, u, v):
+    system = CosetSystem(ctx_m8.order.element(u, v), ctx_m8.lattice)
+    n = system.size
+    points = []
+    original = Lattice.e1_many
+
+    def counting(self, z):
+        points.append(len(z))
+        return original(self, z)
+
+    monkeypatch.setattr(Lattice, "e1_many", counting)
+    table = _e1_table(system)
+    # mu = -mu modulo kL exactly when 2*mu lies in kL.
+    fixed = np.array([system.in_sublattice((2 * a, 2 * b)) for a, b in system.coords().tolist()])
+    assert sum(points) == (n - int(fixed.sum())) // 2
+    assert np.all(table[fixed] == 0)
+    kc = ctx_m8.order.element(u, v).embed()
+    expected = original(ctx_m8.lattice, system.reps() / kc)
+    assert np.max(np.abs(table - expected)) <= 1e-12 * (1 + np.max(np.abs(expected)))
+
+
+def test_d_sum_closed_form_at_realistic_size(ctx_m8):
+    # c = p = 199, e = 1: c3 = p*e*sqrt(-8) = 398*sqrt(-2) and Dtilde = 2/199 - 1/398 = 3/398.
+    order = ctx_m8.order
+    h, k, c = order.element(-759), order.element(1592, 398), order.element(199)
+    assert k.norm() == 316_808
+    value = d_sum(h, k, ctx_m8)
+    expected = three_term_closed_form(c, k, ctx_m8)
+    assert abs(value - expected) <= 1e-9 * abs(expected)
+    assert abs(normalize_value(value, ctx_m8) - 3 / 398) <= 1e-9 * (3 / 398)
+
+
+def test_d_sum_norm_bound_fails_loudly(ctx_m8):
+    # 46341**2 = 2147488281 >= 2**31: raised before any table is allocated.
+    with pytest.raises(PreconditionError, match="2147488281.*2147483648"):
+        d_sum(ctx_m8.order.one(), ctx_m8.order.element(46341), ctx_m8)
 
 
 def test_d_sum_inverse_congruence(ctx_m8):

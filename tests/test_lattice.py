@@ -196,6 +196,13 @@ def test_e1_lattice_points_are_zero():
     assert lat.e1(3 - 2j * SQRT2) == 0.0
 
 
+def test_e1_near_lattice_torsion_point_is_not_a_pole():
+    # (1/N)*omega1 with N just below 2**31 is a torsion point d_sum may evaluate.
+    lat = Lattice(1.0, 1j * math.sqrt(2.0))
+    z = lat.omega1 / (2**31 - 1)
+    assert abs(lat.e1(z) * z - 1.0) < 1e-6
+
+
 def test_e1_homogeneity():
     lat = Lattice(1.0, 1j * SQRT2)
     rng = random.Random(14)

@@ -1,0 +1,114 @@
+"""30-digit mpmath references for E1 and D_L, independent of the float kernels.
+
+E1 on Z*omega1 + Z*omega2 comes from Jacobi's theta function: with
+tau = omega2/omega1, q = exp(i*pi*tau) and u = z/omega1,
+
+    E1(z) = (pi*theta1'(pi*u | q)/theta1(pi*u | q) + 2*pi*i*Im(u)/Im(tau)) / omega1,
+
+because zeta(z) = eta1*z + pi*theta1'/theta1 and E1 = zeta - s2*z - (pi/A)*conj(z)
+(the G2 terms cancel).  D_L(h, k) is then summed over the box with exact
+rational torsion coordinates M^-1*(a, b) and M^-1*H*(a, b).
+"""
+
+import math
+import random
+from fractions import Fraction
+
+import pytest
+
+from elliptic_dedekind import CosetSystem, Lattice, QuadOrder, SumContext, d_sum, mult_matrix
+
+mpmath = pytest.importorskip("mpmath")
+mp = mpmath.mp
+
+DPS = 30
+
+
+def mp_e1(z, w1, w2):
+    tau = w2 / w1
+    q = mp.exp(1j * mp.pi * tau)
+    u = z / w1
+    ratio = mp.jtheta(1, mp.pi * u, q, 1) / mp.jtheta(1, mp.pi * u, q)
+    return (mp.pi * ratio + 2j * mp.pi * mp.im(u) / mp.im(tau)) / w1
+
+
+def mp_embed(elem):
+    order = elem.order
+    theta = order.f * (order.d_k + mp.sqrt(mp.mpf(order.d_k))) / 2
+    return elem.u + elem.v * theta
+
+
+def mp_d_sum(h, k, lattice):
+    """D_L(h, k) at DPS digits over the box transversal of L/kL."""
+    system = CosetSystem(k, lattice)
+    m = system.mult
+    det = m.det
+    hm = mult_matrix(h, lattice)
+    w1, w2 = mp.mpc(lattice.omega1), mp.mpc(lattice.omega2)
+
+    def e1_at(a, b):
+        # mu/k for mu = a*omega1 + b*omega2 has coordinates M^-1 (a, b).
+        x = Fraction(m.a22 * a - m.a12 * b, det) % 1
+        y = Fraction(m.a11 * b - m.a21 * a, det) % 1
+        if x == 0 and y == 0:
+            return mp.mpc(0)
+        return mp_e1(x.numerator / mp.mpf(x.denominator) * w1 + y.numerator / mp.mpf(y.denominator) * w2, w1, w2)
+
+    total = mp.mpc(0)
+    for a, b in system.coords().tolist():
+        total += e1_at(hm.a11 * a + hm.a12 * b, hm.a21 * a + hm.a22 * b) * e1_at(a, b)
+    return total / mp_embed(k)
+
+
+LATTICES = {
+    "sqrt-2": Lattice(1.0, 1j * math.sqrt(2.0)),
+    "d-7-order": Lattice.from_order(QuadOrder(-7)),
+    "hexagonal-scaled": Lattice(complex(1.3, 0.7), complex(1.3, 0.7) * complex(-0.5, math.sqrt(3.0) / 2.0)),
+    "conductor-3": Lattice.from_order(QuadOrder(-8, 3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LATTICES))
+def test_e1_matches_theta_reference(name):
+    lattice = LATTICES[name]
+    rng = random.Random(41)
+    worst = 0.0
+    with mp.workdps(DPS):
+        w1, w2 = mp.mpc(lattice.omega1), mp.mpc(lattice.omega2)
+        for _ in range(40):
+            x, y = rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)
+            z = x * lattice.omega1 + y * lattice.omega2
+            ref = complex(mp_e1(mp.mpc(z), w1, w2))
+            worst = max(worst, abs(lattice.e1(z) - ref) / abs(ref))
+    assert worst <= 1e-13
+
+
+# (d_k, conductor, h, k): N(k) <= 60, with h coprime to k, h sharing a factor
+# with k, h = 0 (mod k), and k = 2.
+SUM_CASES = [
+    (-8, 1, (3, 1), (7, 2)),
+    (-8, 1, (1, 0), (0, 1)),
+    (-8, 1, (4, 1), (2, 0)),
+    (-8, 1, (14, 4), (7, 2)),
+    (-8, 1, (3, 1), (2, 0)),
+    (-7, 1, (2, 1), (3, 1)),
+    (-7, 1, (4, 0), (2, 0)),
+    (-4, 1, (2, 1), (3, 2)),
+    (-4, 1, (1, 1), (4, 0)),
+    (-3, 1, (1, 2), (5, 1)),
+    (-3, 1, (3, 0), (3, 3)),
+    (-8, 3, (1, 1), (12, 1)),
+    (-4, 3, (5, 1), (6, 1)),
+]
+
+
+@pytest.mark.parametrize("dk, f, h, k", SUM_CASES)
+def test_d_sum_matches_30_digit_sum(dk, f, h, k):
+    order = QuadOrder(dk, f)
+    ctx = SumContext(order)
+    he, ke = order.element(*h), order.element(*k)
+    assert 0 < ke.norm() <= 60
+    with mp.workdps(DPS):
+        ref = complex(mp_d_sum(he, ke, ctx.lattice))
+    value = d_sum(he, ke, ctx)
+    assert abs(value - ref) <= 1e-12 * (1.0 + abs(ref))

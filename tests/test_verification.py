@@ -5,13 +5,17 @@ from elliptic_dedekind import CosetSystem, Lattice, QuadOrder
 from elliptic_dedekind.verification import _colliding_pairs, run_phi_suite
 
 
+def in_kl(m, dx, dy):
+    """dx*omega1 + dy*omega2 lies in kL when M^-1 (dx, dy) = adj(M) (dx, dy)/det is integral."""
+    return (m.a22 * dx - m.a12 * dy) % m.det == 0 and (m.a11 * dy - m.a21 * dx) % m.det == 0
+
+
 def pair_loop_collisions(system, coords):
     """Reference count: every pair whose difference lies in kL."""
     count = 0
     for i in range(len(coords)):
         for j in range(i + 1, len(coords)):
-            delta = (int(coords[i, 0] - coords[j, 0]), int(coords[i, 1] - coords[j, 1]))
-            if system.in_sublattice(delta):
+            if in_kl(system.mult, int(coords[i, 0] - coords[j, 0]), int(coords[i, 1] - coords[j, 1])):
                 count += 1
     return count
 
