@@ -176,9 +176,6 @@ def _cmd_sum(args) -> int:
     order = ctx.order
     h = order.element(*args.h)
     k = order.element(*args.k)
-    if k.is_zero():
-        print("error: zero modulus (k must be nonzero)", file=sys.stderr)
-        return _EXIT_USAGE
     value = d_sum(h, k, ctx)
     normalized = normalize_value(value, ctx)
     e2 = ctx.lattice.e2_zero()

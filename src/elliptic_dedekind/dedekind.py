@@ -16,11 +16,13 @@ D_L(a3, c3) = E2(0)*I(2/c3 + c3/c^2).
 D_L is summed from one table of E1.  CosetSystem(k) gives the box
 {a*omega1 + b*omega2 : 0 <= a < h11, 0 <= b < h22}, a transversal of L/kL with
 N(k) members, indexed a*h22 + b.  With M the integer matrix of k, the torsion
-point mu/k has the exact coordinates adj(M)*(a, b)/det(M), and E1 is evaluated
-there once per pair {mu, -mu} (E1 is odd); mu = 0 and the 2-torsion points get
-exactly 0.  Multiplication by h permutes (1/k)L/L: the images of omega1 and
-omega2 under h are reduced into the box with Python ints, after which the
-index of h*mu comes from int64 operations, so h enters only modulo k, and
+point mu/k is (s*omega1 + t*omega2)/det(M) for the integers (s, t) =
+adj(M)*(a, b) mod det(M).  Lattice.e1_torsion reduces them with integers and
+evaluates E1 = (pi*theta1'/theta1(pi*u) + 2*pi*i*Im u/Im tau)/r1, once per pair
+{mu, -mu} (E1 is odd); mu = 0 and the 2-torsion points get exactly 0.
+Multiplication by h permutes (1/k)L/L: the images of omega1 and omega2 under h
+are reduced into the box with Python ints, after which the index of h*mu comes
+from int64 operations, so h enters only modulo k, and
 D_L(h, k) = sum(table[index(h*mu)] * table[index(mu)]) / k.  Those operations
 stay below 2*N(k)**2, exact for N(k) < 2**31; a larger N(k) is refused.
 """
@@ -140,12 +142,11 @@ def i_map(z: complex) -> complex:
 def _e1_table(system: CosetSystem) -> np.ndarray:
     """E1(mu/k) for every mu of the box, indexed a*h22 + b for mu = a*omega1 + b*omega2.
 
-    Each torsion point mu/k has the exact coordinates torsion_key(a, b)/det.
-    E1 is odd, so it is evaluated once per pair {mu, -mu}, at the member with
-    the smaller index, and stored negated at the other.  mu = 0 and the
-    2-torsion points (mu = -mu) keep the exact value 0.
+    Each torsion point mu/k is (s*omega1 + t*omega2)/det with (s, t) =
+    torsion_key(a, b).  E1 is odd, so it is evaluated once per pair {mu, -mu},
+    at the member with the smaller index, and stored negated at the other.
+    mu = 0 and the 2-torsion points (mu = -mu) keep the exact value 0.
     """
-    lattice = system.lattice
     n, h22 = system.size, system.h22
     table = np.zeros(n, dtype=complex)
     for start in range(0, n, _CHUNK):
@@ -154,13 +155,10 @@ def _e1_table(system: CosetSystem) -> np.ndarray:
         neg_a, neg_b = system.reduce_coords((-a, -b))
         neg = neg_a * h22 + neg_b
         first = idx < neg
-        s, t = system.torsion_key(a[first], b[first])
-        # Coordinates centred into (-1/2, 1/2] keep the float reduction short.
-        s = np.where(2 * s > n, s - n, s)
-        t = np.where(2 * t > n, t - n, t)
-        values = lattice.e1_many((s / n) * lattice.omega1 + (t / n) * lattice.omega2)
-        table[idx[first]] = values
-        table[neg[first]] = -values
+        if first.any():
+            values = system.lattice.e1_torsion(*system.torsion_key(a[first], b[first]), n)
+            table[idx[first]] = values
+            table[neg[first]] = -values
     return table
 
 

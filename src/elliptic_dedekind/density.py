@@ -137,7 +137,10 @@ def find_prime(target: Target, *, after: int = 0) -> int:
 
 
 def construct(target: Target, p: int) -> ApproxStep:
-    """Build the matrices and closed-form value for one prime of the progression."""
+    """Build the matrices and closed-form value for one prime of the progression.
+
+    Raises ConstructionError unless |dtilde - 2a/b| <= (2/b + 1)/p.
+    """
     order = target.order
     a, b = target.a, target.b
     d = order.discriminant
@@ -186,6 +189,8 @@ def construct(target: Target, p: int) -> ApproxStep:
 
     dtilde_exact = Fraction(2 * e, p) + Fraction(4, p * e * d)
     err_exact = abs(dtilde_exact - Fraction(2 * a, b))
+    if err_exact > (Fraction(2, b) + 1) / p:
+        raise ConstructionError(f"error bound violated at p={p}: {err_exact} > (2/{b} + 1)/{p}")
     return ApproxStep(
         p=p,
         e=e,
@@ -206,21 +211,12 @@ def construct(target: Target, p: int) -> ApproxStep:
 
 
 def approximate(target: Target, steps: int) -> list[ApproxStep]:
-    """ApproxSteps for the target's first `steps` progression primes, in order.
-
-    Checks |dtilde - 2a/b| <= (2/b+1)/p at every step.
-    """
+    """ApproxSteps for the target's first `steps` progression primes, in order."""
     out = []
-    bound_scale = Fraction(2, target.b) + 1
     p = 0
     for _ in range(steps):
         p = find_prime(target, after=p)
-        step = construct(target, p)
-        if step.err_exact > bound_scale / p:
-            raise ConstructionError(
-                f"error bound violated at p={p}: {step.err_exact} > {bound_scale}/{p}"
-            )
-        out.append(step)
+        out.append(construct(target, p))
     return out
 
 

@@ -3,24 +3,24 @@ the Kronecker-Eisenstein E1, and the j-invariant.
 
 Strategy: the basis is reduced until tau = r2/r1 sits in the standard
 fundamental domain (|Re tau| <= 1/2, |tau| >= 1), every argument is reduced
-modulo the lattice, and the reduced point is evaluated with the exponentially
-convergent cotangent + q-power series
+modulo the lattice to u = x + y*tau with |x|, |y| <= 1/2, and one series
+kernel, the theta quotient, is evaluated there:
 
-    zeta(u; Z+Z*tau) = G2(tau)*u + pi*cot(pi*u)
-                       - 2*pi*i * sum_{n>=1} (alpha^n - beta^n)/(1 - qbar^n),
+    L(u) = pi*theta1'(pi*u)/theta1(pi*u) = zeta(u; Z+Z*tau) - G2(tau)*u
+         = pi*cot(pi*u) - 2*pi*i * sum_{n>=1} (alpha^n - beta^n)/(1 - qbar^n),
 
-with alpha = exp(2*pi*i*(tau+u)), beta = exp(2*pi*i*(tau-u)) and
-qbar = exp(2*pi*i*tau).  A reduced u has |alpha|, |beta| <= exp(-pi*Im tau),
-so ceil(18*ln(10)/(pi*Im tau)) terms bring the n-th power below 1e-18; as
-Im tau >= sqrt(3)/2 that is at most 16 terms.  The same count truncates the
-q-expansions of G2, E4 and E6.  Quasi-period constants eta(1) = G2(tau) and
-eta(tau) = G2(tau)*tau - 2*pi*i un-reduce the value.  E1 uses the closed
-expression
+with alpha = qbar*w, beta = qbar/w, w = exp(2*pi*i*u), qbar = exp(2*pi*i*tau).
+A reduced u has |alpha|, |beta| <= exp(-pi*Im tau), so ceil(18*ln(10)/(pi*Im tau))
+terms bring the n-th power below 1e-18; as Im tau >= sqrt(3)/2 that is at most
+16 terms.  The same count truncates the q-expansions of G2, E4 and E6.  zeta
+adds G2(tau)*u back, and eta(1) = G2(tau), eta(tau) = G2(tau)*tau - 2*pi*i
+un-reduce it.  E1 needs no G2 at all (Sczech's identity):
 
-    E1(z) = zeta(z) - s2*z - (pi/A)*conj(z),      s2 = (G2(tau) - pi/Im tau)/r1^2,
+    E1(x*r1 + y*r2) = (L(x + y*tau) + 2*pi*i*y) / r1,
 
-evaluated at the reduced representative (E1 is lattice-periodic), and
-E1 := 0 on lattice points (the defining sum cancels by central symmetry).
+and E1 := 0 on lattice points (the defining sum cancels by central symmetry).
+Float points are reduced in floats; torsion points (s*omega1 + t*omega2)/n are
+reduced with integers and divided by n once (Lattice.e1_torsion).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateLatticeError, PoleError
+from .errors import DegenerateLatticeError, PoleError, PreconditionError
 
 __all__ = [
     "Lattice",
@@ -43,10 +43,8 @@ __all__ = [
 ]
 
 
-# Reduced coordinates closer than this to an integer pair count as a lattice point.
-# It stays below 2**-31: d_sum evaluates only points mu/k off the lattice with
-# N(k) < 2**31, and such a point has a reduced coordinate that is a nonzero
-# multiple of 1/N(k) modulo 1.
+# Reduced coordinates of a float point closer than this to an integer pair
+# count as a lattice point.
 _TOL = 1e-10
 
 
@@ -57,13 +55,6 @@ def _divisor_sums(n_max: int, power: int) -> list[int]:
         for m in range(d, n_max + 1, d):
             sig[m] += dp
     return sig
-
-
-def _cot(w: np.ndarray) -> np.ndarray:
-    # Overflow-safe cotangent: route through exp(2i*w*s) with |.| <= 1.
-    s = np.where(np.imag(w) >= 0.0, 1.0, -1.0)
-    t = np.exp(2j * w * s)
-    return s * 1j * (t + 1.0) / (t - 1.0)
 
 
 class Lattice:
@@ -141,53 +132,60 @@ class Lattice:
             acc += sig1[m] * qn
         g2 = (math.pi**2 / 3.0) * (1.0 - 24.0 * acc)
         self._qbar = qbar
-        self._g2_tau = g2
         self._s2 = (g2 - math.pi / tau.imag) / (self._r1 * self._r1)
         self._eta1_tau = g2
         self._eta2_tau = g2 * tau - 2j * math.pi
-        self._qn_pows = np.array([qbar**n for n in range(1, n_terms + 1)])
+        # -2*pi*i/(1 - qbar^n), the weights of the theta-quotient series.
+        self._coef = -2j * math.pi / (1.0 - np.array([qbar**n for n in range(1, n_terms + 1)]))
 
     # -- point reduction -------------------------------------------------------
 
-    def _coords_many(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _reduce_many(self, z: np.ndarray):
         # z = x*r1 + y*r2 with real x, y
         x = -np.imag(z * np.conj(self._r2)) / self._area
         y = np.imag(z * np.conj(self._r1)) / self._area
-        return x, y
-
-    def _reduce_many(self, z: np.ndarray):
-        x, y = self._coords_many(z)
         n1 = np.round(x)
         n2 = np.round(y)
         xr = x - n1
         yr = y - n2
         on_lattice = (np.abs(xr) < _TOL) & (np.abs(yr) < _TOL)
-        u = xr + yr * self._tau
-        return u, n1, n2, on_lattice
+        return xr, yr, n1, n2, on_lattice
 
     # -- evaluators --------------------------------------------------------------
 
-    def _zeta_tau_many(self, u: np.ndarray) -> np.ndarray:
-        val = self._g2_tau * u + math.pi * _cot(math.pi * u)
-        alpha = np.exp(2j * math.pi * (self._tau + u))
-        beta = np.exp(2j * math.pi * (self._tau - u))
-        an = alpha
-        bn = beta
-        for n, qn in enumerate(self._qn_pows):
-            if n:
-                an = an * alpha
-                bn = bn * beta
-            val = val - 2j * math.pi * (an - bn) / (1.0 - qn)
-        return val
+    def _theta_quotient(self, u: np.ndarray) -> np.ndarray:
+        """L(u) = zeta(u) - G2(tau)*u on Z + Z*tau for reduced u (see the module docstring).
+
+        L is odd, so the series runs at v = +-u with Im v >= 0, where |w| <= 1.
+        w underflows to 0 only where qbar has (Im tau > 236), and beta is 0 there.
+        """
+        sign = np.where(u.imag < 0.0, -1.0, 1.0)
+        v = 2j * math.pi * sign * u
+        w = np.exp(v)
+        val = math.pi * 1j * (1.0 + 2.0 / np.expm1(v))  # pi*cot(pi*v)
+        alpha = self._qbar * w
+        beta = np.divide(self._qbar, w, out=np.zeros_like(w), where=w != 0)
+        an = bn = 1.0
+        for coef in self._coef:
+            an = an * alpha
+            bn = bn * beta
+            val = val + coef * (an - bn)
+        return sign * val
+
+    def _e1_reduced(self, x: np.ndarray, y: np.ndarray, on_lattice: np.ndarray) -> np.ndarray:
+        """E1 at x*r1 + y*r2 for reduced coordinates, 0 where on_lattice."""
+        x = np.where(on_lattice, 0.25, x)  # placeholder off the pole
+        val = (self._theta_quotient(x + y * self._tau) + 2j * math.pi * y) / self._r1
+        return np.where(on_lattice, 0j, val)
 
     def weierstrass_zeta(self, z: complex) -> complex:
         """zeta(z; L): reduce z modulo L, evaluate, un-reduce via quasi-periods."""
-        arr = np.asarray([complex(z)])
-        u, n1, n2, on_lattice = self._reduce_many(arr)
+        x, y, n1, n2, on_lattice = self._reduce_many(np.asarray([complex(z)]))
         if bool(on_lattice[0]):
             raise PoleError(f"z = {z} lies on the lattice (within {_TOL:g})")
-        full = self._zeta_tau_many(u)[0] + n1[0] * self._eta1_tau + n2[0] * self._eta2_tau
-        return complex(full / self._r1)
+        u = x + y * self._tau
+        full = self._theta_quotient(u) + (u + n1) * self._eta1_tau + n2 * self._eta2_tau
+        return complex(full[0] / self._r1)
 
     def quasi_periods(self) -> tuple[complex, complex]:
         """(eta1, eta2) with zeta(z + omega_i) = zeta(z) + eta_i."""
@@ -202,18 +200,26 @@ class Lattice:
 
     def e1_many(self, z) -> np.ndarray:
         """Vectorized E1 over an array of points; lattice points map to 0."""
-        z = np.asarray(z, dtype=complex)
-        if z.size == 0:
-            return np.zeros(0, dtype=complex)
-        u, _, _, on_lattice = self._reduce_many(z)
-        u = np.where(on_lattice, 0.25, u)  # placeholder off the pole
-        z_red = u * self._r1
-        val = (
-            self._zeta_tau_many(u) / self._r1
-            - self._s2 * z_red
-            - (math.pi / self._area) * np.conj(z_red)
-        )
-        return np.where(on_lattice, 0.0 + 0.0j, val)
+        x, y, _, _, on_lattice = self._reduce_many(np.asarray(z, dtype=complex))
+        return self._e1_reduced(x, y, on_lattice)
+
+    def e1_torsion(self, s, t, n: int) -> np.ndarray:
+        """E1 at the torsion points (s*omega1 + t*omega2)/n, for integer arrays s, t.
+
+        The coordinates are mapped into the reduced basis and centred with
+        integers, then divided by n once; lattice points map to 0.  Every
+        product stays below 2*n**2, so int64 arithmetic is exact for n < 2**31.
+        """
+        if not 0 < n < 2**31:
+            raise PreconditionError(f"torsion order n = {n} is outside [1, 2**31)")
+        (m1, m2), (k1, k2) = ((c % n for c in row) for row in self._w_coords)
+        s = np.asarray(s, dtype=np.int64) % n
+        t = np.asarray(t, dtype=np.int64) % n
+        x = (m1 * s + m2 * t) % n
+        y = (k1 * s + k2 * t) % n
+        x = np.where(2 * x > n, x - n, x)
+        y = np.where(2 * y > n, y - n, y)
+        return self._e1_reduced(x / n, y / n, (x == 0) & (y == 0))
 
     def e1(self, z: complex) -> complex:
         return complex(self.e1_many(np.asarray([complex(z)]))[0])

@@ -19,8 +19,11 @@ __all__ = ["lattice_points_in_disk", "weierstrass_zeta_direct", "e2_hecke_limit"
 
 
 def lattice_points_in_disk(lattice: Lattice, radius: float) -> np.ndarray:
-    """All nonzero lattice points with |w| <= radius, as a complex array."""
-    w1, w2 = lattice.omega1, lattice.omega2
+    """All nonzero lattice points with |w| <= radius, as a complex array.
+
+    The grid spans the reduced basis, whose coefficient box is the smallest.
+    """
+    w1, w2 = lattice._r1, lattice._r2
     a = lattice.area()
     mmax = int(radius * abs(w2) / a) + 2
     nmax = int(radius * abs(w1) / a) + 2

@@ -9,6 +9,7 @@ from elliptic_dedekind import (
     DegenerateLatticeError,
     Lattice,
     PoleError,
+    PreconditionError,
     QuadOrder,
     area,
     e1,
@@ -16,7 +17,7 @@ from elliptic_dedekind import (
     j_invariant,
     weierstrass_zeta,
 )
-from elliptic_dedekind.oracles import e2_hecke_limit, weierstrass_zeta_direct
+from elliptic_dedekind.oracles import e2_hecke_limit, lattice_points_in_disk, weierstrass_zeta_direct
 
 SQRT2 = math.sqrt(2.0)
 RHO = complex(-0.5, math.sqrt(3.0) / 2.0)
@@ -119,10 +120,38 @@ def test_zeta_series_length_matches_long_reference():
     for lat in lattices:
         tau = lat._tau
         us = [x + y * tau for y in (0.5, -0.5, 0.49, -0.49) for x in (-0.5, -0.31, 0.0, 0.17, 0.5)]
-        got = lat._zeta_tau_many(np.asarray(us))
+        got = lat._theta_quotient(np.asarray(us)) + lat._eta1_tau * np.asarray(us)
         for u, val in zip(us, got):
             ref = zeta_tau_reference(u, tau)
             assert abs(val - ref) <= 1e-14 * abs(ref)
+
+
+def wide_grid_points(lat, radius):
+    """Integer coordinates in (omega1, omega2) of the nonzero points with |w| <= radius."""
+    a = lat.area()
+    bound = 2 * int(radius * max(abs(lat.omega1), abs(lat.omega2)) / a) + 3
+    m, n = np.meshgrid(np.arange(-bound, bound + 1), np.arange(-bound, bound + 1), indexing="ij")
+    z = m * lat.omega1 + n * lat.omega2
+    keep = (np.abs(z) <= radius) & ((m != 0) | (n != 0))
+    return set(zip(m[keep].tolist(), n[keep].tolist()))
+
+
+@pytest.mark.parametrize(
+    "lat",
+    [Lattice.from_order(QuadOrder(-8)), Lattice.from_order(QuadOrder(-8, 3)), Lattice(complex(1.0, 0.5), complex(5.2, 3.1))],
+)
+def test_lattice_points_in_disk_matches_wide_grid(lat):
+    # Radii whose square is no norm of the lattice, so no point sits on the circle.
+    radius = 30.3 * math.sqrt(lat.area())
+    pts = lattice_points_in_disk(lat, radius)
+    a = lat.area()
+    x = -(pts * np.conj(lat.omega2)).imag / a
+    y = (pts * np.conj(lat.omega1)).imag / a
+    m, n = np.round(x).astype(int), np.round(y).astype(int)
+    assert np.max(np.abs(x - m)) < 1e-6 and np.max(np.abs(y - n)) < 1e-6
+    got = set(zip(m.tolist(), n.tolist()))
+    assert len(got) == len(pts)
+    assert got == wide_grid_points(lat, radius)
 
 
 def test_zeta_against_direct_sum():
@@ -201,6 +230,29 @@ def test_e1_near_lattice_torsion_point_is_not_a_pole():
     lat = Lattice(1.0, 1j * math.sqrt(2.0))
     z = lat.omega1 / (2**31 - 1)
     assert abs(lat.e1(z) * z - 1.0) < 1e-6
+
+
+@pytest.mark.parametrize(
+    "lat",
+    [Lattice(1.0, 1j * SQRT2), Lattice.from_order(QuadOrder(-7)), Lattice(complex(1250.25, 1126.125), complex(1249, 1125))],
+)
+def test_e1_torsion_matches_e1_many(lat):
+    rng = np.random.default_rng(16)
+    for n in (1, 2, 3, 97, 1000):
+        s = rng.integers(-5000, 5000, 200)
+        t = rng.integers(-5000, 5000, 200)
+        got = lat.e1_torsion(s, t, n)
+        on_lattice = (s % n == 0) & (t % n == 0)
+        assert np.all(got[on_lattice] == 0)
+        expected = lat.e1_many(((s % n) * lat.omega1 + (t % n) * lat.omega2) / n)
+        assert np.max(np.abs(got - expected)) <= 1e-11 * (1 + np.max(np.abs(expected)))
+
+
+def test_e1_torsion_order_out_of_range():
+    lat = Lattice(1.0, 1j * SQRT2)
+    for n in (0, -3, 2**31):
+        with pytest.raises(PreconditionError):
+            lat.e1_torsion([1], [0], n)
 
 
 def test_e1_homogeneity():

@@ -6,8 +6,8 @@ tau = omega2/omega1, q = exp(i*pi*tau) and u = z/omega1,
     E1(z) = (pi*theta1'(pi*u | q)/theta1(pi*u | q) + 2*pi*i*Im(u)/Im(tau)) / omega1,
 
 because zeta(z) = eta1*z + pi*theta1'/theta1 and E1 = zeta - s2*z - (pi/A)*conj(z)
-(the G2 terms cancel).  D_L(h, k) is then summed over the box with exact
-rational torsion coordinates M^-1*(a, b) and M^-1*H*(a, b).
+(the G2 terms cancel; Sczech's identity).  D_L(h, k) is then summed over the
+box with exact rational torsion coordinates M^-1*(a, b) and M^-1*H*(a, b).
 """
 
 import math
@@ -81,6 +81,51 @@ def test_e1_matches_theta_reference(name):
             ref = complex(mp_e1(mp.mpc(z), w1, w2))
             worst = max(worst, abs(lattice.e1(z) - ref) / abs(ref))
     assert worst <= 1e-13
+
+
+def mp_rel_err(value, ref):
+    return abs(value - complex(ref)) / abs(complex(ref))
+
+
+def test_e1_near_lattice_points():
+    lattice = LATTICES["sqrt-2"]
+    with mp.workdps(DPS):
+        w1, w2 = mp.mpc(lattice.omega1), mp.mpc(lattice.omega2)
+        for z in (1e-6 * complex(0.3, 0.7), -1e-6 * complex(0.3, 0.7), 1e-9 * complex(0.5, -0.2)):
+            assert mp_rel_err(lattice.e1(z), mp_e1(mp.mpc(z), w1, w2)) <= 1e-14
+        ref = mp_e1(w1 / (2**31 - 1), w1, w2)
+        assert mp_rel_err(lattice.e1(lattice.omega1 / (2**31 - 1)), ref) <= 1e-14
+        assert mp_rel_err(lattice.e1_torsion([1], [0], 2**31 - 1)[0], ref) <= 1e-14
+
+
+@pytest.mark.parametrize("im_tau", [40.0, 1000.0])
+def test_e1_elongated_lattice(im_tau):
+    # At Im tau = 1000, exp(2*pi*i*tau) and exp(2*pi*i*u) both underflow to 0.
+    lattice = Lattice(1.0, complex(0.2, im_tau))
+    with mp.workdps(DPS):
+        w1, w2 = mp.mpc(lattice.omega1), mp.mpc(lattice.omega2)
+        for z in (complex(0.3, 0.45 * im_tau), complex(0.3, -0.45 * im_tau), complex(0.1, 0.02 * im_tau)):
+            assert mp_rel_err(lattice.e1(z), mp_e1(mp.mpc(z), w1, w2)) <= 1e-14
+
+
+def test_e1_torsion_on_basis_with_large_reduction_matrix():
+    # omega1 = 1000*r1 + 1001*r2 and omega2 = 999*r1 + 1000*r2 for the reduced
+    # basis (r1, r2) = (1, 1/4 + 9i/8); every number here is exact in binary.
+    r1, r2 = 1.0, complex(0.25, 1.125)
+    lattice = Lattice(1000 * r1 + 1001 * r2, 999 * r1 + 1000 * r2)
+    assert lattice._w_coords == ((1000, 999), (1001, 1000))
+    rng = random.Random(43)
+    worst = 0.0
+    with mp.workdps(DPS):
+        w1, w2 = mp.mpc(lattice.omega1), mp.mpc(lattice.omega2)
+        for n in (7, 1009, 65537, 2**31 - 1):
+            s = [rng.randrange(-(2**40), 2**40) for _ in range(10)]
+            t = [rng.randrange(-(2**40), 2**40) for _ in range(10)]
+            got = lattice.e1_torsion(s, t, n)
+            for si, ti, value in zip(s, t, got):
+                ref = mp_e1((si * w1 + ti * w2) / n, mp.mpc(r1), mp.mpc(r2))
+                worst = max(worst, mp_rel_err(value, ref))
+    assert worst <= 1e-14
 
 
 # (d_k, conductor, h, k): N(k) <= 60, with h coprime to k, h sharing a factor
