@@ -13,7 +13,28 @@ Phi is a homomorphism into (C, +); for triples A1 = A2*A3 with
 c1 = c2 = c != 0 and a1*a2 = 1 (mod c) this collapses to the closed form
 D_L(a3, c3) = E2(0)*I(2/c3 + c3/c^2).
 
-D_L is summed from one table of E1.  CosetSystem(k) gives the box
+d_sum takes one of two paths, chosen by the order and by gcd(h, k) alone.
+
+The Euclid path serves the norm-Euclidean maximal orders whose E2(0) does not
+vanish (d_K = -7, -8, -11, f = 1) when h != 0 and gcd(h, k) is a unit.  With
+_unit_normalized_bezout, (h, k) is completed to A = [[h, b], [k, d]] in
+SL2(O), and the Euclidean algorithm with ring._nearest_quotient maps
+A -> S^-1 * T^-q_i * A until the lower-left entry is 0, leaving
+[[u, x], [0, 1/u]] with u a unit.  Phi is additive, Phi(T^q) = E2(0)*I(q),
+Phi(S) = 0 and Phi([[u, x], [0, 1/u]]) = E2(0)*I(x*u), so
+
+    Dtilde(h, k) = J((h + d)/k) - sum_i J(q_i) - J(x*u),
+    J(z/w)       = 2*Im(z/w)/sqrt(|d|) = v(z*conj(w))/N(w),
+
+v the theta-coordinate.  Dtilde is an exact Fraction after O(log N(k))
+steps, with no E1 evaluation and no norm bound, and
+D_L = i*sqrt(|d|)*E2(0)*Dtilde.  A custom basis is served too: with class
+number 1, every lattice these orders act on is homothetic to O, and both
+sides of that equation scale alike.
+
+Every other case is summed from one table of E1: h = 0, d_K = -3 or -4
+(where E2(0) = 0), f > 1, the other d_K, and a gcd(h, k) that is not a unit.
+CosetSystem(k) gives the box
 {a*omega1 + b*omega2 : 0 <= a < h11, 0 <= b < h22}, a transversal of L/kL with
 N(k) members, indexed a*h22 + b.  With M the integer matrix of k, the torsion
 point mu/k is (s*omega1 + t*omega2)/det(M) for the integers (s, t) =
@@ -24,7 +45,8 @@ Multiplication by h permutes (1/k)L/L: the images of omega1 and omega2 under h
 are reduced into the box with Python ints, after which the index of h*mu comes
 from int64 operations, so h enters only modulo k, and
 D_L(h, k) = sum(table[index(h*mu)] * table[index(mu)]) / k.  Those operations
-stay below 2*N(k)**2, exact for N(k) < 2**31; a larger N(k) is refused.
+stay below 2*N(k)**2, exact for N(k) < 2**31; the table path refuses a
+larger N(k).
 """
 
 from __future__ import annotations
@@ -32,6 +54,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -47,7 +70,7 @@ from .errors import (
     ZeroDivisorError,
 )
 from .lattice import Lattice
-from .ring import OrderElem, QuadOrder, egcd_order
+from .ring import OrderElem, QuadOrder, _nearest_quotient, egcd_order
 
 __all__ = [
     "Mat2",
@@ -56,6 +79,7 @@ __all__ = [
     "d_sum",
     "normalize_value",
     "d_norm",
+    "d_norm_exact",
     "phi",
     "three_term_residual",
     "three_term_closed_form",
@@ -63,8 +87,10 @@ __all__ = [
 ]
 
 _CHUNK = 4096
-# d_sum works with int64 coset indices, exact for N(k) below this bound.
+# The E1 table works with int64 coset indices, exact for N(k) below this bound.
 _MAX_NORM = 2**31
+# Norm-Euclidean maximal orders with E2(0) != 0: the Euclid path serves these.
+_EUCLID_DK = (-7, -8, -11)
 
 
 @dataclass(frozen=True)
@@ -162,15 +188,13 @@ def _e1_table(system: CosetSystem) -> np.ndarray:
     return table
 
 
-def d_sum(h: OrderElem, k: OrderElem, ctx: SumContext) -> complex:
-    """Elliptic Dedekind sum D_L(h, k) from one E1 table (see the module docstring).
+def _d_sum_table(h: OrderElem, k: OrderElem, ctx: SumContext) -> complex:
+    """D_L(h, k) from one E1 table (see the module docstring), for every pair the Euclid path does not serve.
 
     Cosets are processed in fixed-size chunks, so only the N(k)-entry table
     grows with N(k); the partial sums are added in chunk-index order, which
     fixes the rounding.  Raises PreconditionError when N(k) >= 2**31.
     """
-    if k.is_zero():
-        raise ZeroDivisorError("zero modulus")
     system = CosetSystem(k, ctx.lattice)
     n, h22 = system.size, system.h22
     if n >= _MAX_NORM:
@@ -192,6 +216,60 @@ def d_sum(h: OrderElem, k: OrderElem, ctx: SumContext) -> complex:
         hx, hy = system.reduce_coords((a * x1 + b * x2, a * y1 + b * y2))
         total += complex(np.sum(table[hx * h22 + hy] * table[start:stop]))
     return total / kc
+
+
+def _euclid_dtilde(h: OrderElem, k: OrderElem, ctx: SumContext) -> Fraction | None:
+    """Dtilde(h, k) exactly, through the Euclidean algorithm (see the module docstring).
+
+    Returns None where only the E1 table applies: an order other than
+    d_K = -7, -8, -11 with f = 1, h = 0, or gcd(h, k) not a unit.
+    """
+    order = ctx.order
+    if order.f != 1 or order.d_k not in _EUCLID_DK or h.is_zero():
+        return None
+    pair = _unit_normalized_bezout(h, k)
+    if pair is None:
+        return None
+    x, y = pair  # h*x + k*y = 1
+    a, b, c, d = h, -y, k, x
+    # J(z/w) = 2*Im(z/w)/sqrt(|d|) is the theta-coordinate of z/w, as Im(theta) = sqrt(|d|)/2.
+    dtilde = Fraction(((h + x) * k.conjugate()).v, k.norm())
+    # A -> S^-1 @ T^-q @ A, with Phi(T^q) = E2(0)*I(q) and Phi(S) = 0.
+    while not c.is_zero():
+        q = _nearest_quotient(a, c)
+        dtilde -= q.v
+        a, b, c, d = c, d, q * c - a, q * d - b
+    # Now A = [[u, b], [0, 1/u]] with u = a a unit, and Phi(A) = E2(0)*I(b*u).
+    return dtilde - (b * a).v
+
+
+def d_norm_exact(h: OrderElem, k: OrderElem, ctx: SumContext) -> Fraction:
+    """Dtilde(h, k) as an exact rational, on d_K = -7, -8, -11 with f = 1 and gcd(h, k) a unit.
+
+    Raises PreconditionError for any other order or pair.
+    """
+    if k.is_zero():
+        raise ZeroDivisorError("zero modulus")
+    dtilde = _euclid_dtilde(h, k, ctx)
+    if dtilde is None:
+        raise PreconditionError(
+            f"the Euclid path needs d_K in {_EUCLID_DK}, f = 1 and gcd(h, k) a unit; "
+            f"got d_K={ctx.order.d_k}, f={ctx.order.f}, h={h!r}, k={k!r}"
+        )
+    return dtilde
+
+
+def d_sum(h: OrderElem, k: OrderElem, ctx: SumContext) -> complex:
+    """Elliptic Dedekind sum D_L(h, k) (see the module docstring for which path serves which pair).
+
+    Raises PreconditionError when the E1 table serves the pair and N(k) >= 2**31.
+    """
+    if k.is_zero():
+        raise ZeroDivisorError("zero modulus")
+    dtilde = _euclid_dtilde(h, k, ctx)
+    if dtilde is not None:
+        return 1j * math.sqrt(abs(ctx.order.discriminant)) * ctx.lattice.e2_zero() * float(dtilde)
+    return _d_sum_table(h, k, ctx)
 
 
 def normalize_value(value: complex, ctx: SumContext) -> float:

@@ -14,7 +14,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cosets import CosetSystem
-from .dedekind import Mat2, SumContext, d_sum, gen_sl2_triple, three_term_closed_form, phi
+from .dedekind import (
+    _EUCLID_DK,
+    Mat2,
+    SumContext,
+    _d_sum_table,
+    d_norm_exact,
+    d_sum,
+    gen_sl2_triple,
+    phi,
+    three_term_closed_form,
+)
+from .density import Target, approximate
 from .errors import GenerationError
 from .lattice import Lattice
 from .oracles import e2_hecke_limit, weierstrass_zeta_direct
@@ -129,9 +140,15 @@ def run_lemma_suite(
     max_c3_norm: int = 300,
     tol: float = 1e-6,
 ) -> list[CheckResult]:
-    """Closed form vs. brute-force coset summation on generated triples."""
+    """Closed form vs. the E1 table on generated triples.
+
+    On the orders the Euclid path serves, each triple also compares d_sum
+    with the table, and the exact Dtilde of the first density steps of 1/3
+    must equal the construction's own closed form.
+    """
     order = order if order is not None else QuadOrder(-8)
     ctx = SumContext(order)
+    euclidean = order.f == 1 and order.d_k in _EUCLID_DK
     results = []
     produced = 0
     attempt = 0
@@ -142,19 +159,20 @@ def run_lemma_suite(
         except GenerationError:
             continue
         rhs = three_term_closed_form(m1.c, m3.c, ctx)
-        lhs = d_sum(m3.a, m3.c, ctx)
-        residual = abs(lhs - rhs) / (1.0 + abs(rhs))
-        results.append(
-            _check(
-                f"lemma-triple-{produced:02d}",
-                residual,
-                tol,
-                info=f"norm(c3)={m3.c.norm()}",
-            )
-        )
+        table = _d_sum_table(m3.a, m3.c, ctx)
+        info = f"norm(c3)={m3.c.norm()}"
+        results.append(_check(f"lemma-triple-{produced:02d}", abs(table - rhs) / (1.0 + abs(rhs)), tol, info))
+        if euclidean:
+            residual = abs(d_sum(m3.a, m3.c, ctx) - table) / (1.0 + abs(table))
+            results.append(_check(f"lemma-euclid-{produced:02d}", residual, 1e-12, info))
         produced += 1
     if produced < n_triples:
         results.append(_check("lemma-generation", float(n_triples - produced), 0.0, info="triples missing"))
+    if euclidean:
+        steps = approximate(Target(1, 3, order), 10)
+        mismatches = sum(d_norm_exact(s.A3.a, s.A3.c, ctx) != s.dtilde_exact for s in steps)
+        info = f"target 1/3, 10 steps, norm(c3) up to {max(s.A3.c.norm() for s in steps):.3e}"
+        results.append(_check("euclid-density-steps", float(mismatches), 0.0, info))
     return results
 
 
@@ -213,8 +231,8 @@ def run_e1_suite(order: QuadOrder | None = None, seed: int = 12345, n_points: in
 
     # zeta cross-check against the direct truncated sum.
     z0 = 0.31 + 0.27j
-    direct = weierstrass_zeta_direct(z0, lattice, radius_shells=200)
-    results.append(_check("zeta-direct-crosscheck", abs(lattice.weierstrass_zeta(z0) - direct), 5e-4))
+    direct = weierstrass_zeta_direct(z0, lattice, radius_shells=40)
+    results.append(_check("zeta-direct-crosscheck", abs(lattice.weierstrass_zeta(z0) - direct), 1e-8))
 
     # Hecke-limit oracle for E2(0) on Z+Z*sqrt(-2) and Z+Z*sqrt(-5).
     for dk, label in ((-8, "sqrt2"), (-20, "sqrt5")):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from elliptic_dedekind import QuadOrder, Target, approximate
 from elliptic_dedekind.cli import main
 
 
@@ -54,10 +55,30 @@ def test_sum_huge_h_equals_its_residue(capsys):
 
 
 def test_sum_norm_above_int64_bound_usage_error(capsys):
-    code, out, err = run_cli(capsys, "sum", "--dk", "-8", "--h", "1,0", "--k", "46341,0", "--format", "json")
+    # The conductor-3 order is served by the E1 table, which refuses N(k) >= 2**31.
+    code, out, err = run_cli(
+        capsys, "sum", "--dk", "-8", "-f", "3", "--h", "1,0", "--k", "46341,0", "--format", "json"
+    )
     assert code == 2
     assert out == ""
     assert "N(k) = 2147488281" in err and "2147483648" in err
+
+
+def test_sum_euclid_path_above_the_table_bound(capsys):
+    # Z[sqrt(-2)] is norm-Euclidean: the density witnesses A3 of 1/3, with
+    # N(c3) from 4.6e13 up, are summed exactly through the Euclid path.
+    order = QuadOrder(-8)
+    for step in approximate(Target(1, 3, order), 3):
+        h, k = step.A3.a, step.A3.c
+        assert k.norm() > 2**31
+        code, out, _ = run_cli(
+            capsys, "sum", "--dk", "-8", f"--h={h.u},{h.v}", f"--k={k.u},{k.v}", "--format", "json"
+        )
+        assert code == 0
+        rec = json.loads(out)["records"][0]
+        assert rec["coset_count"] == k.norm()
+        expected = float(step.dtilde_exact)
+        assert abs(rec["d_norm"] - expected) <= 4e-16 * abs(expected)
 
 
 def test_sum_excluded_ring_exit_code(capsys):

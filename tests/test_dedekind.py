@@ -15,9 +15,13 @@ from elliptic_dedekind import (
     PreconditionError,
     QuadOrder,
     SumContext,
+    Target,
     ZeroDivisorError,
+    approximate,
     d_norm,
+    d_norm_exact,
     d_sum,
+    egcd_order,
     gen_sl2_triple,
     i_map,
     normalize_value,
@@ -25,7 +29,7 @@ from elliptic_dedekind import (
     phi,
     three_term_residual,
 )
-from elliptic_dedekind.dedekind import _e1_table
+from elliptic_dedekind.dedekind import _d_sum_table, _e1_table
 from elliptic_dedekind.verification import random_unimodular_word
 
 SQRT2 = math.sqrt(2.0)
@@ -38,6 +42,19 @@ DNORM_ANCHORS = [
     ((1, 1), (2, 1), Fraction(-2, 3)),
     ((4, 1), (1, 1), Fraction(15, 11)),
 ]
+
+
+def count_e1_torsion(monkeypatch):
+    """Patch Lattice.e1_torsion to record the number of points of each call; returns that list."""
+    calls = []
+    original = Lattice.e1_torsion
+
+    def counting(self, s, t, n):
+        calls.append(len(s))
+        return original(self, s, t, n)
+
+    monkeypatch.setattr(Lattice, "e1_torsion", counting)
+    return calls
 
 
 def random_elem(rng, order, max_norm=60, bound=8):
@@ -88,7 +105,7 @@ def test_d_sum_shift_invariance():
             k = random_elem(rng, order, 60)
             bound = (2, 10**6, 10**15)[i % 3]
             m = order.element(rng.randint(-bound, bound), rng.randint(-bound, bound))
-            assert d_sum(h + k * m, k, ctx) == d_sum(h, k, ctx)
+            assert _d_sum_table(h + k * m, k, ctx) == _d_sum_table(h, k, ctx)
 
 
 def test_d_sum_oddness():
@@ -99,7 +116,7 @@ def test_d_sum_oddness():
         for _ in range(10):
             h = random_elem(rng, order, 60)
             k = random_elem(rng, order, 60)
-            assert d_sum(-h, k, ctx) == -d_sum(h, k, ctx)
+            assert _d_sum_table(-h, k, ctx) == -_d_sum_table(h, k, ctx)
 
 
 def float_d_sum_reference(h, k, ctx):
@@ -118,7 +135,7 @@ def test_d_sum_matches_float_reference(dk, f, scale):
         h = random_elem(rng, order, 300, bound=20)
         k = random_elem(rng, order, 300, bound=20)
         expected = float_d_sum_reference(h, k, ctx)
-        assert abs(d_sum(h, k, ctx) - expected) <= 1e-10 * (1 + abs(expected))
+        assert abs(_d_sum_table(h, k, ctx) - expected) <= 1e-10 * (1 + abs(expected))
 
 
 def test_d_sum_zero_numerator(ctx_m8):
@@ -132,14 +149,7 @@ def test_d_sum_zero_numerator(ctx_m8):
 def test_e1_table_evaluates_each_pair_once(ctx_m8, monkeypatch, u, v):
     system = CosetSystem(ctx_m8.order.element(u, v), ctx_m8.lattice)
     n = system.size
-    points = []
-    original = Lattice.e1_torsion
-
-    def counting(self, s, t, n):
-        points.append(len(s))
-        return original(self, s, t, n)
-
-    monkeypatch.setattr(Lattice, "e1_torsion", counting)
+    points = count_e1_torsion(monkeypatch)
     table = _e1_table(system)
     # mu = -mu modulo kL exactly when 2*mu lies in kL.
     fixed = np.array([system.in_sublattice((2 * a, 2 * b)) for a, b in system.coords().tolist()])
@@ -156,22 +166,22 @@ def test_d_sum_closed_form_at_realistic_size(ctx_m8):
     order = ctx_m8.order
     h, k, c = order.element(-759), order.element(1592, 398), order.element(199)
     assert k.norm() == 316_808
-    value = d_sum(h, k, ctx_m8)
+    value = _d_sum_table(h, k, ctx_m8)
     expected = three_term_closed_form(c, k, ctx_m8)
     assert abs(value - expected) <= 1e-9 * abs(expected)
     assert abs(normalize_value(value, ctx_m8) - 3 / 398) <= 1e-9 * (3 / 398)
 
 
-def test_d_sum_norm_bound_fails_loudly(ctx_m8):
-    # 46341**2 = 2147488281 >= 2**31: raised before any table is allocated.
+def test_d_sum_norm_bound_fails_loudly():
+    # The conductor-3 order is served by the E1 table.  46341**2 = 2147488281
+    # >= 2**31: raised before any table is allocated.
+    ctx = SumContext(QuadOrder(-8, 3))
     with pytest.raises(PreconditionError, match="2147488281.*2147483648"):
-        d_sum(ctx_m8.order.one(), ctx_m8.order.element(46341), ctx_m8)
+        d_sum(ctx.order.one(), ctx.order.element(46341), ctx)
 
 
 def test_d_sum_inverse_congruence(ctx_m8):
     # D(a1, c) = D(a2, c) whenever a1*a2 = 1 (mod c)
-    from elliptic_dedekind import egcd_order
-
     rng = random.Random(23)
     order = ctx_m8.order
     checked = 0
@@ -184,10 +194,83 @@ def test_d_sum_inverse_congruence(ctx_m8):
         a2 = x * g.conjugate()
         if (a1 * a2 - order.one()).exact_div(c) is None:
             continue
-        v1 = d_sum(a1, c, ctx_m8)
-        v2 = d_sum(a2, c, ctx_m8)
+        v1 = _d_sum_table(a1, c, ctx_m8)
+        v2 = _d_sum_table(a2, c, ctx_m8)
         assert abs(v1 - v2) < 1e-8 * (1 + abs(v1))
         checked += 1
+
+
+# --- the Euclid path -------------------------------------------------------------
+
+EUCLID_CONTEXTS = [(-7, 1, None), (-8, 1, None), (-11, 1, None), (-8, 1, complex(1.3, 0.7))]
+
+
+def coprime_pair(rng, order, max_norm):
+    """Random (h, k) with gcd(h, k) a unit and N(k) <= max_norm, over a wide spread of sizes."""
+    while True:
+        bound = rng.choice((10, 100, int(math.isqrt(max_norm))))
+        h = random_elem(rng, order, 10**12, bound)
+        k = random_elem(rng, order, max_norm, bound)
+        if egcd_order(h, k)[0].is_unit():
+            return h, k
+
+
+@pytest.mark.parametrize("dk", [-7, -8, -11])
+@pytest.mark.parametrize("a, b", [(1, 3), (1234, 10007)])
+def test_d_norm_exact_equals_density_closed_form(dk, a, b):
+    order = QuadOrder(dk)
+    ctx = SumContext(order)
+    for step in approximate(Target(a, b, order), 25):
+        assert d_norm_exact(step.A3.a, step.A3.c, ctx) == step.dtilde_exact
+
+
+@pytest.mark.parametrize("dk, f, scale", EUCLID_CONTEXTS)
+def test_euclid_d_sum_matches_table(dk, f, scale, monkeypatch):
+    ctx = make_ctx(dk, f, scale)
+    rng = random.Random(31)
+    for _ in range(40):
+        h, k = coprime_pair(rng, ctx.order, 300_000)
+        calls = count_e1_torsion(monkeypatch)
+        value = d_sum(h, k, ctx)
+        assert calls == []
+        monkeypatch.undo()
+        expected = _d_sum_table(h, k, ctx)
+        assert abs(value - expected) <= 1e-12 * (1 + abs(expected))
+
+
+@pytest.mark.parametrize("dk", [-7, -8, -11])
+def test_euclid_d_sum_shift_invariance(dk):
+    ctx = SumContext(QuadOrder(dk))
+    order = ctx.order
+    rng = random.Random(33)
+    for i in range(20):
+        h, k = coprime_pair(rng, order, 10**6)
+        bound = (2, 10**6, 10**15)[i % 3]
+        m = order.element(rng.randint(-bound, bound), rng.randint(-bound, bound))
+        assert d_sum(h + k * m, k, ctx) == d_sum(h, k, ctx)
+
+
+@pytest.mark.parametrize(
+    "f, h, k",
+    [(1, (14, 4), (7, 2)), (3, (1, 0), (5, 1)), (3, (3, 1), (7, 2))],
+)
+def test_table_serves_non_unit_gcd_and_conductor(f, h, k, monkeypatch):
+    ctx = SumContext(QuadOrder(-8, f))
+    h, k = ctx.order.element(*h), ctx.order.element(*k)
+    with pytest.raises(PreconditionError):
+        d_norm_exact(h, k, ctx)
+    calls = count_e1_torsion(monkeypatch)
+    value = d_sum(h, k, ctx)
+    assert calls
+    assert value == _d_sum_table(h, k, ctx)
+
+
+def test_euclid_d_sum_above_the_table_bound(ctx_m8):
+    # k = 46341 has N(k) >= 2**31, which the table refuses; D(1, k) = 0 exactly.
+    order = ctx_m8.order
+    assert d_sum(order.one(), order.element(46341), ctx_m8) == 0
+    with pytest.raises(PreconditionError):
+        _d_sum_table(order.one(), order.element(46341), ctx_m8)
 
 
 # --- d_norm --------------------------------------------------------------------
