@@ -17,7 +17,7 @@ from .errors import NotAMultiplierError, ZeroDivisorError
 from .lattice import Lattice
 from .ring import OrderElem, QuadOrder, egcd
 
-__all__ = ["MultMatrix", "mult_matrix", "CosetSystem", "coset_reps"]
+__all__ = ["MultMatrix", "mult_matrix", "CosetSystem"]
 
 
 @dataclass(frozen=True)
@@ -142,8 +142,3 @@ class CosetSystem:
     def in_sublattice(self, delta: tuple[int, int]) -> bool:
         """Exact test whether dx*omega1 + dy*omega2 lies in kL."""
         return self.torsion_key(int(delta[0]), int(delta[1])) == (0, 0)
-
-
-def coset_reps(k: OrderElem, lattice: Lattice) -> np.ndarray:
-    """The norm(k) coset representatives of L/kL as complex points."""
-    return CosetSystem(k, lattice).reps()

@@ -16,14 +16,16 @@ D_L(a3, c3) = E2(0)*I(2/c3 + c3/c^2).
 d_sum takes one of two paths, chosen by the order and by gcd(h, k) alone.
 
 The Euclid path serves the norm-Euclidean maximal orders whose E2(0) does not
-vanish (d_K = -7, -8, -11, f = 1) when h != 0 and gcd(h, k) is a unit.  With
-_unit_normalized_bezout, (h, k) is completed to A = [[h, b], [k, d]] in
-SL2(O), and the Euclidean algorithm with ring._nearest_quotient maps
-A -> S^-1 * T^-q_i * A until the lower-left entry is 0, leaving
-[[u, x], [0, 1/u]] with u a unit.  Phi is additive, Phi(T^q) = E2(0)*I(q),
-Phi(S) = 0 and Phi([[u, x], [0, 1/u]]) = E2(0)*I(x*u), so
+vanish (d_K = -7, -8, -11, f = 1) when h != 0 and gcd(h, k) is a unit.  One
+Euclidean algorithm with ring._nearest_quotient walks
+(a, c) = (h, k) -> (c, q_i*c - a) until c = 0, carrying the cofactor x0 of h
+(a = x0*h mod k).  It ends at a = u, a unit exactly when gcd(h, k) is one, and
+then x = x0*conj(u) is the inverse of h mod k.  As matrices the steps are
+S^-1 * T^-q_i, and they take the SL2(O) matrix with first column (h, k) and
+lower-right entry x to diag(u, 1/u).  Phi is additive, Phi(T^q) = E2(0)*I(q),
+Phi(S) = 0 and Phi(diag(u, 1/u)) = 0, so
 
-    Dtilde(h, k) = J((h + d)/k) - sum_i J(q_i) - J(x*u),
+    Dtilde(h, k) = J((h + x)/k) - sum_i J(q_i),
     J(z/w)       = 2*Im(z/w)/sqrt(|d|) = v(z*conj(w))/N(w),
 
 v the theta-coordinate.  Dtilde is an exact Fraction after O(log N(k))
@@ -91,6 +93,8 @@ _CHUNK = 4096
 _MAX_NORM = 2**31
 # Norm-Euclidean maximal orders with E2(0) != 0: the Euclid path serves these.
 _EUCLID_DK = (-7, -8, -11)
+# gen_sl2_triple keeps N(c3) at or below this, so the E1 table sums it at once.
+_MAX_C3_NORM = 300
 
 
 @dataclass(frozen=True)
@@ -227,20 +231,20 @@ def _euclid_dtilde(h: OrderElem, k: OrderElem, ctx: SumContext) -> Fraction | No
     order = ctx.order
     if order.f != 1 or order.d_k not in _EUCLID_DK or h.is_zero():
         return None
-    pair = _unit_normalized_bezout(h, k)
-    if pair is None:
-        return None
-    x, y = pair  # h*x + k*y = 1
-    a, b, c, d = h, -y, k, x
-    # J(z/w) = 2*Im(z/w)/sqrt(|d|) is the theta-coordinate of z/w, as Im(theta) = sqrt(|d|)/2.
-    dtilde = Fraction(((h + x) * k.conjugate()).v, k.norm())
-    # A -> S^-1 @ T^-q @ A, with Phi(T^q) = E2(0)*I(q) and Phi(S) = 0.
+    # The walk (a, c) -> (c, q*c - a) keeps a = x0*h and c = x1*h modulo k.
+    a, c = h, k
+    x0, x1 = order.one(), order.zero()
+    q_sum = 0
     while not c.is_zero():
         q = _nearest_quotient(a, c)
-        dtilde -= q.v
-        a, b, c, d = c, d, q * c - a, q * d - b
-    # Now A = [[u, b], [0, 1/u]] with u = a a unit, and Phi(A) = E2(0)*I(b*u).
-    return dtilde - (b * a).v
+        q_sum += q.v
+        a, c = c, q * c - a
+        x0, x1 = x1, q * x1 - x0
+    if not a.is_unit():
+        return None
+    x = x0 * a.conjugate()  # h*x = 1 (mod k): a is a unit of norm 1
+    # J(z/w) = 2*Im(z/w)/sqrt(|d|) is the theta-coordinate of z/w, as Im(theta) = sqrt(|d|)/2.
+    return Fraction(((h + x) * k.conjugate()).v, k.norm()) - q_sum
 
 
 def d_norm_exact(h: OrderElem, k: OrderElem, ctx: SumContext) -> Fraction:
@@ -328,7 +332,8 @@ def three_term_closed_form(c: OrderElem, c3: OrderElem, ctx: SumContext) -> comp
 def _unit_normalized_bezout(alpha: OrderElem, modulus: OrderElem):
     """x with alpha*x = 1 (mod modulus), alongside y with alpha*x + modulus*y = 1.
 
-    Returns None when gcd(alpha, modulus) is not a unit.
+    Completes the matrices of gen_sl2_triple.  Returns None when
+    gcd(alpha, modulus) is not a unit.
     """
     g, x, y = egcd_order(alpha, modulus)
     if not g.is_unit():
@@ -337,11 +342,11 @@ def _unit_normalized_bezout(alpha: OrderElem, modulus: OrderElem):
     return x * g_inv, y * g_inv
 
 
-def gen_sl2_triple(seed: int, ctx: SumContext, max_c3_norm: int = 300) -> tuple[Mat2, Mat2, Mat2]:
+def gen_sl2_triple(seed: int, ctx: SumContext) -> tuple[Mat2, Mat2, Mat2]:
     """Random triple A1 = A2 @ A3 with c1 = c2 = c != 0 and a1*a2 = 1 (mod c).
 
-    norm(c3) is kept below `max_c3_norm` so direct coset summation stays
-    feasible.  Needs a norm-Euclidean order (completion via egcd_order).
+    norm(c3) is kept at or below _MAX_C3_NORM = 300 so direct coset summation
+    stays feasible.  Needs a norm-Euclidean order (completion via egcd_order).
     """
     order = ctx.order
     rng = random.Random(seed)
@@ -365,7 +370,7 @@ def gen_sl2_triple(seed: int, ctx: SumContext, max_c3_norm: int = 300) -> tuple[
                 if a2 == a1:
                     continue
                 n3 = (c * (a2 - a1)).norm()
-                if n3 == 0 or n3 > max_c3_norm:
+                if n3 == 0 or n3 > _MAX_C3_NORM:
                     continue
                 key = (n3, mu, mv)
                 if best is None or key < best[0]:
@@ -390,4 +395,4 @@ def gen_sl2_triple(seed: int, ctx: SumContext, max_c3_norm: int = 300) -> tuple[
         if (a1 * a2 - one).exact_div(c) is None:
             continue
         return m1, m2, m3
-    raise GenerationError(f"no admissible triple found for seed={seed}, budget={max_c3_norm}")
+    raise GenerationError(f"no admissible triple found for seed={seed}, budget={_MAX_C3_NORM}")

@@ -3,7 +3,7 @@
 These exist purely to cross-check the closed-form evaluators in
 :mod:`elliptic_dedekind.lattice` along an independent code path.  They
 truncate the defining lattice sums over a disk, so accuracy is polynomial in
-the radius (roughly 1e-4 at the default settings) -- use them as oracles in
+the radius (roughly 1e-4 at the settings used here) -- use them as oracles in
 verification suites, never in production paths.
 """
 
@@ -16,6 +16,12 @@ import numpy as np
 from .lattice import Lattice
 
 __all__ = ["lattice_points_in_disk", "weierstrass_zeta_direct", "e2_hecke_limit"]
+
+# e2_hecke_limit: the exponents s it extrapolates from, the disk radius in
+# units of sqrt(area), and the outer fraction of the disk it averages over.
+_HECKE_S = (0.5, 0.25, 0.125, 0.0625)
+_HECKE_RADIUS_CELLS = 220.0
+_HECKE_WINDOW = 0.2
 
 
 def lattice_points_in_disk(lattice: Lattice, radius: float) -> np.ndarray:
@@ -59,32 +65,27 @@ def _lagrange_at_zero(s_values, f_values) -> complex:
     return total
 
 
-def e2_hecke_limit(
-    lattice: Lattice,
-    s_values: tuple[float, ...] = (0.5, 0.25, 0.125, 0.0625),
-    radius_cells: float = 220.0,
-    window: float = 0.2,
-) -> complex:
+def e2_hecke_limit(lattice: Lattice) -> complex:
     """Direct sums sum' w^-2 |w|^-2s at small s > 0, extrapolated to s = 0.
 
     Partial sums over centered disks oscillate shell by shell, so the value at
-    each s is averaged over all truncation radii in the outer `window`
+    each s is averaged over all truncation radii in the outer _HECKE_WINDOW
     fraction of the disk before polynomial extrapolation in s.  Four halved
     nodes are needed: a quadratic fit through (0.5, 0.25, 0.125) alone leaves
     an s^3 extrapolation error near 1e-3, independent of the radius.
     """
     a = lattice.area()
-    radius = radius_cells * math.sqrt(a)
+    radius = _HECKE_RADIUS_CELLS * math.sqrt(a)
     pts = lattice_points_in_disk(lattice, radius)
     r2 = (pts * np.conj(pts)).real
     order = np.argsort(r2, kind="stable")
     pts = pts[order]
     r2 = r2[order]
     base = 1.0 / (pts * pts)
-    r_start = ((1.0 - window) * radius) ** 2
+    r_start = ((1.0 - _HECKE_WINDOW) * radius) ** 2
     sel = r2 >= r_start
     f_values = []
-    for s in s_values:
+    for s in _HECKE_S:
         csum = np.cumsum(base * r2 ** (-s))
         f_values.append(complex(csum[sel].mean()))
-    return _lagrange_at_zero(s_values, f_values)
+    return _lagrange_at_zero(_HECKE_S, f_values)

@@ -41,6 +41,8 @@ __all__ = [
 # Largest n for which the 13-witness Miller-Rabin test is a proof.
 _MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Random witnesses above that bound: a composite passes with odds below 4**-40.
+_MR_RANDOM_ROUNDS = 40
 
 _EUCLIDEAN_DK = (-3, -4, -7, -8, -11)
 
@@ -171,11 +173,11 @@ def _miller_rabin_round(n: int, a: int, d: int, s: int) -> bool:
     return False
 
 
-def is_probable_prime(n: int, rounds: int = 40) -> bool:
+def is_probable_prime(n: int) -> bool:
     """Miller-Rabin primality test.
 
     Uses the 13-prime deterministic witness set below 3.3e24 (a proof there),
-    and `rounds` random witnesses above.
+    and _MR_RANDOM_ROUNDS = 40 random witnesses above.
     """
     if n < 2:
         return False
@@ -192,7 +194,7 @@ def is_probable_prime(n: int, rounds: int = 40) -> bool:
         witnesses = _MR_WITNESSES
     else:
         rng = random.Random(n)  # seeded by n: reproducible verdicts
-        witnesses = tuple(rng.randrange(2, n - 1) for _ in range(rounds))
+        witnesses = tuple(rng.randrange(2, n - 1) for _ in range(_MR_RANDOM_ROUNDS))
     return all(_miller_rabin_round(n, a, d, s) for a in witnesses)
 
 

@@ -44,6 +44,21 @@ __all__ = [
 
 SUITE_NAMES = ("phi", "lemma", "e1", "cosets", "all")
 
+# Words: products of this many elementary factors with coordinates in
+# [-1, 1], every entry of norm at most _WORD_NORM_CAP.
+_WORD_FACTORS = 6
+_WORD_NORM_CAP = 50
+# The phi suite: pairs of words whose product keeps its entries' norms at most
+# _PHI_PRODUCT_NORM_CAP.
+_PHI_PAIRS = 50
+_PHI_PRODUCT_NORM_CAP = 20000
+_LEMMA_TRIPLES = 20
+_E1_POINTS = 100
+# The cosets suite: moduli of norm at most _COSET_MAX_NORM on each (d_K, f).
+_COSET_ORDERS = ((-8, 1), (-7, 1), (-4, 3))
+_COSET_SAMPLES = 50
+_COSET_MAX_NORM = 200
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -59,32 +74,26 @@ def _check(name: str, residual: float, tolerance: float, info: str = "") -> Chec
     return CheckResult(name, residual, tolerance, residual <= tolerance, info)
 
 
-def random_unimodular_word(
-    rng: random.Random,
-    order: QuadOrder,
-    factors: int = 6,
-    coord_bound: int = 1,
-    norm_cap: int = 50,
-) -> Mat2:
-    """Product of elementary matrices with every entry norm <= norm_cap."""
+def random_unimodular_word(rng: random.Random, order: QuadOrder) -> Mat2:
+    """Product of elementary matrices with every entry norm <= _WORD_NORM_CAP."""
     one, zero = order.one(), order.zero()
-    # Most draws overshoot norm_cap: at the default cap of 50 a fitting word
-    # takes a median of 34-70 draws for d = -7, -8, -11 and up to ~750 (seeds
-    # 1-20 and 12345 of the phi suite).
+    # Most draws overshoot the cap: a fitting word takes a median of 34-70
+    # draws for d = -7, -8, -11 and up to ~750 (seeds 1-20 and 12345 of the
+    # phi suite).
     for _ in range(20_000):
         word = Mat2.identity(order)
         upper = rng.random() < 0.5
         ok = True
-        for _ in range(factors):
-            u = rng.randint(-coord_bound, coord_bound)
-            v = rng.randint(-coord_bound, coord_bound)
+        for _ in range(_WORD_FACTORS):
+            u = rng.randint(-1, 1)
+            v = rng.randint(-1, 1)
             if u == 0 and v == 0:
                 u = 1
             elem = order.element(u, v)
             factor = Mat2(one, elem, zero, one) if upper else Mat2(one, zero, elem, one)
             word = word @ factor
             upper = not upper
-            if word.max_entry_norm() > norm_cap:
+            if word.max_entry_norm() > _WORD_NORM_CAP:
                 ok = False
                 break
         if ok:
@@ -92,21 +101,14 @@ def random_unimodular_word(
     raise GenerationError("could not generate a norm-bounded unimodular word")
 
 
-def _random_elem(rng: random.Random, order: QuadOrder, max_norm: int, coord_bound: int = 12) -> OrderElem:
+def _random_elem(rng: random.Random, order: QuadOrder) -> OrderElem:
     while True:
-        e = order.element(rng.randint(-coord_bound, coord_bound), rng.randint(-coord_bound, coord_bound))
-        if 0 < e.norm() <= max_norm:
+        e = order.element(rng.randint(-12, 12), rng.randint(-12, 12))
+        if 0 < e.norm() <= _COSET_MAX_NORM:
             return e
 
 
-def run_phi_suite(
-    order: QuadOrder,
-    n_pairs: int = 50,
-    seed: int = 12345,
-    tol: float = 1e-7,
-    word_norm_cap: int = 50,
-    product_norm_cap: int = 20000,
-) -> list[CheckResult]:
+def run_phi_suite(order: QuadOrder, seed: int) -> list[CheckResult]:
     """Homomorphism residuals |Phi(W1 W2) - Phi(W1) - Phi(W2)| on random words.
 
     For the rings with vanishing E2(0) (discriminants -3, -4) the suite also
@@ -118,56 +120,49 @@ def run_phi_suite(
     excluded = order.discriminant in (-3, -4)
     if excluded:
         results.append(_check("phi-e2-vanishes", abs(ctx.lattice.e2_zero()), 1e-10))
-    for i in range(n_pairs):
+    for i in range(_PHI_PAIRS):
         while True:
-            w1 = random_unimodular_word(rng, order, norm_cap=word_norm_cap)
-            w2 = random_unimodular_word(rng, order, norm_cap=word_norm_cap)
+            w1 = random_unimodular_word(rng, order)
+            w2 = random_unimodular_word(rng, order)
             prod = w1 @ w2
-            if prod.max_entry_norm() <= product_norm_cap:
+            if prod.max_entry_norm() <= _PHI_PRODUCT_NORM_CAP:
                 break
         p1, p2, p12 = phi(w1, ctx), phi(w2, ctx), phi(prod, ctx)
         scale = 1.0 + abs(p1) + abs(p2) + abs(p12)
-        results.append(_check(f"phi-homomorphism-{i:02d}", abs(p12 - p1 - p2) / scale, tol))
+        results.append(_check(f"phi-homomorphism-{i:02d}", abs(p12 - p1 - p2) / scale, 1e-7))
         if excluded:
-            results.append(_check(f"phi-trivial-{i:02d}", max(abs(p1), abs(p2), abs(p12)), tol))
+            results.append(_check(f"phi-trivial-{i:02d}", max(abs(p1), abs(p2), abs(p12)), 1e-7))
     return results
 
 
-def run_lemma_suite(
-    order: QuadOrder | None = None,
-    n_triples: int = 20,
-    seed: int = 12345,
-    max_c3_norm: int = 300,
-    tol: float = 1e-6,
-) -> list[CheckResult]:
+def run_lemma_suite(order: QuadOrder, seed: int) -> list[CheckResult]:
     """Closed form vs. the E1 table on generated triples.
 
     On the orders the Euclid path serves, each triple also compares d_sum
     with the table, and the exact Dtilde of the first density steps of 1/3
     must equal the construction's own closed form.
     """
-    order = order if order is not None else QuadOrder(-8)
     ctx = SumContext(order)
     euclidean = order.f == 1 and order.d_k in _EUCLID_DK
     results = []
     produced = 0
     attempt = 0
-    while produced < n_triples and attempt < 40 * n_triples:
+    while produced < _LEMMA_TRIPLES and attempt < 40 * _LEMMA_TRIPLES:
         attempt += 1
         try:
-            m1, m2, m3 = gen_sl2_triple(seed + attempt, ctx, max_c3_norm=max_c3_norm)
+            m1, m2, m3 = gen_sl2_triple(seed + attempt, ctx)
         except GenerationError:
             continue
         rhs = three_term_closed_form(m1.c, m3.c, ctx)
         table = _d_sum_table(m3.a, m3.c, ctx)
         info = f"norm(c3)={m3.c.norm()}"
-        results.append(_check(f"lemma-triple-{produced:02d}", abs(table - rhs) / (1.0 + abs(rhs)), tol, info))
+        results.append(_check(f"lemma-triple-{produced:02d}", abs(table - rhs) / (1.0 + abs(rhs)), 1e-6, info))
         if euclidean:
             residual = abs(d_sum(m3.a, m3.c, ctx) - table) / (1.0 + abs(table))
             results.append(_check(f"lemma-euclid-{produced:02d}", residual, 1e-12, info))
         produced += 1
-    if produced < n_triples:
-        results.append(_check("lemma-generation", float(n_triples - produced), 0.0, info="triples missing"))
+    if produced < _LEMMA_TRIPLES:
+        results.append(_check("lemma-generation", float(_LEMMA_TRIPLES - produced), 0.0, info="triples missing"))
     if euclidean:
         steps = approximate(Target(1, 3, order), 10)
         mismatches = sum(d_norm_exact(s.A3.a, s.A3.c, ctx) != s.dtilde_exact for s in steps)
@@ -176,20 +171,19 @@ def run_lemma_suite(
     return results
 
 
-def _random_points(rng: random.Random, n: int, spread: float = 1.5):
-    return [complex(rng.uniform(-spread, spread), rng.uniform(-spread, spread)) for _ in range(n)]
+def _random_points(rng: random.Random):
+    return [complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)) for _ in range(_E1_POINTS)]
 
 
-def run_e1_suite(order: QuadOrder | None = None, seed: int = 12345, n_points: int = 100) -> list[CheckResult]:
+def run_e1_suite(order: QuadOrder, seed: int) -> list[CheckResult]:
     """Analytic-layer residuals: periodicity, oddness, quasi-periods, oracles, j."""
-    order = order if order is not None else QuadOrder(-8)
     lattice = Lattice.from_order(order)
     rng = random.Random(seed)
     results = []
 
     # E1 periodicity over random (z, small omega).
     worst = 0.0
-    for z in _random_points(rng, n_points):
+    for z in _random_points(rng):
         m, n = rng.randint(-3, 3), rng.randint(-3, 3)
         omega = m * lattice.omega1 + n * lattice.omega2
         v0 = lattice.e1(z)
@@ -199,7 +193,7 @@ def run_e1_suite(order: QuadOrder | None = None, seed: int = 12345, n_points: in
 
     # E1 oddness.
     worst = 0.0
-    for z in _random_points(rng, n_points):
+    for z in _random_points(rng):
         worst = max(worst, abs(lattice.e1(z) + lattice.e1(-z)))
     results.append(_check("e1-oddness", worst, 1e-9))
 
@@ -218,13 +212,14 @@ def run_e1_suite(order: QuadOrder | None = None, seed: int = 12345, n_points: in
         residual = abs(eta - (s2 * w + (math.pi / a) * w.conjugate()))
         results.append(_check(f"quasi-period-{label}", residual, 1e-8))
 
-    # E2 homogeneity under scaling.
+    # E2 homogeneity under scaling, relative to a scale that does not vanish
+    # where E2(0) does (d = -3, -4): 1/area has weight 2, like E2(0).
     c = complex(1.3, 0.7)
     scaled = lattice.scaled(c)
     results.append(
         _check(
             "e2-homogeneity",
-            abs(scaled.e2_zero() * c * c - s2) / max(abs(s2), 1e-30),
+            abs(scaled.e2_zero() * c * c - s2) / max(abs(s2), 1.0 / a),
             1e-8,
         )
     )
@@ -268,24 +263,18 @@ def _colliding_pairs(system: CosetSystem, coords: np.ndarray) -> int:
     return int(np.sum(sizes * (sizes - 1) // 2))
 
 
-def run_cosets_suite(
-    orders: tuple[QuadOrder, ...] | None = None,
-    n_samples: int = 50,
-    max_norm: int = 200,
-    seed: int = 12345,
-) -> list[CheckResult]:
+def run_cosets_suite(seed: int) -> list[CheckResult]:
     """Counts, pairwise inequivalence, and completeness of coset transversals."""
-    if orders is None:
-        orders = (QuadOrder(-8), QuadOrder(-7), QuadOrder(-4, 3))
     rng = random.Random(seed)
     results = []
-    for order in orders:
+    for d_k, f in _COSET_ORDERS:
+        order = QuadOrder(d_k, f)
         lattice = Lattice.from_order(order)
         count_fail = 0
         inequiv_fail = 0
         complete_fail = 0
-        for _ in range(n_samples):
-            k = _random_elem(rng, order, max_norm)
+        for _ in range(_COSET_SAMPLES):
+            k = _random_elem(rng, order)
             system = CosetSystem(k, lattice)
             coords = system.coords()
             if len(coords) != k.norm():
@@ -305,9 +294,8 @@ def run_cosets_suite(
     return results
 
 
-def run_suite(name: str, order: QuadOrder | None = None, seed: int = 12345) -> list[CheckResult]:
+def run_suite(name: str, order: QuadOrder, seed: int) -> list[CheckResult]:
     """Dispatch by suite name; `all` concatenates every suite."""
-    order = order if order is not None else QuadOrder(-8)
     if name == "phi":
         return run_phi_suite(order, seed=seed)
     if name == "lemma":

@@ -45,7 +45,7 @@ def test_criterion_1_lemma_vs_brute_force():
     while len(residuals) < 20:
         seed += 1
         try:
-            m1, _, m3 = gen_sl2_triple(seed, ctx, max_c3_norm=300)
+            m1, _, m3 = gen_sl2_triple(seed, ctx)
         except GenerationError:
             continue
         rhs = three_term_closed_form(m1.c, m3.c, ctx)
@@ -68,8 +68,8 @@ def test_criterion_2_homomorphism_suite():
     worst = 0.0
     for _ in range(50):
         while True:
-            w1 = random_unimodular_word(rng, ctx.order, norm_cap=50)
-            w2 = random_unimodular_word(rng, ctx.order, norm_cap=50)
+            w1 = random_unimodular_word(rng, ctx.order)
+            w2 = random_unimodular_word(rng, ctx.order)
             if (w1 @ w2).max_entry_norm() <= 20000:
                 break
         p1, p2, p12 = phi(w1, ctx), phi(w2, ctx), phi(w1 @ w2, ctx)
@@ -91,7 +91,7 @@ def test_criterion_3_triviality():
         worst_e2 = max(worst_e2, abs(ctx.lattice.e2_zero()))
         rng = random.Random(seed)
         for _ in range(50):
-            w = random_unimodular_word(rng, ctx.order, norm_cap=50)
+            w = random_unimodular_word(rng, ctx.order)
             worst_phi = max(worst_phi, abs(phi(w, ctx)))
     report(
         3,

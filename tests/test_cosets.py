@@ -10,7 +10,6 @@ from elliptic_dedekind import (
     NotAMultiplierError,
     QuadOrder,
     ZeroDivisorError,
-    coset_reps,
     mult_matrix,
 )
 
@@ -97,7 +96,7 @@ def test_mult_matrix_rejects_zero(order_m8):
 
 def test_coset_reps_gaussian_two(order_gauss):
     lat = Lattice(1.0, 1j)
-    reps = coset_reps(order_gauss.element(2), lat)
+    reps = CosetSystem(order_gauss.element(2), lat).reps()
     assert sorted((round(z.real), round(z.imag)) for z in reps) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
@@ -115,7 +114,7 @@ def test_coset_reps_index_three(order_m8):
 def test_coset_reps_zero_error(order_m8):
     lat = Lattice(1.0, 1j * SQRT2)
     with pytest.raises(ZeroDivisorError):
-        coset_reps(order_m8.zero(), lat)
+        CosetSystem(order_m8.zero(), lat).reps()
 
 
 @pytest.mark.parametrize("dk,f", [(-8, 1), (-7, 1), (-4, 3)])

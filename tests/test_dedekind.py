@@ -29,6 +29,7 @@ from elliptic_dedekind import (
     phi,
     three_term_residual,
 )
+from elliptic_dedekind import dedekind
 from elliptic_dedekind.dedekind import _d_sum_table, _e1_table
 from elliptic_dedekind.verification import random_unimodular_word
 
@@ -239,6 +240,25 @@ def test_euclid_d_sum_matches_table(dk, f, scale, monkeypatch):
 
 
 @pytest.mark.parametrize("dk", [-7, -8, -11])
+def test_euclid_path_is_one_walk_without_completion(dk, monkeypatch):
+    # The walk finds the inverse of h mod k itself: no SL2 completion, no second egcd.
+    ctx = SumContext(QuadOrder(dk))
+    rng = random.Random(35)
+    pairs = [coprime_pair(rng, ctx.order, 300_000) for _ in range(20)]
+
+    def forbidden(*args):
+        raise AssertionError("the Euclid path must not complete (h, k) to an SL2 matrix")
+
+    monkeypatch.setattr(dedekind, "egcd_order", forbidden)
+    monkeypatch.setattr(dedekind, "_unit_normalized_bezout", forbidden)
+    for step in approximate(Target(1, 3, ctx.order), 25):
+        assert d_norm_exact(step.A3.a, step.A3.c, ctx) == step.dtilde_exact
+    for h, k in pairs:
+        expected = _d_sum_table(h, k, ctx)
+        assert abs(d_sum(h, k, ctx) - expected) <= 1e-12 * (1 + abs(expected))
+
+
+@pytest.mark.parametrize("dk", [-7, -8, -11])
 def test_euclid_d_sum_shift_invariance(dk):
     ctx = SumContext(QuadOrder(dk))
     order = ctx.order
@@ -396,7 +416,7 @@ def test_lemma_equality_on_generated_triples(ctx_m8):
     while produced < 8:
         seed += 1
         try:
-            m1, m2, m3 = gen_sl2_triple(seed, ctx_m8, max_c3_norm=300)
+            m1, m2, m3 = gen_sl2_triple(seed, ctx_m8)
         except GenerationError:
             continue
         lhs = d_sum(m3.a, m3.c, ctx_m8)
@@ -440,7 +460,7 @@ def test_gen_sl2_triple_invariants(ctx_m8):
     one = order.one()
     for seed in range(1, 12):
         try:
-            m1, m2, m3 = gen_sl2_triple(seed, ctx_m8, max_c3_norm=300)
+            m1, m2, m3 = gen_sl2_triple(seed, ctx_m8)
         except GenerationError:
             continue
         assert m1.det() == one and m2.det() == one and m3.det() == one

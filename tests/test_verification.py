@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from elliptic_dedekind import CosetSystem, Lattice, QuadOrder
-from elliptic_dedekind.verification import _colliding_pairs, run_phi_suite
+from elliptic_dedekind.verification import _colliding_pairs, run_phi_suite, run_suite
 
 
 def in_kl(m, dx, dy):
@@ -25,6 +25,15 @@ def test_phi_suite_generates_words_on_hard_seeds(dk, seed):
     checks = run_phi_suite(QuadOrder(dk), seed=seed)
     assert len(checks) == 50
     assert all(c.passed for c in checks)
+
+
+@pytest.mark.parametrize("dk", [-4, -3])
+def test_all_suites_pass_where_e2_vanishes(dk):
+    # E2(0) = 0 on Z[i] and Z[rho]; e2-homogeneity is relative to 1/area there.
+    checks = run_suite("all", QuadOrder(dk), seed=12345)
+    assert [c.name for c in checks if not c.passed] == []
+    (homogeneity,) = [c for c in checks if c.name == "e2-homogeneity"]
+    assert homogeneity.residual < 1e-14
 
 
 @pytest.mark.parametrize("dk, f", [(-8, 1), (-7, 1), (-4, 3)])
