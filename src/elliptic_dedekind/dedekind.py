@@ -72,7 +72,8 @@ from .errors import (
     ZeroDivisorError,
 )
 from .lattice import Lattice
-from .ring import OrderElem, QuadOrder, _nearest_quotient, egcd_order
+from .ring import OrderElem, QuadOrder, _nearest_quotient, inverse_mod
+from .ring import egcd_order  # noqa: F401  (unused here; bench/tracing.py rebinds it to count calls)
 
 __all__ = [
     "Mat2",
@@ -329,46 +330,42 @@ def three_term_closed_form(c: OrderElem, c3: OrderElem, ctx: SumContext) -> comp
     return ctx.lattice.e2_zero() * i_map(2.0 / c3c + c3c / (cc * cc))
 
 
-def _unit_normalized_bezout(alpha: OrderElem, modulus: OrderElem):
-    """x with alpha*x = 1 (mod modulus), alongside y with alpha*x + modulus*y = 1.
+def _complete_column(a: OrderElem, c: OrderElem) -> Mat2 | None:
+    """[[a, b], [c, d]] in SL2(O) for c != 0, or None unless gcd(N(a), N(c)) = 1.
 
-    Completes the matrices of gen_sl2_triple.  Returns None when
-    gcd(alpha, modulus) is not a unit.
+    d = conj(a)*(N(a)^-1 mod N(c)) gives a*d = 1 (mod N(c)), so c divides
+    a*d - 1 on any order, with no Euclidean algorithm; d is reduced mod c to
+    keep the entries small.
     """
-    g, x, y = egcd_order(alpha, modulus)
-    if not g.is_unit():
+    n_a, n_c = a.norm(), c.norm()
+    if math.gcd(n_a, n_c) != 1:
         return None
-    g_inv = g.conjugate()  # norm 1, so conj(g) is the inverse
-    return x * g_inv, y * g_inv
+    d = a.conjugate() * inverse_mod(n_a, n_c)
+    d -= _nearest_quotient(d, c) * c
+    return Mat2(a, (a * d - a.order.one()).exact_div(c), c, d)
 
 
 def gen_sl2_triple(seed: int, ctx: SumContext) -> tuple[Mat2, Mat2, Mat2]:
     """Random triple A1 = A2 @ A3 with c1 = c2 = c != 0 and a1*a2 = 1 (mod c).
 
     norm(c3) is kept at or below _MAX_C3_NORM = 300 so direct coset summation
-    stays feasible.  Needs a norm-Euclidean order (completion via egcd_order).
+    stays feasible.  A1 and A2 are completed by _complete_column, on any order.
     """
     order = ctx.order
     rng = random.Random(seed)
-    one = order.one()
     for _ in range(800):
         c = order.element(rng.randint(-4, 4), rng.randint(-2, 2))
-        if c.is_zero() or not 2 <= c.norm() <= 40:
+        if not 2 <= c.norm() <= 40:
             continue
         a1 = order.element(rng.randint(-4, 4), rng.randint(-2, 2))
-        if a1.is_zero():
+        m1 = _complete_column(a1, c)
+        if m1 is None:
             continue
-        pair = _unit_normalized_bezout(a1, c)
-        if pair is None:
-            continue
-        x1, y1 = pair  # a1*x1 + c*y1 = 1
-        a1_inv = x1
+        # a2 runs over a1^-1 = m1.d (mod c); the smallest N(c3) wins.
         best = None
         for mu in range(-2, 3):
             for mv in range(-2, 3):
-                a2 = a1_inv + order.element(mu, mv) * c
-                if a2 == a1:
-                    continue
+                a2 = m1.d + order.element(mu, mv) * c
                 n3 = (c * (a2 - a1)).norm()
                 if n3 == 0 or n3 > _MAX_C3_NORM:
                     continue
@@ -377,22 +374,8 @@ def gen_sl2_triple(seed: int, ctx: SumContext) -> tuple[Mat2, Mat2, Mat2]:
                     best = (key, a2)
         if best is None:
             continue
-        a2 = best[1]
-        pair2 = _unit_normalized_bezout(a2, c)
-        if pair2 is None:
+        m2 = _complete_column(best[1], c)
+        if m2 is None:
             continue
-        x2, y2 = pair2
-        m1 = Mat2(a1, -y1, c, x1)
-        m2 = Mat2(a2, -y2, c, x2)
-        if not (m1.is_unimodular() and m2.is_unimodular()):
-            continue
-        m3 = m2.inverse() @ m1
-        # Exact invariant checks of the construction.
-        if m2 @ m3 != m1:
-            continue
-        if m3.c != c * (a2 - a1):
-            continue
-        if (a1 * a2 - one).exact_div(c) is None:
-            continue
-        return m1, m2, m3
+        return m1, m2, m2.inverse() @ m1
     raise GenerationError(f"no admissible triple found for seed={seed}, budget={_MAX_C3_NORM}")

@@ -380,18 +380,20 @@ def _round_half_to_zero(x: Fraction) -> int:
 def _nearest_quotient(a: OrderElem, b: OrderElem) -> OrderElem:
     """Order element nearest to the exact quotient a/b.
 
-    Rounding happens in the canonical (1, omega) basis (omega = sqrt(d_k/4) or
-    (1+sqrt(d_k))/2), where the norm-Euclidean bound holds; theta differs from
-    omega by an integer, so the change of coordinates is exact.  A 3x3
-    neighborhood search covers the corner cases of d_k = -7, -11 where plain
-    coordinate rounding does not strictly decrease the norm.
+    Rounding happens in the reduced (1, omega) basis,
+    omega = theta - (tr theta // 2), that is f*sqrt(d_k/4) or
+    (1 + f*sqrt(d_k))/2 on any conductor f, where the norm-Euclidean bound
+    holds for f = 1; omega differs from theta by an integer, so the change of
+    coordinates is exact.  A 3x3 neighborhood search covers the corner cases
+    of d_k = -7, -11 where plain coordinate rounding does not strictly
+    decrease the norm.
     """
     order = a.order
     n = b.norm()
     num = a * b.conjugate()
     u_fr = Fraction(num.u, n)
     v_fr = Fraction(num.v, n)
-    c0 = order.d_k // 2 if order.d_k % 2 == 0 else (order.d_k - 1) // 2
+    c0 = order.theta_trace // 2
     s_fr = u_fr + c0 * v_fr
     s0 = _round_half_to_zero(s_fr)
     t0 = _round_half_to_zero(v_fr)

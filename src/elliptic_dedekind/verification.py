@@ -18,6 +18,7 @@ from .dedekind import (
     _EUCLID_DK,
     Mat2,
     SumContext,
+    _complete_column,
     _d_sum_table,
     d_norm_exact,
     d_sum,
@@ -33,7 +34,7 @@ from .ring import OrderElem, QuadOrder
 
 __all__ = [
     "CheckResult",
-    "random_unimodular_word",
+    "random_sl2",
     "run_phi_suite",
     "run_lemma_suite",
     "run_e1_suite",
@@ -44,12 +45,8 @@ __all__ = [
 
 SUITE_NAMES = ("phi", "lemma", "e1", "cosets", "all")
 
-# Words: products of this many elementary factors with coordinates in
-# [-1, 1], every entry of norm at most _WORD_NORM_CAP.
-_WORD_FACTORS = 6
-_WORD_NORM_CAP = 50
-# The phi suite: pairs of words whose product keeps its entries' norms at most
-# _PHI_PRODUCT_NORM_CAP.
+# The phi suite: pairs of random SL2(O) elements whose product keeps its
+# entries' norms at most _PHI_PRODUCT_NORM_CAP.
 _PHI_PAIRS = 50
 _PHI_PRODUCT_NORM_CAP = 20000
 _LEMMA_TRIPLES = 20
@@ -74,31 +71,22 @@ def _check(name: str, residual: float, tolerance: float, info: str = "") -> Chec
     return CheckResult(name, residual, tolerance, residual <= tolerance, info)
 
 
-def random_unimodular_word(rng: random.Random, order: QuadOrder) -> Mat2:
-    """Product of elementary matrices with every entry norm <= _WORD_NORM_CAP."""
-    one, zero = order.one(), order.zero()
-    # Most draws overshoot the cap: a fitting word takes a median of 34-70
-    # draws for d = -7, -8, -11 and up to ~750 (seeds 1-20 and 12345 of the
-    # phi suite).
-    for _ in range(20_000):
-        word = Mat2.identity(order)
-        upper = rng.random() < 0.5
-        ok = True
-        for _ in range(_WORD_FACTORS):
-            u = rng.randint(-1, 1)
-            v = rng.randint(-1, 1)
-            if u == 0 and v == 0:
-                u = 1
-            elem = order.element(u, v)
-            factor = Mat2(one, elem, zero, one) if upper else Mat2(one, zero, elem, one)
-            word = word @ factor
-            upper = not upper
-            if word.max_entry_norm() > _WORD_NORM_CAP:
-                ok = False
-                break
-        if ok:
-            return word
-    raise GenerationError("could not generate a norm-bounded unimodular word")
+def random_sl2(rng: random.Random, order: QuadOrder) -> Mat2:
+    """Random element of SL2(O) with first column (a, c) completed by _complete_column.
+
+    a and c are s + t*omega with |s| <= 4, |t| <= 2 and c != 0, in the reduced
+    basis omega = theta - (tr theta // 2); a column with gcd(N(a), N(c)) > 1
+    is drawn again.
+    """
+    omega = order.theta() - order.element(order.theta_trace // 2)
+
+    def draw() -> OrderElem:
+        return order.element(rng.randint(-4, 4)) + rng.randint(-2, 2) * omega
+
+    while True:
+        a, c = draw(), draw()
+        if not c.is_zero() and (mat := _complete_column(a, c)) is not None:
+            return mat
 
 
 def _random_elem(rng: random.Random, order: QuadOrder) -> OrderElem:
@@ -109,7 +97,7 @@ def _random_elem(rng: random.Random, order: QuadOrder) -> OrderElem:
 
 
 def run_phi_suite(order: QuadOrder, seed: int) -> list[CheckResult]:
-    """Homomorphism residuals |Phi(W1 W2) - Phi(W1) - Phi(W2)| on random words.
+    """Homomorphism residuals |Phi(W1 W2) - Phi(W1) - Phi(W2)| on random SL2(O) elements.
 
     For the rings with vanishing E2(0) (discriminants -3, -4) the suite also
     checks that Phi itself is numerically trivial.
@@ -122,8 +110,8 @@ def run_phi_suite(order: QuadOrder, seed: int) -> list[CheckResult]:
         results.append(_check("phi-e2-vanishes", abs(ctx.lattice.e2_zero()), 1e-10))
     for i in range(_PHI_PAIRS):
         while True:
-            w1 = random_unimodular_word(rng, order)
-            w2 = random_unimodular_word(rng, order)
+            w1 = random_sl2(rng, order)
+            w2 = random_sl2(rng, order)
             prod = w1 @ w2
             if prod.max_entry_norm() <= _PHI_PRODUCT_NORM_CAP:
                 break

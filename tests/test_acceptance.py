@@ -26,7 +26,7 @@ from elliptic_dedekind import (
 from elliptic_dedekind.dedekind import _d_sum_table
 from elliptic_dedekind.errors import GenerationError
 from elliptic_dedekind.oracles import e2_hecke_limit
-from elliptic_dedekind.verification import random_unimodular_word
+from elliptic_dedekind.verification import random_sl2
 
 SQRT2 = math.sqrt(2.0)
 
@@ -68,8 +68,8 @@ def test_criterion_2_homomorphism_suite():
     worst = 0.0
     for _ in range(50):
         while True:
-            w1 = random_unimodular_word(rng, ctx.order)
-            w2 = random_unimodular_word(rng, ctx.order)
+            w1 = random_sl2(rng, ctx.order)
+            w2 = random_sl2(rng, ctx.order)
             if (w1 @ w2).max_entry_norm() <= 20000:
                 break
         p1, p2, p12 = phi(w1, ctx), phi(w2, ctx), phi(w1 @ w2, ctx)
@@ -91,7 +91,7 @@ def test_criterion_3_triviality():
         worst_e2 = max(worst_e2, abs(ctx.lattice.e2_zero()))
         rng = random.Random(seed)
         for _ in range(50):
-            w = random_unimodular_word(rng, ctx.order)
+            w = random_sl2(rng, ctx.order)
             worst_phi = max(worst_phi, abs(phi(w, ctx)))
     report(
         3,

@@ -115,6 +115,12 @@ def test_verify_phi_gaussian(capsys):
     assert "FAIL" not in out
 
 
+def test_verify_all_on_a_non_euclidean_order(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--dk", "-20")
+    assert code == 0
+    assert "FAIL" not in out
+
+
 def test_verify_unknown_suite_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "nonsense"])

@@ -31,7 +31,7 @@ from elliptic_dedekind import (
 )
 from elliptic_dedekind import dedekind
 from elliptic_dedekind.dedekind import _d_sum_table, _e1_table
-from elliptic_dedekind.verification import random_unimodular_word
+from elliptic_dedekind.verification import random_sl2
 
 SQRT2 = math.sqrt(2.0)
 
@@ -250,7 +250,7 @@ def test_euclid_path_is_one_walk_without_completion(dk, monkeypatch):
         raise AssertionError("the Euclid path must not complete (h, k) to an SL2 matrix")
 
     monkeypatch.setattr(dedekind, "egcd_order", forbidden)
-    monkeypatch.setattr(dedekind, "_unit_normalized_bezout", forbidden)
+    monkeypatch.setattr(dedekind, "_complete_column", forbidden)
     for step in approximate(Target(1, 3, ctx.order), 25):
         assert d_norm_exact(step.A3.a, step.A3.c, ctx) == step.dtilde_exact
     for h, k in pairs:
@@ -355,7 +355,7 @@ def test_phi_trivial_on_gaussian_and_eisenstein(ctx_gauss, ctx_eisenstein):
     for ctx, seed in ((ctx_gauss, 25), (ctx_eisenstein, 26)):
         rng = random.Random(seed)
         for _ in range(20):
-            w = random_unimodular_word(rng, ctx.order)
+            w = random_sl2(rng, ctx.order)
             assert abs(phi(w, ctx)) < 1e-7
 
 
@@ -365,7 +365,7 @@ def test_phi_trivial_on_gaussian_and_eisenstein(ctx_gauss, ctx_eisenstein):
 def test_three_term_inverse_pair(ctx_m8):
     rng = random.Random(27)
     for _ in range(10):
-        w = random_unimodular_word(rng, ctx_m8.order)
+        w = random_sl2(rng, ctx_m8.order)
         res = three_term_residual(Mat2.identity(ctx_m8.order), w, w.inverse(), ctx_m8)
         assert abs(res) < 1e-7
 
@@ -373,8 +373,8 @@ def test_three_term_inverse_pair(ctx_m8):
 def test_three_term_random_words(ctx_m8):
     rng = random.Random(28)
     for _ in range(15):
-        w2 = random_unimodular_word(rng, ctx_m8.order)
-        w3 = random_unimodular_word(rng, ctx_m8.order)
+        w2 = random_sl2(rng, ctx_m8.order)
+        w3 = random_sl2(rng, ctx_m8.order)
         w1 = w2 @ w3
         if w1.max_entry_norm() > 20000:
             continue
@@ -387,7 +387,7 @@ def test_three_term_with_identity_factor(ctx_m8):
     rng = random.Random(32)
     ident = Mat2.identity(ctx_m8.order)
     for _ in range(5):
-        w = random_unimodular_word(rng, ctx_m8.order)
+        w = random_sl2(rng, ctx_m8.order)
         assert abs(three_term_residual(w, w, ident, ctx_m8)) < 1e-7
 
 
@@ -455,12 +455,53 @@ def test_lemma_purely_imaginary_doubling(ctx_m8):
 # --- triple generator -----------------------------------------------------------------------
 
 
-def test_gen_sl2_triple_invariants(ctx_m8):
-    order = ctx_m8.order
+# Orders the completion must serve without a Euclidean algorithm, as (d_K, f).
+COMPLETION_ORDERS = [(-8, 1), (-15, 1), (-20, 1), (-23, 1), (-43, 1), (-8, 3), (-4, 3), (-3, 7)]
+
+
+@pytest.mark.parametrize("dk, f", COMPLETION_ORDERS)
+def test_complete_column_exactly_when_norms_coprime(dk, f):
+    order = QuadOrder(dk, f)
+    one = order.one()
+    omega = order.theta() - order.element(order.theta_trace // 2)
+    rng = random.Random(37)
+    completed = refused = 0
+    for _ in range(300):
+        a = order.element(rng.randint(-30, 30), rng.randint(-10, 10))
+        c = random_elem(rng, order, 10**6, 10)
+        mat = dedekind._complete_column(a, c)
+        if math.gcd(a.norm(), c.norm()) > 1:
+            assert mat is None
+            refused += 1
+            continue
+        assert (mat.a, mat.c) == (a, c)
+        assert mat.det() == one
+        assert (a * mat.d - one).exact_div(c) is not None
+        # d is reduced mod c in the basis (1, omega) (see test_ring).
+        assert 16 * mat.d.norm() <= c.norm() * (9 + 4 * omega.norm())
+        completed += 1
+    assert completed >= 50 and refused >= 20
+
+
+@pytest.mark.parametrize("dk, f", [(-8, 1), (-15, 1), (-20, 1), (-23, 1), (-8, 3)])
+def test_random_sl2_reaches_beyond_sl2_z(dk, f):
+    # The elementary words this replaced had an entry outside Z in 5 of 100 draws at d = -20.
+    order = QuadOrder(dk, f)
+    rng = random.Random(39)
+    draws = [random_sl2(rng, order) for _ in range(200)]
+    assert all(w.det() == order.one() for w in draws)
+    outside_z = sum(any(e.v != 0 for e in (w.a, w.b, w.c, w.d)) for w in draws)
+    assert outside_z >= 160
+
+
+@pytest.mark.parametrize("dk, f", [(-8, 1), (-15, 1), (-20, 1), (-23, 1), (-8, 3)])
+def test_gen_sl2_triple_invariants(dk, f):
+    ctx = SumContext(QuadOrder(dk, f))
+    order = ctx.order
     one = order.one()
     for seed in range(1, 12):
         try:
-            m1, m2, m3 = gen_sl2_triple(seed, ctx_m8)
+            m1, m2, m3 = gen_sl2_triple(seed, ctx)
         except GenerationError:
             continue
         assert m1.det() == one and m2.det() == one and m3.det() == one
@@ -475,5 +516,5 @@ def test_gen_sl2_triple_invariants(ctx_m8):
 def test_mat2_inverse_and_product(ctx_m8):
     rng = random.Random(29)
     for _ in range(20):
-        w = random_unimodular_word(rng, ctx_m8.order)
+        w = random_sl2(rng, ctx_m8.order)
         assert w @ w.inverse() == Mat2.identity(ctx_m8.order)

@@ -19,6 +19,7 @@ from elliptic_dedekind import (
     sqrt_discriminant,
     sqrt_mod,
 )
+from elliptic_dedekind.ring import _nearest_quotient
 
 
 def primes_below(n):
@@ -297,3 +298,19 @@ def test_egcd_order_rejects_non_euclidean():
     order = QuadOrder(-4, 2)
     with pytest.raises(UnsupportedOrderError):
         egcd_order(order.one(), order.theta())
+
+
+@pytest.mark.parametrize("dk, f", [(-3, 1), (-8, 1), (-7, 1), (-20, 1), (-8, 3), (-4, 3), (-3, 7), (-7, 2)])
+def test_nearest_quotient_rounds_in_reduced_basis(dk, f):
+    # a/b - q = x + y*omega with |x|, |y| <= 1/2 and Re(omega) in {0, 1/2}, so
+    # N(a - q*b) <= N(b)*(9/16 + N(omega)/4), on every order and conductor.
+    order = QuadOrder(dk, f)
+    omega = order.theta() - order.element(order.theta_trace // 2)
+    rng = random.Random(41)
+    for _ in range(300):
+        a = order.element(rng.randint(-10**6, 10**6), rng.randint(-10**4, 10**4))
+        b = order.element(rng.randint(-100, 100), rng.randint(-30, 30))
+        if b.is_zero():
+            continue
+        q = _nearest_quotient(a, b)
+        assert 16 * (a - q * b).norm() <= b.norm() * (9 + 4 * omega.norm())

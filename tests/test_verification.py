@@ -36,6 +36,13 @@ def test_all_suites_pass_where_e2_vanishes(dk):
     assert homogeneity.residual < 1e-14
 
 
+@pytest.mark.parametrize("dk, f", [(-15, 1), (-20, 1), (-23, 1), (-43, 1), (-8, 3), (-4, 3)])
+def test_all_suites_pass_beyond_euclidean_orders(dk, f):
+    # The lemma and phi suites complete their matrices without a Euclidean algorithm.
+    checks = run_suite("all", QuadOrder(dk, f), seed=12345)
+    assert [c.name for c in checks if not c.passed] == []
+
+
 @pytest.mark.parametrize("dk, f", [(-8, 1), (-7, 1), (-4, 3)])
 def test_colliding_pairs_matches_pair_loop(dk, f):
     order = QuadOrder(dk, f)
