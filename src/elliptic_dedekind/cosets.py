@@ -35,12 +35,17 @@ class MultMatrix:
 
 
 def _theta_matrix(order: QuadOrder, lattice: Lattice) -> MultMatrix:
-    """Multiplication by the order's theta on (omega1, omega2), solved in floats.
+    """Multiplication by the order's theta on (omega1, omega2).
 
-    Columns come from the 2x2 real system, rounded; a coordinate residual
+    On the order's own lattice (Lattice.from_order) the basis is (1, theta)
+    and theta*theta = tr(theta)*theta - N(theta), so the matrix is the exact
+    [[0, -N(theta)], [1, tr(theta)]].  Any other basis is solved in floats:
+    columns come from the 2x2 real system, rounded; a coordinate residual
     >= 1e-6, or a determinant other than norm(theta), means theta does not
     multiply the lattice into itself.
     """
+    if lattice.order == order:
+        return MultMatrix(0, -order.theta_norm, 1, order.theta_trace)
     tc = order.theta_embedding()
     w1, w2 = lattice.omega1, lattice.omega2
     a = lattice.area()
@@ -106,12 +111,10 @@ class CosetSystem:
         self._adj = tuple(x % self.size for x in (m.a22, -m.a12, -m.a21, m.a11))
 
     def coords(self) -> np.ndarray:
-        """Integer (a, b) pairs of the box transversal, row-major in a then b."""
-        a = np.arange(self.h11, dtype=np.int64)
-        b = np.arange(self.h22, dtype=np.int64)
+        """Integer (a, b) pairs of the box transversal, column by column: index b*h11 + a."""
         out = np.empty((self.size, 2), dtype=np.int64)
-        out[:, 0] = np.repeat(a, self.h22)
-        out[:, 1] = np.tile(b, self.h11)
+        out[:, 0] = np.tile(np.arange(self.h11, dtype=np.int64), self.h22)
+        out[:, 1] = np.repeat(np.arange(self.h22, dtype=np.int64), self.h11)
         return out
 
     def reps(self) -> np.ndarray:

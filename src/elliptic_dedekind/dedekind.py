@@ -38,22 +38,34 @@ Every other case is summed from one table of E1: h = 0, d_K = -3 or -4
 (where E2(0) = 0), f > 1, the other d_K, and a gcd(h, k) that is not a unit.
 CosetSystem(k) gives the box
 {a*omega1 + b*omega2 : 0 <= a < h11, 0 <= b < h22}, a transversal of L/kL with
-N(k) members, indexed a*h22 + b.  With M the integer matrix of k, the torsion
-point mu/k is (s*omega1 + t*omega2)/det(M) for the integers (s, t) =
-adj(M)*(a, b) mod det(M).  Lattice.e1_torsion reduces them with integers and
-evaluates E1 = (pi*theta1'/theta1(pi*u) + 2*pi*i*Im u/Im tau)/r1, once per pair
-{mu, -mu} (E1 is odd); mu = 0 and the 2-torsion points get exactly 0.
+N(k) members, stored column by column at index b*h11 + a.  With M the integer
+matrix of k, the torsion point mu/k is (s*omega1 + t*omega2)/det(M) for the
+integers (s, t) = adj(M)*(a, b) mod det(M).  Lattice.e1_torsion reduces them
+with integers and evaluates E1 = (pi*theta1'/theta1(pi*u) + 2*pi*i*Im u/Im tau)/r1;
+mu = 0 and the 2-torsion points get exactly 0.  E1 is odd, and -mu sends
+column b > 0 to column h22 - b, so one member of each pair {mu, -mu} lies in
+columns 0..h22/2 (_half_box): E1 is evaluated at most once per pair, 0.5 times
+per coset.  On the order's own lattice (1, theta), conj(L) = L and
+E1(conj z) = conj(E1(z)); when also conj(k) = eps*k with eps = +-1, the point
+-conj(mu) = (-a - tr(theta)*b, b) lies in the same column, with
+E1 = -eps*conj(E1(mu/k)), and E1 is evaluated once per orbit of {+-1, conj}:
+0.25 times per coset.  That covers k = p and k = p*e*sqrt(d), the moduli of the
+density construction.  The order and k alone pick the fold; Lattice.from_order
+records the order, so no float decides conj(L) = L.
 Multiplication by h permutes (1/k)L/L: the images of omega1 and omega2 under h
 are reduced into the box with Python ints, after which the index of h*mu comes
-from int64 operations, so h enters only modulo k, and
-D_L(h, k) = sum(table[index(h*mu)] * table[index(mu)]) / k.  Those operations
-stay below 2*N(k)**2, exact for N(k) < 2**31; the table path refuses a
-larger N(k).
+from int64 operations, so h enters only modulo k.  The terms at mu and -mu are
+bitwise equal and the 2-torsion terms are 0, so
+D_L(h, k) = 2*sum over _half_box of table[index(h*mu)] * table[index(mu)] / k.
+Those operations stay below 2*N(k)**2, exact for N(k) < 2**31; the table path
+refuses a larger N(k), and a table whose 16*N(k) bytes exceed physical memory,
+before allocating it.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -170,41 +182,127 @@ def i_map(z: complex) -> complex:
     return zc - zc.conjugate()
 
 
+def _physical_memory() -> int:
+    """Bytes of physical memory on this host."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def _conj_sign(system: CosetSystem) -> int:
+    """conj(k)/k where it is +-1 and the lattice is the order's own (1, theta), else 0.
+
+    Then conj(L) = L and conj(kL) = kL, so conjugation permutes the torsion
+    points mu/k and E1(conj z) = conj(E1(z)).
+    """
+    k = system.k
+    if system.lattice.order != k.order:
+        return 0
+    kc = k.conjugate()
+    return 1 if kc == k else -1 if kc == -k else 0
+
+
+def _half_box(system: CosetSystem) -> list[tuple[int, int]]:
+    """Ranges of table indices b*h11 + a holding one member of each pair {mu, -mu}, mu != -mu.
+
+    -mu is (-a mod h11, 0) in column b = 0 and ((h12 - a) mod h11, h22 - b)
+    elsewhere, so columns 0 < b < h22/2 pair with columns past h22/2, and
+    columns 0 and h22/2 pair within themselves; each range keeps the member
+    with the smaller index and no fixed point (the 2-torsion).
+    """
+    h11, h12, h22 = system.h11, system.h12, system.h22
+    ranges = [(1, (h11 + 1) // 2), (h11, (h22 + 1) // 2 * h11)]
+    if h22 % 2 == 0:
+        mid = h22 // 2 * h11
+        ranges += [(mid, mid + (h12 + 1) // 2), (mid + h12 + 1, mid + (h12 + h11 + 1) // 2)]
+    return [(lo, hi) for lo, hi in ranges if lo < hi]
+
+
+def _chunks(system: CosetSystem):
+    """(idx, a, b): the points of _half_box, _CHUNK at a time, idx = b*h11 + a (int64 arrays).
+
+    The ranges are joined, so a small box is one chunk.
+    """
+    batches, batch, size = [], [], 0
+    for lo, hi in _half_box(system):
+        while lo < hi:
+            stop = min(hi, lo + _CHUNK - size)
+            batch.append((lo, stop))
+            size, lo = size + stop - lo, stop
+            if size == _CHUNK:
+                batches.append(batch)
+                batch, size = [], 0
+    if batch:
+        batches.append(batch)
+    for batch in batches:
+        idx = np.concatenate([np.arange(lo, stop, dtype=np.int64) for lo, stop in batch])
+        b, a = np.divmod(idx, system.h11)
+        yield idx, a, b
+
+
+def _neg_index(system: CosetSystem, a, b):
+    """Index of -mu for the box points mu = a*omega1 + b*omega2 other than 0 (int64 arrays).
+
+    In column 0, -mu = (h11 - a, 0); in column b > 0 it is
+    ((h12 - a) mod h11, h22 - b), at index N(k) + h12 - (b*h11 + a), plus h11 when a > h12.
+    """
+    h11, h12 = system.h11, system.h12
+    return np.where(b == 0, h11 - a, system.size + h12 - b * h11 - a + h11 * (a > h12))
+
+
 def _e1_table(system: CosetSystem) -> np.ndarray:
-    """E1(mu/k) for every mu of the box, indexed a*h22 + b for mu = a*omega1 + b*omega2.
+    """E1(mu/k) for every mu of the box, indexed b*h11 + a for mu = a*omega1 + b*omega2.
 
     Each torsion point mu/k is (s*omega1 + t*omega2)/det with (s, t) =
-    torsion_key(a, b).  E1 is odd, so it is evaluated once per pair {mu, -mu},
-    at the member with the smaller index, and stored negated at the other.
-    mu = 0 and the 2-torsion points (mu = -mu) keep the exact value 0.
+    torsion_key(a, b).  E1 is odd, so it is evaluated once per pair {mu, -mu}
+    (at the member in _half_box) and stored negated at the other.  Where
+    _conj_sign gives eps = conj(k)/k, the point R(mu) = -conj(mu) =
+    ((-a - tr(theta)*b) mod h11, b) lies in the same column, with
+    E1 = -eps*conj(E1(mu/k)); then E1 is evaluated once per orbit
+    {+-mu, +-conj(mu)}, at the half-box points whose index does not exceed that
+    of R(mu).  That picks one point per orbit: R pairs the points of a column
+    0 < b < h22/2, equals -1 on column 0, and on column h22/2, where -R is a
+    shift by 0 or h11/2, it pairs mu with the half-box member of {+-R(mu)}.
+    mu = 0 and the 2-torsion points keep the exact value 0.
     """
-    n, h22 = system.size, system.h22
+    n, h11 = system.size, system.h11
+    lattice = system.lattice
+    eps = _conj_sign(system)
+    trace = system.k.order.theta_trace
     table = np.zeros(n, dtype=complex)
-    for start in range(0, n, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, n), dtype=np.int64)
-        a, b = np.divmod(idx, h22)
-        neg_a, neg_b = system.reduce_coords((-a, -b))
-        neg = neg_a * h22 + neg_b
-        first = idx < neg
-        if first.any():
-            values = system.lattice.e1_torsion(*system.torsion_key(a[first], b[first]), n)
-            table[idx[first]] = values
-            table[neg[first]] = -values
+    for idx, a, b in _chunks(system):
+        if eps:
+            ra = (-a - trace * b) % h11
+            first = idx <= b * h11 + ra
+            idx, a, b, ra = idx[first], a[first], b[first], ra[first]
+        values = lattice.e1_torsion(*system.torsion_key(a, b), n)
+        if eps:
+            conj_values = eps * np.conj(values)
+            table[_neg_index(system, ra, b)] = conj_values
+            table[b * h11 + ra] = -conj_values
+        table[_neg_index(system, a, b)] = -values
+        table[idx] = values
     return table
 
 
 def _d_sum_table(h: OrderElem, k: OrderElem, ctx: SumContext) -> complex:
     """D_L(h, k) from one E1 table (see the module docstring), for every pair the Euclid path does not serve.
 
-    Cosets are processed in fixed-size chunks, so only the N(k)-entry table
-    grows with N(k); the partial sums are added in chunk-index order, which
-    fixes the rounding.  Raises PreconditionError when N(k) >= 2**31.
+    The terms at mu and -mu are bitwise equal and the 2-torsion terms are 0,
+    so the sum runs over _half_box and is doubled.  Cosets are processed in
+    fixed-size chunks, so only the N(k)-entry table grows with N(k); the
+    partial sums are added in index order, which fixes the rounding.  Raises
+    PreconditionError when N(k) >= 2**31 or the table's 16*N(k) bytes exceed
+    physical memory.
     """
     system = CosetSystem(k, ctx.lattice)
-    n, h22 = system.size, system.h22
+    n, h11 = system.size, system.h11
     if n >= _MAX_NORM:
         raise PreconditionError(
             f"N(k) = {n} is at or above {_MAX_NORM} = 2**31, the bound for exact int64 coset indices"
+        )
+    need, have = 16 * n, _physical_memory()
+    if need > have:
+        raise PreconditionError(
+            f"the E1 table for N(k) = {n} needs {need} bytes, more than the {have} bytes of physical memory"
         )
     kc = k.embed()
     if h.is_zero():
@@ -215,12 +313,10 @@ def _d_sum_table(h: OrderElem, k: OrderElem, ctx: SumContext) -> complex:
     x2, y2 = system.reduce_coords((hm.a12, hm.a22))
     table = _e1_table(system)
     total = 0j
-    for start in range(0, n, _CHUNK):
-        stop = min(start + _CHUNK, n)
-        a, b = np.divmod(np.arange(start, stop, dtype=np.int64), h22)
+    for idx, a, b in _chunks(system):
         hx, hy = system.reduce_coords((a * x1 + b * x2, a * y1 + b * y2))
-        total += complex(np.sum(table[hx * h22 + hy] * table[start:stop]))
-    return total / kc
+        total += complex(np.sum(table[hy * h11 + hx] * table[idx]))
+    return 2 * total / kc
 
 
 def _euclid_dtilde(h: OrderElem, k: OrderElem, ctx: SumContext) -> Fraction | None:

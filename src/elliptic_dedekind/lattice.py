@@ -10,17 +10,24 @@ kernel, the theta quotient, is evaluated there:
          = pi*cot(pi*u) - 2*pi*i * sum_{n>=1} (alpha^n - beta^n)/(1 - qbar^n),
 
 with alpha = qbar*w, beta = qbar/w, w = exp(2*pi*i*u), qbar = exp(2*pi*i*tau).
-A reduced u has |alpha|, |beta| <= exp(-pi*Im tau), so ceil(18*ln(10)/(pi*Im tau))
-terms bring the n-th power below 1e-18; as Im tau >= sqrt(3)/2 that is at most
-16 terms.  The same count truncates the q-expansions of G2, E4 and E6.  zeta
-adds G2(tau)*u back, and eta(1) = G2(tau), eta(tau) = G2(tau)*tau - 2*pi*i
-un-reduce it.  E1 needs no G2 at all (Sczech's identity):
+L is odd, so u is taken with Im u >= 0; then |beta| <= exp(-pi*Im tau) and
+ceil(18*ln(10)/(pi*Im tau)) terms bring beta^n below 1e-18 (at most 16 terms,
+as Im tau >= sqrt(3)/2), while |alpha| <= exp(-2*pi*Im tau) needs half as
+many.  Both series run by Horner's rule, and one complex exponential serves
+the cotangent and the series: w = 1 + expm1(2*pi*i*u).  The same count
+truncates the q-expansions of G2 and E4; j = E4^3/Delta takes
+Delta = qbar*prod(1 - qbar^n)^24, which keeps its relative accuracy at any
+Im tau.  zeta adds G2(tau)*u back,
+and eta(1) = G2(tau), eta(tau) = G2(tau)*tau - 2*pi*i un-reduce it.  E1 needs
+no G2 at all (Sczech's identity):
 
     E1(x*r1 + y*r2) = (L(x + y*tau) + 2*pi*i*y) / r1,
 
 and E1 := 0 on lattice points (the defining sum cancels by central symmetry).
 Float points are reduced in floats; torsion points (s*omega1 + t*omega2)/n are
 reduced with integers and divided by n once (Lattice.e1_torsion).
+Lattice.from_order records its order, so exact code can use the integer matrix
+of theta on (1, theta) and the symmetry conj(L) = L.
 """
 
 from __future__ import annotations
@@ -57,6 +64,14 @@ def _divisor_sums(n_max: int, power: int) -> list[int]:
     return sig
 
 
+def _horner(coef: list[complex], x: np.ndarray) -> np.ndarray:
+    """sum_{n>=1} coef[n-1]*x**n, by Horner's rule."""
+    acc = coef[-1] * x
+    for c in coef[-2::-1]:
+        acc = (acc + c) * x
+    return acc
+
+
 class Lattice:
     """Oriented complex lattice Z*omega1 + Z*omega2 with Im(omega2/omega1) > 0.
 
@@ -66,6 +81,8 @@ class Lattice:
     """
 
     def __init__(self, omega1: complex, omega2: complex):
+        # The order whose own basis (1, theta) this is; set by from_order only.
+        self.order = None
         self.omega1 = complex(omega1)
         self.omega2 = complex(omega2)
         a = (self.omega1.conjugate() * self.omega2).imag
@@ -81,8 +98,14 @@ class Lattice:
 
     @classmethod
     def from_order(cls, order) -> "Lattice":
-        """The order itself as a lattice, basis (1, theta)."""
-        return cls(1.0, order.theta_embedding())
+        """The order itself as a lattice, basis (1, theta), which records the order.
+
+        The record lets exact code use the integer matrix of theta and the
+        symmetry conj(L) = L without deciding either in floats.
+        """
+        lattice = cls(1.0, order.theta_embedding())
+        lattice.order = order
+        return lattice
 
     def scaled(self, c: complex) -> "Lattice":
         return Lattice(c * self.omega1, c * self.omega2)
@@ -135,8 +158,10 @@ class Lattice:
         self._s2 = (g2 - math.pi / tau.imag) / (self._r1 * self._r1)
         self._eta1_tau = g2
         self._eta2_tau = g2 * tau - 2j * math.pi
-        # -2*pi*i/(1 - qbar^n), the weights of the theta-quotient series.
-        self._coef = -2j * math.pi / (1.0 - np.array([qbar**n for n in range(1, n_terms + 1)]))
+        # -2*pi*i/(1 - qbar^n), the weights of the theta-quotient series; the
+        # alpha series needs only the first ceil(n_terms/2) of them.
+        self._coef = [-2j * math.pi / (1.0 - qbar**n) for n in range(1, n_terms + 1)]
+        self._coef_alpha = self._coef[: (n_terms + 1) // 2]
 
     # -- point reduction -------------------------------------------------------
 
@@ -160,17 +185,12 @@ class Lattice:
         w underflows to 0 only where qbar has (Im tau > 236), and beta is 0 there.
         """
         sign = np.where(u.imag < 0.0, -1.0, 1.0)
-        v = 2j * math.pi * sign * u
-        w = np.exp(v)
-        val = math.pi * 1j * (1.0 + 2.0 / np.expm1(v))  # pi*cot(pi*v)
+        em1 = np.expm1(2j * math.pi * sign * u)
+        w = 1.0 + em1
+        cot = math.pi * 1j * (1.0 + 2.0 / em1)  # pi*cot(pi*v)
         alpha = self._qbar * w
         beta = np.divide(self._qbar, w, out=np.zeros_like(w), where=w != 0)
-        an = bn = 1.0
-        for coef in self._coef:
-            an = an * alpha
-            bn = bn * beta
-            val = val + coef * (an - bn)
-        return sign * val
+        return sign * (cot + _horner(self._coef_alpha, alpha) - _horner(self._coef, beta))
 
     def _e1_reduced(self, x: np.ndarray, y: np.ndarray, on_lattice: np.ndarray) -> np.ndarray:
         """E1 at x*r1 + y*r2 for reduced coordinates, 0 where on_lattice."""
@@ -215,33 +235,33 @@ class Lattice:
         (m1, m2), (k1, k2) = ((c % n for c in row) for row in self._w_coords)
         s = np.asarray(s, dtype=np.int64) % n
         t = np.asarray(t, dtype=np.int64) % n
-        x = (m1 * s + m2 * t) % n
-        y = (k1 * s + k2 * t) % n
-        x = np.where(2 * x > n, x - n, x)
-        y = np.where(2 * y > n, y - n, y)
+        half = n // 2
+        x = (m1 * s + m2 * t + half) % n - half
+        y = (k1 * s + k2 * t + half) % n - half
         return self._e1_reduced(x / n, y / n, (x == 0) & (y == 0))
 
     def e1(self, z: complex) -> complex:
         return complex(self.e1_many(np.asarray([complex(z)]))[0])
 
     def j_invariant(self) -> complex:
-        """Modular invariant 1728*E4^3/(E4^3 - E6^2) from the q-expansion."""
+        """Modular invariant E4^3/Delta, with Delta = qbar*prod(1 - qbar^n)^24.
+
+        The product keeps full relative accuracy at every Im tau, where
+        1728*E4^3/(E4^3 - E6^2) cancels down to the size of qbar.
+        """
         if self._j is None:
-            n_terms = self._n_terms
-            sig3 = _divisor_sums(n_terms, 3)
-            sig5 = _divisor_sums(n_terms, 5)
+            sig3 = _divisor_sums(self._n_terms, 3)
             e4 = 1.0 + 0.0j
-            e6 = 1.0 + 0.0j
+            delta = self._qbar
             qn = 1.0 + 0.0j
-            for m in range(1, n_terms + 1):
+            for m in range(1, self._n_terms + 1):
                 qn *= self._qbar
                 e4 += 240.0 * sig3[m] * qn
-                e6 -= 504.0 * sig5[m] * qn
-            num = 1728.0 * e4**3
-            den = e4**3 - e6**2
-            if den == 0.0:
-                raise DegenerateLatticeError("discriminant vanished numerically")
-            self._j = num / den
+                delta *= (1.0 - qn) ** 24
+            j = e4**3 / delta if delta != 0 else complex("inf")
+            if not cmath.isfinite(j):
+                raise DegenerateLatticeError(f"j overflows at Im tau = {self._tau.imag:.6g}")
+            self._j = j
         return self._j
 
     def __repr__(self) -> str:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from elliptic_dedekind import QuadOrder, Target, approximate
+from elliptic_dedekind import QuadOrder, Target, approximate, dedekind
 from elliptic_dedekind.cli import main
 
 
@@ -62,6 +62,29 @@ def test_sum_norm_above_int64_bound_usage_error(capsys):
     assert code == 2
     assert out == ""
     assert "N(k) = 2147488281" in err and "2147483648" in err
+
+
+def test_sum_table_above_physical_memory_usage_error(capsys, monkeypatch):
+    # N(k) = 304200 needs a 4867200-byte table; the memory probe reports 1e6 bytes.
+    monkeypatch.setattr(dedekind, "_physical_memory", lambda: 10**6)
+    code, out, err = run_cli(
+        capsys, "sum", "--dk", "-8", "-f", "3", "--h", "1081,0", "--k", "1560,130", "--format", "json"
+    )
+    assert code == 2
+    assert out == ""
+    assert "4867200 bytes" in err and "1000000 bytes" in err
+
+
+def test_sum_conj_stable_conductor_example(capsys):
+    # k = 1560 + 130*theta = 390*sqrt(-2) = p*e*sqrt(d) with p = 13, e = 5, d = -72
+    # on the conductor-3 order, so Dtilde = 2e/p + 4/(p*e*d) = 899/1170.
+    code, out, _ = run_cli(
+        capsys, "sum", "--dk", "-8", "-f", "3", "--h", "1081,0", "--k", "1560,130", "--format", "json"
+    )
+    assert code == 0
+    rec = json.loads(out)["records"][0]
+    assert rec["coset_count"] == 304200
+    assert abs(rec["d_norm"] - 899 / 1170) <= 1e-13 * (899 / 1170)
 
 
 def test_sum_euclid_path_above_the_table_bound(capsys):

@@ -12,6 +12,7 @@ from elliptic_dedekind import (
     ZeroDivisorError,
     mult_matrix,
 )
+from elliptic_dedekind.cosets import MultMatrix, _theta_matrix
 
 SQRT2 = math.sqrt(2.0)
 
@@ -86,6 +87,34 @@ def test_mult_matrix_matches_float_solve_reference(dk, f):
             k = random_nonzero(rng, order, 10**6)
             m = mult_matrix(k, lat)
             assert (m.a11, m.a12, m.a21, m.a22) == float_solve_reference(k, lat)
+
+
+THETA_ORDERS = [(-3, 1), (-4, 1), (-7, 1), (-8, 1), (-15, 1), (-20, 1), (-8, 3), (-3, 7)]
+
+
+@pytest.mark.parametrize("dk,f", THETA_ORDERS)
+def test_theta_matrix_is_exact_on_order_lattices(dk, f, monkeypatch):
+    order = QuadOrder(dk, f)
+    lattice = Lattice.from_order(order)
+    assert lattice.order == order
+
+    def forbidden(self):
+        raise AssertionError("the order lattice must not be solved in floats")
+
+    monkeypatch.setattr(Lattice, "area", forbidden)
+    exact = _theta_matrix(order, lattice)
+    monkeypatch.undo()
+    assert exact == MultMatrix(0, -order.theta_norm, 1, order.theta_trace)
+    # The same basis without the record, and a scaled copy, take the float solve.
+    c = complex(1.3, 0.7)
+    for other in (Lattice(1.0, order.theta_embedding()), lattice.scaled(c), Lattice(c, c * order.theta_embedding())):
+        assert other.order is None
+        assert _theta_matrix(order, other) == exact
+    # The record names one order: theta of O_f acting on the maximal order's lattice is solved in floats.
+    if f > 1:
+        maximal = Lattice.from_order(QuadOrder(dk))
+        m = _theta_matrix(order, maximal)
+        assert (m.a11, m.a12, m.a21, m.a22) == float_solve_reference(order.theta(), maximal)
 
 
 def test_mult_matrix_rejects_zero(order_m8):
@@ -170,8 +199,11 @@ def test_coset_arithmetic_on_arrays_matches_ints(dk, f):
             assert system.torsion_key(*system.reduce_coords((x, y))) == system.torsion_key(x, y)
 
 
-def test_coset_reps_row_major_order(order_m8):
+def test_coset_reps_column_major_order(order_m8):
+    # Index b*h11 + a, the layout of the E1 table.
     lat = Lattice.from_order(order_m8)
     system = CosetSystem(order_m8.element(2), lat)
     coords = system.coords()
-    assert [tuple(map(int, c)) for c in coords] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert [tuple(map(int, c)) for c in coords] == [(0, 0), (1, 0), (0, 1), (1, 1)]
+    reps = system.reps()
+    assert np.array_equal(reps, coords[:, 0] * lat.omega1 + coords[:, 1] * lat.omega2)

@@ -27,9 +27,10 @@ from elliptic_dedekind import (
     normalize_value,
     three_term_closed_form,
     phi,
+    sqrt_discriminant,
     three_term_residual,
 )
-from elliptic_dedekind import dedekind
+from elliptic_dedekind import dedekind, mult_matrix
 from elliptic_dedekind.dedekind import _d_sum_table, _e1_table
 from elliptic_dedekind.verification import random_sl2
 
@@ -95,15 +96,32 @@ def make_ctx(dk, f, scale):
     return ctx if scale is None else ctx.scaled(scale)
 
 
+# Orders with Re tau = 0 (d = -4 and the conductor-3 order) and Re tau = 1/2
+# (d = -7, -15, -23), and the conj-stable moduli k = p and k = p*sqrt(d) on them.
+CONJ_STABLE_ORDERS = [(-7, 1), (-15, 1), (-23, 1), (-4, 1), (-8, 3)]
+
+
+def conj_stable_moduli(order, primes=(2, 5, 13)):
+    return [order.element(p) for p in primes] + [order.element(p) * sqrt_discriminant(order) for p in primes]
+
+
+def table_cases():
+    """(ctx, None) for EXACT_CONTEXTS, to draw random moduli, then (ctx, k) for each conj-stable modulus."""
+    cases = [(make_ctx(dk, f, scale), None) for dk, f, scale in EXACT_CONTEXTS]
+    for dk, f in CONJ_STABLE_ORDERS:
+        ctx = SumContext(QuadOrder(dk, f))
+        cases += [(ctx, k) for k in conj_stable_moduli(ctx.order)]
+    return cases
+
+
 def test_d_sum_shift_invariance():
     # h enters only mod k, so shifting h by k*m leaves every bit unchanged.
     rng = random.Random(21)
-    for dk, f, scale in EXACT_CONTEXTS:
-        ctx = make_ctx(dk, f, scale)
+    for ctx, fixed_k in table_cases():
         order = ctx.order
-        for i in range(20):
+        for i in range(20 if fixed_k is None else 3):
             h = random_elem(rng, order, 60)
-            k = random_elem(rng, order, 60)
+            k = random_elem(rng, order, 60) if fixed_k is None else fixed_k
             bound = (2, 10**6, 10**15)[i % 3]
             m = order.element(rng.randint(-bound, bound), rng.randint(-bound, bound))
             assert _d_sum_table(h + k * m, k, ctx) == _d_sum_table(h, k, ctx)
@@ -111,12 +129,11 @@ def test_d_sum_shift_invariance():
 
 def test_d_sum_oddness():
     rng = random.Random(22)
-    for dk, f, scale in EXACT_CONTEXTS:
-        ctx = make_ctx(dk, f, scale)
+    for ctx, fixed_k in table_cases():
         order = ctx.order
-        for _ in range(10):
+        for _ in range(10 if fixed_k is None else 2):
             h = random_elem(rng, order, 60)
-            k = random_elem(rng, order, 60)
+            k = random_elem(rng, order, 60) if fixed_k is None else fixed_k
             assert _d_sum_table(-h, k, ctx) == -_d_sum_table(h, k, ctx)
 
 
@@ -146,20 +163,140 @@ def test_d_sum_zero_numerator(ctx_m8):
     assert d_sum(k * order.element(3, -1), k, ctx_m8) == 0
 
 
-@pytest.mark.parametrize("u, v", [(7, 2), (2, 0), (0, 1), (40, 9), (6, 3)])
+def torsion_points(system):
+    """The torsion points mu/k of the box, in coords() order, as exact coordinate pairs mod 1."""
+    m = system.mult
+    return [
+        (Fraction(m.a22 * a - m.a12 * b, m.det) % 1, Fraction(m.a11 * b - m.a21 * a, m.det) % 1)
+        for a, b in system.coords().tolist()
+    ]
+
+
+def brute_orbit_count(system):
+    """Orbits of {+-1, conj} on the torsion points of order > 2; conj counts on the basis (1, theta) when conj(k) = +-k.
+
+    There conj(x + y*theta) = (x + tr(theta)*y) - y*theta maps the torsion
+    points onto themselves (checked here).  On d = -3, -4, conj(k) may be
+    another unit multiple of k; the fold leaves those moduli at {+-1}.
+    """
+    points = torsion_points(system)
+    k = system.k
+    trace = k.order.theta_trace
+    maps = [lambda p: (-p[0] % 1, -p[1] % 1)]
+    conj = lambda p: ((p[0] + trace * p[1]) % 1, -p[1] % 1)  # noqa: E731
+    if system.lattice.order == k.order and k.conjugate() in (k, -k):
+        assert {conj(p) for p in points} == set(points)
+        maps.append(conj)
+    orbits = set()
+    for p in points:
+        orbit = {p}
+        for _ in range(2):
+            orbit |= {g(q) for g in maps for q in orbit}
+        if maps[0](p) != p:
+            orbits.add(frozenset(orbit))
+    return len(orbits)
+
+
+def full_box_e1_table(system):
+    """E1 over the whole box, indexed a*h22 + b, one evaluation per pair {mu, -mu}: the fill before the orbit fold."""
+    n, h22 = system.size, system.h22
+    table = np.zeros(n, dtype=complex)
+    for start in range(0, n, 4096):
+        idx = np.arange(start, min(start + 4096, n), dtype=np.int64)
+        a, b = np.divmod(idx, h22)
+        neg_a, neg_b = system.reduce_coords((-a, -b))
+        neg = neg_a * h22 + neg_b
+        first = idx < neg
+        if first.any():
+            values = system.lattice.e1_torsion(*system.torsion_key(a[first], b[first]), n)
+            table[idx[first]] = values
+            table[neg[first]] = -values
+    return table
+
+
+def full_box_d_sum(h, k, ctx):
+    """D_L(h, k) summed over every coset of the box: the sum before the half-box sum, kept as a reference."""
+    system = CosetSystem(k, ctx.lattice)
+    n, h22 = system.size, system.h22
+    hm = mult_matrix(h, ctx.lattice)
+    x1, y1 = system.reduce_coords((hm.a11, hm.a21))
+    x2, y2 = system.reduce_coords((hm.a12, hm.a22))
+    table = full_box_e1_table(system)
+    total = 0j
+    for start in range(0, n, 4096):
+        stop = min(start + 4096, n)
+        a, b = np.divmod(np.arange(start, stop, dtype=np.int64), h22)
+        hx, hy = system.reduce_coords((a * x1 + b * x2, a * y1 + b * y2))
+        total += complex(np.sum(table[hx * h22 + hy] * table[start:stop]))
+    return total / k.embed()
+
+
+# Not conj-stable: (7, 2), (0, 1) = theta = -4 + sqrt(-2), (40, 9), (6, 3).
+# conj(k) = k: (2, 0), whose points are all 2-torsion, and (7, 0), (9, 0);
+# conj(k) = -k: (12, 3) = 3*sqrt(-2) and (20, 5) = 5*sqrt(-2).
+@pytest.mark.parametrize("u, v", [(7, 2), (2, 0), (0, 1), (40, 9), (6, 3), (7, 0), (9, 0), (12, 3), (20, 5)])
 def test_e1_table_evaluates_each_pair_once(ctx_m8, monkeypatch, u, v):
-    system = CosetSystem(ctx_m8.order.element(u, v), ctx_m8.lattice)
+    k = ctx_m8.order.element(u, v)
+    system = CosetSystem(k, ctx_m8.lattice)
     n = system.size
     points = count_e1_torsion(monkeypatch)
     table = _e1_table(system)
     # mu = -mu modulo kL exactly when 2*mu lies in kL.
-    fixed = np.array([system.in_sublattice((2 * a, 2 * b)) for a, b in system.coords().tolist()])
-    assert sum(points) == (n - int(fixed.sum())) // 2
+    coords = system.coords().tolist()
+    fixed = np.array([system.in_sublattice((2 * a, 2 * b)) for a, b in coords])
+    orbits = brute_orbit_count(system)
+    assert sum(points) == orbits
+    pairs = (n - int(fixed.sum())) // 2
+    if k.conjugate() in (k, -k) and pairs:
+        assert orbits < pairs
+    else:
+        assert orbits == pairs
     assert 0 not in points
     assert np.all(table[fixed] == 0)
-    kc = ctx_m8.order.element(u, v).embed()
-    expected = ctx_m8.lattice.e1_many(system.reps() / kc)
+    # E1 is odd, bit for bit.
+    neg = [b * system.h11 + a for a, b in (system.reduce_coords((-a, -b)) for a, b in coords)]
+    assert np.array_equal(table[neg], -table)
+    expected = ctx_m8.lattice.e1_many(system.reps() / k.embed())
     assert np.max(np.abs(table - expected)) <= 1e-12 * (1 + np.max(np.abs(expected)))
+
+
+@pytest.mark.parametrize("dk, f", CONJ_STABLE_ORDERS)
+def test_orbit_table_matches_full_box_reference(dk, f, monkeypatch):
+    ctx = SumContext(QuadOrder(dk, f))
+    order = ctx.order
+    rng = random.Random(24)
+    for k in conj_stable_moduli(order):
+        system = CosetSystem(k, ctx.lattice)
+        points = count_e1_torsion(monkeypatch)
+        table = _e1_table(system)
+        monkeypatch.undo()
+        if k.norm() < 1000:
+            assert sum(points) == brute_orbit_count(system)
+        # The reference is indexed a*h22 + b, the table b*h11 + a.
+        ref = full_box_e1_table(system).reshape(system.h11, system.h22).T.ravel()
+        assert np.max(np.abs(table - ref)) <= 1e-12 * np.max(np.abs(ref))
+        for _ in range(3):
+            h = random_elem(rng, order, 10**6, 40)
+            expected = full_box_d_sum(h, k, ctx)
+            assert abs(_d_sum_table(h, k, ctx) - expected) <= 1e-12 * (1 + abs(expected))
+
+
+def test_d_sum_table_refuses_a_table_above_physical_memory(monkeypatch):
+    # N(30) = 900 on the conductor-3 order: a 14400-byte table against a probe of 1000 bytes.
+    ctx = SumContext(QuadOrder(-8, 3))
+    monkeypatch.setattr(dedekind, "_physical_memory", lambda: 1000)
+
+    def forbidden(system):
+        raise AssertionError("the table must not be allocated")
+
+    monkeypatch.setattr(dedekind, "_e1_table", forbidden)
+    with pytest.raises(PreconditionError, match=r"N\(k\) = 900 needs 14400 bytes, more than the 1000 bytes"):
+        d_sum(ctx.order.one(), ctx.order.element(30), ctx)
+    monkeypatch.undo()
+    assert dedekind._physical_memory() > 16 * 900
+    h, k = ctx.order.element(1, 1), ctx.order.element(30)
+    expected = full_box_d_sum(h, k, ctx)
+    assert abs(d_sum(h, k, ctx) - expected) <= 1e-12 * (1 + abs(expected))
 
 
 def test_d_sum_closed_form_at_realistic_size(ctx_m8):

@@ -8,6 +8,13 @@ tau = omega2/omega1, q = exp(i*pi*tau) and u = z/omega1,
 because zeta(z) = eta1*z + pi*theta1'/theta1 and E1 = zeta - s2*z - (pi/A)*conj(z)
 (the G2 terms cancel; Sczech's identity).  D_L(h, k) is then summed over the
 box with exact rational torsion coordinates M^-1*(a, b) and M^-1*H*(a, b).
+
+zeta, E2(0) and j come from the same theta function and from Klein's j, with
+no reduced basis: G2(tau) = -(pi^2/3)*theta1^(3)(0)/theta1'(0),
+
+    zeta(z) = (G2(tau)*u + pi*theta1'(pi*u | q)/theta1(pi*u | q)) / omega1,
+    E2(0)   = (G2(tau) - pi/Im(tau)) / omega1^2,
+    j       = 1728*kleinj(tau).
 """
 
 import math
@@ -30,6 +37,28 @@ def mp_e1(z, w1, w2):
     u = z / w1
     ratio = mp.jtheta(1, mp.pi * u, q, 1) / mp.jtheta(1, mp.pi * u, q)
     return (mp.pi * ratio + 2j * mp.pi * mp.im(u) / mp.im(tau)) / w1
+
+
+def mp_g2(tau):
+    q = mp.exp(1j * mp.pi * tau)
+    return -(mp.pi**2 / 3) * mp.jtheta(1, 0, q, 3) / mp.jtheta(1, 0, q, 1)
+
+
+def mp_zeta(z, w1, w2):
+    tau = w2 / w1
+    q = mp.exp(1j * mp.pi * tau)
+    u = z / w1
+    ratio = mp.jtheta(1, mp.pi * u, q, 1) / mp.jtheta(1, mp.pi * u, q)
+    return (mp_g2(tau) * u + mp.pi * ratio) / w1
+
+
+def mp_e2_zero(w1, w2):
+    tau = w2 / w1
+    return (mp_g2(tau) - mp.pi / mp.im(tau)) / w1**2
+
+
+def mp_j(w1, w2):
+    return 1728 * mp.kleinj(w2 / w1)
 
 
 def mp_embed(elem):
@@ -106,6 +135,46 @@ def test_e1_elongated_lattice(im_tau):
         w1, w2 = mp.mpc(lattice.omega1), mp.mpc(lattice.omega2)
         for z in (complex(0.3, 0.45 * im_tau), complex(0.3, -0.45 * im_tau), complex(0.1, 0.02 * im_tau)):
             assert mp_rel_err(lattice.e1(z), mp_e1(mp.mpc(z), w1, w2)) <= 1e-14
+
+
+# Lattices with E2(0) != 0 and j != 0: Re tau = 0 and 1/2, a conductor-3 order,
+# a skew basis, and Im tau = 40, where w = exp(2*pi*i*u) reaches exp(-40*pi).
+ANALYTIC_LATTICES = {
+    "sqrt-2": LATTICES["sqrt-2"],
+    "d-7-order": LATTICES["d-7-order"],
+    "d-23-order": Lattice.from_order(QuadOrder(-23)),
+    "conductor-3": LATTICES["conductor-3"],
+    "skew": Lattice(complex(1.0, 0.5), complex(5.2, 3.1)),
+    "elongated-40": Lattice(1.0, 40j),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ANALYTIC_LATTICES))
+def test_zeta_matches_theta_reference(name):
+    # Points x*r1 + y*r2 of the reduced basis, on the strip edges y = +-1/2 and
+    # inside, some moved by a period so that the quasi-periods enter.
+    lattice = ANALYTIC_LATTICES[name]
+    r1, r2 = lattice._r1, lattice._r2
+    rng = random.Random(44)
+    worst = 0.0
+    with mp.workdps(DPS):
+        w1, w2 = mp.mpc(lattice.omega1), mp.mpc(lattice.omega2)
+        for i in range(30):
+            x = rng.uniform(-0.5, 0.5)
+            y = (0.5, -0.5, rng.uniform(-0.5, 0.5))[i % 3]
+            m, n = (0, 0) if i < 15 else (rng.randint(-2, 2), rng.randint(-2, 2))
+            z = (x + m) * r1 + (y + n) * r2
+            worst = max(worst, mp_rel_err(lattice.weierstrass_zeta(z), mp_zeta(mp.mpc(z), w1, w2)))
+    assert worst <= 1e-13
+
+
+@pytest.mark.parametrize("name", sorted(ANALYTIC_LATTICES))
+def test_e2_zero_and_j_match_theta_reference(name):
+    lattice = ANALYTIC_LATTICES[name]
+    with mp.workdps(DPS):
+        w1, w2 = mp.mpc(lattice.omega1), mp.mpc(lattice.omega2)
+        assert mp_rel_err(lattice.e2_zero(), mp_e2_zero(w1, w2)) <= 1e-13
+        assert mp_rel_err(lattice.j_invariant(), mp_j(w1, w2)) <= 1e-13
 
 
 def test_e1_torsion_on_basis_with_large_reduction_matrix():
