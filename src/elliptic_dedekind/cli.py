@@ -108,6 +108,16 @@ def _parse_coords(text: str):
         raise argparse.ArgumentTypeError(f"expected integers in {text!r}") from exc
 
 
+def _parse_steps(text: str) -> int:
+    try:
+        steps = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from exc
+    if steps < 0:
+        raise argparse.ArgumentTypeError(f"steps must be >= 0, got {steps}")
+    return steps
+
+
 def _parse_complex(text: str) -> complex:
     try:
         return complex(text.replace(" ", ""))
@@ -142,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_approx = add_subcommand("approximate", "approximate 2a/b by normalized sums")
     p_approx.add_argument("--a", type=int, required=True)
     p_approx.add_argument("--b", type=int, required=True)
-    p_approx.add_argument("--steps", type=int, default=3)
+    p_approx.add_argument("--steps", type=_parse_steps, default=3)
     return parser
 
 
@@ -262,30 +272,18 @@ def _cmd_approximate(args) -> int:
         p = find_prime(target, after=p)
         step = construct(target, p)
         wall = time.perf_counter() - t0
-        bound = (2.0 / args.b + 1.0) / step.p
-        records.append(
-            {
-                "index": index,
-                "p": step.p,
-                "e": step.e,
-                "ell": step.ell,
-                "k": step.k,
-                "dtilde": step.dtilde,
-                "abs_err": step.err_bound,
-                "bound": bound,
-            }
-        )
-        rows.append(
-            {
-                "index": index,
-                "p": step.p,
-                "e": step.e,
-                "dtilde": repr(step.dtilde),
-                "abs_err": repr(step.err_bound),
-                "bound": repr(bound),
-                "wall_time_s": f"{wall:.6f}",
-            }
-        )
+        record = {
+            "index": index,
+            "p": step.p,
+            "e": step.e,
+            "ell": step.ell,
+            "k": step.k,
+            "dtilde": step.dtilde,
+            "abs_err": step.err_bound,
+            "bound": (2.0 / args.b + 1.0) / step.p,
+        }
+        records.append(record)
+        rows.append({**record, "wall_time_s": f"{wall:.6f}"})
     elapsed = time.perf_counter() - started
     two_x = 2.0 * args.a / args.b
     summary = {"a": args.a, "b": args.b, "discriminant": order.discriminant, "two_x": two_x, "steps": args.steps}

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     InvalidModulusError,
@@ -367,14 +366,12 @@ def sqrt_discriminant(order: QuadOrder) -> OrderElem:
     return OrderElem(-order.f * order.d_k, 2, order)
 
 
-def _round_half_to_zero(x: Fraction) -> int:
-    q, r = divmod(x.numerator, x.denominator)
-    frac = Fraction(r, x.denominator)
-    if frac > Fraction(1, 2):
+def _round_half_to_zero(num: int, den: int) -> int:
+    """num/den rounded to the nearest integer, ties toward zero; den > 0."""
+    q, r = divmod(num, den)
+    if 2 * r > den or (2 * r == den and q < 0):
         return q + 1
-    if frac < Fraction(1, 2):
-        return q
-    return q if q >= 0 else q + 1
+    return q
 
 
 def _nearest_quotient(a: OrderElem, b: OrderElem) -> OrderElem:
@@ -391,12 +388,9 @@ def _nearest_quotient(a: OrderElem, b: OrderElem) -> OrderElem:
     order = a.order
     n = b.norm()
     num = a * b.conjugate()
-    u_fr = Fraction(num.u, n)
-    v_fr = Fraction(num.v, n)
     c0 = order.theta_trace // 2
-    s_fr = u_fr + c0 * v_fr
-    s0 = _round_half_to_zero(s_fr)
-    t0 = _round_half_to_zero(v_fr)
+    s0 = _round_half_to_zero(num.u + c0 * num.v, n)
+    t0 = _round_half_to_zero(num.v, n)
 
     def candidate(s, t):
         return OrderElem(s - c0 * t, t, order)

@@ -201,6 +201,19 @@ def assert_usage_error(*argv):
     assert exc.value.code == 2
 
 
+
+@pytest.mark.parametrize("steps", ["-1", "-5", "two"])
+def test_approximate_bad_steps_usage_error(steps):
+    assert_usage_error("approximate", "--a", "1", "--b", "3", "--steps", steps)
+
+
+def test_approximate_zero_steps(capsys):
+    code, out, _ = run_cli(capsys, "approximate", "--a", "1", "--b", "3", "--steps", "0", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["records"] == [] and doc["summary"]["steps"] == 0
+
+
 # Each subcommand accepts only the flags it reads; the ones below were removed.
 
 

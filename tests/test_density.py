@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from elliptic_dedekind import (
+    DedekindError,
     InadmissibleTargetError,
     QuadOrder,
     SumContext,
@@ -19,6 +20,18 @@ from elliptic_dedekind import (
     normalize_value,
     sqrt_discriminant,
 )
+
+
+# |d| <= 50 on maximal and non-maximal, Euclidean and non-Euclidean orders.
+SIX_ORDERS = ((-7, 1), (-8, 1), (-11, 2), (-20, 1), (-8, 2), (-43, 1))
+
+
+def bezout_pair(m, sqrt_d):
+    """(x, y) of a constructed matrix [[a, -x], [p, y*sqrt(d)]]."""
+    assert m.b.v == 0
+    y = m.d.v // 2  # sqrt(d) = -f*d_k + 2*theta
+    assert m.d == y * sqrt_d
+    return -m.b.u, y
 
 
 def test_target_validation():
@@ -97,23 +110,46 @@ def test_construct_worked_example():
     assert abs(step.err_bound - 2.48e-4) < 1e-6
 
 
+@pytest.mark.parametrize("dk, f", SIX_ORDERS)
+def test_find_prime_makes_the_root_square_a_residue(dk, f):
+    # construct's sqrt_mod relies on this; find_prime no longer checks it.
+    order = QuadOrder(dk, f)
+    d = order.discriminant
+    for a, b in ((1, 3), (-7, 9), (4, 13)):
+        target = Target(a, b, order)
+        p = 0
+        for _ in range(10):
+            p = find_prime(target, after=p)
+            e = (a * p - 1) // b
+            assert legendre_symbol((d * d * e * e + 4 * d) % p, p) == 1
+
+
 def test_construct_exact_invariants():
-    for dk in (-8, -20):
-        order = QuadOrder(dk)
+    # Every identity that construct leaves to construction, ten steps a target.
+    for dk, f in SIX_ORDERS:
+        order = QuadOrder(dk, f)
         d = order.discriminant
+        sqrt_d = sqrt_discriminant(order)
+        one = order.one()
         for a, b in ((1, 3), (7, 9)):
             target = Target(a, b, order)
-            p = find_prime(target)
-            step = construct(target, p)
-            one = order.one()
-            assert step.A1.det() == one and step.A2.det() == one and step.A3.det() == one
-            assert step.e * b == a * p - 1
-            assert (step.k * (step.k + step.e) * d) % p == 1
-            assert (2 * step.ell - d * step.e) ** 2 % p == (d * d * step.e * step.e + 4 * d) % p
-            assert (step.ell * step.k) % p == 1
-            assert step.A3.c == (p * step.e) * sqrt_discriminant(order)
-            assert p * step.x1 + step.k * d * step.y1 == 1
-            assert p * step.x2 + (step.k + step.e) * d * step.y2 == 1
+            for step in approximate(target, 10):
+                p, e, k = step.p, step.e, step.k
+                p_elem = order.element(p)
+                assert step.A1.det() == one and step.A2.det() == one and step.A3.det() == one
+                assert e * b == a * p - 1
+                assert (k * (k + e) * d) % p == 1
+                assert (2 * step.ell - d * e) ** 2 % p == (d * d * e * e + 4 * d) % p
+                assert (step.ell * k) % p == 1
+                assert (step.A1.a, step.A1.c) == (k * sqrt_d, p_elem)
+                assert (step.A2.a, step.A2.c) == ((k + e) * sqrt_d, p_elem)
+                assert step.A3.c == (p * e) * sqrt_d
+                assert step.A2.inverse() @ step.A1 == step.A3
+                assert (step.A1.a * step.A2.a - one).exact_div(p_elem) is not None
+                x1, y1 = bezout_pair(step.A1, sqrt_d)
+                x2, y2 = bezout_pair(step.A2, sqrt_d)
+                assert p * x1 + k * d * y1 == 1
+                assert p * x2 + (k + e) * d * y2 == 1
 
 
 def test_construct_a3_from_matrix_product():
@@ -121,8 +157,17 @@ def test_construct_a3_from_matrix_product():
     target = Target(1, 3, QuadOrder(-8))
     step = construct(target, 2689)
     d = target.order.discriminant
+    _, y2 = bezout_pair(step.A2, sqrt_discriminant(target.order))
     a3 = step.A3.a
-    assert (a3.u, a3.v) == (1 - step.e * d * step.y2, 0)
+    assert (a3.u, a3.v) == (1 - step.e * d * y2, 0)
+
+
+@pytest.mark.parametrize("p", [4, 10, 25, 91, 1105, 1729])
+def test_construct_rejects_composite_p(p):
+    # Each p is 1 mod 3, so it passes the residue-class check; sqrt_mod or
+    # inverse_mod must still refuse it.
+    with pytest.raises(DedekindError):
+        construct(Target(1, 3, QuadOrder(-8)), p)
 
 
 def test_approximate_error_bounds():
@@ -172,7 +217,7 @@ def test_approximate_real_density_realization():
 def test_convergence_random_admissible_targets():
     # |a|, b <= 20 and |d| <= 50: five steps inside the (2/b+1)/p envelope.
     rng = random.Random(31)
-    orders = [QuadOrder(dk, f) for dk, f in ((-7, 1), (-8, 1), (-11, 2), (-20, 1), (-8, 2), (-43, 1))]
+    orders = [QuadOrder(dk, f) for dk, f in SIX_ORDERS]
     assert all(abs(o.discriminant) <= 50 for o in orders)
     produced = 0
     while produced < 6:

@@ -314,3 +314,18 @@ def test_nearest_quotient_rounds_in_reduced_basis(dk, f):
             continue
         q = _nearest_quotient(a, b)
         assert 16 * (a - q * b).norm() <= b.norm() * (9 + 4 * omega.norm())
+
+
+@pytest.mark.parametrize("dk, f", [(-3, 1), (-4, 1), (-7, 1), (-8, 1), (-11, 1), (-20, 1), (-8, 3), (-4, 3)])
+def test_nearest_quotient_rounds_ties_toward_zero(dk, f):
+    # a/b = m/2 in one coordinate of the reduced basis (1, omega), both sides
+    # scaled by g.  While the residue +-g or +-omega*g has norm below
+    # N(b) = 4*N(g), the rounding alone picks the quotient.
+    order = QuadOrder(dk, f)
+    omega = order.theta() - order.element(order.theta_trace // 2)
+    for g in (order.one(), order.element(2, 1), order.element(-3, 2)):
+        two = order.element(2) * g
+        for m, q in ((1, 0), (-1, 0), (3, 1), (-3, -1)):
+            assert _nearest_quotient(order.element(m) * g, two) == order.element(q)
+            if omega.norm() < 4:
+                assert _nearest_quotient(m * omega * g, two) == q * omega
