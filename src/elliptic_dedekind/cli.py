@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
+import json
 import math
 import sys
 import time
@@ -49,6 +51,10 @@ def _fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+# One string encoder per process: json.dumps would build a new encoder on every call.
+_json_str = json.JSONEncoder(ensure_ascii=False).encode
+
+
 def _to_json(obj) -> str:
     if obj is None:
         return "null"
@@ -62,25 +68,12 @@ def _to_json(obj) -> str:
         return _fmt_float(obj)
     if isinstance(obj, complex):
         return _to_json({"re": obj.real, "im": obj.imag})
-    if isinstance(obj, str):
-        out = ['"']
-        for ch in obj:
-            if ch == '"':
-                out.append('\\"')
-            elif ch == "\\":
-                out.append("\\\\")
-            elif ord(ch) < 0x20:
-                out.append(f"\\u{ord(ch):04x}")
-            else:
-                out.append(ch)
-        out.append('"')
-        return "".join(out)
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(_to_json(v) for v in obj) + "]"
     if isinstance(obj, dict):
-        items = (f"{_to_json(str(key))}:{_to_json(val)}" for key, val in obj.items())
+        items = (f"{_json_str(str(key))}:{_to_json(val)}" for key, val in obj.items())
         return "{" + ",".join(items) + "}"
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+    return _json_str(obj)  # a str; any other type raises TypeError
 
 
 def _emit_json(config: dict, records: list, summary: dict) -> None:
@@ -125,31 +118,34 @@ def _parse_complex(text: str) -> complex:
         raise argparse.ArgumentTypeError(f"cannot parse complex number {text!r}") from exc
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later one."""
     parser = argparse.ArgumentParser(
         prog="elliptic-dedekind",
         description="Elliptic Dedekind sums over imaginary quadratic orders",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_subcommand(name, help_text):
+    def add_subcommand(name, help_text, run):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
         p.add_argument("--dk", type=int, default=-8, help="fundamental discriminant d_K < 0 (default -8)")
         p.add_argument("-f", "--conductor", type=int, default=1, help="conductor f >= 1 (default 1)")
         p.add_argument("--format", choices=("text", "json", "csv"), default="text", help="output format")
         return p
 
-    p_sum = add_subcommand("sum", "compute D_L and the normalized sum for one (h, k) pair")
+    p_sum = add_subcommand("sum", "compute D_L and the normalized sum for one (h, k) pair", _cmd_sum)
     p_sum.add_argument("--omega1", type=_parse_complex, default=None, help="custom basis vector omega1")
     p_sum.add_argument("--omega2", type=_parse_complex, default=None, help="custom basis vector omega2")
     p_sum.add_argument("--h", type=_parse_coords, required=True, metavar="U,V", help="h in theta-coordinates")
     p_sum.add_argument("--k", type=_parse_coords, required=True, metavar="U,V", help="k in theta-coordinates")
 
-    p_verify = add_subcommand("verify", "run an invariant suite")
+    p_verify = add_subcommand("verify", "run an invariant suite", _cmd_verify)
     p_verify.add_argument("--suite", choices=SUITE_NAMES, required=True)
     p_verify.add_argument("--seed", type=int, default=_DEFAULT_SEED, help="PRNG seed for randomized suites")
 
-    p_approx = add_subcommand("approximate", "approximate 2a/b by normalized sums")
+    p_approx = add_subcommand("approximate", "approximate 2a/b by normalized sums", _cmd_approximate)
     p_approx.add_argument("--a", type=int, required=True)
     p_approx.add_argument("--b", type=int, required=True)
     p_approx.add_argument("--steps", type=_parse_steps, default=3)
@@ -279,7 +275,7 @@ def _cmd_approximate(args) -> int:
             "ell": step.ell,
             "k": step.k,
             "dtilde": step.dtilde,
-            "abs_err": step.err_bound,
+            "abs_err": step.abs_err,
             "bound": (2.0 / args.b + 1.0) / step.p,
         }
         records.append(record)
@@ -305,15 +301,8 @@ def _cmd_approximate(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
-        if args.command == "sum":
-            return _cmd_sum(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "approximate":
-            return _cmd_approximate(args)
-        parser.error(f"unknown command {args.command!r}")
+        args = build_parser().parse_args(argv)
+        return args.run(args)
     except (InadmissibleTargetError, ExcludedRingError, NotAMultiplierError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
@@ -323,7 +312,6 @@ def main(argv: list[str] | None = None) -> int:
     except DedekindError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
-    return _EXIT_USAGE
 
 
 def entry() -> None:

@@ -377,19 +377,22 @@ def normalize_value(value: complex, ctx: SumContext) -> float:
     """Apply the Dtilde normalization 1/(i*sqrt(|disc|)*E2(0)) and take the real part.
 
     Raises ExcludedRingError when E2(0) vanishes (multiplier ring Z[i] or
-    Z[rho]), and PrecisionLossError when j(L) is real but the normalized value
-    keeps a residual imaginary part.  E2(0) has weight 2, so the vanishing test
-    is on |E2(0)|*area, which does not change when the lattice is scaled.
+    Z[rho]), PreconditionError when j(L) is not real (Dtilde is then not real
+    either), and PrecisionLossError when the normalized value keeps a residual
+    imaginary part.  E2(0) has weight 2, so the vanishing test is on
+    |E2(0)|*area, which does not change when the lattice is scaled.
     """
     e2 = ctx.lattice.e2_zero()
     if abs(e2) * ctx.lattice.area() < 1e-12:
         raise ExcludedRingError(
             f"E2(0) = {e2:.3e} vanishes for this ring; normalized sums are undefined"
         )
+    jv = ctx.lattice.j_invariant()
+    if abs(jv.imag) > 1e-6 * (1.0 + abs(jv)):
+        raise PreconditionError(f"j(L) = {jv:.6g} is not real; normalized sums need a lattice with real j")
     denom = 1j * math.sqrt(abs(ctx.order.discriminant)) * e2
     w = complex(value) / denom
-    jv = ctx.lattice.j_invariant()
-    if abs(jv.imag) <= 1e-6 * (1.0 + abs(jv)) and abs(w.imag) > 1e-6 * (1.0 + abs(w)):
+    if abs(w.imag) > 1e-6 * (1.0 + abs(w)):
         raise PrecisionLossError(f"normalized sum kept imaginary part {w.imag:.3e}")
     return w.real
 

@@ -89,7 +89,7 @@ class ApproxStep:
     A2: Mat2
     A3: Mat2
     dtilde: float
-    err_bound: float
+    abs_err: float
     dtilde_exact: Fraction
     err_exact: Fraction
 
@@ -169,7 +169,7 @@ def construct(target: Target, p: int) -> ApproxStep:
         A2=m2,
         A3=m3,
         dtilde=float(dtilde_exact),
-        err_bound=float(err_exact),
+        abs_err=float(err_exact),
         dtilde_exact=dtilde_exact,
         err_exact=err_exact,
     )

@@ -109,9 +109,10 @@ def legendre_symbol(a: int, p: int) -> int:
     """Legendre symbol (a|p) in {-1, 0, 1} via Euler's criterion."""
     if p <= 1 or p % 2 == 0:
         raise InvalidModulusError(f"p must be an odd prime, got {p}")
-    t = pow(a % p, (p - 1) // 2, p)
-    if t == 0:
+    a = a % p
+    if a == 0:
         return 0
+    t = pow(a, (p - 1) // 2, p)
     if t == 1:
         return 1
     if t == p - 1:
@@ -123,12 +124,14 @@ def sqrt_mod(a: int, p: int) -> int:
     """Square root of a modulo an odd prime p.
 
     Returns the smaller of the two roots, min(r, p - r), so the result is
-    deterministic.  Raises NoSquareRootError for non-residues.
+    deterministic.  Raises NoSquareRootError for non-residues, and
+    InvalidModulusError (also for a = 0 mod p) when p is below 3, even, or
+    exposed as composite by Euler's criterion.
     """
-    a = a % p
-    if a == 0:
-        return 0
     ls = legendre_symbol(a, p)
+    if ls == 0:
+        return 0
+    a = a % p
     if ls == -1:
         raise NoSquareRootError(f"{a} is not a square mod {p}")
     if p % 4 == 3:

@@ -153,13 +153,13 @@ def test_criterion_5_convergence():
             worst_margin = min(worst_margin, float((bound / step.p) / step.err_exact))
     anchor = Target(1, 3, QuadOrder(-8))
     first = approximate(anchor, 1)[0]
-    anchor_ok = first.p == 2689 and abs(first.err_bound - 2.48e-4) <= 1e-6
+    anchor_ok = first.p == 2689 and abs(first.abs_err - 2.48e-4) <= 1e-6
     report(
         5,
         "convergence",
         anchor_ok,
         f"all |dtilde - 2a/b| <= (2/b+1)/p (min slack factor {worst_margin:.2f}); "
-        f"(1,3,-8): p={first.p}, |err|={first.err_bound:.6e} within 1e-6 of 2.48e-4",
+        f"(1,3,-8): p={first.p}, |err|={first.abs_err:.6e} within 1e-6 of 2.48e-4",
     )
 
 

@@ -1,10 +1,16 @@
+import argparse
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from elliptic_dedekind import QuadOrder, Target, approximate, dedekind
+import elliptic_dedekind
+from elliptic_dedekind import QuadOrder, Target, approximate, cli, dedekind
 from elliptic_dedekind.cli import main
 
 
@@ -130,6 +136,28 @@ def test_sum_custom_basis(capsys):
     assert code == 0
     doc = json.loads(out)
     assert abs(doc["records"][0]["d_norm"] - 8 / 9) < 1e-8
+
+
+def test_sum_refuses_a_lattice_whose_j_is_not_real(capsys):
+    # Form (2, 1, 3) on d = -23: Dtilde would be -0.4295 - 0.1540i.
+    code, out, err = run_cli(
+        capsys,
+        "sum",
+        "--dk",
+        "-23",
+        "--omega1",
+        "2",
+        "--omega2=-0.5+2.3979157616563596j",
+        "--h",
+        "1,1",
+        "--k",
+        "3,1",
+        "--format",
+        "json",
+    )
+    assert code == 2
+    assert out == ""
+    assert "j(L)" in err and "not real" in err
 
 
 def test_verify_phi_gaussian(capsys):
@@ -281,3 +309,69 @@ def test_verify_json_determinism(capsys):
     _, out1, _ = run_cli(capsys, *args)
     _, out2, _ = run_cli(capsys, *args)
     assert out1 == out2
+
+
+# --- JSON bytes and the process-wide parser -----------------------------------
+
+
+def test_to_json_golden_bytes():
+    record = {
+        "ints": [-7, 0, 2**70],
+        "flags": [True, False],
+        "none": None,
+        "floats": [0.1, -0.0, 2.0, 1e-300],
+        "z": complex(-1.5, 0.25),
+        "nested": [(1, [2.5, ("a", None)]), [], ()],
+        "text": 'say "hi" \\ then \u00e9',
+        'key "q" \\': -3,
+    }
+    assert cli._to_json(record) == (
+        '{"ints":[-7,0,1180591620717411303424],"flags":[true,false],"none":null,'
+        '"floats":[0.10000000000000001,-0,2,1e-300],"z":{"re":-1.5,"im":0.25},'
+        '"nested":[[1,[2.5,["a",null]]],[],[]],"text":"say \\"hi\\" \\\\ then \u00e9",'
+        '"key \\"q\\" \\\\":-3}'
+    )
+
+
+@pytest.mark.parametrize(
+    "value", [float("nan"), float("inf"), -float("inf"), complex(1.0, float("nan")), [float("inf")]]
+)
+def test_to_json_rejects_non_finite(value):
+    with pytest.raises(ValueError):
+        cli._to_json({"x": value})
+
+
+LATER_CALLS = [
+    ["sum", "--dk", "-8", "--h", "1,0", "--k", "0,1", "--format", "json"],
+    ["verify", "--suite", "cosets", "--format", "json"],
+    ["approximate", "--a", "1", "--b", "3", "--steps", "2", "--format", "json"],
+]
+
+
+def test_usage_error_leaves_later_calls_unchanged(capsys):
+    assert_usage_error("verify", "--suite", "nonsense")
+    capsys.readouterr()
+    after_error = [run_cli(capsys, *argv)[:2] for argv in LATER_CALLS]
+    src = str(Path(elliptic_dedekind.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for argv, (code, out) in zip(LATER_CALLS, after_error):
+        alone = subprocess.run(
+            [sys.executable, "-m", "elliptic_dedekind", *argv], capture_output=True, text=True, env=env, check=False
+        )
+        assert (code, out) == (alone.returncode, alone.stdout)
+
+
+def test_parser_is_built_once_across_calls(capsys, monkeypatch):
+    run_cli(capsys, *LATER_CALLS[0])
+    built = []
+    add_subparsers = argparse.ArgumentParser.add_subparsers
+
+    def counting(self, **kwargs):
+        built.append(self.prog)
+        return add_subparsers(self, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counting)
+    for argv in LATER_CALLS:
+        assert run_cli(capsys, *argv)[0] == 0
+    assert_usage_error("verify", "--suite", "nonsense")
+    assert built == []

@@ -459,6 +459,19 @@ def test_d_norm_scale_invariance(order_m8):
         assert abs(d_norm(h, k, scaled) - v0) < 1e-8
 
 
+def test_d_norm_refuses_a_lattice_whose_j_is_not_real():
+    # The ideal (2, (1 + sqrt(-23))/2), form (2, 1, 3), is not an ambiguous
+    # class: j(L) is not real and Dtilde would be -0.4295 - 0.1540i.
+    order = QuadOrder(-23)
+    ctx = SumContext(order, Lattice(2, complex(-0.5, 2.3979157616563596)))
+    with pytest.raises(PreconditionError, match=r"j\(L\)"):
+        d_norm(order.element(1, 1), order.element(3, 1), ctx)
+    # The ambiguous class (2, 2, 3) of d = -20 has real j and is served.
+    order = QuadOrder(-20)
+    ctx = SumContext(order, Lattice(2, complex(-1.0, math.sqrt(5.0))))
+    assert math.isfinite(d_norm(order.element(1, 1), order.element(3, 1), ctx))
+
+
 # --- phi ---------------------------------------------------------------------------
 
 

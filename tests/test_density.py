@@ -107,7 +107,7 @@ def test_construct_worked_example():
     expected = Fraction(1792, 2689) - Fraction(4, 2689 * 896 * 8)
     assert step.dtilde_exact == expected
     assert abs(step.dtilde - 0.6664185) < 1e-6
-    assert abs(step.err_bound - 2.48e-4) < 1e-6
+    assert abs(step.abs_err - 2.48e-4) < 1e-6
 
 
 @pytest.mark.parametrize("dk, f", SIX_ORDERS)

@@ -136,6 +136,19 @@ def test_sqrt_mod_non_residue():
         sqrt_mod(3, 7)
 
 
+@pytest.mark.parametrize("a, p", [(0, 4), (0, 2), (0, 1), (4, 4), (1, 4), (3, 9)])
+def test_sqrt_mod_rejects_bad_modulus_before_the_zero_shortcut(a, p):
+    with pytest.raises(InvalidModulusError):
+        sqrt_mod(a, p)
+
+
+@pytest.mark.parametrize("a, p", [(3, 9), (6, 9), (5, 25), (7, 49)])
+def test_legendre_rejects_composite_modulus_sharing_a_factor_with_a(a, p):
+    # a^((p-1)/2) = 0 (mod p) with a != 0 (mod p) happens only for composite p.
+    with pytest.raises(InvalidModulusError):
+        legendre_symbol(a, p)
+
+
 # --- primality ---------------------------------------------------------------
 
 
