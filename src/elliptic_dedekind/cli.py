@@ -17,16 +17,9 @@ import sys
 import time
 
 from .dedekind import SumContext, d_sum, normalize_value
-from .density import Target, construct, find_prime
-from .errors import (
-    ConstructionError,
-    DedekindError,
-    ExcludedRingError,
-    InadmissibleTargetError,
-    NotAMultiplierError,
-    PrecisionLossError,
-    SearchLimitError,
-)
+from .density import Target, approximate
+from .density import construct, find_prime  # noqa: F401  (unused here; bench/tracing.py rebinds both to count calls)
+from .errors import ConstructionError, DedekindError, InadmissibleTargetError, PrecisionLossError, SearchLimitError
 from .lattice import Lattice
 from .ring import QuadOrder
 from .verification import SUITE_NAMES, run_suite
@@ -261,12 +254,8 @@ def _cmd_approximate(args) -> int:
     target = Target(args.a, args.b, order)
     records = []
     rows = []
-    started = time.perf_counter()
-    p = 0
-    for index in range(args.steps):
-        t0 = time.perf_counter()
-        p = find_prime(target, after=p)
-        step = construct(target, p)
+    started = t0 = time.perf_counter()
+    for index, step in enumerate(approximate(target, args.steps)):
         wall = time.perf_counter() - t0
         record = {
             "index": index,
@@ -280,6 +269,7 @@ def _cmd_approximate(args) -> int:
         }
         records.append(record)
         rows.append({**record, "wall_time_s": f"{wall:.6f}"})
+        t0 = time.perf_counter()
     elapsed = time.perf_counter() - started
     two_x = 2.0 * args.a / args.b
     summary = {"a": args.a, "b": args.b, "discriminant": order.discriminant, "two_x": two_x, "steps": args.steps}
@@ -303,13 +293,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.run(args)
-    except (InadmissibleTargetError, ExcludedRingError, NotAMultiplierError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_USAGE
     except (PrecisionLossError, ConstructionError, SearchLimitError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return _EXIT_INTERNAL
-    except DedekindError as exc:
+    except (DedekindError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
 

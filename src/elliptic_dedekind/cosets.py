@@ -9,11 +9,12 @@ of L/kL with exactly h11*h22 = |det| = norm(k) members.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotAMultiplierError, ZeroDivisorError
+from .errors import DegenerateLatticeError, NotAMultiplierError, ZeroDivisorError
 from .lattice import Lattice
 from .ring import OrderElem, QuadOrder, egcd
 
@@ -40,7 +41,8 @@ def _theta_matrix(order: QuadOrder, lattice: Lattice) -> MultMatrix:
     On the order's own lattice (Lattice.from_order) the basis is (1, theta)
     and theta*theta = tr(theta)*theta - N(theta), so the matrix is the exact
     [[0, -N(theta)], [1, tr(theta)]].  Any other basis is solved in floats:
-    columns come from the 2x2 real system, rounded; a coordinate residual
+    columns come from the 2x2 real system, rounded; a non-finite coordinate
+    means the basis is too large to solve, and a coordinate residual
     >= 1e-6, or a determinant other than norm(theta), means theta does not
     multiply the lattice into itself.
     """
@@ -54,6 +56,8 @@ def _theta_matrix(order: QuadOrder, lattice: Lattice) -> MultMatrix:
         target = tc * wj
         x = -(target * w2.conjugate()).imag / a
         y = (target * w1.conjugate()).imag / a
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise DegenerateLatticeError(f"theta of {order} has no finite coordinates in this basis")
         xi, yi = round(x), round(y)
         if abs(x - xi) >= 1e-6 or abs(y - yi) >= 1e-6:
             raise NotAMultiplierError(

@@ -30,6 +30,7 @@ astronomically large).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -175,14 +176,16 @@ def construct(target: Target, p: int) -> ApproxStep:
     )
 
 
-def approximate(target: Target, steps: int) -> list[ApproxStep]:
-    """ApproxSteps for the target's first `steps` progression primes, in order."""
-    out = []
+def approximate(target: Target, steps: int) -> Iterator[ApproxStep]:
+    """Yield the ApproxSteps of the target's first `steps` progression primes, in order.
+
+    Steps are built one at a time as they are taken, so a consumer that stops
+    early searches no further prime.
+    """
     p = 0
     for _ in range(steps):
         p = find_prime(target, after=p)
-        out.append(construct(target, p))
-    return out
+        yield construct(target, p)
 
 
 def approximate_real(r: float, order: QuadOrder, tol: float = 1e-2) -> tuple[Target, ApproxStep]:

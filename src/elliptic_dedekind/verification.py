@@ -1,8 +1,8 @@
 """Runnable invariant suites shared by the CLI `verify` command and the tests.
 
-Each suite returns a list of CheckResult records; a check passes when its
-residual is at or below its tolerance.  All randomness is seeded, so repeated
-runs are identical.
+Each suite takes an order and a seed, checks that order alone, and returns a
+list of CheckResult records; a check passes when its residual is at or below
+its tolerance.  All randomness is seeded, so repeated runs are identical.
 """
 
 from __future__ import annotations
@@ -51,8 +51,7 @@ _PHI_PAIRS = 50
 _PHI_PRODUCT_NORM_CAP = 20000
 _LEMMA_TRIPLES = 20
 _E1_POINTS = 100
-# The cosets suite: moduli of norm at most _COSET_MAX_NORM on each (d_K, f).
-_COSET_ORDERS = ((-8, 1), (-7, 1), (-4, 3))
+# The cosets suite: moduli of norm at most _COSET_MAX_NORM.
 _COSET_SAMPLES = 50
 _COSET_MAX_NORM = 200
 
@@ -152,7 +151,7 @@ def run_lemma_suite(order: QuadOrder, seed: int) -> list[CheckResult]:
     if produced < _LEMMA_TRIPLES:
         results.append(_check("lemma-generation", float(_LEMMA_TRIPLES - produced), 0.0, info="triples missing"))
     if euclidean:
-        steps = approximate(Target(1, 3, order), 10)
+        steps = list(approximate(Target(1, 3, order), 10))
         mismatches = sum(d_norm_exact(s.A3.a, s.A3.c, ctx) != s.dtilde_exact for s in steps)
         info = f"target 1/3, 10 steps, norm(c3) up to {max(s.A3.c.norm() for s in steps):.3e}"
         results.append(_check("euclid-density-steps", float(mismatches), 0.0, info))
@@ -251,35 +250,33 @@ def _colliding_pairs(system: CosetSystem, coords: np.ndarray) -> int:
     return int(np.sum(sizes * (sizes - 1) // 2))
 
 
-def run_cosets_suite(seed: int) -> list[CheckResult]:
-    """Counts, pairwise inequivalence, and completeness of coset transversals."""
+def run_cosets_suite(order: QuadOrder, seed: int) -> list[CheckResult]:
+    """Counts, pairwise inequivalence, and completeness of coset transversals of the order's lattice."""
     rng = random.Random(seed)
-    results = []
-    for d_k, f in _COSET_ORDERS:
-        order = QuadOrder(d_k, f)
-        lattice = Lattice.from_order(order)
-        count_fail = 0
-        inequiv_fail = 0
-        complete_fail = 0
-        for _ in range(_COSET_SAMPLES):
-            k = _random_elem(rng, order)
-            system = CosetSystem(k, lattice)
-            coords = system.coords()
-            if len(coords) != k.norm():
-                count_fail += 1
-            inequiv_fail += _colliding_pairs(system, coords)
-            for _ in range(min(k.norm(), 40)):
-                pt = (rng.randint(-100, 100), rng.randint(-100, 100))
-                red = system.reduce_coords(pt)
-                in_box = 0 <= red[0] < system.h11 and 0 <= red[1] < system.h22
-                back = (pt[0] - red[0], pt[1] - red[1])
-                if not in_box or not system.in_sublattice(back):
-                    complete_fail += 1
-        tag = f"d{order.d_k}f{order.f}"
-        results.append(_check(f"coset-count-{tag}", float(count_fail), 0.0))
-        results.append(_check(f"coset-inequivalence-{tag}", float(inequiv_fail), 0.0))
-        results.append(_check(f"coset-completeness-{tag}", float(complete_fail), 0.0))
-    return results
+    lattice = Lattice.from_order(order)
+    count_fail = 0
+    inequiv_fail = 0
+    complete_fail = 0
+    for _ in range(_COSET_SAMPLES):
+        k = _random_elem(rng, order)
+        system = CosetSystem(k, lattice)
+        coords = system.coords()
+        if len(coords) != k.norm():
+            count_fail += 1
+        inequiv_fail += _colliding_pairs(system, coords)
+        for _ in range(min(k.norm(), 40)):
+            pt = (rng.randint(-100, 100), rng.randint(-100, 100))
+            red = system.reduce_coords(pt)
+            in_box = 0 <= red[0] < system.h11 and 0 <= red[1] < system.h22
+            back = (pt[0] - red[0], pt[1] - red[1])
+            if not in_box or not system.in_sublattice(back):
+                complete_fail += 1
+    tag = f"d{order.d_k}f{order.f}"
+    return [
+        _check(f"coset-count-{tag}", float(count_fail), 0.0),
+        _check(f"coset-inequivalence-{tag}", float(inequiv_fail), 0.0),
+        _check(f"coset-completeness-{tag}", float(complete_fail), 0.0),
+    ]
 
 
 def run_suite(name: str, order: QuadOrder, seed: int) -> list[CheckResult]:
@@ -291,7 +288,7 @@ def run_suite(name: str, order: QuadOrder, seed: int) -> list[CheckResult]:
     if name == "e1":
         return run_e1_suite(order, seed=seed)
     if name == "cosets":
-        return run_cosets_suite(seed=seed)
+        return run_cosets_suite(order, seed=seed)
     if name == "all":
         out = []
         for sub in ("phi", "lemma", "e1", "cosets"):

@@ -152,7 +152,7 @@ def test_criterion_5_convergence():
             assert step.err_exact <= bound / step.p
             worst_margin = min(worst_margin, float((bound / step.p) / step.err_exact))
     anchor = Target(1, 3, QuadOrder(-8))
-    first = approximate(anchor, 1)[0]
+    first = next(approximate(anchor, 1))
     anchor_ok = first.p == 2689 and abs(first.abs_err - 2.48e-4) <= 1e-6
     report(
         5,

@@ -12,6 +12,15 @@ import pytest
 import elliptic_dedekind
 from elliptic_dedekind import QuadOrder, Target, approximate, cli, dedekind
 from elliptic_dedekind.cli import main
+from elliptic_dedekind.errors import (
+    ConstructionError,
+    DedekindError,
+    ExcludedRingError,
+    InadmissibleTargetError,
+    NotAMultiplierError,
+    PrecisionLossError,
+    SearchLimitError,
+)
 
 
 def run_cli(capsys, *argv):
@@ -160,6 +169,36 @@ def test_sum_refuses_a_lattice_whose_j_is_not_real(capsys):
     assert "j(L)" in err and "not real" in err
 
 
+def test_sum_refuses_a_basis_too_large_to_solve(capsys):
+    code, out, err = run_cli(
+        capsys, "sum", "--dk", "-8", "--h", "1,0", "--k", "0,1", "--omega1", "1", "--omega2", "1e308j"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "finite" in err
+
+
+@pytest.mark.parametrize(
+    "exc, code, prefix",
+    [
+        (InadmissibleTargetError, 2, "error: "),
+        (ExcludedRingError, 2, "error: "),
+        (NotAMultiplierError, 2, "error: "),
+        (ValueError, 2, "error: "),
+        (DedekindError, 2, "error: "),
+        (PrecisionLossError, 3, "internal error: "),
+        (ConstructionError, 3, "internal error: "),
+        (SearchLimitError, 3, "internal error: "),
+    ],
+)
+def test_each_error_class_maps_to_one_exit_code(capsys, monkeypatch, exc, code, prefix):
+    def failing(*args, **kwargs):
+        raise exc("boom")
+
+    monkeypatch.setattr(cli, "run_suite", failing)
+    assert run_cli(capsys, "verify", "--suite", "phi") == (code, "", f"{prefix}boom\n")
+
+
 def test_verify_phi_gaussian(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "phi", "--dk", "-4")
     assert code == 0
@@ -183,6 +222,13 @@ def test_verify_cosets_json(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["summary"]["passed"] is True
+
+
+def test_verify_cosets_checks_the_given_order(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "cosets", "--dk", "-20", "--format", "json")
+    assert code == 0
+    names = [rec["name"] for rec in json.loads(out)["records"]]
+    assert len(names) == 3 and all(name.endswith("-d-20f1") for name in names)
 
 
 def test_approximate_worked_example(capsys):
@@ -214,6 +260,16 @@ def test_approximate_csv_columns(capsys):
     assert rows[0] == ["index", "p", "e", "dtilde", "abs_err", "bound", "wall_time_s"]
     assert rows[1][1] == "2689"
     assert len(rows) == 3
+
+
+def test_approximate_csv_times_every_step(capsys):
+    code, out, _ = run_cli(
+        capsys, "approximate", "--a", "1", "--b", "3", "--dk", "-8", "--steps", "3", "--format", "csv"
+    )
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [int(row["index"]) for row in rows] == [0, 1, 2]
+    assert all(float(row["wall_time_s"]) >= 0.0 for row in rows)
 
 
 def test_approximate_json_determinism(capsys):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -6,6 +7,7 @@ import pytest
 
 from elliptic_dedekind import (
     DedekindError,
+    density,
     InadmissibleTargetError,
     QuadOrder,
     SumContext,
@@ -182,6 +184,19 @@ def test_approximate_error_bounds():
             previous_p = step.p
             assert step.err_exact <= bound / step.p
             assert abs(step.dtilde - 2 * a / b) <= (2 / b + 1) / step.p + 1e-15
+
+
+def test_approximate_searches_only_the_steps_taken(monkeypatch):
+    calls = []
+
+    def counting(target, *, after=0):
+        calls.append(after)
+        return find_prime(target, after=after)
+
+    monkeypatch.setattr(density, "find_prime", counting)
+    steps = list(itertools.islice(approximate(Target(1, 3, QuadOrder(-8)), 10), 2))
+    assert calls == [0, steps[0].p]
+    assert steps[0].p == 2689
 
 
 def test_approximate_zero_target():

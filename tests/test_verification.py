@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from elliptic_dedekind import CosetSystem, Lattice, QuadOrder
-from elliptic_dedekind.verification import _colliding_pairs, run_phi_suite, run_suite
+from elliptic_dedekind.verification import _colliding_pairs, run_cosets_suite, run_phi_suite, run_suite
 
 
 def in_kl(m, dx, dy):
@@ -41,6 +41,15 @@ def test_all_suites_pass_beyond_euclidean_orders(dk, f):
     # The lemma and phi suites complete their matrices without a Euclidean algorithm.
     checks = run_suite("all", QuadOrder(dk, f), seed=12345)
     assert [c.name for c in checks if not c.passed] == []
+
+
+@pytest.mark.parametrize("dk, f", [(-8, 1), (-7, 1), (-4, 3), (-8, 3), (-3, 7), (-20, 1), (-163, 1)])
+def test_cosets_suite_checks_the_order_it_is_given(dk, f):
+    checks = run_cosets_suite(QuadOrder(dk, f), seed=12345)
+    assert [c.name for c in checks] == [
+        f"coset-{kind}-d{dk}f{f}" for kind in ("count", "inequivalence", "completeness")
+    ]
+    assert all(c.passed for c in checks)
 
 
 @pytest.mark.parametrize("dk, f", [(-8, 1), (-7, 1), (-4, 3)])
