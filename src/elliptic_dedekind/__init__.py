@@ -8,7 +8,6 @@ search approximating rationals by normalized sums.
 
 from .cosets import CosetSystem, MultMatrix, mult_matrix
 from .dedekind import (
-    Mat2,
     SumContext,
     d_norm,
     d_norm_exact,
@@ -54,6 +53,7 @@ from .ring import (
     sqrt_discriminant,
     sqrt_mod,
 )
+from .sl2 import Mat2
 
 __version__ = "0.1.0"
 

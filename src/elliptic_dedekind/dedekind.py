@@ -13,29 +13,28 @@ Phi is a homomorphism into (C, +); for triples A1 = A2*A3 with
 c1 = c2 = c != 0 and a1*a2 = 1 (mod c) this collapses to the closed form
 D_L(a3, c3) = E2(0)*I(2/c3 + c3/c^2).
 
-d_sum takes one of two paths, chosen by the order and by gcd(h, k) alone.
+d_sum takes one of two paths, chosen by h and the ideal (h, k) alone.
 
-The Euclid path serves the norm-Euclidean maximal orders whose E2(0) does not
-vanish (d_K = -7, -8, -11, f = 1) when h != 0 and gcd(h, k) is a unit.  One
-Euclidean algorithm with ring._nearest_quotient walks
-(a, c) = (h, k) -> (c, q_i*c - a) until c = 0, carrying the cofactor x0 of h
-(a = x0*h mod k).  It ends at a = u, a unit exactly when gcd(h, k) is one, and
-then x = x0*conj(u) is the inverse of h mod k.  As matrices the steps are
-S^-1 * T^-q_i, and they take the SL2(O) matrix with first column (h, k) and
-lower-right entry x to diag(u, 1/u).  Phi is additive, Phi(T^q) = E2(0)*I(q),
-Phi(S) = 0 and Phi(diag(u, 1/u)) = 0, so
+The walk (sl2._signed_walk) serves every pair with h != 0 and (h, k) = O, on
+any order and any lattice the order acts on; (h, k) = O is decided up front
+and exactly (sl2._generates_order).  The walk ends at (u, 0), u a unit, and
+its steps M_i = [[alpha_i, beta_i], [gamma_i, delta_i]] take the SL2(O) matrix
+with first column (h, k) and lower-right entry x = h^-1 mod k to
+diag(u, 1/u).  Phi is additive and Phi(diag(u, 1/u)) = 0, so
 
-    Dtilde(h, k) = J((h + x)/k) - sum_i J(q_i),
-    J(z/w)       = 2*Im(z/w)/sqrt(|d|) = v(z*conj(w))/N(w),
+    D_L(h, k)   = i*sqrt(|d|)*E2(0)*R - sum over N(gamma_i) > 1 of D_L(alpha_i, gamma_i),
+    R           = J((h + x)/k) + sum_i J((alpha_i + delta_i)/gamma_i),
+    J(z/w)      = 2*Im(z/w)/sqrt(|d|) = v(z*conj(w))/N(w),
 
-v the theta-coordinate.  Dtilde is an exact Fraction after O(log N(k))
-steps, with no E1 evaluation and no norm bound, and
-D_L = i*sqrt(|d|)*E2(0)*Dtilde.  A custom basis is served too: with class
-number 1, every lattice these orders act on is homothetic to O, and both
-sides of that equation scale alike.
+v the theta-coordinate.  R is an exact Fraction after O(log N(k)) steps,
+with no norm bound.  Each constant D_L(alpha, gamma) depends on alpha mod
+gamma only; it is an E1-table sum on the lattice itself at N(gamma), kept on
+the SumContext.  A walk with no constant -- every walk on d_K = -7, -8, -11
+-- gives Dtilde = R exactly (d_norm_exact).  A stuck walk raises
+SearchLimitError; there is no silent fallback to the table.
 
-Every other case is summed from one table of E1: h = 0, d_K = -3 or -4
-(where E2(0) = 0), f > 1, the other d_K, and a gcd(h, k) that is not a unit.
+The E1 table serves h = 0 and a gcd(h, k) that is not a unit; it also sums
+the walk's constants and the cross-checks of the verification suites.
 CosetSystem(k) gives the box
 {a*omega1 + b*omega2 : 0 <= a < h11, 0 <= b < h22}, a transversal of L/kL with
 N(k) members, stored column by column at index b*h11 + a.  With M the integer
@@ -67,7 +66,6 @@ from __future__ import annotations
 import math
 import os
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -78,14 +76,14 @@ from .errors import (
     GenerationError,
     NotAMultiplierError,
     NotUnimodularError,
-    OrderMismatchError,
     PrecisionLossError,
     PreconditionError,
     ZeroDivisorError,
 )
 from .lattice import Lattice
-from .ring import OrderElem, QuadOrder, _nearest_quotient, inverse_mod
+from .ring import OrderElem, QuadOrder
 from .ring import egcd_order  # noqa: F401  (unused here; bench/tracing.py rebinds it to count calls)
+from .sl2 import Mat2, _complete_column, _generates_order, _signed_walk
 
 __all__ = [
     "Mat2",
@@ -104,56 +102,8 @@ __all__ = [
 _CHUNK = 4096
 # The E1 table works with int64 coset indices, exact for N(k) below this bound.
 _MAX_NORM = 2**31
-# Norm-Euclidean maximal orders with E2(0) != 0: the Euclid path serves these.
-_EUCLID_DK = (-7, -8, -11)
 # gen_sl2_triple keeps N(c3) at or below this, so the E1 table sums it at once.
 _MAX_C3_NORM = 300
-
-
-@dataclass(frozen=True)
-class Mat2:
-    """2x2 matrix over a quadratic order, with exact determinant."""
-
-    a: OrderElem
-    b: OrderElem
-    c: OrderElem
-    d: OrderElem
-
-    def __post_init__(self):
-        order = self.a.order
-        for entry in (self.b, self.c, self.d):
-            if entry.order != order:
-                raise OrderMismatchError("matrix entries belong to different orders")
-
-    @classmethod
-    def identity(cls, order: QuadOrder) -> "Mat2":
-        return cls(order.one(), order.zero(), order.zero(), order.one())
-
-    @property
-    def order(self) -> QuadOrder:
-        return self.a.order
-
-    def det(self) -> OrderElem:
-        return self.a * self.d - self.b * self.c
-
-    def is_unimodular(self) -> bool:
-        return self.det() == self.order.one()
-
-    def __matmul__(self, other: "Mat2") -> "Mat2":
-        return Mat2(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def inverse(self) -> "Mat2":
-        if not self.is_unimodular():
-            raise NotUnimodularError(f"determinant is {self.det()!r}, expected 1")
-        return Mat2(self.d, -self.b, -self.c, self.a)
-
-    def max_entry_norm(self) -> int:
-        return max(self.a.norm(), self.b.norm(), self.c.norm(), self.d.norm())
 
 
 class SumContext:
@@ -171,6 +121,8 @@ class SumContext:
             mult_matrix(order.theta(), self.lattice)
         except NotAMultiplierError as exc:
             raise NotAMultiplierError(f"order (d_k={order.d_k}, f={order.f}) does not act on this lattice") from exc
+        # The walk's constants D_L(alpha, gamma), keyed by the coordinates of alpha and gamma.
+        self._constants: dict[tuple[int, int, int, int], complex] = {}
 
     def scaled(self, c: complex) -> "SumContext":
         return SumContext(self.order, self.lattice.scaled(c))
@@ -284,7 +236,7 @@ def _e1_table(system: CosetSystem) -> np.ndarray:
 
 
 def _d_sum_table(h: OrderElem, k: OrderElem, ctx: SumContext) -> complex:
-    """D_L(h, k) from one E1 table (see the module docstring), for every pair the Euclid path does not serve.
+    """D_L(h, k) from one E1 table (see the module docstring), for every pair the walk does not serve.
 
     The terms at mu and -mu are bitwise equal and the 2-torsion terms are 0,
     so the sum runs over _half_box and is doubled.  Cosets are processed in
@@ -319,58 +271,50 @@ def _d_sum_table(h: OrderElem, k: OrderElem, ctx: SumContext) -> complex:
     return 2 * total / kc
 
 
-def _euclid_dtilde(h: OrderElem, k: OrderElem, ctx: SumContext) -> Fraction | None:
-    """Dtilde(h, k) exactly, through the Euclidean algorithm (see the module docstring).
-
-    Returns None where only the E1 table applies: an order other than
-    d_K = -7, -8, -11 with f = 1, h = 0, or gcd(h, k) not a unit.
-    """
-    order = ctx.order
-    if order.f != 1 or order.d_k not in _EUCLID_DK or h.is_zero():
-        return None
-    # The walk (a, c) -> (c, q*c - a) keeps a = x0*h and c = x1*h modulo k.
-    a, c = h, k
-    x0, x1 = order.one(), order.zero()
-    q_sum = 0
-    while not c.is_zero():
-        q = _nearest_quotient(a, c)
-        q_sum += q.v
-        a, c = c, q * c - a
-        x0, x1 = x1, q * x1 - x0
-    if not a.is_unit():
-        return None
-    x = x0 * a.conjugate()  # h*x = 1 (mod k): a is a unit of norm 1
-    # J(z/w) = 2*Im(z/w)/sqrt(|d|) is the theta-coordinate of z/w, as Im(theta) = sqrt(|d|)/2.
-    return Fraction(((h + x) * k.conjugate()).v, k.norm()) - q_sum
+def _constant(alpha: OrderElem, gamma: OrderElem, ctx: SumContext) -> complex:
+    """D_L(alpha, gamma) from the E1 table, kept on ctx for later walks."""
+    key = (alpha.u, alpha.v, gamma.u, gamma.v)
+    value = ctx._constants.get(key)
+    if value is None:
+        value = ctx._constants[key] = _d_sum_table(alpha, gamma, ctx)
+    return value
 
 
 def d_norm_exact(h: OrderElem, k: OrderElem, ctx: SumContext) -> Fraction:
-    """Dtilde(h, k) as an exact rational, on d_K = -7, -8, -11 with f = 1 and gcd(h, k) a unit.
+    """Dtilde(h, k) as an exact rational, where the walk of (h, k) uses no constant.
 
-    Raises PreconditionError for any other order or pair.
+    That holds for every pair with h != 0 and (h, k) = O on d_K = -7, -8, -11
+    with f = 1.  Raises PreconditionError for any other pair, and
+    SearchLimitError when the walk is stuck.
     """
     if k.is_zero():
         raise ZeroDivisorError("zero modulus")
-    dtilde = _euclid_dtilde(h, k, ctx)
-    if dtilde is None:
+    if h.is_zero() or not _generates_order(h, k):
+        raise PreconditionError(f"the walk needs h != 0 and gcd(h, k) a unit; got h={h!r}, k={k!r}")
+    sign, walk = _signed_walk(h, k)
+    if walk.constants:
         raise PreconditionError(
-            f"the Euclid path needs d_K in {_EUCLID_DK}, f = 1 and gcd(h, k) a unit; "
-            f"got d_K={ctx.order.d_k}, f={ctx.order.f}, h={h!r}, k={k!r}"
+            f"the walk of h={h!r}, k={k!r} used {len(walk.constants)} float constants; Dtilde is not exact"
         )
-    return dtilde
+    return walk.r if sign > 0 else -walk.r
 
 
 def d_sum(h: OrderElem, k: OrderElem, ctx: SumContext) -> complex:
     """Elliptic Dedekind sum D_L(h, k) (see the module docstring for which path serves which pair).
 
-    Raises PreconditionError when the E1 table serves the pair and N(k) >= 2**31.
+    Raises PreconditionError when the E1 table serves the pair and N(k) >= 2**31,
+    and SearchLimitError when the walk is stuck.
     """
     if k.is_zero():
         raise ZeroDivisorError("zero modulus")
-    dtilde = _euclid_dtilde(h, k, ctx)
-    if dtilde is not None:
-        return 1j * math.sqrt(abs(ctx.order.discriminant)) * ctx.lattice.e2_zero() * float(dtilde)
-    return _d_sum_table(h, k, ctx)
+    if h.is_zero() or not _generates_order(h, k):
+        return _d_sum_table(h, k, ctx)
+    sign, walk = _signed_walk(h, k)
+    r = walk.r if sign > 0 else -walk.r
+    value = 1j * math.sqrt(abs(ctx.order.discriminant)) * ctx.lattice.e2_zero() * float(r)
+    if walk.constants:
+        value -= sign * sum(_constant(alpha, gamma, ctx) for alpha, gamma in walk.constants)
+    return value
 
 
 def normalize_value(value: complex, ctx: SumContext) -> float:
@@ -427,21 +371,6 @@ def three_term_closed_form(c: OrderElem, c3: OrderElem, ctx: SumContext) -> comp
     cc = c.embed()
     c3c = c3.embed()
     return ctx.lattice.e2_zero() * i_map(2.0 / c3c + c3c / (cc * cc))
-
-
-def _complete_column(a: OrderElem, c: OrderElem) -> Mat2 | None:
-    """[[a, b], [c, d]] in SL2(O) for c != 0, or None unless gcd(N(a), N(c)) = 1.
-
-    d = conj(a)*(N(a)^-1 mod N(c)) gives a*d = 1 (mod N(c)), so c divides
-    a*d - 1 on any order, with no Euclidean algorithm; d is reduced mod c to
-    keep the entries small.
-    """
-    n_a, n_c = a.norm(), c.norm()
-    if math.gcd(n_a, n_c) != 1:
-        return None
-    d = a.conjugate() * inverse_mod(n_a, n_c)
-    d -= _nearest_quotient(d, c) * c
-    return Mat2(a, (a * d - a.order.one()).exact_div(c), c, d)
 
 
 def gen_sl2_triple(seed: int, ctx: SumContext) -> tuple[Mat2, Mat2, Mat2]:

@@ -155,7 +155,11 @@ class Lattice:
             acc += sig1[m] * qn
         g2 = (math.pi**2 / 3.0) * (1.0 - 24.0 * acc)
         self._qbar = qbar
-        self._s2 = (g2 - math.pi / tau.imag) / (self._r1 * self._r1)
+        # A basis too small (or too large) for doubles squares to 0 (or inf).
+        r1_sq = self._r1 * self._r1
+        self._s2 = (g2 - math.pi / tau.imag) / r1_sq if r1_sq else complex("inf")
+        if not cmath.isfinite(self._s2):
+            raise DegenerateLatticeError(f"E2(0) is not a finite double on a basis of length {abs(self._r1):.3g}")
         self._eta1_tau = g2
         self._eta2_tau = g2 * tau - 2j * math.pi
         # -2*pi*i/(1 - qbar^n), the weights of the theta-quotient series; the

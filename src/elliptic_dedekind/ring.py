@@ -377,34 +377,37 @@ def _round_half_to_zero(num: int, den: int) -> int:
     return q
 
 
+def _rounded_quotient(num: OrderElem, n: int) -> OrderElem:
+    """num/n rounded coordinate by coordinate in the reduced (1, omega) basis, ties toward zero; n > 0.
+
+    omega = theta - (tr theta // 2) is f*sqrt(d_k/4) or (1 + f*sqrt(d_k))/2
+    on any conductor f; it differs from theta by an integer, so the change of
+    coordinates is exact.
+    """
+    order = num.order
+    c0 = order.theta_trace // 2
+    t = _round_half_to_zero(num.v, n)
+    return OrderElem(_round_half_to_zero(num.u + c0 * num.v, n) - c0 * t, t, order)
+
+
 def _nearest_quotient(a: OrderElem, b: OrderElem) -> OrderElem:
     """Order element nearest to the exact quotient a/b.
 
-    Rounding happens in the reduced (1, omega) basis,
-    omega = theta - (tr theta // 2), that is f*sqrt(d_k/4) or
-    (1 + f*sqrt(d_k))/2 on any conductor f, where the norm-Euclidean bound
-    holds for f = 1; omega differs from theta by an integer, so the change of
-    coordinates is exact.  A 3x3 neighborhood search covers the corner cases
-    of d_k = -7, -11 where plain coordinate rounding does not strictly
-    decrease the norm.
+    Rounding happens in the reduced (1, omega) basis (_rounded_quotient),
+    where the norm-Euclidean bound holds for f = 1.  A 3x3 neighborhood
+    search covers the corner cases of d_k = -7, -11 where plain coordinate
+    rounding does not strictly decrease the norm.
     """
     order = a.order
     n = b.norm()
-    num = a * b.conjugate()
-    c0 = order.theta_trace // 2
-    s0 = _round_half_to_zero(num.u + c0 * num.v, n)
-    t0 = _round_half_to_zero(num.v, n)
-
-    def candidate(s, t):
-        return OrderElem(s - c0 * t, t, order)
-
-    q = candidate(s0, t0)
+    q = _rounded_quotient(a * b.conjugate(), n)
     if (a - b * q).norm() < n:
         return q
+    c0 = order.theta_trace // 2
     best = None
     for ds in (-1, 0, 1):
         for dt in (-1, 0, 1):
-            qq = candidate(s0 + ds, t0 + dt)
+            qq = q + OrderElem(ds - c0 * dt, dt, order)
             rn = (a - b * qq).norm()
             if best is None or rn < best[0]:
                 best = (rn, qq)

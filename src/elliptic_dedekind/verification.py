@@ -7,6 +7,7 @@ its tolerance.  All randomness is seeded, so repeated runs are identical.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -15,11 +16,9 @@ import numpy as np
 
 from .cosets import CosetSystem
 from .dedekind import (
-    _EUCLID_DK,
-    Mat2,
     SumContext,
-    _complete_column,
     _d_sum_table,
+    d_norm,
     d_norm_exact,
     d_sum,
     gen_sl2_triple,
@@ -27,10 +26,11 @@ from .dedekind import (
     three_term_closed_form,
 )
 from .density import Target, approximate
-from .errors import GenerationError
+from .errors import GenerationError, PreconditionError
 from .lattice import Lattice
 from .oracles import e2_hecke_limit, weierstrass_zeta_direct
 from .ring import OrderElem, QuadOrder
+from .sl2 import Mat2, _complete_column
 
 __all__ = [
     "CheckResult",
@@ -122,15 +122,31 @@ def run_phi_suite(order: QuadOrder, seed: int) -> list[CheckResult]:
     return results
 
 
+def _density_step_ok(step, ctx: SumContext) -> bool:
+    """Whether d_sum agrees with the construction's exact Dtilde on the step's A3.
+
+    Exactly where the walk of (a3, c3) uses no float constant, else within
+    1e-12*(1 + |Dtilde|).
+    """
+    x = step.dtilde_exact
+    try:
+        return d_norm_exact(step.A3.a, step.A3.c, ctx) == x
+    except PreconditionError:
+        return abs(d_norm(step.A3.a, step.A3.c, ctx) - x) <= 1e-12 * (1 + abs(x))
+
+
 def run_lemma_suite(order: QuadOrder, seed: int) -> list[CheckResult]:
     """Closed form vs. the E1 table on generated triples.
 
-    On the orders the Euclid path serves, each triple also compares d_sum
-    with the table, and the exact Dtilde of the first density steps of 1/3
-    must equal the construction's own closed form.
+    Where E2(0) != 0 (every order but d = -3, -4), each triple also compares
+    d_sum, which takes the walk, with the table, and the first density steps
+    of 1/b, b the least odd number above 1 prime to d, are checked against
+    the construction's exact Dtilde (_density_step_ok); the residual counts
+    the steps that fail.
     """
     ctx = SumContext(order)
-    euclidean = order.f == 1 and order.d_k in _EUCLID_DK
+    d = order.discriminant
+    walk = d not in (-3, -4)
     results = []
     produced = 0
     attempt = 0
@@ -144,17 +160,18 @@ def run_lemma_suite(order: QuadOrder, seed: int) -> list[CheckResult]:
         table = _d_sum_table(m3.a, m3.c, ctx)
         info = f"norm(c3)={m3.c.norm()}"
         results.append(_check(f"lemma-triple-{produced:02d}", abs(table - rhs) / (1.0 + abs(rhs)), 1e-6, info))
-        if euclidean:
+        if walk:
             residual = abs(d_sum(m3.a, m3.c, ctx) - table) / (1.0 + abs(table))
             results.append(_check(f"lemma-euclid-{produced:02d}", residual, 1e-12, info))
         produced += 1
     if produced < _LEMMA_TRIPLES:
         results.append(_check("lemma-generation", float(_LEMMA_TRIPLES - produced), 0.0, info="triples missing"))
-    if euclidean:
-        steps = list(approximate(Target(1, 3, order), 10))
-        mismatches = sum(d_norm_exact(s.A3.a, s.A3.c, ctx) != s.dtilde_exact for s in steps)
-        info = f"target 1/3, 10 steps, norm(c3) up to {max(s.A3.c.norm() for s in steps):.3e}"
-        results.append(_check("euclid-density-steps", float(mismatches), 0.0, info))
+    if walk:
+        b = next(b for b in itertools.count(3, 2) if math.gcd(b, d) == 1)
+        steps = list(approximate(Target(1, b, order), 10))
+        failing = sum(not _density_step_ok(s, ctx) for s in steps)
+        info = f"target 1/{b}, 10 steps, norm(c3) up to {max(s.A3.c.norm() for s in steps):.3e}"
+        results.append(_check("euclid-density-steps", float(failing), 0.0, info))
     return results
 
 

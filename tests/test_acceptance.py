@@ -49,7 +49,7 @@ def test_criterion_1_lemma_vs_brute_force():
         except GenerationError:
             continue
         rhs = three_term_closed_form(m1.c, m3.c, ctx)
-        lhs = _d_sum_table(m3.a, m3.c, ctx)  # the coset sum, not the Euclid path d_sum takes here
+        lhs = _d_sum_table(m3.a, m3.c, ctx)  # the coset sum, not the walk d_sum takes here
         residuals.append(abs(lhs - rhs) / (1.0 + abs(rhs)))
     elapsed = time.time() - started
     worst = max(residuals)

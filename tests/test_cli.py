@@ -70,9 +70,9 @@ def test_sum_huge_h_equals_its_residue(capsys):
 
 
 def test_sum_norm_above_int64_bound_usage_error(capsys):
-    # The conductor-3 order is served by the E1 table, which refuses N(k) >= 2**31.
+    # gcd(3, 46341) = 3 is no unit, so the E1 table serves the pair, and it refuses N(k) >= 2**31.
     code, out, err = run_cli(
-        capsys, "sum", "--dk", "-8", "-f", "3", "--h", "1,0", "--k", "46341,0", "--format", "json"
+        capsys, "sum", "--dk", "-8", "-f", "3", "--h", "3,0", "--k", "46341,0", "--format", "json"
     )
     assert code == 2
     assert out == ""
@@ -80,10 +80,11 @@ def test_sum_norm_above_int64_bound_usage_error(capsys):
 
 
 def test_sum_table_above_physical_memory_usage_error(capsys, monkeypatch):
+    # k = 390*sqrt(-2) shares the factor 13 with h, so the E1 table serves the pair:
     # N(k) = 304200 needs a 4867200-byte table; the memory probe reports 1e6 bytes.
     monkeypatch.setattr(dedekind, "_physical_memory", lambda: 10**6)
     code, out, err = run_cli(
-        capsys, "sum", "--dk", "-8", "-f", "3", "--h", "1081,0", "--k", "1560,130", "--format", "json"
+        capsys, "sum", "--dk", "-8", "-f", "3", "--h", "13,0", "--k", "1560,130", "--format", "json"
     )
     assert code == 2
     assert out == ""
@@ -104,7 +105,7 @@ def test_sum_conj_stable_conductor_example(capsys):
 
 def test_sum_euclid_path_above_the_table_bound(capsys):
     # Z[sqrt(-2)] is norm-Euclidean: the density witnesses A3 of 1/3, with
-    # N(c3) from 4.6e13 up, are summed exactly through the Euclid path.
+    # N(c3) from 4.6e13 up, are summed exactly by the walk, with Euclidean steps only.
     order = QuadOrder(-8)
     for step in approximate(Target(1, 3, order), 3):
         h, k = step.A3.a, step.A3.c
@@ -172,6 +173,15 @@ def test_sum_refuses_a_lattice_whose_j_is_not_real(capsys):
 def test_sum_refuses_a_basis_too_large_to_solve(capsys):
     code, out, err = run_cli(
         capsys, "sum", "--dk", "-8", "--h", "1,0", "--k", "0,1", "--omega1", "1", "--omega2", "1e308j"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "finite" in err
+
+
+def test_sum_refuses_a_basis_too_small_for_doubles(capsys):
+    code, out, err = run_cli(
+        capsys, "sum", "--dk", "-8", "--h", "1,0", "--k", "0,1", "--omega1", "1", "--omega2", "1e-320j"
     )
     assert code == 2
     assert out == ""

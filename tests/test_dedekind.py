@@ -30,7 +30,7 @@ from elliptic_dedekind import (
     sqrt_discriminant,
     three_term_residual,
 )
-from elliptic_dedekind import dedekind, mult_matrix
+from elliptic_dedekind import dedekind, mult_matrix, sl2
 from elliptic_dedekind.dedekind import _d_sum_table, _e1_table
 from elliptic_dedekind.verification import random_sl2
 
@@ -283,6 +283,7 @@ def test_orbit_table_matches_full_box_reference(dk, f, monkeypatch):
 
 def test_d_sum_table_refuses_a_table_above_physical_memory(monkeypatch):
     # N(30) = 900 on the conductor-3 order: a 14400-byte table against a probe of 1000 bytes.
+    # gcd(h, 30) is 3 for both h below, no unit, so the E1 table serves them.
     ctx = SumContext(QuadOrder(-8, 3))
     monkeypatch.setattr(dedekind, "_physical_memory", lambda: 1000)
 
@@ -291,10 +292,10 @@ def test_d_sum_table_refuses_a_table_above_physical_memory(monkeypatch):
 
     monkeypatch.setattr(dedekind, "_e1_table", forbidden)
     with pytest.raises(PreconditionError, match=r"N\(k\) = 900 needs 14400 bytes, more than the 1000 bytes"):
-        d_sum(ctx.order.one(), ctx.order.element(30), ctx)
+        d_sum(ctx.order.element(3), ctx.order.element(30), ctx)
     monkeypatch.undo()
     assert dedekind._physical_memory() > 16 * 900
-    h, k = ctx.order.element(1, 1), ctx.order.element(30)
+    h, k = ctx.order.element(3, 3), ctx.order.element(30)
     expected = full_box_d_sum(h, k, ctx)
     assert abs(d_sum(h, k, ctx) - expected) <= 1e-12 * (1 + abs(expected))
 
@@ -311,11 +312,11 @@ def test_d_sum_closed_form_at_realistic_size(ctx_m8):
 
 
 def test_d_sum_norm_bound_fails_loudly():
-    # The conductor-3 order is served by the E1 table.  46341**2 = 2147488281
-    # >= 2**31: raised before any table is allocated.
+    # gcd(3, 46341) = 3 is no unit, so the E1 table serves the pair.
+    # 46341**2 = 2147488281 >= 2**31: raised before any table is allocated.
     ctx = SumContext(QuadOrder(-8, 3))
     with pytest.raises(PreconditionError, match="2147488281.*2147483648"):
-        d_sum(ctx.order.one(), ctx.order.element(46341), ctx)
+        d_sum(ctx.order.element(3), ctx.order.element(46341), ctx)
 
 
 def test_d_sum_inverse_congruence(ctx_m8):
@@ -338,7 +339,7 @@ def test_d_sum_inverse_congruence(ctx_m8):
         checked += 1
 
 
-# --- the Euclid path -------------------------------------------------------------
+# --- the walk on the Euclidean orders ---------------------------------------------
 
 EUCLID_CONTEXTS = [(-7, 1, None), (-8, 1, None), (-11, 1, None), (-8, 1, complex(1.3, 0.7))]
 
@@ -384,10 +385,10 @@ def test_euclid_path_is_one_walk_without_completion(dk, monkeypatch):
     pairs = [coprime_pair(rng, ctx.order, 300_000) for _ in range(20)]
 
     def forbidden(*args):
-        raise AssertionError("the Euclid path must not complete (h, k) to an SL2 matrix")
+        raise AssertionError("the walk must not complete (h, k) to an SL2 matrix on a Euclidean order")
 
     monkeypatch.setattr(dedekind, "egcd_order", forbidden)
-    monkeypatch.setattr(dedekind, "_complete_column", forbidden)
+    monkeypatch.setattr(sl2, "_complete_column", forbidden)
     for step in approximate(Target(1, 3, ctx.order), 25):
         assert d_norm_exact(step.A3.a, step.A3.c, ctx) == step.dtilde_exact
     for h, k in pairs:
@@ -412,14 +413,29 @@ def test_euclid_d_sum_shift_invariance(dk):
     [(1, (14, 4), (7, 2)), (3, (1, 0), (5, 1)), (3, (3, 1), (7, 2))],
 )
 def test_table_serves_non_unit_gcd_and_conductor(f, h, k, monkeypatch):
+    # gcd(14 + 4*theta, 7 + 2*theta) is no unit: the E1 table serves it.  The
+    # conductor-3 pairs have unit gcd: the walk serves them, with no table at N(k).
     ctx = SumContext(QuadOrder(-8, f))
     h, k = ctx.order.element(*h), ctx.order.element(*k)
-    with pytest.raises(PreconditionError):
-        d_norm_exact(h, k, ctx)
-    calls = count_e1_torsion(monkeypatch)
+    points = []
+    original = Lattice.e1_torsion
+
+    def recording(self, s, t, n):
+        points.append(n)
+        return original(self, s, t, n)
+
+    monkeypatch.setattr(Lattice, "e1_torsion", recording)
     value = d_sum(h, k, ctx)
-    assert calls
-    assert value == _d_sum_table(h, k, ctx)
+    monkeypatch.undo()
+    if f == 1:
+        with pytest.raises(PreconditionError):
+            d_norm_exact(h, k, ctx)
+        assert points
+        assert value == _d_sum_table(h, k, ctx)
+    else:
+        assert all(n <= 72 for n in points)
+        expected = _d_sum_table(h, k, ctx)
+        assert abs(value - expected) <= 1e-12 * (1 + abs(expected))
 
 
 def test_euclid_d_sum_above_the_table_bound(ctx_m8):

@@ -57,6 +57,13 @@ def test_degenerate_and_misoriented_bases():
         Lattice(1.0, -1j)  # negatively oriented
 
 
+@pytest.mark.parametrize("omega2", [1e-320j, 1e-200j, 1e-160j, 5e-324j])
+def test_basis_whose_square_leaves_the_double_range(omega2):
+    # The reduced basis vector omega2 squares to 0 or to a subnormal, so E2(0) is no finite double.
+    with pytest.raises(DegenerateLatticeError, match="finite"):
+        Lattice(1.0, omega2)
+
+
 # --- weierstrass zeta ---------------------------------------------------------
 
 

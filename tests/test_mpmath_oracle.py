@@ -24,6 +24,8 @@ from fractions import Fraction
 import pytest
 
 from elliptic_dedekind import CosetSystem, Lattice, QuadOrder, SumContext, d_sum, mult_matrix
+from elliptic_dedekind.dedekind import _d_sum_table
+from elliptic_dedekind.sl2 import _signed_walk
 
 mpmath = pytest.importorskip("mpmath")
 mp = mpmath.mp
@@ -226,3 +228,17 @@ def test_d_sum_matches_30_digit_sum(dk, f, h, k):
         ref = complex(mp_d_sum(he, ke, ctx.lattice))
     value = d_sum(he, ke, ctx)
     assert abs(value - ref) <= 1e-12 * (1.0 + abs(ref))
+
+
+def test_walk_constants_match_30_digit_sums():
+    # README's conductor-3 example: the walk of (3313, 4584 + 382*theta) takes
+    # extra steps, and each constant D_L(alpha, gamma) is a table sum at N(gamma) <= 72.
+    order = QuadOrder(-8, 3)
+    ctx = SumContext(order)
+    _, walk = _signed_walk(order.element(3313), order.element(4584, 382))
+    assert walk.constants
+    for alpha, gamma in walk.constants:
+        assert gamma.norm() <= 72
+        with mp.workdps(DPS):
+            ref = complex(mp_d_sum(alpha, gamma, ctx.lattice))
+        assert abs(_d_sum_table(alpha, gamma, ctx) - ref) <= 1e-13 * (1.0 + abs(ref))
