@@ -28,10 +28,11 @@ diag(u, 1/u).  Phi is additive and Phi(diag(u, 1/u)) = 0, so
 
 v the theta-coordinate.  R is an exact Fraction after O(log N(k)) steps,
 with no norm bound.  Each constant D_L(alpha, gamma) depends on alpha mod
-gamma only; it is an E1-table sum on the lattice itself at N(gamma), kept on
-the SumContext.  A walk with no constant -- every walk on d_K = -7, -8, -11
--- gives Dtilde = R exactly (d_norm_exact).  A stuck walk raises
-SearchLimitError; there is no silent fallback to the table.
+gamma only; it is an E1-table sum on the lattice itself at N(gamma), built
+once per d_sum call even where the walk meets it again.  A walk with no
+constant -- every walk on d_K = -7, -8, -11 -- gives Dtilde = R exactly
+(d_norm_exact).  A stuck walk raises SearchLimitError; there is no silent
+fallback to the table.
 
 The E1 table serves h = 0 and a gcd(h, k) that is not a unit; it also sums
 the walk's constants and the cross-checks of the verification suites.
@@ -83,7 +84,7 @@ from .errors import (
 from .lattice import Lattice
 from .ring import OrderElem, QuadOrder
 from .ring import egcd_order  # noqa: F401  (unused here; bench/tracing.py rebinds it to count calls)
-from .sl2 import Mat2, _complete_column, _generates_order, _signed_walk
+from .sl2 import Mat2, _complete_column, _generates_order, _signed_walk, _Walk
 
 __all__ = [
     "Mat2",
@@ -121,8 +122,6 @@ class SumContext:
             mult_matrix(order.theta(), self.lattice)
         except NotAMultiplierError as exc:
             raise NotAMultiplierError(f"order (d_k={order.d_k}, f={order.f}) does not act on this lattice") from exc
-        # The walk's constants D_L(alpha, gamma), keyed by the coordinates of alpha and gamma.
-        self._constants: dict[tuple[int, int, int, int], complex] = {}
 
     def scaled(self, c: complex) -> "SumContext":
         return SumContext(self.order, self.lattice.scaled(c))
@@ -271,12 +270,15 @@ def _d_sum_table(h: OrderElem, k: OrderElem, ctx: SumContext) -> complex:
     return 2 * total / kc
 
 
-def _constant(alpha: OrderElem, gamma: OrderElem, ctx: SumContext) -> complex:
-    """D_L(alpha, gamma) from the E1 table, kept on ctx for later walks."""
-    key = (alpha.u, alpha.v, gamma.u, gamma.v)
-    value = ctx._constants.get(key)
-    if value is None:
-        value = ctx._constants[key] = _d_sum_table(alpha, gamma, ctx)
+def _walk_value(sign: int, walk: _Walk, ctx: SumContext) -> complex:
+    """D_L(h, k) from (sign, walk) = _signed_walk(h, k).
+
+    A walk may meet one (alpha, gamma) more than once; its table is built once.
+    """
+    value = 1j * math.sqrt(abs(ctx.order.discriminant)) * ctx.lattice.e2_zero() * float(sign * walk.r)
+    if walk.constants:
+        tables = {pair: _d_sum_table(*pair, ctx) for pair in set(walk.constants)}
+        value -= sign * sum(tables[pair] for pair in walk.constants)
     return value
 
 
@@ -284,11 +286,13 @@ def d_norm_exact(h: OrderElem, k: OrderElem, ctx: SumContext) -> Fraction:
     """Dtilde(h, k) as an exact rational, where the walk of (h, k) uses no constant.
 
     That holds for every pair with h != 0 and (h, k) = O on d_K = -7, -8, -11
-    with f = 1.  Raises PreconditionError for any other pair, and
-    SearchLimitError when the walk is stuck.
+    with f = 1.  Raises what d_norm raises on the lattice (ExcludedRingError
+    where E2(0) vanishes, on Z[i] and Z[rho]), PreconditionError for any
+    other pair, and SearchLimitError when the walk is stuck.
     """
     if k.is_zero():
         raise ZeroDivisorError("zero modulus")
+    _normalizer(ctx)
     if h.is_zero() or not _generates_order(h, k):
         raise PreconditionError(f"the walk needs h != 0 and gcd(h, k) a unit; got h={h!r}, k={k!r}")
     sign, walk = _signed_walk(h, k)
@@ -296,7 +300,7 @@ def d_norm_exact(h: OrderElem, k: OrderElem, ctx: SumContext) -> Fraction:
         raise PreconditionError(
             f"the walk of h={h!r}, k={k!r} used {len(walk.constants)} float constants; Dtilde is not exact"
         )
-    return walk.r if sign > 0 else -walk.r
+    return sign * walk.r
 
 
 def d_sum(h: OrderElem, k: OrderElem, ctx: SumContext) -> complex:
@@ -309,21 +313,15 @@ def d_sum(h: OrderElem, k: OrderElem, ctx: SumContext) -> complex:
         raise ZeroDivisorError("zero modulus")
     if h.is_zero() or not _generates_order(h, k):
         return _d_sum_table(h, k, ctx)
-    sign, walk = _signed_walk(h, k)
-    r = walk.r if sign > 0 else -walk.r
-    value = 1j * math.sqrt(abs(ctx.order.discriminant)) * ctx.lattice.e2_zero() * float(r)
-    if walk.constants:
-        value -= sign * sum(_constant(alpha, gamma, ctx) for alpha, gamma in walk.constants)
-    return value
+    return _walk_value(*_signed_walk(h, k), ctx)
 
 
-def normalize_value(value: complex, ctx: SumContext) -> float:
-    """Apply the Dtilde normalization 1/(i*sqrt(|disc|)*E2(0)) and take the real part.
+def _normalizer(ctx: SumContext) -> complex:
+    """i*sqrt(|disc|)*E2(0), the Dtilde normalization, once the lattice admits it.
 
     Raises ExcludedRingError when E2(0) vanishes (multiplier ring Z[i] or
-    Z[rho]), PreconditionError when j(L) is not real (Dtilde is then not real
-    either), and PrecisionLossError when the normalized value keeps a residual
-    imaginary part.  E2(0) has weight 2, so the vanishing test is on
+    Z[rho]) and PreconditionError when j(L) is not real (Dtilde is then not
+    real either).  E2(0) has weight 2, so the vanishing test is on
     |E2(0)|*area, which does not change when the lattice is scaled.
     """
     e2 = ctx.lattice.e2_zero()
@@ -334,8 +332,16 @@ def normalize_value(value: complex, ctx: SumContext) -> float:
     jv = ctx.lattice.j_invariant()
     if abs(jv.imag) > 1e-6 * (1.0 + abs(jv)):
         raise PreconditionError(f"j(L) = {jv:.6g} is not real; normalized sums need a lattice with real j")
-    denom = 1j * math.sqrt(abs(ctx.order.discriminant)) * e2
-    w = complex(value) / denom
+    return 1j * math.sqrt(abs(ctx.order.discriminant)) * e2
+
+
+def normalize_value(value: complex, ctx: SumContext) -> float:
+    """Apply the Dtilde normalization 1/(i*sqrt(|disc|)*E2(0)) and take the real part.
+
+    Raises what _normalizer raises, and PrecisionLossError when the
+    normalized value keeps a residual imaginary part.
+    """
+    w = complex(value) / _normalizer(ctx)
     if abs(w.imag) > 1e-6 * (1.0 + abs(w)):
         raise PrecisionLossError(f"normalized sum kept imaginary part {w.imag:.3e}")
     return w.real

@@ -113,17 +113,12 @@ def _generates_order(h: OrderElem, k: OrderElem) -> bool:
     """Whether the ideal (h, k) is the whole order, decided exactly.
 
     (h, k) is the Z-span of h, h*theta, k and k*theta; its index in
-    O = Z + Z*theta is the gcd of the 2x2 minors of their coordinates.
+    O = Z + Z*theta is the gcd of the 2x2 minors of their coordinates.  Those
+    minors are N(h), N(k), the two coordinates of h*conj(k) up to sign, and
+    integer combinations of these, so the index is their gcd.
     """
-    theta = h.order.theta()
-    vecs = [(e.u, e.v) for e in (h, h * theta, k, k * theta)]
-    g = 0
-    for i, (x1, y1) in enumerate(vecs):
-        for x2, y2 in vecs[i + 1 :]:
-            g = math.gcd(g, x1 * y2 - x2 * y1)
-            if g == 1:
-                return True
-    return False
+    num = h * k.conjugate()
+    return math.gcd(h.norm(), k.norm(), num.u, num.v) == 1
 
 
 def _gamma_bound(order: QuadOrder) -> int:
@@ -164,15 +159,16 @@ def _extra_step(a: OrderElem, c: OrderElem, num: OrderElem, n: int) -> tuple[Mat
     within distance 1 of -gamma*zf, nearest first: the three rows t of
     delta' = s + t*theta around the nearest row, and in each the three s
     around the nearest.  Then gamma*a + delta*c = c*(gamma*zf + delta'), and
-    (gamma, delta) = O exactly when (gamma, delta') = O, so the search and
-    the completion run on small numbers.  zf is located in floats; the
-    accepted step is checked exactly.  Raises SearchLimitError when no gamma
-    up to _gamma_bound qualifies.
+    (gamma, delta) = O exactly when (gamma, delta') = O, so the completion
+    runs on small numbers.  zf is located in floats; a candidate must lower
+    N(c), tested exactly on n*zf, before it is completed.  Raises
+    SearchLimitError when no gamma up to _gamma_bound qualifies.
     """
     order = a.order
     z0 = OrderElem(num.u // n, num.v // n, order)
+    frac = OrderElem(num.u % n, num.v % n, order)  # n*zf
     theta = order.theta_embedding()
-    zf = (num.u % n) / n + (num.v % n) / n * theta
+    zf = frac.u / n + frac.v / n * theta
     for gamma, gamma_c in _gammas(order):
         w = gamma_c * zf
         t0 = round(-w.imag / theta.imag)
@@ -185,20 +181,20 @@ def _extra_step(a: OrderElem, c: OrderElem, num: OrderElem, n: int) -> tuple[Mat
                 if dist < 1.0 + 1e-9:
                     near.append((dist, s, t))
         for _, s, t in sorted(near):
-            m = _complete_row(gamma, OrderElem(s, t, order))
-            if m is None:
+            delta_f = OrderElem(s, t, order)
+            # N(c*(gamma*zf + delta')) < N(c) exactly when N(gamma*frac + n*delta') < n^2.
+            if (gamma * frac + delta_f * n).norm() >= n * n:
                 continue
-            delta = m.d - gamma * z0
-            c_new = gamma * a + delta * c
-            if c_new.norm() < n:
-                return Mat2(m.a, m.b - m.a * z0, gamma, delta), c_new
+            m = _complete_row(gamma, delta_f)
+            if m is not None:
+                delta = delta_f - gamma * z0
+                return Mat2(m.a, m.b - m.a * z0, gamma, delta), gamma * a + delta * c
     raise SearchLimitError(
         f"no gamma of norm <= {_gamma_bound(order)} lowers N(c) = {n} on the order "
         f"(d_K={order.d_k}, f={order.f}); the walk is stuck"
     )
 
 
-@functools.lru_cache(maxsize=4096)
 def _complete_row(gamma: OrderElem, delta: OrderElem) -> Mat2 | None:
     """[[alpha, beta], [gamma, delta]] in SL2(O), or None unless (gamma, delta) = O.
 
@@ -207,8 +203,7 @@ def _complete_row(gamma: OrderElem, delta: OrderElem) -> Mat2 | None:
     gives beta = beta' - m*alpha.  It needs gcd(N(gamma), N(delta + gamma*m)) = 1:
     m = 0 where the norms are coprime already, else the first small m that
     avoids, for each prime ideal P over a prime dividing N(gamma), the one
-    class of m mod P with delta + gamma*m in P.  The walk asks for the same
-    small (gamma, delta) again and again, so results are cached.
+    class of m mod P with delta + gamma*m in P.
     """
     order = gamma.order
     if gamma.is_unit():
@@ -230,12 +225,11 @@ class _Walk:
 
     r is the exact J((h + x)/k) + sum of J((alpha_i + delta_i)/gamma_i) over
     every step; constants holds the (alpha_i, gamma_i) of the steps with
-    N(gamma_i) > 1, in walk order; steps counts every step.
+    N(gamma_i) > 1, in walk order.
     """
 
     r: Fraction
     constants: tuple[tuple[OrderElem, OrderElem], ...]
-    steps: int
 
 
 def _walk(h: OrderElem, k: OrderElem) -> _Walk:
@@ -247,9 +241,7 @@ def _walk(h: OrderElem, k: OrderElem) -> _Walk:
     q_sum = 0
     extra = 0
     constants = []
-    steps = 0
     while not c.is_zero():
-        steps += 1
         n = c.norm()
         num = a * c.conjugate()
         q = _rounded_quotient(num, n)
@@ -271,10 +263,8 @@ def _walk(h: OrderElem, k: OrderElem) -> _Walk:
         raise ConstructionError(f"the walk of a pair with (h, k) = O ended at a non-unit {a!r}")
     x = x0 * a.conjugate()  # h*x = 1 (mod k): a is a unit of norm 1
     # J(z/w) = 2*Im(z/w)/sqrt(|d|) is the theta-coordinate of z/w, as Im(theta) = sqrt(|d|)/2.
-    r = Fraction(((h + x) * k.conjugate()).v, k.norm()) - q_sum
-    if extra:
-        r += extra
-    return _Walk(r, tuple(constants), steps)
+    r = Fraction(((h + x) * k.conjugate()).v, k.norm()) - q_sum + extra
+    return _Walk(r, tuple(constants))
 
 
 def _signed_walk(h: OrderElem, k: OrderElem) -> tuple[int, _Walk]:

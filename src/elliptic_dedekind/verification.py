@@ -18,19 +18,19 @@ from .cosets import CosetSystem
 from .dedekind import (
     SumContext,
     _d_sum_table,
-    d_norm,
-    d_norm_exact,
+    _walk_value,
     d_sum,
     gen_sl2_triple,
+    normalize_value,
     phi,
     three_term_closed_form,
 )
 from .density import Target, approximate
-from .errors import GenerationError, PreconditionError
+from .errors import GenerationError
 from .lattice import Lattice
 from .oracles import e2_hecke_limit, weierstrass_zeta_direct
 from .ring import OrderElem, QuadOrder
-from .sl2 import Mat2, _complete_column
+from .sl2 import Mat2, _complete_column, _signed_walk
 
 __all__ = [
     "CheckResult",
@@ -123,16 +123,16 @@ def run_phi_suite(order: QuadOrder, seed: int) -> list[CheckResult]:
 
 
 def _density_step_ok(step, ctx: SumContext) -> bool:
-    """Whether d_sum agrees with the construction's exact Dtilde on the step's A3.
+    """Whether the walk of the step's (a3, c3) gives the construction's exact Dtilde.
 
-    Exactly where the walk of (a3, c3) uses no float constant, else within
-    1e-12*(1 + |Dtilde|).
+    Exactly where the walk uses no float constant, else d_sum's value,
+    normalized, within 1e-12*(1 + |Dtilde|).
     """
     x = step.dtilde_exact
-    try:
-        return d_norm_exact(step.A3.a, step.A3.c, ctx) == x
-    except PreconditionError:
-        return abs(d_norm(step.A3.a, step.A3.c, ctx) - x) <= 1e-12 * (1 + abs(x))
+    sign, walk = _signed_walk(step.A3.a, step.A3.c)
+    if not walk.constants:
+        return sign * walk.r == x
+    return abs(normalize_value(_walk_value(sign, walk, ctx), ctx) - x) <= 1e-12 * (1 + abs(x))
 
 
 def run_lemma_suite(order: QuadOrder, seed: int) -> list[CheckResult]:

@@ -11,6 +11,7 @@ import random
 import pytest
 
 from elliptic_dedekind import (
+    ExcludedRingError,
     Lattice,
     PreconditionError,
     QuadOrder,
@@ -162,7 +163,11 @@ def test_walk_is_shift_invariant_and_odd_bit_for_bit(dk, f):
 
 
 @pytest.mark.parametrize("dk, f", [(-8, 1), (-15, 1), (-23, 1), (-163, 1), (-8, 3), (-3, 7)])
-def test_walk_steps_grow_like_log_norm(dk, f):
+def test_walk_steps_grow_like_log_norm(dk, f, monkeypatch):
+    # Every step of the walk rounds one quotient, so counting those counts the steps.
+    rounded = sl2._rounded_quotient
+    calls = []
+    monkeypatch.setattr(sl2, "_rounded_quotient", lambda num, n: calls.append(n) or rounded(num, n))
     order = QuadOrder(dk, f)
     rng = random.Random(45)
     mean_steps = {}
@@ -175,7 +180,9 @@ def test_walk_steps_grow_like_log_norm(dk, f):
             k = order.element(rng.randint(-bound, bound), rng.randint(-bound, bound))
             if h.is_zero() or not _generates_order(h, k):
                 continue
-            steps = _signed_walk(h, k)[1].steps
+            calls.clear()
+            _signed_walk(h, k)
+            steps = len(calls)
             assert steps <= 6 * math.log(k.norm())
             counts.append(steps)
         mean_steps[exponent] = sum(counts) / len(counts)
@@ -207,6 +214,18 @@ def test_d_norm_exact_needs_a_walk_without_constants():
     with pytest.raises(PreconditionError, match="constants"):
         d_norm_exact(h, k, ctx)
     assert abs(d_norm(h, k, ctx) - 35 / 3438) <= 1e-14 * (35 / 3438)
+
+
+@pytest.mark.parametrize("dk", [-4, -3])
+def test_d_norm_exact_refuses_the_rings_where_e2_vanishes(dk):
+    # On Z[i] and Z[rho] the walk takes Euclidean steps only, yet Dtilde is undefined there.
+    ctx = SumContext(QuadOrder(dk))
+    h, k = ctx.order.element(2), ctx.order.element(4, 1)
+    assert _generates_order(h, k) and _signed_walk(h, k)[1].constants == ()
+    with pytest.raises(ExcludedRingError):
+        d_norm(h, k, ctx)
+    with pytest.raises(ExcludedRingError):
+        d_norm_exact(h, k, ctx)
 
 
 def test_a_stuck_walk_fails_loudly(monkeypatch, capsys):
