@@ -27,15 +27,15 @@ diag(u, 1/u).  Phi is additive and Phi(diag(u, 1/u)) = 0, so
     J(z/w)      = 2*Im(z/w)/sqrt(|d|) = v(z*conj(w))/N(w),
 
 v the theta-coordinate.  R is an exact Fraction after O(log N(k)) steps,
-with no norm bound.  Each constant D_L(alpha, gamma) depends on alpha mod
-gamma only; it is an E1-table sum on the lattice itself at N(gamma), built
-once per d_sum call even where the walk meets it again.  A walk with no
-constant -- every walk on d_K = -7, -8, -11 -- gives Dtilde = R exactly
-(d_norm_exact).  A stuck walk raises SearchLimitError; there is no silent
-fallback to the table.
+each chosen in integers, with no norm bound.  Each constant D_L(alpha, gamma)
+depends on alpha mod gamma only; it is an E1-table sum on the lattice itself
+at N(gamma), built once per d_sum call even where the walk meets it again.
+A walk with no constant -- every walk on d_K = -7, -8, -11 -- gives
+Dtilde = R exactly (d_norm_exact).  A stuck walk raises SearchLimitError;
+there is no silent fallback to the table.
 
-The E1 table serves h = 0 and a gcd(h, k) that is not a unit; it also sums
-the walk's constants and the cross-checks of the verification suites.
+h = 0 gives 0/k with no table.  The E1 table serves a gcd(h, k) that is not
+a unit; it also sums the walk's constants and the suites' cross-checks.
 CosetSystem(k) gives the box
 {a*omega1 + b*omega2 : 0 <= a < h11, 0 <= b < h22}, a transversal of L/kL with
 N(k) members, stored column by column at index b*h11 + a.  With M the integer
@@ -49,9 +49,10 @@ per coset.  On the order's own lattice (1, theta), conj(L) = L and
 E1(conj z) = conj(E1(z)); when also conj(k) = eps*k with eps = +-1, the point
 -conj(mu) = (-a - tr(theta)*b, b) lies in the same column, with
 E1 = -eps*conj(E1(mu/k)), and E1 is evaluated once per orbit of {+-1, conj}:
-0.25 times per coset.  That covers k = p and k = p*e*sqrt(d), the moduli of the
-density construction.  The order and k alone pick the fold; Lattice.from_order
-records the order, so no float decides conj(L) = L.
+0.25 times per coset.  That serves the walk's conj-stable constants, such as
+those of README's conductor-3 sums, at N(gamma) = 18, 49, 72.  The order and
+k alone pick the fold; Lattice.from_order records the order, so no float
+decides conj(L) = L.
 Multiplication by h permutes (1/k)L/L: the images of omega1 and omega2 under h
 are reduced into the box with Python ints, after which the index of h*mu comes
 from int64 operations, so h enters only modulo k.  The terms at mu and -mu are
@@ -240,10 +241,15 @@ def _d_sum_table(h: OrderElem, k: OrderElem, ctx: SumContext) -> complex:
     The terms at mu and -mu are bitwise equal and the 2-torsion terms are 0,
     so the sum runs over _half_box and is doubled.  Cosets are processed in
     fixed-size chunks, so only the N(k)-entry table grows with N(k); the
-    partial sums are added in index order, which fixes the rounding.  Raises
-    PreconditionError when N(k) >= 2**31 or the table's 16*N(k) bytes exceed
-    physical memory.
+    partial sums are added in index order, which fixes the rounding.  h = 0
+    gives 0/k at any N(k).  Raises PreconditionError when N(k) >= 2**31, the
+    table's 16*N(k) bytes exceed physical memory, or k leaves the double range.
     """
+    if h.is_zero():
+        try:
+            return 0j / k.embed()
+        except OverflowError as exc:
+            raise PreconditionError(f"k = {k!r} leaves the double range") from exc
     system = CosetSystem(k, ctx.lattice)
     n, h11 = system.size, system.h11
     if n >= _MAX_NORM:
@@ -256,8 +262,6 @@ def _d_sum_table(h: OrderElem, k: OrderElem, ctx: SumContext) -> complex:
             f"the E1 table for N(k) = {n} needs {need} bytes, more than the {have} bytes of physical memory"
         )
     kc = k.embed()
-    if h.is_zero():
-        return 0j / kc
     hm = mult_matrix(h, ctx.lattice)
     # Images of omega1 and omega2 under h, reduced into the box.
     x1, y1 = system.reduce_coords((hm.a11, hm.a21))

@@ -87,7 +87,9 @@ class Lattice:
         self.omega2 = complex(omega2)
         a = (self.omega1.conjugate() * self.omega2).imag
         scale = abs(self.omega1) * abs(self.omega2)
-        if not math.isfinite(a) or scale == 0.0 or abs(a) <= 1e-14 * scale:
+        if not math.isfinite(a) or (scale == 0.0 and self.omega1 and self.omega2):
+            raise DegenerateLatticeError(f"the basis leaves the double range: its area is {a!r}")
+        if scale == 0.0 or abs(a) <= 1e-14 * scale:
             raise DegenerateLatticeError("basis vectors are linearly dependent over R")
         if a < 0:
             raise DegenerateLatticeError("basis is negatively oriented: Im(omega2/omega1) < 0")

@@ -390,35 +390,12 @@ def _rounded_quotient(num: OrderElem, n: int) -> OrderElem:
     return OrderElem(_round_half_to_zero(num.u + c0 * num.v, n) - c0 * t, t, order)
 
 
-def _nearest_quotient(a: OrderElem, b: OrderElem) -> OrderElem:
-    """Order element nearest to the exact quotient a/b.
-
-    Rounding happens in the reduced (1, omega) basis (_rounded_quotient),
-    where the norm-Euclidean bound holds for f = 1.  A 3x3 neighborhood
-    search covers the corner cases of d_k = -7, -11 where plain coordinate
-    rounding does not strictly decrease the norm.
-    """
-    order = a.order
-    n = b.norm()
-    q = _rounded_quotient(a * b.conjugate(), n)
-    if (a - b * q).norm() < n:
-        return q
-    c0 = order.theta_trace // 2
-    best = None
-    for ds in (-1, 0, 1):
-        for dt in (-1, 0, 1):
-            qq = q + OrderElem(ds - c0 * dt, dt, order)
-            rn = (a - b * qq).norm()
-            if best is None or rn < best[0]:
-                best = (rn, qq)
-    return best[1]
-
-
 def egcd_order(alpha: OrderElem, beta: OrderElem) -> tuple[OrderElem, OrderElem, OrderElem]:
     """Extended gcd in a norm-Euclidean order: alpha*x + beta*y = g.
 
-    g generates the ideal (alpha, beta); division picks the lattice point
-    nearest to the exact quotient (ties toward zero).
+    g generates the ideal (alpha, beta).  Division rounds the quotient
+    (_rounded_quotient); in the corner cases of d_k = -7, -11 where that does
+    not lower the norm, the nearest point of the 3x3 block around it is taken.
     """
     alpha._check(beta)
     order = alpha.order
@@ -429,8 +406,13 @@ def egcd_order(alpha: OrderElem, beta: OrderElem) -> tuple[OrderElem, OrderElem,
     r0, r1 = alpha, beta
     x0, x1 = order.one(), order.zero()
     y0, y1 = order.zero(), order.one()
+    c0 = order.theta_trace // 2
     while not r1.is_zero():
-        q = _nearest_quotient(r0, r1)
+        n = r1.norm()
+        q = _rounded_quotient(r0 * r1.conjugate(), n)
+        if (r0 - q * r1).norm() >= n:
+            near = (q + OrderElem(ds - c0 * dt, dt, order) for ds in (-1, 0, 1) for dt in (-1, 0, 1))
+            q = min(near, key=lambda qq: (r0 - qq * r1).norm())
         r0, r1 = r1, r0 - q * r1
         x0, x1 = x1, x0 - q * x1
         y0, y1 = y1, y0 - q * y1

@@ -15,8 +15,9 @@ N(gamma*a + delta*c) < N(c):
     Euclidean step M = [[0, 1], [-1, q]], whenever it lowers N(c);
   - otherwise gamma runs over -1, then the non-units up to the norm
     max(72, 8*|disc|) by increasing norm (_gammas), delta over the lattice
-    points within distance 1 of -gamma*a/c, and (gamma, delta) = O is
-    required; _complete_row finds alpha and beta.
+    points within distance 1 of -gamma*a/c, nearest first, and
+    (gamma, delta) = O is required; _complete_row finds alpha and beta.
+    The candidates are found and tested in integers (_extra_step).
 
 On d_K = -7, -8, -11 every step has gamma = -1 (a neighbour of q in the
 corner cases of -7 and -11), as in the Euclidean algorithm.  The walk ends
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConstructionError, NotUnimodularError, OrderMismatchError, SearchLimitError
-from .ring import OrderElem, QuadOrder, _nearest_quotient, _rounded_quotient, inverse_mod
+from .ring import OrderElem, QuadOrder, _rounded_quotient, inverse_mod
 
 __all__ = ["Mat2"]
 
@@ -98,14 +99,14 @@ def _complete_column(a: OrderElem, c: OrderElem) -> Mat2 | None:
     """[[a, b], [c, d]] in SL2(O) for c != 0, or None unless gcd(N(a), N(c)) = 1.
 
     d = conj(a)*(N(a)^-1 mod N(c)) gives a*d = 1 (mod N(c)), so c divides
-    a*d - 1 on any order, with no Euclidean algorithm; d is reduced mod c to
-    keep the entries small.
+    a*d - 1 on any order, with no Euclidean algorithm; d is reduced by the
+    rounded quotient d/c, as in a Euclidean step, to keep the entries small.
     """
     n_a, n_c = a.norm(), c.norm()
     if math.gcd(n_a, n_c) != 1:
         return None
     d = a.conjugate() * inverse_mod(n_a, n_c)
-    d -= _nearest_quotient(d, c) * c
+    d -= _rounded_quotient(d * c.conjugate(), n_c) * c
     return Mat2(a, (a * d - a.order.one()).exact_div(c), c, d)
 
 
@@ -127,8 +128,8 @@ def _gamma_bound(order: QuadOrder) -> int:
 
 
 @functools.cache
-def _gammas(order: QuadOrder) -> tuple[tuple[OrderElem, complex], ...]:
-    """(gamma, its embedding) for gamma = -1, then every non-unit up to _gamma_bound, one of each +-gamma.
+def _gammas(order: QuadOrder) -> tuple[OrderElem, ...]:
+    """gamma = -1, then every non-unit up to _gamma_bound, one of each +-gamma.
 
     The non-units are sorted by norm, then by the coordinates s, t of
     gamma = s + t*omega in the reduced basis omega = theta - (tr theta // 2).
@@ -146,8 +147,7 @@ def _gammas(order: QuadOrder) -> tuple[tuple[OrderElem, complex], ...]:
         for s in range(-s_max if t else 2, s_max + 1)
         if 1 < (gamma := OrderElem(s - c0 * t, t, order)).norm() <= bound
     ]
-    gammas = [-order.one()] + [gamma for *_, gamma in sorted(found, key=lambda entry: entry[:3])]
-    return tuple((gamma, gamma.embed()) for gamma in gammas)
+    return (-order.one(),) + tuple(gamma for *_, gamma in sorted(found, key=lambda entry: entry[:3]))
 
 
 def _extra_step(a: OrderElem, c: OrderElem, num: OrderElem, n: int) -> tuple[Mat2, OrderElem]:
@@ -155,36 +155,36 @@ def _extra_step(a: OrderElem, c: OrderElem, num: OrderElem, n: int) -> tuple[Mat
 
     num = a*conj(c) and n = N(c), so a/c = num/n = z0 + zf with z0 in the
     order and zf in [0, 1) + [0, 1)*theta.  gamma runs over _gammas.  For
-    each, delta = delta' - gamma*z0, where delta' runs over the lattice points
-    within distance 1 of -gamma*zf, nearest first: the three rows t of
-    delta' = s + t*theta around the nearest row, and in each the three s
-    around the nearest.  Then gamma*a + delta*c = c*(gamma*zf + delta'), and
-    (gamma, delta) = O exactly when (gamma, delta') = O, so the completion
-    runs on small numbers.  zf is located in floats; a candidate must lower
-    N(c), tested exactly on n*zf, before it is completed.  Raises
+    each, delta = delta' - gamma*z0, where delta' = s + t*theta runs over the
+    lattice points within distance 1 of -gamma*zf, nearest first.  Then
+    gamma*a + delta*c = c*(gamma*zf + delta'), and (gamma, delta) = O exactly
+    when (gamma, delta') = O, so the completion runs on small numbers.  With
+    x0 + y0*theta = gamma*n*zf, x = x0 + n*s and y = y0 + n*t, the candidate
+    lowers N(c) exactly when x^2 + x*y*tr(theta) + y^2*N(theta) < n^2.  As
+    Im(theta) >= sqrt(3)/2, such points lie in rows t0 - 1..t0 + 1 around the
+    nearest row t0, each at s0 - 1..s0 + 1 around its nearest s0.  Raises
     SearchLimitError when no gamma up to _gamma_bound qualifies.
     """
     order = a.order
+    trace, theta_norm = order.theta_trace, order.theta_norm
     z0 = OrderElem(num.u // n, num.v // n, order)
     frac = OrderElem(num.u % n, num.v % n, order)  # n*zf
-    theta = order.theta_embedding()
-    zf = frac.u / n + frac.v / n * theta
-    for gamma, gamma_c in _gammas(order):
-        w = gamma_c * zf
-        t0 = round(-w.imag / theta.imag)
+    n2, nn = 2 * n, n * n
+    for gamma in _gammas(order):
+        g = gamma * frac
+        x0, y0 = g.u, g.v
         near = []
-        for t in (t0, t0 - 1, t0 + 1):
-            s0 = round(-w.real - t * theta.real)
-            for s in (s0, s0 - 1, s0 + 1):
-                r = w + s + t * theta
-                dist = r.real * r.real + r.imag * r.imag
-                if dist < 1.0 + 1e-9:
-                    near.append((dist, s, t))
+        t0 = -((2 * y0 + n) // n2)
+        for t in (t0 - 1, t0, t0 + 1):
+            y = y0 + n * t
+            s0 = -((2 * x0 + y * trace + n) // n2)
+            for s in (s0 - 1, s0, s0 + 1):
+                x = x0 + n * s
+                norm = x * x + x * y * trace + y * y * theta_norm
+                if norm < nn:
+                    near.append((norm, s, t))
         for _, s, t in sorted(near):
             delta_f = OrderElem(s, t, order)
-            # N(c*(gamma*zf + delta')) < N(c) exactly when N(gamma*frac + n*delta') < n^2.
-            if (gamma * frac + delta_f * n).norm() >= n * n:
-                continue
             m = _complete_row(gamma, delta_f)
             if m is not None:
                 delta = delta_f - gamma * z0

@@ -79,6 +79,22 @@ def test_sum_norm_above_int64_bound_usage_error(capsys):
     assert "N(k) = 2147488281" in err and "2147483648" in err
 
 
+def test_sum_zero_h_needs_no_table(capsys):
+    # D_L(0, k) = 0/k exactly, at any N(k): here above 2**31, where a table is refused.
+    code, out, _ = run_cli(capsys, "sum", "--dk", "-8", "--h", "0,0", "--k", "46341,0", "--format", "json")
+    assert code == 0
+    rec = json.loads(out)["records"][0]
+    assert rec["d_sum"] == {"re": 0, "im": 0} and rec["d_norm"] == 0 and rec["coset_count"] == 2147488281
+    # 0j/k keeps the sign of zero that dividing by k gives.
+    code, out, _ = run_cli(capsys, "sum", "--dk", "-8", "--h", "0,0", "--k", "3,1", "--format", "json")
+    assert code == 0 and '"d_sum":{"re":0,"im":-0}' in out
+    # A k whose embedding leaves the double range is refused, not a traceback.
+    code, out, err = run_cli(capsys, "sum", "--dk", "-8", "--h", "0,0", "--k", f"{10**400},0", "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "double range" in err
+
+
 def test_sum_table_above_physical_memory_usage_error(capsys, monkeypatch):
     # k = 390*sqrt(-2) shares the factor 13 with h, so the E1 table serves the pair:
     # N(k) = 304200 needs a 4867200-byte table; the memory probe reports 1e6 bytes.

@@ -57,11 +57,22 @@ def test_degenerate_and_misoriented_bases():
         Lattice(1.0, -1j)  # negatively oriented
 
 
-@pytest.mark.parametrize("omega2", [1e-320j, 1e-200j, 1e-160j, 5e-324j])
-def test_basis_whose_square_leaves_the_double_range(omega2):
-    # The reduced basis vector omega2 squares to 0 or to a subnormal, so E2(0) is no finite double.
-    with pytest.raises(DegenerateLatticeError, match="finite"):
-        Lattice(1.0, omega2)
+@pytest.mark.parametrize(
+    "omega1, omega2, message",
+    [
+        pytest.param(1.0, omega2, "E2\\(0\\) is not a finite double", id=str(omega2))
+        for omega2 in (1e-320j, 1e-200j, 1e-160j, 5e-324j)
+    ]
+    + [
+        pytest.param(1e-170, 1e-170j, "leaves the double range: its area is 0.0", id="area-underflows"),
+        pytest.param(1e160, 1.4142135623730951e160j, "leaves the double range: its area is inf", id="area-overflows"),
+    ],
+)
+def test_basis_whose_square_leaves_the_double_range(omega1, omega2, message):
+    # With omega1 = 1, the reduced basis vector omega2 squares to 0 or to a subnormal, so E2(0) is
+    # no finite double; the last two bases are independent, but their area underflows or overflows.
+    with pytest.raises(DegenerateLatticeError, match=message):
+        Lattice(omega1, omega2)
 
 
 # --- weierstrass zeta ---------------------------------------------------------

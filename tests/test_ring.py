@@ -19,7 +19,7 @@ from elliptic_dedekind import (
     sqrt_discriminant,
     sqrt_mod,
 )
-from elliptic_dedekind.ring import _nearest_quotient
+from elliptic_dedekind.ring import _rounded_quotient
 
 
 def primes_below(n):
@@ -325,20 +325,19 @@ def test_nearest_quotient_rounds_in_reduced_basis(dk, f):
         b = order.element(rng.randint(-100, 100), rng.randint(-30, 30))
         if b.is_zero():
             continue
-        q = _nearest_quotient(a, b)
+        q = _rounded_quotient(a * b.conjugate(), b.norm())
         assert 16 * (a - q * b).norm() <= b.norm() * (9 + 4 * omega.norm())
 
 
 @pytest.mark.parametrize("dk, f", [(-3, 1), (-4, 1), (-7, 1), (-8, 1), (-11, 1), (-20, 1), (-8, 3), (-4, 3)])
 def test_nearest_quotient_rounds_ties_toward_zero(dk, f):
     # a/b = m/2 in one coordinate of the reduced basis (1, omega), both sides
-    # scaled by g.  While the residue +-g or +-omega*g has norm below
-    # N(b) = 4*N(g), the rounding alone picks the quotient.
+    # scaled by g, and a*conj(b) = m*g*conj(b): the rounding takes m/2 toward zero.
     order = QuadOrder(dk, f)
     omega = order.theta() - order.element(order.theta_trace // 2)
     for g in (order.one(), order.element(2, 1), order.element(-3, 2)):
         two = order.element(2) * g
+        num, n = g * two.conjugate(), two.norm()
         for m, q in ((1, 0), (-1, 0), (3, 1), (-3, -1)):
-            assert _nearest_quotient(order.element(m) * g, two) == order.element(q)
-            if omega.norm() < 4:
-                assert _nearest_quotient(m * omega * g, two) == q * omega
+            assert _rounded_quotient(m * num, n) == order.element(q)
+            assert _rounded_quotient(m * omega * num, n) == q * omega

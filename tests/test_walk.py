@@ -13,6 +13,7 @@ import pytest
 from elliptic_dedekind import (
     ExcludedRingError,
     Lattice,
+    OrderElem,
     PreconditionError,
     QuadOrder,
     SearchLimitError,
@@ -26,7 +27,7 @@ from elliptic_dedekind import (
 from elliptic_dedekind import sl2
 from elliptic_dedekind.cli import main
 from elliptic_dedekind.cosets import CosetSystem
-from elliptic_dedekind.dedekind import _d_sum_table
+from elliptic_dedekind.dedekind import _d_sum_table, _walk_value
 from elliptic_dedekind.sl2 import _complete_row, _gamma_bound, _generates_order, _signed_walk
 
 # Class-number-one orders with E2(0) != 0 (maximal and f > 1), orders of
@@ -107,6 +108,26 @@ def test_walk_matches_table(dk, f, lattice, monkeypatch):
         assert with_constants > 0
 
 
+@pytest.mark.parametrize("dk, f", [(-15, 1), (-23, 1), (-163, 1), (-8, 3), (-3, 7)])
+def test_walk_decides_every_step_without_floats(dk, f, monkeypatch):
+    # The walk runs with every complex embedding disabled; its values then match the table.
+    ctx = SumContext(QuadOrder(dk, f))
+    rng = random.Random(46)
+    pairs = [unit_gcd_pair(rng, ctx.order, 20_000) for _ in range(40)]
+
+    def no_floats(*args):
+        raise AssertionError("the walk embedded an element in the complex plane")
+
+    monkeypatch.setattr(QuadOrder, "theta_embedding", no_floats)
+    monkeypatch.setattr(OrderElem, "embed", no_floats)
+    walks = [_signed_walk(h, k) for h, k in pairs]
+    monkeypatch.undo()
+    assert any(walk.constants for _, walk in walks)
+    for (h, k), (sign, walk) in zip(pairs, walks):
+        expected = _d_sum_table(h, k, ctx)
+        assert abs(_walk_value(sign, walk, ctx) - expected) <= 1e-12 * (1 + abs(expected))
+
+
 @pytest.mark.parametrize("dk, f", [(-8, 1), (-20, 1), (-8, 3), (-3, 7), (-4, 2)])
 def test_generates_order_matches_an_inverse_mod_k(dk, f):
     # (h, k) = O exactly when h has an inverse modulo k; search it over the box transversal.
@@ -164,10 +185,20 @@ def test_walk_is_shift_invariant_and_odd_bit_for_bit(dk, f):
 
 @pytest.mark.parametrize("dk, f", [(-8, 1), (-15, 1), (-23, 1), (-163, 1), (-8, 3), (-3, 7)])
 def test_walk_steps_grow_like_log_norm(dk, f, monkeypatch):
-    # Every step of the walk rounds one quotient, so counting those counts the steps.
-    rounded = sl2._rounded_quotient
+    # Every step of the walk rounds one quotient, so counting those counts the steps;
+    # the roundings of the completions inside an extra step are dropped.
+    rounded, extra_step = sl2._rounded_quotient, sl2._extra_step
     calls = []
+
+    def extra(*args):
+        before = len(calls)
+        try:
+            return extra_step(*args)
+        finally:
+            del calls[before:]
+
     monkeypatch.setattr(sl2, "_rounded_quotient", lambda num, n: calls.append(n) or rounded(num, n))
+    monkeypatch.setattr(sl2, "_extra_step", extra)
     order = QuadOrder(dk, f)
     rng = random.Random(45)
     mean_steps = {}
@@ -231,7 +262,7 @@ def test_d_norm_exact_refuses_the_rings_where_e2_vanishes(dk):
 def test_a_stuck_walk_fails_loudly(monkeypatch, capsys):
     # With -1 as the only gamma, the conductor-3 order has no step that lowers N(c) on this pair.
     order = QuadOrder(-8, 3)
-    monkeypatch.setattr(sl2, "_gammas", lambda o: ((-o.one(), -1 + 0j),))
+    monkeypatch.setattr(sl2, "_gammas", lambda o: (-o.one(),))
     with pytest.raises(SearchLimitError, match="stuck"):
         d_sum(order.element(3313), order.element(4584, 382), SumContext(order))
     code = main(["sum", "--dk", "-8", "-f", "3", "--h", "3313,0", "--k", "4584,382", "--format", "json"])
