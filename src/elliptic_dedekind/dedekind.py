@@ -29,7 +29,8 @@ diag(u, 1/u).  Phi is additive and Phi(diag(u, 1/u)) = 0, so
 v the theta-coordinate.  R is an exact Fraction after O(log N(k)) steps,
 each chosen in integers, with no norm bound.  Each constant D_L(alpha, gamma)
 depends on alpha mod gamma only; it is an E1-table sum on the lattice itself
-at N(gamma), built once per d_sum call even where the walk meets it again.
+at N(gamma).  A d_sum call builds one E1 table per distinct gamma of its walk
+and sums every alpha of that gamma against it (_walk_value).
 A walk with no constant -- every walk on d_K = -7, -8, -11 -- gives
 Dtilde = R exactly (d_norm_exact).  A stuck walk raises SearchLimitError;
 there is no silent fallback to the table.
@@ -235,23 +236,14 @@ def _e1_table(system: CosetSystem) -> np.ndarray:
     return table
 
 
-def _d_sum_table(h: OrderElem, k: OrderElem, ctx: SumContext) -> complex:
-    """D_L(h, k) from one E1 table (see the module docstring), for every pair the walk does not serve.
+def _table(k: OrderElem, ctx: SumContext) -> tuple[CosetSystem, np.ndarray]:
+    """The coset system of k on the lattice and its E1 table, once the table fits.
 
-    The terms at mu and -mu are bitwise equal and the 2-torsion terms are 0,
-    so the sum runs over _half_box and is doubled.  Cosets are processed in
-    fixed-size chunks, so only the N(k)-entry table grows with N(k); the
-    partial sums are added in index order, which fixes the rounding.  h = 0
-    gives 0/k at any N(k).  Raises PreconditionError when N(k) >= 2**31, the
-    table's 16*N(k) bytes exceed physical memory, or k leaves the double range.
+    Raises PreconditionError when N(k) >= 2**31 or the table's 16*N(k) bytes
+    exceed physical memory, before allocating it.
     """
-    if h.is_zero():
-        try:
-            return 0j / k.embed()
-        except OverflowError as exc:
-            raise PreconditionError(f"k = {k!r} leaves the double range") from exc
     system = CosetSystem(k, ctx.lattice)
-    n, h11 = system.size, system.h11
+    n = system.size
     if n >= _MAX_NORM:
         raise PreconditionError(
             f"N(k) = {n} is at or above {_MAX_NORM} = 2**31, the bound for exact int64 coset indices"
@@ -261,28 +253,54 @@ def _d_sum_table(h: OrderElem, k: OrderElem, ctx: SumContext) -> complex:
         raise PreconditionError(
             f"the E1 table for N(k) = {n} needs {need} bytes, more than the {have} bytes of physical memory"
         )
-    kc = k.embed()
+    return system, _e1_table(system)
+
+
+def _table_sum(h: OrderElem, system: CosetSystem, table: np.ndarray, ctx: SumContext) -> complex:
+    """D_L(h, k) from the E1 table of k (see the module docstring).
+
+    The terms at mu and -mu are bitwise equal and the 2-torsion terms are 0,
+    so the sum runs over _half_box and is doubled.  Cosets are processed in
+    fixed-size chunks, so only the N(k)-entry table grows with N(k); the
+    partial sums are added in index order, which fixes the rounding.
+    """
+    h11 = system.h11
     hm = mult_matrix(h, ctx.lattice)
     # Images of omega1 and omega2 under h, reduced into the box.
     x1, y1 = system.reduce_coords((hm.a11, hm.a21))
     x2, y2 = system.reduce_coords((hm.a12, hm.a22))
-    table = _e1_table(system)
     total = 0j
     for idx, a, b in _chunks(system):
         hx, hy = system.reduce_coords((a * x1 + b * x2, a * y1 + b * y2))
         total += complex(np.sum(table[hy * h11 + hx] * table[idx]))
-    return 2 * total / kc
+    return 2 * total / system.k.embed()
+
+
+def _d_sum_table(h: OrderElem, k: OrderElem, ctx: SumContext) -> complex:
+    """D_L(h, k) from one E1 table, for every pair the walk does not serve.
+
+    h = 0 gives 0/k at any N(k).  Raises PreconditionError when k leaves the
+    double range, and what _table raises.
+    """
+    if h.is_zero():
+        try:
+            return 0j / k.embed()
+        except OverflowError as exc:
+            raise PreconditionError(f"k = {k!r} leaves the double range") from exc
+    return _table_sum(h, *_table(k, ctx), ctx)
 
 
 def _walk_value(sign: int, walk: _Walk, ctx: SumContext) -> complex:
     """D_L(h, k) from (sign, walk) = _signed_walk(h, k).
 
-    A walk may meet one (alpha, gamma) more than once; its table is built once.
+    The constants D_L(alpha, gamma) of one gamma share one E1 table, and a
+    pair the walk meets again is summed once; they are subtracted in walk order.
     """
     value = 1j * math.sqrt(abs(ctx.order.discriminant)) * ctx.lattice.e2_zero() * float(sign * walk.r)
     if walk.constants:
-        tables = {pair: _d_sum_table(*pair, ctx) for pair in set(walk.constants)}
-        value -= sign * sum(tables[pair] for pair in walk.constants)
+        tables = {gamma: _table(gamma, ctx) for gamma in {gamma for _, gamma in walk.constants}}
+        sums = {(alpha, gamma): _table_sum(alpha, *tables[gamma], ctx) for alpha, gamma in set(walk.constants)}
+        value -= sign * sum(sums[pair] for pair in walk.constants)
     return value
 
 

@@ -11,6 +11,7 @@ both coefficients integers for any fundamental discriminant.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -242,16 +243,17 @@ class QuadOrder:
         if self.f < 1:
             raise ValueError(f"conductor must be >= 1, got {self.f}")
 
-    @property
+    # Computed once per order; equality and hashing stay on (d_k, f).
+    @functools.cached_property
     def discriminant(self) -> int:
         return self.f * self.f * self.d_k
 
-    @property
+    @functools.cached_property
     def theta_trace(self) -> int:
         """theta + conj(theta) = f*d_k."""
         return self.f * self.d_k
 
-    @property
+    @functools.cached_property
     def theta_norm(self) -> int:
         """theta * conj(theta) = f^2*(d_k^2 - d_k)/4 (always an integer)."""
         return self.f * self.f * (self.d_k * self.d_k - self.d_k) // 4
@@ -284,7 +286,7 @@ class OrderElem:
     order: QuadOrder
 
     def _check(self, other: "OrderElem") -> None:
-        if self.order != other.order:
+        if self.order is not other.order and self.order != other.order:
             raise OrderMismatchError(f"elements of different orders: {self.order} vs {other.order}")
 
     def __add__(self, other: "OrderElem") -> "OrderElem":
@@ -377,17 +379,22 @@ def _round_half_to_zero(num: int, den: int) -> int:
     return q
 
 
-def _rounded_quotient(num: OrderElem, n: int) -> OrderElem:
-    """num/n rounded coordinate by coordinate in the reduced (1, omega) basis, ties toward zero; n > 0.
+def _rounded_coords(u: int, v: int, n: int, c0: int) -> tuple[int, int]:
+    """(u + v*theta)/n rounded coordinate by coordinate in the reduced (1, omega) basis, ties toward zero.
 
-    omega = theta - (tr theta // 2) is f*sqrt(d_k/4) or (1 + f*sqrt(d_k))/2
-    on any conductor f; it differs from theta by an integer, so the change of
-    coordinates is exact.
+    n > 0 and c0 = tr(theta) // 2.  omega = theta - c0 is f*sqrt(d_k/4) or
+    (1 + f*sqrt(d_k))/2 on any conductor f; it differs from theta by an
+    integer, so the change of coordinates is exact.  Returns the theta-basis
+    coordinates of the rounded quotient.
     """
+    t = _round_half_to_zero(v, n)
+    return _round_half_to_zero(u + c0 * v, n) - c0 * t, t
+
+
+def _rounded_quotient(num: OrderElem, n: int) -> OrderElem:
+    """num/n rounded as _rounded_coords rounds it, as an element of num's order."""
     order = num.order
-    c0 = order.theta_trace // 2
-    t = _round_half_to_zero(num.v, n)
-    return OrderElem(_round_half_to_zero(num.u + c0 * num.v, n) - c0 * t, t, order)
+    return OrderElem(*_rounded_coords(num.u, num.v, n, order.theta_trace // 2), order)
 
 
 def egcd_order(alpha: OrderElem, beta: OrderElem) -> tuple[OrderElem, OrderElem, OrderElem]:

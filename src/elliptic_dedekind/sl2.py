@@ -19,6 +19,13 @@ N(gamma*a + delta*c) < N(c):
     (gamma, delta) = O is required; _complete_row finds alpha and beta.
     The candidates are found and tested in integers (_extra_step).
 
+The walk runs on int pairs (u, v) for u + v*theta, with tr(theta), N(theta)
+and tr(theta) // 2 read once per walk: the steps, the test (gamma, delta) = O
+(gcd(N(gamma), N(delta), u, v) = 1 with u + v*theta = gamma*conj(delta),
+before any completion is tried), the completions and the rounding.
+OrderElems are built only from h, k and for the constants it returns;
+_complete_column and _generates_order wrap the same integer code.
+
 On d_K = -7, -8, -11 every step has gamma = -1 (a neighbour of q in the
 corner cases of -7 and -11), as in the Euclidean algorithm.  The walk ends
 at (u, 0), u a unit, carrying the cofactor x0 of h (a = x0*h mod k), and
@@ -38,7 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConstructionError, NotUnimodularError, OrderMismatchError, SearchLimitError
-from .ring import OrderElem, QuadOrder, _rounded_quotient, inverse_mod
+from .ring import OrderElem, QuadOrder, _rounded_coords, inverse_mod
 
 __all__ = ["Mat2"]
 
@@ -47,6 +54,9 @@ __all__ = ["Mat2"]
 # |disc| = 507, needed at most 72 and 4.03*|disc|.
 _GAMMA_NORM = 72
 _GAMMA_DISC = 8
+
+# An element u + v*theta of the order as the int pair (u, v).
+_Pair = tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -61,7 +71,7 @@ class Mat2:
     def __post_init__(self):
         order = self.a.order
         for entry in (self.b, self.c, self.d):
-            if entry.order != order:
+            if entry.order is not order and entry.order != order:
                 raise OrderMismatchError("matrix entries belong to different orders")
 
     @classmethod
@@ -95,19 +105,68 @@ class Mat2:
         return max(self.a.norm(), self.b.norm(), self.c.norm(), self.d.norm())
 
 
-def _complete_column(a: OrderElem, c: OrderElem) -> Mat2 | None:
-    """[[a, b], [c, d]] in SL2(O) for c != 0, or None unless gcd(N(a), N(c)) = 1.
+def _mul(x: _Pair, y: _Pair, tr: int, nt: int) -> _Pair:
+    """x*y, with theta^2 = tr*theta - nt."""
+    (xu, xv), (yu, yv) = x, y
+    return xu * yu - xv * yv * nt, xu * yv + xv * yu + xv * yv * tr
+
+
+def _times_conj(x: _Pair, y: _Pair, tr: int, nt: int) -> _Pair:
+    """x*conj(y), with conj(u + v*theta) = (u + v*tr) - v*theta."""
+    (xu, xv), (yu, yv) = x, y
+    return xu * yu + xu * yv * tr + xv * yv * nt, xv * yu - xu * yv
+
+
+def _norm(x: _Pair, tr: int, nt: int) -> int:
+    u, v = x
+    return u * u + u * v * tr + v * v * nt
+
+
+def _add(x: _Pair, y: _Pair) -> _Pair:
+    return x[0] + y[0], x[1] + y[1]
+
+
+def _sub(x: _Pair, y: _Pair) -> _Pair:
+    return x[0] - y[0], x[1] - y[1]
+
+
+def _combine(p: _Pair, x: _Pair, q: _Pair, y: _Pair, tr: int, nt: int) -> _Pair:
+    """p*x + q*y."""
+    return _add(_mul(p, x, tr, nt), _mul(q, y, tr, nt))
+
+
+def _generates(x: _Pair, y: _Pair, tr: int, nt: int) -> bool:
+    """Whether the ideal (x, y) is the whole order (see _generates_order)."""
+    u, v = _times_conj(x, y, tr, nt)
+    return math.gcd(_norm(x, tr, nt), _norm(y, tr, nt), u, v) == 1
+
+
+def _column(a: _Pair, c: _Pair, tr: int, nt: int, c0: int) -> tuple[_Pair, _Pair] | None:
+    """(b, d) with [[a, b], [c, d]] in SL2(O) for c != 0, or None unless gcd(N(a), N(c)) = 1.
 
     d = conj(a)*(N(a)^-1 mod N(c)) gives a*d = 1 (mod N(c)), so c divides
     a*d - 1 on any order, with no Euclidean algorithm; d is reduced by the
     rounded quotient d/c, as in a Euclidean step, to keep the entries small.
     """
-    n_a, n_c = a.norm(), c.norm()
+    n_a, n_c = _norm(a, tr, nt), _norm(c, tr, nt)
     if math.gcd(n_a, n_c) != 1:
         return None
-    d = a.conjugate() * inverse_mod(n_a, n_c)
-    d -= _rounded_quotient(d * c.conjugate(), n_c) * c
-    return Mat2(a, (a * d - a.order.one()).exact_div(c), c, d)
+    inv = inverse_mod(n_a, n_c)
+    d = ((a[0] + a[1] * tr) * inv, -a[1] * inv)
+    d = _sub(d, _mul(_rounded_coords(*_times_conj(d, c, tr, nt), n_c, c0), c, tr, nt))
+    bu, bv = _times_conj(_sub(_mul(a, d, tr, nt), (1, 0)), c, tr, nt)
+    return (bu // n_c, bv // n_c), d
+
+
+def _complete_column(a: OrderElem, c: OrderElem) -> Mat2 | None:
+    """[[a, b], [c, d]] in SL2(O) for c != 0, or None unless gcd(N(a), N(c)) = 1 (see _column)."""
+    order = a.order
+    trace = order.theta_trace
+    col = _column((a.u, a.v), (c.u, c.v), trace, order.theta_norm, trace // 2)
+    if col is None:
+        return None
+    (bu, bv), (du, dv) = col
+    return Mat2(a, OrderElem(bu, bv, order), c, OrderElem(du, dv, order))
 
 
 def _generates_order(h: OrderElem, k: OrderElem) -> bool:
@@ -118,8 +177,8 @@ def _generates_order(h: OrderElem, k: OrderElem) -> bool:
     minors are N(h), N(k), the two coordinates of h*conj(k) up to sign, and
     integer combinations of these, so the index is their gcd.
     """
-    num = h * k.conjugate()
-    return math.gcd(h.norm(), k.norm(), num.u, num.v) == 1
+    h._check(k)
+    return _generates((h.u, h.v), (k.u, k.v), h.order.theta_trace, h.order.theta_norm)
 
 
 def _gamma_bound(order: QuadOrder) -> int:
@@ -128,8 +187,8 @@ def _gamma_bound(order: QuadOrder) -> int:
 
 
 @functools.cache
-def _gammas(order: QuadOrder) -> tuple[OrderElem, ...]:
-    """gamma = -1, then every non-unit up to _gamma_bound, one of each +-gamma.
+def _gammas(order: QuadOrder) -> tuple[_Pair, ...]:
+    """gamma = -1, then every non-unit up to _gamma_bound, one of each +-gamma, as int pairs.
 
     The non-units are sorted by norm, then by the coordinates s, t of
     gamma = s + t*omega in the reduced basis omega = theta - (tr theta // 2).
@@ -137,21 +196,22 @@ def _gammas(order: QuadOrder) -> tuple[OrderElem, ...]:
     does, so -1 stands for them all.  Built on the first walk that needs it.
     """
     bound = _gamma_bound(order)
-    c0 = order.theta_trace // 2
+    trace, theta_norm = order.theta_trace, order.theta_norm
+    c0 = trace // 2
     # N(s + t*omega) >= t^2*|d|/4, so |t| <= 2*sqrt(bound/|d|).
     t_max = math.isqrt(4 * bound // abs(order.discriminant))
     s_max = math.isqrt(bound) + t_max
-    found = [
-        (gamma.norm(), t, s, gamma)
+    found = sorted(
+        (norm, t, s)
         for t in range(t_max + 1)
         for s in range(-s_max if t else 2, s_max + 1)
-        if 1 < (gamma := OrderElem(s - c0 * t, t, order)).norm() <= bound
-    ]
-    return (-order.one(),) + tuple(gamma for *_, gamma in sorted(found, key=lambda entry: entry[:3]))
+        if 1 < (norm := _norm((s - c0 * t, t), trace, theta_norm)) <= bound
+    )
+    return ((-1, 0),) + tuple((s - c0 * t, t) for _, t, s in found)
 
 
-def _extra_step(a: OrderElem, c: OrderElem, num: OrderElem, n: int) -> tuple[Mat2, OrderElem]:
-    """(M, gamma*a + delta*c) for the first M = [[alpha, beta], [gamma, delta]] in SL2(O) that lowers N(c).
+def _extra_step(num: _Pair, n: int, order: QuadOrder, tr: int, nt: int, c0: int) -> tuple[_Pair, _Pair, _Pair, _Pair]:
+    """(alpha, beta, gamma, delta) of the first M in SL2(O) that lowers N(c) (see the module docstring).
 
     num = a*conj(c) and n = N(c), so a/c = num/n = z0 + zf with z0 in the
     order and zf in [0, 1) + [0, 1)*theta.  gamma runs over _gammas.  For
@@ -165,58 +225,57 @@ def _extra_step(a: OrderElem, c: OrderElem, num: OrderElem, n: int) -> tuple[Mat
     nearest row t0, each at s0 - 1..s0 + 1 around its nearest s0.  Raises
     SearchLimitError when no gamma up to _gamma_bound qualifies.
     """
-    order = a.order
-    trace, theta_norm = order.theta_trace, order.theta_norm
-    z0 = OrderElem(num.u // n, num.v // n, order)
-    frac = OrderElem(num.u % n, num.v % n, order)  # n*zf
+    nu, nv = num
+    z0 = (nu // n, nv // n)
+    fu, fv = nu % n, nv % n  # n*zf
     n2, nn = 2 * n, n * n
     for gamma in _gammas(order):
-        g = gamma * frac
-        x0, y0 = g.u, g.v
+        gu, gv = gamma
+        x0 = gu * fu - gv * fv * nt
+        y0 = gu * fv + gv * fu + gv * fv * tr
         near = []
         t0 = -((2 * y0 + n) // n2)
         for t in (t0 - 1, t0, t0 + 1):
             y = y0 + n * t
-            s0 = -((2 * x0 + y * trace + n) // n2)
+            s0 = -((2 * x0 + y * tr + n) // n2)
             for s in (s0 - 1, s0, s0 + 1):
                 x = x0 + n * s
-                norm = x * x + x * y * trace + y * y * theta_norm
+                norm = x * x + x * y * tr + y * y * nt
                 if norm < nn:
                     near.append((norm, s, t))
         for _, s, t in sorted(near):
-            delta_f = OrderElem(s, t, order)
-            m = _complete_row(gamma, delta_f)
-            if m is not None:
-                delta = delta_f - gamma * z0
-                return Mat2(m.a, m.b - m.a * z0, gamma, delta), gamma * a + delta * c
+            row = _complete_row(gamma, (s, t), tr, nt, c0)
+            if row is not None:
+                alpha, beta = row
+                return alpha, _sub(beta, _mul(alpha, z0, tr, nt)), gamma, _sub((s, t), _mul(gamma, z0, tr, nt))
     raise SearchLimitError(
         f"no gamma of norm <= {_gamma_bound(order)} lowers N(c) = {n} on the order "
         f"(d_K={order.d_k}, f={order.f}); the walk is stuck"
     )
 
 
-def _complete_row(gamma: OrderElem, delta: OrderElem) -> Mat2 | None:
-    """[[alpha, beta], [gamma, delta]] in SL2(O), or None unless (gamma, delta) = O.
+def _complete_row(gamma: _Pair, delta: _Pair, tr: int, nt: int, c0: int) -> tuple[_Pair, _Pair] | None:
+    """(alpha, beta) with [[alpha, beta], [gamma, delta]] in SL2(O), or None unless (gamma, delta) = O.
 
     A unit gamma takes [[0, -1/gamma], [gamma, delta]].  Otherwise
-    _complete_column(delta + gamma*m, gamma) = [[delta + gamma*m, beta'], [gamma, alpha]]
-    gives beta = beta' - m*alpha.  It needs gcd(N(gamma), N(delta + gamma*m)) = 1:
-    m = 0 where the norms are coprime already, else the first small m that
-    avoids, for each prime ideal P over a prime dividing N(gamma), the one
-    class of m mod P with delta + gamma*m in P.
+    _column(delta + gamma*m, gamma) = (beta', alpha) completes
+    [[delta + gamma*m, beta'], [gamma, alpha]] and gives beta = beta' - m*alpha.
+    It needs gcd(N(gamma), N(delta + gamma*m)) = 1: m = 0 where the norms are
+    coprime already, else the first small m that avoids, for each prime ideal
+    P over a prime dividing N(gamma), the one class of m mod P with
+    delta + gamma*m in P.
     """
-    order = gamma.order
-    if gamma.is_unit():
-        return Mat2(order.zero(), -gamma.conjugate(), gamma, delta)
-    if not _generates_order(gamma, delta):
+    if _norm(gamma, tr, nt) == 1:
+        return (0, 0), (-gamma[0] - gamma[1] * tr, gamma[1])
+    if not _generates(gamma, delta, tr, nt):
         return None
     for s in (0, 1, -1, 2, -2, 3, -3):
         for t in (0, 1, -1, 2, -2, 3, -3):
-            m = OrderElem(s, t, order)
-            col = _complete_column(delta + gamma * m, gamma)
+            col = _column(_add(delta, _mul(gamma, (s, t), tr, nt)), gamma, tr, nt, c0)
             if col is not None:
-                return Mat2(col.d, col.b - m * col.d, gamma, delta)
-    raise ConstructionError(f"no small m completes (gamma, delta) = ({gamma!r}, {delta!r}), which generate O")
+                beta, alpha = col
+                return alpha, _sub(beta, _mul((s, t), alpha, tr, nt))
+    raise ConstructionError(f"no small m completes (gamma, delta) = ({gamma}, {delta}), which generate O")
 
 
 @dataclass(frozen=True)
@@ -235,36 +294,38 @@ class _Walk:
 def _walk(h: OrderElem, k: OrderElem) -> _Walk:
     """The walk of (h, k), for h != 0 with (h, k) = O; raises SearchLimitError when it is stuck."""
     order = h.order
+    tr, nt = order.theta_trace, order.theta_norm
+    c0 = tr // 2
     # The walk (a, c) -> M*(a, c) keeps a = x0*h and c = x1*h modulo k.
-    a, c = h, k
-    x0, x1 = order.one(), order.zero()
+    a, c = (h.u, h.v), (k.u, k.v)
+    x0, x1 = (1, 0), (0, 0)
     q_sum = 0
     extra = 0
     constants = []
-    while not c.is_zero():
-        n = c.norm()
-        num = a * c.conjugate()
-        q = _rounded_quotient(num, n)
-        r = q * c - a
-        if r.norm() < n:
+    while c != (0, 0):
+        n = _norm(c, tr, nt)
+        num = _times_conj(a, c, tr, nt)
+        q = _rounded_coords(*num, n, c0)
+        r = _sub(_mul(q, c, tr, nt), a)
+        if _norm(r, tr, nt) < n:
             # M = [[0, 1], [-1, q]], with J((0 + q)/-1) = -J(q) = -v(q).
-            q_sum += q.v
+            q_sum += q[1]
             a, c = c, r
-            x0, x1 = x1, q * x1 - x0
+            x0, x1 = x1, _sub(_mul(q, x1, tr, nt), x0)
             continue
-        m, c_new = _extra_step(a, c, num, n)
-        n_gamma = m.c.norm()
-        extra += Fraction(((m.a + m.d) * m.c.conjugate()).v, n_gamma)
+        alpha, beta, gamma, delta = _extra_step(num, n, order, tr, nt, c0)
+        n_gamma = _norm(gamma, tr, nt)
+        extra += Fraction(_times_conj(_add(alpha, delta), gamma, tr, nt)[1], n_gamma)
         if n_gamma > 1:
-            constants.append((m.a, m.c))
-        a, c = m.a * a + m.b * c, c_new
-        x0, x1 = m.a * x0 + m.b * x1, m.c * x0 + m.d * x1
-    if not a.is_unit():
-        raise ConstructionError(f"the walk of a pair with (h, k) = O ended at a non-unit {a!r}")
-    x = x0 * a.conjugate()  # h*x = 1 (mod k): a is a unit of norm 1
+            constants.append((alpha, gamma))
+        a, c = _combine(alpha, a, beta, c, tr, nt), _combine(gamma, a, delta, c, tr, nt)
+        x0, x1 = _combine(alpha, x0, beta, x1, tr, nt), _combine(gamma, x0, delta, x1, tr, nt)
+    if _norm(a, tr, nt) != 1:
+        raise ConstructionError(f"the walk of a pair with (h, k) = O ended at a non-unit {OrderElem(*a, order)!r}")
+    x = _times_conj(x0, a, tr, nt)  # h*x = 1 (mod k): a is a unit of norm 1
     # J(z/w) = 2*Im(z/w)/sqrt(|d|) is the theta-coordinate of z/w, as Im(theta) = sqrt(|d|)/2.
-    r = Fraction(((h + x) * k.conjugate()).v, k.norm()) - q_sum + extra
-    return _Walk(r, tuple(constants))
+    r = Fraction(_times_conj(_add((h.u, h.v), x), (k.u, k.v), tr, nt)[1], k.norm()) - q_sum + extra
+    return _Walk(r, tuple((OrderElem(*alpha, order), OrderElem(*gamma, order)) for alpha, gamma in constants))
 
 
 def _signed_walk(h: OrderElem, k: OrderElem) -> tuple[int, _Walk]:

@@ -389,6 +389,7 @@ def test_euclid_path_is_one_walk_without_completion(dk, monkeypatch):
 
     monkeypatch.setattr(dedekind, "egcd_order", forbidden)
     monkeypatch.setattr(sl2, "_complete_column", forbidden)
+    monkeypatch.setattr(sl2, "_column", forbidden)
     for step in approximate(Target(1, 3, ctx.order), 25):
         assert d_norm_exact(step.A3.a, step.A3.c, ctx) == step.dtilde_exact
     for h, k in pairs:

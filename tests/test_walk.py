@@ -7,12 +7,14 @@ it is stuck.
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from elliptic_dedekind import (
     ExcludedRingError,
     Lattice,
+    Mat2,
     OrderElem,
     PreconditionError,
     QuadOrder,
@@ -24,7 +26,7 @@ from elliptic_dedekind import (
     d_norm_exact,
     d_sum,
 )
-from elliptic_dedekind import sl2
+from elliptic_dedekind import dedekind, sl2
 from elliptic_dedekind.cli import main
 from elliptic_dedekind.cosets import CosetSystem
 from elliptic_dedekind.dedekind import _d_sum_table, _walk_value
@@ -157,11 +159,12 @@ def test_complete_row_completes_every_coprime_row(dk, f):
         delta = order.element(rng.randint(-12, 12), rng.randint(-2, 2))
         if gamma.is_zero():
             continue
-        m = _complete_row(gamma, delta)
+        tr = order.theta_trace
+        row = _complete_row((gamma.u, gamma.v), (delta.u, delta.v), tr, order.theta_norm, tr // 2)
         if not _generates_order(gamma, delta):
-            assert m is None
+            assert row is None
             continue
-        assert (m.c, m.d) == (gamma, delta)
+        m = Mat2(order.element(*row[0]), order.element(*row[1]), gamma, delta)
         assert m.is_unimodular()
         coprime_norms[math.gcd(gamma.norm(), delta.norm()) == 1] += 1
     # Rows whose norms share a factor are completed too.
@@ -187,7 +190,7 @@ def test_walk_is_shift_invariant_and_odd_bit_for_bit(dk, f):
 def test_walk_steps_grow_like_log_norm(dk, f, monkeypatch):
     # Every step of the walk rounds one quotient, so counting those counts the steps;
     # the roundings of the completions inside an extra step are dropped.
-    rounded, extra_step = sl2._rounded_quotient, sl2._extra_step
+    rounded, extra_step = sl2._rounded_coords, sl2._extra_step
     calls = []
 
     def extra(*args):
@@ -197,7 +200,7 @@ def test_walk_steps_grow_like_log_norm(dk, f, monkeypatch):
         finally:
             del calls[before:]
 
-    monkeypatch.setattr(sl2, "_rounded_quotient", lambda num, n: calls.append(n) or rounded(num, n))
+    monkeypatch.setattr(sl2, "_rounded_coords", lambda u, v, n, c0: calls.append(n) or rounded(u, v, n, c0))
     monkeypatch.setattr(sl2, "_extra_step", extra)
     order = QuadOrder(dk, f)
     rng = random.Random(45)
@@ -262,7 +265,7 @@ def test_d_norm_exact_refuses_the_rings_where_e2_vanishes(dk):
 def test_a_stuck_walk_fails_loudly(monkeypatch, capsys):
     # With -1 as the only gamma, the conductor-3 order has no step that lowers N(c) on this pair.
     order = QuadOrder(-8, 3)
-    monkeypatch.setattr(sl2, "_gammas", lambda o: (-o.one(),))
+    monkeypatch.setattr(sl2, "_gammas", lambda o: ((-1, 0),))
     with pytest.raises(SearchLimitError, match="stuck"):
         d_sum(order.element(3313), order.element(4584, 382), SumContext(order))
     code = main(["sum", "--dk", "-8", "-f", "3", "--h", "3313,0", "--k", "4584,382", "--format", "json"])
@@ -270,3 +273,105 @@ def test_a_stuck_walk_fails_loudly(monkeypatch, capsys):
     assert code == 3
     assert out == ""
     assert err.startswith("internal error: ") and "stuck" in err
+
+
+def test_walk_builds_one_e1_table_per_gamma(monkeypatch, capsys):
+    # README's fifth sum: nine constants on five (alpha, gamma) pairs, with three distinct gammas.
+    order = QuadOrder(-8, 3)
+    constants = _signed_walk(order.element(3313), order.element(4584, 382))[1].constants
+    gammas = {gamma for _, gamma in constants}
+    assert len(set(constants)) > len(gammas)
+    built = []
+    e1_table = dedekind._e1_table
+    monkeypatch.setattr(dedekind, "_e1_table", lambda system: built.append(system.k) or e1_table(system))
+    code = main(["sum", "--dk", "-8", "-f", "3", "--h", "3313,0", "--k", "4584,382", "--format", "json"])
+    assert code == 0
+    assert '"d_norm":0.010180337405468295' in capsys.readouterr().out
+    assert len(built) == len(gammas) and set(built) == gammas
+
+
+# (d_K, f, h, k), (sign, R) and the constants (alpha_u, alpha_v, gamma_u, gamma_v) of
+# _signed_walk, recorded from the walk on OrderElem arithmetic: one pair at N(k) ~ 1e30
+# on each of five orders (drawn with random.Random(47)), then README's fifth sum.
+PINNED_WALKS = [
+    (
+        (-8, 3, (-9044522756396, 55413830901490), (105942611429219, 67534340783344)),
+        (1, "-165639511388278898444177469624379/114517896515221354266614795489142"),
+        [
+            (-11, -1, 3, 0), (13, 1, 4, 0), (13, 1, 3, 0), (19, 1, 10, 1), (-17, 0, 24, 2), (-11, -1, 3, 0),
+            (13, 1, 2, 0), (-13, -1, 3, 0), (-13, -1, 3, 0), (-13, -1, 3, 0), (5, 0, 12, 1), (5, 0, 12, 1),
+            (5, 0, 12, 1), (-13, -1, 3, 0), (5, 0, 12, 1), (5, 0, 12, 1), (-13, -1, 3, 0), (-13, -1, 3, 0),
+            (13, 1, 2, 0), (-11, -1, 3, 0), (5, 0, 12, 1), (13, 1, 4, 0), (13, 1, 3, 0), (-11, -1, 4, 0),
+            (11, 1, 4, 0), (-7, 0, 12, 1), (-11, -1, 3, 0), (-11, -1, 3, 0), (-11, -1, 3, 0),
+            (-11, -1, 3, 0), (-11, -1, 3, 0), (7, 0, 12, 1), (13, 1, 4, 0), (-13, -1, 4, 0), (13, 1, 4, 0),
+            (13, 1, 2, 0), (-5, 0, 12, 1), (-11, -1, 4, 0), (-11, -1, 3, 0), (7, 0, 12, 1), (13, 1, 3, 0),
+            (13, 1, 3, 0), (-11, -1, 4, 0), (-11, -1, 3, 0), (13, 1, 4, 0),
+        ],
+    ),
+    (
+        (-15, 1, (-40587875796232, 88329347040022), (189392712772487, 112574549598484)),
+        (1, "32318067983333966075014884929384/7146590439381708431981226223635"),
+        [
+            (4, 1, 15, 2), (-4, -1, 15, 2), (4, 1, 15, 2), (4, 1, 15, 2), (4, 1, 15, 2), (4, 1, 15, 2),
+        ],
+    ),
+    (
+        (-23, 1, (-173315645898193, 103156030380316), (112811217727387, -63596447331422)),
+        (1, "18356321343774473993145185507011/8830554261544713301123618854996"),
+        [
+            (-3, 0, 10, 1), (-3, 0, 10, 1), (-3, 0, 10, 1), (14, 1, 9, 1), (-3, 0, 10, 1), (-3, 0, 10, 1),
+            (14, 1, 9, 1), (3, 0, 10, 1), (3, 0, 10, 1), (-14, -1, 9, 1), (3, 0, 10, 1), (3, 0, 10, 1),
+            (3, 0, 10, 1), (-14, -1, 9, 1), (10, 1, 13, 1), (10, 1, 13, 1), (-14, -1, 9, 1), (3, 0, 10, 1),
+            (-3, 0, 10, 1), (10, 1, 13, 1), (-14, -1, 9, 1), (3, 0, 10, 1), (14, 1, 9, 1), (3, 0, 10, 1),
+            (-14, -1, 9, 1), (3, 0, 10, 1), (-3, 0, 10, 1),
+        ],
+    ),
+    (
+        (-163, 1, (-60728052818922, 77510101037827), (-5868471523959, 30480562442566)),
+        (-1, "38432003664441844590602166875719/37428781523511078070813778689506"),
+        [
+            (-82, -1, 4, 0), (163, 2, 5, 0), (83, 1, 2, 0), (83, 1, 3, 0), (83, 1, 5, 0), (-79, -1, 6, 0),
+            (-166, -2, 5, 0), (82, 1, 3, 0), (-80, -1, 4, 0), (-166, -2, 5, 0), (83, 1, 3, 0),
+            (-80, -1, 4, 0), (81, 1, 6, 0), (166, 2, 5, 0), (-82, -1, 3, 0), (-82, -1, 4, 0), (82, 1, 3, 0),
+            (-162, -2, 5, 0), (162, 2, 5, 0), (-82, -1, 3, 0), (-82, -1, 4, 0), (81, 1, 3, 0),
+            (80, 1, 5, 0), (-79, -1, 6, 0), (-82, -1, 4, 0), (82, 1, 3, 0), (-82, -1, 3, 0), (83, 1, 2, 0),
+            (164, 2, 5, 0), (-81, -1, 3, 0), (-82, -1, 5, 0), (-80, -1, 6, 0), (164, 2, 5, 0),
+            (-164, -2, 5, 0), (83, 1, 2, 0), (81, 1, 3, 0), (82, 1, 4, 0), (-83, -1, 4, 0), (-83, -1, 5, 0),
+        ],
+    ),
+    (
+        (-3, 7, (-64880617704359, 73357536152390), (78185180258757, -10021036409396)),
+        (-1, "-27747886662758835133932759751213/79260342569595985343703868162270"),
+        [
+            (12, 1, 5, 0), (-12, -1, 4, 0), (22, 2, 5, 0), (12, 1, 2, 0), (-11, -1, 5, 0), (12, 1, 4, 0),
+            (-7, 0, 12, 1), (-9, -1, 5, 0), (12, 1, 4, 0), (14, 0, 9, 1), (-13, 1, 21, 2), (14, 0, 9, 1),
+            (-11, -1, 3, 0), (-13, -1, 5, 0), (-10, -1, 6, 0), (9, 1, 5, 0), (11, 1, 4, 0), (21, 2, 5, 0),
+            (11, 1, 2, 0), (24, 2, 5, 0), (12, 1, 2, 0), (-11, -1, 3, 0), (10, 1, 5, 0), (13, 1, 6, 0),
+            (-22, -2, 5, 0), (12, 1, 2, 0), (-10, -1, 3, 0), (-14, 0, 9, 1), (11, 1, 2, 0), (14, 0, 9, 1),
+            (-13, -1, 5, 0), (12, 1, 4, 0), (11, 1, 4, 0), (-12, -1, 4, 0), (-10, -1, 3, 0), (12, 1, 4, 0),
+            (-9, -1, 5, 0), (20, 2, 5, 0), (24, 2, 5, 0), (11, 1, 2, 0), (-11, -1, 5, 0), (-11, -1, 3, 0),
+            (13, 1, 4, 0), (10, 1, 3, 0), (23, 2, 5, 0), (11, 1, 2, 0), (23, 2, 5, 0),
+        ],
+    ),
+    (
+        (-8, 3, (3313, 0), (4584, 382)),
+        (1, "35/3438"),
+        [
+            (-17, 0, 24, 2), (-36, -3, 7, 0), (-17, 0, 24, 2), (-17, 0, 24, 2), (5, 0, 12, 1),
+            (7, 0, 12, 1), (17, 0, 24, 2), (17, 0, 24, 2), (17, 0, 24, 2),
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "pair, expected, constants",
+    PINNED_WALKS,
+    ids=["d-8f3-1e30", "d-15-1e30", "d-23-1e30", "d-163-1e30", "d-3f7-1e30", "readme-fifth-sum"],
+)
+def test_walk_reproduces_pinned_walks_bit_for_bit(pair, expected, constants):
+    dk, f, h, k = pair
+    order = QuadOrder(dk, f)
+    sign, walk = _signed_walk(order.element(*h), order.element(*k))
+    assert (sign, walk.r) == (expected[0], Fraction(expected[1]))
+    assert [(a.u, a.v, g.u, g.v) for a, g in walk.constants] == constants
