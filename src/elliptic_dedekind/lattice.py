@@ -13,8 +13,11 @@ with alpha = qbar*w, beta = qbar/w, w = exp(2*pi*i*u), qbar = exp(2*pi*i*tau).
 L is odd, so u is taken with Im u >= 0; then |beta| <= exp(-pi*Im tau) and
 ceil(18*ln(10)/(pi*Im tau)) terms bring beta^n below 1e-18 (at most 16 terms,
 as Im tau >= sqrt(3)/2), while |alpha| <= exp(-2*pi*Im tau) needs half as
-many.  Both series run by Horner's rule, and one complex exponential serves
-the cotangent and the series: w = 1 + expm1(2*pi*i*u).  The same count
+many.  Both series run by Horner's rule.  The cotangent takes
+expm1(2*pi*i*u), accurate near u = 0; the series takes w = exp(2*pi*i*u)
+from its own exponential, since 1 + expm1 keeps w only to an absolute 1e-16
+and |w| falls to exp(-pi*Im tau) at Im u = Im tau/2, where beta = qbar/w
+would divide that rounding.  The same count
 truncates the q-expansions of G2 and E4; j = E4^3/Delta takes
 Delta = qbar*prod(1 - qbar^n)^24, which keeps its relative accuracy at any
 Im tau.  zeta adds G2(tau)*u back,
@@ -191,8 +194,9 @@ class Lattice:
         w underflows to 0 only where qbar has (Im tau > 236), and beta is 0 there.
         """
         sign = np.where(u.imag < 0.0, -1.0, 1.0)
-        em1 = np.expm1(2j * math.pi * sign * u)
-        w = 1.0 + em1
+        z = 2j * math.pi * sign * u
+        em1 = np.expm1(z)
+        w = np.exp(z)
         cot = math.pi * 1j * (1.0 + 2.0 / em1)  # pi*cot(pi*v)
         alpha = self._qbar * w
         beta = np.divide(self._qbar, w, out=np.zeros_like(w), where=w != 0)

@@ -1,10 +1,14 @@
-"""Slow direct-summation reference evaluators.
+"""Reference evaluators along code paths independent of the q-series kernels.
 
 These exist purely to cross-check the closed-form evaluators in
-:mod:`elliptic_dedekind.lattice` along an independent code path.  They
-truncate the defining lattice sums over a disk, so accuracy is polynomial in
-the radius (roughly 1e-4 at the settings used here) -- use them as oracles in
-verification suites, never in production paths.
+:mod:`elliptic_dedekind.lattice`; use them in verification suites, never in
+production paths.
+
+- `weierstrass_zeta_direct` truncates the defining sum of zeta over a disk, so
+  its accuracy is polynomial in the radius (about 1e-9 at the default).
+- `e2_hecke_limit` evaluates Hecke's limit for E2(0) exactly by Ewald's theta
+  split: two rapidly converging sums of elementary functions over the given
+  basis and its dual, accurate to the last few units in the last place.
 """
 
 from __future__ import annotations
@@ -17,11 +21,9 @@ from .lattice import Lattice
 
 __all__ = ["lattice_points_in_disk", "weierstrass_zeta_direct", "e2_hecke_limit"]
 
-# e2_hecke_limit: the exponents s it extrapolates from, the disk radius in
-# units of sqrt(area), and the outer fraction of the disk it averages over.
-_HECKE_S = (0.5, 0.25, 0.125, 0.0625)
-_HECKE_RADIUS_CELLS = 220.0
-_HECKE_WINDOW = 0.2
+# e2_hecke_limit: both of its sums stop where the exponent of their Gaussian
+# reaches this, so each drops terms below exp(-40) ~ 4e-18 of the first.
+_EWALD_CUTOFF = 40.0
 
 
 def lattice_points_in_disk(lattice: Lattice, radius: float) -> np.ndarray:
@@ -41,51 +43,68 @@ def lattice_points_in_disk(lattice: Lattice, radius: float) -> np.ndarray:
     return z[mask]
 
 
-def weierstrass_zeta_direct(z: complex, lattice: Lattice, radius_shells: int = 40) -> complex:
+def weierstrass_zeta_direct(z: complex, lattice: Lattice, radius_cells: float = 200.0) -> complex:
     """Truncated defining sum 1/z + sum' [1/(z-w) + 1/w + z/w^2].
 
-    The truncation is a centered disk of radius `radius_shells` basis lengths,
-    so odd-symmetry cancellation leaves an O(1/R^2) tail.
+    The truncation is a centered disk of radius `radius_cells`*sqrt(area), so
+    its cost depends on the lattice, not on the basis that names it, and
+    odd-symmetry cancellation leaves an O(1/radius_cells^2) tail.
     """
-    radius = radius_shells * max(abs(lattice.omega1), abs(lattice.omega2))
-    pts = lattice_points_in_disk(lattice, radius)
+    pts = lattice_points_in_disk(lattice, radius_cells * math.sqrt(lattice.area()))
     zc = complex(z)
     terms = 1.0 / (zc - pts) + 1.0 / pts + zc / (pts * pts)
     return zc**-1 + complex(np.sum(terms))
 
 
-def _lagrange_at_zero(s_values, f_values) -> complex:
-    total = 0.0 + 0.0j
-    for i, si in enumerate(s_values):
-        li = 1.0
-        for j, sj in enumerate(s_values):
-            if j != i:
-                li *= (0.0 - sj) / (si - sj)
-        total += f_values[i] * li
-    return total
+def _points_in_disk(b1: complex, b2: complex, area: float, r2_max: float):
+    """Nonzero m*b1 + n*b2 with |m*b1 + n*b2|^2 <= r2_max, one row of n at a time.
+
+    Row n lies at distance |n|*area/|b1| from the line R*b1; on it, m runs over
+    the integers of an interval centred at -n*Re(b2*conj(b1))/|b1|^2.
+    """
+    len1 = abs(b1)
+    gap = area / len1
+    shift = (b2 * b1.conjugate()).real / (len1 * len1)
+    n_max = int(math.sqrt(r2_max) / gap)
+    for n in range(-n_max, n_max + 1):
+        room = r2_max - (n * gap) ** 2
+        if room < 0.0:
+            continue
+        half = math.sqrt(room) / len1
+        centre = -n * shift
+        for m in range(math.ceil(centre - half), math.floor(centre + half) + 1):
+            if m or n:
+                yield m * b1 + n * b2
 
 
 def e2_hecke_limit(lattice: Lattice) -> complex:
-    """Direct sums sum' w^-2 |w|^-2s at small s > 0, extrapolated to s = 0.
+    """Hecke's limit E2(0) = lim_{s->0+} sum' w^-2 |w|^-2s, by Ewald's theta split.
 
-    Partial sums over centered disks oscillate shell by shell, so the value at
-    each s is averaged over all truncation radii in the outer _HECKE_WINDOW
-    fraction of the disk before polynomial extrapolation in s.  Four halved
-    nodes are needed: a quadratic fit through (0.5, 0.25, 0.125) alone leaves
-    an s^3 extrapolation error near 1e-3, independent of the radius.
+    With A the area, x = pi*|w|^2/A and y = pi*A*|xi|^2,
+
+        E2(0) = sum'_{w in L} w^-2 (1 + x) e^-x - (pi/A) sum'_{xi in L*} (conj(xi)/xi) e^-y,
+
+    where L* = {xi : Re(w*conj(xi)) in Z for all w in L} has the dual basis
+    xi1 = -i*omega2/A, xi2 = i*omega1/A.  The value at sigma = 2 of the Epstein
+    zeta function sum' conj(w)^2 |w|^-2sigma is entire in sigma (A. Weil,
+    "Elliptic Functions according to Eisenstein and Kronecker", 1976, ch. VIII);
+    Mellin's transform splits it at the self-dual Gaussian width pi/A, and
+    Poisson's formula with Hecke's identity for conj(x)^2 e^(-pi|x|^2) turns
+    the large-|w| half into the dual sum.  Gamma(2, x) = (1 + x) e^-x and
+    Gamma(1, y) = e^-y are what is left of the incomplete gamma functions.
+
+    Both sums stop at exponent _EWALD_CUTOFF, about 40 points each, and are
+    enumerated from the given basis omega1, omega2 in plain floats: nothing is
+    shared with the lattice's reduced basis or its q-series.
     """
-    a = lattice.area()
-    radius = _HECKE_RADIUS_CELLS * math.sqrt(a)
-    pts = lattice_points_in_disk(lattice, radius)
-    r2 = (pts * np.conj(pts)).real
-    order = np.argsort(r2, kind="stable")
-    pts = pts[order]
-    r2 = r2[order]
-    base = 1.0 / (pts * pts)
-    r_start = ((1.0 - _HECKE_WINDOW) * radius) ** 2
-    sel = r2 >= r_start
-    f_values = []
-    for s in _HECKE_S:
-        csum = np.cumsum(base * r2 ** (-s))
-        f_values.append(complex(csum[sel].mean()))
-    return _lagrange_at_zero(_HECKE_S, f_values)
+    w1, w2 = lattice.omega1, lattice.omega2
+    a = (w1.conjugate() * w2).imag
+    width = math.pi / a
+    direct = 0j
+    for w in _points_in_disk(w1, w2, a, _EWALD_CUTOFF / width):
+        x = width * abs(w) ** 2
+        direct += (1.0 + x) * math.exp(-x) / (w * w)
+    dual = 0j
+    for xi in _points_in_disk(-1j * w2 / a, 1j * w1 / a, 1.0 / a, _EWALD_CUTOFF / (math.pi * a)):
+        dual += xi.conjugate() / xi * math.exp(-math.pi * a * abs(xi) ** 2)
+    return direct - width * dual

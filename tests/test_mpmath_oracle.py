@@ -139,6 +139,27 @@ def test_e1_elongated_lattice(im_tau):
             assert mp_rel_err(lattice.e1(z), mp_e1(mp.mpc(z), w1, w2)) <= 1e-14
 
 
+@pytest.mark.parametrize("im_tau", [12.0, 11 * math.sqrt(7) / 2, 20.0])
+def test_e1_at_half_height_of_tall_lattices(im_tau):
+    # Where Re v = +-1/2 and Im v = +-Im(tau)/2, |w| = exp(-pi*Im tau) lies
+    # below the rounding of 1 + expm1(2*pi*i*v), and beta = qbar/w is as large
+    # as w.  E1 itself nearly cancels there, so the error is measured against
+    # |E1| + 1/|omega1|.  Im tau = 11*sqrt(7)/2 is the order of discriminant
+    # -7*11^2, whose torsion point (4 + 8*theta)/16 lies there.
+    lattice = Lattice(1.0, complex(-0.5, im_tau))
+    points = [complex(re, im * im_tau / 2) for re in (0.5, -0.5) for im in (1, -1)]
+    points += [complex(re, 0.499 * im_tau) for re in (0.5, 0.3)]
+    with mp.workdps(DPS):
+        w1, w2 = mp.mpc(lattice.omega1), mp.mpc(lattice.omega2)
+        for z in points:
+            ref = complex(mp_e1(mp.mpc(z), w1, w2))
+            assert abs(lattice.e1(z) - ref) <= 1e-14 * (abs(ref) + 1.0), z
+    order = Lattice.from_order(QuadOrder(-7, 11))
+    with mp.workdps(DPS):
+        ref = complex(mp_e1(mp.mpc((4 * order.omega1 + 8 * order.omega2) / 16), mp.mpc(order.omega1), mp.mpc(order.omega2)))
+    assert abs(order.e1_torsion([4], [8], 16)[0] - ref) <= 1e-14
+
+
 # Lattices with E2(0) != 0 and j != 0: Re tau = 0 and 1/2, a conductor-3 order,
 # a skew basis, and Im tau = 40, where w = exp(2*pi*i*u) reaches exp(-40*pi).
 ANALYTIC_LATTICES = {

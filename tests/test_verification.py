@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from elliptic_dedekind import CosetSystem, Lattice, QuadOrder
-from elliptic_dedekind.verification import _colliding_pairs, run_cosets_suite, run_phi_suite, run_suite
+from elliptic_dedekind.verification import _colliding_pairs, run_cosets_suite, run_e1_suite, run_phi_suite, run_suite
 
 
 def in_kl(m, dx, dy):
@@ -50,6 +50,32 @@ def test_cosets_suite_checks_the_order_it_is_given(dk, f):
         f"coset-{kind}-d{dk}f{f}" for kind in ("count", "inequivalence", "completeness")
     ]
     assert all(c.passed for c in checks)
+
+
+@pytest.mark.parametrize("dk, f", [(-8, 1), (-4, 1), (-7, 11), (-163, 1)])
+def test_e1_suite_records_and_hecke_tolerance(dk, f):
+    checks = run_e1_suite(QuadOrder(dk, f), seed=12345)
+    assert [c.name for c in checks] == [
+        "e1-periodicity",
+        "e1-oddness",
+        "e1-half-period-zero",
+        "legendre-relation",
+        "quasi-period-omega1",
+        "quasi-period-omega2",
+        "e2-homogeneity",
+        "zeta-direct-crosscheck",
+        "e2-hecke-sqrt2",
+        "e2-hecke-sqrt5",
+        f"e2-hecke-d{dk}f{f}",
+        "j-gauss-1728",
+        "j-eisenstein-0",
+        "j-reality-symmetric-bases",
+    ]
+    assert all(c.passed for c in checks)
+    assert {c.tolerance for c in checks if c.name.startswith("e2-hecke-")} == {1e-12}
+    # The direct zeta sum stays ten times inside its tolerance.
+    (zeta,) = [c for c in checks if c.name == "zeta-direct-crosscheck"]
+    assert zeta.residual <= zeta.tolerance / 10
 
 
 @pytest.mark.parametrize("dk, f", [(-8, 1), (-7, 1), (-4, 3)])
