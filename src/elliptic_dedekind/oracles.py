@@ -5,7 +5,7 @@ These exist purely to cross-check the closed-form evaluators in
 production paths.
 
 - `weierstrass_zeta_direct` truncates the defining sum of zeta over a disk, so
-  its accuracy is polynomial in the radius (about 1e-9 at the default).
+  its accuracy is polynomial in the radius (about 1e-9 at the one it uses).
 - `e2_hecke_limit` evaluates Hecke's limit for E2(0) exactly by Ewald's theta
   split: two rapidly converging sums of elementary functions over the given
   basis and its dual, accurate to the last few units in the last place.
@@ -20,6 +20,11 @@ import numpy as np
 from .lattice import Lattice
 
 __all__ = ["lattice_points_in_disk", "weierstrass_zeta_direct", "e2_hecke_limit"]
+
+# weierstrass_zeta_direct: the disk's radius in units of sqrt(area).  Over the
+# 16 orders of CI and (-4, 5) the worst residual at z = 0.31+0.27j is 1.0e-9
+# (d = -4), ten times under the e1 suite's 1e-8.
+_ZETA_RADIUS_CELLS = 200.0
 
 # e2_hecke_limit: both of its sums stop where the exponent of their Gaussian
 # reaches this, so each drops terms below exp(-40) ~ 4e-18 of the first.
@@ -43,14 +48,14 @@ def lattice_points_in_disk(lattice: Lattice, radius: float) -> np.ndarray:
     return z[mask]
 
 
-def weierstrass_zeta_direct(z: complex, lattice: Lattice, radius_cells: float = 200.0) -> complex:
+def weierstrass_zeta_direct(z: complex, lattice: Lattice) -> complex:
     """Truncated defining sum 1/z + sum' [1/(z-w) + 1/w + z/w^2].
 
-    The truncation is a centered disk of radius `radius_cells`*sqrt(area), so
-    its cost depends on the lattice, not on the basis that names it, and
-    odd-symmetry cancellation leaves an O(1/radius_cells^2) tail.
+    The truncation is a centered disk of radius _ZETA_RADIUS_CELLS*sqrt(area),
+    so its cost depends on the lattice, not on the basis that names it, and
+    odd-symmetry cancellation leaves an O(1/_ZETA_RADIUS_CELLS^2) tail.
     """
-    pts = lattice_points_in_disk(lattice, radius_cells * math.sqrt(lattice.area()))
+    pts = lattice_points_in_disk(lattice, _ZETA_RADIUS_CELLS * math.sqrt(lattice.area()))
     zc = complex(z)
     terms = 1.0 / (zc - pts) + 1.0 / pts + zc / (pts * pts)
     return zc**-1 + complex(np.sum(terms))

@@ -193,7 +193,8 @@ def test_zeta_direct_disk_depends_on_the_lattice_not_the_basis(monkeypatch):
     order_lat = Lattice.from_order(QuadOrder(-163))
     for lat in (order_lat, Lattice(1.0, order_lat.omega2 + 81)):
         weierstrass_zeta_direct(0.31 + 0.27j, lat)
-    assert radii[0] == pytest.approx(radii[1]) == pytest.approx(200 * math.sqrt(order_lat.area()))
+    radius = oracles._ZETA_RADIUS_CELLS * math.sqrt(order_lat.area())
+    assert radii[0] == pytest.approx(radii[1]) == pytest.approx(radius)
 
 
 # --- E2(0) ----------------------------------------------------------------------
