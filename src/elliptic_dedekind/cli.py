@@ -268,7 +268,8 @@ def _cmd_approximate(args) -> int:
             "bound": (2.0 / args.b + 1.0) / step.p,
         }
         records.append(record)
-        rows.append({**record, "wall_time_s": f"{wall:.6f}"})
+        if args.format == "csv":
+            rows.append({**record, "wall_time_s": f"{wall:.6f}"})
         t0 = time.perf_counter()
     elapsed = time.perf_counter() - started
     two_x = 2.0 * args.a / args.b

@@ -9,8 +9,8 @@ which forces e := (a*p - 1)/b to be an integer and d^2*e^2 + 4*d to be a
 square mod p.  From a root the construction produces l and k = l^{-1} mod p
 with k*(k+e)*d = 1 (mod p), sets a1 = k*sqrt(d), a2 = (k+e)*sqrt(d), completes
 both to unimodular matrices with bottom-left entry p via integer Bezout
-coefficients, and takes A3 = A2^{-1} @ A1, whose bottom-left entry is
-c3 = p*e*sqrt(d).
+coefficients, and takes A3 = A2^{-1} @ A1 (in closed form, see construct),
+whose bottom-left entry is c3 = p*e*sqrt(d).
 
 Normalized closed form (derived symbolically from the collapsed three-term
 relation with c = p, c3 = p*e*sqrt(d), sqrt(d) = i*sqrt(|d|)):
@@ -29,6 +29,7 @@ astronomically large).
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -38,15 +39,16 @@ from .dedekind import Mat2
 from .errors import (
     ConstructionError,
     InadmissibleTargetError,
+    NotUnimodularError,
     SearchLimitError,
 )
 from .ring import (
+    OrderElem,
     QuadOrder,
     crt,
     egcd,
     inverse_mod,
     is_probable_prime,
-    sqrt_discriminant,
     sqrt_mod,
 )
 
@@ -77,6 +79,14 @@ class Target:
                 f"discriminant {d} has E2(0) = 0; normalized sums are undefined"
             )
 
+    @functools.cached_property
+    def progression(self) -> tuple[int, int]:
+        """(r, m): the primes drawn are those of r + m*Z, found once per target."""
+        d = self.order.discriminant
+        m1 = 4 * abs(4 * self.b * self.b * d + d * d)
+        a_bar = 0 if self.b == 1 else inverse_mod(self.a % self.b, self.b)
+        return crt([(1, m1), (a_bar, self.b)])
+
 
 @dataclass(frozen=True)
 class ApproxStep:
@@ -95,13 +105,6 @@ class ApproxStep:
     err_exact: Fraction
 
 
-def _progression(target: Target) -> tuple[int, int]:
-    d = target.order.discriminant
-    m1 = 4 * abs(4 * target.b * target.b * d + d * d)
-    a_bar = 0 if target.b == 1 else inverse_mod(target.a % target.b, target.b)
-    return crt([(1, m1), (a_bar, target.b)])
-
-
 def find_prime(target: Target, *, after: int = 0) -> int:
     """The smallest prime of the target's arithmetic progression greater than `after`.
 
@@ -110,7 +113,7 @@ def find_prime(target: Target, *, after: int = 0) -> int:
     search that cannot succeed raises SearchLimitError.  Only Miller-Rabin runs:
     reciprocity makes d^2*e^2 + 4*d a square mod every progression prime.
     """
-    r, m = _progression(target)
+    r, m = target.progression
     lo = max(after, 1)  # 1 is no prime
     candidate = lo + 1 + (r - lo - 1) % m  # the first term above lo
     for _ in range(_MAX_CANDIDATES):
@@ -128,9 +131,18 @@ def construct(target: Target, p: int) -> ApproxStep:
     Raises ConstructionError unless p = a^-1 (mod b), (2l - d*e)^2 = d^2*e^2 + 4*d
     and k*(k+e)*d = 1 (mod p), and |dtilde - 2a/b| <= (2/b + 1)/p.  The
     congruences reject a p off the progression; sqrt_mod trusts p to be prime.
-    The rest holds for every p and is left to the tests: the Bezout identities
-    make A1, A2 and so A3 unimodular, and A3 = A2^-1 @ A1 has bottom-left entry
-    c3 = p*(a2 - a1) = p*e*sqrt(d).
+
+    With Bezout pairs p*x1 + k*d*y1 = 1 and p*x2 + (k+e)*d*y2 = 1, and
+    sqrt(d) = -f*d_k + 2*theta,
+
+        A1 = [[k*sqrt(d), -x1], [p, y1*sqrt(d)]],
+        A2 = [[(k+e)*sqrt(d), -x2], [p, y2*sqrt(d)]],
+        A3 = A2^-1 @ A1 = [[k*d*y2 + p*x2, (x2*y1 - x1*y2)*sqrt(d)],
+                           [p*e*sqrt(d), p*x1 + (k+e)*d*y1]],
+
+    A3 in closed form.  det A2 = p*x2 + (k+e)*d*y2 is checked to be 1 (else
+    NotUnimodularError), as inverting A2 requires; that A1 and A3 are
+    unimodular follows and is left to the tests.
     """
     order = target.order
     a, b = target.a, target.b
@@ -151,15 +163,29 @@ def construct(target: Target, p: int) -> ApproxStep:
     # k*(k+e)*d = 1 (mod p) makes both gcds 1.
     _, x1, y1 = egcd(p, k * d)
     _, x2, y2 = egcd(p, (k + e) * d)
-    sqrt_d = sqrt_discriminant(order)
-    p_elem = order.element(p)
-    m1 = Mat2(k * sqrt_d, order.element(-x1), p_elem, y1 * sqrt_d)
-    m2 = Mat2((k + e) * sqrt_d, order.element(-x2), p_elem, y2 * sqrt_d)
-    m3 = m2.inverse() @ m1
+    det2 = p * x2 + (k + e) * d * y2
+    if det2 != 1:
+        raise NotUnimodularError(f"determinant of A2 is {det2}, expected 1")
+    s0 = -order.f * order.d_k  # sqrt(d) = s0 + 2*theta
 
-    dtilde_exact = Fraction(2 * e, p) + Fraction(4, p * e * d)
-    err_exact = abs(dtilde_exact - Fraction(2 * a, b))
-    if err_exact > (Fraction(2, b) + 1) / p:
+    def elem(n: int, c: int) -> OrderElem:
+        """n + c*sqrt(d)."""
+        return OrderElem(n + c * s0, 2 * c, order)
+
+    m1 = Mat2(elem(0, k), elem(-x1, 0), elem(p, 0), elem(0, y1))
+    m2 = Mat2(elem(0, k + e), elem(-x2, 0), elem(p, 0), elem(0, y2))
+    m3 = Mat2(
+        elem(k * d * y2 + p * x2, 0),
+        elem(0, x2 * y1 - x1 * y2),
+        elem(0, p * e),
+        elem(p * x1 + (k + e) * d * y1, 0),
+    )
+
+    # dtilde = 2e/p + 4/(p*e*d); with e*b = a*p - 1, dtilde - 2a/b = (4b - 2ed)/(p*b*e*d).
+    ed = e * d
+    dtilde_exact = Fraction(2 * e * ed + 4, p * ed)
+    err_exact = abs(Fraction(4 * b - 2 * ed, p * b * ed))
+    if abs(4 * b - 2 * ed) > (2 + b) * abs(ed):  # err_exact > (2/b + 1)/p
         raise ConstructionError(f"error bound violated at p={p}: {err_exact} > (2/{b} + 1)/{p}")
     return ApproxStep(
         p=p,

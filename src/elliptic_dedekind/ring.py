@@ -11,6 +11,7 @@ both coefficients integers for any fundamental discriminant.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import random
@@ -38,9 +39,27 @@ __all__ = [
     "egcd_order",
 ]
 
-# Largest n for which the 13-witness Miller-Rabin test is a proof.
-_MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# OEIS A014233 (G. Jaeschke, Math. Comp. 61, 1993): psi_k, the least strong
+# pseudoprime to each of the first k prime bases.  Below psi_k the first k
+# witnesses make Miller-Rabin a proof.
+_A014233 = (
+    2047,
+    1_373_653,
+    25_326_001,
+    3_215_031_751,
+    2_152_302_898_747,
+    3_474_749_660_383,
+    341_550_071_728_321,
+    341_550_071_728_321,
+    3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051,
+    318_665_857_834_031_151_167_461,
+    3_317_044_064_679_887_385_961_981,
+)
+# Largest n for which the 13-witness Miller-Rabin test is a proof.
+_MR_DETERMINISTIC_BOUND = _A014233[-1]
 # Random witnesses above that bound: a composite passes with odds below 4**-40.
 _MR_RANDOM_ROUNDS = 40
 
@@ -57,6 +76,9 @@ def _sieve(limit: int) -> list[int]:
 
 
 _SMALL_PRIMES = tuple(_sieve(1000))
+_SMALL_PRIME_SET = frozenset(_SMALL_PRIMES)
+# One gcd with this product does the trial division by every prime below 1000.
+_PRIMORIAL = math.prod(_SMALL_PRIMES)
 
 
 def egcd(a: int, b: int) -> tuple[int, int, int]:
@@ -80,10 +102,10 @@ def inverse_mod(a: int, m: int) -> int:
         raise InvalidModulusError(f"modulus must be positive, got {m}")
     if m == 1:
         return 0
-    g, x, _ = egcd(a % m, m)
-    if g != 1:
-        raise ModularArithmeticError(f"{a} is not invertible mod {m} (gcd={g})")
-    return x % m
+    try:
+        return pow(a, -1, m)
+    except ValueError:
+        raise ModularArithmeticError(f"{a} is not invertible mod {m} (gcd={math.gcd(a, m)})") from None
 
 
 def crt(pairs: list[tuple[int, int]]) -> tuple[int, int]:
@@ -121,13 +143,54 @@ def legendre_symbol(a: int, p: int) -> int:
     raise InvalidModulusError(f"{p} is not prime (Euler criterion gave {t})")
 
 
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a|n) in {-1, 0, 1} for odd n > 0, by quadratic reciprocity."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _non_residue(p: int) -> int:
+    """A quadratic non-residue mod the prime p = 1 (mod 4).
+
+    2 is one exactly when p = 5 (mod 8).  Otherwise 2 is a square, so the least
+    non-residue is odd: the odd n from 3 on are tried by the Jacobi symbol, and
+    the pick is confirmed by Euler's criterion.  Raises InvalidModulusError when
+    p is a perfect square (every Jacobi symbol mod p would be 0 or 1) or is
+    exposed as composite.
+    """
+    if p % 8 == 5:
+        n = 2
+    else:
+        if math.isqrt(p) ** 2 == p:
+            raise InvalidModulusError(f"{p} is a perfect square, not a prime")
+        n, j = 3, _jacobi(3, p)
+        while j == 1:
+            n += 2
+            j = _jacobi(n, p)
+        if j == 0:
+            raise InvalidModulusError(f"{p} is not prime (it shares a factor with {n})")
+    if pow(n, (p - 1) // 2, p) != p - 1:
+        raise InvalidModulusError(f"{p} is not prime (Euler's criterion fails for {n})")
+    return n
+
+
 def sqrt_mod(a: int, p: int) -> int:
     """Square root of a modulo an odd prime p.
 
     Returns the smaller of the two roots, min(r, p - r), so the result is
     deterministic.  Raises NoSquareRootError for non-residues, and
     InvalidModulusError (also for a = 0 mod p) when p is below 3, even, or
-    exposed as composite by Euler's criterion.
+    exposed as composite by Euler's criterion or the Jacobi symbol.
     """
     ls = legendre_symbol(a, p)
     if ls == 0:
@@ -143,12 +206,9 @@ def sqrt_mod(a: int, p: int) -> int:
     while s % 2 == 0:
         s //= 2
         e += 1
-    n = 2
-    while legendre_symbol(n, p) != -1:
-        n += 1
     x = pow(a, (s + 1) // 2, p)
     b = pow(a, s, p)
-    g = pow(n, s, p)
+    g = pow(_non_residue(p), s, p)
     r = e
     while True:
         t, m = b, 0
@@ -177,24 +237,20 @@ def _miller_rabin_round(n: int, a: int, d: int, s: int) -> bool:
 
 
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin primality test.
+    """Miller-Rabin primality test, after trial division by the primes below 1000.
 
-    Uses the 13-prime deterministic witness set below 3.3e24 (a proof there),
-    and _MR_RANDOM_ROUNDS = 40 random witnesses above.
+    Below _MR_DETERMINISTIC_BOUND (3.3e24) it is a proof: it runs the first k
+    of _MR_WITNESSES, k the least with n < psi_k in A014233.  Above, it runs
+    _MR_RANDOM_ROUNDS = 40 random witnesses seeded by n.
     """
-    if n < 2:
+    if n <= _SMALL_PRIMES[-1]:
+        return n in _SMALL_PRIME_SET
+    if math.gcd(n, _PRIMORIAL) != 1:
         return False
-    for p in _SMALL_PRIMES:
-        if n == p:
-            return True
-        if n % p == 0:
-            return False
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
     if n < _MR_DETERMINISTIC_BOUND:
-        witnesses = _MR_WITNESSES
+        witnesses = _MR_WITNESSES[: bisect.bisect_right(_A014233, n) + 1]
     else:
         rng = random.Random(n)  # seeded by n: reproducible verdicts
         witnesses = tuple(rng.randrange(2, n - 1) for _ in range(_MR_RANDOM_ROUNDS))

@@ -164,6 +164,32 @@ def test_construct_a3_from_matrix_product():
     assert (a3.u, a3.v) == (1 - step.e * d * y2, 0)
 
 
+@pytest.mark.parametrize(
+    "a, b, dk, steps, last_p",
+    [
+        (1, 3, -8, 150, 1532161),
+        (2, 5, -7, 150, 6674053),
+        (5, 7, -11, 150, 40496501),
+        (1234, 10007, -8, 40, 54650868263746049),
+        (4999, 10007, -7, 40, 41452197074611597),
+    ],
+)
+def test_last_prime_of_long_chains(a, b, dk, steps, last_p):
+    *_, last = approximate(Target(a, b, QuadOrder(dk)), steps)
+    assert last.p == last_p
+
+
+def test_construct_a3_closed_form_at_large_primes():
+    # p from 8e12 to 8e15: the 5- and 9-witness Miller-Rabin tiers run, and A3
+    # is still A2^-1 @ A1.
+    order = QuadOrder(-8)
+    one = order.one()
+    for step in approximate(Target(1234, 10007, order), 5):
+        assert step.p > 10**12
+        assert step.A2.inverse() @ step.A1 == step.A3
+        assert step.A3.det() == one
+
+
 @pytest.mark.parametrize("p", [4, 10, 25, 91, 1105, 1729])
 def test_construct_rejects_composite_p(p):
     # Each p is 1 mod 3, so it passes the residue-class check; sqrt_mod or

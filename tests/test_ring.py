@@ -19,7 +19,7 @@ from elliptic_dedekind import (
     sqrt_discriminant,
     sqrt_mod,
 )
-from elliptic_dedekind.ring import _rounded_quotient
+from elliptic_dedekind.ring import _rounded_quotient, _sieve
 
 
 def primes_below(n):
@@ -54,8 +54,29 @@ def test_inverse_mod_basic():
 
 
 def test_inverse_mod_not_invertible():
-    with pytest.raises(ModularArithmeticError):
+    with pytest.raises(ModularArithmeticError, match=r"gcd=3"):
         inverse_mod(6, 9)
+    with pytest.raises(ModularArithmeticError, match=r"gcd=9"):
+        inverse_mod(-9, 9)
+
+
+def test_inverse_mod_edge_moduli():
+    assert inverse_mod(5, 1) == 0
+    assert inverse_mod(-3, 7) == 2  # -3*2 = -6 = 1 (mod 7)
+    for m in (0, -5):
+        with pytest.raises(InvalidModulusError):
+            inverse_mod(1, m)
+
+
+def test_inverse_mod_is_the_least_residue():
+    rng = random.Random(5)
+    for _ in range(300):
+        m = rng.randrange(2, 2**57)
+        a = rng.randrange(-(2**60), 2**60)
+        if math.gcd(a, m) != 1:
+            continue
+        inv = inverse_mod(a, m)
+        assert 0 <= inv < m and (a * inv) % m == 1
 
 
 def test_crt_worked_example():
@@ -142,6 +163,29 @@ def test_sqrt_mod_rejects_bad_modulus_before_the_zero_shortcut(a, p):
         sqrt_mod(a, p)
 
 
+@pytest.mark.parametrize("p", [9, 25, 49, 81, 121, 169, 225, 625, 1089])
+def test_sqrt_mod_rejects_square_modulus(p):
+    # Every Jacobi symbol mod a square is 0 or 1: a non-residue search would never end.
+    with pytest.raises(InvalidModulusError):
+        sqrt_mod(1, p)
+
+
+def test_sqrt_mod_matches_brute_force_when_two_is_a_square():
+    # p = 1 (mod 8) is where the non-residue is searched by the Jacobi symbol.
+    for p in primes_below(2000):
+        if p % 8 != 1:
+            continue
+        least_root = {}
+        for r in range(p):
+            least_root.setdefault(r * r % p, min(r, p - r))
+        for a in range(p):
+            if a in least_root:
+                assert sqrt_mod(a, p) == least_root[a]
+            else:
+                with pytest.raises(NoSquareRootError):
+                    sqrt_mod(a, p)
+
+
 @pytest.mark.parametrize("a, p", [(3, 9), (6, 9), (5, 25), (7, 49)])
 def test_legendre_rejects_composite_modulus_sharing_a_factor_with_a(a, p):
     # a^((p-1)/2) = 0 (mod p) with a != 0 (mod p) happens only for composite p.
@@ -175,6 +219,84 @@ def test_is_probable_prime_semiprime_32bit():
     for _ in range(3):
         n = certified_prime_32bit(rng) * certified_prime_32bit(rng)
         assert not is_probable_prime(n)
+
+
+# OEIS A014233: psi_k, the least strong pseudoprime to each of the first k prime bases.
+A014233 = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+    318665857834031151167461,
+    3317044064679887385961981,
+)
+
+
+FIRST_13_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIMES_BELOW_1000 = primes_below(1000)
+
+
+def is_strong_probable_prime(n, bases):
+    """Whether odd n > 1 passes the strong (Miller-Rabin) test to each base."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def thirteen_witness_test(n):
+    """The reference: trial division by the primes below 1000, then all 13 prime witnesses."""
+    if n < 2:
+        return False
+    for p in PRIMES_BELOW_1000:
+        if n == p:
+            return True
+        if n % p == 0:
+            return False
+    return is_strong_probable_prime(n, FIRST_13_PRIMES)
+
+
+def test_is_probable_prime_matches_sieve_below_300000():
+    limit = 300_000
+    primes = set(_sieve(limit))
+    assert [n for n in range(-5, limit) if is_probable_prime(n)] == sorted(primes)
+
+
+@pytest.mark.parametrize("k", range(1, 14))
+def test_is_probable_prime_rejects_the_least_strong_pseudoprimes(k):
+    # psi_k passes the first k witnesses, so the tier taken at psi_k must run more.
+    psi = A014233[k - 1]
+    assert is_strong_probable_prime(psi, FIRST_13_PRIMES[:k])
+    assert not is_probable_prime(psi)
+
+
+def test_is_probable_prime_matches_thirteen_witnesses():
+    rng = random.Random(6)
+    primes = 0
+    for _ in range(20_000):
+        n = rng.randrange(10**6 + 1, 4 * 10**18, 2)
+        verdict = is_probable_prime(n)
+        assert verdict == thirteen_witness_test(n), n
+        primes += verdict
+    assert primes > 500  # the witnesses ran on many primes, not just trial division
 
 
 def test_is_probable_prime_known_values():
