@@ -45,15 +45,8 @@ integers (s, t) = adj(M)*(a, b) mod det(M).  Lattice.e1_torsion reduces them
 with integers and evaluates E1 = (pi*theta1'/theta1(pi*u) + 2*pi*i*Im u/Im tau)/r1;
 mu = 0 and the 2-torsion points get exactly 0.  E1 is odd, and -mu sends
 column b > 0 to column h22 - b, so one member of each pair {mu, -mu} lies in
-columns 0..h22/2 (_half_box): E1 is evaluated at most once per pair, 0.5 times
-per coset.  On the order's own lattice (1, theta), conj(L) = L and
-E1(conj z) = conj(E1(z)); when also conj(k) = eps*k with eps = +-1, the point
--conj(mu) = (-a - tr(theta)*b, b) lies in the same column, with
-E1 = -eps*conj(E1(mu/k)), and E1 is evaluated once per orbit of {+-1, conj}:
-0.25 times per coset.  That serves the walk's conj-stable constants, such as
-those of README's conductor-3 sums, at N(gamma) = 18, 49, 72.  The order and
-k alone pick the fold; Lattice.from_order records the order, so no float
-decides conj(L) = L.
+columns 0..h22/2 (_half_box): E1 is evaluated once per pair, 0.5 times per
+coset, on every lattice.
 Multiplication by h permutes (1/k)L/L: the images of omega1 and omega2 under h
 are reduced into the box with Python ints, after which the index of h*mu comes
 from int64 operations, so h enters only modulo k.  The terms at mu and -mu are
@@ -140,19 +133,6 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def _conj_sign(system: CosetSystem) -> int:
-    """conj(k)/k where it is +-1 and the lattice is the order's own (1, theta), else 0.
-
-    Then conj(L) = L and conj(kL) = kL, so conjugation permutes the torsion
-    points mu/k and E1(conj z) = conj(E1(z)).
-    """
-    k = system.k
-    if system.lattice.order != k.order:
-        return 0
-    kc = k.conjugate()
-    return 1 if kc == k else -1 if kc == -k else 0
-
-
 def _half_box(system: CosetSystem) -> list[tuple[int, int]]:
     """Ranges of table indices b*h11 + a holding one member of each pair {mu, -mu}, mu != -mu.
 
@@ -206,31 +186,13 @@ def _e1_table(system: CosetSystem) -> np.ndarray:
 
     Each torsion point mu/k is (s*omega1 + t*omega2)/det with (s, t) =
     torsion_key(a, b).  E1 is odd, so it is evaluated once per pair {mu, -mu}
-    (at the member in _half_box) and stored negated at the other.  Where
-    _conj_sign gives eps = conj(k)/k, the point R(mu) = -conj(mu) =
-    ((-a - tr(theta)*b) mod h11, b) lies in the same column, with
-    E1 = -eps*conj(E1(mu/k)); then E1 is evaluated once per orbit
-    {+-mu, +-conj(mu)}, at the half-box points whose index does not exceed that
-    of R(mu).  That picks one point per orbit: R pairs the points of a column
-    0 < b < h22/2, equals -1 on column 0, and on column h22/2, where -R is a
-    shift by 0 or h11/2, it pairs mu with the half-box member of {+-R(mu)}.
-    mu = 0 and the 2-torsion points keep the exact value 0.
+    (at the member in _half_box) and stored negated at the other.  mu = 0 and
+    the 2-torsion points keep the exact value 0.
     """
-    n, h11 = system.size, system.h11
-    lattice = system.lattice
-    eps = _conj_sign(system)
-    trace = system.k.order.theta_trace
+    n = system.size
     table = np.zeros(n, dtype=complex)
     for idx, a, b in _chunks(system):
-        if eps:
-            ra = (-a - trace * b) % h11
-            first = idx <= b * h11 + ra
-            idx, a, b, ra = idx[first], a[first], b[first], ra[first]
-        values = lattice.e1_torsion(*system.torsion_key(a, b), n)
-        if eps:
-            conj_values = eps * np.conj(values)
-            table[_neg_index(system, ra, b)] = conj_values
-            table[b * h11 + ra] = -conj_values
+        values = system.lattice.e1_torsion(*system.torsion_key(a, b), n)
         table[_neg_index(system, a, b)] = -values
         table[idx] = values
     return table

@@ -35,7 +35,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dedekind import Mat2
 from .errors import (
     ConstructionError,
     InadmissibleTargetError,
@@ -51,6 +50,7 @@ from .ring import (
     is_probable_prime,
     sqrt_mod,
 )
+from .sl2 import Mat2
 
 __all__ = ["Target", "ApproxStep", "find_prime", "construct", "approximate", "approximate_real"]
 

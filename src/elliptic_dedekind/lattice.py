@@ -29,8 +29,8 @@ no G2 at all (Sczech's identity):
 and E1 := 0 on lattice points (the defining sum cancels by central symmetry).
 Float points are reduced in floats; torsion points (s*omega1 + t*omega2)/n are
 reduced with integers and divided by n once (Lattice.e1_torsion).
-Lattice.from_order records its order, so exact code can use the integer matrix
-of theta on (1, theta) and the symmetry conj(L) = L.
+Lattice.from_order records its order, which serves only the exact integer
+matrix of theta on (1, theta) (cosets._theta_matrix).
 """
 
 from __future__ import annotations
@@ -105,8 +105,8 @@ class Lattice:
     def from_order(cls, order) -> "Lattice":
         """The order itself as a lattice, basis (1, theta), which records the order.
 
-        The record lets exact code use the integer matrix of theta and the
-        symmetry conj(L) = L without deciding either in floats.
+        The record serves only cosets._theta_matrix, which then takes the
+        exact integer matrix of theta instead of solving for it in floats.
         """
         lattice = cls(1.0, order.theta_embedding())
         lattice.order = order

@@ -373,26 +373,11 @@ class OrderElem:
             return OrderElem(self.u * other, self.v * other, self.order)
         return NotImplemented
 
-    def __pow__(self, k: int) -> "OrderElem":
-        if k < 0:
-            raise ValueError("negative powers are not defined in the order")
-        result = self.order.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
     def conjugate(self) -> "OrderElem":
         return OrderElem(self.u + self.v * self.order.theta_trace, -self.v, self.order)
 
     def norm(self) -> int:
         return self.u * self.u + self.u * self.v * self.order.theta_trace + self.v * self.v * self.order.theta_norm
-
-    def trace(self) -> int:
-        return 2 * self.u + self.v * self.order.theta_trace
 
     def embed(self) -> complex:
         o = self.order

@@ -163,42 +163,8 @@ def test_d_sum_zero_numerator(ctx_m8):
     assert d_sum(k * order.element(3, -1), k, ctx_m8) == 0
 
 
-def torsion_points(system):
-    """The torsion points mu/k of the box, in coords() order, as exact coordinate pairs mod 1."""
-    m = system.mult
-    return [
-        (Fraction(m.a22 * a - m.a12 * b, m.det) % 1, Fraction(m.a11 * b - m.a21 * a, m.det) % 1)
-        for a, b in system.coords().tolist()
-    ]
-
-
-def brute_orbit_count(system):
-    """Orbits of {+-1, conj} on the torsion points of order > 2; conj counts on the basis (1, theta) when conj(k) = +-k.
-
-    There conj(x + y*theta) = (x + tr(theta)*y) - y*theta maps the torsion
-    points onto themselves (checked here).  On d = -3, -4, conj(k) may be
-    another unit multiple of k; the fold leaves those moduli at {+-1}.
-    """
-    points = torsion_points(system)
-    k = system.k
-    trace = k.order.theta_trace
-    maps = [lambda p: (-p[0] % 1, -p[1] % 1)]
-    conj = lambda p: ((p[0] + trace * p[1]) % 1, -p[1] % 1)  # noqa: E731
-    if system.lattice.order == k.order and k.conjugate() in (k, -k):
-        assert {conj(p) for p in points} == set(points)
-        maps.append(conj)
-    orbits = set()
-    for p in points:
-        orbit = {p}
-        for _ in range(2):
-            orbit |= {g(q) for g in maps for q in orbit}
-        if maps[0](p) != p:
-            orbits.add(frozenset(orbit))
-    return len(orbits)
-
-
 def full_box_e1_table(system):
-    """E1 over the whole box, indexed a*h22 + b, one evaluation per pair {mu, -mu}: the fill before the orbit fold."""
+    """E1 over the whole box, indexed a*h22 + b, one evaluation per pair {mu, -mu}, kept as a reference."""
     n, h22 = system.size, system.h22
     table = np.zeros(n, dtype=complex)
     for start in range(0, n, 4096):
@@ -244,13 +210,7 @@ def test_e1_table_evaluates_each_pair_once(ctx_m8, monkeypatch, u, v):
     # mu = -mu modulo kL exactly when 2*mu lies in kL.
     coords = system.coords().tolist()
     fixed = np.array([system.in_sublattice((2 * a, 2 * b)) for a, b in coords])
-    orbits = brute_orbit_count(system)
-    assert sum(points) == orbits
-    pairs = (n - int(fixed.sum())) // 2
-    if k.conjugate() in (k, -k) and pairs:
-        assert orbits < pairs
-    else:
-        assert orbits == pairs
+    assert sum(points) == (n - int(fixed.sum())) // 2
     assert 0 not in points
     assert np.all(table[fixed] == 0)
     # E1 is odd, bit for bit.
@@ -261,17 +221,13 @@ def test_e1_table_evaluates_each_pair_once(ctx_m8, monkeypatch, u, v):
 
 
 @pytest.mark.parametrize("dk, f", CONJ_STABLE_ORDERS)
-def test_orbit_table_matches_full_box_reference(dk, f, monkeypatch):
+def test_e1_table_matches_full_box_reference_on_conj_stable_moduli(dk, f):
     ctx = SumContext(QuadOrder(dk, f))
     order = ctx.order
     rng = random.Random(24)
     for k in conj_stable_moduli(order):
         system = CosetSystem(k, ctx.lattice)
-        points = count_e1_torsion(monkeypatch)
         table = _e1_table(system)
-        monkeypatch.undo()
-        if k.norm() < 1000:
-            assert sum(points) == brute_orbit_count(system)
         # The reference is indexed a*h22 + b, the table b*h11 + a.
         ref = full_box_e1_table(system).reshape(system.h11, system.h22).T.ravel()
         assert np.max(np.abs(table - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -279,6 +235,35 @@ def test_orbit_table_matches_full_box_reference(dk, f, monkeypatch):
             h = random_elem(rng, order, 10**6, 40)
             expected = full_box_d_sum(h, k, ctx)
             assert abs(_d_sum_table(h, k, ctx) - expected) <= 1e-12 * (1 + abs(expected))
+
+
+# (dk, f, h, k, g): gcd(h, k) is a unit, so the walk sums (h, k); gcd(g*h, g*k) = g is
+# not, so the E1 table sums (g*h, g*k), at N(g*k) from 4,050 to 40,000.
+DISTRIBUTION_CASES = [
+    (-8, 1, (3, 1), (100, 0), (2, 0)),  # conj(g*k) = g*k
+    (-8, 1, (5, 2), (60, 15), (3, 0)),  # g*k = 45*sqrt(-2), conj(g*k) = -g*k
+    (-8, 1, (3, 1), (50, 7), (7, 1)),  # neither
+    (-7, 1, (3, 2), (100, 0), (2, 0)),
+    (-7, 1, (5, 2), (60, 15), (3, 0)),
+    (-8, 3, (5, 1), (50, 0), (2, 0)),
+    (-8, 3, (7, 0), (0, 3), (2, 0)),
+]
+
+
+@pytest.mark.parametrize("dk, f, h, k, g", DISTRIBUTION_CASES)
+def test_table_matches_walk_by_distribution_relation(dk, f, h, k, g):
+    # D_L(g*h, g*k) = D_L(h, k): group the sum over mu in L/gkL by mu mod kL, and
+    # E1's distribution relation sums each group to g*E1(mu/k).
+    ctx = SumContext(QuadOrder(dk, f))
+    order = ctx.order
+    h, k, g = order.element(*h), order.element(*k), order.element(*g)
+    assert sl2._generates_order(h, k) and not sl2._generates_order(g * h, g * k)
+    assert 4050 <= (g * k).norm() <= 40_000
+    walk = d_sum(h, k, ctx)
+    assert abs(d_sum(g * h, g * k, ctx) - walk) <= 1e-12 * abs(walk)
+    if (dk, f) == (-8, 1):
+        exact = float(d_norm_exact(h, k, ctx))
+        assert abs(normalize_value(walk, ctx) - exact) <= 1e-12 * abs(exact)
 
 
 def test_d_sum_table_refuses_a_table_above_physical_memory(monkeypatch):
