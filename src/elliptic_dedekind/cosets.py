@@ -137,6 +137,23 @@ class CosetSystem:
         s11, s12, s21, s22 = self._adj
         return (s11 * a + s12 * b) % self.size, (s21 * a + s22 * b) % self.size
 
+    def reduced_torsion(self, a, b):
+        """Centred integers (x, y), |x|, |y| <= size/2, with mu/k = (x*r1 + y*r2)/size modulo L.
+
+        mu = a*omega1 + b*omega2 runs over int64 arrays of box points, and
+        (r1, r2) is the lattice's reduced basis.  torsion_key's adj(M) and the
+        basis change W of the reduction compose into one integer matrix
+        W*adj(M) mod size, so each coordinate takes one mod; for a point of
+        the box every product is below size**2.
+        """
+        n = self.size
+        s11, s12, s21, s22 = self._adj
+        (w11, w12), (w21, w22) = self.lattice._w_coords
+        half = n // 2
+        x = ((w11 * s11 + w12 * s21) % n * a + (w11 * s12 + w12 * s22) % n * b + half) % n - half
+        y = ((w21 * s11 + w22 * s21) % n * a + (w21 * s12 + w22 * s22) % n * b + half) % n - half
+        return x, y
+
     def reduce_coords(self, ab):
         """Box representative (x', y') of x*omega1 + y*omega2 modulo kL, exactly.
 

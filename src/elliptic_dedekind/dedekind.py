@@ -29,8 +29,9 @@ diag(u, 1/u).  Phi is additive and Phi(diag(u, 1/u)) = 0, so
 v the theta-coordinate.  R is an exact Fraction after O(log N(k)) steps,
 each chosen in integers, with no norm bound.  Each constant D_L(alpha, gamma)
 depends on alpha mod gamma only; it is an E1-table sum on the lattice itself
-at N(gamma).  A d_sum call builds one E1 table per distinct gamma of its walk
-and sums every alpha of that gamma against it (_walk_value).
+at N(gamma).  A d_sum call builds one E1 table per distinct gamma of its walk,
+all filled by one E1 evaluation, and sums every alpha of that gamma against
+it (_walk_value).
 A walk with no constant -- every walk on d_K = -7, -8, -11 -- gives
 Dtilde = R exactly (d_norm_exact).  A stuck walk raises SearchLimitError;
 there is no silent fallback to the table.
@@ -41,8 +42,10 @@ CosetSystem(k) gives the box
 {a*omega1 + b*omega2 : 0 <= a < h11, 0 <= b < h22}, a transversal of L/kL with
 N(k) members, stored column by column at index b*h11 + a.  With M the integer
 matrix of k, the torsion point mu/k is (s*omega1 + t*omega2)/det(M) for the
-integers (s, t) = adj(M)*(a, b) mod det(M).  Lattice.e1_torsion reduces them
-with integers and evaluates E1 = (pi*theta1'/theta1(pi*u) + 2*pi*i*Im u/Im tau)/r1;
+integers (s, t) = adj(M)*(a, b) mod det(M).  CosetSystem.reduced_torsion maps
+(a, b) into the lattice's reduced basis with the one integer matrix
+W*adj(M) mod det(M) and centres it, and Lattice._e1_reduced evaluates
+E1 = (pi*theta1'/theta1(pi*u) + 2*pi*i*Im u/Im tau)/r1 there;
 mu = 0 and the 2-torsion points get exactly 0.  E1 is odd, and -mu sends
 column b > 0 to column h22 - b, so one member of each pair {mu, -mu} lies in
 columns 0..h22/2 (_half_box): E1 is evaluated once per pair, 0.5 times per
@@ -181,25 +184,50 @@ def _neg_index(system: CosetSystem, a, b):
     return np.where(b == 0, h11 - a, system.size + h12 - b * h11 - a + h11 * (a > h12))
 
 
-def _e1_table(system: CosetSystem) -> np.ndarray:
-    """E1(mu/k) for every mu of the box, indexed b*h11 + a for mu = a*omega1 + b*omega2.
+def _e1_tables(systems: list[CosetSystem]) -> list[np.ndarray]:
+    """E1(mu/k) for every mu of each system's box, indexed b*h11 + a for mu = a*omega1 + b*omega2.
 
-    Each torsion point mu/k is (s*omega1 + t*omega2)/det with (s, t) =
-    torsion_key(a, b).  E1 is odd, so it is evaluated once per pair {mu, -mu}
-    (at the member in _half_box) and stored negated at the other.  mu = 0 and
-    the 2-torsion points keep the exact value 0.
+    The systems share one lattice.  Each torsion point mu/k is
+    (x*r1 + y*r2)/N(k) in the reduced basis, with (x, y) = reduced_torsion(a, b).
+    E1 is odd, so it is evaluated once per pair {mu, -mu} (at the member in
+    _half_box) and stored negated at the other; mu = 0 and the 2-torsion
+    points keep the exact value 0.  The chunks of all systems are pooled up
+    to _CHUNK points per E1 evaluation, so a walk's small tables share one.
     """
-    n = system.size
-    table = np.zeros(n, dtype=complex)
-    for idx, a, b in _chunks(system):
-        values = system.lattice.e1_torsion(*system.torsion_key(a, b), n)
-        table[_neg_index(system, a, b)] = -values
-        table[idx] = values
-    return table
+    tables = [np.zeros(system.size, dtype=complex) for system in systems]
+    lattice = systems[0].lattice
+    pool, size = [], 0
+    for table, system in zip(tables, systems):
+        for idx, a, b in _chunks(system):
+            if size + idx.size > _CHUNK:
+                _fill(lattice, pool)
+                pool, size = [], 0
+            pool.append((table, system, idx, a, b))
+            size += idx.size
+    if pool:
+        _fill(lattice, pool)
+    return tables
 
 
-def _table(k: OrderElem, ctx: SumContext) -> tuple[CosetSystem, np.ndarray]:
-    """The coset system of k on the lattice and its E1 table, once the table fits.
+def _fill(lattice: Lattice, pool: list) -> None:
+    """One E1 evaluation for the (table, system, idx, a, b) chunks of _e1_tables, scattered into their tables."""
+    xs, ys = [], []
+    for _, system, _, a, b in pool:
+        x, y = system.reduced_torsion(a, b)
+        xs.append(x / system.size)
+        ys.append(y / system.size)
+    # The half box holds no lattice point.
+    values = lattice._e1_reduced(np.concatenate(xs), np.concatenate(ys), False)
+    start = 0
+    for table, system, idx, a, b in pool:
+        chunk = values[start : start + idx.size]
+        start += idx.size
+        table[_neg_index(system, a, b)] = -chunk
+        table[idx] = chunk
+
+
+def _system(k: OrderElem, ctx: SumContext) -> CosetSystem:
+    """The coset system of k on the lattice, once its E1 table fits.
 
     Raises PreconditionError when N(k) >= 2**31 or the table's 16*N(k) bytes
     exceed physical memory, before allocating it.
@@ -215,7 +243,7 @@ def _table(k: OrderElem, ctx: SumContext) -> tuple[CosetSystem, np.ndarray]:
         raise PreconditionError(
             f"the E1 table for N(k) = {n} needs {need} bytes, more than the {have} bytes of physical memory"
         )
-    return system, _e1_table(system)
+    return system
 
 
 def _table_sum(h: OrderElem, system: CosetSystem, table: np.ndarray, ctx: SumContext) -> complex:
@@ -242,25 +270,30 @@ def _d_sum_table(h: OrderElem, k: OrderElem, ctx: SumContext) -> complex:
     """D_L(h, k) from one E1 table, for every pair the walk does not serve.
 
     h = 0 gives 0/k at any N(k).  Raises PreconditionError when k leaves the
-    double range, and what _table raises.
+    double range, and what _system raises.
     """
     if h.is_zero():
         try:
             return 0j / k.embed()
         except OverflowError as exc:
             raise PreconditionError(f"k = {k!r} leaves the double range") from exc
-    return _table_sum(h, *_table(k, ctx), ctx)
+    system = _system(k, ctx)
+    return _table_sum(h, system, *_e1_tables([system]), ctx)
 
 
 def _walk_value(sign: int, walk: _Walk, ctx: SumContext) -> complex:
     """D_L(h, k) from (sign, walk) = _signed_walk(h, k).
 
-    The constants D_L(alpha, gamma) of one gamma share one E1 table, and a
-    pair the walk meets again is summed once; they are subtracted in walk order.
+    The constants D_L(alpha, gamma) of one gamma share one E1 table, and one
+    E1 evaluation fills the tables of every gamma of the walk (_e1_tables).
+    A pair the walk meets again is summed once; the constants are subtracted
+    in walk order.
     """
     value = 1j * math.sqrt(abs(ctx.order.discriminant)) * ctx.lattice.e2_zero() * float(sign * walk.r)
     if walk.constants:
-        tables = {gamma: _table(gamma, ctx) for gamma in {gamma for _, gamma in walk.constants}}
+        gammas = list(dict.fromkeys(gamma for _, gamma in walk.constants))
+        systems = [_system(gamma, ctx) for gamma in gammas]
+        tables = dict(zip(gammas, zip(systems, _e1_tables(systems))))
         sums = {(alpha, gamma): _table_sum(alpha, *tables[gamma], ctx) for alpha, gamma in set(walk.constants)}
         value -= sign * sum(sums[pair] for pair in walk.constants)
     return value

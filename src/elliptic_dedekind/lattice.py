@@ -28,7 +28,8 @@ no G2 at all (Sczech's identity):
 
 and E1 := 0 on lattice points (the defining sum cancels by central symmetry).
 Float points are reduced in floats; torsion points (s*omega1 + t*omega2)/n are
-reduced with integers and divided by n once (Lattice.e1_torsion).
+reduced with integers and divided by n once (Lattice.e1_torsion; the E1 table
+reduces its box points the same way, cosets.CosetSystem.reduced_torsion).
 Lattice.from_order records its order, which serves only the exact integer
 matrix of theta on (1, theta) (cosets._theta_matrix).
 """

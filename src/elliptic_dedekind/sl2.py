@@ -17,7 +17,9 @@ N(gamma*a + delta*c) < N(c):
     max(72, 8*|disc|) by increasing norm (_gammas), delta over the lattice
     points within distance 1 of -gamma*a/c, nearest first, and
     (gamma, delta) = O is required; _complete_row finds alpha and beta.
-    The candidates are found and tested in integers (_extra_step).
+    The candidates are exactly the lattice points of an ellipse, listed
+    row by row with integer square roots from 4*N(x + y*theta) =
+    (2x + y*tr(theta))^2 + y^2*|disc|, and tested in integers (_extra_step).
 
 The walk runs on int pairs (u, v) for u + v*theta, with tr(theta), N(theta)
 and tr(theta) // 2 read once per walk: the steps, the test (gamma, delta) = O
@@ -220,29 +222,34 @@ def _extra_step(num: _Pair, n: int, order: QuadOrder, tr: int, nt: int, c0: int)
     gamma*a + delta*c = c*(gamma*zf + delta'), and (gamma, delta) = O exactly
     when (gamma, delta') = O, so the completion runs on small numbers.  With
     x0 + y0*theta = gamma*n*zf, x = x0 + n*s and y = y0 + n*t, the candidate
-    lowers N(c) exactly when x^2 + x*y*tr(theta) + y^2*N(theta) < n^2.  As
-    Im(theta) >= sqrt(3)/2, such points lie in rows t0 - 1..t0 + 1 around the
-    nearest row t0, each at s0 - 1..s0 + 1 around its nearest s0.  Raises
-    SearchLimitError when no gamma up to _gamma_bound qualifies.
+    lowers N(c) exactly when 4*N(x + y*theta) = (2x + y*tr)^2 + y^2*|d| is
+    at most 4n^2 - 1, d = tr^2 - 4*N(theta).  So the rows are those with
+    |y| <= isqrt((4n^2 - 1) // |d|), and row y holds the s with
+    |2x + y*tr| <= isqrt(4n^2 - 1 - y^2*|d|); a gamma whose ellipse holds no
+    row costs two floor divisions.  Raises SearchLimitError when no gamma up
+    to _gamma_bound qualifies.
     """
     nu, nv = num
     z0 = (nu // n, nv // n)
     fu, fv = nu % n, nv % n  # n*zf
-    n2, nn = 2 * n, n * n
+    abs_d = 4 * nt - tr * tr
+    n2, r2 = 2 * n, 4 * n * n - 1
+    y_max = math.isqrt(r2 // abs_d)
     for gamma in _gammas(order):
         gu, gv = gamma
-        x0 = gu * fu - gv * fv * nt
         y0 = gu * fv + gv * fu + gv * fv * tr
+        t_lo, t_hi = -((y_max + y0) // n), (y_max - y0) // n
+        if t_lo > t_hi:
+            continue
+        x0 = gu * fu - gv * fv * nt
         near = []
-        t0 = -((2 * y0 + n) // n2)
-        for t in (t0 - 1, t0, t0 + 1):
+        for t in range(t_lo, t_hi + 1):
             y = y0 + n * t
-            s0 = -((2 * x0 + y * tr + n) // n2)
-            for s in (s0 - 1, s0, s0 + 1):
+            w0 = 2 * x0 + y * tr  # 2x + y*tr at s = 0
+            w_max = math.isqrt(r2 - y * y * abs_d)
+            for s in range(-((w_max + w0) // n2), (w_max - w0) // n2 + 1):
                 x = x0 + n * s
-                norm = x * x + x * y * tr + y * y * nt
-                if norm < nn:
-                    near.append((norm, s, t))
+                near.append((x * x + x * y * tr + y * y * nt, s, t))
         for _, s, t in sorted(near):
             row = _complete_row(gamma, (s, t), tr, nt, c0)
             if row is not None:

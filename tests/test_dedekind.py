@@ -31,7 +31,7 @@ from elliptic_dedekind import (
     three_term_residual,
 )
 from elliptic_dedekind import dedekind, mult_matrix, sl2
-from elliptic_dedekind.dedekind import _d_sum_table, _e1_table
+from elliptic_dedekind.dedekind import _d_sum_table, _e1_tables
 from elliptic_dedekind.verification import random_sl2
 
 SQRT2 = math.sqrt(2.0)
@@ -46,16 +46,17 @@ DNORM_ANCHORS = [
 ]
 
 
-def count_e1_torsion(monkeypatch):
-    """Patch Lattice.e1_torsion to record the number of points of each call; returns that list."""
+def count_e1_points(monkeypatch):
+    """Patch Lattice._e1_reduced, which every E1 evaluation runs, to record the number of
+    points of each call; returns that list."""
     calls = []
-    original = Lattice.e1_torsion
+    original = Lattice._e1_reduced
 
-    def counting(self, s, t, n):
-        calls.append(len(s))
-        return original(self, s, t, n)
+    def counting(self, x, y, on_lattice):
+        calls.append(len(x))
+        return original(self, x, y, on_lattice)
 
-    monkeypatch.setattr(Lattice, "e1_torsion", counting)
+    monkeypatch.setattr(Lattice, "_e1_reduced", counting)
     return calls
 
 
@@ -205,8 +206,8 @@ def test_e1_table_evaluates_each_pair_once(ctx_m8, monkeypatch, u, v):
     k = ctx_m8.order.element(u, v)
     system = CosetSystem(k, ctx_m8.lattice)
     n = system.size
-    points = count_e1_torsion(monkeypatch)
-    table = _e1_table(system)
+    points = count_e1_points(monkeypatch)
+    (table,) = _e1_tables([system])
     # mu = -mu modulo kL exactly when 2*mu lies in kL.
     coords = system.coords().tolist()
     fixed = np.array([system.in_sublattice((2 * a, 2 * b)) for a, b in coords])
@@ -220,6 +221,28 @@ def test_e1_table_evaluates_each_pair_once(ctx_m8, monkeypatch, u, v):
     assert np.max(np.abs(table - expected)) <= 1e-12 * (1 + np.max(np.abs(expected)))
 
 
+@pytest.mark.parametrize("dk, f, basis", [(-8, 3, None), (-20, 1, "form"), (-15, 1, "unreduced")])
+def test_e1_tables_match_e1_torsion_bit_for_bit(dk, f, basis):
+    # The one torsion matrix W*adj(M) mod N(k) of reduced_torsion gives the centred integers
+    # of torsion_key followed by e1_torsion, so every table is bit-identical to that path,
+    # whether its systems share one fill or each gets its own.
+    order = QuadOrder(dk, f)
+    theta = order.theta_embedding()
+    lattice = {
+        None: Lattice.from_order(order),
+        "form": Lattice(2, complex(3.0, math.sqrt(5.0))),
+        "unreduced": Lattice(7 + 3 * theta, 2 + theta),
+    }[basis]
+    assert lattice._w_coords != ((1, 0), (0, 1))
+    rng = random.Random(25)
+    systems = [CosetSystem(random_elem(rng, order, 400, 12), lattice) for _ in range(6)]
+    for system, table in zip(systems, _e1_tables(systems)):
+        (alone,) = _e1_tables([system])
+        assert np.array_equal(table, alone)
+        for idx, a, b in dedekind._chunks(system):
+            assert np.array_equal(table[idx], lattice.e1_torsion(*system.torsion_key(a, b), system.size))
+
+
 @pytest.mark.parametrize("dk, f", CONJ_STABLE_ORDERS)
 def test_e1_table_matches_full_box_reference_on_conj_stable_moduli(dk, f):
     ctx = SumContext(QuadOrder(dk, f))
@@ -227,7 +250,7 @@ def test_e1_table_matches_full_box_reference_on_conj_stable_moduli(dk, f):
     rng = random.Random(24)
     for k in conj_stable_moduli(order):
         system = CosetSystem(k, ctx.lattice)
-        table = _e1_table(system)
+        (table,) = _e1_tables([system])
         # The reference is indexed a*h22 + b, the table b*h11 + a.
         ref = full_box_e1_table(system).reshape(system.h11, system.h22).T.ravel()
         assert np.max(np.abs(table - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -272,10 +295,10 @@ def test_d_sum_table_refuses_a_table_above_physical_memory(monkeypatch):
     ctx = SumContext(QuadOrder(-8, 3))
     monkeypatch.setattr(dedekind, "_physical_memory", lambda: 1000)
 
-    def forbidden(system):
+    def forbidden(systems):
         raise AssertionError("the table must not be allocated")
 
-    monkeypatch.setattr(dedekind, "_e1_table", forbidden)
+    monkeypatch.setattr(dedekind, "_e1_tables", forbidden)
     with pytest.raises(PreconditionError, match=r"N\(k\) = 900 needs 14400 bytes, more than the 1000 bytes"):
         d_sum(ctx.order.element(3), ctx.order.element(30), ctx)
     monkeypatch.undo()
@@ -354,7 +377,7 @@ def test_euclid_d_sum_matches_table(dk, f, scale, monkeypatch):
     rng = random.Random(31)
     for _ in range(40):
         h, k = coprime_pair(rng, ctx.order, 300_000)
-        calls = count_e1_torsion(monkeypatch)
+        calls = count_e1_points(monkeypatch)
         value = d_sum(h, k, ctx)
         assert calls == []
         monkeypatch.undo()
@@ -403,23 +426,23 @@ def test_table_serves_non_unit_gcd_and_conductor(f, h, k, monkeypatch):
     # conductor-3 pairs have unit gcd: the walk serves them, with no table at N(k).
     ctx = SumContext(QuadOrder(-8, f))
     h, k = ctx.order.element(*h), ctx.order.element(*k)
-    points = []
-    original = Lattice.e1_torsion
+    sizes = []
+    original = dedekind._e1_tables
 
-    def recording(self, s, t, n):
-        points.append(n)
-        return original(self, s, t, n)
+    def recording(systems):
+        sizes.extend(system.size for system in systems)
+        return original(systems)
 
-    monkeypatch.setattr(Lattice, "e1_torsion", recording)
+    monkeypatch.setattr(dedekind, "_e1_tables", recording)
     value = d_sum(h, k, ctx)
     monkeypatch.undo()
     if f == 1:
         with pytest.raises(PreconditionError):
             d_norm_exact(h, k, ctx)
-        assert points
+        assert sizes == [k.norm()]
         assert value == _d_sum_table(h, k, ctx)
     else:
-        assert all(n <= 72 for n in points)
+        assert all(n <= 72 for n in sizes)
         expected = _d_sum_table(h, k, ctx)
         assert abs(value - expected) <= 1e-12 * (1 + abs(expected))
 

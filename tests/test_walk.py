@@ -30,7 +30,7 @@ from elliptic_dedekind import dedekind, sl2
 from elliptic_dedekind.cli import main
 from elliptic_dedekind.cosets import CosetSystem
 from elliptic_dedekind.dedekind import _d_sum_table, _walk_value
-from elliptic_dedekind.sl2 import _complete_row, _gamma_bound, _generates_order, _signed_walk
+from elliptic_dedekind.sl2 import _complete_row, _gamma_bound, _gammas, _generates_order, _mul, _signed_walk, _sub
 
 # Class-number-one orders with E2(0) != 0 (maximal and f > 1), orders of
 # class number 2 and 4, and two lattices other than an order's own (1, theta):
@@ -75,17 +75,17 @@ def unit_gcd_pair(rng, order, max_norm):
             return h, k
 
 
-def record_torsion_orders(monkeypatch):
-    """Patch Lattice.e1_torsion to record the torsion order n of each call; returns that list."""
-    orders = []
-    original = Lattice.e1_torsion
+def record_table_sizes(monkeypatch):
+    """Patch dedekind._e1_tables to record N(k) of each table it fills; returns that list."""
+    sizes = []
+    original = dedekind._e1_tables
 
-    def recording(self, s, t, n):
-        orders.append(n)
-        return original(self, s, t, n)
+    def recording(systems):
+        sizes.extend(system.size for system in systems)
+        return original(systems)
 
-    monkeypatch.setattr(Lattice, "e1_torsion", recording)
-    return orders
+    monkeypatch.setattr(dedekind, "_e1_tables", recording)
+    return sizes
 
 
 @pytest.mark.parametrize("dk, f, lattice", WALK_CONTEXTS)
@@ -96,11 +96,11 @@ def test_walk_matches_table(dk, f, lattice, monkeypatch):
     with_constants = 0
     for _ in range(40):
         h, k = unit_gcd_pair(rng, ctx.order, 20_000)
-        torsion_orders = record_torsion_orders(monkeypatch)
+        table_sizes = record_table_sizes(monkeypatch)
         value = d_sum(h, k, ctx)
         monkeypatch.undo()
-        # Only the constants D_L(alpha, gamma) come from a table, at n = N(gamma).
-        assert all(n <= bound for n in torsion_orders)
+        # Only the constants D_L(alpha, gamma) come from a table, at N(gamma).
+        assert all(n <= bound for n in table_sizes)
         with_constants += bool(_signed_walk(h, k)[1].constants)
         expected = _d_sum_table(h, k, ctx)
         assert abs(value - expected) <= 1e-12 * (1 + abs(expected))
@@ -281,13 +281,26 @@ def test_walk_builds_one_e1_table_per_gamma(monkeypatch, capsys):
     constants = _signed_walk(order.element(3313), order.element(4584, 382))[1].constants
     gammas = {gamma for _, gamma in constants}
     assert len(set(constants)) > len(gammas)
-    built = []
-    e1_table = dedekind._e1_table
-    monkeypatch.setattr(dedekind, "_e1_table", lambda system: built.append(system.k) or e1_table(system))
+    filled, evaluations = [], []
+    e1_tables, e1_reduced = dedekind._e1_tables, Lattice._e1_reduced
+
+    def recording_fill(systems):
+        filled.append([system.k for system in systems])
+        return e1_tables(systems)
+
+    def recording_e1(self, x, y, on_lattice):
+        evaluations.append(len(x))
+        return e1_reduced(self, x, y, on_lattice)
+
+    monkeypatch.setattr(dedekind, "_e1_tables", recording_fill)
+    monkeypatch.setattr(Lattice, "_e1_reduced", recording_e1)
     code = main(["sum", "--dk", "-8", "-f", "3", "--h", "3313,0", "--k", "4584,382", "--format", "json"])
     assert code == 0
     assert '"d_norm":0.010180337405468295' in capsys.readouterr().out
-    assert len(built) == len(gammas) and set(built) == gammas
+    # One fill for the walk, each distinct gamma's system in it once, and one E1 evaluation for them all.
+    assert len(filled) == 1
+    assert len(filled[0]) == len(gammas) and set(filled[0]) == gammas
+    assert len(evaluations) == 1
 
 
 # (d_K, f, h, k), (sign, R) and the constants (alpha_u, alpha_v, gamma_u, gamma_v) of
@@ -375,3 +388,119 @@ def test_walk_reproduces_pinned_walks_bit_for_bit(pair, expected, constants):
     sign, walk = _signed_walk(order.element(*h), order.element(*k))
     assert (sign, walk.r) == (expected[0], Fraction(expected[1]))
     assert [(a.u, a.v, g.u, g.v) for a, g in walk.constants] == constants
+
+
+def window_extra_step(num, n, order, tr, nt, c0):
+    """sl2._extra_step as it searched before the ellipse bounds, kept as a reference.
+
+    Each gamma tried the 3x3 window of rows t0 - 1..t0 + 1 around the nearest
+    row t0 and, in each, s0 - 1..s0 + 1 around the nearest s0, which holds
+    every point within distance 1 as Im(theta) >= sqrt(3)/2.
+    """
+    nu, nv = num
+    z0 = (nu // n, nv // n)
+    fu, fv = nu % n, nv % n
+    n2, nn = 2 * n, n * n
+    for gamma in _gammas(order):
+        gu, gv = gamma
+        x0 = gu * fu - gv * fv * nt
+        y0 = gu * fv + gv * fu + gv * fv * tr
+        near = []
+        t0 = -((2 * y0 + n) // n2)
+        for t in (t0 - 1, t0, t0 + 1):
+            y = y0 + n * t
+            s0 = -((2 * x0 + y * tr + n) // n2)
+            for s in (s0 - 1, s0, s0 + 1):
+                x = x0 + n * s
+                norm = x * x + x * y * tr + y * y * nt
+                if norm < nn:
+                    near.append((norm, s, t))
+        for _, s, t in sorted(near):
+            row = _complete_row(gamma, (s, t), tr, nt, c0)
+            if row is not None:
+                alpha, beta = row
+                return alpha, _sub(beta, _mul(alpha, z0, tr, nt)), gamma, _sub((s, t), _mul(gamma, z0, tr, nt))
+    raise SearchLimitError("no gamma lowers N(c)")
+
+
+def record_extra_steps(monkeypatch):
+    """Patch sl2._extra_step to record (args, result) of each call; returns that list."""
+    steps = []
+    extra_step = sl2._extra_step
+
+    def recording(*args):
+        result = extra_step(*args)
+        steps.append((args, result))
+        return result
+
+    monkeypatch.setattr(sl2, "_extra_step", recording)
+    return steps
+
+
+@pytest.mark.parametrize("dk, f", [(-8, 3), (-15, 1), (-20, 1), (-23, 1), (-163, 1), (-3, 7), (-4, 3)])
+def test_ellipse_step_matches_the_window_step(dk, f, monkeypatch):
+    # Every extra step of 20 random walks at N(k) ~ 1e30 returns what the 3x3 window returned.
+    order = QuadOrder(dk, f)
+    rng = random.Random(48)
+    bound = math.isqrt(10**30 // abs(order.discriminant))
+    steps = record_extra_steps(monkeypatch)
+    walks = 0
+    while walks < 20:
+        h = order.element(rng.randint(-bound, bound), rng.randint(-bound, bound))
+        k = order.element(rng.randint(-bound, bound), rng.randint(-bound, bound))
+        if h.is_zero() or not _generates_order(h, k):
+            continue
+        _signed_walk(h, k)
+        walks += 1
+    assert len(steps) >= 20
+    for args, result in steps:
+        assert window_extra_step(*args) == result
+
+
+@pytest.mark.parametrize(
+    "dk, f, h, k, count",
+    [(-8, 3, (3313, 0), (4584, 382), 9), (-20, 1, (3196, 291), (600, 2), 291)],
+    ids=["readme-fifth-sum", "d-20-singular-cusp"],
+)
+def test_ellipse_step_matches_the_window_step_on_fixtures(dk, f, h, k, count, monkeypatch):
+    # README's fifth sum, and 291 extra steps beside the singular cusp (1 + sqrt(-5))/2 of d = -20.
+    order = QuadOrder(dk, f)
+    steps = record_extra_steps(monkeypatch)
+    _signed_walk(order.element(*h), order.element(*k))
+    assert len(steps) >= count
+    for args, result in steps:
+        assert window_extra_step(*args) == result
+
+
+@pytest.mark.parametrize("dk, f", [(-8, 3), (-15, 1), (-20, 1), (-3, 7), (-7, 1), (-4, 1), (-163, 1)])
+def test_ellipse_bounds_list_exactly_the_points_of_norm_below_n_squared(dk, f, monkeypatch):
+    # With one gamma and every completion refused, _extra_step tries each candidate (s, t) in
+    # turn; they must be every (s, t) with N(x + y*theta) < n^2, by (norm, s, t).
+    order = QuadOrder(dk, f)
+    tr, nt = order.theta_trace, order.theta_norm
+    rng = random.Random(49)
+    listed = 0
+    for _ in range(200):
+        n = rng.randint(1, 40)
+        gamma = (rng.randint(-5, 5), rng.randint(-3, 3))
+        num = (rng.randint(-10**4, 10**4), rng.randint(-10**4, 10**4))
+        tried = []
+        monkeypatch.setattr(sl2, "_gammas", lambda o: (gamma,))
+        monkeypatch.setattr(sl2, "_complete_row", lambda g, delta, *args: tried.append(delta))
+        with pytest.raises(SearchLimitError):
+            sl2._extra_step(num, n, order, tr, nt, tr // 2)
+        monkeypatch.undo()
+        fu, fv = num[0] % n, num[1] % n
+        x0, y0 = sl2._mul(gamma, (fu, fv), tr, nt)
+        # A point of norm below n^2 has |y| < 2n/sqrt(3) and |x| < n*(1 + |tr|), so it lies
+        # in this box around (s, t) = (-x0/n, -y0/n).
+        s_c, t_c, reach = -x0 // n, -y0 // n, abs(tr) + 3
+        expected = sorted(
+            (norm, s, t)
+            for s in range(s_c - reach, s_c + reach + 1)
+            for t in range(t_c - 3, t_c + 4)
+            if (norm := sl2._norm((x0 + n * s, y0 + n * t), tr, nt)) < n * n
+        )
+        assert tried == [(s, t) for _, s, t in expected]
+        listed += len(tried)
+    assert listed >= 50
