@@ -4,7 +4,8 @@ The multiplication-by-k matrix on the basis (omega1, omega2) is built as an
 exact integer matrix from the matrix of theta, its column Hermite normal form
 [[h11, h12], [0, h22]] is computed over Z, and the box
 {a*omega1 + b*omega2 : 0 <= a < h11, 0 <= b < h22} is a complete transversal
-of L/kL with exactly h11*h22 = |det| = norm(k) members.
+of L/kL with exactly h11*h22 = |det| = norm(k) members.  Its torsion points
+mu/k are (s*omega1 + t*omega2)/norm(k) with (s, t) = adj(M)*(a, b) (CosetSystem.adj).
 """
 
 from __future__ import annotations
@@ -110,9 +111,9 @@ class CosetSystem:
         self.mult = mult_matrix(k, lattice)
         self.h11, self.h12, self.h22 = _column_hnf(self.mult)
         self.size = self.h11 * self.h22
-        # adj(M) reduced mod det(M) = norm(k) = size, for torsion_key.
+        # adj(M) reduced mod det(M) = norm(k) = size: mu/k = (s*omega1 + t*omega2)/size for (s, t) = adj*(a, b).
         m = self.mult
-        self._adj = tuple(x % self.size for x in (m.a22, -m.a12, -m.a21, m.a11))
+        self.adj = tuple(x % self.size for x in (m.a22, -m.a12, -m.a21, m.a11))
 
     def coords(self) -> np.ndarray:
         """Integer (a, b) pairs of the box transversal, column by column: index b*h11 + a."""
@@ -134,25 +135,8 @@ class CosetSystem:
         their keys agree.  Works on Python ints and on int64 arrays; for a
         point of the box every product is below size**2.
         """
-        s11, s12, s21, s22 = self._adj
+        s11, s12, s21, s22 = self.adj
         return (s11 * a + s12 * b) % self.size, (s21 * a + s22 * b) % self.size
-
-    def reduced_torsion(self, a, b):
-        """Centred integers (x, y), |x|, |y| <= size/2, with mu/k = (x*r1 + y*r2)/size modulo L.
-
-        mu = a*omega1 + b*omega2 runs over int64 arrays of box points, and
-        (r1, r2) is the lattice's reduced basis.  torsion_key's adj(M) and the
-        basis change W of the reduction compose into one integer matrix
-        W*adj(M) mod size, so each coordinate takes one mod; for a point of
-        the box every product is below size**2.
-        """
-        n = self.size
-        s11, s12, s21, s22 = self._adj
-        (w11, w12), (w21, w22) = self.lattice._w_coords
-        half = n // 2
-        x = ((w11 * s11 + w12 * s21) % n * a + (w11 * s12 + w12 * s22) % n * b + half) % n - half
-        y = ((w21 * s11 + w22 * s21) % n * a + (w21 * s12 + w22 * s22) % n * b + half) % n - half
-        return x, y
 
     def reduce_coords(self, ab):
         """Box representative (x', y') of x*omega1 + y*omega2 modulo kL, exactly.

@@ -15,11 +15,11 @@ D_L(a3, c3) = E2(0)*I(2/c3 + c3/c^2).
 
 d_sum takes one of two paths, chosen by h and the ideal (h, k) alone.
 
-The walk (sl2._signed_walk) serves every pair with h != 0 and (h, k) = O, on
-any order and any lattice the order acts on; (h, k) = O is decided up front
-and exactly (sl2._generates_order).  The walk ends at (u, 0), u a unit, and
-its steps M_i = [[alpha_i, beta_i], [gamma_i, delta_i]] take the SL2(O) matrix
-with first column (h, k) and lower-right entry x = h^-1 mod k to
+The walk (sl2._signed_walk) serves every pair with h != 0 and (h, k) = gO, on
+any order and any lattice the order acts on: it takes the steps of (h/g, k/g),
+and D_L(h, k) = D_L(h/g, k/g), so let g = 1.  The walk ends at (u, 0), u a unit,
+and its steps M_i = [[alpha_i, beta_i], [gamma_i, delta_i]] take the SL2(O)
+matrix with first column (h, k) and lower-right entry x = h^-1 mod k to
 diag(u, 1/u).  Phi is additive and Phi(diag(u, 1/u)) = 0, so
 
     D_L(h, k)   = i*sqrt(|d|)*E2(0)*R - sum over N(gamma_i) > 1 of D_L(alpha_i, gamma_i),
@@ -33,16 +33,16 @@ at N(gamma).  A d_sum call builds one E1 table per distinct gamma of its walk,
 all filled by one E1 evaluation, and sums every alpha of that gamma against
 it (_walk_value).
 A walk with no constant -- every walk on d_K = -7, -8, -11 -- gives
-Dtilde = R exactly (d_norm_exact).  A stuck walk raises SearchLimitError;
-there is no silent fallback to the table.
+Dtilde = R exactly (d_norm_exact).  A stuck walk with (h, k) = O raises
+SearchLimitError; there is no silent fallback to the table.
 
-h = 0 gives 0/k with no table.  The E1 table serves a gcd(h, k) that is not
-a unit; it also sums the walk's constants and the suites' cross-checks.
+h = 0 gives 0/k with no table.  The E1 table serves a non-principal (h, k),
+where the walk is stuck; it also sums the walk's constants and the suites' cross-checks.
 CosetSystem(k) gives the box
 {a*omega1 + b*omega2 : 0 <= a < h11, 0 <= b < h22}, a transversal of L/kL with
 N(k) members, stored column by column at index b*h11 + a.  With M the integer
 matrix of k, the torsion point mu/k is (s*omega1 + t*omega2)/det(M) for the
-integers (s, t) = adj(M)*(a, b) mod det(M).  CosetSystem.reduced_torsion maps
+integers (s, t) = adj(M)*(a, b) mod det(M).  Lattice._torsion_coords maps
 (a, b) into the lattice's reduced basis with the one integer matrix
 W*adj(M) mod det(M) and centres it, and Lattice._e1_reduced evaluates
 E1 = (pi*theta1'/theta1(pi*u) + 2*pi*i*Im u/Im tau)/r1 there;
@@ -77,6 +77,7 @@ from .errors import (
     NotUnimodularError,
     PrecisionLossError,
     PreconditionError,
+    SearchLimitError,
     ZeroDivisorError,
 )
 from .lattice import Lattice
@@ -152,26 +153,33 @@ def _half_box(system: CosetSystem) -> list[tuple[int, int]]:
     return [(lo, hi) for lo, hi in ranges if lo < hi]
 
 
-def _chunks(system: CosetSystem):
-    """(idx, a, b): the points of _half_box, _CHUNK at a time, idx = b*h11 + a (int64 arrays).
+def _batches(systems: list[CosetSystem]):
+    """Lists of (i, idx, a, b), idx = b*h11 + a, for the _half_box of each systems[i] in turn (int64 arrays).
 
-    The ranges are joined, so a small box is one chunk.
+    A list holds _CHUNK points but the last, and one arange per system; a range
+    is split only where a list fills, so one system alone gets one item per list.
     """
-    batches, batch, size = [], [], 0
-    for lo, hi in _half_box(system):
-        while lo < hi:
-            stop = min(hi, lo + _CHUNK - size)
-            batch.append((lo, stop))
-            size, lo = size + stop - lo, stop
-            if size == _CHUNK:
-                batches.append(batch)
-                batch, size = [], 0
+    batch, spans, size = [], [], 0
+
+    def points(i):
+        idx = np.concatenate([np.arange(lo, stop, dtype=np.int64) for lo, stop in spans])
+        b, a = np.divmod(idx, systems[i].h11)
+        return i, idx, a, b
+
+    for i, system in enumerate(systems):
+        for lo, hi in _half_box(system):
+            while lo < hi:
+                stop = min(hi, lo + _CHUNK - size)
+                spans.append((lo, stop))
+                size, lo = size + stop - lo, stop
+                if size == _CHUNK:
+                    yield batch + [points(i)]
+                    batch, spans, size = [], [], 0
+        if spans:
+            batch.append(points(i))
+            spans = []
     if batch:
-        batches.append(batch)
-    for batch in batches:
-        idx = np.concatenate([np.arange(lo, stop, dtype=np.int64) for lo, stop in batch])
-        b, a = np.divmod(idx, system.h11)
-        yield idx, a, b
+        yield batch
 
 
 def _neg_index(system: CosetSystem, a, b):
@@ -188,42 +196,30 @@ def _e1_tables(systems: list[CosetSystem]) -> list[np.ndarray]:
     """E1(mu/k) for every mu of each system's box, indexed b*h11 + a for mu = a*omega1 + b*omega2.
 
     The systems share one lattice.  Each torsion point mu/k is
-    (x*r1 + y*r2)/N(k) in the reduced basis, with (x, y) = reduced_torsion(a, b).
+    (x*r1 + y*r2)/N(k), (x, y) = Lattice._torsion_coords(a, b, N(k), adj(M)).
     E1 is odd, so it is evaluated once per pair {mu, -mu} (at the member in
     _half_box) and stored negated at the other; mu = 0 and the 2-torsion
-    points keep the exact value 0.  The chunks of all systems are pooled up
-    to _CHUNK points per E1 evaluation, so a walk's small tables share one.
+    points keep the exact value 0.  Each list of _batches is one E1
+    evaluation, so a walk's small tables share one.
     """
     tables = [np.zeros(system.size, dtype=complex) for system in systems]
     lattice = systems[0].lattice
-    pool, size = [], 0
-    for table, system in zip(tables, systems):
-        for idx, a, b in _chunks(system):
-            if size + idx.size > _CHUNK:
-                _fill(lattice, pool)
-                pool, size = [], 0
-            pool.append((table, system, idx, a, b))
-            size += idx.size
-    if pool:
-        _fill(lattice, pool)
+    for batch in _batches(systems):
+        xs, ys = [], []
+        for i, _, a, b in batch:
+            n = systems[i].size
+            x, y = lattice._torsion_coords(a, b, n, systems[i].adj)
+            xs.append(x / n)
+            ys.append(y / n)
+        # The half box holds no lattice point.
+        values = lattice._e1_reduced(np.concatenate(xs), np.concatenate(ys), False)
+        start = 0
+        for i, idx, a, b in batch:
+            chunk = values[start : start + idx.size]
+            start += idx.size
+            tables[i][_neg_index(systems[i], a, b)] = -chunk
+            tables[i][idx] = chunk
     return tables
-
-
-def _fill(lattice: Lattice, pool: list) -> None:
-    """One E1 evaluation for the (table, system, idx, a, b) chunks of _e1_tables, scattered into their tables."""
-    xs, ys = [], []
-    for _, system, _, a, b in pool:
-        x, y = system.reduced_torsion(a, b)
-        xs.append(x / system.size)
-        ys.append(y / system.size)
-    # The half box holds no lattice point.
-    values = lattice._e1_reduced(np.concatenate(xs), np.concatenate(ys), False)
-    start = 0
-    for table, system, idx, a, b in pool:
-        chunk = values[start : start + idx.size]
-        start += idx.size
-        table[_neg_index(system, a, b)] = -chunk
-        table[idx] = chunk
 
 
 def _system(k: OrderElem, ctx: SumContext) -> CosetSystem:
@@ -251,8 +247,8 @@ def _table_sum(h: OrderElem, system: CosetSystem, table: np.ndarray, ctx: SumCon
 
     The terms at mu and -mu are bitwise equal and the 2-torsion terms are 0,
     so the sum runs over _half_box and is doubled.  Cosets are processed in
-    fixed-size chunks, so only the N(k)-entry table grows with N(k); the
-    partial sums are added in index order, which fixes the rounding.
+    the lists of _batches([system]), so only the N(k)-entry table grows with
+    N(k); the partial sums are added in index order, which fixes the rounding.
     """
     h11 = system.h11
     hm = mult_matrix(h, ctx.lattice)
@@ -260,7 +256,7 @@ def _table_sum(h: OrderElem, system: CosetSystem, table: np.ndarray, ctx: SumCon
     x1, y1 = system.reduce_coords((hm.a11, hm.a21))
     x2, y2 = system.reduce_coords((hm.a12, hm.a22))
     total = 0j
-    for idx, a, b in _chunks(system):
+    for [(_, idx, a, b)] in _batches([system]):
         hx, hy = system.reduce_coords((a * x1 + b * x2, a * y1 + b * y2))
         total += complex(np.sum(table[hy * h11 + hx] * table[idx]))
     return 2 * total / system.k.embed()
@@ -302,21 +298,20 @@ def _walk_value(sign: int, walk: _Walk, ctx: SumContext) -> complex:
 def d_norm_exact(h: OrderElem, k: OrderElem, ctx: SumContext) -> Fraction:
     """Dtilde(h, k) as an exact rational, where the walk of (h, k) uses no constant.
 
-    That holds for every pair with h != 0 and (h, k) = O on d_K = -7, -8, -11
-    with f = 1.  Raises what d_norm raises on the lattice (ExcludedRingError
-    where E2(0) vanishes, on Z[i] and Z[rho]), PreconditionError for any
-    other pair, and SearchLimitError when the walk is stuck.
+    That holds for every pair with h != 0 on d_K = -7, -8, -11 with f = 1.
+    Raises what d_norm raises on the lattice (ExcludedRingError where E2(0)
+    vanishes, on Z[i] and Z[rho]), PreconditionError for any other pair, and
+    SearchLimitError as d_sum does.
     """
     if k.is_zero():
         raise ZeroDivisorError("zero modulus")
     _normalizer(ctx)
-    if h.is_zero() or not _generates_order(h, k):
-        raise PreconditionError(f"the walk needs h != 0 and gcd(h, k) a unit; got h={h!r}, k={k!r}")
-    sign, walk = _signed_walk(h, k)
-    if walk.constants:
+    signed = None if h.is_zero() else _principal_walk(h, k)
+    if signed is None or signed[1].constants:
         raise PreconditionError(
-            f"the walk of h={h!r}, k={k!r} used {len(walk.constants)} float constants; Dtilde is not exact"
+            f"Dtilde(h={h!r}, k={k!r}) is exact only for h != 0, (h, k) principal and no float constants"
         )
+    sign, walk = signed
     return sign * walk.r
 
 
@@ -324,13 +319,22 @@ def d_sum(h: OrderElem, k: OrderElem, ctx: SumContext) -> complex:
     """Elliptic Dedekind sum D_L(h, k) (see the module docstring for which path serves which pair).
 
     Raises PreconditionError when the E1 table serves the pair and N(k) >= 2**31,
-    and SearchLimitError when the walk is stuck.
+    and SearchLimitError when the walk of a pair with (h, k) = O is stuck.
     """
     if k.is_zero():
         raise ZeroDivisorError("zero modulus")
-    if h.is_zero() or not _generates_order(h, k):
-        return _d_sum_table(h, k, ctx)
-    return _walk_value(*_signed_walk(h, k), ctx)
+    signed = None if h.is_zero() else _principal_walk(h, k)
+    return _d_sum_table(h, k, ctx) if signed is None else _walk_value(*signed, ctx)
+
+
+def _principal_walk(h: OrderElem, k: OrderElem) -> tuple[int, _Walk] | None:
+    """_signed_walk(h, k) for h != 0, or None when it is stuck on a pair with (h, k) != O: not principal."""
+    try:
+        return _signed_walk(h, k)
+    except SearchLimitError:
+        if _generates_order(h, k):
+            raise
+    return None
 
 
 def _normalizer(ctx: SumContext) -> complex:

@@ -28,8 +28,8 @@ no G2 at all (Sczech's identity):
 
 and E1 := 0 on lattice points (the defining sum cancels by central symmetry).
 Float points are reduced in floats; torsion points (s*omega1 + t*omega2)/n are
-reduced with integers and divided by n once (Lattice.e1_torsion; the E1 table
-reduces its box points the same way, cosets.CosetSystem.reduced_torsion).
+reduced with integers by one map, Lattice._torsion_coords, and divided by n
+once (Lattice.e1_torsion; the E1 table passes cosets.CosetSystem.adj to it).
 Lattice.from_order records its order, which serves only the exact integer
 matrix of theta on (1, theta) (cosets._theta_matrix).
 """
@@ -237,19 +237,28 @@ class Lattice:
     def e1_torsion(self, s, t, n: int) -> np.ndarray:
         """E1 at the torsion points (s*omega1 + t*omega2)/n, for integer arrays s, t.
 
-        The coordinates are mapped into the reduced basis and centred with
-        integers, then divided by n once; lattice points map to 0.  Every
-        product stays below 2*n**2, so int64 arithmetic is exact for n < 2**31.
+        s and t are reduced mod n, mapped by _torsion_coords and divided by n
+        once; lattice points map to 0.  Every product stays below 2*n**2, so
+        int64 arithmetic is exact for n < 2**31.
         """
         if not 0 < n < 2**31:
             raise PreconditionError(f"torsion order n = {n} is outside [1, 2**31)")
-        (m1, m2), (k1, k2) = ((c % n for c in row) for row in self._w_coords)
-        s = np.asarray(s, dtype=np.int64) % n
-        t = np.asarray(t, dtype=np.int64) % n
-        half = n // 2
-        x = (m1 * s + m2 * t + half) % n - half
-        y = (k1 * s + k2 * t + half) % n - half
+        s, t = (np.asarray(c, dtype=np.int64) % n for c in (s, t))
+        x, y = self._torsion_coords(s, t, n, (1, 0, 0, 1))
         return self._e1_reduced(x / n, y / n, (x == 0) & (y == 0))
+
+    def _torsion_coords(self, a, b, n: int, m: tuple[int, int, int, int]):
+        """Centred (x, y), |x|, |y| <= n/2, with (s*omega1 + t*omega2)/n = (x*r1 + y*r2)/n mod L, (s, t) = m*(a, b).
+
+        m = (m11, m12, m21, m22) and the basis change W of the reduction compose into
+        one integer matrix W*m mod n: two mods per point, exact while n*(a + b + 1) < 2**63.
+        """
+        (w11, w12), (w21, w22) = self._w_coords
+        m11, m12, m21, m22 = m
+        half = n // 2
+        x = ((w11 * m11 + w12 * m21) % n * a + (w11 * m12 + w12 * m22) % n * b + half) % n - half
+        y = ((w21 * m11 + w22 * m21) % n * a + (w21 * m12 + w22 * m22) % n * b + half) % n - half
+        return x, y
 
     def e1(self, z: complex) -> complex:
         return complex(self.e1_many(np.asarray([complex(z)]))[0])

@@ -1,12 +1,13 @@
 """Exact SL2(O) algebra: 2x2 matrices, their completion, and the pseudo-Euclidean walk.
 
-The walk serves d_sum on every pair (h, k) with h != 0 and (h, k) = O, on any
-order.  (h, k) = O is decided up front and exactly (_generates_order): the
-gcd of the 2x2 minors of the coordinates of h, h*theta, k and k*theta, the
-index of (h, k) in O, is 1.  h is first replaced by its representative mod k
-in a fixed box, up to sign (_signed_walk), so that the value is shift
-invariant and odd in h bit for bit.  The walk is the pseudo-Euclidean
-algorithm of modular symbols (J. E. Cremona, Compositio Math. 51, 1984):
+The walk serves d_sum on every pair (h, k) with h != 0 and (h, k) principal,
+on any order, and is stuck on every other pair.  (h, k) = O is decided
+exactly (_generates_order): the gcd of the 2x2 minors of the coordinates of
+h, h*theta, k and k*theta, the index of (h, k) in O, is 1.  h is first
+replaced by its representative mod k in a fixed box, up to sign
+(_signed_walk), so that the value is shift invariant and odd in h bit for
+bit.  The walk is the pseudo-Euclidean algorithm of modular symbols
+(J. E. Cremona, Compositio Math. 51, 1984):
 each step applies M = [[alpha, beta], [gamma, delta]] in SL2(O) to the
 column (a, c), starting at (h, k), and takes the first M with
 N(gamma*a + delta*c) < N(c):
@@ -30,8 +31,9 @@ _complete_column and _generates_order wrap the same integer code.
 
 On d_K = -7, -8, -11 every step has gamma = -1 (a neighbour of q in the
 corner cases of -7 and -11), as in the Euclidean algorithm.  The walk ends
-at (u, 0), u a unit, carrying the cofactor x0 of h (a = x0*h mod k), and
-x = x0*conj(u) is the inverse of h mod k.  It returns
+at (g, 0), (g) = (h, k), carrying the cofactor x0 of h (a = x0*h mod k):
+x = x0*conj(g) inverts h mod k for a unit g, else (h/g, k/g) takes the same
+steps to (1, 0) and x = x0*g gives (h + x)/k = (h/g + x0)/(k/g).  It returns
 R = J((h + x)/k) + sum_i J((alpha_i + delta_i)/gamma_i) as an exact Fraction,
 J(z/w) = v(z*conj(w))/N(w) with v the theta-coordinate (-J(q) = -v(q) on a
 Euclidean step), and the (alpha_i, gamma_i) of the steps with N(gamma_i) > 1,
@@ -299,7 +301,7 @@ class _Walk:
 
 
 def _walk(h: OrderElem, k: OrderElem) -> _Walk:
-    """The walk of (h, k), for h != 0 with (h, k) = O; raises SearchLimitError when it is stuck."""
+    """The walk of (h, k), for h != 0; raises SearchLimitError when it is stuck, as on every non-principal (h, k)."""
     order = h.order
     tr, nt = order.theta_trace, order.theta_norm
     c0 = tr // 2
@@ -327,9 +329,9 @@ def _walk(h: OrderElem, k: OrderElem) -> _Walk:
             constants.append((alpha, gamma))
         a, c = _combine(alpha, a, beta, c, tr, nt), _combine(gamma, a, delta, c, tr, nt)
         x0, x1 = _combine(alpha, x0, beta, x1, tr, nt), _combine(gamma, x0, delta, x1, tr, nt)
-    if _norm(a, tr, nt) != 1:
-        raise ConstructionError(f"the walk of a pair with (h, k) = O ended at a non-unit {OrderElem(*a, order)!r}")
-    x = _times_conj(x0, a, tr, nt)  # h*x = 1 (mod k): a is a unit of norm 1
+    # a generates (h, k).  A unit a has norm 1 and h*x0*conj(a) = 1 (mod k).  Otherwise
+    # (h/a, k/a) takes the same steps to (1, 0), x0 inverts h/a mod k/a and x/k = x0/(k/a).
+    x = _times_conj(x0, a, tr, nt) if _norm(a, tr, nt) == 1 else _mul(x0, a, tr, nt)
     # J(z/w) = 2*Im(z/w)/sqrt(|d|) is the theta-coordinate of z/w, as Im(theta) = sqrt(|d|)/2.
     r = Fraction(_times_conj(_add((h.u, h.v), x), (k.u, k.v), tr, nt)[1], k.norm()) - q_sum + extra
     return _Walk(r, tuple((OrderElem(*alpha, order), OrderElem(*gamma, order)) for alpha, gamma in constants))

@@ -264,10 +264,10 @@ def _colliding_pairs(system: CosetSystem, coords: np.ndarray) -> int:
     """Number of pairs among `coords` whose difference lies in kL.
 
     (a, b) and (a', b') share a coset exactly when adj(M)*(a, b) and
-    adj(M)*(a', b') agree mod det(M), so pairs are counted per key group.
+    adj(M)*(a', b') agree mod det(M), so pairs are counted per key s*det(M) + t.
     """
-    keys = np.stack(system.torsion_key(coords[:, 0], coords[:, 1]), axis=1)
-    _, sizes = np.unique(keys, axis=0, return_counts=True)
+    s, t = system.torsion_key(coords[:, 0], coords[:, 1])
+    _, sizes = np.unique(s * system.size + t, return_counts=True)
     return int(np.sum(sizes * (sizes - 1) // 2))
 
 

@@ -70,13 +70,34 @@ def test_sum_huge_h_equals_its_residue(capsys):
 
 
 def test_sum_norm_above_int64_bound_usage_error(capsys):
-    # gcd(3, 46341) = 3 is no unit, so the E1 table serves the pair, and it refuses N(k) >= 2**31.
-    code, out, err = run_cli(
-        capsys, "sum", "--dk", "-8", "-f", "3", "--h", "3,0", "--k", "46341,0", "--format", "json"
-    )
+    # On d = -20, (11 + theta, 46346) = (1 + sqrt(-5), 2) is not principal, so the walk is
+    # stuck and the E1 table serves the pair, and it refuses N(k) >= 2**31.
+    code, out, err = run_cli(capsys, "sum", "--dk", "-20", "--h", "11,1", "--k", "46346,0", "--format", "json")
     assert code == 2
     assert out == ""
-    assert "N(k) = 2147488281" in err and "2147483648" in err
+    assert "N(k) = 2147951716" in err and "2147483648" in err
+
+
+@pytest.mark.parametrize(
+    "argv, walked, d_norm",
+    [
+        ("--dk -8 --h 6,2 --k 46342,0", "--dk -8 --h 3,1 --k 23171,0", "-7723.3333045617364"),
+        ("--dk -8 -f 3 --h 3,0 --k 46341,0", "--dk -8 -f 3 --h 1,0 --k 15447,0", "0"),
+    ],
+    ids=["d-8-gcd-2", "d-72-gcd-3"],
+)
+def test_sum_walks_a_principal_gcd_above_the_table_bound(capsys, argv, walked, d_norm):
+    # D_L(g*h, g*k) = D_L(h, k), and the walk of (g*h, g*k) takes the steps of (h, k):
+    # N(k) >= 2**31 here, where the E1 table refuses.
+    outs = []
+    for args in (argv, walked):
+        code, out, _ = run_cli(capsys, "sum", *args.split(), "--format", "json")
+        assert code == 0
+        outs.append(out)
+    assert f'"d_norm":{d_norm},' in outs[0]
+    records = [json.loads(out)["records"][0] for out in outs]
+    assert records[0]["coset_count"] >= 2**31
+    assert records[0]["d_sum"] == records[1]["d_sum"] and records[0]["d_norm"] == records[1]["d_norm"]
 
 
 def test_sum_zero_h_needs_no_table(capsys):
@@ -96,15 +117,13 @@ def test_sum_zero_h_needs_no_table(capsys):
 
 
 def test_sum_table_above_physical_memory_usage_error(capsys, monkeypatch):
-    # k = 390*sqrt(-2) shares the factor 13 with h, so the E1 table serves the pair:
-    # N(k) = 304200 needs a 4867200-byte table; the memory probe reports 1e6 bytes.
+    # On d = -20, (11 + theta, 550) = (1 + sqrt(-5), 2) is not principal, so the E1 table
+    # serves the pair: N(k) = 302500 needs a 4840000-byte table; the probe reports 1e6 bytes.
     monkeypatch.setattr(dedekind, "_physical_memory", lambda: 10**6)
-    code, out, err = run_cli(
-        capsys, "sum", "--dk", "-8", "-f", "3", "--h", "13,0", "--k", "1560,130", "--format", "json"
-    )
+    code, out, err = run_cli(capsys, "sum", "--dk", "-20", "--h", "11,1", "--k", "550,0", "--format", "json")
     assert code == 2
     assert out == ""
-    assert "4867200 bytes" in err and "1000000 bytes" in err
+    assert "4840000 bytes" in err and "1000000 bytes" in err
 
 
 def test_sum_conj_stable_conductor_example(capsys):

@@ -223,9 +223,9 @@ def test_e1_table_evaluates_each_pair_once(ctx_m8, monkeypatch, u, v):
 
 @pytest.mark.parametrize("dk, f, basis", [(-8, 3, None), (-20, 1, "form"), (-15, 1, "unreduced")])
 def test_e1_tables_match_e1_torsion_bit_for_bit(dk, f, basis):
-    # The one torsion matrix W*adj(M) mod N(k) of reduced_torsion gives the centred integers
-    # of torsion_key followed by e1_torsion, so every table is bit-identical to that path,
-    # whether its systems share one fill or each gets its own.
+    # _torsion_coords with adj(M) gives the centred integers of torsion_key followed by
+    # e1_torsion, so every table is bit-identical to that path, whether its systems
+    # share one fill or each gets its own.
     order = QuadOrder(dk, f)
     theta = order.theta_embedding()
     lattice = {
@@ -239,8 +239,48 @@ def test_e1_tables_match_e1_torsion_bit_for_bit(dk, f, basis):
     for system, table in zip(systems, _e1_tables(systems)):
         (alone,) = _e1_tables([system])
         assert np.array_equal(table, alone)
-        for idx, a, b in dedekind._chunks(system):
+        for [(_, idx, a, b)] in dedekind._batches([system]):
             assert np.array_equal(table[idx], lattice.e1_torsion(*system.torsion_key(a, b), system.size))
+
+
+def test_batches_cut_the_half_boxes_only_where_a_list_fills(ctx_m8):
+    # Every list but the last holds exactly _CHUNK points, each system's points come in
+    # _half_box order, and a system alone gets one item per list.
+    order = ctx_m8.order
+    systems = [CosetSystem(order.element(*k), ctx_m8.lattice) for k in ((7, 2), (150, 0), (2, 0), (40, 9), (3, 1))]
+    batches = list(dedekind._batches(systems))
+    sizes = [sum(idx.size for _, idx, _, _ in batch) for batch in batches]
+    assert len(batches) >= 3 and all(n == dedekind._CHUNK for n in sizes[:-1]) and 0 < sizes[-1] <= dedekind._CHUNK
+    for i, system in enumerate(systems):
+        half = [np.arange(lo, hi) for lo, hi in dedekind._half_box(system)]
+        items = [(idx, a, b) for batch in batches for j, idx, a, b in batch if j == i]
+        assert np.array_equal(np.concatenate([idx for idx, _, _ in items] or [[]]), np.concatenate(half or [[]]))
+        assert all(np.array_equal(b * system.h11 + a, idx) for idx, a, b in items)
+        assert all(len(batch) == 1 for batch in dedekind._batches([system]))
+
+
+@pytest.mark.parametrize("dk, f, basis", [(-8, 3, None), (-20, 1, "form"), (-15, 1, "unreduced")])
+def test_torsion_coords_compose_the_matrix_before_reducing(dk, f, basis):
+    # _torsion_coords(a, b, n, m) = _torsion_coords(m*(a, b) mod n, n, identity), centred.
+    order = QuadOrder(dk, f)
+    theta = order.theta_embedding()
+    lattice = {
+        None: Lattice.from_order(order),
+        "form": Lattice(2, complex(3.0, math.sqrt(5.0))),
+        "unreduced": Lattice(7 + 3 * theta, 2 + theta),
+    }[basis]
+    rng = random.Random(26)
+    for _ in range(40):
+        n = rng.choice((1, 2, 3, rng.randint(4, 10**4), rng.randint(10**4, 2**31 - 1)))
+        m = tuple(rng.randint(-(10**12), 10**12) for _ in range(4))
+        a = np.array([rng.randrange(n) for _ in range(50)], dtype=np.int64)
+        b = np.array([rng.randrange(n) for _ in range(50)], dtype=np.int64)
+        m11, m12, m21, m22 = (c % n for c in m)
+        s, t = (m11 * a + m12 * b) % n, (m21 * a + m22 * b) % n
+        x, y = lattice._torsion_coords(a, b, n, m)
+        xi, yi = lattice._torsion_coords(s, t, n, (1, 0, 0, 1))
+        assert np.array_equal(x, xi) and np.array_equal(y, yi)
+        assert np.all(2 * np.abs(x) <= n) and np.all(2 * np.abs(y) <= n)
 
 
 @pytest.mark.parametrize("dk, f", CONJ_STABLE_ORDERS)
@@ -276,14 +316,16 @@ DISTRIBUTION_CASES = [
 @pytest.mark.parametrize("dk, f, h, k, g", DISTRIBUTION_CASES)
 def test_table_matches_walk_by_distribution_relation(dk, f, h, k, g):
     # D_L(g*h, g*k) = D_L(h, k): group the sum over mu in L/gkL by mu mod kL, and
-    # E1's distribution relation sums each group to g*E1(mu/k).
+    # E1's distribution relation sums each group to g*E1(mu/k).  d_sum walks both
+    # pairs, g being principal; the table sums (g*h, g*k) at N(g*k).
     ctx = SumContext(QuadOrder(dk, f))
     order = ctx.order
     h, k, g = order.element(*h), order.element(*k), order.element(*g)
     assert sl2._generates_order(h, k) and not sl2._generates_order(g * h, g * k)
     assert 4050 <= (g * k).norm() <= 40_000
     walk = d_sum(h, k, ctx)
-    assert abs(d_sum(g * h, g * k, ctx) - walk) <= 1e-12 * abs(walk)
+    assert d_sum(g * h, g * k, ctx) == walk
+    assert abs(_d_sum_table(g * h, g * k, ctx) - walk) <= 1e-12 * abs(walk)
     if (dk, f) == (-8, 1):
         exact = float(d_norm_exact(h, k, ctx))
         assert abs(normalize_value(walk, ctx) - exact) <= 1e-12 * abs(exact)
@@ -291,7 +333,6 @@ def test_table_matches_walk_by_distribution_relation(dk, f, h, k, g):
 
 def test_d_sum_table_refuses_a_table_above_physical_memory(monkeypatch):
     # N(30) = 900 on the conductor-3 order: a 14400-byte table against a probe of 1000 bytes.
-    # gcd(h, 30) is 3 for both h below, no unit, so the E1 table serves them.
     ctx = SumContext(QuadOrder(-8, 3))
     monkeypatch.setattr(dedekind, "_physical_memory", lambda: 1000)
 
@@ -300,12 +341,12 @@ def test_d_sum_table_refuses_a_table_above_physical_memory(monkeypatch):
 
     monkeypatch.setattr(dedekind, "_e1_tables", forbidden)
     with pytest.raises(PreconditionError, match=r"N\(k\) = 900 needs 14400 bytes, more than the 1000 bytes"):
-        d_sum(ctx.order.element(3), ctx.order.element(30), ctx)
+        _d_sum_table(ctx.order.element(3), ctx.order.element(30), ctx)
     monkeypatch.undo()
     assert dedekind._physical_memory() > 16 * 900
     h, k = ctx.order.element(3, 3), ctx.order.element(30)
     expected = full_box_d_sum(h, k, ctx)
-    assert abs(d_sum(h, k, ctx) - expected) <= 1e-12 * (1 + abs(expected))
+    assert abs(_d_sum_table(h, k, ctx) - expected) <= 1e-12 * (1 + abs(expected))
 
 
 def test_d_sum_closed_form_at_realistic_size(ctx_m8):
@@ -320,11 +361,12 @@ def test_d_sum_closed_form_at_realistic_size(ctx_m8):
 
 
 def test_d_sum_norm_bound_fails_loudly():
-    # gcd(3, 46341) = 3 is no unit, so the E1 table serves the pair.
-    # 46341**2 = 2147488281 >= 2**31: raised before any table is allocated.
-    ctx = SumContext(QuadOrder(-8, 3))
-    with pytest.raises(PreconditionError, match="2147488281.*2147483648"):
-        d_sum(ctx.order.element(3), ctx.order.element(46341), ctx)
+    # On d = -20, 11 + theta = 1 + sqrt(-5) and (1 + sqrt(-5), 2*23173) is the prime over 2,
+    # which is not principal, so the walk is stuck and the E1 table serves the pair.
+    # 46346**2 = 2147951716 >= 2**31: raised before any table is allocated.
+    ctx = SumContext(QuadOrder(-20))
+    with pytest.raises(PreconditionError, match="2147951716.*2147483648"):
+        d_sum(ctx.order.element(11, 1), ctx.order.element(46346), ctx)
 
 
 def test_d_sum_inverse_congruence(ctx_m8):
@@ -422,8 +464,9 @@ def test_euclid_d_sum_shift_invariance(dk):
     [(1, (14, 4), (7, 2)), (3, (1, 0), (5, 1)), (3, (3, 1), (7, 2))],
 )
 def test_table_serves_non_unit_gcd_and_conductor(f, h, k, monkeypatch):
-    # gcd(14 + 4*theta, 7 + 2*theta) is no unit: the E1 table serves it.  The
-    # conductor-3 pairs have unit gcd: the walk serves them, with no table at N(k).
+    # h = 2*k, so gcd(h, k) = 7 + 2*theta is no unit and D_L(h, k) = 0: the E1 table sums
+    # the pair at N(k), and d_sum walks it, as the gcd is principal.  The conductor-3
+    # pairs have unit gcd: the walk serves them, with no table at N(k).
     ctx = SumContext(QuadOrder(-8, f))
     h, k = ctx.order.element(*h), ctx.order.element(*k)
     sizes = []
@@ -435,13 +478,15 @@ def test_table_serves_non_unit_gcd_and_conductor(f, h, k, monkeypatch):
 
     monkeypatch.setattr(dedekind, "_e1_tables", recording)
     value = d_sum(h, k, ctx)
-    monkeypatch.undo()
     if f == 1:
-        with pytest.raises(PreconditionError):
-            d_norm_exact(h, k, ctx)
+        assert sizes == []
+        table = _d_sum_table(h, k, ctx)
+        monkeypatch.undo()
         assert sizes == [k.norm()]
-        assert value == _d_sum_table(h, k, ctx)
+        assert abs(table - value) <= 1e-12 * (1 + abs(value))
+        assert d_norm_exact(h, k, ctx) == 0
     else:
+        monkeypatch.undo()
         assert all(n <= 72 for n in sizes)
         expected = _d_sum_table(h, k, ctx)
         assert abs(value - expected) <= 1e-12 * (1 + abs(expected))

@@ -110,6 +110,51 @@ def test_walk_matches_table(dk, f, lattice, monkeypatch):
         assert with_constants > 0
 
 
+PRINCIPAL_GCD_ORDERS = [
+    (-8, 1), (-7, 1), (-11, 1), (-8, 3), (-15, 1), (-20, 1), (-23, 1), (-163, 1), (-3, 7), (-4, 3), (-19, 1), (-43, 1),
+]
+
+
+@pytest.mark.parametrize("dk, f", PRINCIPAL_GCD_ORDERS)
+def test_walk_serves_a_principal_gcd_bit_for_bit(dk, f, monkeypatch):
+    # (g*h, g*k) takes the steps of (h, k), so D_L(g*h, g*k) = D_L(h, k) bit for bit,
+    # with no table at N(g*k); the table agrees by E1's distribution relation.
+    ctx = SumContext(QuadOrder(dk, f))
+    order = ctx.order
+    rng = random.Random(48)
+    checked = 0
+    while checked < 6:
+        h, k = unit_gcd_pair(rng, order, 2_000)
+        g = order.element(rng.randint(-6, 6), rng.randint(-2, 2))
+        if g.norm() <= 1 or (g * k).norm() > 60_000:
+            continue
+        checked += 1
+        value = d_sum(h, k, ctx)
+        table_sizes = record_table_sizes(monkeypatch)
+        assert d_sum(g * h, g * k, ctx) == value
+        monkeypatch.undo()
+        assert all(n <= _gamma_bound(order) for n in table_sizes)
+        expected = _d_sum_table(g * h, g * k, ctx)
+        assert abs(value - expected) <= 1e-12 * (1 + abs(expected))
+
+
+def test_non_principal_pair_goes_to_the_table(monkeypatch):
+    # On d = -20, 11 + theta = 1 + sqrt(-5), and (1 + sqrt(-5), 10) is the prime over 2,
+    # which is not principal: the walk is stuck, and d_sum sums the pair on the table.
+    ctx = SumContext(QuadOrder(-20))
+    h, k = ctx.order.element(11, 1), ctx.order.element(10)
+    assert not _generates_order(h, k)
+    with pytest.raises(SearchLimitError):
+        _signed_walk(h, k)
+    sizes = record_table_sizes(monkeypatch)
+    value = d_sum(h, k, ctx)
+    monkeypatch.undo()
+    assert sizes == [100]
+    assert value == _d_sum_table(h, k, ctx)
+    with pytest.raises(PreconditionError, match="principal"):
+        d_norm_exact(h, k, ctx)
+
+
 @pytest.mark.parametrize("dk, f", [(-15, 1), (-23, 1), (-163, 1), (-8, 3), (-3, 7)])
 def test_walk_decides_every_step_without_floats(dk, f, monkeypatch):
     # The walk runs with every complex embedding disabled; its values then match the table.
