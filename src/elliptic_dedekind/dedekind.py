@@ -242,13 +242,14 @@ def _system(k: OrderElem, ctx: SumContext) -> CosetSystem:
     return system
 
 
-def _table_sum(h: OrderElem, system: CosetSystem, table: np.ndarray, ctx: SumContext) -> complex:
+def _table_sum(h: OrderElem, system: CosetSystem, table: np.ndarray, batches, ctx: SumContext) -> complex:
     """D_L(h, k) from the E1 table of k (see the module docstring).
 
     The terms at mu and -mu are bitwise equal and the 2-torsion terms are 0,
     so the sum runs over _half_box and is doubled.  Cosets are processed in
-    the lists of _batches([system]), so only the N(k)-entry table grows with
-    N(k); the partial sums are added in index order, which fixes the rounding.
+    the lists `batches` of _batches([system]), streamed for one sum, so only
+    the N(k)-entry table grows with N(k), or kept for every alpha of a walk's
+    gamma; the partial sums are added in index order, which fixes the rounding.
     """
     h11 = system.h11
     hm = mult_matrix(h, ctx.lattice)
@@ -256,7 +257,7 @@ def _table_sum(h: OrderElem, system: CosetSystem, table: np.ndarray, ctx: SumCon
     x1, y1 = system.reduce_coords((hm.a11, hm.a21))
     x2, y2 = system.reduce_coords((hm.a12, hm.a22))
     total = 0j
-    for [(_, idx, a, b)] in _batches([system]):
+    for [(_, idx, a, b)] in batches:
         hx, hy = system.reduce_coords((a * x1 + b * x2, a * y1 + b * y2))
         total += complex(np.sum(table[hy * h11 + hx] * table[idx]))
     return 2 * total / system.k.embed()
@@ -274,14 +275,16 @@ def _d_sum_table(h: OrderElem, k: OrderElem, ctx: SumContext) -> complex:
         except OverflowError as exc:
             raise PreconditionError(f"k = {k!r} leaves the double range") from exc
     system = _system(k, ctx)
-    return _table_sum(h, system, *_e1_tables([system]), ctx)
+    (table,) = _e1_tables([system])
+    return _table_sum(h, system, table, _batches([system]), ctx)
 
 
 def _walk_value(sign: int, walk: _Walk, ctx: SumContext) -> complex:
     """D_L(h, k) from (sign, walk) = _signed_walk(h, k).
 
-    The constants D_L(alpha, gamma) of one gamma share one E1 table, and one
-    E1 evaluation fills the tables of every gamma of the walk (_e1_tables).
+    The constants D_L(alpha, gamma) of one gamma share one E1 table and one
+    list of _batches, and one E1 evaluation fills the tables of every gamma of
+    the walk (_e1_tables).
     A pair the walk meets again is summed once; the constants are subtracted
     in walk order.
     """
@@ -289,7 +292,10 @@ def _walk_value(sign: int, walk: _Walk, ctx: SumContext) -> complex:
     if walk.constants:
         gammas = list(dict.fromkeys(gamma for _, gamma in walk.constants))
         systems = [_system(gamma, ctx) for gamma in gammas]
-        tables = dict(zip(gammas, zip(systems, _e1_tables(systems))))
+        tables = {
+            gamma: (system, table, list(_batches([system])))
+            for gamma, system, table in zip(gammas, systems, _e1_tables(systems))
+        }
         sums = {(alpha, gamma): _table_sum(alpha, *tables[gamma], ctx) for alpha, gamma in set(walk.constants)}
         value -= sign * sum(sums[pair] for pair in walk.constants)
     return value

@@ -32,6 +32,9 @@ reduced with integers by one map, Lattice._torsion_coords, and divided by n
 once (Lattice.e1_torsion; the E1 table passes cosets.CosetSystem.adj to it).
 Lattice.from_order records its order, which serves only the exact integer
 matrix of theta on (1, theta) (cosets._theta_matrix).
+The verify suites check E1, zeta and E2(0) against elliptic_dedekind.oracles,
+which sums Ewald's theta split over the given basis and its dual and shares
+neither the reduced basis nor the series.
 """
 
 from __future__ import annotations

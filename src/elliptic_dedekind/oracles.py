@@ -1,115 +1,113 @@
 """Reference evaluators along code paths independent of the q-series kernels.
 
-These exist purely to cross-check the closed-form evaluators in
-:mod:`elliptic_dedekind.lattice`; use them in verification suites, never in
-production paths.
+These exist purely to cross-check the evaluators in :mod:`elliptic_dedekind.lattice`;
+use them in verification suites, never in production paths.
 
-- `weierstrass_zeta_direct` truncates the defining sum of zeta over a disk, so
-  its accuracy is polynomial in the radius (about 1e-9 at the one it uses).
-- `e2_hecke_limit` evaluates Hecke's limit for E2(0) exactly by Ewald's theta
-  split: two rapidly converging sums of elementary functions over the given
-  basis and its dual, accurate to the last few units in the last place.
+All take Ewald's theta split of Hecke's limit (A. Weil, "Elliptic Functions
+according to Eisenstein and Kronecker", 1976, ch. VIII): with A the area,
+Mellin's transform splits the series at the self-dual Gaussian width pi/A, and
+Poisson's formula turns the large-|w| half into a sum over the dual lattice
+L* = {xi : Re(w*conj(xi)) in Z for all w in L}, basis xi1 = -i*omega2/A,
+xi2 = i*omega1/A.  Both halves are sums of elementary functions over one
+enumerator (_points_in_disk), from the given basis in plain floats, cut at
+exponent _EWALD_CUTOFF (about 40 points each).  Nothing is shared with the
+reduced basis or the q-series, and each value is exact to a few units in the
+last place: `e2_hecke_limit` gives E2(0), `e1_ewald` Kronecker's E1(z), and
+`weierstrass_zeta_direct` zeta(z) = E1(z) + E2(0)*z + (pi/A)*conj(z).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
-
-import numpy as np
 
 from .lattice import Lattice
 
-__all__ = ["lattice_points_in_disk", "weierstrass_zeta_direct", "e2_hecke_limit"]
+__all__ = ["e1_ewald", "weierstrass_zeta_direct", "e2_hecke_limit"]
 
-# weierstrass_zeta_direct: the disk's radius in units of sqrt(area).  Over the
-# 16 orders of CI and (-4, 5) the worst residual at z = 0.31+0.27j is 1.0e-9
-# (d = -4), ten times under the e1 suite's 1e-8.
-_ZETA_RADIUS_CELLS = 200.0
-
-# e2_hecke_limit: both of its sums stop where the exponent of their Gaussian
-# reaches this, so each drops terms below exp(-40) ~ 4e-18 of the first.
+# Every sum stops where the exponent of its Gaussian reaches this, so each
+# drops terms below exp(-40) ~ 4e-18 of the first.
 _EWALD_CUTOFF = 40.0
 
 
-def lattice_points_in_disk(lattice: Lattice, radius: float) -> np.ndarray:
-    """All nonzero lattice points with |w| <= radius, as a complex array.
+def _points_in_disk(b1: complex, b2: complex, area: float, r2_max: float, centre: complex):
+    """Every m*b1 + n*b2 with |m*b1 + n*b2 - centre|^2 <= r2_max, one row of n at a time.
 
-    The grid spans the reduced basis, whose coefficient box is the smallest.
-    """
-    w1, w2 = lattice._r1, lattice._r2
-    a = lattice.area()
-    mmax = int(radius * abs(w2) / a) + 2
-    nmax = int(radius * abs(w1) / a) + 2
-    m = np.arange(-mmax, mmax + 1)
-    n = np.arange(-nmax, nmax + 1)
-    z = (m[:, None] * w1 + n[None, :] * w2).ravel()
-    r2 = (z * np.conj(z)).real
-    mask = (r2 > 1e-12 * a) & (r2 <= radius * radius)
-    return z[mask]
-
-
-def weierstrass_zeta_direct(z: complex, lattice: Lattice) -> complex:
-    """Truncated defining sum 1/z + sum' [1/(z-w) + 1/w + z/w^2].
-
-    The truncation is a centered disk of radius _ZETA_RADIUS_CELLS*sqrt(area),
-    so its cost depends on the lattice, not on the basis that names it, and
-    odd-symmetry cancellation leaves an O(1/_ZETA_RADIUS_CELLS^2) tail.
-    """
-    pts = lattice_points_in_disk(lattice, _ZETA_RADIUS_CELLS * math.sqrt(lattice.area()))
-    zc = complex(z)
-    terms = 1.0 / (zc - pts) + 1.0 / pts + zc / (pts * pts)
-    return zc**-1 + complex(np.sum(terms))
-
-
-def _points_in_disk(b1: complex, b2: complex, area: float, r2_max: float):
-    """Nonzero m*b1 + n*b2 with |m*b1 + n*b2|^2 <= r2_max, one row of n at a time.
-
-    Row n lies at distance |n|*area/|b1| from the line R*b1; on it, m runs over
-    the integers of an interval centred at -n*Re(b2*conj(b1))/|b1|^2.
+    Rows lie area/|b1| apart, parallel to b1, and the centre sits at row
+    Im(centre*conj(b1))/area; on row n, m runs over the integers of an
+    interval centred at Re((centre - n*b2)*conj(b1))/|b1|^2.
     """
     len1 = abs(b1)
     gap = area / len1
     shift = (b2 * b1.conjugate()).real / (len1 * len1)
-    n_max = int(math.sqrt(r2_max) / gap)
-    for n in range(-n_max, n_max + 1):
-        room = r2_max - (n * gap) ** 2
+    c = centre * b1.conjugate()
+    row, along = c.imag / area, c.real / (len1 * len1)
+    reach = math.sqrt(r2_max) / gap
+    for n in range(math.ceil(row - reach), math.floor(row + reach) + 1):
+        room = r2_max - ((n - row) * gap) ** 2
         if room < 0.0:
             continue
         half = math.sqrt(room) / len1
-        centre = -n * shift
-        for m in range(math.ceil(centre - half), math.floor(centre + half) + 1):
-            if m or n:
-                yield m * b1 + n * b2
+        mid = along - n * shift
+        for m in range(math.ceil(mid - half), math.floor(mid + half) + 1):
+            yield m * b1 + n * b2
+
+
+def _dual_terms(lattice: Lattice):
+    """(xi, exp(-pi*A*|xi|^2)) for the nonzero xi of L* up to _EWALD_CUTOFF."""
+    w1, w2, a = lattice.omega1, lattice.omega2, lattice.area()
+    for xi in _points_in_disk(-1j * w2 / a, 1j * w1 / a, 1.0 / a, _EWALD_CUTOFF / (math.pi * a), 0j):
+        if xi:
+            yield xi, math.exp(-math.pi * a * abs(xi) ** 2)
 
 
 def e2_hecke_limit(lattice: Lattice) -> complex:
     """Hecke's limit E2(0) = lim_{s->0+} sum' w^-2 |w|^-2s, by Ewald's theta split.
 
-    With A the area, x = pi*|w|^2/A and y = pi*A*|xi|^2,
+    With x = pi*|w|^2/A and y = pi*A*|xi|^2,
 
-        E2(0) = sum'_{w in L} w^-2 (1 + x) e^-x - (pi/A) sum'_{xi in L*} (conj(xi)/xi) e^-y,
+        E2(0) = sum'_{w in L} w^-2 (1 + x) e^-x - (pi/A) sum'_{xi in L*} (conj(xi)/xi) e^-y.
 
-    where L* = {xi : Re(w*conj(xi)) in Z for all w in L} has the dual basis
-    xi1 = -i*omega2/A, xi2 = i*omega1/A.  The value at sigma = 2 of the Epstein
-    zeta function sum' conj(w)^2 |w|^-2sigma is entire in sigma (A. Weil,
-    "Elliptic Functions according to Eisenstein and Kronecker", 1976, ch. VIII);
-    Mellin's transform splits it at the self-dual Gaussian width pi/A, and
-    Poisson's formula with Hecke's identity for conj(x)^2 e^(-pi|x|^2) turns
-    the large-|w| half into the dual sum.  Gamma(2, x) = (1 + x) e^-x and
-    Gamma(1, y) = e^-y are what is left of the incomplete gamma functions.
-
-    Both sums stop at exponent _EWALD_CUTOFF, about 40 points each, and are
-    enumerated from the given basis omega1, omega2 in plain floats: nothing is
-    shared with the lattice's reduced basis or its q-series.
+    The value at sigma = 2 of the Epstein zeta function sum' conj(w)^2 |w|^-2sigma
+    is entire in sigma; Hecke's identity for conj(x)^2 e^(-pi|x|^2) gives the
+    dual sum, and Gamma(2, x) = (1 + x) e^-x and Gamma(1, y) = e^-y are what is
+    left of the incomplete gamma functions.
     """
-    w1, w2 = lattice.omega1, lattice.omega2
-    a = (w1.conjugate() * w2).imag
+    w1, w2, a = lattice.omega1, lattice.omega2, lattice.area()
     width = math.pi / a
     direct = 0j
-    for w in _points_in_disk(w1, w2, a, _EWALD_CUTOFF / width):
-        x = width * abs(w) ** 2
-        direct += (1.0 + x) * math.exp(-x) / (w * w)
-    dual = 0j
-    for xi in _points_in_disk(-1j * w2 / a, 1j * w1 / a, 1.0 / a, _EWALD_CUTOFF / (math.pi * a)):
-        dual += xi.conjugate() / xi * math.exp(-math.pi * a * abs(xi) ** 2)
+    for w in _points_in_disk(w1, w2, a, _EWALD_CUTOFF / width, 0j):
+        if w:
+            x = width * abs(w) ** 2
+            direct += (1.0 + x) * math.exp(-x) / (w * w)
+    dual = sum((xi.conjugate() / xi * g for xi, g in _dual_terms(lattice)), 0j)
     return direct - width * dual
+
+
+def e1_ewald(z: complex, lattice: Lattice) -> complex:
+    """Kronecker's E1(z) = lim_{s->0+} sum_w (z + w)^-1 |z + w|^-2s, by Ewald's theta split.
+
+    With x = pi*|z + w|^2/A and y = pi*A*|xi|^2,
+
+        E1(z) = sum_{w in L} e^-x/(z + w) - (i/A) sum'_{xi in L*} e^(2*pi*i*Re(z*conj(xi))) (conj(xi)/|xi|^2) e^-y.
+
+    Poisson's formula for the shifted lattice z + L puts the character on the
+    dual half.  The direct disk is centred at -z, so z need not be reduced; a
+    lattice point z gives 0 (its own term is skipped, the rest cancel in pairs).
+    """
+    z = complex(z)
+    w1, w2, a = lattice.omega1, lattice.omega2, lattice.area()
+    width = math.pi / a
+    direct = 0j
+    for w in _points_in_disk(w1, w2, a, _EWALD_CUTOFF / width, -z):
+        v = z + w
+        if v:
+            direct += math.exp(-width * abs(v) ** 2) / v
+    dual = sum((cmath.exp(2j * math.pi * (z * xi.conjugate()).real) * g / xi for xi, g in _dual_terms(lattice)), 0j)
+    return direct - 1j / a * dual
+
+
+def weierstrass_zeta_direct(z: complex, lattice: Lattice) -> complex:
+    """zeta(z) = E1(z) + E2(0)*z + (pi/A)*conj(z), from e1_ewald and e2_hecke_limit."""
+    z = complex(z)
+    return e1_ewald(z, lattice) + e2_hecke_limit(lattice) * z + math.pi / lattice.area() * z.conjugate()

@@ -28,7 +28,7 @@ from .dedekind import (
 from .density import Target, approximate
 from .errors import GenerationError
 from .lattice import Lattice
-from .oracles import e2_hecke_limit, weierstrass_zeta_direct
+from .oracles import e1_ewald, e2_hecke_limit, weierstrass_zeta_direct
 from .ring import OrderElem, QuadOrder
 from .sl2 import Mat2, _complete_column, _signed_walk
 
@@ -189,6 +189,22 @@ def _e2_hecke_check(name: str, lattice: Lattice) -> CheckResult:
     return _check(name, residual, 1e-12)
 
 
+def _e1_ewald_residual(lattice: Lattice, z: np.ndarray, seed: int, scale: float) -> float:
+    """Worst |E1 - e1_ewald|/max(|E1|, scale) of Lattice.e1_many at z and Lattice.e1_torsion.
+
+    The torsion points are (s*omega1 + 2*omega2)/4, s = 1, 2, 3, on the row of
+    half the height of the order's basis, and 7 points (s*omega1 + t*omega2)/997
+    drawn with `seed`.
+    """
+    rng = random.Random(seed)
+    seeded = [(rng.randrange(997), rng.randrange(997)) for _ in range(7)]
+    pairs = list(zip(lattice.e1_many(z), z))
+    for n, st in ((4, [(1, 2), (2, 2), (3, 2)]), (997, seeded)):
+        s, t = np.array(st).T
+        pairs += zip(lattice.e1_torsion(s, t, n), (s * lattice.omega1 + t * lattice.omega2) / n)
+    return max(abs(v - e1_ewald(p, lattice)) / max(abs(v), scale) for v, p in pairs)
+
+
 def run_e1_suite(order: QuadOrder, seed: int) -> list[CheckResult]:
     """Analytic-layer residuals: periodicity, oddness, quasi-periods, oracles, j."""
     lattice = Lattice.from_order(order)
@@ -233,10 +249,14 @@ def run_e1_suite(order: QuadOrder, seed: int) -> list[CheckResult]:
         )
     )
 
-    # zeta cross-check against the direct truncated sum.
+    # zeta and E1 against the Ewald oracles, relative to max(|value|, 1/sqrt(area)):
+    # 1/sqrt(area) has weight 1, like both, and does not vanish where a value does.
+    scale = 1.0 / math.sqrt(a)
     z0 = 0.31 + 0.27j
-    direct = weierstrass_zeta_direct(z0, lattice)
-    results.append(_check("zeta-direct-crosscheck", abs(lattice.weierstrass_zeta(z0) - direct), 1e-8))
+    zeta = lattice.weierstrass_zeta(z0)
+    residual = abs(zeta - weierstrass_zeta_direct(z0, lattice)) / max(abs(zeta), scale)
+    results.append(_check("zeta-direct-crosscheck", residual, 1e-12))
+    results.append(_check("e1-ewald", _e1_ewald_residual(lattice, z[:20], seed, scale), 1e-12))
 
     # Hecke-limit oracle for E2(0) on Z+Z*sqrt(-2), Z+Z*sqrt(-5) and the order.
     for dk, label in ((-8, "sqrt2"), (-20, "sqrt5")):

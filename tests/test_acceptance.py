@@ -25,7 +25,7 @@ from elliptic_dedekind import (
 )
 from elliptic_dedekind.dedekind import _d_sum_table
 from elliptic_dedekind.errors import GenerationError
-from elliptic_dedekind.oracles import e2_hecke_limit
+from elliptic_dedekind.oracles import e1_ewald, e2_hecke_limit
 from elliptic_dedekind.verification import random_sl2
 
 SQRT2 = math.sqrt(2.0)
@@ -181,19 +181,26 @@ def test_criterion_6_analytic_layer(hecke_lattices):
     legendre_residual = abs(eta1 * lat.omega2 - eta2 * lat.omega1 - 2j * math.pi)
 
     hecke_worst = 0.0
+    ewald_worst = 0.0
     for lt in hecke_lattices:
         s2 = lt.e2_zero()
         hecke_worst = max(hecke_worst, abs(s2 - e2_hecke_limit(lt)) / max(abs(s2), 1.0 / lt.area()))
+        # E1 on the half-height row (s*omega1 + 2*omega2)/4, relative to max(|E1|, 1/sqrt(area)).
+        for s, value in zip((1, 2, 3), lt.e1_torsion([1, 2, 3], [2, 2, 2], 4)):
+            ref = e1_ewald((s * lt.omega1 + 2 * lt.omega2) / 4, lt)
+            ewald_worst = max(ewald_worst, abs(value - ref) / max(abs(ref), 1.0 / math.sqrt(lt.area())))
 
     j_err = abs(Lattice(1.0, 1j).j_invariant() - 1728.0) / 1728.0
 
-    ok = worst_period <= 1e-8 and worst_odd <= 1e-8 and legendre_residual <= 1e-8 and hecke_worst <= 1e-12 and j_err <= 1e-6
+    ok = worst_period <= 1e-8 and worst_odd <= 1e-8 and legendre_residual <= 1e-8 and j_err <= 1e-6
+    ok = ok and hecke_worst <= 1e-12 and ewald_worst <= 1e-12
     report(
         6,
         "analytic-layer",
         ok,
         f"periodicity {worst_period:.2e}, oddness {worst_odd:.2e}, legendre {legendre_residual:.2e}, "
-        f"hecke {hecke_worst:.2e} relative (tol 1e-12, {len(hecke_lattices)} lattices), j(Z[i]) rel err {j_err:.2e}",
+        f"hecke {hecke_worst:.2e} and E1 ewald {ewald_worst:.2e} relative (tol 1e-12, {len(hecke_lattices)} lattices), "
+        f"j(Z[i]) rel err {j_err:.2e}",
     )
 
 

@@ -492,6 +492,26 @@ def test_table_serves_non_unit_gcd_and_conductor(f, h, k, monkeypatch):
         assert abs(value - expected) <= 1e-12 * (1 + abs(expected))
 
 
+def test_walk_cuts_each_gammas_batches_once(monkeypatch):
+    # README's fifth sum: five distinct constants on three gammas.  The shared E1
+    # fill cuts all three systems, and each gamma's lists serve all its alphas.
+    ctx = SumContext(QuadOrder(-8, 3))
+    h, k = ctx.order.element(3313), ctx.order.element(4584, 382)
+    _, walk = sl2._signed_walk(h, k)
+    gammas = {gamma for _, gamma in walk.constants}
+    assert len(set(walk.constants)) > len(gammas)
+    calls = []
+    original = dedekind._batches
+
+    def recording(systems):
+        calls.append(len(systems))
+        return original(systems)
+
+    monkeypatch.setattr(dedekind, "_batches", recording)
+    d_sum(h, k, ctx)
+    assert calls == [len(gammas)] + [1] * len(gammas)
+
+
 def test_euclid_d_sum_above_the_table_bound(ctx_m8):
     # k = 46341 has N(k) >= 2**31, which the table refuses; D(1, k) = 0 exactly.
     order = ctx_m8.order

@@ -17,8 +17,7 @@ from elliptic_dedekind import (
     j_invariant,
     weierstrass_zeta,
 )
-from elliptic_dedekind import oracles
-from elliptic_dedekind.oracles import e2_hecke_limit, lattice_points_in_disk, weierstrass_zeta_direct
+from elliptic_dedekind.oracles import _points_in_disk, e2_hecke_limit, weierstrass_zeta_direct
 
 SQRT2 = math.sqrt(2.0)
 RHO = complex(-0.5, math.sqrt(3.0) / 2.0)
@@ -145,13 +144,13 @@ def test_zeta_series_length_matches_long_reference():
             assert abs(val - ref) <= 1e-14 * abs(ref)
 
 
-def wide_grid_points(lat, radius):
-    """Integer coordinates in (omega1, omega2) of the nonzero points with |w| <= radius."""
+def wide_grid_points(lat, radius, centre):
+    """Integer coordinates in (omega1, omega2) of the points with |w - centre| <= radius."""
     a = lat.area()
-    bound = 2 * int(radius * max(abs(lat.omega1), abs(lat.omega2)) / a) + 3
+    bound = 2 * int((radius + abs(centre)) * max(abs(lat.omega1), abs(lat.omega2)) / a) + 3
     m, n = np.meshgrid(np.arange(-bound, bound + 1), np.arange(-bound, bound + 1), indexing="ij")
     z = m * lat.omega1 + n * lat.omega2
-    keep = (np.abs(z) <= radius) & ((m != 0) | (n != 0))
+    keep = np.abs(z - centre) <= radius
     return set(zip(m[keep].tolist(), n[keep].tolist()))
 
 
@@ -161,40 +160,36 @@ def wide_grid_points(lat, radius):
 )
 def test_lattice_points_in_disk_matches_wide_grid(lat):
     # Radii whose square is no norm of the lattice, so no point sits on the circle.
-    radius = 30.3 * math.sqrt(lat.area())
-    pts = lattice_points_in_disk(lat, radius)
+    # The disk is centred at 0, where it holds 0 as well, and at an off-lattice
+    # point several cells out in coordinates of the given basis.
     a = lat.area()
-    x = -(pts * np.conj(lat.omega2)).imag / a
-    y = (pts * np.conj(lat.omega1)).imag / a
-    m, n = np.round(x).astype(int), np.round(y).astype(int)
-    assert np.max(np.abs(x - m)) < 1e-6 and np.max(np.abs(y - n)) < 1e-6
-    got = set(zip(m.tolist(), n.tolist()))
-    assert len(got) == len(pts)
-    assert got == wide_grid_points(lat, radius)
+    radius = 30.3 * math.sqrt(a)
+    for centre in (0j, 3.37 * lat.omega1 - 5.81 * lat.omega2):
+        pts = np.array(list(_points_in_disk(lat.omega1, lat.omega2, a, radius * radius, centre)))
+        x = -(pts * np.conj(lat.omega2)).imag / a
+        y = (pts * np.conj(lat.omega1)).imag / a
+        m, n = np.round(x).astype(int), np.round(y).astype(int)
+        assert np.max(np.abs(x - m)) < 1e-6 and np.max(np.abs(y - n)) < 1e-6
+        got = set(zip(m.tolist(), n.tolist()))
+        assert len(got) == len(pts)
+        assert got == wide_grid_points(lat, radius, centre)
 
 
 def test_zeta_against_direct_sum():
     lat = Lattice(1.0, 1j * SQRT2)
     for z in (0.31 + 0.27j, -0.21 + 0.55j):
         direct = weierstrass_zeta_direct(z, lat)
-        assert abs(lat.weierstrass_zeta(z) - direct) < 1e-8
+        assert abs(lat.weierstrass_zeta(z) - direct) < 1e-12
 
 
-def test_zeta_direct_disk_depends_on_the_lattice_not_the_basis(monkeypatch):
+def test_zeta_direct_depends_on_the_lattice_not_the_basis():
     # The order of discriminant -163 named by (1, theta), |theta| ~ 82, and by
-    # the nearly reduced (1, theta + 81): one lattice, so one disk.
-    radii = []
-
-    def record(lattice, radius):
-        radii.append(radius)
-        return np.ones(1)
-
-    monkeypatch.setattr(oracles, "lattice_points_in_disk", record)
+    # the nearly reduced (1, theta + 81): one lattice, so one value of zeta.
     order_lat = Lattice.from_order(QuadOrder(-163))
-    for lat in (order_lat, Lattice(1.0, order_lat.omega2 + 81)):
-        weierstrass_zeta_direct(0.31 + 0.27j, lat)
-    radius = oracles._ZETA_RADIUS_CELLS * math.sqrt(order_lat.area())
-    assert radii[0] == pytest.approx(radii[1]) == pytest.approx(radius)
+    near = Lattice(1.0, order_lat.omega2 + 81)
+    for z in (0.31 + 0.27j, -0.4 + 3.1j):
+        far, close = weierstrass_zeta_direct(z, order_lat), weierstrass_zeta_direct(z, near)
+        assert abs(far - close) <= 1e-13 * max(abs(close), 1.0 / math.sqrt(near.area()))
 
 
 # --- E2(0) ----------------------------------------------------------------------

@@ -25,6 +25,7 @@ import pytest
 
 from elliptic_dedekind import CosetSystem, Lattice, QuadOrder, SumContext, d_sum, mult_matrix
 from elliptic_dedekind.dedekind import _d_sum_table
+from elliptic_dedekind.oracles import e1_ewald
 from elliptic_dedekind.sl2 import _signed_walk
 
 mpmath = pytest.importorskip("mpmath")
@@ -198,6 +199,39 @@ def test_e2_zero_and_j_match_theta_reference(name):
         w1, w2 = mp.mpc(lattice.omega1), mp.mpc(lattice.omega2)
         assert mp_rel_err(lattice.e2_zero(), mp_e2_zero(w1, w2)) <= 1e-13
         assert mp_rel_err(lattice.j_invariant(), mp_j(w1, w2)) <= 1e-13
+
+
+def ewald_rel_err(lattice, z, w1, w2):
+    """|e1_ewald - E1| relative to max(|E1|, 1/sqrt(area)), as in the e1 suite."""
+    ref = complex(mp_e1(mp.mpc(z), w1, w2))
+    return abs(e1_ewald(z, lattice) - ref) / max(abs(ref), 1.0 / math.sqrt(lattice.area()))
+
+
+@pytest.mark.parametrize("name", sorted(ANALYTIC_LATTICES))
+def test_e1_ewald_matches_theta_reference(name):
+    # The points of test_zeta_matches_theta_reference: strip edges and inside,
+    # half of them moved by a period.
+    lattice = ANALYTIC_LATTICES[name]
+    r1, r2 = lattice._r1, lattice._r2
+    rng = random.Random(44)
+    worst = 0.0
+    with mp.workdps(DPS):
+        w1, w2 = mp.mpc(lattice.omega1), mp.mpc(lattice.omega2)
+        for i in range(30):
+            x = rng.uniform(-0.5, 0.5)
+            y = (0.5, -0.5, rng.uniform(-0.5, 0.5))[i % 3]
+            m, n = (0, 0) if i < 15 else (rng.randint(-2, 2), rng.randint(-2, 2))
+            worst = max(worst, ewald_rel_err(lattice, (x + m) * r1 + (y + n) * r2, w1, w2))
+    assert worst <= 1e-13
+
+
+def test_e1_ewald_at_the_half_height_witness():
+    # (4 + 8*theta)/16 on the order of discriminant -7*11^2, where a rounded
+    # w = 1 + expm1(2*pi*i*v) once put E1 off by 2.7e-3.
+    order = Lattice.from_order(QuadOrder(-7, 11))
+    with mp.workdps(DPS):
+        w1, w2 = mp.mpc(order.omega1), mp.mpc(order.omega2)
+        assert ewald_rel_err(order, (4 * order.omega1 + 8 * order.omega2) / 16, w1, w2) <= 1e-13
 
 
 def test_e1_torsion_on_basis_with_large_reduction_matrix():

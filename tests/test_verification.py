@@ -64,6 +64,7 @@ def test_e1_suite_records_and_hecke_tolerance(dk, f):
         "quasi-period-omega2",
         "e2-homogeneity",
         "zeta-direct-crosscheck",
+        "e1-ewald",
         "e2-hecke-sqrt2",
         "e2-hecke-sqrt5",
         f"e2-hecke-d{dk}f{f}",
@@ -73,9 +74,10 @@ def test_e1_suite_records_and_hecke_tolerance(dk, f):
     ]
     assert all(c.passed for c in checks)
     assert {c.tolerance for c in checks if c.name.startswith("e2-hecke-")} == {1e-12}
-    # The direct zeta sum stays ten times inside its tolerance.
-    (zeta,) = [c for c in checks if c.name == "zeta-direct-crosscheck"]
-    assert zeta.residual <= zeta.tolerance / 10
+    # Both Ewald oracles stay ten times inside their 1e-12.
+    ewald = [c for c in checks if c.name in ("zeta-direct-crosscheck", "e1-ewald")]
+    assert [c.tolerance for c in ewald] == [1e-12, 1e-12]
+    assert all(c.residual <= c.tolerance / 10 for c in ewald)
 
 
 @pytest.mark.parametrize("dk, f", [(-8, 1), (-7, 1), (-4, 3)])
