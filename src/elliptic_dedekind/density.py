@@ -32,7 +32,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
@@ -90,19 +90,60 @@ class Target:
 
 @dataclass(frozen=True)
 class ApproxStep:
-    """One step of the construction, with exact witnesses and the closed-form value."""
+    """One step of the construction: its integers and the closed-form value.
+
+    construct has checked every fact the witnesses rest on.  The matrices
+    A1, A2, A3 and the exact rationals dtilde_exact, err_exact are built from
+    the stored integers on first read (see construct for their formulas);
+    a consumer that prints only the integers and floats builds none of them.
+    """
 
     p: int
     e: int
     ell: int
     k: int
-    A1: Mat2
-    A2: Mat2
-    A3: Mat2
     dtilde: float
     abs_err: float
-    dtilde_exact: Fraction
-    err_exact: Fraction
+    target: Target
+    # The Bezout pairs p*x1 + k*d*y1 = 1 and p*x2 + (k+e)*d*y2 = 1, as (x1, y1, x2, y2).
+    _bezout: tuple[int, int, int, int] = field(repr=False)
+
+    def _elem(self, n: int, c: int) -> OrderElem:
+        """n + c*sqrt(d), with sqrt(d) = -f*d_k + 2*theta."""
+        order = self.target.order
+        return OrderElem(n - c * order.f * order.d_k, 2 * c, order)
+
+    @functools.cached_property
+    def A1(self) -> Mat2:
+        x1, y1, _, _ = self._bezout
+        return Mat2(self._elem(0, self.k), self._elem(-x1, 0), self._elem(self.p, 0), self._elem(0, y1))
+
+    @functools.cached_property
+    def A2(self) -> Mat2:
+        _, _, x2, y2 = self._bezout
+        k2 = self.k + self.e
+        return Mat2(self._elem(0, k2), self._elem(-x2, 0), self._elem(self.p, 0), self._elem(0, y2))
+
+    @functools.cached_property
+    def A3(self) -> Mat2:
+        x1, y1, x2, y2 = self._bezout
+        p, k, e, d = self.p, self.k, self.e, self.target.order.discriminant
+        return Mat2(
+            self._elem(k * d * y2 + p * x2, 0),
+            self._elem(0, x2 * y1 - x1 * y2),
+            self._elem(0, p * e),
+            self._elem(p * x1 + (k + e) * d * y1, 0),
+        )
+
+    @functools.cached_property
+    def dtilde_exact(self) -> Fraction:
+        ed = self.e * self.target.order.discriminant
+        return Fraction(2 * self.e * ed + 4, self.p * ed)
+
+    @functools.cached_property
+    def err_exact(self) -> Fraction:
+        b, ed = self.target.b, self.e * self.target.order.discriminant
+        return abs(Fraction(4 * b - 2 * ed, self.p * b * ed))
 
 
 def find_prime(target: Target, *, after: int = 0) -> int:
@@ -126,13 +167,15 @@ def find_prime(target: Target, *, after: int = 0) -> int:
 
 
 def construct(target: Target, p: int) -> ApproxStep:
-    """Build the matrices and closed-form value for one prime of the progression.
+    """Check one prime of the progression and return its step.
 
-    Raises ConstructionError unless p = a^-1 (mod b), (2l - d*e)^2 = d^2*e^2 + 4*d
-    and k*(k+e)*d = 1 (mod p), and |dtilde - 2a/b| <= (2/b + 1)/p.  The
-    congruences reject a p off the progression; sqrt_mod trusts p to be prime.
+    Every check runs here, on integers.  Raises ConstructionError unless
+    p = a^-1 (mod b), (2l - d*e)^2 = d^2*e^2 + 4*d and k*(k+e)*d = 1 (mod p),
+    and |dtilde - 2a/b| <= (2/b + 1)/p.  The congruences reject a p off the
+    progression; sqrt_mod trusts p to be prime.
 
-    With Bezout pairs p*x1 + k*d*y1 = 1 and p*x2 + (k+e)*d*y2 = 1, and
+    The step's witnesses are built on first read.  With Bezout pairs
+    p*x1 + k*d*y1 = 1 and p*x2 + (k+e)*d*y2 = 1 (both from egcd, here), and
     sqrt(d) = -f*d_k + 2*theta,
 
         A1 = [[k*sqrt(d), -x1], [p, y1*sqrt(d)]],
@@ -140,9 +183,10 @@ def construct(target: Target, p: int) -> ApproxStep:
         A3 = A2^-1 @ A1 = [[k*d*y2 + p*x2, (x2*y1 - x1*y2)*sqrt(d)],
                            [p*e*sqrt(d), p*x1 + (k+e)*d*y1]],
 
-    A3 in closed form.  det A2 = p*x2 + (k+e)*d*y2 is checked to be 1 (else
-    NotUnimodularError), as inverting A2 requires; that A1 and A3 are
-    unimodular follows and is left to the tests.
+    A3 in closed form.  det A2 = p*x2 + (k+e)*d*y2 is checked here to be 1
+    (else NotUnimodularError), as inverting A2 requires; that A1 and A3 are
+    unimodular follows and is left to the tests.  dtilde and abs_err are the
+    correctly rounded floats of the exact dtilde_exact and err_exact.
     """
     order = target.order
     a, b = target.a, target.b
@@ -166,39 +210,22 @@ def construct(target: Target, p: int) -> ApproxStep:
     det2 = p * x2 + (k + e) * d * y2
     if det2 != 1:
         raise NotUnimodularError(f"determinant of A2 is {det2}, expected 1")
-    s0 = -order.f * order.d_k  # sqrt(d) = s0 + 2*theta
-
-    def elem(n: int, c: int) -> OrderElem:
-        """n + c*sqrt(d)."""
-        return OrderElem(n + c * s0, 2 * c, order)
-
-    m1 = Mat2(elem(0, k), elem(-x1, 0), elem(p, 0), elem(0, y1))
-    m2 = Mat2(elem(0, k + e), elem(-x2, 0), elem(p, 0), elem(0, y2))
-    m3 = Mat2(
-        elem(k * d * y2 + p * x2, 0),
-        elem(0, x2 * y1 - x1 * y2),
-        elem(0, p * e),
-        elem(p * x1 + (k + e) * d * y1, 0),
-    )
 
     # dtilde = 2e/p + 4/(p*e*d); with e*b = a*p - 1, dtilde - 2a/b = (4b - 2ed)/(p*b*e*d).
+    # Int true division rounds correctly, as float(Fraction) does.
     ed = e * d
-    dtilde_exact = Fraction(2 * e * ed + 4, p * ed)
-    err_exact = abs(Fraction(4 * b - 2 * ed, p * b * ed))
-    if abs(4 * b - 2 * ed) > (2 + b) * abs(ed):  # err_exact > (2/b + 1)/p
-        raise ConstructionError(f"error bound violated at p={p}: {err_exact} > (2/{b} + 1)/{p}")
+    if abs(4 * b - 2 * ed) > (2 + b) * abs(ed):  # |dtilde - 2a/b| > (2/b + 1)/p
+        err = abs(Fraction(4 * b - 2 * ed, p * b * ed))
+        raise ConstructionError(f"error bound violated at p={p}: {err} > (2/{b} + 1)/{p}")
     return ApproxStep(
         p=p,
         e=e,
         ell=ell,
         k=k,
-        A1=m1,
-        A2=m2,
-        A3=m3,
-        dtilde=float(dtilde_exact),
-        abs_err=float(err_exact),
-        dtilde_exact=dtilde_exact,
-        err_exact=err_exact,
+        dtilde=(2 * e * ed + 4) / (p * ed),
+        abs_err=abs(4 * b - 2 * ed) / abs(p * b * ed),
+        target=target,
+        _bezout=(x1, y1, x2, y2),
     )
 
 

@@ -160,28 +160,32 @@ def _jacobi(a: int, n: int) -> int:
 
 
 def _non_residue(p: int) -> int:
-    """A quadratic non-residue mod the prime p = 1 (mod 4).
+    """A quadratic non-residue mod the prime p = 1 (mod 4), by the Jacobi symbol.
 
     2 is one exactly when p = 5 (mod 8).  Otherwise 2 is a square, so the least
-    non-residue is odd: the odd n from 3 on are tried by the Jacobi symbol, and
-    the pick is confirmed by Euler's criterion.  Raises InvalidModulusError when
-    p is a perfect square (every Jacobi symbol mod p would be 0 or 1) or is
-    exposed as composite.
+    non-residue is odd: the odd n from 3 on are tried by the Jacobi symbol.
+    Raises InvalidModulusError when p is a perfect square (every Jacobi symbol
+    mod p would be 0 or 1) or shares a factor with a tried n.  The caller
+    confirms the pick by Euler's criterion.
     """
     if p % 8 == 5:
-        n = 2
-    else:
-        if math.isqrt(p) ** 2 == p:
-            raise InvalidModulusError(f"{p} is a perfect square, not a prime")
-        n, j = 3, _jacobi(3, p)
-        while j == 1:
-            n += 2
-            j = _jacobi(n, p)
-        if j == 0:
-            raise InvalidModulusError(f"{p} is not prime (it shares a factor with {n})")
-    if pow(n, (p - 1) // 2, p) != p - 1:
-        raise InvalidModulusError(f"{p} is not prime (Euler's criterion fails for {n})")
+        return 2
+    if math.isqrt(p) ** 2 == p:
+        raise InvalidModulusError(f"{p} is a perfect square, not a prime")
+    n, j = 3, _jacobi(3, p)
+    while j == 1:
+        n += 2
+        j = _jacobi(n, p)
+    if j == 0:
+        raise InvalidModulusError(f"{p} is not prime (it shares a factor with {n})")
     return n
+
+
+def _square_times(x: int, times: int, p: int) -> int:
+    """x^(2^times) mod p, by repeated squaring."""
+    for _ in range(times):
+        x = x * x % p
+    return x
 
 
 def sqrt_mod(a: int, p: int) -> int:
@@ -191,24 +195,42 @@ def sqrt_mod(a: int, p: int) -> int:
     deterministic.  Raises NoSquareRootError for non-residues, and
     InvalidModulusError (also for a = 0 mod p) when p is below 3, even, or
     exposed as composite by Euler's criterion or the Jacobi symbol.
+
+    A root costs two full-size modular powers.  For p = 3 (mod 4) they are
+    Euler's criterion and a^((p+1)/4).  For p = 1 (mod 4), p - 1 = s*2^e with
+    s odd, y = a^((s-1)/2) gives Tonelli-Shanks' start x = a^((s+1)/2) and
+    b = a^s, and n^s for the non-residue n the other; each Euler criterion
+    is then b or n^s squared e - 1 times.
     """
-    ls = legendre_symbol(a, p)
-    if ls == 0:
-        return 0
-    a = a % p
-    if ls == -1:
-        raise NoSquareRootError(f"{a} is not a square mod {p}")
-    if p % 4 == 3:
+    if p % 4 != 1 or p <= 1:  # p = 3 (mod 4), or a modulus legendre_symbol refuses
+        ls = legendre_symbol(a, p)
+        if ls == 0:
+            return 0
+        a = a % p
+        if ls == -1:
+            raise NoSquareRootError(f"{a} is not a square mod {p}")
         r = pow(a, (p + 1) // 4, p)
         return min(r, p - r)
+    a = a % p
+    if a == 0:
+        return 0
     # Tonelli-Shanks.  p - 1 = s * 2^e with s odd.
     s, e = p - 1, 0
     while s % 2 == 0:
         s //= 2
         e += 1
-    x = pow(a, (s + 1) // 2, p)
-    b = pow(a, s, p)
-    g = pow(_non_residue(p), s, p)
+    y = pow(a, (s - 1) // 2, p)
+    x = (y * a) % p
+    b = (y * x) % p
+    t = _square_times(b, e - 1, p)  # a^((p-1)/2)
+    if t == p - 1:
+        raise NoSquareRootError(f"{a} is not a square mod {p}")
+    if t != 1:
+        raise InvalidModulusError(f"{p} is not prime (Euler criterion gave {t})")
+    n = _non_residue(p)
+    g = pow(n, s, p)
+    if _square_times(g, e - 1, p) != p - 1:
+        raise InvalidModulusError(f"{p} is not prime (Euler's criterion fails for {n})")
     r = e
     while True:
         t, m = b, 0

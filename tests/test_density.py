@@ -7,7 +7,9 @@ import pytest
 
 from elliptic_dedekind import (
     DedekindError,
+    NotUnimodularError,
     density,
+    egcd,
     InadmissibleTargetError,
     QuadOrder,
     SumContext,
@@ -188,6 +190,36 @@ def test_construct_a3_closed_form_at_large_primes():
         assert step.p > 10**12
         assert step.A2.inverse() @ step.A1 == step.A3
         assert step.A3.det() == one
+
+
+@pytest.mark.parametrize("a, b, steps", [(1, 3, 150), (1234, 10007, 40)])
+def test_step_floats_are_the_rounded_exact_values(a, b, steps):
+    # construct divides ints; the floats must carry the same bits as the exact
+    # rationals' (p up to 5.5e16 on 1234/10007).
+    for step in approximate(Target(a, b, QuadOrder(-8)), steps):
+        assert step.dtilde.hex() == float(step.dtilde_exact).hex()
+        assert step.abs_err.hex() == float(step.err_exact).hex()
+
+
+def test_approximate_builds_no_witness_it_is_not_asked_for():
+    steps = list(approximate(Target(1234, 10007, QuadOrder(-8)), 5))
+    for step in steps:
+        built = vars(step)
+        for name in ("A1", "A2", "A3", "dtilde_exact", "err_exact"):
+            assert name not in built
+    step = steps[0]
+    assert step.A3 is step.A3 and "A3" in vars(step)
+
+
+def test_construct_checks_the_bezout_pair_itself(monkeypatch):
+    # The determinant of A2 is checked at construction, not when A2 is first read.
+    def wrong_pair(a, b):
+        g, x, y = egcd(a, b)
+        return g, x + 1, y
+
+    monkeypatch.setattr(density, "egcd", wrong_pair)
+    with pytest.raises(NotUnimodularError):
+        construct(Target(1, 3, QuadOrder(-8)), 2689)
 
 
 @pytest.mark.parametrize("p", [4, 10, 25, 91, 1105, 1729])

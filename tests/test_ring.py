@@ -157,6 +157,33 @@ def test_sqrt_mod_non_residue():
         sqrt_mod(3, 7)
 
 
+@pytest.mark.parametrize("p", [65537, 7340033, 998244353, 2013265921])
+def test_sqrt_mod_high_two_adic_valuation(p):
+    # p - 1 = s * 2^e with e = 16, 20, 23 and 27: long Tonelli-Shanks loops and
+    # long Euler squaring chains.
+    rng = random.Random(p)
+    for _ in range(200):
+        a = rng.randrange(1, p)
+        if legendre_symbol(a, p) == -1:
+            with pytest.raises(NoSquareRootError):
+                sqrt_mod(a, p)
+            continue
+        r = sqrt_mod(a, p)
+        assert (r * r) % p == a and r <= p - r
+
+
+@pytest.mark.parametrize("n", [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 9, 25, 65])
+def test_sqrt_mod_on_odd_composites_refuses_or_returns_a_root(n):
+    # Carmichael numbers pass every coprime Fermat test; sqrt_mod must still
+    # never return a wrong root.
+    for a in range(n):
+        try:
+            r = sqrt_mod(a, n)
+        except (InvalidModulusError, NoSquareRootError):
+            continue
+        assert (r * r) % n == a
+
+
 @pytest.mark.parametrize("a, p", [(0, 4), (0, 2), (0, 1), (4, 4), (1, 4), (3, 9)])
 def test_sqrt_mod_rejects_bad_modulus_before_the_zero_shortcut(a, p):
     with pytest.raises(InvalidModulusError):
