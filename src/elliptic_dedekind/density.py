@@ -137,13 +137,21 @@ class ApproxStep:
 
     @functools.cached_property
     def dtilde_exact(self) -> Fraction:
-        ed = self.e * self.target.order.discriminant
-        return Fraction(2 * self.e * ed + 4, self.p * ed)
+        return Fraction(*_dtilde_parts(self.p, self.e, self.target.order.discriminant))
 
     @functools.cached_property
     def err_exact(self) -> Fraction:
-        b, ed = self.target.b, self.e * self.target.order.discriminant
-        return abs(Fraction(4 * b - 2 * ed, self.p * b * ed))
+        return Fraction(*_err_parts(self.p, self.e, self.target.b, self.target.order.discriminant))
+
+
+def _dtilde_parts(p: int, e: int, d: int) -> tuple[int, int]:
+    """(num, den) of dtilde = 2e/p + 4/(p*e*d)."""
+    return 2 * e * e * d + 4, p * e * d
+
+
+def _err_parts(p: int, e: int, b: int, d: int) -> tuple[int, int]:
+    """(num, den) of |dtilde - 2a/b| = |4b - 2ed| / |p*b*e*d|, as e*b = a*p - 1."""
+    return abs(4 * b - 2 * e * d), abs(p * b * e * d)
 
 
 def find_prime(target: Target, *, after: int = 0) -> int:
@@ -211,19 +219,20 @@ def construct(target: Target, p: int) -> ApproxStep:
     if det2 != 1:
         raise NotUnimodularError(f"determinant of A2 is {det2}, expected 1")
 
-    # dtilde = 2e/p + 4/(p*e*d); with e*b = a*p - 1, dtilde - 2a/b = (4b - 2ed)/(p*b*e*d).
     # Int true division rounds correctly, as float(Fraction) does.
-    ed = e * d
-    if abs(4 * b - 2 * ed) > (2 + b) * abs(ed):  # |dtilde - 2a/b| > (2/b + 1)/p
-        err = abs(Fraction(4 * b - 2 * ed, p * b * ed))
-        raise ConstructionError(f"error bound violated at p={p}: {err} > (2/{b} + 1)/{p}")
+    dt_num, dt_den = _dtilde_parts(p, e, d)
+    err_num, err_den = _err_parts(p, e, b, d)
+    if err_num > (2 + b) * abs(e * d):  # err_num/err_den > (2/b + 1)/p
+        raise ConstructionError(
+            f"error bound violated at p={p}: {err_num}/{err_den} > (2/{b} + 1)/{p}"
+        )
     return ApproxStep(
         p=p,
         e=e,
         ell=ell,
         k=k,
-        dtilde=(2 * e * ed + 4) / (p * ed),
-        abs_err=abs(4 * b - 2 * ed) / abs(p * b * ed),
+        dtilde=dt_num / dt_den,
+        abs_err=err_num / err_den,
         target=target,
         _bezout=(x1, y1, x2, y2),
     )

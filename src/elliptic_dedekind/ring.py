@@ -196,25 +196,17 @@ def sqrt_mod(a: int, p: int) -> int:
     InvalidModulusError (also for a = 0 mod p) when p is below 3, even, or
     exposed as composite by Euler's criterion or the Jacobi symbol.
 
-    A root costs two full-size modular powers.  For p = 3 (mod 4) they are
-    Euler's criterion and a^((p+1)/4).  For p = 1 (mod 4), p - 1 = s*2^e with
-    s odd, y = a^((s-1)/2) gives Tonelli-Shanks' start x = a^((s+1)/2) and
-    b = a^s, and n^s for the non-residue n the other; each Euler criterion
-    is then b or n^s squared e - 1 times.
+    Tonelli-Shanks with two full-size modular powers per root.  With
+    p - 1 = s*2^e, s odd, y = a^((s-1)/2) gives the start x = a^((s+1)/2) and
+    b = a^s, and n^s for the non-residue n the other; each Euler criterion is
+    then b or n^s squared e - 1 times.  For p = 3 (mod 4), e = 1: x is
+    a^((p+1)/4), the root, and no non-residue is needed.
     """
-    if p % 4 != 1 or p <= 1:  # p = 3 (mod 4), or a modulus legendre_symbol refuses
-        ls = legendre_symbol(a, p)
-        if ls == 0:
-            return 0
-        a = a % p
-        if ls == -1:
-            raise NoSquareRootError(f"{a} is not a square mod {p}")
-        r = pow(a, (p + 1) // 4, p)
-        return min(r, p - r)
+    if p <= 1 or p % 2 == 0:
+        raise InvalidModulusError(f"p must be an odd prime, got {p}")
     a = a % p
     if a == 0:
         return 0
-    # Tonelli-Shanks.  p - 1 = s * 2^e with s odd.
     s, e = p - 1, 0
     while s % 2 == 0:
         s //= 2
@@ -227,6 +219,8 @@ def sqrt_mod(a: int, p: int) -> int:
         raise NoSquareRootError(f"{a} is not a square mod {p}")
     if t != 1:
         raise InvalidModulusError(f"{p} is not prime (Euler criterion gave {t})")
+    if e == 1:  # t = b = 1, so x*x = a*b = a
+        return min(x, p - x)
     n = _non_residue(p)
     g = pow(n, s, p)
     if _square_times(g, e - 1, p) != p - 1:
