@@ -85,6 +85,24 @@ def mult_matrix(k: OrderElem, lattice: Lattice) -> MultMatrix:
     return MultMatrix(u + v * t.a11, v * t.a12, v * t.a21, u + v * t.a22)
 
 
+def _colon_lattice(r: OrderElem, t: int, lattice: Lattice) -> Lattice:
+    """B^-1 L = (1/t)*{y in L : r*y in t*L} for the ideal B = (r, t), t > 0.
+
+    y = x*omega1 + z*omega2 qualifies when mult_matrix(r)*(x, z) = 0 (mod t).
+    Those (x, z) contain t*Z^2, so the column HNF [[h11, h12], [0, h22]] of
+    their lattice is read off its points with 0 <= x, z <= t, in (z, x) order.
+    """
+    m = mult_matrix(r, lattice)
+    points = [
+        (z, x)
+        for z in range(t + 1)
+        for x in range(t + 1)
+        if (z or x) and (m.a11 * x + m.a12 * z) % t == 0 == (m.a21 * x + m.a22 * z) % t
+    ]
+    (_, h11), (h22, h12) = points[0], next(p for p in points if p[0])
+    return Lattice(h11 * lattice.omega1 / t, (h12 * lattice.omega1 + h22 * lattice.omega2) / t)
+
+
 def _column_hnf(m: MultMatrix) -> tuple[int, int, int]:
     """Upper-triangular column HNF (h11, h12, h22) of m, h11, h22 > 0."""
     g, x, y = egcd(m.a21, m.a22)

@@ -13,63 +13,63 @@ Phi is a homomorphism into (C, +); for triples A1 = A2*A3 with
 c1 = c2 = c != 0 and a1*a2 = 1 (mod c) this collapses to the closed form
 D_L(a3, c3) = E2(0)*I(2/c3 + c3/c^2).
 
-d_sum takes one of two paths, chosen by h and the ideal (h, k) alone.
-
-The walk (sl2._signed_walk) serves every pair with h != 0 and (h, k) = gO, on
-any order and any lattice the order acts on: it takes the steps of (h/g, k/g),
-and D_L(h, k) = D_L(h/g, k/g), so let g = 1.  The walk ends at (u, 0), u a unit,
-and its steps M_i = [[alpha_i, beta_i], [gamma_i, delta_i]] take the SL2(O)
-matrix with first column (h, k) and lower-right entry x = h^-1 mod k to
-diag(u, 1/u).  Phi is additive and Phi(diag(u, 1/u)) = 0, so
+d_sum takes one of two paths, chosen by h alone: h = 0 gives 0/k at once, at
+any N(k), and the walk (sl2._signed_walk) serves every other pair, on any
+order and any lattice the order acts on.  Its steps
+M_i = [[alpha_i, beta_i], [gamma_i, delta_i]] take (h, k) to
+(a_n, c_n) = P*(h, k), P = M_n...M_1, and Phi is additive.  If (h, k) = gO
+(let g = 1: D_L(h, k) = D_L(h/g, k/g), and the walk takes the steps of
+(h/g, k/g)), P takes the SL2(O) matrix with first column (h, k) and
+lower-right entry x = h^-1 mod k to diag(u, 1/u), u a unit, whose Phi is 0:
 
     D_L(h, k)   = i*sqrt(|d|)*E2(0)*R - sum over N(gamma_i) > 1 of D_L(alpha_i, gamma_i),
     R           = J((h + x)/k) + sum_i J((alpha_i + delta_i)/gamma_i),
     J(z/w)      = 2*Im(z/w)/sqrt(|d|) = v(z*conj(w))/N(w),
 
-v the theta-coordinate.  R is an exact Fraction after O(log N(k)) steps,
-each chosen in integers, with no norm bound.  Each constant D_L(alpha, gamma)
-depends on alpha mod gamma only; it is an E1-table sum on the lattice itself
-at N(gamma).  A d_sum call builds one E1 table per distinct gamma of its walk,
-all filled by one E1 evaluation, and sums every alpha of that gamma against
-it (_walk_value).
-A walk with no constant -- every walk on d_K = -7, -8, -11 -- gives
-Dtilde = R exactly (d_norm_exact).  A stuck walk with (h, k) = O raises
-SearchLimitError; there is no silent fallback to the table.
+v the theta-coordinate.  Otherwise the walk stops at a cusp
+a_n/c_n = r/t mod O (sl2._walk).  With B = (r, t) and x1 the lower-left
+entry of P,
 
-h = 0 gives 0/k with no table.  The E1 table serves a non-principal (h, k),
-where the walk is stuck; it also sums the walk's constants and the suites' cross-checks.
-CosetSystem(k) gives the box
-{a*omega1 + b*omega2 : 0 <= a < h11, 0 <= b < h22}, a transversal of L/kL with
-N(k) members, stored column by column at index b*h11 + a.  With M the integer
-matrix of k, the torsion point mu/k is (s*omega1 + t*omega2)/det(M) for the
-integers (s, t) = adj(M)*(a, b) mod det(M).  Lattice._torsion_coords maps
-(a, b) into the lattice's reduced basis with the one integer matrix
-W*adj(M) mod det(M) and centres it, and Lattice._e1_reduced evaluates
-E1 = (pi*theta1'/theta1(pi*u) + 2*pi*i*Im u/Im tau)/r1 there;
-mu = 0 and the 2-torsion points get exactly 0.  E1 is odd, and -mu sends
-column b > 0 to column h22 - b, so one member of each pair {mu, -mu} lies in
-columns 0..h22/2 (_half_box): E1 is evaluated once per pair, 0.5 times per
-coset, on every lattice.
-Multiplication by h permutes (1/k)L/L: the images of omega1 and omega2 under h
-are reduced into the box with Python ints, after which the index of h*mu comes
-from int64 operations, so h enters only modulo k.  The terms at mu and -mu are
-bitwise equal and the 2-torsion terms are 0, so
+    D_L(h, k) = D_L(r, t) - sum over N(gamma_i) > 1 of D_L(alpha_i, gamma_i)
+                + i*sqrt(|d|)*E2(0; L)*R + E2(0; B^-1 L)*w - E2(0; conj(B)^-1 L)*conj(w),
+    R         = J(h/k) - J(a_n/c_n) + sum_i J((alpha_i + delta_i)/gamma_i),
+    w         = c_n*x1/(t^2*k),
+
+B^-1 L = (1/t)*{y in L : r*y in t*L} (cosets._colon_lattice).  Where
+(a_n, c_n) = O, B = (t/c_n)*O and the last two terms are
+E2(0)*I(x1/(k*c_n)): the first law, stopped early.  The law is in D_L units,
+so it needs no real j and no nonzero E2(0).  R and w are exact, each step
+chosen in integers, with no norm bound.  Each constant D_L(alpha, gamma), and
+the cusp's D_L(r, t), is an E1-table sum on the lattice itself at N(gamma),
+at most the gamma bound (_walk_value).  A walk to c = 0 with no constant --
+every walk on d_K = -7, -8, -11 -- gives Dtilde = R exactly (d_norm_exact).
+
+The E1 table sums the walk's small tables and, at N(k), is the reference the
+suites and tests check the walk against (_d_sum_table).  CosetSystem(k)
+gives the box {a*omega1 + b*omega2 : 0 <= a < h11, 0 <= b < h22}, a
+transversal of L/kL with N(k) members, stored column by column at index
+b*h11 + a.  Each torsion point mu/k is (s*omega1 + t*omega2)/det(M) for the
+integers (s, t) = adj(M)*(a, b) mod det(M), M the integer matrix of k;
+Lattice._torsion_coords maps it into the lattice's reduced basis with one
+integer matrix, and Lattice._e1_reduced evaluates E1 there.  mu = 0 and the
+2-torsion points get exactly 0, and E1, being odd, is evaluated once per pair
+{mu, -mu} (_half_box): 0.5 times per coset, on every lattice.
+Multiplication by h permutes (1/k)L/L, so h enters only modulo k, through
+int64 table indices, and the terms at mu and -mu are bitwise equal:
 D_L(h, k) = 2*sum over _half_box of table[index(h*mu)] * table[index(mu)] / k.
-Those operations stay below 2*N(k)**2, exact for N(k) < 2**31; the table path
-refuses a larger N(k), and a table whose 16*N(k) bytes exceed physical memory,
-before allocating it.
+Those operations stay below 2*N(k)**2, exact for N(k) < 2**31; _d_sum_table
+refuses a larger N(k) before allocating its table.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import random
 from fractions import Fraction
 
 import numpy as np
 
-from .cosets import CosetSystem, mult_matrix
+from .cosets import CosetSystem, _colon_lattice, mult_matrix
 from .errors import (
     ExcludedRingError,
     GenerationError,
@@ -77,13 +77,12 @@ from .errors import (
     NotUnimodularError,
     PrecisionLossError,
     PreconditionError,
-    SearchLimitError,
     ZeroDivisorError,
 )
 from .lattice import Lattice
 from .ring import OrderElem, QuadOrder
 from .ring import egcd_order  # noqa: F401  (unused here; bench/tracing.py rebinds it to count calls)
-from .sl2 import Mat2, _complete_column, _generates_order, _signed_walk, _Walk
+from .sl2 import Mat2, _complete_column, _signed_walk, _Walk
 
 __all__ = [
     "Mat2",
@@ -130,11 +129,6 @@ def i_map(z: complex) -> complex:
     """I(z) = z - conj(z) = 2i*Im(z)."""
     zc = complex(z)
     return zc - zc.conjugate()
-
-
-def _physical_memory() -> int:
-    """Bytes of physical memory on this host."""
-    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
 def _half_box(system: CosetSystem) -> list[tuple[int, int]]:
@@ -222,26 +216,6 @@ def _e1_tables(systems: list[CosetSystem]) -> list[np.ndarray]:
     return tables
 
 
-def _system(k: OrderElem, ctx: SumContext) -> CosetSystem:
-    """The coset system of k on the lattice, once its E1 table fits.
-
-    Raises PreconditionError when N(k) >= 2**31 or the table's 16*N(k) bytes
-    exceed physical memory, before allocating it.
-    """
-    system = CosetSystem(k, ctx.lattice)
-    n = system.size
-    if n >= _MAX_NORM:
-        raise PreconditionError(
-            f"N(k) = {n} is at or above {_MAX_NORM} = 2**31, the bound for exact int64 coset indices"
-        )
-    need, have = 16 * n, _physical_memory()
-    if need > have:
-        raise PreconditionError(
-            f"the E1 table for N(k) = {n} needs {need} bytes, more than the {have} bytes of physical memory"
-        )
-    return system
-
-
 def _table_sum(h: OrderElem, system: CosetSystem, table: np.ndarray, batches, ctx: SumContext) -> complex:
     """D_L(h, k) from the E1 table of k (see the module docstring).
 
@@ -264,83 +238,80 @@ def _table_sum(h: OrderElem, system: CosetSystem, table: np.ndarray, batches, ct
 
 
 def _d_sum_table(h: OrderElem, k: OrderElem, ctx: SumContext) -> complex:
-    """D_L(h, k) from one E1 table, for every pair the walk does not serve.
+    """D_L(h, k) from one E1 table at N(k), the reference the walk is checked against; h = 0 gives 0/k.
 
-    h = 0 gives 0/k at any N(k).  Raises PreconditionError when k leaves the
-    double range, and what _system raises.
+    Raises PreconditionError when N(k) >= 2**31, before building the table.
     """
     if h.is_zero():
-        try:
-            return 0j / k.embed()
-        except OverflowError as exc:
-            raise PreconditionError(f"k = {k!r} leaves the double range") from exc
-    system = _system(k, ctx)
+        return d_sum(h, k, ctx)
+    system = CosetSystem(k, ctx.lattice)
+    if system.size >= _MAX_NORM:
+        raise PreconditionError(
+            f"N(k) = {system.size} is at or above {_MAX_NORM} = 2**31, the bound for exact int64 coset indices"
+        )
     (table,) = _e1_tables([system])
     return _table_sum(h, system, table, _batches([system]), ctx)
 
 
 def _walk_value(sign: int, walk: _Walk, ctx: SumContext) -> complex:
-    """D_L(h, k) from (sign, walk) = _signed_walk(h, k).
+    """D_L(h, k) from (sign, walk) = _signed_walk(h, k), by the laws of the module docstring.
 
-    The constants D_L(alpha, gamma) of one gamma share one E1 table and one
-    list of _batches, and one E1 evaluation fills the tables of every gamma of
-    the walk (_e1_tables).
-    A pair the walk meets again is summed once; the constants are subtracted
-    in walk order.
+    The constants D_L(alpha, gamma) of one gamma, and the cusp's D_L(r, t),
+    share one E1 table and one list of _batches, and one E1 evaluation fills
+    every table of the walk (_e1_tables).  A pair the walk meets again is
+    summed once; the constants are subtracted in walk order.
     """
     value = 1j * math.sqrt(abs(ctx.order.discriminant)) * ctx.lattice.e2_zero() * float(sign * walk.r)
-    if walk.constants:
-        gammas = list(dict.fromkeys(gamma for _, gamma in walk.constants))
-        systems = [_system(gamma, ctx) for gamma in gammas]
+    pairs = walk.constants + (() if walk.cusp is None else (walk.cusp[:2],))
+    if pairs:
+        gammas = list(dict.fromkeys(gamma for _, gamma in pairs))
+        systems = [CosetSystem(gamma, ctx.lattice) for gamma in gammas]
         tables = {
             gamma: (system, table, list(_batches([system])))
             for gamma, system, table in zip(gammas, systems, _e1_tables(systems))
         }
-        sums = {(alpha, gamma): _table_sum(alpha, *tables[gamma], ctx) for alpha, gamma in set(walk.constants)}
+        sums = {(alpha, gamma): _table_sum(alpha, *tables[gamma], ctx) for alpha, gamma in set(pairs)}
         value -= sign * sum(sums[pair] for pair in walk.constants)
+    if walk.cusp is not None:
+        r, t, (wu, wv) = walk.cusp
+        w = float(wu) + float(wv) * ctx.order.theta_embedding()
+        e2_b, e2_conj_b = (_colon_lattice(b, t.u, ctx.lattice).e2_zero() for b in (r, r.conjugate()))
+        value += sign * (sums[r, t] + e2_b * w - e2_conj_b * w.conjugate())
     return value
 
 
 def d_norm_exact(h: OrderElem, k: OrderElem, ctx: SumContext) -> Fraction:
-    """Dtilde(h, k) as an exact rational, where the walk of (h, k) uses no constant.
+    """Dtilde(h, k) as an exact rational, where the walk of (h, k) ends at c = 0 with no constant.
 
     That holds for every pair with h != 0 on d_K = -7, -8, -11 with f = 1.
-    Raises what d_norm raises on the lattice (ExcludedRingError where E2(0)
-    vanishes, on Z[i] and Z[rho]), PreconditionError for any other pair, and
-    SearchLimitError as d_sum does.
+    Raises what d_norm raises on the lattice (ExcludedRingError on Z[i] and
+    Z[rho]), PreconditionError for any other pair, SearchLimitError as d_sum.
     """
     if k.is_zero():
         raise ZeroDivisorError("zero modulus")
     _normalizer(ctx)
-    signed = None if h.is_zero() else _principal_walk(h, k)
-    if signed is None or signed[1].constants:
+    signed = None if h.is_zero() else _signed_walk(h, k)
+    if signed is None or not signed[1].exact:
         raise PreconditionError(
-            f"Dtilde(h={h!r}, k={k!r}) is exact only for h != 0, (h, k) principal and no float constants"
+            f"Dtilde(h={h!r}, k={k!r}) is exact only for h != 0 and a walk to c = 0 with no float constants"
         )
-    sign, walk = signed
-    return sign * walk.r
+    return signed[0] * signed[1].r
 
 
 def d_sum(h: OrderElem, k: OrderElem, ctx: SumContext) -> complex:
-    """Elliptic Dedekind sum D_L(h, k) (see the module docstring for which path serves which pair).
+    """Elliptic Dedekind sum D_L(h, k): 0/k for h = 0, else the walk (see the module docstring).
 
-    Raises PreconditionError when the E1 table serves the pair and N(k) >= 2**31,
-    and SearchLimitError when the walk of a pair with (h, k) = O is stuck.
+    Raises PreconditionError when h = 0 and k leaves the double range, and
+    SearchLimitError when the walk stops at a cusp r/t with t*t above the gamma bound.
     """
     if k.is_zero():
         raise ZeroDivisorError("zero modulus")
-    signed = None if h.is_zero() else _principal_walk(h, k)
-    return _d_sum_table(h, k, ctx) if signed is None else _walk_value(*signed, ctx)
-
-
-def _principal_walk(h: OrderElem, k: OrderElem) -> tuple[int, _Walk] | None:
-    """_signed_walk(h, k) for h != 0, or None when it is stuck on a pair with (h, k) != O: not principal."""
-    try:
-        return _signed_walk(h, k)
-    except SearchLimitError:
-        if _generates_order(h, k):
-            raise
-    return None
+    if h.is_zero():
+        try:
+            return 0j / k.embed()
+        except OverflowError as exc:
+            raise PreconditionError(f"k = {k!r} leaves the double range") from exc
+    return _walk_value(*_signed_walk(h, k), ctx)
 
 
 def _normalizer(ctx: SumContext) -> complex:

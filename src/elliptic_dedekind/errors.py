@@ -66,7 +66,7 @@ class InadmissibleTargetError(DedekindError):
 
 
 class SearchLimitError(DedekindError):
-    """Prime search exceeded the configured bound."""
+    """A search (the prime search, or a walk's steps) exceeded its bound."""
 
 
 class ConstructionError(DedekindError):

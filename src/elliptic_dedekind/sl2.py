@@ -1,44 +1,35 @@
 """Exact SL2(O) algebra: 2x2 matrices, their completion, and the pseudo-Euclidean walk.
 
-The walk serves d_sum on every pair (h, k) with h != 0 and (h, k) principal,
-on any order, and is stuck on every other pair.  (h, k) = O is decided
-exactly (_generates_order): the gcd of the 2x2 minors of the coordinates of
-h, h*theta, k and k*theta, the index of (h, k) in O, is 1.  h is first
-replaced by its representative mod k in a fixed box, up to sign
+The walk serves d_sum on every pair (h, k) with h != 0, on any order.  h is
+first replaced by its representative mod k in a fixed box, up to sign
 (_signed_walk), so that the value is shift invariant and odd in h bit for
 bit.  The walk is the pseudo-Euclidean algorithm of modular symbols
-(J. E. Cremona, Compositio Math. 51, 1984):
-each step applies M = [[alpha, beta], [gamma, delta]] in SL2(O) to the
-column (a, c), starting at (h, k), and takes the first M with
-N(gamma*a + delta*c) < N(c):
+(J. E. Cremona, Compositio Math. 51, 1984): each step applies
+M = [[alpha, beta], [gamma, delta]] in SL2(O) to the column (a, c), starting
+at (h, k), and takes the first M with N(gamma*a + delta*c) < N(c):
 
   - gamma = -1 and delta = q, the rounded quotient a/c, that is the
     Euclidean step M = [[0, 1], [-1, q]], whenever it lowers N(c);
   - otherwise gamma runs over -1, then the non-units up to the norm
     max(72, 8*|disc|) by increasing norm (_gammas), delta over the lattice
-    points within distance 1 of -gamma*a/c, nearest first, and
-    (gamma, delta) = O is required; _complete_row finds alpha and beta.
-    The candidates are exactly the lattice points of an ellipse, listed
-    row by row with integer square roots from 4*N(x + y*theta) =
-    (2x + y*tr(theta))^2 + y^2*|disc|, and tested in integers (_extra_step).
+    points within distance 1 of -gamma*a/c, the points of an ellipse, nearest
+    first (_extra_step), and (gamma, delta) = O is required; _complete_row
+    finds alpha and beta.
 
-The walk runs on int pairs (u, v) for u + v*theta, with tr(theta), N(theta)
-and tr(theta) // 2 read once per walk: the steps, the test (gamma, delta) = O
-(gcd(N(gamma), N(delta), u, v) = 1 with u + v*theta = gamma*conj(delta),
-before any completion is tried), the completions and the rounding.
-OrderElems are built only from h, k and for the constants it returns;
-_complete_column and _generates_order wrap the same integer code.
+Every step, test and completion runs on int pairs (u, v) for u + v*theta;
+OrderElems are built only from h, k and for the values the walk returns.
 
-On d_K = -7, -8, -11 every step has gamma = -1 (a neighbour of q in the
-corner cases of -7 and -11), as in the Euclidean algorithm.  The walk ends
-at (g, 0), (g) = (h, k), carrying the cofactor x0 of h (a = x0*h mod k):
-x = x0*conj(g) inverts h mod k for a unit g, else (h/g, k/g) takes the same
-steps to (1, 0) and x = x0*g gives (h + x)/k = (h/g + x0)/(k/g).  It returns
-R = J((h + x)/k) + sum_i J((alpha_i + delta_i)/gamma_i) as an exact Fraction,
-J(z/w) = v(z*conj(w))/N(w) with v the theta-coordinate (-J(q) = -v(q) on a
-Euclidean step), and the (alpha_i, gamma_i) of the steps with N(gamma_i) > 1,
-whose D_L(alpha_i, gamma_i) dedekind.d_sum subtracts.  A walk that finds no
-gamma under the bound raises SearchLimitError.
+The steps keep the ideal (a, c) = (h, k), and a = x0*h, c = x1*h mod k for
+the first column (x0, x1) of P = M_n...M_1.  On a principal (h, k) the walk
+ends at (g, 0), (g) = (h, k): x = x0*conj(g) inverts h mod k for a unit g,
+else (h/g, k/g) takes the same steps to (1, 0) and x = x0*g gives
+(h + x)/k = (h/g + x0)/(k/g); on d_K = -7, -8, -11 every step has
+gamma = -1.  Where no gamma under the bound lowers N(c), as on every
+non-principal (h, k), the walk stops at (a_n, c_n), c_n != 0, the cusp
+a_n/c_n = r/t mod O, and raises SearchLimitError unless t*t <= _gamma_bound,
+so that D_L(r, t) is a small table.  It returns R, the (alpha_i, gamma_i) of
+the steps with N(gamma_i) > 1 and the cusp, all exact, for the laws of
+dedekind's docstring.
 """
 
 from __future__ import annotations
@@ -214,7 +205,7 @@ def _gammas(order: QuadOrder) -> tuple[_Pair, ...]:
     return ((-1, 0),) + tuple((s - c0 * t, t) for _, t, s in found)
 
 
-def _extra_step(num: _Pair, n: int, order: QuadOrder, tr: int, nt: int, c0: int) -> tuple[_Pair, _Pair, _Pair, _Pair]:
+def _extra_step(num: _Pair, n: int, order: QuadOrder, tr: int, nt: int, c0: int) -> tuple[_Pair, ...] | None:
     """(alpha, beta, gamma, delta) of the first M in SL2(O) that lowers N(c) (see the module docstring).
 
     num = a*conj(c) and n = N(c), so a/c = num/n = z0 + zf with z0 in the
@@ -228,8 +219,8 @@ def _extra_step(num: _Pair, n: int, order: QuadOrder, tr: int, nt: int, c0: int)
     at most 4n^2 - 1, d = tr^2 - 4*N(theta).  So the rows are those with
     |y| <= isqrt((4n^2 - 1) // |d|), and row y holds the s with
     |2x + y*tr| <= isqrt(4n^2 - 1 - y^2*|d|); a gamma whose ellipse holds no
-    row costs two floor divisions.  Raises SearchLimitError when no gamma up
-    to _gamma_bound qualifies.
+    row costs two floor divisions.  None when no gamma up to _gamma_bound
+    qualifies.
     """
     nu, nv = num
     z0 = (nu // n, nv // n)
@@ -257,10 +248,7 @@ def _extra_step(num: _Pair, n: int, order: QuadOrder, tr: int, nt: int, c0: int)
             if row is not None:
                 alpha, beta = row
                 return alpha, _sub(beta, _mul(alpha, z0, tr, nt)), gamma, _sub((s, t), _mul(gamma, z0, tr, nt))
-    raise SearchLimitError(
-        f"no gamma of norm <= {_gamma_bound(order)} lowers N(c) = {n} on the order "
-        f"(d_K={order.d_k}, f={order.f}); the walk is stuck"
-    )
+    return None
 
 
 def _complete_row(gamma: _Pair, delta: _Pair, tr: int, nt: int, c0: int) -> tuple[_Pair, _Pair] | None:
@@ -291,17 +279,24 @@ def _complete_row(gamma: _Pair, delta: _Pair, tr: int, nt: int, c0: int) -> tupl
 class _Walk:
     """The walk of (h, k) (see the module docstring).
 
-    r is the exact J((h + x)/k) + sum of J((alpha_i + delta_i)/gamma_i) over
-    every step; constants holds the (alpha_i, gamma_i) of the steps with
-    N(gamma_i) > 1, in walk order.
+    r is the exact R; constants holds the (alpha_i, gamma_i) of the steps with
+    N(gamma_i) > 1, in walk order; cusp is None for a walk that ends at c = 0,
+    else the stop cusp (r, t, w): r/t = a_n/c_n mod O, t a rational integer,
+    and w = c_n*x1/(t^2*k) as its exact theta-coordinates.
     """
 
     r: Fraction
     constants: tuple[tuple[OrderElem, OrderElem], ...]
+    cusp: tuple[OrderElem, OrderElem, tuple[Fraction, Fraction]] | None = None
+
+    @property
+    def exact(self) -> bool:
+        """Whether Dtilde is R itself: the walk ends at c = 0 with no constant."""
+        return not self.constants and self.cusp is None
 
 
 def _walk(h: OrderElem, k: OrderElem) -> _Walk:
-    """The walk of (h, k), for h != 0; raises SearchLimitError when it is stuck, as on every non-principal (h, k)."""
+    """The walk of (h, k), for h != 0, to c = 0 or to its stop cusp r/t; SearchLimitError if t*t > _gamma_bound."""
     order = h.order
     tr, nt = order.theta_trace, order.theta_norm
     c0 = tr // 2
@@ -322,19 +317,35 @@ def _walk(h: OrderElem, k: OrderElem) -> _Walk:
             a, c = c, r
             x0, x1 = x1, _sub(_mul(q, x1, tr, nt), x0)
             continue
-        alpha, beta, gamma, delta = _extra_step(num, n, order, tr, nt, c0)
+        step = _extra_step(num, n, order, tr, nt, c0)
+        if step is None:
+            break
+        alpha, beta, gamma, delta = step
         n_gamma = _norm(gamma, tr, nt)
         extra += Fraction(_times_conj(_add(alpha, delta), gamma, tr, nt)[1], n_gamma)
         if n_gamma > 1:
             constants.append((alpha, gamma))
         a, c = _combine(alpha, a, beta, c, tr, nt), _combine(gamma, a, delta, c, tr, nt)
         x0, x1 = _combine(alpha, x0, beta, x1, tr, nt), _combine(gamma, x0, delta, x1, tr, nt)
-    # a generates (h, k).  A unit a has norm 1 and h*x0*conj(a) = 1 (mod k).  Otherwise
-    # (h/a, k/a) takes the same steps to (1, 0), x0 inverts h/a mod k/a and x/k = x0/(k/a).
-    x = _times_conj(x0, a, tr, nt) if _norm(a, tr, nt) == 1 else _mul(x0, a, tr, nt)
-    # J(z/w) = 2*Im(z/w)/sqrt(|d|) is the theta-coordinate of z/w, as Im(theta) = sqrt(|d|)/2.
-    r = Fraction(_times_conj(_add((h.u, h.v), x), (k.u, k.v), tr, nt)[1], k.norm()) - q_sum + extra
-    return _Walk(r, tuple((OrderElem(*alpha, order), OrderElem(*gamma, order)) for alpha, gamma in constants))
+    hk, kk = (h.u, h.v), (k.u, k.v)
+    consts = tuple((OrderElem(*alpha, order), OrderElem(*gamma, order)) for alpha, gamma in constants)
+    if c == (0, 0):
+        # a generates (h, k).  A unit a has norm 1 and h*x0*conj(a) = 1 (mod k).  Otherwise
+        # (h/a, k/a) takes the same steps to (1, 0), x0 inverts h/a mod k/a and x/k = x0/(k/a).
+        x = _times_conj(x0, a, tr, nt) if _norm(a, tr, nt) == 1 else _mul(x0, a, tr, nt)
+        # J(z/w) = 2*Im(z/w)/sqrt(|d|) is the theta-coordinate of z/w, as Im(theta) = sqrt(|d|)/2.
+        return _Walk(Fraction(_times_conj(_add(hk, x), kk, tr, nt)[1], k.norm()) - q_sum + extra, consts)
+    # No step lowers N(c): a/c = num/n = r/t mod O, t the least positive integer with t*a/c in O.
+    g = math.gcd(*num, n)
+    t = n // g
+    if t * t > _gamma_bound(order):
+        raise SearchLimitError(
+            f"no gamma of norm <= {_gamma_bound(order)} lowers N(c) = {n} on the order "
+            f"(d_K={order.d_k}, f={order.f}), and t*t > {_gamma_bound(order)} at the cusp r/{t}; the walk is stuck"
+        )
+    r = Fraction(_times_conj(hk, kk, tr, nt)[1], k.norm()) - Fraction(num[1], n) - q_sum + extra
+    w = tuple(Fraction(x, t * t * k.norm()) for x in _times_conj(_mul(c, x1, tr, nt), kk, tr, nt))
+    return _Walk(r, consts, (OrderElem(num[0] // g % t, num[1] // g % t, order), order.element(t), w))
 
 
 def _signed_walk(h: OrderElem, k: OrderElem) -> tuple[int, _Walk]:

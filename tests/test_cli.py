@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import elliptic_dedekind
-from elliptic_dedekind import QuadOrder, Target, approximate, cli, dedekind
+from elliptic_dedekind import QuadOrder, SumContext, Target, approximate, cli, d_norm
 from elliptic_dedekind.cli import main
 from elliptic_dedekind.errors import (
     ConstructionError,
@@ -70,12 +70,19 @@ def test_sum_huge_h_equals_its_residue(capsys):
 
 
 def test_sum_norm_above_int64_bound_usage_error(capsys):
-    # On d = -20, (11 + theta, 46346) = (1 + sqrt(-5), 2) is not principal, so the walk is
-    # stuck and the E1 table serves the pair, and it refuses N(k) >= 2**31.
-    code, out, err = run_cli(capsys, "sum", "--dk", "-20", "--h", "11,1", "--k", "46346,0", "--format", "json")
-    assert code == 2
-    assert out == ""
-    assert "N(k) = 2147951716" in err and "2147483648" in err
+    # On d = -20, (11 + theta, 46346) = (1 + sqrt(-5), 2) is not principal.  Its N(k) is at or
+    # above 2**31, where the E1 table refuses, and no usage error is left: the walk serves
+    # it, stopping at the cusp (1 + theta)/2, and h + k gives the same bytes.
+    outs = []
+    for h in ("11,1", "46357,1"):
+        code, out, _ = run_cli(capsys, "sum", "--dk", "-20", "--h", h, "--k", "46346,0", "--format", "json")
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1].replace("46357", "11")
+    rec = json.loads(outs[0])["records"][0]
+    assert rec["coset_count"] == 2147951716
+    ctx = SumContext(QuadOrder(-20))
+    assert rec["d_norm"] == d_norm(ctx.order.element(11, 1), ctx.order.element(46346), ctx)
 
 
 @pytest.mark.parametrize(
@@ -114,16 +121,6 @@ def test_sum_zero_h_needs_no_table(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "double range" in err
-
-
-def test_sum_table_above_physical_memory_usage_error(capsys, monkeypatch):
-    # On d = -20, (11 + theta, 550) = (1 + sqrt(-5), 2) is not principal, so the E1 table
-    # serves the pair: N(k) = 302500 needs a 4840000-byte table; the probe reports 1e6 bytes.
-    monkeypatch.setattr(dedekind, "_physical_memory", lambda: 10**6)
-    code, out, err = run_cli(capsys, "sum", "--dk", "-20", "--h", "11,1", "--k", "550,0", "--format", "json")
-    assert code == 2
-    assert out == ""
-    assert "4840000 bytes" in err and "1000000 bytes" in err
 
 
 def test_sum_conj_stable_conductor_example(capsys):

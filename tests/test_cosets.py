@@ -12,7 +12,7 @@ from elliptic_dedekind import (
     ZeroDivisorError,
     mult_matrix,
 )
-from elliptic_dedekind.cosets import MultMatrix, _theta_matrix
+from elliptic_dedekind.cosets import MultMatrix, _colon_lattice, _theta_matrix
 
 SQRT2 = math.sqrt(2.0)
 
@@ -207,3 +207,26 @@ def test_coset_reps_column_major_order(order_m8):
     assert [tuple(map(int, c)) for c in coords] == [(0, 0), (1, 0), (0, 1), (1, 1)]
     reps = system.reps()
     assert np.array_equal(reps, coords[:, 0] * lat.omega1 + coords[:, 1] * lat.omega2)
+
+
+def test_colon_lattice_of_a_principal_ideal_is_the_scaled_lattice():
+    # B = (g, N(g)) = g*(1, conj(g)) = g*O, so B^-1 L = L/g: area A/N(g) and E2(0) times g^2.
+    order = QuadOrder(-20)
+    c = 1.3 + 0.7j
+    for lat in (Lattice.from_order(order), Lattice(c, c * order.theta_embedding())):
+        for u, v in ((3, 1), (-2, 1), (7, 0), (11, 1)):
+            g = order.element(u, v)
+            colon = _colon_lattice(g, g.norm(), lat)
+            assert abs(colon.area() * g.norm() - lat.area()) <= 1e-12 * lat.area()
+            expected = g.embed() ** 2 * lat.e2_zero()
+            assert abs(colon.e2_zero() - expected) <= 1e-12 * abs(expected)
+
+
+def test_colon_lattice_kappa_of_the_prime_over_two():
+    # kappa = E2(0; B^-1 O)/E2(0; O) for B = (1 + sqrt(-5), 2) on d = -20 is 7 - 3*sqrt(5).
+    order = QuadOrder(-20)
+    lat = Lattice.from_order(order)
+    colon = _colon_lattice(order.element(11, 1), 2, lat)
+    assert abs(colon.area() * 2 - lat.area()) <= 1e-12 * lat.area()
+    kappa = colon.e2_zero() / lat.e2_zero()
+    assert abs(kappa - (7 - 3 * math.sqrt(5.0))) <= 1e-14

@@ -331,24 +331,6 @@ def test_table_matches_walk_by_distribution_relation(dk, f, h, k, g):
         assert abs(normalize_value(walk, ctx) - exact) <= 1e-12 * abs(exact)
 
 
-def test_d_sum_table_refuses_a_table_above_physical_memory(monkeypatch):
-    # N(30) = 900 on the conductor-3 order: a 14400-byte table against a probe of 1000 bytes.
-    ctx = SumContext(QuadOrder(-8, 3))
-    monkeypatch.setattr(dedekind, "_physical_memory", lambda: 1000)
-
-    def forbidden(systems):
-        raise AssertionError("the table must not be allocated")
-
-    monkeypatch.setattr(dedekind, "_e1_tables", forbidden)
-    with pytest.raises(PreconditionError, match=r"N\(k\) = 900 needs 14400 bytes, more than the 1000 bytes"):
-        _d_sum_table(ctx.order.element(3), ctx.order.element(30), ctx)
-    monkeypatch.undo()
-    assert dedekind._physical_memory() > 16 * 900
-    h, k = ctx.order.element(3, 3), ctx.order.element(30)
-    expected = full_box_d_sum(h, k, ctx)
-    assert abs(_d_sum_table(h, k, ctx) - expected) <= 1e-12 * (1 + abs(expected))
-
-
 def test_d_sum_closed_form_at_realistic_size(ctx_m8):
     # c = p = 199, e = 1: c3 = p*e*sqrt(-8) = 398*sqrt(-2) and Dtilde = 2/199 - 1/398 = 3/398.
     order = ctx_m8.order
@@ -360,13 +342,29 @@ def test_d_sum_closed_form_at_realistic_size(ctx_m8):
     assert abs(normalize_value(value, ctx_m8) - 3 / 398) <= 1e-9 * (3 / 398)
 
 
-def test_d_sum_norm_bound_fails_loudly():
+def test_d_sum_norm_bound_fails_loudly(monkeypatch):
     # On d = -20, 11 + theta = 1 + sqrt(-5) and (1 + sqrt(-5), 2*23173) is the prime over 2,
-    # which is not principal, so the walk is stuck and the E1 table serves the pair.
-    # 46346**2 = 2147951716 >= 2**31: raised before any table is allocated.
+    # which is not principal.  46346**2 = 2147951716 >= 2**31: the reference table refuses
+    # the pair before any table is allocated, and d_sum walks it to its stop cusp, where a
+    # walk of another representative of h mod k agrees.
     ctx = SumContext(QuadOrder(-20))
+    h, k = ctx.order.element(11, 1), ctx.order.element(46346)
+
+    def forbidden(systems):
+        raise AssertionError("the table must not be allocated")
+
+    monkeypatch.setattr(dedekind, "_e1_tables", forbidden)
     with pytest.raises(PreconditionError, match="2147951716.*2147483648"):
-        d_sum(ctx.order.element(11, 1), ctx.order.element(46346), ctx)
+        _d_sum_table(h, k, ctx)
+    monkeypatch.undo()
+    value = d_sum(h, k, ctx)
+    other = dedekind._walk_value(1, sl2._walk(h + k * ctx.order.element(5, 3), k), ctx)
+    assert abs(other - value) <= 1e-12 * abs(value)
+    # Below the bound, the table matches the sum over the whole box (N(30) = 900 on d = -72).
+    ctx = SumContext(QuadOrder(-8, 3))
+    h, k = ctx.order.element(3, 3), ctx.order.element(30)
+    expected = full_box_d_sum(h, k, ctx)
+    assert abs(_d_sum_table(h, k, ctx) - expected) <= 1e-12 * (1 + abs(expected))
 
 
 def test_d_sum_inverse_congruence(ctx_m8):

@@ -1,8 +1,9 @@
-"""The pseudo-Euclidean walk that d_sum takes on every pair with (h, k) = O.
+"""The pseudo-Euclidean walk that d_sum takes on every pair with h != 0.
 
-It is checked against the E1 table on many orders and lattices, for its exact
-symmetries and step counts, for its exact values, and for failing loudly when
-it is stuck.
+It is checked against the E1 table on many orders and lattices, on pairs whose
+ideal (h, k) is principal and on pairs whose walk stops at a cusp, for its
+exact symmetries and step counts, for its exact values, and for failing loudly
+when it is stuck.
 """
 
 import math
@@ -57,10 +58,21 @@ WALK_CONTEXTS = [
 EUCLIDEAN_DK = (-7, -8, -11)
 
 
+# Bases of lattices other than an order's own: the ideal classes (2, 1 + sqrt(-5)) of
+# d = -20, (2, (1 + sqrt(-15))/2) of d = -15 and (2, (-1 + sqrt(-23))/2) of d = -23, whose
+# j is not real, and Z[i], on which Z[3i] acts.
+LATTICES = {
+    "form": (2, complex(-1.0, math.sqrt(5.0))),
+    "form15": (2, complex(0.5, math.sqrt(15.0) / 2)),
+    "form23": (2, complex(-0.5, math.sqrt(23.0) / 2)),
+    "gauss": (1, 1j),
+}
+
+
 def make_ctx(dk, f, lattice):
     order = QuadOrder(dk, f)
-    if lattice == "form":
-        return SumContext(order, Lattice(2, complex(-1.0, math.sqrt(5.0))))
+    if lattice in LATTICES:
+        return SumContext(order, Lattice(*LATTICES[lattice]))
     ctx = SumContext(order)
     return ctx.scaled(complex(1.3, 0.7)) if lattice == "scaled" else ctx
 
@@ -73,6 +85,23 @@ def unit_gcd_pair(rng, order, max_norm):
         k = order.element(rng.randint(-bound, bound), rng.randint(-bound, bound))
         if not h.is_zero() and 0 < k.norm() <= max_norm and _generates_order(h, k):
             return h, k
+
+
+def cusp_pair(rng, order, max_norm):
+    """Random (h, k) with h != 0 and N(k) <= max_norm whose walk stops at a cusp: (h, k) is not principal."""
+    while True:
+        bound = rng.choice((6, 40, 150))
+        h = order.element(rng.randint(-bound, bound), rng.randint(-bound, bound))
+        k = order.element(rng.randint(-bound, bound), rng.randint(-bound, bound))
+        if not h.is_zero() and 0 < k.norm() <= max_norm and _signed_walk(h, k)[1].cusp is not None:
+            return h, k
+
+
+def random_elem(rng, order, max_norm=50_000):
+    while True:
+        k = order.element(rng.randint(-150, 150), rng.randint(-150, 150))
+        if 0 < k.norm() <= max_norm:
+            return k
 
 
 def record_table_sizes(monkeypatch):
@@ -140,27 +169,123 @@ def test_walk_serves_a_principal_gcd_bit_for_bit(dk, f, monkeypatch):
 
 def test_non_principal_pair_goes_to_the_table(monkeypatch):
     # On d = -20, 11 + theta = 1 + sqrt(-5), and (1 + sqrt(-5), 10) is the prime over 2,
-    # which is not principal: the walk is stuck, and d_sum sums the pair on the table.
+    # which is not principal: the walk stops at the cusp (1 + theta)/2, and the only
+    # table d_sum fills is the cusp's, at N(2) = 4.  The N(k)-entry table agrees.
     ctx = SumContext(QuadOrder(-20))
     h, k = ctx.order.element(11, 1), ctx.order.element(10)
     assert not _generates_order(h, k)
-    with pytest.raises(SearchLimitError):
-        _signed_walk(h, k)
+    _, walk = _signed_walk(h, k)
+    r, t, _ = walk.cusp
+    assert (r.u, r.v, t.u, t.v) == (1, 1, 2, 0) and walk.constants == ()
     sizes = record_table_sizes(monkeypatch)
     value = d_sum(h, k, ctx)
     monkeypatch.undo()
-    assert sizes == [100]
-    assert value == _d_sum_table(h, k, ctx)
-    with pytest.raises(PreconditionError, match="principal"):
+    assert sizes == [4]
+    expected = _d_sum_table(h, k, ctx)
+    assert abs(value - expected) <= 1e-12 * (1 + abs(expected))
+    with pytest.raises(PreconditionError, match="c = 0"):
         d_norm_exact(h, k, ctx)
+
+
+# Orders of class number > 1 and lattices other than O, where the walk of a
+# non-principal pair stops at a cusp: the ideal classes of d = -20 and -15, a
+# scaled and rotated d = -20, a class of d = -23 whose j is not real, and Z[3i]
+# on Z[i], where E2(0) = 0.
+CUSP_CONTEXTS = [
+    (-20, 1, None),
+    (-15, 1, None),
+    (-23, 1, None),
+    (-8, 3, None),
+    (-4, 3, None),
+    (-3, 7, None),
+    (-20, 1, "form"),
+    (-15, 1, "form15"),
+    (-20, 1, "scaled"),
+    (-23, 1, "form23"),
+    (-4, 3, "gauss"),
+]
+
+
+@pytest.mark.parametrize("dk, f, lattice", CUSP_CONTEXTS)
+def test_walk_matches_table_at_a_stop_cusp(dk, f, lattice, monkeypatch):
+    # Only the constants and the cusp's D_L(r, t) come from a table, with t*t within the gamma bound.
+    ctx = make_ctx(dk, f, lattice)
+    bound = _gamma_bound(ctx.order)
+    rng = random.Random(51)
+    for _ in range(8):
+        h, k = cusp_pair(rng, ctx.order, 100_000)
+        table_sizes = record_table_sizes(monkeypatch)
+        value = d_sum(h, k, ctx)
+        monkeypatch.undo()
+        assert all(n <= bound for n in table_sizes)
+        expected = _d_sum_table(h, k, ctx)
+        assert abs(value - expected) <= 1e-12 * (1 + abs(expected))
+
+
+@pytest.mark.parametrize("dk, f", [(-20, 1), (-8, 3), (-3, 7)])
+def test_the_cusp_law_holds_wherever_the_walk_stops(dk, f, monkeypatch):
+    # With -1 as the only gamma, walks stop early, on principal pairs too, at cusps r/t with
+    # t up to 31.  Where t*t is within the gamma bound the stop is accepted, and the law at
+    # that cusp still matches the E1 table: accepting a stop never costs correctness.
+    ctx = SumContext(QuadOrder(dk, f))
+    order = ctx.order
+    rng = random.Random(53)
+    checked, principal, stops = 0, 0, set()
+    while checked < 10:
+        h, k = random_elem(rng, order), random_elem(rng, order)
+        monkeypatch.setattr(sl2, "_gammas", lambda o: ((-1, 0),))
+        try:
+            walk = _signed_walk(h, k)[1]
+            value = d_sum(h, k, ctx)
+        except SearchLimitError:
+            continue
+        finally:
+            monkeypatch.undo()
+        if walk.cusp is not None:
+            checked += 1
+            principal += _generates_order(h, k)
+            stops.add(walk.cusp[1].u)
+            expected = _d_sum_table(h, k, ctx)
+            assert abs(value - expected) <= 1e-12 * (1 + abs(expected))
+    assert len(stops) > 2 and principal > 0
+
+
+# Non-principal pairs at N(k) ~ 1e30, drawn with random.Random(50).
+CUSP_FIXTURES = [
+    (-20, 1, (20948339510481, -110416775244488), (25621181444001, 103569605090892)),
+    (-3, 7, (50581241962738, 69102935605111), (-36804964795070, 78787644574887)),
+]
+
+
+@pytest.mark.parametrize("dk, f, h, k", CUSP_FIXTURES, ids=["d-20-1e30", "d-3f7-1e30"])
+def test_walk_of_a_non_principal_pair_at_large_norm(dk, f, h, k):
+    # h + k*m, for three m, take walks of their own, which stop at their own cusps; their
+    # values agree, and d_sum is shift invariant and odd bit for bit.
+    ctx = SumContext(QuadOrder(dk, f))
+    order = ctx.order
+    h, k = order.element(*h), order.element(*k)
+    assert k.norm() > 10**29
+    value = d_sum(h, k, ctx)
+    rng = random.Random(52)
+    for bound in (3, 10**6, 10**15):
+        m = order.element(rng.randint(-bound, bound), rng.randint(-bound, bound))
+        walk = sl2._walk(h + k * m, k)
+        assert walk.cusp is not None and walk.cusp[1].u ** 2 <= _gamma_bound(order)
+        assert abs(_walk_value(1, walk, ctx) - value) <= 1e-12 * (1 + abs(value))
+        assert d_sum(h + k * m, k, ctx) == value
+        assert d_sum(-h - k * m, k, ctx) == -value
 
 
 @pytest.mark.parametrize("dk, f", [(-15, 1), (-23, 1), (-163, 1), (-8, 3), (-3, 7)])
 def test_walk_decides_every_step_without_floats(dk, f, monkeypatch):
     # The walk runs with every complex embedding disabled; its values then match the table.
+    # Non-principal pairs exist on every order here but d = -163, of class number 1; their
+    # walks compute the stop cusp (r, t, w) and R in integers too.
     ctx = SumContext(QuadOrder(dk, f))
     rng = random.Random(46)
     pairs = [unit_gcd_pair(rng, ctx.order, 20_000) for _ in range(40)]
+    if dk != -163:
+        pairs += [cusp_pair(rng, ctx.order, 20_000) for _ in range(10)]
 
     def no_floats(*args):
         raise AssertionError("the walk embedded an element in the complex plane")
@@ -170,6 +295,7 @@ def test_walk_decides_every_step_without_floats(dk, f, monkeypatch):
     walks = [_signed_walk(h, k) for h, k in pairs]
     monkeypatch.undo()
     assert any(walk.constants for _, walk in walks)
+    assert any(walk.cusp for _, walk in walks) == (dk != -163)
     for (h, k), (sign, walk) in zip(pairs, walks):
         expected = _d_sum_table(h, k, ctx)
         assert abs(_walk_value(sign, walk, ctx) - expected) <= 1e-12 * (1 + abs(expected))
@@ -308,7 +434,8 @@ def test_d_norm_exact_refuses_the_rings_where_e2_vanishes(dk):
 
 
 def test_a_stuck_walk_fails_loudly(monkeypatch, capsys):
-    # With -1 as the only gamma, the conductor-3 order has no step that lowers N(c) on this pair.
+    # With -1 as the only gamma, the conductor-3 order has no step that lowers N(c) on this pair:
+    # the walk stops at once, at a cusp r/6876, and 6876**2 is far above the gamma bound 576.
     order = QuadOrder(-8, 3)
     monkeypatch.setattr(sl2, "_gammas", lambda o: ((-1, 0),))
     with pytest.raises(SearchLimitError, match="stuck"):
@@ -532,8 +659,7 @@ def test_ellipse_bounds_list_exactly_the_points_of_norm_below_n_squared(dk, f, m
         tried = []
         monkeypatch.setattr(sl2, "_gammas", lambda o: (gamma,))
         monkeypatch.setattr(sl2, "_complete_row", lambda g, delta, *args: tried.append(delta))
-        with pytest.raises(SearchLimitError):
-            sl2._extra_step(num, n, order, tr, nt, tr // 2)
+        assert sl2._extra_step(num, n, order, tr, nt, tr // 2) is None
         monkeypatch.undo()
         fu, fv = num[0] % n, num[1] % n
         x0, y0 = sl2._mul(gamma, (fu, fv), tr, nt)
