@@ -82,7 +82,7 @@ from .errors import (
 from .lattice import Lattice
 from .ring import OrderElem, QuadOrder
 from .ring import egcd_order  # noqa: F401  (unused here; bench/tracing.py rebinds it to count calls)
-from .sl2 import Mat2, _complete_column, _signed_walk, _Walk
+from .sl2 import Mat2, _add, _column, _mul, _norm, _signed_walk, _sub, _Walk
 
 __all__ = [
     "Mat2",
@@ -307,6 +307,7 @@ def d_sum(h: OrderElem, k: OrderElem, ctx: SumContext) -> complex:
     if k.is_zero():
         raise ZeroDivisorError("zero modulus")
     if h.is_zero():
+        h._check(k)
         try:
             return 0j / k.embed()
         except OverflowError as exc:
@@ -381,33 +382,47 @@ def gen_sl2_triple(seed: int, ctx: SumContext) -> tuple[Mat2, Mat2, Mat2]:
     """Random triple A1 = A2 @ A3 with c1 = c2 = c != 0 and a1*a2 = 1 (mod c).
 
     norm(c3) is kept at or below _MAX_C3_NORM = 300 so direct coset summation
-    stays feasible.  A1 and A2 are completed by _complete_column, on any order.
+    stays feasible.  The search runs on int pairs: A1 and A2 are completed by
+    sl2._column, on any order, and the matrices are built for the winner only.
     """
     order = ctx.order
+    tr, nt = order.theta_trace, order.theta_norm
+    c0 = tr // 2
     rng = random.Random(seed)
     for _ in range(800):
-        c = order.element(rng.randint(-4, 4), rng.randint(-2, 2))
-        if not 2 <= c.norm() <= 40:
+        c = (rng.randint(-4, 4), rng.randint(-2, 2))
+        n_c = _norm(c, tr, nt)
+        if not 2 <= n_c <= 40:
             continue
-        a1 = order.element(rng.randint(-4, 4), rng.randint(-2, 2))
-        m1 = _complete_column(a1, c)
-        if m1 is None:
+        a1 = (rng.randint(-4, 4), rng.randint(-2, 2))
+        col1 = _column(a1, c, tr, nt, c0)
+        if col1 is None:
             continue
-        # a2 runs over a1^-1 = m1.d (mod c); the smallest N(c3) wins.
+        b1, d1 = col1
+        # a2 = d1 + m*c runs over a1^-1 (mod c); c3 = c*(a2 - a1), so
+        # N(c3) = N(c)*N(d1 - a1 + m*c).  The smallest N(c3) wins.
+        diff = _sub(d1, a1)
         best = None
         for mu in range(-2, 3):
             for mv in range(-2, 3):
-                a2 = m1.d + order.element(mu, mv) * c
-                n3 = (c * (a2 - a1)).norm()
+                n3 = n_c * _norm(_add(diff, _mul((mu, mv), c, tr, nt)), tr, nt)
                 if n3 == 0 or n3 > _MAX_C3_NORM:
                     continue
-                key = (n3, mu, mv)
-                if best is None or key < best[0]:
-                    best = (key, a2)
+                if best is None or (n3, mu, mv) < best:
+                    best = (n3, mu, mv)
         if best is None:
             continue
-        m2 = _complete_column(best[1], c)
-        if m2 is None:
+        a2 = _add(d1, _mul(best[1:], c, tr, nt))
+        col2 = _column(a2, c, tr, nt, c0)
+        if col2 is None:
             continue
-        return m1, m2, m2.inverse() @ m1
+        b2, d2 = col2
+        # A3 = A2^-1 @ A1 = [[d2, -b2], [-c, a2]] @ [[a1, b1], [c, d1]].
+        m3 = (
+            _sub(_mul(d2, a1, tr, nt), _mul(b2, c, tr, nt)),
+            _sub(_mul(d2, b1, tr, nt), _mul(b2, d1, tr, nt)),
+            _sub(_mul(a2, c, tr, nt), _mul(c, a1, tr, nt)),
+            _sub(_mul(a2, d1, tr, nt), _mul(c, b1, tr, nt)),
+        )
+        return Mat2._of_pairs(order, a1, b1, c, d1), Mat2._of_pairs(order, a2, b2, c, d2), Mat2._of_pairs(order, *m3)
     raise GenerationError(f"no admissible triple found for seed={seed}, budget={_MAX_C3_NORM}")

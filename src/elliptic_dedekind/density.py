@@ -45,7 +45,6 @@ from .ring import (
     OrderElem,
     QuadOrder,
     crt,
-    egcd,
     inverse_mod,
     is_probable_prime,
     sqrt_mod,
@@ -154,6 +153,12 @@ def _err_parts(p: int, e: int, b: int, d: int) -> tuple[int, int]:
     return abs(4 * b - 2 * e * d), abs(p * b * e * d)
 
 
+def _centred(y: int, p: int) -> int:
+    """The representative of y mod the odd p in (-p/2, p/2)."""
+    y %= p
+    return y - p if 2 * y > p else y
+
+
 def find_prime(target: Target, *, after: int = 0) -> int:
     """The smallest prime of the target's arithmetic progression greater than `after`.
 
@@ -183,7 +188,7 @@ def construct(target: Target, p: int) -> ApproxStep:
     progression; sqrt_mod trusts p to be prime.
 
     The step's witnesses are built on first read.  With Bezout pairs
-    p*x1 + k*d*y1 = 1 and p*x2 + (k+e)*d*y2 = 1 (both from egcd, here), and
+    p*x1 + k*d*y1 = 1 and p*x2 + (k+e)*d*y2 = 1, and
     sqrt(d) = -f*d_k + 2*theta,
 
         A1 = [[k*sqrt(d), -x1], [p, y1*sqrt(d)]],
@@ -191,10 +196,14 @@ def construct(target: Target, p: int) -> ApproxStep:
         A3 = A2^-1 @ A1 = [[k*d*y2 + p*x2, (x2*y1 - x1*y2)*sqrt(d)],
                            [p*e*sqrt(d), p*x1 + (k+e)*d*y1]],
 
-    A3 in closed form.  det A2 = p*x2 + (k+e)*d*y2 is checked here to be 1
-    (else NotUnimodularError), as inverting A2 requires; that A1 and A3 are
-    unimodular follows and is left to the tests.  dtilde and abs_err are the
-    correctly rounded floats of the exact dtilde_exact and err_exact.
+    A3 in closed form.  The pairs are those of ring.egcd(p, k*d) and
+    ring.egcd(p, (k+e)*d), found with no Euclid: y1 = k+e and y2 = k are the
+    inverses of k*d and (k+e)*d mod p, each centred mod p (_centred), and
+    x1 = (1 - k*d*y1)/p, x2 = (1 - (k+e)*d*y2)/p.  det A2 = p*x2 + (k+e)*d*y2
+    is checked here to be 1 (else NotUnimodularError), as inverting A2
+    requires; that A1 and A3 are unimodular follows and is left to the tests.
+    dtilde and abs_err are the correctly rounded floats of the exact
+    dtilde_exact and err_exact.
     """
     order = target.order
     a, b = target.a, target.b
@@ -212,9 +221,10 @@ def construct(target: Target, p: int) -> ApproxStep:
     if (k * (k + e) * d) % p != 1 % p:
         raise ConstructionError("k*(k+e)*d != 1 mod p")
 
-    # k*(k+e)*d = 1 (mod p) makes both gcds 1.
-    _, x1, y1 = egcd(p, k * d)
-    _, x2, y2 = egcd(p, (k + e) * d)
+    # k*(k+e)*d = 1 (mod p): k+e inverts k*d and k inverts (k+e)*d.  Centred mod p they are
+    # egcd's y, as both products exceed 2 in absolute value (|d| >= 7).
+    y1, y2 = _centred(k + e, p), _centred(k, p)
+    x1, x2 = (1 - k * d * y1) // p, (1 - (k + e) * d * y2) // p
     det2 = p * x2 + (k + e) * d * y2
     if det2 != 1:
         raise NotUnimodularError(f"determinant of A2 is {det2}, expected 1")

@@ -16,8 +16,9 @@ at (h, k), and takes the first M with N(gamma*a + delta*c) < N(c):
     first (_extra_step), and (gamma, delta) = O is required; _complete_row
     finds alpha and beta.
 
-Every step, test and completion runs on int pairs (u, v) for u + v*theta;
-OrderElems are built only from h, k and for the values the walk returns.
+Every step, test and completion runs on int pairs (u, v) for u + v*theta,
+and so do Mat2 products and the unimodularity test; OrderElems are built only
+from h, k, for the values the walk returns and for the entries of a Mat2.
 
 The steps keep the ideal (a, c) = (h, k), and a = x0*h, c = x1*h mod k for
 the first column (x0, x1) of P = M_n...M_1.  On a principal (h, k) the walk
@@ -77,18 +78,37 @@ class Mat2:
     def order(self) -> QuadOrder:
         return self.a.order
 
+    @classmethod
+    def _of_pairs(cls, order: QuadOrder, a: _Pair, b: _Pair, c: _Pair, d: _Pair) -> "Mat2":
+        return cls(OrderElem(*a, order), OrderElem(*b, order), OrderElem(*c, order), OrderElem(*d, order))
+
+    def _pairs(self) -> tuple[_Pair, _Pair, _Pair, _Pair]:
+        a, b, c, d = self.a, self.b, self.c, self.d
+        return (a.u, a.v), (b.u, b.v), (c.u, c.v), (d.u, d.v)
+
     def det(self) -> OrderElem:
         return self.a * self.d - self.b * self.c
 
     def is_unimodular(self) -> bool:
-        return self.det() == self.order.one()
+        """Whether det() is 1, decided on int pairs."""
+        order = self.order
+        tr, nt = order.theta_trace, order.theta_norm
+        a, b, c, d = self._pairs()
+        return _sub(_mul(a, d, tr, nt), _mul(b, c, tr, nt)) == (1, 0)
 
     def __matmul__(self, other: "Mat2") -> "Mat2":
-        return Mat2(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
+        order = self.order
+        if other.order is not order and other.order != order:
+            raise OrderMismatchError(f"matrices over different orders: {order} vs {other.order}")
+        tr, nt = order.theta_trace, order.theta_norm
+        a, b, c, d = self._pairs()
+        e, f, g, h = other._pairs()
+        return Mat2._of_pairs(
+            order,
+            _combine(a, e, b, g, tr, nt),
+            _combine(a, f, b, h, tr, nt),
+            _combine(c, e, d, g, tr, nt),
+            _combine(c, f, d, h, tr, nt),
         )
 
     def inverse(self) -> "Mat2":
@@ -151,17 +171,6 @@ def _column(a: _Pair, c: _Pair, tr: int, nt: int, c0: int) -> tuple[_Pair, _Pair
     d = _sub(d, _mul(_rounded_coords(*_times_conj(d, c, tr, nt), n_c, c0), c, tr, nt))
     bu, bv = _times_conj(_sub(_mul(a, d, tr, nt), (1, 0)), c, tr, nt)
     return (bu // n_c, bv // n_c), d
-
-
-def _complete_column(a: OrderElem, c: OrderElem) -> Mat2 | None:
-    """[[a, b], [c, d]] in SL2(O) for c != 0, or None unless gcd(N(a), N(c)) = 1 (see _column)."""
-    order = a.order
-    trace = order.theta_trace
-    col = _column((a.u, a.v), (c.u, c.v), trace, order.theta_norm, trace // 2)
-    if col is None:
-        return None
-    (bu, bv), (du, dv) = col
-    return Mat2(a, OrderElem(bu, bv, order), c, OrderElem(du, dv, order))
 
 
 def _generates_order(h: OrderElem, k: OrderElem) -> bool:
@@ -355,8 +364,13 @@ def _signed_walk(h: OrderElem, k: OrderElem) -> tuple[int, _Walk]:
     [0, N(k))^2, and sign picks the smaller (s, t); so the walk, and every
     bit of the value, are shift invariant and odd in h.
     """
-    n = k.norm()
-    num = h * k.conjugate()
-    sign = -1 if ((-num.u) % n, (-num.v) % n) < (num.u % n, num.v % n) else 1
-    h, num = sign * h, sign * num
-    return sign, _walk(h - k * h.order.element(num.u // n, num.v // n), k)
+    h._check(k)
+    order = h.order
+    tr, nt = order.theta_trace, order.theta_norm
+    hk, kk = (h.u, h.v), (k.u, k.v)
+    n = _norm(kk, tr, nt)
+    su, sv = _times_conj(hk, kk, tr, nt)
+    sign = -1 if ((-su) % n, (-sv) % n) < (su % n, sv % n) else 1
+    # h' = sign*h - k*q, q the floor of sign*h*conj(k)/N(k) coordinate by coordinate.
+    hu, hv = _sub((sign * hk[0], sign * hk[1]), _mul(kk, ((sign * su) // n, (sign * sv) // n), tr, nt))
+    return sign, _walk(OrderElem(hu, hv, order), k)

@@ -30,7 +30,7 @@ from .errors import GenerationError
 from .lattice import Lattice
 from .oracles import e1_ewald, e2_hecke_limit, weierstrass_zeta_direct
 from .ring import OrderElem, QuadOrder
-from .sl2 import Mat2, _complete_column, _signed_walk
+from .sl2 import Mat2, _column, _signed_walk
 
 __all__ = [
     "CheckResult",
@@ -71,21 +71,25 @@ def _check(name: str, residual: float, tolerance: float, info: str = "") -> Chec
 
 
 def random_sl2(rng: random.Random, order: QuadOrder) -> Mat2:
-    """Random element of SL2(O) with first column (a, c) completed by _complete_column.
+    """Random element of SL2(O) with first column (a, c) completed by sl2._column.
 
     a and c are s + t*omega with |s| <= 4, |t| <= 2 and c != 0, in the reduced
-    basis omega = theta - (tr theta // 2); a column with gcd(N(a), N(c)) > 1
-    is drawn again.
+    basis omega = theta - (tr theta // 2), drawn as the int pairs
+    (s - c0*t, t), c0 = tr theta // 2; a column with gcd(N(a), N(c)) > 1 is
+    drawn again.
     """
-    omega = order.theta() - order.element(order.theta_trace // 2)
+    tr, nt = order.theta_trace, order.theta_norm
+    c0 = tr // 2
 
-    def draw() -> OrderElem:
-        return order.element(rng.randint(-4, 4)) + rng.randint(-2, 2) * omega
+    def draw() -> tuple[int, int]:
+        s = rng.randint(-4, 4)
+        t = rng.randint(-2, 2)
+        return s - c0 * t, t
 
     while True:
         a, c = draw(), draw()
-        if not c.is_zero() and (mat := _complete_column(a, c)) is not None:
-            return mat
+        if c != (0, 0) and (col := _column(a, c, tr, nt, c0)) is not None:
+            return Mat2._of_pairs(order, a, col[0], c, col[1])
 
 
 def _random_elem(rng: random.Random, order: QuadOrder) -> OrderElem:

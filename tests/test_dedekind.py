@@ -436,7 +436,6 @@ def test_euclid_path_is_one_walk_without_completion(dk, monkeypatch):
         raise AssertionError("the walk must not complete (h, k) to an SL2 matrix on a Euclidean order")
 
     monkeypatch.setattr(dedekind, "egcd_order", forbidden)
-    monkeypatch.setattr(sl2, "_complete_column", forbidden)
     monkeypatch.setattr(sl2, "_column", forbidden)
     for step in approximate(Target(1, 3, ctx.order), 25):
         assert d_norm_exact(step.A3.a, step.A3.c, ctx) == step.dtilde_exact
@@ -707,11 +706,12 @@ def test_complete_column_exactly_when_norms_coprime(dk, f):
     for _ in range(300):
         a = order.element(rng.randint(-30, 30), rng.randint(-10, 10))
         c = random_elem(rng, order, 10**6, 10)
-        mat = dedekind._complete_column(a, c)
+        col = sl2._column((a.u, a.v), (c.u, c.v), order.theta_trace, order.theta_norm, order.theta_trace // 2)
         if math.gcd(a.norm(), c.norm()) > 1:
-            assert mat is None
+            assert col is None
             refused += 1
             continue
+        mat = Mat2._of_pairs(order, (a.u, a.v), col[0], (c.u, c.v), col[1])
         assert (mat.a, mat.c) == (a, c)
         assert mat.det() == one
         assert (a * mat.d - one).exact_div(c) is not None

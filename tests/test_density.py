@@ -213,13 +213,34 @@ def test_approximate_builds_no_witness_it_is_not_asked_for():
 
 def test_construct_checks_the_bezout_pair_itself(monkeypatch):
     # The determinant of A2 is checked at construction, not when A2 is first read.
-    def wrong_pair(a, b):
-        g, x, y = egcd(a, b)
-        return g, x + 1, y
-
-    monkeypatch.setattr(density, "egcd", wrong_pair)
+    # A y off by one leaves p*x + k*d*y = 1 unsolvable, whatever x the floor division gives.
+    centred = density._centred
+    monkeypatch.setattr(density, "_centred", lambda y, p: centred(y, p) + 1)
     with pytest.raises(NotUnimodularError):
         construct(Target(1, 3, QuadOrder(-8)), 2689)
+
+
+# The five targets of the approximate benchmark, then d = -20 and the conductor-3 order of d = -8.
+BEZOUT_TARGETS = (
+    (1, 3, -8, 1, 150),
+    (2, 5, -7, 1, 150),
+    (5, 7, -11, 1, 150),
+    (1234, 10007, -8, 1, 40),
+    (4999, 10007, -7, 1, 40),
+    (1, 3, -20, 1, 60),
+    (1, 5, -8, 3, 60),
+)
+
+
+@pytest.mark.parametrize("a, b, dk, f, steps", BEZOUT_TARGETS)
+def test_bezout_pairs_are_egcds(a, b, dk, f, steps):
+    # construct finds the Bezout pairs without Euclid; they are exactly egcd's.
+    d = QuadOrder(dk, f).discriminant
+    for step in approximate(Target(a, b, QuadOrder(dk, f)), steps):
+        p, k, e = step.p, step.k, step.e
+        _, x1, y1 = egcd(p, k * d)
+        _, x2, y2 = egcd(p, (k + e) * d)
+        assert step._bezout == (x1, y1, x2, y2)
 
 
 @pytest.mark.parametrize("p", [4, 10, 25, 91, 1105, 1729])
