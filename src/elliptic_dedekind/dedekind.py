@@ -53,7 +53,9 @@ integers (s, t) = adj(M)*(a, b) mod det(M), M the integer matrix of k;
 Lattice._torsion_coords maps it into the lattice's reduced basis with one
 integer matrix, and Lattice._e1_reduced evaluates E1 there.  mu = 0 and the
 2-torsion points get exactly 0, and E1, being odd, is evaluated once per pair
-{mu, -mu} (_half_box): 0.5 times per coset, on every lattice.
+{mu, -mu} (_half_box): 0.5 times per coset, on every lattice.  A table's
+half-box points are built once (_half_points) for its fill and every sum
+over it; each is one pass over the points, in slices of _CHUNK.
 Multiplication by h permutes (1/k)L/L, so h enters only modulo k, through
 int64 table indices, and the terms at mu and -mu are bitwise equal:
 D_L(h, k) = 2*sum over _half_box of table[index(h*mu)] * table[index(mu)] / k.
@@ -75,6 +77,7 @@ from .errors import (
     GenerationError,
     NotAMultiplierError,
     NotUnimodularError,
+    OrderMismatchError,
     PrecisionLossError,
     PreconditionError,
     ZeroDivisorError,
@@ -124,6 +127,12 @@ class SumContext:
     def scaled(self, c: complex) -> "SumContext":
         return SumContext(self.order, self.lattice.scaled(c))
 
+    def _check(self, *elems: OrderElem) -> None:
+        """Raise OrderMismatchError unless every element belongs to this context's order."""
+        for x in elems:
+            if x.order is not self.order and x.order != self.order:
+                raise OrderMismatchError(f"element of {x.order}, expected {self.order}")
+
 
 def i_map(z: complex) -> complex:
     """I(z) = z - conj(z) = 2i*Im(z)."""
@@ -137,43 +146,21 @@ def _half_box(system: CosetSystem) -> list[tuple[int, int]]:
     -mu is (-a mod h11, 0) in column b = 0 and ((h12 - a) mod h11, h22 - b)
     elsewhere, so columns 0 < b < h22/2 pair with columns past h22/2, and
     columns 0 and h22/2 pair within themselves; each range keeps the member
-    with the smaller index and no fixed point (the 2-torsion).
+    with the smaller index and no fixed point (the 2-torsion).  A range may be empty.
     """
     h11, h12, h22 = system.h11, system.h12, system.h22
     ranges = [(1, (h11 + 1) // 2), (h11, (h22 + 1) // 2 * h11)]
     if h22 % 2 == 0:
         mid = h22 // 2 * h11
         ranges += [(mid, mid + (h12 + 1) // 2), (mid + h12 + 1, mid + (h12 + h11 + 1) // 2)]
-    return [(lo, hi) for lo, hi in ranges if lo < hi]
+    return ranges
 
 
-def _batches(systems: list[CosetSystem]):
-    """Lists of (i, idx, a, b), idx = b*h11 + a, for the _half_box of each systems[i] in turn (int64 arrays).
-
-    A list holds _CHUNK points but the last, and one arange per system; a range
-    is split only where a list fills, so one system alone gets one item per list.
-    """
-    batch, spans, size = [], [], 0
-
-    def points(i):
-        idx = np.concatenate([np.arange(lo, stop, dtype=np.int64) for lo, stop in spans])
-        b, a = np.divmod(idx, systems[i].h11)
-        return i, idx, a, b
-
-    for i, system in enumerate(systems):
-        for lo, hi in _half_box(system):
-            while lo < hi:
-                stop = min(hi, lo + _CHUNK - size)
-                spans.append((lo, stop))
-                size, lo = size + stop - lo, stop
-                if size == _CHUNK:
-                    yield batch + [points(i)]
-                    batch, spans, size = [], [], 0
-        if spans:
-            batch.append(points(i))
-            spans = []
-    if batch:
-        yield batch
+def _half_points(system: CosetSystem):
+    """(idx, a, b), int64 arrays of the _half_box points in order: idx = b*h11 + a."""
+    idx = np.concatenate([np.arange(lo, hi, dtype=np.int64) for lo, hi in _half_box(system)])
+    b, a = np.divmod(idx, system.h11)
+    return idx, a, b
 
 
 def _neg_index(system: CosetSystem, a, b):
@@ -186,44 +173,47 @@ def _neg_index(system: CosetSystem, a, b):
     return np.where(b == 0, h11 - a, system.size + h12 - b * h11 - a + h11 * (a > h12))
 
 
-def _e1_tables(systems: list[CosetSystem]) -> list[np.ndarray]:
+def _e1_tables(systems: list[CosetSystem], points: list) -> list[np.ndarray]:
     """E1(mu/k) for every mu of each system's box, indexed b*h11 + a for mu = a*omega1 + b*omega2.
 
-    The systems share one lattice.  Each torsion point mu/k is
-    (x*r1 + y*r2)/N(k), (x, y) = Lattice._torsion_coords(a, b, N(k), adj(M)).
-    E1 is odd, so it is evaluated once per pair {mu, -mu} (at the member in
-    _half_box) and stored negated at the other; mu = 0 and the 2-torsion
-    points keep the exact value 0.  Each list of _batches is one E1
-    evaluation, so a walk's small tables share one.
+    The systems share one lattice; points[i] = _half_points(systems[i]).  Each
+    torsion point mu/k is (x*r1 + y*r2)/N(k), (x, y) =
+    Lattice._torsion_coords(a, b, N(k), adj(M)).  E1 is odd, so it is
+    evaluated once per pair {mu, -mu} (at the member in _half_box) and stored
+    negated at the other; mu = 0 and the 2-torsion points keep the exact
+    value 0.  The points of all systems are evaluated in one pass, in slices
+    of _CHUNK, so a walk's small tables share one E1 evaluation.
     """
-    tables = [np.zeros(system.size, dtype=complex) for system in systems]
     lattice = systems[0].lattice
-    for batch in _batches(systems):
-        xs, ys = [], []
-        for i, _, a, b in batch:
-            n = systems[i].size
-            x, y = lattice._torsion_coords(a, b, n, systems[i].adj)
-            xs.append(x / n)
-            ys.append(y / n)
+    xs, ys = [], []
+    for system, (_, a, b) in zip(systems, points):
+        n = system.size
+        x, y = lattice._torsion_coords(a, b, n, system.adj)
+        xs.append(x / n)
+        ys.append(y / n)
+    x, y = np.concatenate(xs), np.concatenate(ys)
+    values = np.empty(x.size, dtype=complex)
+    for s in range(0, x.size, _CHUNK):
         # The half box holds no lattice point.
-        values = lattice._e1_reduced(np.concatenate(xs), np.concatenate(ys), False)
-        start = 0
-        for i, idx, a, b in batch:
-            chunk = values[start : start + idx.size]
-            start += idx.size
-            tables[i][_neg_index(systems[i], a, b)] = -chunk
-            tables[i][idx] = chunk
+        values[s : s + _CHUNK] = lattice._e1_reduced(x[s : s + _CHUNK], y[s : s + _CHUNK], False)
+    tables, start = [], 0
+    for system, (idx, a, b) in zip(systems, points):
+        table = np.zeros(system.size, dtype=complex)
+        chunk = values[start : start + idx.size]
+        start += idx.size
+        table[_neg_index(system, a, b)] = -chunk
+        table[idx] = chunk
+        tables.append(table)
     return tables
 
 
-def _table_sum(h: OrderElem, system: CosetSystem, table: np.ndarray, batches, ctx: SumContext) -> complex:
-    """D_L(h, k) from the E1 table of k (see the module docstring).
+def _table_sum(h: OrderElem, system: CosetSystem, table: np.ndarray, points, ctx: SumContext) -> complex:
+    """D_L(h, k) from the E1 table of k and its _half_points (see the module docstring).
 
     The terms at mu and -mu are bitwise equal and the 2-torsion terms are 0,
-    so the sum runs over _half_box and is doubled.  Cosets are processed in
-    the lists `batches` of _batches([system]), streamed for one sum, so only
-    the N(k)-entry table grows with N(k), or kept for every alpha of a walk's
-    gamma; the partial sums are added in index order, which fixes the rounding.
+    so the sum runs over _half_box and is doubled.  It runs in slices of
+    _CHUNK points whose partial sums are added in index order, which fixes
+    the rounding.
     """
     h11 = system.h11
     hm = mult_matrix(h, ctx.lattice)
@@ -231,7 +221,8 @@ def _table_sum(h: OrderElem, system: CosetSystem, table: np.ndarray, batches, ct
     x1, y1 = system.reduce_coords((hm.a11, hm.a21))
     x2, y2 = system.reduce_coords((hm.a12, hm.a22))
     total = 0j
-    for [(_, idx, a, b)] in batches:
+    for s in range(0, points[0].size, _CHUNK):
+        idx, a, b = (v[s : s + _CHUNK] for v in points)
         hx, hy = system.reduce_coords((a * x1 + b * x2, a * y1 + b * y2))
         total += complex(np.sum(table[hy * h11 + hx] * table[idx]))
     return 2 * total / system.k.embed()
@@ -242,6 +233,7 @@ def _d_sum_table(h: OrderElem, k: OrderElem, ctx: SumContext) -> complex:
 
     Raises PreconditionError when N(k) >= 2**31, before building the table.
     """
+    ctx._check(h, k)
     if h.is_zero():
         return d_sum(h, k, ctx)
     system = CosetSystem(k, ctx.lattice)
@@ -249,27 +241,26 @@ def _d_sum_table(h: OrderElem, k: OrderElem, ctx: SumContext) -> complex:
         raise PreconditionError(
             f"N(k) = {system.size} is at or above {_MAX_NORM} = 2**31, the bound for exact int64 coset indices"
         )
-    (table,) = _e1_tables([system])
-    return _table_sum(h, system, table, _batches([system]), ctx)
+    points = _half_points(system)
+    (table,) = _e1_tables([system], [points])
+    return _table_sum(h, system, table, points, ctx)
 
 
 def _walk_value(sign: int, walk: _Walk, ctx: SumContext) -> complex:
     """D_L(h, k) from (sign, walk) = _signed_walk(h, k), by the laws of the module docstring.
 
     The constants D_L(alpha, gamma) of one gamma, and the cusp's D_L(r, t),
-    share one E1 table and one list of _batches, and one E1 evaluation fills
-    every table of the walk (_e1_tables).  A pair the walk meets again is
-    summed once; the constants are subtracted in walk order.
+    share one E1 table and one set of _half_points, and one E1 evaluation
+    fills every table of the walk (_e1_tables).  A pair the walk meets again
+    is summed once; the constants are subtracted in walk order.
     """
     value = 1j * math.sqrt(abs(ctx.order.discriminant)) * ctx.lattice.e2_zero() * float(sign * walk.r)
     pairs = walk.constants + (() if walk.cusp is None else (walk.cusp[:2],))
     if pairs:
         gammas = list(dict.fromkeys(gamma for _, gamma in pairs))
         systems = [CosetSystem(gamma, ctx.lattice) for gamma in gammas]
-        tables = {
-            gamma: (system, table, list(_batches([system])))
-            for gamma, system, table in zip(gammas, systems, _e1_tables(systems))
-        }
+        points = [_half_points(system) for system in systems]
+        tables = dict(zip(gammas, zip(systems, _e1_tables(systems, points), points)))
         sums = {(alpha, gamma): _table_sum(alpha, *tables[gamma], ctx) for alpha, gamma in set(pairs)}
         value -= sign * sum(sums[pair] for pair in walk.constants)
     if walk.cusp is not None:
@@ -287,6 +278,7 @@ def d_norm_exact(h: OrderElem, k: OrderElem, ctx: SumContext) -> Fraction:
     Raises what d_norm raises on the lattice (ExcludedRingError on Z[i] and
     Z[rho]), PreconditionError for any other pair, SearchLimitError as d_sum.
     """
+    ctx._check(h, k)
     if k.is_zero():
         raise ZeroDivisorError("zero modulus")
     _normalizer(ctx)
@@ -302,12 +294,13 @@ def d_sum(h: OrderElem, k: OrderElem, ctx: SumContext) -> complex:
     """Elliptic Dedekind sum D_L(h, k): 0/k for h = 0, else the walk (see the module docstring).
 
     Raises PreconditionError when h = 0 and k leaves the double range, and
-    SearchLimitError when the walk stops at a cusp r/t with t*t above the gamma bound.
+    SearchLimitError when the walk stops at a cusp r/t with t*t above the gamma bound,
+    and OrderMismatchError when h or k is not in ctx.order.
     """
+    ctx._check(h, k)
     if k.is_zero():
         raise ZeroDivisorError("zero modulus")
     if h.is_zero():
-        h._check(k)
         try:
             return 0j / k.embed()
         except OverflowError as exc:
@@ -353,6 +346,7 @@ def d_norm(h: OrderElem, k: OrderElem, ctx: SumContext) -> float:
 
 def phi(a_mat: Mat2, ctx: SumContext) -> complex:
     """The Phi homomorphism SL2(O_L) -> (C, +)."""
+    ctx._check(a_mat.a)  # Mat2 keeps its entries in one order
     if not a_mat.is_unimodular():
         raise NotUnimodularError(f"determinant is {a_mat.det()!r}, expected 1")
     e2 = ctx.lattice.e2_zero()

@@ -12,6 +12,7 @@ from elliptic_dedekind import (
     Lattice,
     Mat2,
     NotUnimodularError,
+    OrderMismatchError,
     PreconditionError,
     QuadOrder,
     SumContext,
@@ -31,7 +32,7 @@ from elliptic_dedekind import (
     three_term_residual,
 )
 from elliptic_dedekind import dedekind, mult_matrix, sl2
-from elliptic_dedekind.dedekind import _d_sum_table, _e1_tables
+from elliptic_dedekind.dedekind import _d_sum_table, _e1_tables, _half_points
 from elliptic_dedekind.verification import random_sl2
 
 SQRT2 = math.sqrt(2.0)
@@ -58,6 +59,12 @@ def count_e1_points(monkeypatch):
 
     monkeypatch.setattr(Lattice, "_e1_reduced", counting)
     return calls
+
+
+def e1_table(system):
+    """The E1 table of one system, filled alone."""
+    (table,) = _e1_tables([system], [_half_points(system)])
+    return table
 
 
 def random_elem(rng, order, max_norm=60, bound=8):
@@ -207,7 +214,7 @@ def test_e1_table_evaluates_each_pair_once(ctx_m8, monkeypatch, u, v):
     system = CosetSystem(k, ctx_m8.lattice)
     n = system.size
     points = count_e1_points(monkeypatch)
-    (table,) = _e1_tables([system])
+    table = e1_table(system)
     # mu = -mu modulo kL exactly when 2*mu lies in kL.
     coords = system.coords().tolist()
     fixed = np.array([system.in_sublattice((2 * a, 2 * b)) for a, b in coords])
@@ -236,27 +243,33 @@ def test_e1_tables_match_e1_torsion_bit_for_bit(dk, f, basis):
     assert lattice._w_coords != ((1, 0), (0, 1))
     rng = random.Random(25)
     systems = [CosetSystem(random_elem(rng, order, 400, 12), lattice) for _ in range(6)]
-    for system, table in zip(systems, _e1_tables(systems)):
-        (alone,) = _e1_tables([system])
-        assert np.array_equal(table, alone)
-        for [(_, idx, a, b)] in dedekind._batches([system]):
-            assert np.array_equal(table[idx], lattice.e1_torsion(*system.torsion_key(a, b), system.size))
+    points = [_half_points(system) for system in systems]
+    for system, table, (idx, a, b) in zip(systems, _e1_tables(systems, points), points):
+        assert np.array_equal(table, e1_table(system))
+        assert np.array_equal(table[idx], lattice.e1_torsion(*system.torsion_key(a, b), system.size))
 
 
-def test_batches_cut_the_half_boxes_only_where_a_list_fills(ctx_m8):
-    # Every list but the last holds exactly _CHUNK points, each system's points come in
-    # _half_box order, and a system alone gets one item per list.
+def test_half_points_are_the_half_box_ranges_in_order(ctx_m8, monkeypatch):
+    # Each system's points are its _half_box ranges in order, with idx = b*h11 + a, and a
+    # fill of several systems evaluates E1 over all their points in slices of _CHUNK.
     order = ctx_m8.order
-    systems = [CosetSystem(order.element(*k), ctx_m8.lattice) for k in ((7, 2), (150, 0), (2, 0), (40, 9), (3, 1))]
-    batches = list(dedekind._batches(systems))
-    sizes = [sum(idx.size for _, idx, _, _ in batch) for batch in batches]
-    assert len(batches) >= 3 and all(n == dedekind._CHUNK for n in sizes[:-1]) and 0 < sizes[-1] <= dedekind._CHUNK
-    for i, system in enumerate(systems):
-        half = [np.arange(lo, hi) for lo, hi in dedekind._half_box(system)]
-        items = [(idx, a, b) for batch in batches for j, idx, a, b in batch if j == i]
-        assert np.array_equal(np.concatenate([idx for idx, _, _ in items] or [[]]), np.concatenate(half or [[]]))
-        assert all(np.array_equal(b * system.h11 + a, idx) for idx, a, b in items)
-        assert all(len(batch) == 1 for batch in dedekind._batches([system]))
+    systems = [
+        CosetSystem(order.element(*k), ctx_m8.lattice) for k in ((7, 2), (150, 0), (2, 0), (40, 9), (3, 1), (1, 0))
+    ]
+    points = [_half_points(system) for system in systems]
+    for system, (idx, a, b) in zip(systems, points):
+        half = np.concatenate([np.arange(lo, hi) for lo, hi in dedekind._half_box(system)])
+        assert idx.dtype == a.dtype == b.dtype == np.int64
+        assert np.array_equal(idx, half)
+        assert np.array_equal(b * system.h11 + a, idx) and np.all((0 <= a) & (a < system.h11))
+    total = sum(idx.size for idx, _, _ in points)
+    chunk = dedekind._CHUNK
+    assert total > 2 * chunk and total % chunk
+    evaluations = count_e1_points(monkeypatch)
+    tables = _e1_tables(systems, points)
+    assert evaluations == [chunk] * (total // chunk) + [total % chunk]
+    monkeypatch.undo()
+    assert all(np.array_equal(table, e1_table(system)) for system, table in zip(systems, tables))
 
 
 @pytest.mark.parametrize("dk, f, basis", [(-8, 3, None), (-20, 1, "form"), (-15, 1, "unreduced")])
@@ -290,7 +303,7 @@ def test_e1_table_matches_full_box_reference_on_conj_stable_moduli(dk, f):
     rng = random.Random(24)
     for k in conj_stable_moduli(order):
         system = CosetSystem(k, ctx.lattice)
-        (table,) = _e1_tables([system])
+        table = e1_table(system)
         # The reference is indexed a*h22 + b, the table b*h11 + a.
         ref = full_box_e1_table(system).reshape(system.h11, system.h22).T.ravel()
         assert np.max(np.abs(table - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -342,6 +355,19 @@ def test_d_sum_closed_form_at_realistic_size(ctx_m8):
     assert abs(normalize_value(value, ctx_m8) - 3 / 398) <= 1e-9 * (3 / 398)
 
 
+# E1 runs, and the partial sums are added, in slices of _CHUNK points: that grouping fixes
+# the reference's bits at N(k) = 40,000 (gcd 2, CI's fixture) and 316,808 (the closed form above).
+@pytest.mark.parametrize(
+    "h, k, expected",
+    [
+        ((6, 2), (200, 0), complex(-4.547473508864641e-15, -100.67903263769242)),
+        ((-759, 0), (1592, 398), complex(-3.029726151429998e-16, 0.022545667875421685)),
+    ],
+)
+def test_reference_table_bits_are_pinned(ctx_m8, h, k, expected):
+    assert _d_sum_table(ctx_m8.order.element(*h), ctx_m8.order.element(*k), ctx_m8) == expected
+
+
 def test_d_sum_norm_bound_fails_loudly(monkeypatch):
     # On d = -20, 11 + theta = 1 + sqrt(-5) and (1 + sqrt(-5), 2*23173) is the prime over 2,
     # which is not principal.  46346**2 = 2147951716 >= 2**31: the reference table refuses
@@ -350,7 +376,7 @@ def test_d_sum_norm_bound_fails_loudly(monkeypatch):
     ctx = SumContext(QuadOrder(-20))
     h, k = ctx.order.element(11, 1), ctx.order.element(46346)
 
-    def forbidden(systems):
+    def forbidden(systems, points):
         raise AssertionError("the table must not be allocated")
 
     monkeypatch.setattr(dedekind, "_e1_tables", forbidden)
@@ -469,9 +495,9 @@ def test_table_serves_non_unit_gcd_and_conductor(f, h, k, monkeypatch):
     sizes = []
     original = dedekind._e1_tables
 
-    def recording(systems):
+    def recording(systems, points):
         sizes.extend(system.size for system in systems)
-        return original(systems)
+        return original(systems, points)
 
     monkeypatch.setattr(dedekind, "_e1_tables", recording)
     value = d_sum(h, k, ctx)
@@ -489,24 +515,44 @@ def test_table_serves_non_unit_gcd_and_conductor(f, h, k, monkeypatch):
         assert abs(value - expected) <= 1e-12 * (1 + abs(expected))
 
 
-def test_walk_cuts_each_gammas_batches_once(monkeypatch):
-    # README's fifth sum: five distinct constants on three gammas.  The shared E1
-    # fill cuts all three systems, and each gamma's lists serve all its alphas.
+def test_walk_builds_each_gammas_points_once(monkeypatch):
+    # README's fifth sum: five distinct constants on three gammas.  Each gamma's points
+    # are built once and serve the fill and all its alphas, and one E1 evaluation serves the walk.
     ctx = SumContext(QuadOrder(-8, 3))
     h, k = ctx.order.element(3313), ctx.order.element(4584, 382)
     _, walk = sl2._signed_walk(h, k)
     gammas = {gamma for _, gamma in walk.constants}
     assert len(set(walk.constants)) > len(gammas)
-    calls = []
-    original = dedekind._batches
+    built = []
+    original = dedekind._half_points
 
-    def recording(systems):
-        calls.append(len(systems))
-        return original(systems)
+    def recording(system):
+        built.append(system.k)
+        return original(system)
 
-    monkeypatch.setattr(dedekind, "_batches", recording)
+    monkeypatch.setattr(dedekind, "_half_points", recording)
+    evaluations = count_e1_points(monkeypatch)
     d_sum(h, k, ctx)
-    assert calls == [len(gammas)] + [1] * len(gammas)
+    assert len(built) == len(gammas) and set(built) == gammas
+    assert len(evaluations) == 1
+
+
+@pytest.mark.parametrize("entry", ["d_sum", "d_norm", "d_norm_exact", "_d_sum_table", "phi"])
+def test_entry_points_refuse_elements_of_another_order(entry):
+    # Elements of d = -8 against a context on d = -7: the walk would run on the elements'
+    # order and read the discriminant, E2(0) and tables from the context's.
+    ctx, other = SumContext(QuadOrder(-7)), QuadOrder(-8)
+    h, k = other.element(3, 1), other.element(7, 2)
+    pairs = [(h, k), (ctx.order.element(3, 1), k), (h, ctx.order.element(7, 2)), (other.zero(), k)]
+    if entry == "phi":
+        one, zero = other.one(), other.zero()
+        calls = [lambda: phi(Mat2.identity(other), ctx), lambda: phi(Mat2(one, zero, one, one), ctx)]
+    else:
+        fn = {"d_sum": d_sum, "d_norm": d_norm, "d_norm_exact": d_norm_exact, "_d_sum_table": _d_sum_table}[entry]
+        calls = [lambda h=h, k=k: fn(h, k, ctx) for h, k in pairs]
+    for call in calls:
+        with pytest.raises(OrderMismatchError):
+            call()
 
 
 def test_euclid_d_sum_above_the_table_bound(ctx_m8):

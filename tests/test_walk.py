@@ -109,9 +109,9 @@ def record_table_sizes(monkeypatch):
     sizes = []
     original = dedekind._e1_tables
 
-    def recording(systems):
+    def recording(systems, points):
         sizes.extend(system.size for system in systems)
-        return original(systems)
+        return original(systems, points)
 
     monkeypatch.setattr(dedekind, "_e1_tables", recording)
     return sizes
@@ -447,6 +447,52 @@ def test_a_stuck_walk_fails_loudly(monkeypatch, capsys):
     assert err.startswith("internal error: ") and "stuck" in err
 
 
+# The orders of test_sl2.ORDERS: class number one, and class number two or three.
+TRAFFIC_ORDERS = [
+    (-3, 1), (-4, 1), (-7, 1), (-8, 1), (-11, 1), (-15, 1), (-20, 1), (-23, 1), (-163, 1), (-8, 3), (-4, 5), (-3, 7),
+]
+
+
+@pytest.mark.parametrize("dk, f", TRAFFIC_ORDERS)
+def test_d_sum_builds_only_small_tables_in_one_e1_evaluation(dk, f, monkeypatch):
+    # Principal and non-principal pairs from N(k) ~ 1e4 to ~1e30: every table d_sum fills has
+    # at most the gamma bound of entries, and a walk makes at most one fill and one E1 call.
+    ctx = SumContext(QuadOrder(dk, f))
+    order, bound = ctx.order, _gamma_bound(ctx.order)
+    fills, evaluations = [], []
+    e1_tables, e1_reduced = dedekind._e1_tables, Lattice._e1_reduced
+
+    def recording_fill(systems, points):
+        fills.append([system.size for system in systems])
+        return e1_tables(systems, points)
+
+    def recording_e1(self, x, y, on_lattice):
+        evaluations.append(len(x))
+        return e1_reduced(self, x, y, on_lattice)
+
+    monkeypatch.setattr(dedekind, "_e1_tables", recording_fill)
+    monkeypatch.setattr(Lattice, "_e1_reduced", recording_e1)
+    rng = random.Random(61)
+    kinds, filled = set(), 0
+    for digits in (2, 4, 8, 15):
+        for _ in range(10):
+            h, k = (order.element(*(rng.randint(-(10**digits), 10**digits) for _ in range(2))) for _ in range(2))
+            if h.is_zero() or k.is_zero():
+                continue
+            kinds.add(_signed_walk(h, k)[1].cusp is None)
+            fills.clear()
+            evaluations.clear()
+            d_sum(h, k, ctx)
+            assert len(fills) <= 1 and len(evaluations) <= 1
+            assert all(size <= bound for sizes in fills for size in sizes)
+            filled += len(evaluations)
+    # The norm-Euclidean orders walk with no constant; only those of class number one meet
+    # no non-principal pair.
+    euclidean = f == 1 and dk in (-3, -4, -7, -8, -11)
+    assert k.norm() > 10**29 and (filled == 0) == euclidean
+    assert kinds == ({True} if euclidean or (dk, f) == (-163, 1) else {True, False})
+
+
 def test_walk_builds_one_e1_table_per_gamma(monkeypatch, capsys):
     # README's fifth sum: nine constants on five (alpha, gamma) pairs, with three distinct gammas.
     order = QuadOrder(-8, 3)
@@ -456,9 +502,9 @@ def test_walk_builds_one_e1_table_per_gamma(monkeypatch, capsys):
     filled, evaluations = [], []
     e1_tables, e1_reduced = dedekind._e1_tables, Lattice._e1_reduced
 
-    def recording_fill(systems):
+    def recording_fill(systems, points):
         filled.append([system.k for system in systems])
-        return e1_tables(systems)
+        return e1_tables(systems, points)
 
     def recording_e1(self, x, y, on_lattice):
         evaluations.append(len(x))
