@@ -4,12 +4,16 @@ The multiplication-by-k matrix on the basis (omega1, omega2) is built as an
 exact integer matrix from the matrix of theta, its column Hermite normal form
 [[h11, h12], [0, h22]] is computed over Z, and the box
 {a*omega1 + b*omega2 : 0 <= a < h11, 0 <= b < h22} is a complete transversal
-of L/kL with exactly h11*h22 = |det| = norm(k) members.  Its torsion points
-mu/k are (s*omega1 + t*omega2)/norm(k) with (s, t) = adj(M)*(a, b) (CosetSystem.adj).
+of L/kL with exactly h11*h22 = |det| = norm(k) members, stored column by
+column at index b*h11 + a (CosetSystem.index).  Its torsion points mu/k are
+(s*omega1 + t*omega2)/norm(k) with (s, t) = adj(M)*(a, b) (CosetSystem.adj).
+CosetSystem.half pairs each mu with -mu by that index and keeps the smaller
+of the two, so E1, being odd, is evaluated and summed once per pair.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -119,7 +123,7 @@ def _column_hnf(m: MultMatrix) -> tuple[int, int, int]:
 
 
 class CosetSystem:
-    """Representatives of L/kL in box coordinates, with exact reduction."""
+    """Representatives of L/kL in box coordinates, with exact reduction and the pairing mu <-> -mu."""
 
     def __init__(self, k: OrderElem, lattice: Lattice):
         if k.is_zero():
@@ -164,6 +168,25 @@ class CosetSystem:
         x, y = ab
         q = y // self.h22
         return (x - q * self.h12) % self.h11, y - q * self.h22
+
+    def index(self, ab):
+        """Table index y'*h11 + x' of (x', y') = reduce_coords(ab), for Python ints or int64 arrays."""
+        x, y = self.reduce_coords(ab)
+        return y * self.h11 + x
+
+    @functools.cached_property
+    def half(self):
+        """(idx, neg, a, b), int64 arrays: one member mu = a*omega1 + b*omega2 of each pair {mu, -mu}.
+
+        idx = b*h11 + a is the smaller of the two indices and neg = index(-mu)
+        the larger, in increasing idx.  mu = 0 and the 2-torsion, where
+        -mu = mu, are left out.
+        """
+        idx = np.arange(self.size, dtype=np.int64)
+        b, a = np.divmod(idx, self.h11)
+        neg = self.index((-a, -b))
+        keep = idx < neg
+        return idx[keep], neg[keep], a[keep], b[keep]
 
     def in_sublattice(self, delta: tuple[int, int]) -> bool:
         """Exact test whether dx*omega1 + dy*omega2 lies in kL."""

@@ -47,18 +47,19 @@ every walk on d_K = -7, -8, -11 -- gives Dtilde = R exactly (d_norm_exact).
 The E1 table sums the walk's small tables and, at N(k), is the reference the
 suites and tests check the walk against (_d_sum_table).  CosetSystem(k)
 gives the box {a*omega1 + b*omega2 : 0 <= a < h11, 0 <= b < h22}, a
-transversal of L/kL with N(k) members, stored column by column at index
-b*h11 + a.  Each torsion point mu/k is (s*omega1 + t*omega2)/det(M) for the
-integers (s, t) = adj(M)*(a, b) mod det(M), M the integer matrix of k;
-Lattice._torsion_coords maps it into the lattice's reduced basis with one
-integer matrix, and Lattice._e1_reduced evaluates E1 there.  mu = 0 and the
-2-torsion points get exactly 0, and E1, being odd, is evaluated once per pair
-{mu, -mu} (_half_box): 0.5 times per coset, on every lattice.  A table's
-half-box points are built once (_half_points) for its fill and every sum
+transversal of L/kL with N(k) members, stored column by column at
+CosetSystem.index((a, b)) = b*h11 + a.  Each torsion point mu/k is
+(s*omega1 + t*omega2)/det(M) for the integers (s, t) = adj(M)*(a, b) mod
+det(M), M the integer matrix of k; Lattice._torsion_coords maps it into the
+lattice's reduced basis with one integer matrix, and Lattice._e1_reduced
+evaluates E1 there.  mu = 0 and the 2-torsion points get exactly 0, and E1,
+being odd, is evaluated once per pair {mu, -mu}, at the member of
+CosetSystem.half, and stored negated at index(-mu): 0.5 times per coset, on
+every lattice.  A system builds its half once, for its fill and every sum
 over it; each is one pass over the points, in slices of _CHUNK.
 Multiplication by h permutes (1/k)L/L, so h enters only modulo k, through
 int64 table indices, and the terms at mu and -mu are bitwise equal:
-D_L(h, k) = 2*sum over _half_box of table[index(h*mu)] * table[index(mu)] / k.
+D_L(h, k) = 2*sum over half of table[index(h*mu)] * table[index(mu)] / k.
 Those operations stay below 2*N(k)**2, exact for N(k) < 2**31; _d_sum_table
 refuses a larger N(k) before allocating its table.
 """
@@ -104,7 +105,7 @@ __all__ = [
 _CHUNK = 4096
 # The E1 table works with int64 coset indices, exact for N(k) below this bound.
 _MAX_NORM = 2**31
-# gen_sl2_triple keeps N(c3) at or below this, so the E1 table sums it at once.
+# gen_sl2_triple keeps N(c3) at or below this, so the reference _d_sum_table of a lemma check stays small.
 _MAX_C3_NORM = 300
 
 
@@ -140,53 +141,21 @@ def i_map(z: complex) -> complex:
     return zc - zc.conjugate()
 
 
-def _half_box(system: CosetSystem) -> list[tuple[int, int]]:
-    """Ranges of table indices b*h11 + a holding one member of each pair {mu, -mu}, mu != -mu.
-
-    -mu is (-a mod h11, 0) in column b = 0 and ((h12 - a) mod h11, h22 - b)
-    elsewhere, so columns 0 < b < h22/2 pair with columns past h22/2, and
-    columns 0 and h22/2 pair within themselves; each range keeps the member
-    with the smaller index and no fixed point (the 2-torsion).  A range may be empty.
-    """
-    h11, h12, h22 = system.h11, system.h12, system.h22
-    ranges = [(1, (h11 + 1) // 2), (h11, (h22 + 1) // 2 * h11)]
-    if h22 % 2 == 0:
-        mid = h22 // 2 * h11
-        ranges += [(mid, mid + (h12 + 1) // 2), (mid + h12 + 1, mid + (h12 + h11 + 1) // 2)]
-    return ranges
-
-
-def _half_points(system: CosetSystem):
-    """(idx, a, b), int64 arrays of the _half_box points in order: idx = b*h11 + a."""
-    idx = np.concatenate([np.arange(lo, hi, dtype=np.int64) for lo, hi in _half_box(system)])
-    b, a = np.divmod(idx, system.h11)
-    return idx, a, b
-
-
-def _neg_index(system: CosetSystem, a, b):
-    """Index of -mu for the box points mu = a*omega1 + b*omega2 other than 0 (int64 arrays).
-
-    In column 0, -mu = (h11 - a, 0); in column b > 0 it is
-    ((h12 - a) mod h11, h22 - b), at index N(k) + h12 - (b*h11 + a), plus h11 when a > h12.
-    """
-    h11, h12 = system.h11, system.h12
-    return np.where(b == 0, h11 - a, system.size + h12 - b * h11 - a + h11 * (a > h12))
-
-
-def _e1_tables(systems: list[CosetSystem], points: list) -> list[np.ndarray]:
+def _e1_tables(systems: list[CosetSystem]) -> list[np.ndarray]:
     """E1(mu/k) for every mu of each system's box, indexed b*h11 + a for mu = a*omega1 + b*omega2.
 
-    The systems share one lattice; points[i] = _half_points(systems[i]).  Each
-    torsion point mu/k is (x*r1 + y*r2)/N(k), (x, y) =
-    Lattice._torsion_coords(a, b, N(k), adj(M)).  E1 is odd, so it is
-    evaluated once per pair {mu, -mu} (at the member in _half_box) and stored
-    negated at the other; mu = 0 and the 2-torsion points keep the exact
-    value 0.  The points of all systems are evaluated in one pass, in slices
-    of _CHUNK, so a walk's small tables share one E1 evaluation.
+    The systems share one lattice.  Each torsion point mu/k is
+    (x*r1 + y*r2)/N(k), (x, y) = Lattice._torsion_coords(a, b, N(k), adj(M)).
+    E1 is odd, so it is evaluated once per pair {mu, -mu}, at the member of
+    CosetSystem.half, and stored negated at the other; mu = 0 and the
+    2-torsion points keep the exact value 0.  The points of all systems are
+    evaluated in one pass, in slices of _CHUNK, so a walk's small tables
+    share one E1 evaluation.
     """
     lattice = systems[0].lattice
     xs, ys = [], []
-    for system, (_, a, b) in zip(systems, points):
+    for system in systems:
+        _, _, a, b = system.half
         n = system.size
         x, y = lattice._torsion_coords(a, b, n, system.adj)
         xs.append(x / n)
@@ -194,37 +163,37 @@ def _e1_tables(systems: list[CosetSystem], points: list) -> list[np.ndarray]:
     x, y = np.concatenate(xs), np.concatenate(ys)
     values = np.empty(x.size, dtype=complex)
     for s in range(0, x.size, _CHUNK):
-        # The half box holds no lattice point.
+        # mu/k is a lattice point only for mu = 0, which half leaves out.
         values[s : s + _CHUNK] = lattice._e1_reduced(x[s : s + _CHUNK], y[s : s + _CHUNK], False)
     tables, start = [], 0
-    for system, (idx, a, b) in zip(systems, points):
+    for system in systems:
+        idx, neg, _, _ = system.half
         table = np.zeros(system.size, dtype=complex)
         chunk = values[start : start + idx.size]
         start += idx.size
-        table[_neg_index(system, a, b)] = -chunk
+        table[neg] = -chunk
         table[idx] = chunk
         tables.append(table)
     return tables
 
 
-def _table_sum(h: OrderElem, system: CosetSystem, table: np.ndarray, points, ctx: SumContext) -> complex:
-    """D_L(h, k) from the E1 table of k and its _half_points (see the module docstring).
+def _table_sum(h: OrderElem, system: CosetSystem, table: np.ndarray, ctx: SumContext) -> complex:
+    """D_L(h, k) from the E1 table of k (see the module docstring).
 
     The terms at mu and -mu are bitwise equal and the 2-torsion terms are 0,
-    so the sum runs over _half_box and is doubled.  It runs in slices of
-    _CHUNK points whose partial sums are added in index order, which fixes
-    the rounding.
+    so the sum runs over CosetSystem.half and is doubled.  It runs in slices
+    of _CHUNK points whose partial sums are added in index order, which
+    fixes the rounding.
     """
-    h11 = system.h11
     hm = mult_matrix(h, ctx.lattice)
     # Images of omega1 and omega2 under h, reduced into the box.
     x1, y1 = system.reduce_coords((hm.a11, hm.a21))
     x2, y2 = system.reduce_coords((hm.a12, hm.a22))
+    idx, _, a, b = system.half
     total = 0j
-    for s in range(0, points[0].size, _CHUNK):
-        idx, a, b = (v[s : s + _CHUNK] for v in points)
-        hx, hy = system.reduce_coords((a * x1 + b * x2, a * y1 + b * y2))
-        total += complex(np.sum(table[hy * h11 + hx] * table[idx]))
+    for s in range(0, idx.size, _CHUNK):
+        i, sa, sb = (v[s : s + _CHUNK] for v in (idx, a, b))
+        total += complex(np.sum(table[system.index((sa * x1 + sb * x2, sa * y1 + sb * y2))] * table[i]))
     return 2 * total / system.k.embed()
 
 
@@ -241,17 +210,16 @@ def _d_sum_table(h: OrderElem, k: OrderElem, ctx: SumContext) -> complex:
         raise PreconditionError(
             f"N(k) = {system.size} is at or above {_MAX_NORM} = 2**31, the bound for exact int64 coset indices"
         )
-    points = _half_points(system)
-    (table,) = _e1_tables([system], [points])
-    return _table_sum(h, system, table, points, ctx)
+    (table,) = _e1_tables([system])
+    return _table_sum(h, system, table, ctx)
 
 
 def _walk_value(sign: int, walk: _Walk, ctx: SumContext) -> complex:
     """D_L(h, k) from (sign, walk) = _signed_walk(h, k), by the laws of the module docstring.
 
     The constants D_L(alpha, gamma) of one gamma, and the cusp's D_L(r, t),
-    share one E1 table and one set of _half_points, and one E1 evaluation
-    fills every table of the walk (_e1_tables).  A pair the walk meets again
+    share one CosetSystem and its E1 table, and one E1 evaluation fills
+    every table of the walk (_e1_tables).  A pair the walk meets again
     is summed once; the constants are subtracted in walk order.
     """
     value = 1j * math.sqrt(abs(ctx.order.discriminant)) * ctx.lattice.e2_zero() * float(sign * walk.r)
@@ -259,8 +227,7 @@ def _walk_value(sign: int, walk: _Walk, ctx: SumContext) -> complex:
     if pairs:
         gammas = list(dict.fromkeys(gamma for _, gamma in pairs))
         systems = [CosetSystem(gamma, ctx.lattice) for gamma in gammas]
-        points = [_half_points(system) for system in systems]
-        tables = dict(zip(gammas, zip(systems, _e1_tables(systems, points), points)))
+        tables = dict(zip(gammas, zip(systems, _e1_tables(systems))))
         sums = {(alpha, gamma): _table_sum(alpha, *tables[gamma], ctx) for alpha, gamma in set(pairs)}
         value -= sign * sum(sums[pair] for pair in walk.constants)
     if walk.cusp is not None:
@@ -365,6 +332,7 @@ def three_term_residual(a1: Mat2, a2: Mat2, a3: Mat2, ctx: SumContext) -> comple
 
 def three_term_closed_form(c: OrderElem, c3: OrderElem, ctx: SumContext) -> complex:
     """Closed form E2(0)*I(2/c3 + c3/c^2) for the collapsed three-term relation."""
+    ctx._check(c, c3)
     if c.is_zero() or c3.is_zero():
         raise ZeroDivisorError("c and c3 must be nonzero")
     cc = c.embed()
@@ -375,9 +343,10 @@ def three_term_closed_form(c: OrderElem, c3: OrderElem, ctx: SumContext) -> comp
 def gen_sl2_triple(seed: int, ctx: SumContext) -> tuple[Mat2, Mat2, Mat2]:
     """Random triple A1 = A2 @ A3 with c1 = c2 = c != 0 and a1*a2 = 1 (mod c).
 
-    norm(c3) is kept at or below _MAX_C3_NORM = 300 so direct coset summation
-    stays feasible.  The search runs on int pairs: A1 and A2 are completed by
-    sl2._column, on any order, and the matrices are built for the winner only.
+    norm(c3) is kept at or below _MAX_C3_NORM = 300, so the lemma suite's
+    reference _d_sum_table of the triple stays small.  The search runs on int
+    pairs: A1 and A2 are completed by sl2._column, on any order, and the
+    matrices are built for the winner only.
     """
     order = ctx.order
     tr, nt = order.theta_trace, order.theta_norm

@@ -29,7 +29,8 @@ no G2 at all (Sczech's identity):
 and E1 := 0 on lattice points (the defining sum cancels by central symmetry).
 Float points are reduced in floats; torsion points (s*omega1 + t*omega2)/n are
 reduced with integers by one map, Lattice._torsion_coords, and divided by n
-once (Lattice.e1_torsion; the E1 table passes cosets.CosetSystem.adj to it).
+once (Lattice.e1_torsion).  The E1 table, dedekind._e1_tables, calls
+_torsion_coords itself, with cosets.CosetSystem.adj as its matrix.
 Lattice.from_order records its order, which serves only the exact integer
 matrix of theta on (1, theta) (cosets._theta_matrix).
 The verify suites check E1, zeta and E2(0) against elliptic_dedekind.oracles,

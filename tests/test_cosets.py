@@ -209,6 +209,43 @@ def test_coset_reps_column_major_order(order_m8):
     assert np.array_equal(reps, coords[:, 0] * lat.omega1 + coords[:, 1] * lat.omega2)
 
 
+HALF_ORDERS = [(-8, 1), (-7, 1), (-20, 1), (-23, 1), (-163, 1), (-4, 1), (-3, 1), (-8, 3), (-3, 7), (-4, 5)]
+
+
+def test_half_pairs_each_mu_with_minus_mu():
+    # half keeps mu = a*omega1 + b*omega2 at idx = b*h11 + a and -mu at neg, one pair each,
+    # in increasing idx; the rest of the box is the 2-torsion (2*mu in kL), 1, 2 or 4 points.
+    rng = random.Random(26)
+    seen = set()
+    for dk, f in HALF_ORDERS:
+        order = QuadOrder(dk, f)
+        lat = Lattice.from_order(order)
+        small = [order.element(u, v) for u in range(-5, 6) for v in range(-2, 3)]
+        ks = [k for k in small if 0 < k.norm() <= 2000] + [random_nonzero(rng, order, 5000) for _ in range(4)]
+        for k in ks:
+            system = CosetSystem(k, lat)
+            idx, neg, a, b = system.half
+            n, h11 = system.size, system.h11
+            assert idx.dtype == neg.dtype == a.dtype == b.dtype == np.int64
+            assert np.array_equal(b * h11 + a, idx) and np.all((0 <= a) & (a < h11))
+            assert np.all(np.diff(idx) > 0) and np.all(idx < neg)
+            nb, na = np.divmod(neg, h11)
+            assert np.array_equal(system.index((-na, -nb)), idx)
+            fixed = [i for i in range(n) if system.in_sublattice((2 * (i % h11), 2 * (i // h11)))]
+            assert len(fixed) in (1, 2, 4)
+            assert np.array_equal(np.sort(np.concatenate([idx, neg, fixed])), np.arange(n))
+            # index gives the same result on ints as on arrays.
+            negated = [(int(x), int(y)) for x, y in zip(-a[:20], -b[:20])]
+            assert [system.index(p) for p in negated] == neg[:20].tolist()
+            pts = negated + [(rng.randint(-(10**6), 10**6), rng.randint(-(10**6), 10**6)) for _ in range(20)]
+            xs, ys = (np.array(c, dtype=np.int64) for c in zip(*pts))
+            assert [system.index(p) for p in pts] == system.index((xs, ys)).tolist()
+            seen.add((n if n in (1, 2, 4) else None, system.h22 % 2, system.h12 > 0, len(fixed)))
+    assert {s[0] for s in seen} == {1, 2, 4, None}
+    assert {s[1] for s in seen} == {0, 1} and {s[2] for s in seen} == {False, True}
+    assert {s[3] for s in seen} == {1, 2, 4}
+
+
 def test_colon_lattice_of_a_principal_ideal_is_the_scaled_lattice():
     # B = (g, N(g)) = g*(1, conj(g)) = g*O, so B^-1 L = L/g: area A/N(g) and E2(0) times g^2.
     order = QuadOrder(-20)

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction
@@ -32,7 +33,7 @@ from elliptic_dedekind import (
     three_term_residual,
 )
 from elliptic_dedekind import dedekind, mult_matrix, sl2
-from elliptic_dedekind.dedekind import _d_sum_table, _e1_tables, _half_points
+from elliptic_dedekind.dedekind import _d_sum_table, _e1_tables
 from elliptic_dedekind.verification import random_sl2
 
 SQRT2 = math.sqrt(2.0)
@@ -63,7 +64,7 @@ def count_e1_points(monkeypatch):
 
 def e1_table(system):
     """The E1 table of one system, filled alone."""
-    (table,) = _e1_tables([system], [_half_points(system)])
+    (table,) = _e1_tables([system])
     return table
 
 
@@ -243,30 +244,24 @@ def test_e1_tables_match_e1_torsion_bit_for_bit(dk, f, basis):
     assert lattice._w_coords != ((1, 0), (0, 1))
     rng = random.Random(25)
     systems = [CosetSystem(random_elem(rng, order, 400, 12), lattice) for _ in range(6)]
-    points = [_half_points(system) for system in systems]
-    for system, table, (idx, a, b) in zip(systems, _e1_tables(systems, points), points):
+    for system, table in zip(systems, _e1_tables(systems)):
+        idx, _, a, b = system.half
         assert np.array_equal(table, e1_table(system))
         assert np.array_equal(table[idx], lattice.e1_torsion(*system.torsion_key(a, b), system.size))
 
 
-def test_half_points_are_the_half_box_ranges_in_order(ctx_m8, monkeypatch):
-    # Each system's points are its _half_box ranges in order, with idx = b*h11 + a, and a
-    # fill of several systems evaluates E1 over all their points in slices of _CHUNK.
+def test_e1_fill_of_several_systems_runs_in_chunks(ctx_m8, monkeypatch):
+    # A fill of several systems evaluates E1 over all their half points in slices of _CHUNK,
+    # and gives each system the table it gets when filled alone.
     order = ctx_m8.order
     systems = [
         CosetSystem(order.element(*k), ctx_m8.lattice) for k in ((7, 2), (150, 0), (2, 0), (40, 9), (3, 1), (1, 0))
     ]
-    points = [_half_points(system) for system in systems]
-    for system, (idx, a, b) in zip(systems, points):
-        half = np.concatenate([np.arange(lo, hi) for lo, hi in dedekind._half_box(system)])
-        assert idx.dtype == a.dtype == b.dtype == np.int64
-        assert np.array_equal(idx, half)
-        assert np.array_equal(b * system.h11 + a, idx) and np.all((0 <= a) & (a < system.h11))
-    total = sum(idx.size for idx, _, _ in points)
+    total = sum(system.half[0].size for system in systems)
     chunk = dedekind._CHUNK
     assert total > 2 * chunk and total % chunk
     evaluations = count_e1_points(monkeypatch)
-    tables = _e1_tables(systems, points)
+    tables = _e1_tables(systems)
     assert evaluations == [chunk] * (total // chunk) + [total % chunk]
     monkeypatch.undo()
     assert all(np.array_equal(table, e1_table(system)) for system, table in zip(systems, tables))
@@ -376,7 +371,7 @@ def test_d_sum_norm_bound_fails_loudly(monkeypatch):
     ctx = SumContext(QuadOrder(-20))
     h, k = ctx.order.element(11, 1), ctx.order.element(46346)
 
-    def forbidden(systems, points):
+    def forbidden(systems):
         raise AssertionError("the table must not be allocated")
 
     monkeypatch.setattr(dedekind, "_e1_tables", forbidden)
@@ -495,9 +490,9 @@ def test_table_serves_non_unit_gcd_and_conductor(f, h, k, monkeypatch):
     sizes = []
     original = dedekind._e1_tables
 
-    def recording(systems, points):
+    def recording(systems):
         sizes.extend(system.size for system in systems)
-        return original(systems, points)
+        return original(systems)
 
     monkeypatch.setattr(dedekind, "_e1_tables", recording)
     value = d_sum(h, k, ctx)
@@ -516,7 +511,7 @@ def test_table_serves_non_unit_gcd_and_conductor(f, h, k, monkeypatch):
 
 
 def test_walk_builds_each_gammas_points_once(monkeypatch):
-    # README's fifth sum: five distinct constants on three gammas.  Each gamma's points
+    # README's fifth sum: five distinct constants on three gammas.  Each gamma's half points
     # are built once and serve the fill and all its alphas, and one E1 evaluation serves the walk.
     ctx = SumContext(QuadOrder(-8, 3))
     h, k = ctx.order.element(3313), ctx.order.element(4584, 382)
@@ -524,20 +519,22 @@ def test_walk_builds_each_gammas_points_once(monkeypatch):
     gammas = {gamma for _, gamma in walk.constants}
     assert len(set(walk.constants)) > len(gammas)
     built = []
-    original = dedekind._half_points
+    original = CosetSystem.half.func
 
     def recording(system):
         built.append(system.k)
         return original(system)
 
-    monkeypatch.setattr(dedekind, "_half_points", recording)
+    half = functools.cached_property(recording)
+    half.__set_name__(CosetSystem, "half")
+    monkeypatch.setattr(CosetSystem, "half", half)
     evaluations = count_e1_points(monkeypatch)
     d_sum(h, k, ctx)
     assert len(built) == len(gammas) and set(built) == gammas
     assert len(evaluations) == 1
 
 
-@pytest.mark.parametrize("entry", ["d_sum", "d_norm", "d_norm_exact", "_d_sum_table", "phi"])
+@pytest.mark.parametrize("entry", ["d_sum", "d_norm", "d_norm_exact", "_d_sum_table", "three_term_closed_form", "phi"])
 def test_entry_points_refuse_elements_of_another_order(entry):
     # Elements of d = -8 against a context on d = -7: the walk would run on the elements'
     # order and read the discriminant, E2(0) and tables from the context's.
@@ -548,7 +545,13 @@ def test_entry_points_refuse_elements_of_another_order(entry):
         one, zero = other.one(), other.zero()
         calls = [lambda: phi(Mat2.identity(other), ctx), lambda: phi(Mat2(one, zero, one, one), ctx)]
     else:
-        fn = {"d_sum": d_sum, "d_norm": d_norm, "d_norm_exact": d_norm_exact, "_d_sum_table": _d_sum_table}[entry]
+        fn = {
+            "d_sum": d_sum,
+            "d_norm": d_norm,
+            "d_norm_exact": d_norm_exact,
+            "_d_sum_table": _d_sum_table,
+            "three_term_closed_form": three_term_closed_form,
+        }[entry]
         calls = [lambda h=h, k=k: fn(h, k, ctx) for h, k in pairs]
     for call in calls:
         with pytest.raises(OrderMismatchError):

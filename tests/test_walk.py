@@ -109,9 +109,9 @@ def record_table_sizes(monkeypatch):
     sizes = []
     original = dedekind._e1_tables
 
-    def recording(systems, points):
+    def recording(systems):
         sizes.extend(system.size for system in systems)
-        return original(systems, points)
+        return original(systems)
 
     monkeypatch.setattr(dedekind, "_e1_tables", recording)
     return sizes
@@ -462,9 +462,9 @@ def test_d_sum_builds_only_small_tables_in_one_e1_evaluation(dk, f, monkeypatch)
     fills, evaluations = [], []
     e1_tables, e1_reduced = dedekind._e1_tables, Lattice._e1_reduced
 
-    def recording_fill(systems, points):
+    def recording_fill(systems):
         fills.append([system.size for system in systems])
-        return e1_tables(systems, points)
+        return e1_tables(systems)
 
     def recording_e1(self, x, y, on_lattice):
         evaluations.append(len(x))
@@ -502,9 +502,9 @@ def test_walk_builds_one_e1_table_per_gamma(monkeypatch, capsys):
     filled, evaluations = [], []
     e1_tables, e1_reduced = dedekind._e1_tables, Lattice._e1_reduced
 
-    def recording_fill(systems, points):
+    def recording_fill(systems):
         filled.append([system.k for system in systems])
-        return e1_tables(systems, points)
+        return e1_tables(systems)
 
     def recording_e1(self, x, y, on_lattice):
         evaluations.append(len(x))
