@@ -45,9 +45,10 @@ at most the gamma bound (_walk_value).  A walk to c = 0 with no constant --
 every walk on d_K = -7, -8, -11 -- gives Dtilde = R exactly (d_norm_exact).
 
 The E1 table sums the walk's small tables and, at N(k), is the reference the
-suites and tests check the walk against (_d_sum_table).  CosetSystem(k)
-gives the box {a*omega1 + b*omega2 : 0 <= a < h11, 0 <= b < h22}, a
-transversal of L/kL with N(k) members, stored column by column at
+suites and tests check the walk against (_d_sum_tables, one E1 evaluation
+for the tables of all its pairs).  CosetSystem(k) gives the box
+{a*omega1 + b*omega2 : 0 <= a < h11, 0 <= b < h22}, a transversal of L/kL
+with N(k) members, stored column by column at
 CosetSystem.index((a, b)) = b*h11 + a.  Each torsion point mu/k is
 (s*omega1 + t*omega2)/det(M) for the integers (s, t) = adj(M)*(a, b) mod
 det(M), M the integer matrix of k; Lattice._torsion_coords maps it into the
@@ -60,8 +61,8 @@ over it; each is one pass over the points, in slices of _CHUNK.
 Multiplication by h permutes (1/k)L/L, so h enters only modulo k, through
 int64 table indices, and the terms at mu and -mu are bitwise equal:
 D_L(h, k) = 2*sum over half of table[index(h*mu)] * table[index(mu)] / k.
-Those operations stay below 2*N(k)**2, exact for N(k) < 2**31; _d_sum_table
-refuses a larger N(k) before allocating its table.
+Those operations stay below 2*N(k)**2, exact for N(k) < 2**31; _d_sum_tables
+refuses a larger N(k) before allocating any table.
 """
 
 from __future__ import annotations
@@ -197,21 +198,38 @@ def _table_sum(h: OrderElem, system: CosetSystem, table: np.ndarray, ctx: SumCon
     return 2 * total / system.k.embed()
 
 
+def _d_sum_tables(pairs: list[tuple[OrderElem, OrderElem]], ctx: SumContext) -> list[complex]:
+    """D_L(h, k) for each (h, k) in `pairs`, each from one E1 table at N(k): the reference the walk is checked against.
+
+    Every pair is checked first: ctx._check, h = 0 gives 0/k, and N(k) >= 2**31
+    raises PreconditionError, before any table is built.  The tables of the
+    distinct k then share one E1 evaluation (_e1_tables), and each value is
+    one _table_sum, bit for bit the value of the pair alone.
+    """
+    zeros, systems = {}, {}
+    for i, (h, k) in enumerate(pairs):
+        ctx._check(h, k)
+        if h.is_zero():
+            zeros[i] = d_sum(h, k, ctx)
+        elif k not in systems:
+            system = CosetSystem(k, ctx.lattice)
+            if system.size >= _MAX_NORM:
+                raise PreconditionError(
+                    f"N(k) = {system.size} is at or above {_MAX_NORM} = 2**31, the bound for exact int64 coset indices"
+                )
+            systems[k] = system
+    filled = _e1_tables(list(systems.values())) if systems else []
+    tables = dict(zip(systems, zip(systems.values(), filled)))
+    return [zeros[i] if i in zeros else _table_sum(h, *tables[k], ctx) for i, (h, k) in enumerate(pairs)]
+
+
 def _d_sum_table(h: OrderElem, k: OrderElem, ctx: SumContext) -> complex:
-    """D_L(h, k) from one E1 table at N(k), the reference the walk is checked against; h = 0 gives 0/k.
+    """D_L(h, k) from one E1 table at N(k), the one-pair case of _d_sum_tables; h = 0 gives 0/k.
 
     Raises PreconditionError when N(k) >= 2**31, before building the table.
     """
-    ctx._check(h, k)
-    if h.is_zero():
-        return d_sum(h, k, ctx)
-    system = CosetSystem(k, ctx.lattice)
-    if system.size >= _MAX_NORM:
-        raise PreconditionError(
-            f"N(k) = {system.size} is at or above {_MAX_NORM} = 2**31, the bound for exact int64 coset indices"
-        )
-    (table,) = _e1_tables([system])
-    return _table_sum(h, system, table, ctx)
+    (value,) = _d_sum_tables([(h, k)], ctx)
+    return value
 
 
 def _walk_value(sign: int, walk: _Walk, ctx: SumContext) -> complex:

@@ -213,8 +213,9 @@ def construct(target: Target, p: int) -> ApproxStep:
     e = (a * p - 1) // b
 
     # l = 0 needs p | 4d: no progression prime (p > 4|d|), and inverse_mod rejects it.
+    # sqrt_mod refuses an even p, so (p + 1) // 2 is the inverse of 2 mod p.
     square = (d * d * e * e + 4 * d) % p
-    ell = ((sqrt_mod(square, p) + d * e) * inverse_mod(2, p)) % p
+    ell = ((sqrt_mod(square, p) + d * e) * ((p + 1) // 2)) % p
     if (2 * ell - d * e) ** 2 % p != square:
         raise ConstructionError("l does not satisfy the root congruence")
     k = inverse_mod(ell, p)

@@ -14,6 +14,8 @@ exponent _EWALD_CUTOFF (about 40 points each).  Nothing is shared with the
 reduced basis or the q-series, and each value is exact to a few units in the
 last place: `e2_hecke_limit` gives E2(0), `e1_ewald` Kronecker's E1(z), and
 `weierstrass_zeta_direct` zeta(z) = E1(z) + E2(0)*z + (pi/A)*conj(z).
+`e1_ewald_many` evaluates E1 at many points with the dual half enumerated
+once per lattice per call; nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import math
 
 from .lattice import Lattice
 
-__all__ = ["e1_ewald", "weierstrass_zeta_direct", "e2_hecke_limit"]
+__all__ = ["e1_ewald", "e1_ewald_many", "weierstrass_zeta_direct", "e2_hecke_limit"]
 
 # Every sum stops where the exponent of its Gaussian reaches this, so each
 # drops terms below exp(-40) ~ 4e-18 of the first.
@@ -84,8 +86,8 @@ def e2_hecke_limit(lattice: Lattice) -> complex:
     return direct - width * dual
 
 
-def e1_ewald(z: complex, lattice: Lattice) -> complex:
-    """Kronecker's E1(z) = lim_{s->0+} sum_w (z + w)^-1 |z + w|^-2s, by Ewald's theta split.
+def e1_ewald_many(points, lattice: Lattice) -> list[complex]:
+    """Kronecker's E1(z) = lim_{s->0+} sum_w (z + w)^-1 |z + w|^-2s at each z of `points`, by Ewald's theta split.
 
     With x = pi*|z + w|^2/A and y = pi*A*|xi|^2,
 
@@ -94,17 +96,29 @@ def e1_ewald(z: complex, lattice: Lattice) -> complex:
     Poisson's formula for the shifted lattice z + L puts the character on the
     dual half.  The direct disk is centred at -z, so z need not be reduced; a
     lattice point z gives 0 (its own term is skipped, the rest cancel in pairs).
+    The dual terms (xi, e^-y) depend on the lattice alone and are enumerated
+    once for all the points; each point sums its terms in the same order.
     """
-    z = complex(z)
     w1, w2, a = lattice.omega1, lattice.omega2, lattice.area()
     width = math.pi / a
-    direct = 0j
-    for w in _points_in_disk(w1, w2, a, _EWALD_CUTOFF / width, -z):
-        v = z + w
-        if v:
-            direct += math.exp(-width * abs(v) ** 2) / v
-    dual = sum((cmath.exp(2j * math.pi * (z * xi.conjugate()).real) * g / xi for xi, g in _dual_terms(lattice)), 0j)
-    return direct - 1j / a * dual
+    dual_terms = list(_dual_terms(lattice))
+    values = []
+    for z in points:
+        z = complex(z)
+        direct = 0j
+        for w in _points_in_disk(w1, w2, a, _EWALD_CUTOFF / width, -z):
+            v = z + w
+            if v:
+                direct += math.exp(-width * abs(v) ** 2) / v
+        dual = sum((cmath.exp(2j * math.pi * (z * xi.conjugate()).real) * g / xi for xi, g in dual_terms), 0j)
+        values.append(direct - 1j / a * dual)
+    return values
+
+
+def e1_ewald(z: complex, lattice: Lattice) -> complex:
+    """Kronecker's E1(z) by Ewald's theta split: the one-point case of e1_ewald_many."""
+    (value,) = e1_ewald_many([z], lattice)
+    return value
 
 
 def weierstrass_zeta_direct(z: complex, lattice: Lattice) -> complex:

@@ -3,6 +3,13 @@
 Each suite takes an order and a seed, checks that order alone, and returns a
 list of CheckResult records; a check passes when its residual is at or below
 its tolerance.  All randomness is seeded, so repeated runs are identical.
+
+Each suite does its reference work once per call and keeps nothing between
+calls: the lemma suite's reference tables share one E1 evaluation
+(dedekind._d_sum_tables), the e1 suite's Ewald points one enumeration of
+the dual lattice (oracles.e1_ewald_many), and the cosets suite checks each
+modulus's random points in one array pass and the transversals of all its
+moduli with one np.unique (_colliding_pairs).
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ import numpy as np
 from .cosets import CosetSystem
 from .dedekind import (
     SumContext,
-    _d_sum_table,
+    _d_sum_tables,
     _walk_value,
     d_sum,
     gen_sl2_triple,
@@ -28,7 +35,7 @@ from .dedekind import (
 from .density import Target, approximate
 from .errors import GenerationError
 from .lattice import Lattice
-from .oracles import e1_ewald, e2_hecke_limit, weierstrass_zeta_direct
+from .oracles import e1_ewald_many, e2_hecke_limit, weierstrass_zeta_direct
 from .ring import OrderElem, QuadOrder
 from .sl2 import Mat2, _column, _signed_walk
 
@@ -142,6 +149,12 @@ def _density_step_ok(step, ctx: SumContext) -> bool:
 def run_lemma_suite(order: QuadOrder, seed: int) -> list[CheckResult]:
     """Closed form vs. the E1 table on generated triples.
 
+    The triples come first, from seeds seed + 1, seed + 2, ... (a seed whose
+    generation fails is skipped, and a `lemma-generation` record counts the
+    triples still missing after 40 attempts per triple); their reference
+    tables then share one E1 evaluation (_d_sum_tables), and the records
+    follow in triple order.
+
     Where E2(0) != 0 (every order but d = -3, -4), each triple also compares
     d_sum, which takes the walk, with the table, and the first density steps
     of 1/b, b the least odd number above 1 prime to d, are checked against
@@ -151,25 +164,25 @@ def run_lemma_suite(order: QuadOrder, seed: int) -> list[CheckResult]:
     ctx = SumContext(order)
     d = order.discriminant
     walk = d not in (-3, -4)
-    results = []
-    produced = 0
-    attempt = 0
-    while produced < _LEMMA_TRIPLES and attempt < 40 * _LEMMA_TRIPLES:
-        attempt += 1
+    triples = []
+    for attempt in range(1, 40 * _LEMMA_TRIPLES + 1):
         try:
-            m1, m2, m3 = gen_sl2_triple(seed + attempt, ctx)
+            triples.append(gen_sl2_triple(seed + attempt, ctx))
         except GenerationError:
             continue
+        if len(triples) == _LEMMA_TRIPLES:
+            break
+    tables = _d_sum_tables([(m3.a, m3.c) for _, _, m3 in triples], ctx)
+    results = []
+    for i, ((m1, _, m3), table) in enumerate(zip(triples, tables)):
         rhs = three_term_closed_form(m1.c, m3.c, ctx)
-        table = _d_sum_table(m3.a, m3.c, ctx)
         info = f"norm(c3)={m3.c.norm()}"
-        results.append(_check(f"lemma-triple-{produced:02d}", abs(table - rhs) / (1.0 + abs(rhs)), 1e-6, info))
+        results.append(_check(f"lemma-triple-{i:02d}", abs(table - rhs) / (1.0 + abs(rhs)), 1e-6, info))
         if walk:
             residual = abs(d_sum(m3.a, m3.c, ctx) - table) / (1.0 + abs(table))
-            results.append(_check(f"lemma-euclid-{produced:02d}", residual, 1e-12, info))
-        produced += 1
-    if produced < _LEMMA_TRIPLES:
-        results.append(_check("lemma-generation", float(_LEMMA_TRIPLES - produced), 0.0, info="triples missing"))
+            results.append(_check(f"lemma-euclid-{i:02d}", residual, 1e-12, info))
+    if len(triples) < _LEMMA_TRIPLES:
+        results.append(_check("lemma-generation", float(_LEMMA_TRIPLES - len(triples)), 0.0, info="triples missing"))
     if walk:
         b = next(b for b in itertools.count(3, 2) if math.gcd(b, d) == 1)
         steps = list(approximate(Target(1, b, order), 10))
@@ -198,15 +211,17 @@ def _e1_ewald_residual(lattice: Lattice, z: np.ndarray, seed: int, scale: float)
 
     The torsion points are (s*omega1 + 2*omega2)/4, s = 1, 2, 3, on the row of
     half the height of the order's basis, and 7 points (s*omega1 + t*omega2)/997
-    drawn with `seed`.
+    drawn with `seed`.  One e1_ewald_many call evaluates the oracle at all of them.
     """
     rng = random.Random(seed)
     seeded = [(rng.randrange(997), rng.randrange(997)) for _ in range(7)]
-    pairs = list(zip(lattice.e1_many(z), z))
+    values, points = list(lattice.e1_many(z)), list(z)
     for n, st in ((4, [(1, 2), (2, 2), (3, 2)]), (997, seeded)):
         s, t = np.array(st).T
-        pairs += zip(lattice.e1_torsion(s, t, n), (s * lattice.omega1 + t * lattice.omega2) / n)
-    return max(abs(v - e1_ewald(p, lattice)) / max(abs(v), scale) for v, p in pairs)
+        values += list(lattice.e1_torsion(s, t, n))
+        points += list((s * lattice.omega1 + t * lattice.omega2) / n)
+    oracle = e1_ewald_many(points, lattice)
+    return max(abs(v - e) / max(abs(v), scale) for v, e in zip(values, oracle))
 
 
 def run_e1_suite(order: QuadOrder, seed: int) -> list[CheckResult]:
@@ -284,38 +299,54 @@ def run_e1_suite(order: QuadOrder, seed: int) -> list[CheckResult]:
     return results
 
 
-def _colliding_pairs(system: CosetSystem, coords: np.ndarray) -> int:
-    """Number of pairs among `coords` whose difference lies in kL.
+def _colliding_pairs(groups: list[tuple[CosetSystem, np.ndarray]]) -> int:
+    """Number of pairs within each group's `coords` whose difference lies in its kL, summed over the groups.
 
     (a, b) and (a', b') share a coset exactly when adj(M)*(a, b) and
-    adj(M)*(a', b') agree mod det(M), so pairs are counted per key s*det(M) + t.
+    adj(M)*(a', b') agree mod det(M), so pairs are counted per key
+    s*det(M) + t.  Each group's keys are offset by the sum of det(M)**2 over
+    the groups before it, so no two groups share a key, and one np.unique
+    counts them all.
     """
-    s, t = system.torsion_key(coords[:, 0], coords[:, 1])
-    _, sizes = np.unique(s * system.size + t, return_counts=True)
+    keys, offset = [], 0
+    for system, coords in groups:
+        s, t = system.torsion_key(coords[:, 0], coords[:, 1])
+        keys.append(offset + s * system.size + t)
+        offset += system.size**2
+    _, sizes = np.unique(np.concatenate(keys), return_counts=True)
     return int(np.sum(sizes * (sizes - 1) // 2))
 
 
 def run_cosets_suite(order: QuadOrder, seed: int) -> list[CheckResult]:
-    """Counts, pairwise inequivalence, and completeness of coset transversals of the order's lattice."""
+    """Counts, pairwise inequivalence, and completeness of coset transversals of the order's lattice.
+
+    Each of _COSET_SAMPLES random moduli k gets its box transversal and
+    min(N(k), 40) random points, drawn in that order.  The points of one
+    modulus are reduced into the box in one array pass, and each difference
+    point - reduced is tested for membership in kL by its torsion key; the
+    transversals of all the moduli are checked for colliding pairs at once
+    (_colliding_pairs).
+    """
     rng = random.Random(seed)
     lattice = Lattice.from_order(order)
     count_fail = 0
-    inequiv_fail = 0
     complete_fail = 0
+    groups = []
     for _ in range(_COSET_SAMPLES):
         k = _random_elem(rng, order)
         system = CosetSystem(k, lattice)
         coords = system.coords()
         if len(coords) != k.norm():
             count_fail += 1
-        inequiv_fail += _colliding_pairs(system, coords)
-        for _ in range(min(k.norm(), 40)):
-            pt = (rng.randint(-100, 100), rng.randint(-100, 100))
-            red = system.reduce_coords(pt)
-            in_box = 0 <= red[0] < system.h11 and 0 <= red[1] < system.h22
-            back = (pt[0] - red[0], pt[1] - red[1])
-            if not in_box or not system.in_sublattice(back):
-                complete_fail += 1
+        groups.append((system, coords))
+        pts = np.array(
+            [(rng.randint(-100, 100), rng.randint(-100, 100)) for _ in range(min(k.norm(), 40))], dtype=np.int64
+        )
+        x, y = system.reduce_coords((pts[:, 0], pts[:, 1]))
+        s, t = system.torsion_key(pts[:, 0] - x, pts[:, 1] - y)
+        complete = (0 <= x) & (x < system.h11) & (0 <= y) & (y < system.h22) & (s == 0) & (t == 0)
+        complete_fail += int(np.count_nonzero(~complete))
+    inequiv_fail = _colliding_pairs(groups)
     tag = f"d{order.d_k}f{order.f}"
     return [
         _check(f"coset-count-{tag}", float(count_fail), 0.0),
