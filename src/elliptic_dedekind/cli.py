@@ -4,6 +4,11 @@ Exit codes: 0 success, 1 verification failure, 2 usage/input error,
 3 internal invariant or precision failure.  JSON goes to stdout and is
 byte-identical for identical seed + config (timing is therefore reported on
 stderr and in the text/CSV formats only).
+
+Each call parses its arguments once: the parser is built on the first call
+and shared by every later one, and an argv whose first word names a
+subcommand goes straight to that subcommand's parser.  The top-level parser
+sees only what it must report itself: -h, no command, an unknown command.
 """
 
 from __future__ import annotations
@@ -44,29 +49,65 @@ def _fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-# One string encoder per process: json.dumps would build a new encoder on every call.
-_json_str = json.JSONEncoder(ensure_ascii=False).encode
+# A str as json.dumps(s, ensure_ascii=False) writes it; any other type raises TypeError.
+_json_str = json.encoder.encode_basestring
 
 
 def _to_json(obj) -> str:
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _fmt_float(obj)
-    if isinstance(obj, complex):
-        return _to_json({"re": obj.real, "im": obj.imag})
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(_to_json(v) for v in obj) + "]"
-    if isinstance(obj, dict):
-        items = (f"{_json_str(str(key))}:{_to_json(val)}" for key, val in obj.items())
-        return "{" + ",".join(items) + "}"
-    return _json_str(obj)  # a str; any other type raises TypeError
+    """obj as compact JSON, floats with 17 significant digits, written in one pass.
+
+    Each piece is appended to a list, and each dict's pieces are joined once,
+    as it closes, so only the pieces of the dicts still open are alive at a
+    time.  Exact float, int, dict, list and tuple come first.  Then, in this order:
+    None, True, False, int and float subclasses such as np.float64, complex as
+    {"re", "im"}, subclasses of list, tuple and dict, and str; any other type
+    raises TypeError.  A non-finite float raises ValueError.
+    """
+    out = []
+    _write_json(obj, out)
+    return "".join(out)
+
+
+def _write_json(obj, out: list[str]) -> None:
+    kind = type(obj)
+    if kind is float:
+        out.append(_fmt_float(obj))
+    elif kind is int:
+        out.append(str(obj))
+    elif kind is dict:
+        parts = []
+        sep = "{"
+        for key, val in obj.items():
+            parts += (sep, _json_str(str(key)), ":")
+            _write_json(val, parts)
+            sep = ","
+        parts.append("}" if sep == "," else "{}")
+        out.append("".join(parts))
+    elif kind is list or kind is tuple:
+        sep = "["
+        for val in obj:
+            out.append(sep)
+            _write_json(val, out)
+            sep = ","
+        out.append("]" if sep == "," else "[]")
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(str(obj))
+    elif isinstance(obj, float):
+        out.append(_fmt_float(obj))
+    elif isinstance(obj, complex):
+        _write_json({"re": obj.real, "im": obj.imag}, out)
+    elif isinstance(obj, (list, tuple)):
+        _write_json(list(obj), out)
+    elif isinstance(obj, dict):
+        _write_json(dict(obj.items()), out)
+    else:
+        out.append(_json_str(obj))  # a str; any other type raises TypeError
 
 
 def _emit_json(config: dict, records: list, summary: dict) -> None:
@@ -112,17 +153,18 @@ def _parse_complex(text: str) -> complex:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built on the first call and shared by every later one."""
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The CLI's parser and its {name: subcommand parser} table, built on the first call and shared by later ones."""
     parser = argparse.ArgumentParser(
         prog="elliptic-dedekind",
         description="Elliptic Dedekind sums over imaginary quadratic orders",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
     def add_subcommand(name, help_text, run):
-        p = sub.add_parser(name, help=help_text)
-        p.set_defaults(run=run)
+        p = commands[name] = sub.add_parser(name, help=help_text)
+        p.set_defaults(command=name, run=run)
         p.add_argument("--dk", type=int, default=-8, help="fundamental discriminant d_K < 0 (default -8)")
         p.add_argument("-f", "--conductor", type=int, default=1, help="conductor f >= 1 (default 1)")
         p.add_argument("--format", choices=("text", "json", "csv"), default="text", help="output format")
@@ -142,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_approx.add_argument("--a", type=int, required=True)
     p_approx.add_argument("--b", type=int, required=True)
     p_approx.add_argument("--steps", type=_parse_steps, default=3)
-    return parser
+    return parser, commands
 
 
 def _config_dict(args) -> dict:
@@ -290,9 +332,25 @@ def _cmd_approximate(args) -> int:
     return _EXIT_OK
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """argv parsed once, by the subcommand's parser when argv[0] names one (see the module docstring).
+
+    Words the subcommand's parser leaves over are reported by the top-level
+    parser, as its own parse reports them.
+    """
+    parser, commands = build_parser()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
         return args.run(args)
     except (PrecisionLossError, ConstructionError, SearchLimitError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)

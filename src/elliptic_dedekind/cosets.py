@@ -122,6 +122,22 @@ def _column_hnf(m: MultMatrix) -> tuple[int, int, int]:
     return h11, h12, h22
 
 
+def _torsion_key(a, b, adj, size):
+    """CosetSystem.torsion_key for the matrix adj = (s11, s12, s21, s22) and det(M) = size.
+
+    Every argument may be a Python int or an int64 array, so one call keys
+    points of many moduli, each with its own adj and size.
+    """
+    s11, s12, s21, s22 = adj
+    return (s11 * a + s12 * b) % size, (s21 * a + s22 * b) % size
+
+
+def _reduce_coords(x, y, h11, h12, h22):
+    """CosetSystem.reduce_coords for the column HNF [[h11, h12], [0, h22]], on ints or int64 arrays, HNF included."""
+    q = y // h22
+    return (x - q * h12) % h11, y - q * h22
+
+
 class CosetSystem:
     """Representatives of L/kL in box coordinates, with exact reduction and the pairing mu <-> -mu."""
 
@@ -157,17 +173,14 @@ class CosetSystem:
         their keys agree.  Works on Python ints and on int64 arrays; for a
         point of the box every product is below size**2.
         """
-        s11, s12, s21, s22 = self.adj
-        return (s11 * a + s12 * b) % self.size, (s21 * a + s22 * b) % self.size
+        return _torsion_key(a, b, self.adj, self.size)
 
     def reduce_coords(self, ab):
         """Box representative (x', y') of x*omega1 + y*omega2 modulo kL, exactly.
 
         `ab` is a pair of Python ints or of int64 arrays.
         """
-        x, y = ab
-        q = y // self.h22
-        return (x - q * self.h12) % self.h11, y - q * self.h22
+        return _reduce_coords(*ab, self.h11, self.h12, self.h22)
 
     def index(self, ab):
         """Table index y'*h11 + x' of (x', y') = reduce_coords(ab), for Python ints or int64 arrays."""

@@ -238,9 +238,12 @@ def _walk_value(sign: int, walk: _Walk, ctx: SumContext) -> complex:
     The constants D_L(alpha, gamma) of one gamma, and the cusp's D_L(r, t),
     share one CosetSystem and its E1 table, and one E1 evaluation fills
     every table of the walk (_e1_tables).  A pair the walk meets again
-    is summed once; the constants are subtracted in walk order.
+    is summed once; the constants are subtracted in walk order.  R is one
+    Fraction, and sign*R is rounded to a float by one integer division, so
+    R = 0 gives +0.0 for either sign.
     """
-    value = 1j * math.sqrt(abs(ctx.order.discriminant)) * ctx.lattice.e2_zero() * float(sign * walk.r)
+    r = walk.r
+    value = 1j * math.sqrt(abs(ctx.order.discriminant)) * ctx.lattice.e2_zero() * (sign * r.numerator / r.denominator)
     pairs = walk.constants + (() if walk.cusp is None else (walk.cusp[:2],))
     if pairs:
         gammas = list(dict.fromkeys(gamma for _, gamma in pairs))

@@ -305,7 +305,13 @@ class _Walk:
 
 
 def _walk(h: OrderElem, k: OrderElem) -> _Walk:
-    """The walk of (h, k), for h != 0, to c = 0 or to its stop cusp r/t; SearchLimitError if t*t > _gamma_bound."""
+    """The walk of (h, k), for h != 0, to c = 0 or to its stop cusp r/t; SearchLimitError if t*t > _gamma_bound.
+
+    The Euclidean steps add only integers to R, so at either end R is one
+    Fraction of an integer numerator over N(k), or N(k)*N(c_n) at a cusp,
+    plus the J-terms of the extra steps, a Fraction sum only where there are
+    extra steps (_fraction).
+    """
     order = h.order
     tr, nt = order.theta_trace, order.theta_norm
     c0 = tr // 2
@@ -336,14 +342,14 @@ def _walk(h: OrderElem, k: OrderElem) -> _Walk:
             constants.append((alpha, gamma))
         a, c = _combine(alpha, a, beta, c, tr, nt), _combine(gamma, a, delta, c, tr, nt)
         x0, x1 = _combine(alpha, x0, beta, x1, tr, nt), _combine(gamma, x0, delta, x1, tr, nt)
-    hk, kk = (h.u, h.v), (k.u, k.v)
+    hk, kk, n_k = (h.u, h.v), (k.u, k.v), k.norm()
     consts = tuple((OrderElem(*alpha, order), OrderElem(*gamma, order)) for alpha, gamma in constants)
     if c == (0, 0):
         # a generates (h, k).  A unit a has norm 1 and h*x0*conj(a) = 1 (mod k).  Otherwise
         # (h/a, k/a) takes the same steps to (1, 0), x0 inverts h/a mod k/a and x/k = x0/(k/a).
         x = _times_conj(x0, a, tr, nt) if _norm(a, tr, nt) == 1 else _mul(x0, a, tr, nt)
         # J(z/w) = 2*Im(z/w)/sqrt(|d|) is the theta-coordinate of z/w, as Im(theta) = sqrt(|d|)/2.
-        return _Walk(Fraction(_times_conj(_add(hk, x), kk, tr, nt)[1], k.norm()) - q_sum + extra, consts)
+        return _Walk(_fraction(_times_conj(_add(hk, x), kk, tr, nt)[1] - q_sum * n_k, n_k, extra), consts)
     # No step lowers N(c): a/c = num/n = r/t mod O, t the least positive integer with t*a/c in O.
     g = math.gcd(*num, n)
     t = n // g
@@ -352,9 +358,15 @@ def _walk(h: OrderElem, k: OrderElem) -> _Walk:
             f"no gamma of norm <= {_gamma_bound(order)} lowers N(c) = {n} on the order "
             f"(d_K={order.d_k}, f={order.f}), and t*t > {_gamma_bound(order)} at the cusp r/{t}; the walk is stuck"
         )
-    r = Fraction(_times_conj(hk, kk, tr, nt)[1], k.norm()) - Fraction(num[1], n) - q_sum + extra
-    w = tuple(Fraction(x, t * t * k.norm()) for x in _times_conj(_mul(c, x1, tr, nt), kk, tr, nt))
+    r = _fraction(_times_conj(hk, kk, tr, nt)[1] * n - (num[1] + q_sum * n) * n_k, n_k * n, extra)
+    w = tuple(Fraction(x, t * t * n_k) for x in _times_conj(_mul(c, x1, tr, nt), kk, tr, nt))
     return _Walk(r, consts, (OrderElem(num[0] // g % t, num[1] // g % t, order), order.element(t), w))
+
+
+def _fraction(numerator: int, denominator: int, extra: Fraction | int) -> Fraction:
+    """numerator/denominator + extra as one Fraction; extra is 0, an int, on a walk with no extra step."""
+    r = Fraction(numerator, denominator)
+    return r + extra if extra else r
 
 
 def _signed_walk(h: OrderElem, k: OrderElem) -> tuple[int, _Walk]:

@@ -7,9 +7,9 @@ its tolerance.  All randomness is seeded, so repeated runs are identical.
 Each suite does its reference work once per call and keeps nothing between
 calls: the lemma suite's reference tables share one E1 evaluation
 (dedekind._d_sum_tables), the e1 suite's Ewald points one enumeration of
-the dual lattice (oracles.e1_ewald_many), and the cosets suite checks each
-modulus's random points in one array pass and the transversals of all its
-moduli with one np.unique (_colliding_pairs).
+the dual lattice (oracles.e1_ewald_many), and the cosets suite reduces and
+key-tests the random points of all its moduli in one array pass and checks
+their transversals with one np.unique (_colliding_pairs).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cosets import CosetSystem
+from .cosets import CosetSystem, _reduce_coords, _torsion_key
 from .dedekind import (
     SumContext,
     _d_sum_tables,
@@ -321,17 +321,17 @@ def run_cosets_suite(order: QuadOrder, seed: int) -> list[CheckResult]:
     """Counts, pairwise inequivalence, and completeness of coset transversals of the order's lattice.
 
     Each of _COSET_SAMPLES random moduli k gets its box transversal and
-    min(N(k), 40) random points, drawn in that order.  The points of one
-    modulus are reduced into the box in one array pass, and each difference
-    point - reduced is tested for membership in kL by its torsion key; the
-    transversals of all the moduli are checked for colliding pairs at once
-    (_colliding_pairs).
+    min(N(k), 40) random points, drawn in that order.  Each point then
+    carries its modulus's HNF, N(k) and adj(M), so the points of all the
+    moduli are reduced into their boxes in one array pass, and each
+    difference point - reduced is tested for membership in kL by its torsion
+    key; the transversals of all the moduli are checked for colliding pairs
+    at once (_colliding_pairs).
     """
     rng = random.Random(seed)
     lattice = Lattice.from_order(order)
     count_fail = 0
-    complete_fail = 0
-    groups = []
+    groups, moduli, counts, drawn = [], [], [], []
     for _ in range(_COSET_SAMPLES):
         k = _random_elem(rng, order)
         system = CosetSystem(k, lattice)
@@ -339,13 +339,15 @@ def run_cosets_suite(order: QuadOrder, seed: int) -> list[CheckResult]:
         if len(coords) != k.norm():
             count_fail += 1
         groups.append((system, coords))
-        pts = np.array(
-            [(rng.randint(-100, 100), rng.randint(-100, 100)) for _ in range(min(k.norm(), 40))], dtype=np.int64
-        )
-        x, y = system.reduce_coords((pts[:, 0], pts[:, 1]))
-        s, t = system.torsion_key(pts[:, 0] - x, pts[:, 1] - y)
-        complete = (0 <= x) & (x < system.h11) & (0 <= y) & (y < system.h22) & (s == 0) & (t == 0)
-        complete_fail += int(np.count_nonzero(~complete))
+        moduli.append((system.h11, system.h12, system.h22, system.size, *system.adj))
+        counts.append(min(k.norm(), 40))
+        drawn += [rng.randint(-100, 100) for _ in range(2 * counts[-1])]  # x, y of each point in turn
+    h11, h12, h22, size, *adj = np.repeat(np.array(moduli, dtype=np.int64), counts, axis=0).T
+    px, py = np.array(drawn, dtype=np.int64).reshape(-1, 2).T
+    x, y = _reduce_coords(px, py, h11, h12, h22)
+    s, t = _torsion_key(px - x, py - y, adj, size)
+    complete = (0 <= x) & (x < h11) & (0 <= y) & (y < h22) & (s == 0) & (t == 0)
+    complete_fail = int(np.count_nonzero(~complete))
     inequiv_fail = _colliding_pairs(groups)
     tag = f"d{order.d_k}f{order.f}"
     return [

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import elliptic_dedekind
@@ -473,3 +474,227 @@ def test_parser_is_built_once_across_calls(capsys, monkeypatch):
         assert run_cli(capsys, *argv)[0] == 0
     assert_usage_error("verify", "--suite", "nonsense")
     assert built == []
+
+
+# --- One parse per call ---------------------------------------------------------
+
+TOP_USAGE = "usage: elliptic-dedekind [-h] {sum,verify,approximate} ...\n"
+SUM_USAGE = (
+    "usage: elliptic-dedekind sum [-h] [--dk DK] [-f CONDUCTOR]\n"
+    "                             [--format {text,json,csv}] [--omega1 OMEGA1]\n"
+    "                             [--omega2 OMEGA2] --h U,V --k U,V\n"
+)
+
+# (argv, exit code, stdout, stderr) at 80 columns, as the two-level parse of
+# the top-level parser wrote them.
+USAGE_GOLDEN = [
+    (
+        ["--help"],
+        0,
+        TOP_USAGE + "\n"
+        "Elliptic Dedekind sums over imaginary quadratic orders\n"
+        "\n"
+        "positional arguments:\n"
+        "  {sum,verify,approximate}\n"
+        "    sum                 compute D_L and the normalized sum for one (h, k) pair\n"
+        "    verify              run an invariant suite\n"
+        "    approximate         approximate 2a/b by normalized sums\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n",
+        "",
+    ),
+    ([], 2, "", TOP_USAGE + "elliptic-dedekind: error: the following arguments are required: command\n"),
+    (
+        ["bogus"],
+        2,
+        "",
+        TOP_USAGE + "elliptic-dedekind: error: argument command: invalid choice: 'bogus' "
+        "(choose from 'sum', 'verify', 'approximate')\n",
+    ),
+    (
+        ["sum", "-h"],
+        0,
+        SUM_USAGE + "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --dk DK               fundamental discriminant d_K < 0 (default -8)\n"
+        "  -f CONDUCTOR, --conductor CONDUCTOR\n"
+        "                        conductor f >= 1 (default 1)\n"
+        "  --format {text,json,csv}\n"
+        "                        output format\n"
+        "  --omega1 OMEGA1       custom basis vector omega1\n"
+        "  --omega2 OMEGA2       custom basis vector omega2\n"
+        "  --h U,V               h in theta-coordinates\n"
+        "  --k U,V               k in theta-coordinates\n",
+        "",
+    ),
+    (
+        ["sum", "--h", "1,0"],
+        2,
+        "",
+        SUM_USAGE + "elliptic-dedekind sum: error: the following arguments are required: --k\n",
+    ),
+    (
+        ["verify", "--suite", "nonsense"],
+        2,
+        "",
+        "usage: elliptic-dedekind verify [-h] [--dk DK] [-f CONDUCTOR]\n"
+        "                                [--format {text,json,csv}] --suite\n"
+        "                                {phi,lemma,e1,cosets,all} [--seed SEED]\n"
+        "elliptic-dedekind verify: error: argument --suite: invalid choice: 'nonsense' "
+        "(choose from 'phi', 'lemma', 'e1', 'cosets', 'all')\n",
+    ),
+    (
+        ["approximate", "--a", "1", "--b", "3", "--steps", "-1"],
+        2,
+        "",
+        "usage: elliptic-dedekind approximate [-h] [--dk DK] [-f CONDUCTOR]\n"
+        "                                     [--format {text,json,csv}] --a A --b B\n"
+        "                                     [--steps STEPS]\n"
+        "elliptic-dedekind approximate: error: argument --steps: steps must be >= 0, got -1\n",
+    ),
+    (
+        ["sum", "--omega1", "1", "--h", "1,0", "--k", "0,1"],
+        2,
+        "",
+        "error: --omega1 and --omega2 must be given together\n",
+    ),
+]
+
+
+def run_main(capsys, argv):
+    """(exit code, stdout, stderr) of main(argv), the code of a SystemExit included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv, code, out, err", USAGE_GOLDEN)
+def test_usage_golden(capsys, monkeypatch, argv, code, out, err):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_main(capsys, argv) == (code, out, err)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [argv for argv, *_ in USAGE_GOLDEN]
+    + LATER_CALLS
+    + [
+        ["sum", "--h", "1,0", "--k", "0,1", "--bogus"],
+        ["sum", "--h", "1,0", "--k", "0,1", "extra", "words"],
+        ["sum", "--h", "1,0", "--k", "0,1", "--dk", "-8", "--dk", "-7"],
+        ["sum", "--h=1,0", "--k=0,1", "--form", "json"],
+        ["sum", "--", "--h", "1,0"],
+        ["--", "sum", "--h", "1,0", "--k", "0,1"],
+        ["-x", "sum"],
+        ["su"],
+        ["verify"],
+    ],
+)
+def test_subcommand_dispatch_parses_as_the_top_level_parser(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    parser, _ = cli.build_parser()
+
+    def outcome(parse):
+        try:
+            result = vars(parse(list(argv)))
+        except SystemExit as exc:
+            result = exc.code
+        return result, capsys.readouterr()
+
+    assert outcome(cli._parse_args) == outcome(parser.parse_args)
+
+
+def test_each_call_parses_its_arguments_once(capsys, monkeypatch):
+    run_cli(capsys, *LATER_CALLS[0])
+    parsed = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counting(self, *args, **kwargs):
+        parsed.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+    for argv in LATER_CALLS:
+        parsed.clear()
+        assert run_cli(capsys, *argv)[0] == 0
+        assert parsed == [f"elliptic-dedekind {argv[0]}"]
+
+
+# --- The one-pass JSON encoder --------------------------------------------------
+
+
+def recursive_to_json(obj) -> str:
+    """The recursive encoder _to_json replaced, the reference for its bytes."""
+    json_str = json.JSONEncoder(ensure_ascii=False).encode
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return cli._fmt_float(obj)
+    if isinstance(obj, complex):
+        return recursive_to_json({"re": obj.real, "im": obj.imag})
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(recursive_to_json(v) for v in obj) + "]"
+    if isinstance(obj, dict):
+        items = (f"{json_str(str(key))}:{recursive_to_json(val)}" for key, val in obj.items())
+        return "{" + ",".join(items) + "}"
+    return json_str(obj)
+
+
+class Pair(tuple):
+    pass
+
+
+class Record(dict):
+    pass
+
+
+JSON_CORPUS = [
+    {"f64": np.float64(0.1), "arr": [np.float64(-2.5), np.float64(5e-324)], "c": complex(np.float64(1.5), -0.0)},
+    [True, [False, True], None, 1, (True,)],
+    (1, (2, (3,)), [], (), {}, [[]]),
+    {"big": 2**70, "neg": -(2**70), "zero": -0.0, "sub": 5e-324, "tiny": 2.2250738585072014e-308 / 3},
+    {'q"uo\\te': 1, "é ü 雪 \u2028": "\x00\n\t\"", 3: "int key", 0.5: "float key", True: "bool key"},
+    Record(a=Pair((1, 2.0)), b=[Record()]),
+    {"z": [0j, complex(-1e300, 1e-300)], "s": "", "n": 0, "m": -0.0},
+    1e16,
+    "plain",
+]
+
+
+@pytest.mark.parametrize("obj", JSON_CORPUS)
+def test_to_json_matches_the_recursive_encoder(obj):
+    assert cli._to_json(obj) == recursive_to_json(obj)
+
+
+def test_to_json_matches_the_recursive_encoder_on_cli_output(capsys):
+    for argv in LATER_CALLS:
+        doc = json.loads(run_cli(capsys, *argv)[1])
+        assert cli._to_json(doc) == recursive_to_json(doc)
+
+
+@pytest.mark.parametrize(
+    "obj, error",
+    [
+        (np.float64("nan"), ValueError),
+        ({"x": [float("-inf")]}, ValueError),
+        ({"x": {1, 2}}, TypeError),
+        ([np.int64(3)], TypeError),
+        ((b"bytes",), TypeError),
+        (object(), TypeError),
+    ],
+)
+def test_to_json_raises_as_the_recursive_encoder(obj, error):
+    for encode in (cli._to_json, recursive_to_json):
+        with pytest.raises(error):
+            encode(obj)

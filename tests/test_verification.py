@@ -240,6 +240,49 @@ def test_cosets_suite_matches_per_point_loop(dk, f, seed):
     assert run_cosets_suite(order, seed) == cosets_per_point_loop(order, seed)
 
 
+def corrupt_systems(monkeypatch, corrupt):
+    """Let every CosetSystem built from here on pass through corrupt(system) after its own __init__."""
+    init = CosetSystem.__init__
+
+    def corrupted_init(self, *args):
+        init(self, *args)
+        corrupt(self)
+
+    monkeypatch.setattr(CosetSystem, "__init__", corrupted_init)
+
+
+def cosets_residuals(order):
+    """{"count": ..., "inequivalence": ..., "completeness": ...} of the cosets suite at seed 12345."""
+    return {c.name.split("-")[1]: c.residual for c in run_cosets_suite(order, seed=12345)}
+
+
+@pytest.mark.parametrize("dk, f", BATCH_ORDERS)
+def test_cosets_suite_sees_a_wrong_hnf_entry(dk, f, monkeypatch):
+    # A wrong h12 reduces points into the box, but not into their own cosets.
+    order = QuadOrder(dk, f)
+    assert cosets_residuals(order) == {"count": 0, "inequivalence": 0, "completeness": 0}
+
+    def shift_h12(system):
+        system.h12 = (system.h12 + 1) % system.h11
+
+    corrupt_systems(monkeypatch, shift_h12)
+    assert cosets_residuals(order)["completeness"] > 0
+
+
+@pytest.mark.parametrize("dk, f", BATCH_ORDERS)
+def test_cosets_suite_sees_a_wrong_adj_entry(dk, f, monkeypatch):
+    # A wrong adj(M) keys members of kL off zero, or gives two box points one key.
+    order = QuadOrder(dk, f)
+
+    def shift_adj(system):
+        s11, *rest = system.adj
+        system.adj = ((s11 + 1) % system.size, *rest)
+
+    corrupt_systems(monkeypatch, shift_adj)
+    residuals = cosets_residuals(order)
+    assert residuals["completeness"] > 0 or residuals["inequivalence"] > 0
+
+
 def test_suites_keep_no_cache_between_calls(monkeypatch):
     order = QuadOrder(-8)
     enumerations, fills = [], []

@@ -721,3 +721,30 @@ def test_ellipse_bounds_list_exactly_the_points_of_norm_below_n_squared(dk, f, m
         assert tried == [(s, t) for _, s, t in expected]
         listed += len(tried)
     assert listed >= 50
+
+
+# d_sum's bytes for three CI README pairs: an exact walk, a walk with extra steps and
+# nine constants on (-8, 3), and a cusp stop on d = -20.  float.hex tells -0.0 from 0.0.
+PINNED_WALKS = [
+    ((-8, 1), (9468929, 0), (19274752, 4818688), complex(0.0, 1.9932968950132759)),
+    ((-8, 3), (3313, 0), (4584, 382), complex(-1.2688263138573217e-16, 0.2202238226108405)),
+    ((-20, 1), (11, 1), (10, 0), complex(0.0, -12.046944869704721)),
+]
+
+
+@pytest.mark.parametrize("order_key, h, k, expected", PINNED_WALKS)
+def test_walk_value_bits_are_pinned(order_key, h, k, expected):
+    ctx = SumContext(QuadOrder(*order_key))
+    z = d_sum(ctx.order.element(*h), ctx.order.element(*k), ctx)
+    assert (z.real.hex(), z.imag.hex()) == (expected.real.hex(), expected.imag.hex())
+
+
+def test_walk_to_zero_with_negative_sign_gives_positive_zero():
+    # 11 is taken to -11 mod 2 + 5*theta, whose walk ends at R = 0: the value is +0 + 0i.
+    ctx = SumContext(QuadOrder(-8))
+    h, k = ctx.order.element(11), ctx.order.element(2, 5)
+    sign, walk = _signed_walk(h, k)
+    assert (sign, walk.r) == (-1, 0)
+    z = d_sum(h, k, ctx)
+    assert z == 0j
+    assert math.copysign(1, z.real) > 0 and math.copysign(1, z.imag) > 0
