@@ -164,8 +164,9 @@ def find_prime(target: Target, *, after: int = 0) -> int:
 
     Chaining `p = find_prime(target, after=p)` walks the progression's primes
     in order.  At most _MAX_CANDIDATES terms above `after` are tested, so a
-    search that cannot succeed raises SearchLimitError.  Only Miller-Rabin runs:
-    reciprocity makes d^2*e^2 + 4*d a square mod every progression prime.
+    search that cannot succeed raises SearchLimitError.  Only the primality test
+    runs (ring.is_probable_prime, a proof below 3.3e24): reciprocity makes
+    d^2*e^2 + 4*d a square mod every progression prime.
     """
     r, m = target.progression
     lo = max(after, 1)  # 1 is no prime
@@ -266,9 +267,12 @@ def approximate_real(r: float, order: QuadOrder, tol: float = 1e-2) -> tuple[Tar
 
     Picks an odd prime denominator b > 4/tol coprime to 2d, so the grid
     {2a/b} meets every tol-ball and one progression prime finishes the job.
+    Raises ValueError unless r is finite and tol positive (NaN is not).
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not math.isfinite(r):
+        raise ValueError(f"r must be finite, got {r}")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
     d = abs(order.discriminant)
     b = max(5, int(math.ceil(4.0 / tol)) | 1)
     while not (is_probable_prime(b) and (2 * d) % b != 0):

@@ -62,6 +62,12 @@ _A014233 = (
 _MR_DETERMINISTIC_BOUND = _A014233[-1]
 # Random witnesses above that bound: a composite passes with odds below 4**-40.
 _MR_RANDOM_ROUNDS = 40
+# From psi_4 to 2^64 one strong base-2 round and one strong Lucas test (Baillie-PSW)
+# are a proof, and cost less per prime than the 5 to 12 witnesses of the tiers.
+# psi_4 is the first A014233 boundary past the crossover: near 1e9 to 2e9 a prime
+# costs the same under Baillie-PSW and the 4-witness tier.
+_BPSW_FROM = _A014233[3]
+_BPSW_BELOW = 1 << 64
 
 _EUCLIDEAN_DK = (-3, -4, -7, -8, -11)
 
@@ -252,12 +258,67 @@ def _miller_rabin_round(n: int, a: int, d: int, s: int) -> bool:
     return False
 
 
-def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin primality test, after trial division by the primes below 1000.
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test of the odd n > 1, Selfridge's method A.
 
-    Below _MR_DETERMINISTIC_BOUND (3.3e24) it is a proof: it runs the first k
-    of _MR_WITNESSES, k the least with n < psi_k in A014233.  Above, it runs
-    _MR_RANDOM_ROUNDS = 40 random witnesses seeded by n.
+    D is the first of 5, -7, 9, -11, ... with Jacobi symbol (D|n) = -1, P = 1
+    and Q = (1 - D)/4.  n passes when U_d = 0 or V_(d*2^r) = 0 (mod n) for some
+    0 <= r < s, where n + 1 = d*2^s, d odd.  A perfect square has no such D and
+    is rejected first; a Jacobi symbol 0 means gcd(D, n) > 1, so n is composite
+    unless n = |D|.  Q is then a unit mod n: each odd prime factor of Q is below
+    |D|, so it (or 9, for 3) was an earlier |D| coprime to n.
+
+    The ladder runs on g = alpha/beta, alpha and beta the roots of
+    x^2 - P*x + Q, whose traces W_k = g^k + g^-k = V_2k / Q^k obey
+    W_2k = W_k^2 - 2 and W_(2k+1) = W_k*W_(k+1) - W_1, with W_1 = 1/Q - 2: two
+    products per bit and no power of Q.  V_(d*2^r) = Q^(d*2^(r-1)) * W_(d*2^(r-1))
+    for r >= 1.  For r = 0, U_d = 0 or V_d = 0 says alpha^d = +-beta^d, that is
+    g^d = e with e = +-1, as alpha - beta (its square is D) is a unit.  g^d = e
+    holds exactly when W_d = 2e and W_(d+1) = e*W_1, since the trace form on
+    Z_n[g] has determinant D/Q^2, a unit.
+    """
+    if math.isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:
+            return abs(D) == n
+        D = -D - 2 if D > 0 else 2 - D
+    w1 = (pow((1 - D) // 4, -1, n) - 2) % n
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    d = (n + 1) >> s
+    v, w = w1, (w1 * w1 - 2) % n  # (W_k, W_(k+1)) from k = 1, down the bits of d
+    for bit in bin(d)[3:]:
+        if bit == "1":
+            v, w = (v * w - w1) % n, (w * w - 2) % n
+        else:
+            v, w = (v * v - 2) % n, (v * w - w1) % n
+    if (v == 2 and w == w1) or (v == n - 2 and w == n - w1):
+        return True
+    for _ in range(s - 1):
+        if v == 0:
+            return True
+        v = (v * v - 2) % n
+    return False
+
+
+def is_probable_prime(n: int) -> bool:
+    """Primality test: a proof below 3.3e24, 40 seeded Miller-Rabin rounds above.
+
+    Five regimes, by the size of n.  Above 997, one gcd with _PRIMORIAL, the
+    product of the primes below 1000, first does the trial division.
+
+    - n <= 997: membership in the primes below 1000;
+    - below _BPSW_FROM = psi_4: the first k of _MR_WITNESSES, k <= 4 the least
+      with n < psi_k in A014233 (G. Jaeschke, Math. Comp. 61, 1993);
+    - from psi_4 to 2^64: Baillie-PSW, a strong base-2 Miller-Rabin round and
+      _strong_lucas (R. Baillie and S. S. Wagstaff Jr., Lucas pseudoprimes,
+      Math. Comp. 35, 1980).  It is a proof there: no strong base-2
+      pseudoprime in J. Feitsma and W. Galway's list of the base-2
+      pseudoprimes below 2^64 passes the strong Lucas test;
+    - from 2^64 to _MR_DETERMINISTIC_BOUND (3.3e24): the first 12 or 13
+      witnesses, by A014233;
+    - above: _MR_RANDOM_ROUNDS = 40 random witnesses seeded by n.
     """
     if n <= _SMALL_PRIMES[-1]:
         return n in _SMALL_PRIME_SET
@@ -265,12 +326,17 @@ def is_probable_prime(n: int) -> bool:
         return False
     s = ((n - 1) & (1 - n)).bit_length() - 1
     d = (n - 1) >> s
+    if _BPSW_FROM <= n < _BPSW_BELOW:
+        return _miller_rabin_round(n, 2, d, s) and _strong_lucas(n)
     if n < _MR_DETERMINISTIC_BOUND:
         witnesses = _MR_WITNESSES[: bisect.bisect_right(_A014233, n) + 1]
     else:
         rng = random.Random(n)  # seeded by n: reproducible verdicts
         witnesses = tuple(rng.randrange(2, n - 1) for _ in range(_MR_RANDOM_ROUNDS))
-    return all(_miller_rabin_round(n, a, d, s) for a in witnesses)
+    for a in witnesses:
+        if not _miller_rabin_round(n, a, d, s):
+            return False
+    return True
 
 
 def _is_squarefree(n: int) -> bool:

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import hashlib
 import io
 import json
 import os
@@ -320,6 +321,18 @@ def test_approximate_json_determinism(capsys):
     _, out1, _ = run_cli(capsys, *args)
     _, out2, _ = run_cli(capsys, *args)
     assert out1 == out2
+
+
+def test_approximate_json_bytes_at_large_primes(capsys):
+    # p reaches 4.1e16, where Baillie-PSW decides each candidate; the bytes are
+    # those the A014233 witness tiers gave.
+    code, out, _ = run_cli(
+        capsys, "approximate", "--a", "4999", "--b", "10007", "--dk", "-7", "--steps", "40", "--format", "json"
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "1a1cef8df148d83deee8ab2ffdc56456be6d841f3a7de1c24ff78039bb0ec3ed"
+    )
 
 
 def assert_usage_error(*argv):

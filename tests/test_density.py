@@ -24,6 +24,7 @@ from elliptic_dedekind import (
     normalize_value,
     sqrt_discriminant,
 )
+from test_ring import thirteen_witness_test
 
 
 # |d| <= 50 on maximal and non-maximal, Euclidean and non-Euclidean orders.
@@ -181,8 +182,25 @@ def test_last_prime_of_long_chains(a, b, dk, steps, last_p):
     assert last.p == last_p
 
 
+@pytest.mark.parametrize(
+    "a, b, dk, steps",
+    [(1, 3, -8, 150), (2, 5, -7, 150), (5, 7, -11, 150), (1234, 10007, -8, 40), (4999, 10007, -7, 40)],
+)
+def test_prime_chains_match_thirteen_witnesses(a, b, dk, steps):
+    # The bench's targets: every candidate of the progression up to the last
+    # prime gets the same verdict from the 13-witness reference.
+    target = Target(a, b, QuadOrder(dk))
+    r, m = target.progression
+    reference, candidate = [], r
+    while len(reference) < steps:
+        if thirteen_witness_test(candidate):
+            reference.append(candidate)
+        candidate += m
+    assert [step.p for step in approximate(target, steps)] == reference
+
+
 def test_construct_a3_closed_form_at_large_primes():
-    # p from 8e12 to 8e15: the 5- and 9-witness Miller-Rabin tiers run, and A3
+    # p from 8e12 to 8e15: Baillie-PSW decides each candidate, and A3
     # is still A2^-1 @ A1.
     order = QuadOrder(-8)
     one = order.one()
@@ -306,6 +324,18 @@ def test_approximate_real_density_realization():
         target, step = approximate_real(r, order, tol=1e-2)
         assert abs(step.dtilde - r) < 1e-2
         assert math.gcd(target.b, 2 * abs(order.discriminant)) == 1
+
+
+@pytest.mark.parametrize("r", [math.inf, -math.inf, math.nan])
+def test_approximate_real_rejects_non_finite_r(r):
+    with pytest.raises(ValueError, match="r must be finite"):
+        approximate_real(r, QuadOrder(-8))
+
+
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-2])
+def test_approximate_real_rejects_tol_that_is_not_positive(tol):
+    with pytest.raises(ValueError, match="tol must be positive"):
+        approximate_real(0.5, QuadOrder(-8), tol=tol)
 
 
 def test_convergence_random_admissible_targets():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -19,7 +20,14 @@ from elliptic_dedekind import (
     sqrt_discriminant,
     sqrt_mod,
 )
-from elliptic_dedekind.ring import _rounded_quotient, _sieve
+from elliptic_dedekind.ring import (
+    _BPSW_BELOW,
+    _BPSW_FROM,
+    _jacobi,
+    _rounded_quotient,
+    _sieve,
+    _strong_lucas,
+)
 
 
 def primes_below(n):
@@ -331,6 +339,139 @@ def test_is_probable_prime_known_values():
     assert is_probable_prime(2**61 - 1)
     assert not is_probable_prime(561)  # Carmichael
     assert not is_probable_prime(1)
+
+
+# --- Baillie-PSW, from psi_4 to 2^64 -------------------------------------------
+
+# OEIS A217255: the strong Lucas pseudoprimes of Selfridge's method A, from the start.
+A217255_START = (
+    5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519, 75077, 97439, 100127, 113573
+)
+
+
+def textbook_strong_lucas(n):
+    """The reference: strong Lucas test of the odd n > 1 on the (U_k, V_k, Q^k) ladder."""
+    if math.isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while True:
+        j = _jacobi(D, n)
+        if j == -1:
+            break
+        if j == 0 and abs(D) != n:
+            return False
+        D = -D - 2 if D > 0 else 2 - D
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    half = (n + 1) // 2
+    u, v, qk = 1, 1, Q % n  # k = 1, P = 1
+    for bit in bin(d)[3:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            u, v, qk = (u + v) * half % n, (D * u + v) * half % n, qk * Q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+        if v == 0:
+            return True
+    return False
+
+
+def test_strong_lucas_pseudoprimes_below_200000():
+    limit = 200_000
+    primes = set(_sieve(limit))
+    passed = [n for n in range(3, limit, 2) if _strong_lucas(n)]
+    assert primes - set(passed) == {2}
+    pseudoprimes = [n for n in passed if n not in primes]
+    assert pseudoprimes[: len(A217255_START)] == list(A217255_START)
+    # Baillie-PSW: none of them is also a strong pseudoprime to base 2.
+    assert not any(is_strong_probable_prime(n, (2,)) for n in pseudoprimes)
+    # The W_k ladder gives the textbook verdict, pseudoprimes included.
+    assert all(textbook_strong_lucas(n) == _strong_lucas(n) for n in range(3, 50_000, 2))
+    assert all(textbook_strong_lucas(n) for n in pseudoprimes)
+
+
+def random_factor_pair(rng, m, bits):
+    """p*(m*p - m + 1) with both factors prime and p about `bits` bits long."""
+    while True:
+        p = rng.randrange(1 << (bits - 1), 1 << bits) | 1
+        q = m * p - m + 1
+        if is_strong_probable_prime(p, (2,)) and is_strong_probable_prime(q, (2,)):
+            if thirteen_witness_test(p) and thirteen_witness_test(q):
+                return p * q
+
+
+@pytest.fixture(scope="module")
+def bpsw_range_composites():
+    """Composites in [_BPSW_FROM, 2^64) of the shapes that fool single tests."""
+    rng = random.Random(7)
+    limit = 4_400_000
+    is_prime = bytearray([1]) * limit
+    is_prime[:2] = b"\x00\x00"
+    for p in range(2, math.isqrt(limit) + 1):
+        if is_prime[p]:
+            is_prime[p * p :: p] = bytes(len(range(p * p, limit, p)))
+    out = []
+    # p*(2p - 1) and p*(4p - 3), both factors prime: the shapes of most strong
+    # pseudoprimes.  The first 1000 such products from the cut up, then random ones to 2^64.
+    for m in (2, 4):
+        pairs = (p * (m * p - m + 1) for p in itertools.count(3, 2) if is_prime[p] and is_prime[m * p - m + 1])
+        out += itertools.islice((n for n in pairs if n >= _BPSW_FROM), 1000)
+        out += [random_factor_pair(rng, m, rng.randrange(23, 32)) for _ in range(100)]  # m*p^2 < 2^64
+    # Chernick's Carmichael numbers (6k + 1)(12k + 1)(18k + 1).
+    for k in range(1, 242_000):
+        if is_prime[6 * k + 1] and is_prime[12 * k + 1] and is_prime[18 * k + 1]:
+            n = (6 * k + 1) * (12 * k + 1) * (18 * k + 1)
+            if _BPSW_FROM <= n < _BPSW_BELOW:
+                out.append(n)
+    # Squares of primes, for which Selfridge's search finds no D.
+    out += [p * p for p in range(math.isqrt(_BPSW_FROM) + 1, limit) if is_prime[p]][:300]
+    out += [p * p for p in (4294967291, 4294967279, 4294967231)]  # the largest primes below 2^32
+    # psi_5 ... psi_9 of A014233, strong pseudoprimes to base 2.
+    out += A014233[4:9]
+    assert all(_BPSW_FROM <= n < _BPSW_BELOW and not thirteen_witness_test(n) for n in out)
+    return out
+
+
+def test_bpsw_range_structured_composites(bpsw_range_composites):
+    assert len(bpsw_range_composites) > 2000
+    assert all(is_strong_probable_prime(psi, (2,)) for psi in A014233[4:9])
+    assert not any(is_probable_prime(n) for n in bpsw_range_composites)
+    assert all(_strong_lucas(n) == textbook_strong_lucas(n) for n in bpsw_range_composites[::5])
+
+
+def test_is_probable_prime_matches_thirteen_witnesses_in_the_bpsw_range():
+    rng = random.Random(8)
+    low = _BPSW_FROM.bit_length()
+    primes = 0
+    for _ in range(20_000):
+        bits = rng.randrange(low, 65)  # every size of the range, not only its top octave
+        n = rng.randrange(max(_BPSW_FROM, 1 << (bits - 1)), min(_BPSW_BELOW, 1 << bits)) | 1
+        verdict = is_probable_prime(n)
+        assert verdict == thirteen_witness_test(n), n
+        primes += verdict
+    assert primes > 400
+    # Every odd n within 4 of either end of the range, on both sides of it.
+    ends = [n for c in (_BPSW_FROM, _BPSW_BELOW) for n in range(c - 4, c + 5) if n % 2]
+    assert len(ends) == 9
+    assert [is_probable_prime(n) for n in ends] == [thirteen_witness_test(n) for n in ends]
+    assert _BPSW_FROM == A014233[3]
+
+
+def test_is_probable_prime_agrees_with_sympy(bpsw_range_composites):
+    sympy = pytest.importorskip("sympy")
+    from sympy.ntheory.primetest import is_strong_lucas_prp
+
+    assert all(is_strong_lucas_prp(n) == _strong_lucas(n) for n in range(3, 10_000, 2))
+    assert all(is_strong_lucas_prp(n) == _strong_lucas(n) for n in bpsw_range_composites[::10])
+    rng = random.Random(9)
+    for _ in range(2_000):
+        n = rng.randrange(_BPSW_FROM, _BPSW_BELOW)
+        assert is_probable_prime(n) == sympy.isprime(n), n
 
 
 # --- QuadOrder / OrderElem ----------------------------------------------------
