@@ -200,7 +200,3 @@ class CosetSystem:
         neg = self.index((-a, -b))
         keep = idx < neg
         return idx[keep], neg[keep], a[keep], b[keep]
-
-    def in_sublattice(self, delta: tuple[int, int]) -> bool:
-        """Exact test whether dx*omega1 + dy*omega2 lies in kL."""
-        return self.torsion_key(int(delta[0]), int(delta[1])) == (0, 0)

@@ -41,12 +41,14 @@ E2(0)*I(x1/(k*c_n)): the first law, stopped early.  The law is in D_L units,
 so it needs no real j and no nonzero E2(0).  R and w are exact, each step
 chosen in integers, with no norm bound.  Each constant D_L(alpha, gamma), and
 the cusp's D_L(r, t), is an E1-table sum on the lattice itself at N(gamma),
-at most the gamma bound (_walk_value).  A walk to c = 0 with no constant --
-every walk on d_K = -7, -8, -11 -- gives Dtilde = R exactly (d_norm_exact).
+at most the gamma bound: _walk_value passes them all to _d_sum_tables.  A
+walk to c = 0 with no constant -- every walk on d_K = -7, -8, -11 -- gives
+Dtilde = R exactly (d_norm_exact).
 
-The E1 table sums the walk's small tables and, at N(k), is the reference the
-suites and tests check the walk against (_d_sum_tables, one E1 evaluation
-for the tables of all its pairs).  CosetSystem(k) gives the box
+_d_sum_tables is the one path from pairs to E1-table values: one E1
+evaluation for the tables of all its distinct k, one table sum per distinct
+pair.  It sums the walk's small tables and, at N(k), is the reference the
+suites and tests check the walk against.  CosetSystem(k) gives the box
 {a*omega1 + b*omega2 : 0 <= a < h11, 0 <= b < h22}, a transversal of L/kL
 with N(k) members, stored column by column at
 CosetSystem.index((a, b)) = b*h11 + a.  Each torsion point mu/k is
@@ -69,6 +71,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Sequence
 from fractions import Fraction
 
 import numpy as np
@@ -85,9 +88,9 @@ from .errors import (
     ZeroDivisorError,
 )
 from .lattice import Lattice
-from .ring import OrderElem, QuadOrder
+from .ring import OrderElem, QuadOrder, _add, _mul, _norm, _sub
 from .ring import egcd_order  # noqa: F401  (unused here; bench/tracing.py rebinds it to count calls)
-from .sl2 import Mat2, _add, _column, _mul, _norm, _signed_walk, _sub, _Walk
+from .sl2 import Mat2, _column, _signed_walk, _Walk
 
 __all__ = [
     "Mat2",
@@ -198,19 +201,21 @@ def _table_sum(h: OrderElem, system: CosetSystem, table: np.ndarray, ctx: SumCon
     return 2 * total / system.k.embed()
 
 
-def _d_sum_tables(pairs: list[tuple[OrderElem, OrderElem]], ctx: SumContext) -> list[complex]:
-    """D_L(h, k) for each (h, k) in `pairs`, each from one E1 table at N(k): the reference the walk is checked against.
+def _d_sum_tables(pairs: Sequence[tuple[OrderElem, OrderElem]], ctx: SumContext) -> list[complex]:
+    """D_L(h, k) for each (h, k) in `pairs`, each from one E1 table at N(k): the walk's constants and its reference.
 
-    Every pair is checked first: ctx._check, h = 0 gives 0/k, and N(k) >= 2**31
-    raises PreconditionError, before any table is built.  The tables of the
-    distinct k then share one E1 evaluation (_e1_tables), and each value is
-    one _table_sum, bit for bit the value of the pair alone.
+    Each distinct pair is checked first, in first-seen order: ctx._check,
+    h = 0 gives 0/k, and N(k) >= 2**31 raises PreconditionError, before any
+    table is built.  The tables of the distinct k then share one E1
+    evaluation (_e1_tables), and each distinct pair is one _table_sum, bit
+    for bit the value of the pair alone.
     """
-    zeros, systems = {}, {}
-    for i, (h, k) in enumerate(pairs):
+    distinct = dict.fromkeys(pairs)
+    values, systems = {}, {}
+    for h, k in distinct:
         ctx._check(h, k)
         if h.is_zero():
-            zeros[i] = d_sum(h, k, ctx)
+            values[h, k] = d_sum(h, k, ctx)
         elif k not in systems:
             system = CosetSystem(k, ctx.lattice)
             if system.size >= _MAX_NORM:
@@ -218,9 +223,9 @@ def _d_sum_tables(pairs: list[tuple[OrderElem, OrderElem]], ctx: SumContext) -> 
                     f"N(k) = {system.size} is at or above {_MAX_NORM} = 2**31, the bound for exact int64 coset indices"
                 )
             systems[k] = system
-    filled = _e1_tables(list(systems.values())) if systems else []
-    tables = dict(zip(systems, zip(systems.values(), filled)))
-    return [zeros[i] if i in zeros else _table_sum(h, *tables[k], ctx) for i, (h, k) in enumerate(pairs)]
+    tables = dict(zip(systems, _e1_tables(list(systems.values())))) if systems else {}
+    values.update({(h, k): _table_sum(h, systems[k], tables[k], ctx) for h, k in distinct if (h, k) not in values})
+    return [values[pair] for pair in pairs]
 
 
 def _d_sum_table(h: OrderElem, k: OrderElem, ctx: SumContext) -> complex:
@@ -235,27 +240,23 @@ def _d_sum_table(h: OrderElem, k: OrderElem, ctx: SumContext) -> complex:
 def _walk_value(sign: int, walk: _Walk, ctx: SumContext) -> complex:
     """D_L(h, k) from (sign, walk) = _signed_walk(h, k), by the laws of the module docstring.
 
-    The constants D_L(alpha, gamma) of one gamma, and the cusp's D_L(r, t),
-    share one CosetSystem and its E1 table, and one E1 evaluation fills
-    every table of the walk (_e1_tables).  A pair the walk meets again
-    is summed once; the constants are subtracted in walk order.  R is one
-    Fraction, and sign*R is rounded to a float by one integer division, so
-    R = 0 gives +0.0 for either sign.
+    R is one Fraction, and sign*R is rounded to a float by one integer
+    division, so R = 0 gives +0.0 for either sign; an exact walk ends there.
+    Otherwise the constants, then the cusp's D_L(r, t), go to _d_sum_tables,
+    and the constants are subtracted in walk order.
     """
     r = walk.r
     value = 1j * math.sqrt(abs(ctx.order.discriminant)) * ctx.lattice.e2_zero() * (sign * r.numerator / r.denominator)
-    pairs = walk.constants + (() if walk.cusp is None else (walk.cusp[:2],))
-    if pairs:
-        gammas = list(dict.fromkeys(gamma for _, gamma in pairs))
-        systems = [CosetSystem(gamma, ctx.lattice) for gamma in gammas]
-        tables = dict(zip(gammas, zip(systems, _e1_tables(systems))))
-        sums = {(alpha, gamma): _table_sum(alpha, *tables[gamma], ctx) for alpha, gamma in set(pairs)}
-        value -= sign * sum(sums[pair] for pair in walk.constants)
+    if walk.exact:
+        return value
+    sums = _d_sum_tables(walk.constants + (() if walk.cusp is None else (walk.cusp[:2],)), ctx)
+    n = len(walk.constants)
+    value -= sign * sum(sums[:n])
     if walk.cusp is not None:
         r, t, (wu, wv) = walk.cusp
         w = float(wu) + float(wv) * ctx.order.theta_embedding()
         e2_b, e2_conj_b = (_colon_lattice(b, t.u, ctx.lattice).e2_zero() for b in (r, r.conjugate()))
-        value += sign * (sums[r, t] + e2_b * w - e2_conj_b * w.conjugate())
+        value += sign * (sums[n] + e2_b * w - e2_conj_b * w.conjugate())
     return value
 
 

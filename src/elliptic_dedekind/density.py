@@ -266,18 +266,21 @@ def approximate_real(r: float, order: QuadOrder, tol: float = 1e-2) -> tuple[Tar
     """A target and a single step whose dtilde lands within tol of the real r.
 
     Picks an odd prime denominator b > 4/tol coprime to 2d, so the grid
-    {2a/b} meets every tol-ball and one progression prime finishes the job.
-    Raises ValueError unless r is finite and tol positive (NaN is not).
+    {2a/b} meets every tol-ball and one progression prime finishes the job;
+    a = round(r*b/2) is exact.  Raises ValueError unless r is finite and tol
+    positive (NaN is not) with 4/tol finite.
     """
     if not math.isfinite(r):
         raise ValueError(f"r must be finite, got {r}")
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
+    if math.isinf(4.0 / tol):
+        raise ValueError(f"tol = {tol} is too small: 4/tol overflows a float")
     d = abs(order.discriminant)
-    b = max(5, int(math.ceil(4.0 / tol)) | 1)
+    b = max(5, math.ceil(4.0 / tol) | 1)
     while not (is_probable_prime(b) and (2 * d) % b != 0):
         b += 2
-    a = round(r * b / 2.0)
+    a = round(Fraction(r) * b / 2)
     if a % b == 0:
         a += 1
     target = Target(a, b, order)

@@ -6,7 +6,10 @@ even when d_K is odd.  theta satisfies
 
     theta^2 = (f*d_K)*theta - f^2*(d_K^2 - d_K)/4,
 
-both coefficients integers for any fundamental discriminant.
+both coefficients integers for any fundamental discriminant.  That rule, and
+the product, conjugate product, norm and rounded quotient built on it, are
+written once, on int pairs (u, v) (_mul, _times_conj, _norm, _rounded_coords):
+OrderElem and the SL2(O) walk of sl2 both use them.
 """
 
 from __future__ import annotations
@@ -70,6 +73,9 @@ _BPSW_FROM = _A014233[3]
 _BPSW_BELOW = 1 << 64
 
 _EUCLIDEAN_DK = (-3, -4, -7, -8, -11)
+
+# An element u + v*theta of an order as the int pair (u, v).
+_Pair = tuple[int, int]
 
 
 def _sieve(limit: int) -> list[int]:
@@ -444,11 +450,8 @@ class OrderElem:
         if not isinstance(other, OrderElem):
             return NotImplemented
         self._check(other)
-        # (u1 + v1 t)(u2 + v2 t) with t^2 = trace*t - norm
-        t, n = self.order.theta_trace, self.order.theta_norm
-        u = self.u * other.u - self.v * other.v * n
-        v = self.u * other.v + self.v * other.u + self.v * other.v * t
-        return OrderElem(u, v, self.order)
+        order = self.order
+        return OrderElem(*_mul((self.u, self.v), (other.u, other.v), order.theta_trace, order.theta_norm), order)
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -459,7 +462,7 @@ class OrderElem:
         return OrderElem(self.u + self.v * self.order.theta_trace, -self.v, self.order)
 
     def norm(self) -> int:
-        return self.u * self.u + self.u * self.v * self.order.theta_trace + self.v * self.v * self.order.theta_norm
+        return _norm((self.u, self.v), self.order.theta_trace, self.order.theta_norm)
 
     def embed(self) -> complex:
         o = self.order
@@ -514,17 +517,53 @@ def _rounded_coords(u: int, v: int, n: int, c0: int) -> tuple[int, int]:
     return _round_half_to_zero(u + c0 * v, n) - c0 * t, t
 
 
-def _rounded_quotient(num: OrderElem, n: int) -> OrderElem:
-    """num/n rounded as _rounded_coords rounds it, as an element of num's order."""
-    order = num.order
-    return OrderElem(*_rounded_coords(num.u, num.v, n, order.theta_trace // 2), order)
+def _mul(x: _Pair, y: _Pair, tr: int, nt: int) -> _Pair:
+    """x*y, with theta^2 = tr*theta - nt."""
+    (xu, xv), (yu, yv) = x, y
+    return xu * yu - xv * yv * nt, xu * yv + xv * yu + xv * yv * tr
+
+
+def _times_conj(x: _Pair, y: _Pair, tr: int, nt: int) -> _Pair:
+    """x*conj(y), with conj(u + v*theta) = (u + v*tr) - v*theta."""
+    (xu, xv), (yu, yv) = x, y
+    return xu * yu + xu * yv * tr + xv * yv * nt, xv * yu - xu * yv
+
+
+def _norm(x: _Pair, tr: int, nt: int) -> int:
+    u, v = x
+    return u * u + u * v * tr + v * v * nt
+
+
+def _add(x: _Pair, y: _Pair) -> _Pair:
+    return x[0] + y[0], x[1] + y[1]
+
+
+def _sub(x: _Pair, y: _Pair) -> _Pair:
+    return x[0] - y[0], x[1] - y[1]
+
+
+def _combine(p: _Pair, x: _Pair, q: _Pair, y: _Pair, tr: int, nt: int) -> _Pair:
+    """p*x + q*y."""
+    return _add(_mul(p, x, tr, nt), _mul(q, y, tr, nt))
+
+
+def _generates(x: _Pair, y: _Pair, tr: int, nt: int) -> bool:
+    """Whether the ideal (x, y) is the whole order.
+
+    (x, y) is the Z-span of x, x*theta, y and y*theta; its index in
+    O = Z + Z*theta is the gcd of the 2x2 minors of their coordinates.  Those
+    minors are N(x), N(y), the two coordinates of x*conj(y) up to sign, and
+    integer combinations of these, so the index is their gcd.
+    """
+    u, v = _times_conj(x, y, tr, nt)
+    return math.gcd(_norm(x, tr, nt), _norm(y, tr, nt), u, v) == 1
 
 
 def egcd_order(alpha: OrderElem, beta: OrderElem) -> tuple[OrderElem, OrderElem, OrderElem]:
     """Extended gcd in a norm-Euclidean order: alpha*x + beta*y = g.
 
     g generates the ideal (alpha, beta).  Division rounds the quotient
-    (_rounded_quotient); in the corner cases of d_k = -7, -11 where that does
+    (_rounded_coords); in the corner cases of d_k = -7, -11 where that does
     not lower the norm, the nearest point of the 3x3 block around it is taken.
     """
     alpha._check(beta)
@@ -539,7 +578,8 @@ def egcd_order(alpha: OrderElem, beta: OrderElem) -> tuple[OrderElem, OrderElem,
     c0 = order.theta_trace // 2
     while not r1.is_zero():
         n = r1.norm()
-        q = _rounded_quotient(r0 * r1.conjugate(), n)
+        num = r0 * r1.conjugate()
+        q = OrderElem(*_rounded_coords(num.u, num.v, n, c0), order)
         if (r0 - q * r1).norm() >= n:
             near = (q + OrderElem(ds - c0 * dt, dt, order) for ds in (-1, 0, 1) for dt in (-1, 0, 1))
             q = min(near, key=lambda qq: (r0 - qq * r1).norm())

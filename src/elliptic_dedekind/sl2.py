@@ -17,8 +17,9 @@ at (h, k), and takes the first M with N(gamma*a + delta*c) < N(c):
     finds alpha and beta.
 
 Every step, test and completion runs on int pairs (u, v) for u + v*theta,
-and so do Mat2 products and the unimodularity test; OrderElems are built only
-from h, k, for the values the walk returns and for the entries of a Mat2.
+with ring's pair arithmetic (_mul, _times_conj, _norm, ...), and so do Mat2
+products and the unimodularity test; OrderElems are built only from h, k, for
+the values the walk returns and for the entries of a Mat2.
 
 The steps keep the ideal (a, c) = (h, k), and a = x0*h, c = x1*h mod k for
 the first column (x0, x1) of P = M_n...M_1.  On a principal (h, k) the walk
@@ -41,7 +42,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConstructionError, NotUnimodularError, OrderMismatchError, SearchLimitError
-from .ring import OrderElem, QuadOrder, _rounded_coords, inverse_mod
+from .ring import OrderElem, QuadOrder, _add, _combine, _generates, _mul, _norm, _Pair, _rounded_coords, _sub
+from .ring import _times_conj, inverse_mod
 
 __all__ = ["Mat2"]
 
@@ -50,9 +52,6 @@ __all__ = ["Mat2"]
 # |disc| = 507, needed at most 72 and 4.03*|disc|.
 _GAMMA_NORM = 72
 _GAMMA_DISC = 8
-
-# An element u + v*theta of the order as the int pair (u, v).
-_Pair = tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -120,42 +119,6 @@ class Mat2:
         return max(self.a.norm(), self.b.norm(), self.c.norm(), self.d.norm())
 
 
-def _mul(x: _Pair, y: _Pair, tr: int, nt: int) -> _Pair:
-    """x*y, with theta^2 = tr*theta - nt."""
-    (xu, xv), (yu, yv) = x, y
-    return xu * yu - xv * yv * nt, xu * yv + xv * yu + xv * yv * tr
-
-
-def _times_conj(x: _Pair, y: _Pair, tr: int, nt: int) -> _Pair:
-    """x*conj(y), with conj(u + v*theta) = (u + v*tr) - v*theta."""
-    (xu, xv), (yu, yv) = x, y
-    return xu * yu + xu * yv * tr + xv * yv * nt, xv * yu - xu * yv
-
-
-def _norm(x: _Pair, tr: int, nt: int) -> int:
-    u, v = x
-    return u * u + u * v * tr + v * v * nt
-
-
-def _add(x: _Pair, y: _Pair) -> _Pair:
-    return x[0] + y[0], x[1] + y[1]
-
-
-def _sub(x: _Pair, y: _Pair) -> _Pair:
-    return x[0] - y[0], x[1] - y[1]
-
-
-def _combine(p: _Pair, x: _Pair, q: _Pair, y: _Pair, tr: int, nt: int) -> _Pair:
-    """p*x + q*y."""
-    return _add(_mul(p, x, tr, nt), _mul(q, y, tr, nt))
-
-
-def _generates(x: _Pair, y: _Pair, tr: int, nt: int) -> bool:
-    """Whether the ideal (x, y) is the whole order (see _generates_order)."""
-    u, v = _times_conj(x, y, tr, nt)
-    return math.gcd(_norm(x, tr, nt), _norm(y, tr, nt), u, v) == 1
-
-
 def _column(a: _Pair, c: _Pair, tr: int, nt: int, c0: int) -> tuple[_Pair, _Pair] | None:
     """(b, d) with [[a, b], [c, d]] in SL2(O) for c != 0, or None unless gcd(N(a), N(c)) = 1.
 
@@ -174,13 +137,7 @@ def _column(a: _Pair, c: _Pair, tr: int, nt: int, c0: int) -> tuple[_Pair, _Pair
 
 
 def _generates_order(h: OrderElem, k: OrderElem) -> bool:
-    """Whether the ideal (h, k) is the whole order, decided exactly.
-
-    (h, k) is the Z-span of h, h*theta, k and k*theta; its index in
-    O = Z + Z*theta is the gcd of the 2x2 minors of their coordinates.  Those
-    minors are N(h), N(k), the two coordinates of h*conj(k) up to sign, and
-    integer combinations of these, so the index is their gcd.
-    """
+    """Whether the ideal (h, k) is the whole order, decided exactly (ring._generates)."""
     h._check(k)
     return _generates((h.u, h.v), (k.u, k.v), h.order.theta_trace, h.order.theta_norm)
 

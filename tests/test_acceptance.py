@@ -229,7 +229,7 @@ def test_criterion_7_coset_layer():
             for i in range(n):
                 for j in range(i + 1, n):
                     delta = (int(coords[i, 0] - coords[j, 0]), int(coords[i, 1] - coords[j, 1]))
-                    if system.in_sublattice(delta):
+                    if system.torsion_key(*delta) == (0, 0):
                         failures += 1
     elapsed = time.time() - started
     report(

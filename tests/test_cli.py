@@ -182,6 +182,28 @@ def test_sum_custom_basis(capsys):
     assert abs(doc["records"][0]["d_norm"] - 8 / 9) < 1e-8
 
 
+@pytest.mark.parametrize(
+    "h, k, pinned",
+    [
+        # 291 constants beside the singular cusp, each table through _theta_matrix's float branch.
+        (
+            "3196,291",
+            "600,2",
+            '"d_sum":{"re":-1.1653639437600268e-17,"im":4.2146291182771112},"d_norm":6.854090076350154,',
+        ),
+        # A cusp stop.
+        ("11,1", "10,0", '"d_norm":-2.7708203932499367,'),
+    ],
+    ids=["crawl", "cusp"],
+)
+def test_sum_walk_bytes_on_a_float_basis(capsys, h, k, pinned):
+    # The ideal lattice (2, 1 + sqrt(-5)) of d = -20, given as a float basis.
+    basis = ["--omega1", "2", "--omega2", "1+2.23606797749979j"]
+    code, out, _ = run_cli(capsys, "sum", "--dk", "-20", *basis, "--h", h, "--k", k, "--format", "json")
+    assert code == 0
+    assert pinned in out
+
+
 def test_sum_refuses_a_lattice_whose_j_is_not_real(capsys):
     # Form (2, 1, 3) on d = -23: Dtilde would be -0.4295 - 0.1540i.
     code, out, err = run_cli(

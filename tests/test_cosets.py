@@ -137,7 +137,7 @@ def test_coset_reps_index_three(order_m8):
     for i in range(3):
         for j in range(i + 1, 3):
             delta = (int(coords[i, 0] - coords[j, 0]), int(coords[i, 1] - coords[j, 1]))
-            assert not system.in_sublattice(delta)
+            assert system.torsion_key(*delta) != (0, 0)
 
 
 def test_coset_reps_zero_error(order_m8):
@@ -164,7 +164,7 @@ def test_coset_count_and_structure_random(dk, f):
             if i == j:
                 continue
             delta = (int(coords[i, 0] - coords[j, 0]), int(coords[i, 1] - coords[j, 1]))
-            assert not system.in_sublattice(delta)
+            assert system.torsion_key(*delta) != (0, 0)
 
 
 def test_coset_reduction_completeness(order_m8):
@@ -177,7 +177,7 @@ def test_coset_reduction_completeness(order_m8):
             pt = (rng.randint(-100, 100), rng.randint(-100, 100))
             a, b = system.reduce_coords(pt)
             assert 0 <= a < system.h11 and 0 <= b < system.h22
-            assert system.in_sublattice((pt[0] - a, pt[1] - b))
+            assert system.torsion_key(pt[0] - a, pt[1] - b) == (0, 0)
             # idempotent
             assert system.reduce_coords((a, b)) == (a, b)
 
@@ -231,7 +231,7 @@ def test_half_pairs_each_mu_with_minus_mu():
             assert np.all(np.diff(idx) > 0) and np.all(idx < neg)
             nb, na = np.divmod(neg, h11)
             assert np.array_equal(system.index((-na, -nb)), idx)
-            fixed = [i for i in range(n) if system.in_sublattice((2 * (i % h11), 2 * (i // h11)))]
+            fixed = [i for i in range(n) if system.torsion_key(2 * (i % h11), 2 * (i // h11)) == (0, 0)]
             assert len(fixed) in (1, 2, 4)
             assert np.array_equal(np.sort(np.concatenate([idx, neg, fixed])), np.arange(n))
             # index gives the same result on ints as on arrays.

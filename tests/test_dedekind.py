@@ -218,7 +218,7 @@ def test_e1_table_evaluates_each_pair_once(ctx_m8, monkeypatch, u, v):
     table = e1_table(system)
     # mu = -mu modulo kL exactly when 2*mu lies in kL.
     coords = system.coords().tolist()
-    fixed = np.array([system.in_sublattice((2 * a, 2 * b)) for a, b in coords])
+    fixed = np.array([system.torsion_key(2 * a, 2 * b) == (0, 0) for a, b in coords])
     assert sum(points) == (n - int(fixed.sum())) // 2
     assert 0 not in points
     assert np.all(table[fixed] == 0)

@@ -338,6 +338,41 @@ def test_approximate_real_rejects_tol_that_is_not_positive(tol):
         approximate_real(0.5, QuadOrder(-8), tol=tol)
 
 
+@pytest.mark.parametrize("r", [1e308, -1e308, 1.7976931348623157e308])
+def test_approximate_real_at_the_edge_of_the_double_range(r):
+    # r*b overflows a float here; a = round(r*b/2) is exact, and 2a/b rounds back to r.
+    target, step = approximate_real(r, QuadOrder(-8))
+    assert target.b == 401
+    assert step.dtilde == r
+
+
+def test_approximate_real_rejects_tol_whose_grid_overflows():
+    with pytest.raises(ValueError, match="tol = 5e-324 is too small"):
+        approximate_real(0.5, QuadOrder(-8), tol=5e-324)
+
+
+@pytest.mark.parametrize("tol", [1e-2, 1e-3])
+def test_approximate_real_keeps_the_float_roundings_steps(tol):
+    # Reference: a = round(r*b/2.0) rounded in floats, with the same b and its prime p.
+    # The exact rounding picks the same (a, b, p) on every r drawn.
+    order = QuadOrder(-8)
+    d = abs(order.discriminant)
+    b = max(5, int(math.ceil(4.0 / tol)) | 1)
+    while not (is_probable_prime(b) and (2 * d) % b != 0):
+        b += 2
+    primes = {}
+    rng = random.Random(3110)
+    for _ in range(2000):
+        r = rng.uniform(-10.0, 10.0)
+        a = round(r * b / 2.0)
+        if a % b == 0:
+            a += 1
+        if a not in primes:
+            primes[a] = find_prime(Target(a, b, order))
+        target, step = approximate_real(r, order, tol=tol)
+        assert (target.a, target.b, step.p) == (a, b, primes[a]), r
+
+
 def test_convergence_random_admissible_targets():
     # |a|, b <= 20 and |d| <= 50: five steps inside the (2/b+1)/p envelope.
     rng = random.Random(31)

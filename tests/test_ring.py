@@ -24,7 +24,7 @@ from elliptic_dedekind.ring import (
     _BPSW_BELOW,
     _BPSW_FROM,
     _jacobi,
-    _rounded_quotient,
+    _rounded_coords,
     _sieve,
     _strong_lucas,
 )
@@ -615,7 +615,8 @@ def test_nearest_quotient_rounds_in_reduced_basis(dk, f):
         b = order.element(rng.randint(-100, 100), rng.randint(-30, 30))
         if b.is_zero():
             continue
-        q = _rounded_quotient(a * b.conjugate(), b.norm())
+        num = a * b.conjugate()
+        q = order.element(*_rounded_coords(num.u, num.v, b.norm(), order.theta_trace // 2))
         assert 16 * (a - q * b).norm() <= b.norm() * (9 + 4 * omega.norm())
 
 
@@ -624,10 +625,12 @@ def test_nearest_quotient_rounds_ties_toward_zero(dk, f):
     # a/b = m/2 in one coordinate of the reduced basis (1, omega), both sides
     # scaled by g, and a*conj(b) = m*g*conj(b): the rounding takes m/2 toward zero.
     order = QuadOrder(dk, f)
-    omega = order.theta() - order.element(order.theta_trace // 2)
+    c0 = order.theta_trace // 2
+    omega = order.theta() - order.element(c0)
     for g in (order.one(), order.element(2, 1), order.element(-3, 2)):
         two = order.element(2) * g
         num, n = g * two.conjugate(), two.norm()
         for m, q in ((1, 0), (-1, 0), (3, 1), (-3, -1)):
-            assert _rounded_quotient(m * num, n) == order.element(q)
-            assert _rounded_quotient(m * omega * num, n) == q * omega
+            x, y = m * num, m * omega * num
+            assert order.element(*_rounded_coords(x.u, x.v, n, c0)) == order.element(q)
+            assert order.element(*_rounded_coords(y.u, y.v, n, c0)) == q * omega

@@ -17,7 +17,7 @@ from elliptic_dedekind import (
     inverse_mod,
     phi,
 )
-from elliptic_dedekind.ring import _rounded_quotient
+from elliptic_dedekind.ring import _rounded_coords
 from elliptic_dedekind.sl2 import _signed_walk, _walk
 from elliptic_dedekind.verification import random_sl2
 
@@ -43,7 +43,8 @@ def ref_column(a, c):
     if math.gcd(n_a, n_c) != 1:
         return None
     d = a.conjugate() * inverse_mod(n_a, n_c)
-    d = d - _rounded_quotient(d * c.conjugate(), n_c) * c
+    num = d * c.conjugate()
+    d = d - a.order.element(*_rounded_coords(num.u, num.v, n_c, a.order.theta_trace // 2)) * c
     return Mat2(a, (a * d - a.order.one()).exact_div(c), c, d)
 
 

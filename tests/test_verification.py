@@ -153,9 +153,20 @@ def test_lemma_references_from_one_fill_match_single_pairs(dk, f, monkeypatch):
         fills.append(len(systems))
         return original(systems)
 
+    sums = []
+    table_sum = dedekind._table_sum
+
+    def recording_sum(h, system, table, ctx):
+        sums.append((h, system.k))
+        return table_sum(h, system, table, ctx)
+
     monkeypatch.setattr(dedekind, "_e1_tables", recording)
+    monkeypatch.setattr(dedekind, "_table_sum", recording_sum)
     values = _d_sum_tables(pairs, ctx)
     assert fills == [len({k for h, k in pairs if not h.is_zero()})]
+    # One table sum per distinct pair with h != 0, in first-seen order; one value per input pair.
+    assert sums == list(dict.fromkeys((h, k) for h, k in pairs if not h.is_zero()))
+    assert len(values) == len(pairs) and values[-2] == values[0]
     assert values == [_d_sum_table(h, k, ctx) for h, k in pairs]
     assert values[-1] == 0
 
@@ -223,7 +234,7 @@ def cosets_per_point_loop(order, seed):
             pt = (rng.randint(-100, 100), rng.randint(-100, 100))
             red = system.reduce_coords(pt)
             in_box = 0 <= red[0] < system.h11 and 0 <= red[1] < system.h22
-            if not in_box or not system.in_sublattice((pt[0] - red[0], pt[1] - red[1])):
+            if not in_box or system.torsion_key(pt[0] - red[0], pt[1] - red[1]) != (0, 0):
                 complete_fail += 1
     tag = f"d{order.d_k}f{order.f}"
     return [

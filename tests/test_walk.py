@@ -31,7 +31,8 @@ from elliptic_dedekind import dedekind, sl2
 from elliptic_dedekind.cli import main
 from elliptic_dedekind.cosets import CosetSystem
 from elliptic_dedekind.dedekind import _d_sum_table, _walk_value
-from elliptic_dedekind.sl2 import _complete_row, _gamma_bound, _gammas, _generates_order, _mul, _signed_walk, _sub
+from elliptic_dedekind.ring import _mul, _norm, _sub
+from elliptic_dedekind.sl2 import _complete_row, _gamma_bound, _gammas, _generates_order, _signed_walk
 
 # Class-number-one orders with E2(0) != 0 (maximal and f > 1), orders of
 # class number 2 and 4, and two lattices other than an order's own (1, theta):
@@ -495,12 +496,13 @@ def test_d_sum_builds_only_small_tables_in_one_e1_evaluation(dk, f, monkeypatch)
 
 def test_walk_builds_one_e1_table_per_gamma(monkeypatch, capsys):
     # README's fifth sum: nine constants on five (alpha, gamma) pairs, with three distinct gammas.
-    order = QuadOrder(-8, 3)
-    constants = _signed_walk(order.element(3313), order.element(4584, 382))[1].constants
-    gammas = {gamma for _, gamma in constants}
-    assert len(set(constants)) > len(gammas)
-    filled, evaluations = [], []
-    e1_tables, e1_reduced = dedekind._e1_tables, Lattice._e1_reduced
+    # CI's crawl beside the singular cusp of d = -20: 291 constants on two pairs and two gammas.
+    fixtures = [
+        ((-8, 3), (3313, 0), (4584, 382), '"d_norm":0.010180337405468295', (9, 5, 3)),
+        ((-20, 1), (3196, 291), (600, 2), '"d_norm":0.14588614385078447', (291, 2, 2)),
+    ]
+    filled, evaluations, sums = [], [], []
+    e1_tables, e1_reduced, table_sum = dedekind._e1_tables, Lattice._e1_reduced, dedekind._table_sum
 
     def recording_fill(systems):
         filled.append([system.k for system in systems])
@@ -510,15 +512,30 @@ def test_walk_builds_one_e1_table_per_gamma(monkeypatch, capsys):
         evaluations.append(len(x))
         return e1_reduced(self, x, y, on_lattice)
 
+    def recording_sum(h, system, table, ctx):
+        sums.append((h, system.k))
+        return table_sum(h, system, table, ctx)
+
     monkeypatch.setattr(dedekind, "_e1_tables", recording_fill)
     monkeypatch.setattr(Lattice, "_e1_reduced", recording_e1)
-    code = main(["sum", "--dk", "-8", "-f", "3", "--h", "3313,0", "--k", "4584,382", "--format", "json"])
-    assert code == 0
-    assert '"d_norm":0.010180337405468295' in capsys.readouterr().out
-    # One fill for the walk, each distinct gamma's system in it once, and one E1 evaluation for them all.
-    assert len(filled) == 1
-    assert len(filled[0]) == len(gammas) and set(filled[0]) == gammas
-    assert len(evaluations) == 1
+    monkeypatch.setattr(dedekind, "_table_sum", recording_sum)
+    for (dk, f), h, k, pinned, counts in fixtures:
+        order = QuadOrder(dk, f)
+        constants = _signed_walk(order.element(*h), order.element(*k))[1].constants
+        gammas = {gamma for _, gamma in constants}
+        assert (len(constants), len(set(constants)), len(gammas)) == counts
+        filled.clear()
+        evaluations.clear()
+        sums.clear()
+        argv = ["sum", "--dk", str(dk), "-f", str(f), "--h", "%d,%d" % h, "--k", "%d,%d" % k, "--format", "json"]
+        assert main(argv) == 0
+        assert pinned in capsys.readouterr().out
+        # One fill for the walk, each distinct gamma's system in it once, one E1 evaluation for them
+        # all, and one table sum per distinct constant, in first-seen order.
+        assert len(filled) == 1
+        assert len(filled[0]) == len(gammas) and set(filled[0]) == gammas
+        assert len(evaluations) == 1
+        assert sums == list(dict.fromkeys(constants))
 
 
 # (d_K, f, h, k), (sign, R) and the constants (alpha_u, alpha_v, gamma_u, gamma_v) of
@@ -708,7 +725,7 @@ def test_ellipse_bounds_list_exactly_the_points_of_norm_below_n_squared(dk, f, m
         assert sl2._extra_step(num, n, order, tr, nt, tr // 2) is None
         monkeypatch.undo()
         fu, fv = num[0] % n, num[1] % n
-        x0, y0 = sl2._mul(gamma, (fu, fv), tr, nt)
+        x0, y0 = _mul(gamma, (fu, fv), tr, nt)
         # A point of norm below n^2 has |y| < 2n/sqrt(3) and |x| < n*(1 + |tr|), so it lies
         # in this box around (s, t) = (-x0/n, -y0/n).
         s_c, t_c, reach = -x0 // n, -y0 // n, abs(tr) + 3
@@ -716,7 +733,7 @@ def test_ellipse_bounds_list_exactly_the_points_of_norm_below_n_squared(dk, f, m
             (norm, s, t)
             for s in range(s_c - reach, s_c + reach + 1)
             for t in range(t_c - 3, t_c + 4)
-            if (norm := sl2._norm((x0 + n * s, y0 + n * t), tr, nt)) < n * n
+            if (norm := _norm((x0 + n * s, y0 + n * t), tr, nt)) < n * n
         )
         assert tried == [(s, t) for _, s, t in expected]
         listed += len(tried)
