@@ -22,7 +22,7 @@ M_i = [[alpha_i, beta_i], [gamma_i, delta_i]] take (h, k) to
 (h/g, k/g)), P takes the SL2(O) matrix with first column (h, k) and
 lower-right entry x = h^-1 mod k to diag(u, 1/u), u a unit, whose Phi is 0:
 
-    D_L(h, k)   = i*sqrt(|d|)*E2(0)*R - sum over N(gamma_i) > 1 of D_L(alpha_i, gamma_i),
+    D_L(h, k)   = i*sqrt(|d|)*E2(0)*R - sum over keys of n_key*D_L(key),
     R           = J((h + x)/k) + sum_i J((alpha_i + delta_i)/gamma_i),
     J(z/w)      = 2*Im(z/w)/sqrt(|d|) = v(z*conj(w))/N(w),
 
@@ -30,7 +30,7 @@ v the theta-coordinate.  Otherwise the walk stops at a cusp
 a_n/c_n = r/t mod O (sl2._walk).  With B = (r, t) and x1 the lower-left
 entry of P,
 
-    D_L(h, k) = D_L(r, t) - sum over N(gamma_i) > 1 of D_L(alpha_i, gamma_i)
+    D_L(h, k) = D_L(r, t) - sum over keys of n_key*D_L(key)
                 + i*sqrt(|d|)*E2(0; L)*R + E2(0; B^-1 L)*w - E2(0; conj(B)^-1 L)*conj(w),
     R         = J(h/k) - J(a_n/c_n) + sum_i J((alpha_i + delta_i)/gamma_i),
     w         = c_n*x1/(t^2*k),
@@ -39,11 +39,32 @@ B^-1 L = (1/t)*{y in L : r*y in t*L} (cosets._colon_lattice).  Where
 (a_n, c_n) = O, B = (t/c_n)*O and the last two terms are
 E2(0)*I(x1/(k*c_n)): the first law, stopped early.  The law is in D_L units,
 so it needs no real j and no nonzero E2(0).  R and w are exact, each step
-chosen in integers, with no norm bound.  Each constant D_L(alpha, gamma), and
-the cusp's D_L(r, t), is an E1-table sum on the lattice itself at N(gamma),
-at most the gamma bound: _walk_value passes them all to _d_sum_tables.  A
-walk to c = 0 with no constant -- every walk on d_K = -7, -8, -11 -- gives
-Dtilde = R exactly (d_norm_exact).
+chosen in integers, with no norm bound.
+
+The sum over keys is the sum of the constants D_L(alpha_i, gamma_i) of the
+steps with N(gamma_i) > 1, folded by exact symmetries.  D_L(alpha, gamma)
+depends on alpha mod gamma alone, and
+
+    D_L(-alpha, gamma)          = -D_L(alpha, gamma)   E1 is odd;
+    D_L(alpha, -gamma)          = -D_L(alpha, gamma)   E1 is odd, twice, and 1/(-gamma);
+    D_L(alpha^-1, gamma)        =  D_L(alpha, gamma)   nu = alpha*mu permutes L/gamma*L;
+    D_L(conj alpha, conj gamma) = -D_L(alpha, gamma)   where conj(L) = L: mu -> conj(mu)
+                                                       and E1(conj z; conj L) = conj E1(z; L)
+                                                       give conj D_L, and D_O is in iR.
+
+alpha^-1 mod gamma is the step's own delta, as alpha*delta - beta*gamma = 1,
+and the walk's gammas are one of each +-gamma.  The walk keys each constant
+by its orbit under the first three, with a sign (sl2._orbit_key), and keeps
+signed net counts n_key; a key that its orbit reaches with both signs is 0.
+_walk_value merges conj partners (sl2._merge_conj) where SumContext knows
+conj(L) = L, on the order's own lattice (Lattice.from_order); a float basis
+keeps the other folds.  Only the keys with n_key != 0, and the cusp's
+(r, t), go to _d_sum_tables, each an E1-table sum on the lattice itself at
+N(gamma), at most the gamma bound, and n_key*D_L(key) is subtracted in key
+order, so no hash order reaches the value.  A walk to c = 0 with no nonzero
+count gives Dtilde = R exactly (d_norm_exact): every walk on d_K = -7, -8,
+-11, which takes no extra step, and those whose constants cancel, as in
+README's fourth and fifth sums.
 
 _d_sum_tables is the one path from pairs to E1-table values: one E1
 evaluation for the tables of all its distinct k, one table sum per distinct
@@ -90,7 +111,7 @@ from .errors import (
 from .lattice import Lattice
 from .ring import OrderElem, QuadOrder, _add, _mul, _norm, _sub
 from .ring import egcd_order  # noqa: F401  (unused here; bench/tracing.py rebinds it to count calls)
-from .sl2 import Mat2, _column, _signed_walk, _Walk
+from .sl2 import Mat2, _column, _Key, _key_pair, _merge_conj, _signed_walk, _Walk
 
 __all__ = [
     "Mat2",
@@ -124,6 +145,8 @@ class SumContext:
     def __init__(self, order: QuadOrder, lattice: Lattice | None = None):
         self.order = order
         self.lattice = lattice if lattice is not None else Lattice.from_order(order)
+        # conj(L) = L, known exactly for an order's own basis (1, theta); a float basis is not trusted with it.
+        self.conj_stable = self.lattice.order is not None
         try:
             mult_matrix(order.theta(), self.lattice)
         except NotAMultiplierError as exc:
@@ -237,21 +260,34 @@ def _d_sum_table(h: OrderElem, k: OrderElem, ctx: SumContext) -> complex:
     return value
 
 
+def _net_counts(walk: _Walk, ctx: SumContext) -> tuple[tuple[_Key, int], ...]:
+    """The walk's nonzero net counts on ctx's lattice: conj partners merged where ctx.conj_stable."""
+    return _merge_conj(walk.counts, ctx.order) if ctx.conj_stable else walk.counts
+
+
+def _exact(walk: _Walk, ctx: SumContext) -> bool:
+    """Whether Dtilde is R itself: the walk ends at c = 0 and its net counts on ctx's lattice all vanish."""
+    return walk.cusp is None and not _net_counts(walk, ctx)
+
+
 def _walk_value(sign: int, walk: _Walk, ctx: SumContext) -> complex:
     """D_L(h, k) from (sign, walk) = _signed_walk(h, k), by the laws of the module docstring.
 
     R is one Fraction, and sign*R is rounded to a float by one integer
-    division, so R = 0 gives +0.0 for either sign; an exact walk ends there.
-    Otherwise the constants, then the cusp's D_L(r, t), go to _d_sum_tables,
-    and the constants are subtracted in walk order.
+    division, so R = 0 gives +0.0 for either sign; a walk to c = 0 with no
+    nonzero net count ends there.  Otherwise the keys, then the cusp's
+    D_L(r, t), go to _d_sum_tables, and count*D_L(key) is subtracted in key
+    order.
     """
     r = walk.r
     value = 1j * math.sqrt(abs(ctx.order.discriminant)) * ctx.lattice.e2_zero() * (sign * r.numerator / r.denominator)
-    if walk.exact:
+    counts = _net_counts(walk, ctx)
+    if not counts and walk.cusp is None:
         return value
-    sums = _d_sum_tables(walk.constants + (() if walk.cusp is None else (walk.cusp[:2],)), ctx)
-    n = len(walk.constants)
-    value -= sign * sum(sums[:n])
+    pairs = [_key_pair(key, ctx.order) for key, _ in counts]
+    sums = _d_sum_tables(pairs + ([] if walk.cusp is None else [walk.cusp[:2]]), ctx)
+    n = len(counts)
+    value -= sign * sum(count * d for (_, count), d in zip(counts, sums))
     if walk.cusp is not None:
         r, t, (wu, wv) = walk.cusp
         w = float(wu) + float(wv) * ctx.order.theta_embedding()
@@ -261,20 +297,22 @@ def _walk_value(sign: int, walk: _Walk, ctx: SumContext) -> complex:
 
 
 def d_norm_exact(h: OrderElem, k: OrderElem, ctx: SumContext) -> Fraction:
-    """Dtilde(h, k) as an exact rational, where the walk of (h, k) ends at c = 0 with no constant.
+    """Dtilde(h, k) as an exact rational, where the walk of (h, k) ends at c = 0 and its net counts all vanish.
 
-    That holds for every pair with h != 0 on d_K = -7, -8, -11 with f = 1.
-    Raises what d_norm raises on the lattice (ExcludedRingError on Z[i] and
-    Z[rho]), PreconditionError for any other pair, SearchLimitError as d_sum.
+    That holds for every pair with h != 0 on d_K = -7, -8, -11 with f = 1,
+    which take no extra step, and wherever the walk's constants cancel by
+    the symmetries of D_L (the module docstring).  Raises what d_norm raises
+    on the lattice (ExcludedRingError on Z[i] and Z[rho]), PreconditionError
+    for any other pair, SearchLimitError as d_sum.
     """
     ctx._check(h, k)
     if k.is_zero():
         raise ZeroDivisorError("zero modulus")
     _normalizer(ctx)
     signed = None if h.is_zero() else _signed_walk(h, k)
-    if signed is None or not signed[1].exact:
+    if signed is None or not _exact(signed[1], ctx):
         raise PreconditionError(
-            f"Dtilde(h={h!r}, k={k!r}) is exact only for h != 0 and a walk to c = 0 with no float constants"
+            f"Dtilde(h={h!r}, k={k!r}) is exact only for h != 0 and a walk to c = 0 whose constants cancel"
         )
     return signed[0] * signed[1].r
 

@@ -29,8 +29,9 @@ else (h/g, k/g) takes the same steps to (1, 0) and x = x0*g gives
 gamma = -1.  Where no gamma under the bound lowers N(c), as on every
 non-principal (h, k), the walk stops at (a_n, c_n), c_n != 0, the cusp
 a_n/c_n = r/t mod O, and raises SearchLimitError unless t*t <= _gamma_bound,
-so that D_L(r, t) is a small table.  It returns R, the (alpha_i, gamma_i) of
-the steps with N(gamma_i) > 1 and the cusp, all exact, for the laws of
+so that D_L(r, t) is a small table.  It returns R, the signed net counts of
+the constants D_L(alpha_i, gamma_i) of the steps with N(gamma_i) > 1 on their
+canonical keys (_orbit_key), and the cusp, all exact, for the laws of
 dedekind's docstring.
 """
 
@@ -171,6 +172,86 @@ def _gammas(order: QuadOrder) -> tuple[_Pair, ...]:
     return ((-1, 0),) + tuple((s - c0 * t, t) for _, t, s in found)
 
 
+@functools.cache
+def _conj_gammas(order: QuadOrder) -> dict[_Pair, tuple[_Pair, int]]:
+    """gamma -> (gamma', s) with conj(gamma) = s*gamma', s = +-1, for each non-unit gamma of _gammas.
+
+    _gammas holds one of each +-gamma, and conj keeps the norm, so gamma' is
+    in it too.  Built on the first merge that needs it (_merge_conj).
+    """
+    tr = order.theta_trace
+    gammas = _gammas(order)[1:]
+    listed = set(gammas)
+    partners = {}
+    for u, v in gammas:
+        cu, cv = u + v * tr, -v
+        partners[u, v] = ((cu, cv), 1) if (cu, cv) in listed else ((-cu, -cv), -1)
+    return partners
+
+
+# A canonical key (gamma, rho, rho'): rho = x*conj(gamma) mod N(gamma) for the x of
+# D_L(x, gamma) = +-D_L(alpha, gamma) that _orbit_key picks, and rho' that of x^-1 mod gamma.
+_Key = tuple[_Pair, _Pair, _Pair]
+
+
+def _orbit_key(x: _Pair, y: _Pair, n: int) -> tuple[_Pair, _Pair, int] | None:
+    """(rho, rho', sign) for the residues x = alpha*conj(gamma), y = alpha^-1*conj(gamma), n = N(gamma).
+
+    D_L(alpha, gamma) depends on alpha mod gamma alone, that is on x mod n,
+    and equals D_L(alpha^-1, gamma) and -D_L(-alpha, gamma).  rho is the
+    least of x, y, -x, -y mod n, rho' the residue of its inverse, and sign
+    +1 when rho is x or y.  None when the least is both: D_L(alpha, gamma)
+    is then its own negative, exactly 0.
+    """
+    xp, yp = (x[0] % n, x[1] % n), (y[0] % n, y[1] % n)
+    xm, ym = (-x[0] % n, -x[1] % n), (-y[0] % n, -y[1] % n)
+    plus, minus = min(xp, yp), min(xm, ym)
+    if plus < minus:
+        return plus, (yp if plus == xp else xp), 1
+    if minus < plus:
+        return minus, (ym if minus == xm else xm), -1
+    return None
+
+
+def _merge_conj(counts: tuple[tuple[_Key, int], ...], order: QuadOrder) -> tuple[tuple[_Key, int], ...]:
+    """The nonzero net counts of `counts` once each key is merged with its conj partner, in key order.
+
+    It serves a lattice with conj(L) = L, where
+    D_L(conj alpha, conj gamma) = -D_L(alpha, gamma).  With
+    conj(gamma) = s*gamma' (_conj_gammas), the residue of conj(alpha) on
+    gamma' is s*conj(rho), so the partner of (gamma, rho, rho') is
+    _orbit_key of s*conj(rho), s*conj(rho') on gamma', and
+    D_L(key) = -s*sign*D_L(partner).  A count moves to the lesser of the
+    two keys; a key that is its own partner with -s*sign = -1 is 0.
+    """
+    if not counts:
+        return counts
+    tr, nt = order.theta_trace, order.theta_norm
+    partners = _conj_gammas(order)
+    net: dict[_Key, int] = {}
+    for key, count in counts:
+        gamma, (ru, rv), (iu, iv) = key
+        other, s = partners[gamma]
+        conj_rho, conj_inv = (s * (ru + rv * tr), -s * rv), (s * (iu + iv * tr), -s * iv)
+        rho, rho_inv, sign = _orbit_key(conj_rho, conj_inv, _norm(gamma, tr, nt))
+        partner, factor = (other, rho, rho_inv), -s * sign
+        if partner == key and factor == -1:
+            continue
+        if partner < key:
+            key, count = partner, factor * count
+        net[key] = net.get(key, 0) + count
+    return tuple(sorted((key, count) for key, count in net.items() if count))
+
+
+def _key_pair(key: _Key, order: QuadOrder) -> tuple[OrderElem, OrderElem]:
+    """(alpha, gamma) with alpha*conj(gamma) = rho mod N(gamma): alpha = rho*gamma/N(gamma), exactly."""
+    gamma, rho, _ = key
+    tr, nt = order.theta_trace, order.theta_norm
+    n = _norm(gamma, tr, nt)
+    au, av = _mul(rho, gamma, tr, nt)
+    return OrderElem(au // n, av // n, order), OrderElem(*gamma, order)
+
+
 def _extra_step(num: _Pair, n: int, order: QuadOrder, tr: int, nt: int, c0: int) -> tuple[_Pair, ...] | None:
     """(alpha, beta, gamma, delta) of the first M in SL2(O) that lowers N(c) (see the module docstring).
 
@@ -245,20 +326,18 @@ def _complete_row(gamma: _Pair, delta: _Pair, tr: int, nt: int, c0: int) -> tupl
 class _Walk:
     """The walk of (h, k) (see the module docstring).
 
-    r is the exact R; constants holds the (alpha_i, gamma_i) of the steps with
-    N(gamma_i) > 1, in walk order; cusp is None for a walk that ends at c = 0,
-    else the stop cusp (r, t, w): r/t = a_n/c_n mod O, t a rational integer,
-    and w = c_n*x1/(t^2*k) as its exact theta-coordinates.
+    r is the exact R; counts holds, in key order, each canonical key
+    (gamma, rho, rho') (_orbit_key) of the steps' constants D_L(alpha_i, gamma_i),
+    N(gamma_i) > 1, whose signed net count is not 0: D_L(alpha_i, gamma_i) =
+    sign*D_L(key), so the constants sum to the sum of count*D_L(key).  cusp
+    is None for a walk that ends at c = 0, else the stop cusp (r, t, w):
+    r/t = a_n/c_n mod O, t a rational integer, and w = c_n*x1/(t^2*k) as its
+    exact theta-coordinates.
     """
 
     r: Fraction
-    constants: tuple[tuple[OrderElem, OrderElem], ...]
+    counts: tuple[tuple[_Key, int], ...]
     cusp: tuple[OrderElem, OrderElem, tuple[Fraction, Fraction]] | None = None
-
-    @property
-    def exact(self) -> bool:
-        """Whether Dtilde is R itself: the walk ends at c = 0 with no constant."""
-        return not self.constants and self.cusp is None
 
 
 def _walk(h: OrderElem, k: OrderElem) -> _Walk:
@@ -277,7 +356,7 @@ def _walk(h: OrderElem, k: OrderElem) -> _Walk:
     x0, x1 = (1, 0), (0, 0)
     q_sum = 0
     extra = 0
-    constants = []
+    counts: dict[_Key, int] = {}
     while c != (0, 0):
         n = _norm(c, tr, nt)
         num = _times_conj(a, c, tr, nt)
@@ -296,17 +375,21 @@ def _walk(h: OrderElem, k: OrderElem) -> _Walk:
         n_gamma = _norm(gamma, tr, nt)
         extra += Fraction(_times_conj(_add(alpha, delta), gamma, tr, nt)[1], n_gamma)
         if n_gamma > 1:
-            constants.append((alpha, gamma))
+            found = _orbit_key(_times_conj(alpha, gamma, tr, nt), _times_conj(delta, gamma, tr, nt), n_gamma)
+            if found is not None:
+                rho, rho_inv, sign = found
+                key = (gamma, rho, rho_inv)
+                counts[key] = counts.get(key, 0) + sign
         a, c = _combine(alpha, a, beta, c, tr, nt), _combine(gamma, a, delta, c, tr, nt)
         x0, x1 = _combine(alpha, x0, beta, x1, tr, nt), _combine(gamma, x0, delta, x1, tr, nt)
     hk, kk, n_k = (h.u, h.v), (k.u, k.v), k.norm()
-    consts = tuple((OrderElem(*alpha, order), OrderElem(*gamma, order)) for alpha, gamma in constants)
+    net = tuple(sorted((key, count) for key, count in counts.items() if count)) if counts else ()
     if c == (0, 0):
         # a generates (h, k).  A unit a has norm 1 and h*x0*conj(a) = 1 (mod k).  Otherwise
         # (h/a, k/a) takes the same steps to (1, 0), x0 inverts h/a mod k/a and x/k = x0/(k/a).
         x = _times_conj(x0, a, tr, nt) if _norm(a, tr, nt) == 1 else _mul(x0, a, tr, nt)
         # J(z/w) = 2*Im(z/w)/sqrt(|d|) is the theta-coordinate of z/w, as Im(theta) = sqrt(|d|)/2.
-        return _Walk(_fraction(_times_conj(_add(hk, x), kk, tr, nt)[1] - q_sum * n_k, n_k, extra), consts)
+        return _Walk(_fraction(_times_conj(_add(hk, x), kk, tr, nt)[1] - q_sum * n_k, n_k, extra), net)
     # No step lowers N(c): a/c = num/n = r/t mod O, t the least positive integer with t*a/c in O.
     g = math.gcd(*num, n)
     t = n // g
@@ -317,7 +400,7 @@ def _walk(h: OrderElem, k: OrderElem) -> _Walk:
         )
     r = _fraction(_times_conj(hk, kk, tr, nt)[1] * n - (num[1] + q_sum * n) * n_k, n_k * n, extra)
     w = tuple(Fraction(x, t * t * n_k) for x in _times_conj(_mul(c, x1, tr, nt), kk, tr, nt))
-    return _Walk(r, consts, (OrderElem(num[0] // g % t, num[1] // g % t, order), order.element(t), w))
+    return _Walk(r, net, (OrderElem(num[0] // g % t, num[1] // g % t, order), order.element(t), w))
 
 
 def _fraction(numerator: int, denominator: int, extra: Fraction | int) -> Fraction:

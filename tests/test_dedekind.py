@@ -511,13 +511,15 @@ def test_table_serves_non_unit_gcd_and_conductor(f, h, k, monkeypatch):
 
 
 def test_walk_builds_each_gammas_points_once(monkeypatch):
-    # README's fifth sum: five distinct constants on three gammas.  Each gamma's half points
-    # are built once and serve the fill and all its alphas, and one E1 evaluation serves the walk.
-    ctx = SumContext(QuadOrder(-8, 3))
-    h, k = ctx.order.element(3313), ctx.order.element(4584, 382)
+    # A walk at N(k) ~ 1e30 on d = -163 whose constants keep seven keys on four gammas.  Each
+    # gamma's half points are built once and serve the fill and all its keys, and one E1
+    # evaluation serves the walk.
+    ctx = SumContext(QuadOrder(-163))
+    h, k = ctx.order.element(-60728052818922, 77510101037827), ctx.order.element(-5868471523959, 30480562442566)
     _, walk = sl2._signed_walk(h, k)
-    gammas = {gamma for _, gamma in walk.constants}
-    assert len(set(walk.constants)) > len(gammas)
+    keys = [sl2._key_pair(key, ctx.order) for key, _ in dedekind._net_counts(walk, ctx)]
+    gammas = {gamma for _, gamma in keys}
+    assert len(keys) > len(gammas) > 1
     built = []
     original = CosetSystem.half.func
 

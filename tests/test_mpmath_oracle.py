@@ -24,9 +24,9 @@ from fractions import Fraction
 import pytest
 
 from elliptic_dedekind import CosetSystem, Lattice, QuadOrder, SumContext, d_sum, mult_matrix
-from elliptic_dedekind.dedekind import _d_sum_table
+from elliptic_dedekind.dedekind import _d_sum_table, _net_counts
 from elliptic_dedekind.oracles import e1_ewald
-from elliptic_dedekind.sl2 import _signed_walk
+from elliptic_dedekind.sl2 import _key_pair, _signed_walk
 
 mpmath = pytest.importorskip("mpmath")
 mp = mpmath.mp
@@ -286,13 +286,14 @@ def test_d_sum_matches_30_digit_sum(dk, f, h, k):
 
 
 def test_walk_constants_match_30_digit_sums():
-    # README's conductor-3 example: the walk of (3313, 4584 + 382*theta) takes
-    # extra steps, and each constant D_L(alpha, gamma) is a table sum at N(gamma) <= 72.
+    # A conductor-3 walk at N(k) ~ 1e30 whose constants keep four keys with a nonzero net count;
+    # each key's D_L(alpha, gamma) is a table sum at N(gamma) <= 72.
     order = QuadOrder(-8, 3)
     ctx = SumContext(order)
-    _, walk = _signed_walk(order.element(3313), order.element(4584, 382))
-    assert walk.constants
-    for alpha, gamma in walk.constants:
+    _, walk = _signed_walk(order.element(-9044522756396, 55413830901490), order.element(105942611429219, 67534340783344))
+    keys = [_key_pair(key, order) for key, _ in _net_counts(walk, ctx)]
+    assert len(keys) == 4
+    for alpha, gamma in keys:
         assert gamma.norm() <= 72
         with mp.workdps(DPS):
             ref = complex(mp_d_sum(alpha, gamma, ctx.lattice))

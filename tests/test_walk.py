@@ -30,9 +30,9 @@ from elliptic_dedekind import (
 from elliptic_dedekind import dedekind, sl2
 from elliptic_dedekind.cli import main
 from elliptic_dedekind.cosets import CosetSystem
-from elliptic_dedekind.dedekind import _d_sum_table, _walk_value
+from elliptic_dedekind.dedekind import _d_sum_table, _d_sum_tables, _net_counts, _walk_value
 from elliptic_dedekind.ring import _mul, _norm, _sub
-from elliptic_dedekind.sl2 import _complete_row, _gamma_bound, _gammas, _generates_order, _signed_walk
+from elliptic_dedekind.sl2 import _complete_row, _gamma_bound, _gammas, _generates_order, _key_pair, _signed_walk
 
 # Class-number-one orders with E2(0) != 0 (maximal and f > 1), orders of
 # class number 2 and 4, and two lattices other than an order's own (1, theta):
@@ -105,6 +105,22 @@ def random_elem(rng, order, max_norm=50_000):
             return k
 
 
+def walk_constants(monkeypatch, h, k):
+    """(sign, walk, constants) of _signed_walk(h, k); constants are the int pairs (alpha, delta, gamma)
+    of its extra steps with N(gamma) > 1, in walk order, recorded from sl2._extra_step."""
+    with monkeypatch.context() as patch:
+        steps = record_extra_steps(patch)
+        sign, walk = _signed_walk(h, k)
+    tr, nt = h.order.theta_trace, h.order.theta_norm
+    constants = []
+    for _, step in steps:
+        # A walk that stops at a cusp ends on a step that found nothing.
+        if step is not None and _norm(step[2], tr, nt) > 1:
+            alpha, _, gamma, delta = step
+            constants.append((alpha, delta, gamma))
+    return sign, walk, constants
+
+
 def record_table_sizes(monkeypatch):
     """Patch dedekind._e1_tables to record N(k) of each table it fills; returns that list."""
     sizes = []
@@ -129,9 +145,9 @@ def test_walk_matches_table(dk, f, lattice, monkeypatch):
         table_sizes = record_table_sizes(monkeypatch)
         value = d_sum(h, k, ctx)
         monkeypatch.undo()
-        # Only the constants D_L(alpha, gamma) come from a table, at N(gamma).
+        # Only the keys of the constants D_L(alpha, gamma) come from a table, at N(gamma).
         assert all(n <= bound for n in table_sizes)
-        with_constants += bool(_signed_walk(h, k)[1].constants)
+        with_constants += bool(walk_constants(monkeypatch, h, k)[2])
         expected = _d_sum_table(h, k, ctx)
         assert abs(value - expected) <= 1e-12 * (1 + abs(expected))
     if f == 1 and dk in EUCLIDEAN_DK:
@@ -177,7 +193,7 @@ def test_non_principal_pair_goes_to_the_table(monkeypatch):
     assert not _generates_order(h, k)
     _, walk = _signed_walk(h, k)
     r, t, _ = walk.cusp
-    assert (r.u, r.v, t.u, t.v) == (1, 1, 2, 0) and walk.constants == ()
+    assert (r.u, r.v, t.u, t.v) == (1, 1, 2, 0) and walk.counts == ()
     sizes = record_table_sizes(monkeypatch)
     value = d_sum(h, k, ctx)
     monkeypatch.undo()
@@ -295,7 +311,7 @@ def test_walk_decides_every_step_without_floats(dk, f, monkeypatch):
     monkeypatch.setattr(OrderElem, "embed", no_floats)
     walks = [_signed_walk(h, k) for h, k in pairs]
     monkeypatch.undo()
-    assert any(walk.constants for _, walk in walks)
+    assert any(walk.counts for _, walk in walks)
     assert any(walk.cusp for _, walk in walks) == (dk != -163)
     for (h, k), (sign, walk) in zip(pairs, walks):
         expected = _d_sum_table(h, k, ctx)
@@ -405,21 +421,30 @@ def test_conductor_three_density_steps_above_the_table_bound():
         assert abs(d_norm(step.A3.a, step.A3.c, ctx) - x) <= 1e-12 * (1 + abs(x))
 
 
-def test_d_norm_exact_needs_a_walk_without_constants():
+def test_d_norm_exact_needs_a_walk_without_constants(monkeypatch):
     ctx = SumContext(QuadOrder(-8, 3))
     order = ctx.order
     # k = 5 + theta has norm 67; the walk of (1, k) takes unit steps only.
     h, k = order.one(), order.element(5, 1)
-    assert _signed_walk(h, k)[1].constants == ()
+    assert _signed_walk(h, k)[1].counts == ()
     exact = d_norm_exact(h, k, ctx)
     assert exact.denominator == 67
     assert abs(float(exact) - d_norm(h, k, ctx)) <= 1e-15
-    # README's conductor-3 example: N(k) = 2626632, c3 = 191*sqrt(-72), Dtilde = 35/3438.
-    h, k = order.element(3313), order.element(4584, 382)
-    assert _signed_walk(h, k)[1].constants
+    # README's fourth and fifth sums take extra steps, but their constants cancel by the
+    # symmetries of D_L, so Dtilde is R.  The fifth: N(k) = 2626632, c3 = 191*sqrt(-72).
+    readme = [((1081, 0), (1560, 130), Fraction(899, 1170)), ((3313, 0), (4584, 382), Fraction(35, 3438))]
+    for h, k, expected in readme:
+        h, k = order.element(*h), order.element(*k)
+        _, walk, constants = walk_constants(monkeypatch, h, k)
+        assert constants and walk.counts == ()
+        assert d_norm_exact(h, k, ctx) == expected
+        assert abs(d_norm(h, k, ctx) - expected) <= 1e-14 * expected
+    # A walk to c = 0 at N(k) ~ 1e30 whose constants keep four nonzero net counts.
+    h, k = order.element(-9044522756396, 55413830901490), order.element(105942611429219, 67534340783344)
+    walk = _signed_walk(h, k)[1]
+    assert walk.cusp is None and len(_net_counts(walk, ctx)) == 4
     with pytest.raises(PreconditionError, match="constants"):
         d_norm_exact(h, k, ctx)
-    assert abs(d_norm(h, k, ctx) - 35 / 3438) <= 1e-14 * (35 / 3438)
 
 
 @pytest.mark.parametrize("dk", [-4, -3])
@@ -427,7 +452,7 @@ def test_d_norm_exact_refuses_the_rings_where_e2_vanishes(dk):
     # On Z[i] and Z[rho] the walk takes Euclidean steps only, yet Dtilde is undefined there.
     ctx = SumContext(QuadOrder(dk))
     h, k = ctx.order.element(2), ctx.order.element(4, 1)
-    assert _generates_order(h, k) and _signed_walk(h, k)[1].constants == ()
+    assert _generates_order(h, k) and _signed_walk(h, k)[1].counts == ()
     with pytest.raises(ExcludedRingError):
         d_norm(h, k, ctx)
     with pytest.raises(ExcludedRingError):
@@ -495,11 +520,14 @@ def test_d_sum_builds_only_small_tables_in_one_e1_evaluation(dk, f, monkeypatch)
 
 
 def test_walk_builds_one_e1_table_per_gamma(monkeypatch, capsys):
-    # README's fifth sum: nine constants on five (alpha, gamma) pairs, with three distinct gammas.
-    # CI's crawl beside the singular cusp of d = -20: 291 constants on two pairs and two gammas.
+    # README's fifth sum: nine constants on five (alpha, gamma) pairs and three gammas, whose net
+    # counts all vanish.  CI's crawl beside the singular cusp of d = -20: 291 constants on two
+    # pairs and two gammas, one key.  A walk at N(k) ~ 1e30 on d = -163: 39 constants on 24 pairs
+    # and five gammas, seven keys on four gammas.
     fixtures = [
-        ((-8, 3), (3313, 0), (4584, 382), '"d_norm":0.010180337405468295', (9, 5, 3)),
-        ((-20, 1), (3196, 291), (600, 2), '"d_norm":0.14588614385078447', (291, 2, 2)),
+        ((-8, 3), (3313, 0), (4584, 382), '"d_norm":0.010180337405468295', (9, 5, 3), 0),
+        ((-20, 1), (3196, 291), (600, 2), '"d_norm":0.14588614385078447', (291, 2, 2), 1),
+        ((-163, 1), (-60728052818922, 77510101037827), (-5868471523959, 30480562442566), None, (39, 24, 5), 7),
     ]
     filled, evaluations, sums = [], [], []
     e1_tables, e1_reduced, table_sum = dedekind._e1_tables, Lattice._e1_reduced, dedekind._table_sum
@@ -516,26 +544,34 @@ def test_walk_builds_one_e1_table_per_gamma(monkeypatch, capsys):
         sums.append((h, system.k))
         return table_sum(h, system, table, ctx)
 
-    monkeypatch.setattr(dedekind, "_e1_tables", recording_fill)
-    monkeypatch.setattr(Lattice, "_e1_reduced", recording_e1)
-    monkeypatch.setattr(dedekind, "_table_sum", recording_sum)
-    for (dk, f), h, k, pinned, counts in fixtures:
-        order = QuadOrder(dk, f)
-        constants = _signed_walk(order.element(*h), order.element(*k))[1].constants
-        gammas = {gamma for _, gamma in constants}
-        assert (len(constants), len(set(constants)), len(gammas)) == counts
+    for (dk, f), h, k, pinned, counts, n_keys in fixtures:
+        ctx = SumContext(QuadOrder(dk, f))
+        order = ctx.order
+        _, walk, constants = walk_constants(monkeypatch, order.element(*h), order.element(*k))
+        gammas = {gamma for _, _, gamma in constants}
+        assert (len(constants), len({(alpha, gamma) for alpha, _, gamma in constants}), len(gammas)) == counts
+        keys = [_key_pair(key, order) for key, _ in _net_counts(walk, ctx)]
+        key_gammas = {gamma for _, gamma in keys}
+        assert len(keys) == n_keys and {(g.u, g.v) for g in key_gammas} <= gammas
         filled.clear()
         evaluations.clear()
         sums.clear()
-        argv = ["sum", "--dk", str(dk), "-f", str(f), "--h", "%d,%d" % h, "--k", "%d,%d" % k, "--format", "json"]
-        assert main(argv) == 0
-        assert pinned in capsys.readouterr().out
-        # One fill for the walk, each distinct gamma's system in it once, one E1 evaluation for them
-        # all, and one table sum per distinct constant, in first-seen order.
+        argv = ["sum", "--dk", str(dk), "-f", str(f), "--h=%d,%d" % h, "--k=%d,%d" % k, "--format", "json"]
+        with monkeypatch.context() as patch:
+            patch.setattr(dedekind, "_e1_tables", recording_fill)
+            patch.setattr(Lattice, "_e1_reduced", recording_e1)
+            patch.setattr(dedekind, "_table_sum", recording_sum)
+            assert main(argv) == 0
+        assert pinned is None or pinned in capsys.readouterr().out
+        # No fill where every count vanishes; else one fill for the walk, each gamma of a nonzero key
+        # in it once, one E1 evaluation for them all, and one table sum per key, in key order.
+        if not keys:
+            assert filled == evaluations == sums == []
+            continue
         assert len(filled) == 1
-        assert len(filled[0]) == len(gammas) and set(filled[0]) == gammas
+        assert len(filled[0]) == len(key_gammas) and set(filled[0]) == key_gammas
         assert len(evaluations) == 1
-        assert sums == list(dict.fromkeys(constants))
+        assert sums == keys
 
 
 # (d_K, f, h, k), (sign, R) and the constants (alpha_u, alpha_v, gamma_u, gamma_v) of
@@ -617,12 +653,20 @@ PINNED_WALKS = [
     PINNED_WALKS,
     ids=["d-8f3-1e30", "d-15-1e30", "d-23-1e30", "d-163-1e30", "d-3f7-1e30", "readme-fifth-sum"],
 )
-def test_walk_reproduces_pinned_walks_bit_for_bit(pair, expected, constants):
+def test_walk_reproduces_pinned_walks_bit_for_bit(pair, expected, constants, monkeypatch):
     dk, f, h, k = pair
-    order = QuadOrder(dk, f)
-    sign, walk = _signed_walk(order.element(*h), order.element(*k))
+    ctx = SumContext(QuadOrder(dk, f))
+    sign, walk, steps = walk_constants(monkeypatch, ctx.order.element(*h), ctx.order.element(*k))
     assert (sign, walk.r) == (expected[0], Fraction(expected[1]))
-    assert [(a.u, a.v, g.u, g.v) for a, g in walk.constants] == constants
+    assert [(*alpha, *gamma) for alpha, _, gamma in steps] == constants
+    # The net counts carry the constants' sum: sum_i D(alpha_i, gamma_i) = sum n*D(key), with and
+    # without the conj merge, each side a sum of E1-table values.
+    pairs = [(ctx.order.element(*alpha), ctx.order.element(*gamma)) for alpha, _, gamma in steps]
+    raw = sum(_d_sum_tables(pairs, ctx))
+    for counts in (walk.counts, _net_counts(walk, ctx)):
+        values = _d_sum_tables([_key_pair(key, ctx.order) for key, _ in counts], ctx)
+        folded = sum(n * value for (_, n), value in zip(counts, values))
+        assert abs(folded - raw) <= 1e-13 * (1 + abs(raw))
 
 
 def window_extra_step(num, n, order, tr, nt, c0):
@@ -740,11 +784,12 @@ def test_ellipse_bounds_list_exactly_the_points_of_norm_below_n_squared(dk, f, m
     assert listed >= 50
 
 
-# d_sum's bytes for three CI README pairs: an exact walk, a walk with extra steps and
-# nine constants on (-8, 3), and a cusp stop on d = -20.  float.hex tells -0.0 from 0.0.
+# d_sum's bytes for three CI README pairs: an exact walk, a walk with extra steps whose nine
+# constants on (-8, 3) cancel, so its real part is 0, and a cusp stop on d = -20.  float.hex
+# tells -0.0 from 0.0.
 PINNED_WALKS = [
     ((-8, 1), (9468929, 0), (19274752, 4818688), complex(0.0, 1.9932968950132759)),
-    ((-8, 3), (3313, 0), (4584, 382), complex(-1.2688263138573217e-16, 0.2202238226108405)),
+    ((-8, 3), (3313, 0), (4584, 382), complex(0.0, 0.2202238226108405)),
     ((-20, 1), (11, 1), (10, 0), complex(0.0, -12.046944869704721)),
 ]
 
