@@ -48,23 +48,31 @@ depends on alpha mod gamma alone, and
     D_L(-alpha, gamma)          = -D_L(alpha, gamma)   E1 is odd;
     D_L(alpha, -gamma)          = -D_L(alpha, gamma)   E1 is odd, twice, and 1/(-gamma);
     D_L(alpha^-1, gamma)        =  D_L(alpha, gamma)   nu = alpha*mu permutes L/gamma*L;
-    D_L(conj alpha, conj gamma) = -D_L(alpha, gamma)   where conj(L) = L: mu -> conj(mu)
-                                                       and E1(conj z; conj L) = conj E1(z; L)
-                                                       give conj D_L, and D_O is in iR.
+    D_L(conj alpha, conj gamma) = -D_L(alpha, gamma)   on every lattice L the order acts on.
+
+The last needs no conj(L) = L.  L is its own dual under the pairing
+<z, w> = Im(conj(z)*w)/area, integral and unimodular on L, and
+<h*z, w> = <z, conj(h)*w>.  Poisson summation expands
+E1(z) = -sum' over lambda in L of e(<lambda, z>)/lambda, so the sum over
+mu in L/kL of E1(h*mu/k)*E1(mu/k) keeps the pairs with
+conj(h)*lambda + lambda' in conj(k)*L, each N(k) times:
+D_L(h, k) = conj(k)*sum 1/(lambda*lambda') over them.  lambda' -> -lambda'
+turns that into the Eisenstein sum of E1(conj(h)*mu/conj(k))*E1(mu/conj(k)),
+mu in L/conj(k)L, with the sign flipped: -D_L(conj h, conj k).
 
 alpha^-1 mod gamma is the step's own delta, as alpha*delta - beta*gamma = 1,
 and the walk's gammas are one of each +-gamma.  The walk keys each constant
-by its orbit under the first three, with a sign (sl2._orbit_key), and keeps
-signed net counts n_key; a key that its orbit reaches with both signs is 0.
-_walk_value merges conj partners (sl2._merge_conj) where SumContext knows
-conj(L) = L, on the order's own lattice (Lattice.from_order); a float basis
-keeps the other folds.  Only the keys with n_key != 0, and the cusp's
-(r, t), go to _d_sum_tables, each an E1-table sum on the lattice itself at
-N(gamma), at most the gamma bound, and n_key*D_L(key) is subtracted in key
-order, so no hash order reaches the value.  A walk to c = 0 with no nonzero
-count gives Dtilde = R exactly (d_norm_exact): every walk on d_K = -7, -8,
--11, which takes no extra step, and those whose constants cancel, as in
-README's fourth and fifth sums.
+by its orbit under all four, with a sign, in one step (sl2._orbit_key), and
+keeps signed net counts n_key; a key that its orbit reaches with both signs
+is 0.  The keys depend on (h, k) alone, so the order's own basis, the same
+lattice as a float basis, and a scaled copy take the same keys.  Only the
+keys with n_key != 0, and the cusp's (r, t), go to _d_sum_tables, each an
+E1-table sum on the lattice itself at N(gamma), at most the gamma bound, and
+n_key*D_L(key) is subtracted in key order, so no hash order reaches the
+value.  A walk to c = 0 with no nonzero count gives Dtilde = R exactly
+(d_norm_exact, _Walk.exact): every walk on d_K = -7, -8, -11, which takes no
+extra step, and those whose constants cancel, as in README's fourth and
+fifth sums.
 
 _d_sum_tables is the one path from pairs to E1-table values: one E1
 evaluation for the tables of all its distinct k, one table sum per distinct
@@ -111,7 +119,7 @@ from .errors import (
 from .lattice import Lattice
 from .ring import OrderElem, QuadOrder, _add, _mul, _norm, _sub
 from .ring import egcd_order  # noqa: F401  (unused here; bench/tracing.py rebinds it to count calls)
-from .sl2 import Mat2, _column, _Key, _key_pair, _merge_conj, _signed_walk, _Walk
+from .sl2 import Mat2, _column, _key_pair, _signed_walk, _Walk
 
 __all__ = [
     "Mat2",
@@ -145,8 +153,6 @@ class SumContext:
     def __init__(self, order: QuadOrder, lattice: Lattice | None = None):
         self.order = order
         self.lattice = lattice if lattice is not None else Lattice.from_order(order)
-        # conj(L) = L, known exactly for an order's own basis (1, theta); a float basis is not trusted with it.
-        self.conj_stable = self.lattice.order is not None
         try:
             mult_matrix(order.theta(), self.lattice)
         except NotAMultiplierError as exc:
@@ -260,16 +266,6 @@ def _d_sum_table(h: OrderElem, k: OrderElem, ctx: SumContext) -> complex:
     return value
 
 
-def _net_counts(walk: _Walk, ctx: SumContext) -> tuple[tuple[_Key, int], ...]:
-    """The walk's nonzero net counts on ctx's lattice: conj partners merged where ctx.conj_stable."""
-    return _merge_conj(walk.counts, ctx.order) if ctx.conj_stable else walk.counts
-
-
-def _exact(walk: _Walk, ctx: SumContext) -> bool:
-    """Whether Dtilde is R itself: the walk ends at c = 0 and its net counts on ctx's lattice all vanish."""
-    return walk.cusp is None and not _net_counts(walk, ctx)
-
-
 def _walk_value(sign: int, walk: _Walk, ctx: SumContext) -> complex:
     """D_L(h, k) from (sign, walk) = _signed_walk(h, k), by the laws of the module docstring.
 
@@ -281,9 +277,9 @@ def _walk_value(sign: int, walk: _Walk, ctx: SumContext) -> complex:
     """
     r = walk.r
     value = 1j * math.sqrt(abs(ctx.order.discriminant)) * ctx.lattice.e2_zero() * (sign * r.numerator / r.denominator)
-    counts = _net_counts(walk, ctx)
-    if not counts and walk.cusp is None:
+    if walk.exact:
         return value
+    counts = walk.counts
     pairs = [_key_pair(key, ctx.order) for key, _ in counts]
     sums = _d_sum_tables(pairs + ([] if walk.cusp is None else [walk.cusp[:2]]), ctx)
     n = len(counts)
@@ -310,7 +306,7 @@ def d_norm_exact(h: OrderElem, k: OrderElem, ctx: SumContext) -> Fraction:
         raise ZeroDivisorError("zero modulus")
     _normalizer(ctx)
     signed = None if h.is_zero() else _signed_walk(h, k)
-    if signed is None or not _exact(signed[1], ctx):
+    if signed is None or not signed[1].exact:
         raise PreconditionError(
             f"Dtilde(h={h!r}, k={k!r}) is exact only for h != 0 and a walk to c = 0 whose constants cancel"
         )

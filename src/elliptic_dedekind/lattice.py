@@ -32,7 +32,8 @@ reduced with integers by one map, Lattice._torsion_coords, and divided by n
 once (Lattice.e1_torsion).  The E1 table, dedekind._e1_tables, calls
 _torsion_coords itself, with cosets.CosetSystem.adj as its matrix.
 Lattice.from_order records its order, which serves only the exact integer
-matrix of theta on (1, theta) (cosets._theta_matrix).
+matrix of theta on (1, theta) (cosets._theta_matrix); the walk folds its
+constants alike on every basis.
 The verify suites check E1, zeta and E2(0) against elliptic_dedekind.oracles,
 which sums Ewald's theta split over the given basis and its dual and shares
 neither the reduced basis nor the series.
@@ -112,6 +113,8 @@ class Lattice:
 
         The record serves only cosets._theta_matrix, which then takes the
         exact integer matrix of theta instead of solving for it in floats.
+        The walk's keys do not read it: the symmetries they fold by hold on
+        every lattice, so a float basis of the order takes the same keys.
         """
         lattice = cls(1.0, order.theta_embedding())
         lattice.order = order

@@ -31,8 +31,10 @@ non-principal (h, k), the walk stops at (a_n, c_n), c_n != 0, the cusp
 a_n/c_n = r/t mod O, and raises SearchLimitError unless t*t <= _gamma_bound,
 so that D_L(r, t) is a small table.  It returns R, the signed net counts of
 the constants D_L(alpha_i, gamma_i) of the steps with N(gamma_i) > 1 on their
-canonical keys (_orbit_key), and the cusp, all exact, for the laws of
-dedekind's docstring.
+canonical keys, and the cusp, all exact, for the laws of dedekind's
+docstring.  A key (_orbit_key) stands for the orbit of a constant under all
+four symmetries of dedekind's docstring, which hold on every lattice, so the
+counts are final and the same for every lattice the order acts on.
 """
 
 from __future__ import annotations
@@ -172,75 +174,45 @@ def _gammas(order: QuadOrder) -> tuple[_Pair, ...]:
     return ((-1, 0),) + tuple((s - c0 * t, t) for _, t, s in found)
 
 
-@functools.cache
-def _conj_gammas(order: QuadOrder) -> dict[_Pair, tuple[_Pair, int]]:
-    """gamma -> (gamma', s) with conj(gamma) = s*gamma', s = +-1, for each non-unit gamma of _gammas.
-
-    _gammas holds one of each +-gamma, and conj keeps the norm, so gamma' is
-    in it too.  Built on the first merge that needs it (_merge_conj).
-    """
-    tr = order.theta_trace
-    gammas = _gammas(order)[1:]
-    listed = set(gammas)
-    partners = {}
-    for u, v in gammas:
-        cu, cv = u + v * tr, -v
-        partners[u, v] = ((cu, cv), 1) if (cu, cv) in listed else ((-cu, -cv), -1)
-    return partners
-
-
-# A canonical key (gamma, rho, rho'): rho = x*conj(gamma) mod N(gamma) for the x of
-# D_L(x, gamma) = +-D_L(alpha, gamma) that _orbit_key picks, and rho' that of x^-1 mod gamma.
+# A canonical key (gamma, rho, rho'): rho = x*conj(gamma) mod N(gamma) for the (x, gamma) with
+# D_L(x, gamma) = +-D_L(alpha_i, gamma_i) that _orbit_key picks, and rho' that of x^-1 mod gamma.
 _Key = tuple[_Pair, _Pair, _Pair]
 
 
-def _orbit_key(x: _Pair, y: _Pair, n: int) -> tuple[_Pair, _Pair, int] | None:
-    """(rho, rho', sign) for the residues x = alpha*conj(gamma), y = alpha^-1*conj(gamma), n = N(gamma).
-
-    D_L(alpha, gamma) depends on alpha mod gamma alone, that is on x mod n,
-    and equals D_L(alpha^-1, gamma) and -D_L(-alpha, gamma).  rho is the
-    least of x, y, -x, -y mod n, rho' the residue of its inverse, and sign
-    +1 when rho is x or y.  None when the least is both: D_L(alpha, gamma)
-    is then its own negative, exactly 0.
-    """
+def _residues(x: _Pair, y: _Pair, n: int, sign: int) -> list[tuple[_Pair, _Pair, int]]:
+    """(rho, rho', sign*s) for rho = s*x and s*y mod n, s = +-1, each with the residue rho' of its inverse."""
     xp, yp = (x[0] % n, x[1] % n), (y[0] % n, y[1] % n)
     xm, ym = (-x[0] % n, -x[1] % n), (-y[0] % n, -y[1] % n)
-    plus, minus = min(xp, yp), min(xm, ym)
-    if plus < minus:
-        return plus, (yp if plus == xp else xp), 1
-    if minus < plus:
-        return minus, (ym if minus == xm else xm), -1
-    return None
+    return [(xp, yp, sign), (yp, xp, sign), (xm, ym, -sign), (ym, xm, -sign)]
 
 
-def _merge_conj(counts: tuple[tuple[_Key, int], ...], order: QuadOrder) -> tuple[tuple[_Key, int], ...]:
-    """The nonzero net counts of `counts` once each key is merged with its conj partner, in key order.
+def _orbit_key(gamma: _Pair, x: _Pair, y: _Pair, n: int, tr: int) -> tuple[_Key, int] | None:
+    """(key, sign) with D_L(alpha, gamma) = sign*D_L(key), for x = alpha*conj(gamma), y = alpha^-1*conj(gamma).
 
-    It serves a lattice with conj(L) = L, where
-    D_L(conj alpha, conj gamma) = -D_L(alpha, gamma).  With
-    conj(gamma) = s*gamma' (_conj_gammas), the residue of conj(alpha) on
-    gamma' is s*conj(rho), so the partner of (gamma, rho, rho') is
-    _orbit_key of s*conj(rho), s*conj(rho') on gamma', and
-    D_L(key) = -s*sign*D_L(partner).  A count moves to the lesser of the
-    two keys; a key that is its own partner with -s*sign = -1 is 0.
+    D_L(alpha, gamma) depends on alpha mod gamma alone, that is on x mod
+    n = N(gamma), and equals D_L(alpha^-1, gamma), -D_L(-alpha, gamma) and
+    -D_L(conj alpha, conj gamma).  _gammas lists one of each +-gamma, as
+    s + t*omega with t >= 0, so the listed partner of conj(gamma) is gamma
+    itself for t = 0, else gamma' = -conj(gamma) = (-s - t*(tr - 2*c0)) + t*omega,
+    the pair (-u - v*tr, v).  On gamma' = +-conj(gamma) the residue of
+    conj(alpha) is +-conj(x), with the same sign, so either way
+    D_L(alpha, gamma) is -D_L of the residue conj(x) on gamma'.  The key is
+    the least (gamma, rho) of the orbit, on the lesser of gamma and gamma'
+    (on both when they are equal), with rho' the residue of its inverse;
+    None when the orbit reaches it with both signs: D_L(alpha, gamma) is
+    then its own negative, exactly 0.
     """
-    if not counts:
-        return counts
-    tr, nt = order.theta_trace, order.theta_norm
-    partners = _conj_gammas(order)
-    net: dict[_Key, int] = {}
-    for key, count in counts:
-        gamma, (ru, rv), (iu, iv) = key
-        other, s = partners[gamma]
-        conj_rho, conj_inv = (s * (ru + rv * tr), -s * rv), (s * (iu + iv * tr), -s * iv)
-        rho, rho_inv, sign = _orbit_key(conj_rho, conj_inv, _norm(gamma, tr, nt))
-        partner, factor = (other, rho, rho_inv), -s * sign
-        if partner == key and factor == -1:
-            continue
-        if partner < key:
-            key, count = partner, factor * count
-        net[key] = net.get(key, 0) + count
-    return tuple(sorted((key, count) for key, count in net.items() if count))
+    u, v = gamma
+    partner = (-u - v * tr, v) if v else gamma
+    found = []
+    if gamma <= partner:
+        found += _residues(x, y, n, 1)
+    if partner <= gamma:
+        found += _residues((x[0] + x[1] * tr, -x[1]), (y[0] + y[1] * tr, -y[1]), n, -1)
+    rho, rho_inv, sign = min(found)
+    if (rho, rho_inv, -sign) in found:
+        return None
+    return (min(gamma, partner), rho, rho_inv), sign
 
 
 def _key_pair(key: _Key, order: QuadOrder) -> tuple[OrderElem, OrderElem]:
@@ -339,6 +311,11 @@ class _Walk:
     counts: tuple[tuple[_Key, int], ...]
     cusp: tuple[OrderElem, OrderElem, tuple[Fraction, Fraction]] | None = None
 
+    @property
+    def exact(self) -> bool:
+        """Whether Dtilde is R itself: the walk ends at c = 0 and no net count is left."""
+        return not self.counts and self.cusp is None
+
 
 def _walk(h: OrderElem, k: OrderElem) -> _Walk:
     """The walk of (h, k), for h != 0, to c = 0 or to its stop cusp r/t; SearchLimitError if t*t > _gamma_bound.
@@ -375,10 +352,9 @@ def _walk(h: OrderElem, k: OrderElem) -> _Walk:
         n_gamma = _norm(gamma, tr, nt)
         extra += Fraction(_times_conj(_add(alpha, delta), gamma, tr, nt)[1], n_gamma)
         if n_gamma > 1:
-            found = _orbit_key(_times_conj(alpha, gamma, tr, nt), _times_conj(delta, gamma, tr, nt), n_gamma)
+            found = _orbit_key(gamma, _times_conj(alpha, gamma, tr, nt), _times_conj(delta, gamma, tr, nt), n_gamma, tr)
             if found is not None:
-                rho, rho_inv, sign = found
-                key = (gamma, rho, rho_inv)
+                key, sign = found
                 counts[key] = counts.get(key, 0) + sign
         a, c = _combine(alpha, a, beta, c, tr, nt), _combine(gamma, a, delta, c, tr, nt)
         x0, x1 = _combine(alpha, x0, beta, x1, tr, nt), _combine(gamma, x0, delta, x1, tr, nt)

@@ -25,7 +25,6 @@ from .cosets import CosetSystem, _reduce_coords, _torsion_key
 from .dedekind import (
     SumContext,
     _d_sum_tables,
-    _exact,
     _walk_value,
     d_sum,
     gen_sl2_triple,
@@ -137,12 +136,12 @@ def run_phi_suite(order: QuadOrder, seed: int) -> list[CheckResult]:
 def _density_step_ok(step, ctx: SumContext) -> bool:
     """Whether the walk of the step's (a3, c3) gives the construction's exact Dtilde.
 
-    Exactly where the walk is exact (dedekind._exact), else d_sum's value
+    Exactly where the walk is exact (sl2._Walk.exact), else d_sum's value
     from that one walk, normalized, within 1e-12*(1 + |Dtilde|).
     """
     x = step.dtilde_exact
     sign, walk = _signed_walk(step.A3.a, step.A3.c)
-    if _exact(walk, ctx):
+    if walk.exact:
         return sign * walk.r == x
     return abs(normalize_value(_walk_value(sign, walk, ctx), ctx) - x) <= 1e-12 * (1 + abs(x))
 

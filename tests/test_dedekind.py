@@ -517,7 +517,7 @@ def test_walk_builds_each_gammas_points_once(monkeypatch):
     ctx = SumContext(QuadOrder(-163))
     h, k = ctx.order.element(-60728052818922, 77510101037827), ctx.order.element(-5868471523959, 30480562442566)
     _, walk = sl2._signed_walk(h, k)
-    keys = [sl2._key_pair(key, ctx.order) for key, _ in dedekind._net_counts(walk, ctx)]
+    keys = [sl2._key_pair(key, ctx.order) for key, _ in walk.counts]
     gammas = {gamma for _, gamma in keys}
     assert len(keys) > len(gammas) > 1
     built = []

@@ -24,7 +24,7 @@ from fractions import Fraction
 import pytest
 
 from elliptic_dedekind import CosetSystem, Lattice, QuadOrder, SumContext, d_sum, mult_matrix
-from elliptic_dedekind.dedekind import _d_sum_table, _net_counts
+from elliptic_dedekind.dedekind import _d_sum_table
 from elliptic_dedekind.oracles import e1_ewald
 from elliptic_dedekind.sl2 import _key_pair, _signed_walk
 
@@ -291,7 +291,7 @@ def test_walk_constants_match_30_digit_sums():
     order = QuadOrder(-8, 3)
     ctx = SumContext(order)
     _, walk = _signed_walk(order.element(-9044522756396, 55413830901490), order.element(105942611429219, 67534340783344))
-    keys = [_key_pair(key, order) for key, _ in _net_counts(walk, ctx)]
+    keys = [_key_pair(key, order) for key, _ in walk.counts]
     assert len(keys) == 4
     for alpha, gamma in keys:
         assert gamma.norm() <= 72

@@ -30,9 +30,10 @@ from elliptic_dedekind import (
 from elliptic_dedekind import dedekind, sl2
 from elliptic_dedekind.cli import main
 from elliptic_dedekind.cosets import CosetSystem
-from elliptic_dedekind.dedekind import _d_sum_table, _d_sum_tables, _net_counts, _walk_value
+from elliptic_dedekind.dedekind import _d_sum_table, _d_sum_tables, _walk_value
 from elliptic_dedekind.ring import _mul, _norm, _sub
 from elliptic_dedekind.sl2 import _complete_row, _gamma_bound, _gammas, _generates_order, _key_pair, _signed_walk
+from test_fold import merge_conj, three_symmetry_counts
 
 # Class-number-one orders with E2(0) != 0 (maximal and f > 1), orders of
 # class number 2 and 4, and two lattices other than an order's own (1, theta):
@@ -442,7 +443,7 @@ def test_d_norm_exact_needs_a_walk_without_constants(monkeypatch):
     # A walk to c = 0 at N(k) ~ 1e30 whose constants keep four nonzero net counts.
     h, k = order.element(-9044522756396, 55413830901490), order.element(105942611429219, 67534340783344)
     walk = _signed_walk(h, k)[1]
-    assert walk.cusp is None and len(_net_counts(walk, ctx)) == 4
+    assert walk.cusp is None and len(walk.counts) == 4
     with pytest.raises(PreconditionError, match="constants"):
         d_norm_exact(h, k, ctx)
 
@@ -550,7 +551,7 @@ def test_walk_builds_one_e1_table_per_gamma(monkeypatch, capsys):
         _, walk, constants = walk_constants(monkeypatch, order.element(*h), order.element(*k))
         gammas = {gamma for _, _, gamma in constants}
         assert (len(constants), len({(alpha, gamma) for alpha, _, gamma in constants}), len(gammas)) == counts
-        keys = [_key_pair(key, order) for key, _ in _net_counts(walk, ctx)]
+        keys = [_key_pair(key, order) for key, _ in walk.counts]
         key_gammas = {gamma for _, gamma in keys}
         assert len(keys) == n_keys and {(g.u, g.v) for g in key_gammas} <= gammas
         filled.clear()
@@ -660,10 +661,12 @@ def test_walk_reproduces_pinned_walks_bit_for_bit(pair, expected, constants, mon
     assert (sign, walk.r) == (expected[0], Fraction(expected[1]))
     assert [(*alpha, *gamma) for alpha, _, gamma in steps] == constants
     # The net counts carry the constants' sum: sum_i D(alpha_i, gamma_i) = sum n*D(key), with and
-    # without the conj merge, each side a sum of E1-table values.
+    # without the conj merge of the two-stage reference, each side a sum of E1-table values.
     pairs = [(ctx.order.element(*alpha), ctx.order.element(*gamma)) for alpha, _, gamma in steps]
     raw = sum(_d_sum_tables(pairs, ctx))
-    for counts in (walk.counts, _net_counts(walk, ctx)):
+    unmerged = three_symmetry_counts(steps, ctx.order)
+    assert merge_conj(unmerged, ctx.order) == walk.counts
+    for counts in (unmerged, walk.counts):
         values = _d_sum_tables([_key_pair(key, ctx.order) for key, _ in counts], ctx)
         folded = sum(n * value for (_, n), value in zip(counts, values))
         assert abs(folded - raw) <= 1e-13 * (1 + abs(raw))
