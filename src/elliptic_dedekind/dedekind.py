@@ -14,8 +14,9 @@ c1 = c2 = c != 0 and a1*a2 = 1 (mod c) this collapses to the closed form
 D_L(a3, c3) = E2(0)*I(2/c3 + c3/c^2).
 
 d_sum takes one of two paths, chosen by h alone: h = 0 gives 0/k at once, at
-any N(k), and the walk (sl2._signed_walk) serves every other pair, on any
-order and any lattice the order acts on.  Its steps
+any N(k), and the walk (sl2._walk) serves every other pair, on any order and
+any lattice the order acts on.  It walks h', the box representative of +-h
+mod k, and returns R, the counts and w times that sign.  Its steps
 M_i = [[alpha_i, beta_i], [gamma_i, delta_i]] take (h, k) to
 (a_n, c_n) = P*(h, k), P = M_n...M_1, and Phi is additive.  If (h, k) = gO
 (let g = 1: D_L(h, k) = D_L(h/g, k/g), and the walk takes the steps of
@@ -27,23 +28,23 @@ lower-right entry x = h^-1 mod k to diag(u, 1/u), u a unit, whose Phi is 0:
     J(z/w)      = 2*Im(z/w)/sqrt(|d|) = v(z*conj(w))/N(w),
 
 v the theta-coordinate.  Otherwise the walk stops at a cusp
-a_n/c_n = r/t mod O (sl2._walk).  With B = (r, t) and x1 the lower-left
-entry of P,
+a_n/c_n = r/t mod O.  With B = (r, t) and x1 the lower-left entry of P,
 
-    D_L(h, k) = D_L(r, t) - sum over keys of n_key*D_L(key)
-                + i*sqrt(|d|)*E2(0; L)*R + E2(0; B^-1 L)*w - E2(0; conj(B)^-1 L)*conj(w),
+    D_L(h, k) = i*sqrt(|d|)*E2(0; L)*R - sum over keys of n_key*D_L(key)
+                + E2(0; B^-1 L)*w - E2(0; conj(B)^-1 L)*conj(w),
     R         = J(h/k) - J(a_n/c_n) + sum_i J((alpha_i + delta_i)/gamma_i),
     w         = c_n*x1/(t^2*k),
 
-B^-1 L = (1/t)*{y in L : r*y in t*L} (cosets._colon_lattice).  Where
-(a_n, c_n) = O, B = (t/c_n)*O and the last two terms are
+the keys holding D_L(r, t), on gamma = t with count -1, beside the steps'
+constants, and B^-1 L = (1/t)*{y in L : r*y in t*L} (cosets._colon_lattice).
+Where (a_n, c_n) = O, B = (t/c_n)*O and the last two terms are
 E2(0)*I(x1/(k*c_n)): the first law, stopped early.  The law is in D_L units,
 so it needs no real j and no nonzero E2(0).  R and w are exact, each step
 chosen in integers, with no norm bound.
 
 The sum over keys is the sum of the constants D_L(alpha_i, gamma_i) of the
-steps with N(gamma_i) > 1, folded by exact symmetries.  D_L(alpha, gamma)
-depends on alpha mod gamma alone, and
+steps with N(gamma_i) > 1, less the cusp's D_L(r, t), folded by exact
+symmetries.  D_L(alpha, gamma) depends on alpha mod gamma alone, and
 
     D_L(-alpha, gamma)          = -D_L(alpha, gamma)   E1 is odd;
     D_L(alpha, -gamma)          = -D_L(alpha, gamma)   E1 is odd, twice, and 1/(-gamma);
@@ -64,12 +65,15 @@ alpha^-1 mod gamma is the step's own delta, as alpha*delta - beta*gamma = 1,
 and the walk's gammas are one of each +-gamma.  The walk keys each constant
 by its orbit under all four, with a sign, in one step (sl2._orbit_key), and
 keeps signed net counts n_key; a key that its orbit reaches with both signs
-is 0.  The keys depend on (h, k) alone, so the order's own basis, the same
+is 0.  The cusp's r need not be invertible mod t, so its key drops only
+alpha^-1.  Every D_L(r, 2) is 0: each mu/2 is a 2-torsion point, where the
+odd, periodic E1 vanishes, and the fold sees it, as x = 2r has -x = x
+mod 4.  The keys depend on (h, k) alone, so the order's own basis, the same
 lattice as a float basis, and a scaled copy take the same keys.  Only the
-keys with n_key != 0, and the cusp's (r, t), go to _d_sum_tables, each an
-E1-table sum on the lattice itself at N(gamma), at most the gamma bound, and
-n_key*D_L(key) is subtracted in key order, so no hash order reaches the
-value.  A walk to c = 0 with no nonzero count gives Dtilde = R exactly
+keys with n_key != 0 go to _d_sum_tables, each an E1-table sum on the
+lattice itself at N(gamma), at most the gamma bound, and n_key*D_L(key) is
+subtracted in key order, so no hash order reaches the value.  A walk to
+c = 0 with no nonzero count gives Dtilde = R exactly
 (d_norm_exact, _Walk.exact): every walk on d_K = -7, -8, -11, which takes no
 extra step, and those whose constants cancel, as in README's fourth and
 fifth sums.
@@ -119,7 +123,7 @@ from .errors import (
 from .lattice import Lattice
 from .ring import OrderElem, QuadOrder, _add, _mul, _norm, _sub
 from .ring import egcd_order  # noqa: F401  (unused here; bench/tracing.py rebinds it to count calls)
-from .sl2 import Mat2, _column, _key_pair, _signed_walk, _Walk
+from .sl2 import Mat2, _column, _key_pair, _walk, _Walk
 
 __all__ = [
     "Mat2",
@@ -266,29 +270,24 @@ def _d_sum_table(h: OrderElem, k: OrderElem, ctx: SumContext) -> complex:
     return value
 
 
-def _walk_value(sign: int, walk: _Walk, ctx: SumContext) -> complex:
-    """D_L(h, k) from (sign, walk) = _signed_walk(h, k), by the laws of the module docstring.
+def _walk_value(walk: _Walk, ctx: SumContext) -> complex:
+    """D_L(h, k) from walk = _walk(h, k), by the laws of the module docstring.
 
-    R is one Fraction, and sign*R is rounded to a float by one integer
-    division, so R = 0 gives +0.0 for either sign; a walk to c = 0 with no
-    nonzero net count ends there.  Otherwise the keys, then the cusp's
-    D_L(r, t), go to _d_sum_tables, and count*D_L(key) is subtracted in key
-    order.
+    R is one Fraction, rounded to a float by one integer division, so R = 0
+    gives +0.0; a walk to c = 0 with no nonzero net count ends there.
+    Otherwise the keys go to _d_sum_tables and count*D_L(key) is subtracted
+    in key order, then the cusp's E2(0) terms are added.
     """
     r = walk.r
-    value = 1j * math.sqrt(abs(ctx.order.discriminant)) * ctx.lattice.e2_zero() * (sign * r.numerator / r.denominator)
-    if walk.exact:
-        return value
-    counts = walk.counts
-    pairs = [_key_pair(key, ctx.order) for key, _ in counts]
-    sums = _d_sum_tables(pairs + ([] if walk.cusp is None else [walk.cusp[:2]]), ctx)
-    n = len(counts)
-    value -= sign * sum(count * d for (_, count), d in zip(counts, sums))
+    value = 1j * math.sqrt(abs(ctx.order.discriminant)) * ctx.lattice.e2_zero() * (r.numerator / r.denominator)
+    if walk.counts:
+        sums = _d_sum_tables([_key_pair(key, ctx.order) for key, _ in walk.counts], ctx)
+        value -= sum(count * d for (_, count), d in zip(walk.counts, sums))
     if walk.cusp is not None:
-        r, t, (wu, wv) = walk.cusp
+        b, t, (wu, wv) = walk.cusp
         w = float(wu) + float(wv) * ctx.order.theta_embedding()
-        e2_b, e2_conj_b = (_colon_lattice(b, t.u, ctx.lattice).e2_zero() for b in (r, r.conjugate()))
-        value += sign * (sums[n] + e2_b * w - e2_conj_b * w.conjugate())
+        e2_b, e2_conj_b = (_colon_lattice(x, t.u, ctx.lattice).e2_zero() for x in (b, b.conjugate()))
+        value += e2_b * w - e2_conj_b * w.conjugate()
     return value
 
 
@@ -305,12 +304,12 @@ def d_norm_exact(h: OrderElem, k: OrderElem, ctx: SumContext) -> Fraction:
     if k.is_zero():
         raise ZeroDivisorError("zero modulus")
     _normalizer(ctx)
-    signed = None if h.is_zero() else _signed_walk(h, k)
-    if signed is None or not signed[1].exact:
+    walk = None if h.is_zero() else _walk(h, k)
+    if walk is None or not walk.exact:
         raise PreconditionError(
             f"Dtilde(h={h!r}, k={k!r}) is exact only for h != 0 and a walk to c = 0 whose constants cancel"
         )
-    return signed[0] * signed[1].r
+    return walk.r
 
 
 def d_sum(h: OrderElem, k: OrderElem, ctx: SumContext) -> complex:
@@ -328,7 +327,7 @@ def d_sum(h: OrderElem, k: OrderElem, ctx: SumContext) -> complex:
             return 0j / k.embed()
         except OverflowError as exc:
             raise PreconditionError(f"k = {k!r} leaves the double range") from exc
-    return _walk_value(*_signed_walk(h, k), ctx)
+    return _walk_value(_walk(h, k), ctx)
 
 
 def _normalizer(ctx: SumContext) -> complex:
@@ -336,7 +335,8 @@ def _normalizer(ctx: SumContext) -> complex:
 
     Raises ExcludedRingError when E2(0) vanishes (multiplier ring Z[i] or
     Z[rho]) and PreconditionError when j(L) is not real (Dtilde is then not
-    real either).  E2(0) has weight 2, so the vanishing test is on
+    real either), decided on the reduced tau (Lattice._j_is_real), so any
+    |disc| is served.  E2(0) has weight 2, so the vanishing test is on
     |E2(0)|*area, which does not change when the lattice is scaled.
     """
     e2 = ctx.lattice.e2_zero()
@@ -344,9 +344,8 @@ def _normalizer(ctx: SumContext) -> complex:
         raise ExcludedRingError(
             f"E2(0) = {e2:.3e} vanishes for this ring; normalized sums are undefined"
         )
-    jv = ctx.lattice.j_invariant()
-    if abs(jv.imag) > 1e-6 * (1.0 + abs(jv)):
-        raise PreconditionError(f"j(L) = {jv:.6g} is not real; normalized sums need a lattice with real j")
+    if not ctx.lattice._j_is_real():
+        raise PreconditionError(f"j(L) is not real at tau = {ctx.lattice._tau:.6g}; normalized sums need a real j")
     return 1j * math.sqrt(abs(ctx.order.discriminant)) * e2
 
 

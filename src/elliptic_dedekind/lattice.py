@@ -199,7 +199,10 @@ class Lattice:
         """L(u) = zeta(u) - G2(tau)*u on Z + Z*tau for reduced u (see the module docstring).
 
         L is odd, so the series runs at v = +-u with Im v >= 0, where |w| <= 1.
-        w underflows to 0 only where qbar has (Im tau > 236), and beta is 0 there.
+        |w| >= exp(-pi*Im tau) = sqrt(|qbar|) is a normal double wherever qbar
+        is not 0.  Where qbar underflows to 0 (Im tau > 118.6), beta is 0:
+        there w is subnormal for Im v in 112.8..118.6 and 0 beyond, and numpy's
+        0/w is NaN.
         """
         sign = np.where(u.imag < 0.0, -1.0, 1.0)
         z = 2j * math.pi * sign * u
@@ -207,7 +210,7 @@ class Lattice:
         w = np.exp(z)
         cot = math.pi * 1j * (1.0 + 2.0 / em1)  # pi*cot(pi*v)
         alpha = self._qbar * w
-        beta = np.divide(self._qbar, w, out=np.zeros_like(w), where=w != 0)
+        beta = self._qbar / w if self._qbar else np.zeros_like(w)
         return sign * (cot + _horner(self._coef_alpha, alpha) - _horner(self._coef, beta))
 
     def _e1_reduced(self, x: np.ndarray, y: np.ndarray, on_lattice: np.ndarray) -> np.ndarray:
@@ -269,6 +272,16 @@ class Lattice:
 
     def e1(self, z: complex) -> complex:
         return complex(self.e1_many(np.asarray([complex(z)]))[0])
+
+    def _j_is_real(self) -> bool:
+        """Whether j(L) is real, decided on the reduced tau without j's value, which overflows at large Im tau.
+
+        j(tau) is real exactly where tau and -conj(tau) are SL2(Z)-equivalent:
+        in the fundamental domain, on Re tau = 0, on Re tau = +-1/2 and on
+        |tau| = 1.  Each is tested to within 1e-9.
+        """
+        x = abs(self._tau.real)
+        return min(x, abs(x - 0.5), abs(abs(self._tau) - 1.0)) <= 1e-9
 
     def j_invariant(self) -> complex:
         """Modular invariant E4^3/Delta, with Delta = qbar*prod(1 - qbar^n)^24.

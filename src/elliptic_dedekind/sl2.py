@@ -2,8 +2,8 @@
 
 The walk serves d_sum on every pair (h, k) with h != 0, on any order.  h is
 first replaced by its representative mod k in a fixed box, up to sign
-(_signed_walk), so that the value is shift invariant and odd in h bit for
-bit.  The walk is the pseudo-Euclidean algorithm of modular symbols
+(_walk), so that the value is shift invariant and odd in h bit for bit.
+The walk is the pseudo-Euclidean algorithm of modular symbols
 (J. E. Cremona, Compositio Math. 51, 1984): each step applies
 M = [[alpha, beta], [gamma, delta]] in SL2(O) to the column (a, c), starting
 at (h, k), and takes the first M with N(gamma*a + delta*c) < N(c):
@@ -29,12 +29,13 @@ else (h/g, k/g) takes the same steps to (1, 0) and x = x0*g gives
 gamma = -1.  Where no gamma under the bound lowers N(c), as on every
 non-principal (h, k), the walk stops at (a_n, c_n), c_n != 0, the cusp
 a_n/c_n = r/t mod O, and raises SearchLimitError unless t*t <= _gamma_bound,
-so that D_L(r, t) is a small table.  It returns R, the signed net counts of
-the constants D_L(alpha_i, gamma_i) of the steps with N(gamma_i) > 1 on their
-canonical keys, and the cusp, all exact, for the laws of dedekind's
-docstring.  A key (_orbit_key) stands for the orbit of a constant under all
-four symmetries of dedekind's docstring, which hold on every lattice, so the
-counts are final and the same for every lattice the order acts on.
+so that D_L(r, t) is a small table.  It returns, for (h, k) itself, all
+exact, for the laws of dedekind's docstring: R; the signed net counts, on
+their canonical keys, of the constants D_L(alpha_i, gamma_i) of the steps
+with N(gamma_i) > 1 and of the cusp's D_L(r, t); and the cusp (r, t, w) of
+the E2(0) terms.  A key (_orbit_key) stands for the orbit of a constant
+under the symmetries of dedekind's docstring, which hold on every lattice,
+so the counts are final and the same for every lattice the order acts on.
 """
 
 from __future__ import annotations
@@ -296,15 +297,15 @@ def _complete_row(gamma: _Pair, delta: _Pair, tr: int, nt: int, c0: int) -> tupl
 
 @dataclass(frozen=True)
 class _Walk:
-    """The walk of (h, k) (see the module docstring).
+    """The walk of (h, k) (see the module docstring), for the value D_L(h, k) itself.
 
     r is the exact R; counts holds, in key order, each canonical key
     (gamma, rho, rho') (_orbit_key) of the steps' constants D_L(alpha_i, gamma_i),
-    N(gamma_i) > 1, whose signed net count is not 0: D_L(alpha_i, gamma_i) =
-    sign*D_L(key), so the constants sum to the sum of count*D_L(key).  cusp
-    is None for a walk that ends at c = 0, else the stop cusp (r, t, w):
-    r/t = a_n/c_n mod O, t a rational integer, and w = c_n*x1/(t^2*k) as its
-    exact theta-coordinates.
+    N(gamma_i) > 1, and of the cusp's D_L(r, t), whose signed net count is
+    not 0: each is sign*D_L(key), so they sum to the sum of count*D_L(key).
+    cusp is None for a walk that ends at c = 0, else the stop cusp (r, t, w)
+    of the two E2(0) terms: r/t = a_n/c_n mod O, t a rational integer, and
+    w = c_n*x1/(t^2*k) as its exact theta-coordinates.
     """
 
     r: Fraction
@@ -320,16 +321,27 @@ class _Walk:
 def _walk(h: OrderElem, k: OrderElem) -> _Walk:
     """The walk of (h, k), for h != 0, to c = 0 or to its stop cusp r/t; SearchLimitError if t*t > _gamma_bound.
 
-    The Euclidean steps add only integers to R, so at either end R is one
+    It walks h', the representative of sign*h mod k with h'*conj(k) = (s, t)
+    in [0, N(k))^2, sign picking the smaller (s, t), so the steps, and every
+    bit of the value, are shift invariant and odd in h; D_L(h, k) =
+    sign*D_L(h', k), so R, the counts and w are those of h' times sign.  The
+    Euclidean steps add only integers to R, so at either end R is one
     Fraction of an integer numerator over N(k), or N(k)*N(c_n) at a cusp,
     plus the J-terms of the extra steps, a Fraction sum only where there are
     extra steps (_fraction).
     """
+    h._check(k)
     order = h.order
     tr, nt = order.theta_trace, order.theta_norm
     c0 = tr // 2
-    # The walk (a, c) -> M*(a, c) keeps a = x0*h and c = x1*h modulo k.
-    a, c = (h.u, h.v), (k.u, k.v)
+    kk = (k.u, k.v)
+    n_k = _norm(kk, tr, nt)
+    su, sv = _times_conj((h.u, h.v), kk, tr, nt)
+    sign = -1 if ((-su) % n_k, (-sv) % n_k) < (su % n_k, sv % n_k) else 1
+    # h' = sign*h - k*q, q the floor of sign*h*conj(k)/N(k) coordinate by coordinate.
+    hk = _sub((sign * h.u, sign * h.v), _mul(kk, ((sign * su) // n_k, (sign * sv) // n_k), tr, nt))
+    # The walk (a, c) -> M*(a, c) keeps a = x0*h' and c = x1*h' modulo k.
+    a, c = hk, kk
     x0, x1 = (1, 0), (0, 0)
     q_sum = 0
     extra = 0
@@ -354,51 +366,39 @@ def _walk(h: OrderElem, k: OrderElem) -> _Walk:
         if n_gamma > 1:
             found = _orbit_key(gamma, _times_conj(alpha, gamma, tr, nt), _times_conj(delta, gamma, tr, nt), n_gamma, tr)
             if found is not None:
-                key, sign = found
-                counts[key] = counts.get(key, 0) + sign
+                key, key_sign = found
+                counts[key] = counts.get(key, 0) + key_sign
         a, c = _combine(alpha, a, beta, c, tr, nt), _combine(gamma, a, delta, c, tr, nt)
         x0, x1 = _combine(alpha, x0, beta, x1, tr, nt), _combine(gamma, x0, delta, x1, tr, nt)
-    hk, kk, n_k = (h.u, h.v), (k.u, k.v), k.norm()
-    net = tuple(sorted((key, count) for key, count in counts.items() if count)) if counts else ()
     if c == (0, 0):
-        # a generates (h, k).  A unit a has norm 1 and h*x0*conj(a) = 1 (mod k).  Otherwise
-        # (h/a, k/a) takes the same steps to (1, 0), x0 inverts h/a mod k/a and x/k = x0/(k/a).
+        # a generates (h', k).  A unit a has norm 1 and h'*x0*conj(a) = 1 (mod k).  Otherwise
+        # (h'/a, k/a) takes the same steps to (1, 0), x0 inverts h'/a mod k/a and x/k = x0/(k/a).
         x = _times_conj(x0, a, tr, nt) if _norm(a, tr, nt) == 1 else _mul(x0, a, tr, nt)
         # J(z/w) = 2*Im(z/w)/sqrt(|d|) is the theta-coordinate of z/w, as Im(theta) = sqrt(|d|)/2.
-        return _Walk(_fraction(_times_conj(_add(hk, x), kk, tr, nt)[1] - q_sum * n_k, n_k, extra), net)
-    # No step lowers N(c): a/c = num/n = r/t mod O, t the least positive integer with t*a/c in O.
-    g = math.gcd(*num, n)
-    t = n // g
-    if t * t > _gamma_bound(order):
-        raise SearchLimitError(
-            f"no gamma of norm <= {_gamma_bound(order)} lowers N(c) = {n} on the order "
-            f"(d_K={order.d_k}, f={order.f}), and t*t > {_gamma_bound(order)} at the cusp r/{t}; the walk is stuck"
-        )
-    r = _fraction(_times_conj(hk, kk, tr, nt)[1] * n - (num[1] + q_sum * n) * n_k, n_k * n, extra)
-    w = tuple(Fraction(x, t * t * n_k) for x in _times_conj(_mul(c, x1, tr, nt), kk, tr, nt))
-    return _Walk(r, net, (OrderElem(num[0] // g % t, num[1] // g % t, order), order.element(t), w))
+        r = _fraction(_times_conj(_add(hk, x), kk, tr, nt)[1] - q_sum * n_k, n_k, extra)
+        cusp = None
+    else:
+        # No step lowers N(c): a/c = num/n = r/t mod O, t the least positive integer with t*a/c in O.
+        g = math.gcd(*num, n)
+        t = n // g
+        if t * t > _gamma_bound(order):
+            raise SearchLimitError(
+                f"no gamma of norm <= {_gamma_bound(order)} lowers N(c) = {n} on the order "
+                f"(d_K={order.d_k}, f={order.f}), and t*t > {_gamma_bound(order)} at the cusp r/{t}; the walk is stuck"
+            )
+        ru, rv = num[0] // g % t, num[1] // g % t
+        # D_L(h', k) holds +D_L(r, t): a constant of count -1 on gamma = t, x = r*conj(t) = r*t.  An r that
+        # shares a factor with t has no inverse, so x stands for its own: that drops only alpha^-1.
+        found = _orbit_key((t, 0), (ru * t, rv * t), (ru * t, rv * t), t * t, tr)
+        if found is not None:
+            counts[found[0]] = counts.get(found[0], 0) - found[1]
+        r = _fraction(_times_conj(hk, kk, tr, nt)[1] * n - (num[1] + q_sum * n) * n_k, n_k * n, extra)
+        w = tuple(Fraction(sign * x, t * t * n_k) for x in _times_conj(_mul(c, x1, tr, nt), kk, tr, nt))
+        cusp = (OrderElem(ru, rv, order), order.element(t), w)
+    return _Walk(sign * r, tuple(sorted((key, sign * count) for key, count in counts.items() if count)), cusp)
 
 
 def _fraction(numerator: int, denominator: int, extra: Fraction | int) -> Fraction:
     """numerator/denominator + extra as one Fraction; extra is 0, an int, on a walk with no extra step."""
     r = Fraction(numerator, denominator)
     return r + extra if extra else r
-
-
-def _signed_walk(h: OrderElem, k: OrderElem) -> tuple[int, _Walk]:
-    """(sign, walk of (h', k)) with D_L(h, k) = sign*D_L(h', k), the same h' for every +-h + k*m.
-
-    h' is the representative of sign*h mod k with h'*conj(k) = (s, t) in
-    [0, N(k))^2, and sign picks the smaller (s, t); so the walk, and every
-    bit of the value, are shift invariant and odd in h.
-    """
-    h._check(k)
-    order = h.order
-    tr, nt = order.theta_trace, order.theta_norm
-    hk, kk = (h.u, h.v), (k.u, k.v)
-    n = _norm(kk, tr, nt)
-    su, sv = _times_conj(hk, kk, tr, nt)
-    sign = -1 if ((-su) % n, (-sv) % n) < (su % n, sv % n) else 1
-    # h' = sign*h - k*q, q the floor of sign*h*conj(k)/N(k) coordinate by coordinate.
-    hu, hv = _sub((sign * hk[0], sign * hk[1]), _mul(kk, ((sign * su) // n, (sign * sv) // n), tr, nt))
-    return sign, _walk(OrderElem(hu, hv, order), k)

@@ -37,7 +37,7 @@ from .errors import GenerationError
 from .lattice import Lattice
 from .oracles import e1_ewald_many, e2_hecke_limit, weierstrass_zeta_direct
 from .ring import OrderElem, QuadOrder
-from .sl2 import Mat2, _column, _signed_walk
+from .sl2 import Mat2, _column, _walk
 
 __all__ = [
     "CheckResult",
@@ -140,10 +140,10 @@ def _density_step_ok(step, ctx: SumContext) -> bool:
     from that one walk, normalized, within 1e-12*(1 + |Dtilde|).
     """
     x = step.dtilde_exact
-    sign, walk = _signed_walk(step.A3.a, step.A3.c)
+    walk = _walk(step.A3.a, step.A3.c)
     if walk.exact:
-        return sign * walk.r == x
-    return abs(normalize_value(_walk_value(sign, walk, ctx), ctx) - x) <= 1e-12 * (1 + abs(x))
+        return walk.r == x
+    return abs(normalize_value(_walk_value(walk, ctx), ctx) - x) <= 1e-12 * (1 + abs(x))
 
 
 def run_lemma_suite(order: QuadOrder, seed: int) -> list[CheckResult]:

@@ -3,6 +3,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import elliptic_dedekind
-from elliptic_dedekind import QuadOrder, SumContext, Target, approximate, cli, d_norm
+from elliptic_dedekind import QuadOrder, SumContext, Target, approximate, cli, d_norm, d_norm_exact
 from elliptic_dedekind.cli import main
 from elliptic_dedekind.errors import (
     ConstructionError,
@@ -224,6 +225,17 @@ def test_sum_refuses_a_lattice_whose_j_is_not_real(capsys):
     assert code == 2
     assert out == ""
     assert "j(L)" in err and "not real" in err
+
+
+@pytest.mark.parametrize("dk", [-60007, -100003])
+def test_sum_serves_large_discriminants(capsys, dk):
+    # j overflows a double once Im tau > ~113, yet it is real on the order's own lattice: the
+    # reality test reads the reduced tau, so these exit 0, with d_norm within 1 ulp of the exact value.
+    code, out, _ = run_cli(capsys, "sum", "--dk", str(dk), "--h", "1,0", "--k", "3,1", "--format", "json")
+    assert code == 0
+    order = QuadOrder(dk)
+    exact = float(d_norm_exact(order.one(), order.element(3, 1), SumContext(order)))
+    assert abs(json.loads(out)["records"][0]["d_norm"] - exact) <= math.ulp(exact)
 
 
 def test_sum_refuses_a_basis_too_large_to_solve(capsys):

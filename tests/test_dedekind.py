@@ -366,8 +366,10 @@ def test_reference_table_bits_are_pinned(ctx_m8, h, k, expected):
 def test_d_sum_norm_bound_fails_loudly(monkeypatch):
     # On d = -20, 11 + theta = 1 + sqrt(-5) and (1 + sqrt(-5), 2*23173) is the prime over 2,
     # which is not principal.  46346**2 = 2147951716 >= 2**31: the reference table refuses
-    # the pair before any table is allocated, and d_sum walks it to its stop cusp, where a
-    # walk of another representative of h mod k agrees.
+    # the pair before any table is allocated, and d_sum walks it to its stop cusp.  Its walk
+    # takes no extra step, so it has no gamma to vary; a detour through one M in SL2(O) with
+    # gamma = 3 + theta, which raises N(c), gives another walk of the pair, whose constant
+    # and R differ, and its value agrees.
     ctx = SumContext(QuadOrder(-20))
     h, k = ctx.order.element(11, 1), ctx.order.element(46346)
 
@@ -379,8 +381,22 @@ def test_d_sum_norm_bound_fails_loudly(monkeypatch):
         _d_sum_table(h, k, ctx)
     monkeypatch.undo()
     value = d_sum(h, k, ctx)
-    other = dedekind._walk_value(1, sl2._walk(h + k * ctx.order.element(5, 3), k), ctx)
-    assert abs(other - value) <= 1e-12 * abs(value)
+    extra_step, calls = sl2._extra_step, []
+    tr, nt = ctx.order.theta_trace, ctx.order.theta_norm
+
+    def detour(*args):
+        calls.append(args)
+        if len(calls) > 1:
+            return extra_step(*args)
+        alpha, beta = sl2._complete_row((3, 1), (1, 0), tr, nt, tr // 2)
+        return alpha, beta, (3, 1), (1, 0)
+
+    monkeypatch.setattr(sl2, "_extra_step", detour)
+    other = sl2._walk(h, k)
+    monkeypatch.undo()
+    walk = sl2._walk(h, k)
+    assert len(calls) == 2 and other.r != walk.r and other.counts != walk.counts == ()
+    assert abs(dedekind._walk_value(other, ctx) - value) <= 1e-12 * abs(value)
     # Below the bound, the table matches the sum over the whole box (N(30) = 900 on d = -72).
     ctx = SumContext(QuadOrder(-8, 3))
     h, k = ctx.order.element(3, 3), ctx.order.element(30)
@@ -516,7 +532,7 @@ def test_walk_builds_each_gammas_points_once(monkeypatch):
     # evaluation serves the walk.
     ctx = SumContext(QuadOrder(-163))
     h, k = ctx.order.element(-60728052818922, 77510101037827), ctx.order.element(-5868471523959, 30480562442566)
-    _, walk = sl2._signed_walk(h, k)
+    walk = sl2._walk(h, k)
     keys = [sl2._key_pair(key, ctx.order) for key, _ in walk.counts]
     gammas = {gamma for _, gamma in keys}
     assert len(keys) > len(gammas) > 1

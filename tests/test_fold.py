@@ -20,7 +20,8 @@ from elliptic_dedekind import dedekind, sl2, verification
 from elliptic_dedekind.cli import main
 from elliptic_dedekind.dedekind import _d_sum_tables
 from elliptic_dedekind.ring import _add, _generates, _mul, _norm, _times_conj
-from elliptic_dedekind.sl2 import _complete_row, _gammas, _key_pair, _orbit_key, _signed_walk
+from elliptic_dedekind.sl2 import _complete_row, _gammas, _key_pair, _orbit_key, _walk
+from test_sl2 import negated, ref_sign
 
 # The orders CI verifies.
 CI_ORDERS = [
@@ -284,7 +285,7 @@ def merged_pairs(monkeypatch, order, rng, count):
             if h.is_zero() or not 0 < k.norm() <= 20_000:
                 continue
             calls.clear()
-            _signed_walk(h, k)
+            _walk(h, k)
             for gamma, x, y, n in calls:
                 first = three_symmetry_key(x, y, n)
                 if first is not None and reference_key(gamma, x, y, n, order) != ((gamma, *first[:2]), first[2]):
@@ -323,7 +324,7 @@ def test_a_float_basis_of_the_order_folds_as_its_own_basis(capsys):
     h, k = (order.element(*x) for x in CONJ_PAIRS[0])
     own = d_norm_exact(h, k, SumContext(order))
     assert d_norm_exact(h, k, SumContext(order, Lattice(1, theta))) == own
-    assert _signed_walk(h, k)[1].exact
+    assert _walk(h, k).exact
 
 
 def test_a_scaled_context_takes_the_same_keys(monkeypatch):
@@ -382,7 +383,95 @@ def test_density_steps_on_the_conductor_order_are_exact():
     # cancel: the lemma suite's density check compares R with the construction's Dtilde exactly.
     ctx = SumContext(QuadOrder(-8, 3))
     for step in approximate(Target(1, 5, ctx.order), 5):
-        sign, walk = _signed_walk(step.A3.a, step.A3.c)
-        assert walk.exact and sign * walk.r == step.dtilde_exact
+        walk = _walk(step.A3.a, step.A3.c)
+        assert walk.exact and walk.r == step.dtilde_exact
         assert d_norm_exact(step.A3.a, step.A3.c, ctx) == step.dtilde_exact
         assert verification._density_step_ok(step, ctx)
+
+
+# -- The cusp's constant D_L(r, t) -------------------------------------------------------------
+
+# Orders whose walks stop at cusps r/t with t = 2, 3, 5 and 7: conductor orders, and orders of
+# class number 2 and 4.
+CUSP_ORDERS = [(-8, 3), (-3, 7), (-4, 5), (-56, 1), (-84, 1), (-39, 1), (-20, 1)]
+
+
+def cusp_walks(order, rng, count, bound, max_norm=None):
+    """count (h, k, walk) whose walk stops at a cusp, h and k with coordinates uniform in +-bound."""
+    found = []
+    while len(found) < count:
+        h, k = (order.element(rng.randint(-bound, bound), rng.randint(-bound, bound)) for _ in range(2))
+        if h.is_zero() or k.is_zero() or (max_norm is not None and k.norm() > max_norm):
+            continue
+        walk = _walk(h, k)
+        if walk.cusp is not None:
+            found.append((h, k, walk))
+    return found
+
+
+def cusp_key(walk, order):
+    """_orbit_key of the walk's D_L(r, t): gamma = t, x = r*t standing for its own inverse residue."""
+    r, t, _ = walk.cusp
+    x = (r.u * t.u, r.v * t.u)
+    return _orbit_key((t.u, 0), x, x, t.u * t.u, order.theta_trace)
+
+
+def test_the_cusp_constant_folds_into_the_counts():
+    # 420 cusp walks at coordinates +-1e9: each D_L(r, t) is sign*D_L(key) of its folded key, and
+    # the walk counts the key -(walk sign)*sign.  Every D_L(r, 2) folds to None: E1 vanishes on
+    # the 2-torsion points, so the table of t = 2 is exactly 0.
+    seen_t = set()
+    for dk, f in CUSP_ORDERS:
+        order = QuadOrder(dk, f)
+        ctx = SumContext(order)
+        walks = cusp_walks(order, random.Random(80), 60, 10**9)
+        folded = [(h, k, walk, cusp_key(walk, order)) for h, k, walk in walks]
+        keys = [found[0] for *_, found in folded if found is not None]
+        values = dict(zip(keys, _d_sum_tables([_key_pair(key, order) for key in keys], ctx)))
+        for h, k, walk, found in folded:
+            r, t, _ = walk.cusp
+            seen_t.add(t.u)
+            table = dedekind._d_sum_table(r, t, ctx)
+            if t.u == 2:
+                assert found is None and table == 0
+                continue
+            key, sign = found
+            assert abs(sign * values[key] - table) <= 1e-14 * (1 + abs(table))
+            assert dict(walk.counts)[key] == -ref_sign(h, k) * sign
+    assert seen_t == {2, 3, 5, 7}
+
+
+@pytest.mark.parametrize("dk, f", CUSP_ORDERS + [(-8, 1), (-163, 1)])
+def test_the_walk_is_odd_and_shift_invariant(dk, f):
+    # _walk(-h, k) negates R, every count (the cusp's too) and w; h + k*m takes the walk of h.
+    order = QuadOrder(dk, f)
+    rng = random.Random(81)
+    signs = set()
+    for _ in range(20):
+        h, k = (order.element(rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6)) for _ in range(2))
+        if h.is_zero() or k.is_zero():
+            continue
+        walk = _walk(h, k)
+        signs.add(ref_sign(h, k))
+        assert _walk(-h, k) == negated(walk)
+        m = order.element(rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6))
+        assert _walk(h + k * m, k) == walk
+    assert signs == {-1, 1}
+
+
+@pytest.mark.parametrize("dk, f", [(-8, 3), (-3, 7), (-4, 5), (-56, 1), (-84, 1), (-39, 1)])
+def test_d_sum_matches_the_table_beside_cusps_with_t_at_least_3(dk, f):
+    # On walks that stop at r/t, t >= 3, whose folded D_L(r, t) is not 0, with either sign.
+    order = QuadOrder(dk, f)
+    ctx = SumContext(order)
+    rng = random.Random(82)
+    checked, signs = 0, set()
+    while checked < 6:
+        ((h, k, walk),) = cusp_walks(order, rng, 1, 150, 20_000)
+        if walk.cusp[1].u < 3 or cusp_key(walk, order) is None:
+            continue
+        checked += 1
+        signs.add(ref_sign(h, k))
+        expected = dedekind._d_sum_table(h, k, ctx)
+        assert abs(d_sum(h, k, ctx) - expected) <= 1e-12 * (1 + abs(expected))
+    assert signs == {-1, 1}

@@ -11,13 +11,15 @@ from elliptic_dedekind import (
     PoleError,
     PreconditionError,
     QuadOrder,
+    SumContext,
     area,
+    d_sum,
     e1,
     e2_zero,
     j_invariant,
     weierstrass_zeta,
 )
-from elliptic_dedekind.oracles import _points_in_disk, e2_hecke_limit, weierstrass_zeta_direct
+from elliptic_dedekind.oracles import _points_in_disk, e1_ewald_many, e2_hecke_limit, weierstrass_zeta_direct
 
 SQRT2 = math.sqrt(2.0)
 RHO = complex(-0.5, math.sqrt(3.0) / 2.0)
@@ -279,6 +281,19 @@ def test_e1_torsion_matches_e1_many(lat):
         assert np.all(got[on_lattice] == 0)
         expected = lat.e1_many(((s % n) * lat.omega1 + (t % n) * lat.omega2) / n)
         assert np.max(np.abs(got - expected)) <= 1e-11 * (1 + np.max(np.abs(expected)))
+
+
+def test_e1_where_qbar_underflows_matches_ewald():
+    # On d = -1000003, Im tau = 500 and qbar underflows to 0.  At (s*omega1 + 81*omega2)/356,
+    # Im v = 113.8, w = exp(2*pi*i*v) is subnormal, and numpy's 0/w is NaN: beta must be 0 there.
+    order = QuadOrder(-1000003)
+    lattice = Lattice.from_order(order)
+    s = np.arange(0, 356, 5)
+    got = lattice.e1_torsion(s, np.full(s.size, 81), 356)
+    expected = np.array(e1_ewald_many((s * lattice.omega1 + 81 * lattice.omega2) / 356, lattice))
+    assert np.all(np.abs(got - expected) <= 1e-14 * (1 + np.abs(expected)))
+    # A walk whose constant tables hold such points.
+    assert cmath.isfinite(d_sum(order.element(12345, 678), order.element(91011, 1213), SumContext(order)))
 
 
 def test_e1_torsion_order_out_of_range():

@@ -26,7 +26,7 @@ import pytest
 from elliptic_dedekind import CosetSystem, Lattice, QuadOrder, SumContext, d_sum, mult_matrix
 from elliptic_dedekind.dedekind import _d_sum_table
 from elliptic_dedekind.oracles import e1_ewald
-from elliptic_dedekind.sl2 import _key_pair, _signed_walk
+from elliptic_dedekind.sl2 import _key_pair, _walk
 
 mpmath = pytest.importorskip("mpmath")
 mp = mpmath.mp
@@ -290,7 +290,7 @@ def test_walk_constants_match_30_digit_sums():
     # each key's D_L(alpha, gamma) is a table sum at N(gamma) <= 72.
     order = QuadOrder(-8, 3)
     ctx = SumContext(order)
-    _, walk = _signed_walk(order.element(-9044522756396, 55413830901490), order.element(105942611429219, 67534340783344))
+    walk = _walk(order.element(-9044522756396, 55413830901490), order.element(105942611429219, 67534340783344))
     keys = [_key_pair(key, order) for key, _ in walk.counts]
     assert len(keys) == 4
     for alpha, gamma in keys:

@@ -1,4 +1,4 @@
-"""Mat2, the two SL2(O) generators and _signed_walk, which run on int pairs, against plain OrderElem arithmetic."""
+"""Mat2, the two SL2(O) generators and the walk, which run on int pairs, against plain OrderElem arithmetic."""
 
 import math
 import random
@@ -18,7 +18,7 @@ from elliptic_dedekind import (
     phi,
 )
 from elliptic_dedekind.ring import _rounded_coords
-from elliptic_dedekind.sl2 import _signed_walk, _walk
+from elliptic_dedekind.sl2 import _Walk, _walk
 from elliptic_dedekind.verification import random_sl2
 
 ORDERS = [(-3, 1), (-4, 1), (-7, 1), (-8, 1), (-11, 1), (-15, 1), (-20, 1), (-23, 1), (-163, 1), (-8, 3), (-4, 5), (-3, 7)]
@@ -83,12 +83,26 @@ def ref_random_sl2(rng, order):
             return mat
 
 
-def ref_signed_walk(h, k):
+def ref_sign(h, k):
+    """The sign _walk gives h: -1 where -h*conj(k) mod N(k) is the smaller residue pair."""
     n = k.norm()
     num = h * k.conjugate()
-    sign = -1 if ((-num.u) % n, (-num.v) % n) < (num.u % n, num.v % n) else 1
-    h, num = sign * h, sign * num
-    return sign, _walk(h - k * h.order.element(num.u // n, num.v // n), k)
+    return -1 if ((-num.u) % n, (-num.v) % n) < (num.u % n, num.v % n) else 1
+
+
+def negated(walk):
+    """The walk with R, every count and w negated: the walk of -h for the walk of h."""
+    cusp = walk.cusp and (*walk.cusp[:2], tuple(-x for x in walk.cusp[2]))
+    return _Walk(-walk.r, tuple((key, -count) for key, count in walk.counts), cusp)
+
+
+def ref_walk(h, k):
+    """_walk(h, k) from the walk of the box representative h', its own representative with sign 1."""
+    n = k.norm()
+    sign = ref_sign(h, k)
+    h, num = sign * h, sign * h * k.conjugate()
+    walk = _walk(h - k * h.order.element(num.u // n, num.v // n), k)
+    return walk if sign == 1 else negated(walk)
 
 
 def entries(m):
@@ -123,7 +137,7 @@ def test_generators_products_and_walks_match_the_order_elem_reference(dk, f):
         if not prod.a.is_zero() and not prod.c.is_zero():
             walked.append((prod.a, prod.c))
     for h, k in walked:
-        assert _signed_walk(h, k) == ref_signed_walk(h, k)
+        assert _walk(h, k) == ref_walk(h, k)
     # Matrices with random entries, nearly all not unimodular.
     refused = 0
     for _ in range(300):

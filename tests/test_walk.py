@@ -32,8 +32,9 @@ from elliptic_dedekind.cli import main
 from elliptic_dedekind.cosets import CosetSystem
 from elliptic_dedekind.dedekind import _d_sum_table, _d_sum_tables, _walk_value
 from elliptic_dedekind.ring import _mul, _norm, _sub
-from elliptic_dedekind.sl2 import _complete_row, _gamma_bound, _gammas, _generates_order, _key_pair, _signed_walk
+from elliptic_dedekind.sl2 import _complete_row, _gamma_bound, _gammas, _generates_order, _key_pair, _walk
 from test_fold import merge_conj, three_symmetry_counts
+from test_sl2 import ref_sign
 
 # Class-number-one orders with E2(0) != 0 (maximal and f > 1), orders of
 # class number 2 and 4, and two lattices other than an order's own (1, theta):
@@ -95,7 +96,7 @@ def cusp_pair(rng, order, max_norm):
         bound = rng.choice((6, 40, 150))
         h = order.element(rng.randint(-bound, bound), rng.randint(-bound, bound))
         k = order.element(rng.randint(-bound, bound), rng.randint(-bound, bound))
-        if not h.is_zero() and 0 < k.norm() <= max_norm and _signed_walk(h, k)[1].cusp is not None:
+        if not h.is_zero() and 0 < k.norm() <= max_norm and _walk(h, k).cusp is not None:
             return h, k
 
 
@@ -107,11 +108,11 @@ def random_elem(rng, order, max_norm=50_000):
 
 
 def walk_constants(monkeypatch, h, k):
-    """(sign, walk, constants) of _signed_walk(h, k); constants are the int pairs (alpha, delta, gamma)
+    """(walk, constants) of _walk(h, k); constants are the int pairs (alpha, delta, gamma)
     of its extra steps with N(gamma) > 1, in walk order, recorded from sl2._extra_step."""
     with monkeypatch.context() as patch:
         steps = record_extra_steps(patch)
-        sign, walk = _signed_walk(h, k)
+        walk = _walk(h, k)
     tr, nt = h.order.theta_trace, h.order.theta_norm
     constants = []
     for _, step in steps:
@@ -119,7 +120,7 @@ def walk_constants(monkeypatch, h, k):
         if step is not None and _norm(step[2], tr, nt) > 1:
             alpha, _, gamma, delta = step
             constants.append((alpha, delta, gamma))
-    return sign, walk, constants
+    return walk, constants
 
 
 def record_table_sizes(monkeypatch):
@@ -148,7 +149,7 @@ def test_walk_matches_table(dk, f, lattice, monkeypatch):
         monkeypatch.undo()
         # Only the keys of the constants D_L(alpha, gamma) come from a table, at N(gamma).
         assert all(n <= bound for n in table_sizes)
-        with_constants += bool(walk_constants(monkeypatch, h, k)[2])
+        with_constants += bool(walk_constants(monkeypatch, h, k)[1])
         expected = _d_sum_table(h, k, ctx)
         assert abs(value - expected) <= 1e-12 * (1 + abs(expected))
     if f == 1 and dk in EUCLIDEAN_DK:
@@ -187,18 +188,18 @@ def test_walk_serves_a_principal_gcd_bit_for_bit(dk, f, monkeypatch):
 
 def test_non_principal_pair_goes_to_the_table(monkeypatch):
     # On d = -20, 11 + theta = 1 + sqrt(-5), and (1 + sqrt(-5), 10) is the prime over 2,
-    # which is not principal: the walk stops at the cusp (1 + theta)/2, and the only
-    # table d_sum fills is the cusp's, at N(2) = 4.  The N(k)-entry table agrees.
+    # which is not principal: the walk stops at the cusp (1 + theta)/2, and d_sum fills no
+    # table, as D_L(r, 2) = 0 folds away.  The N(k)-entry table agrees.
     ctx = SumContext(QuadOrder(-20))
     h, k = ctx.order.element(11, 1), ctx.order.element(10)
     assert not _generates_order(h, k)
-    _, walk = _signed_walk(h, k)
+    walk = _walk(h, k)
     r, t, _ = walk.cusp
     assert (r.u, r.v, t.u, t.v) == (1, 1, 2, 0) and walk.counts == ()
     sizes = record_table_sizes(monkeypatch)
     value = d_sum(h, k, ctx)
     monkeypatch.undo()
-    assert sizes == [4]
+    assert sizes == []
     expected = _d_sum_table(h, k, ctx)
     assert abs(value - expected) <= 1e-12 * (1 + abs(expected))
     with pytest.raises(PreconditionError, match="c = 0"):
@@ -253,7 +254,7 @@ def test_the_cusp_law_holds_wherever_the_walk_stops(dk, f, monkeypatch):
         h, k = random_elem(rng, order), random_elem(rng, order)
         monkeypatch.setattr(sl2, "_gammas", lambda o: ((-1, 0),))
         try:
-            walk = _signed_walk(h, k)[1]
+            walk = _walk(h, k)
             value = d_sum(h, k, ctx)
         except SearchLimitError:
             continue
@@ -276,20 +277,28 @@ CUSP_FIXTURES = [
 
 
 @pytest.mark.parametrize("dk, f, h, k", CUSP_FIXTURES, ids=["d-20-1e30", "d-3f7-1e30"])
-def test_walk_of_a_non_principal_pair_at_large_norm(dk, f, h, k):
-    # h + k*m, for three m, take walks of their own, which stop at their own cusps; their
-    # values agree, and d_sum is shift invariant and odd bit for bit.
+def test_walk_of_a_non_principal_pair_at_large_norm(dk, f, h, k, monkeypatch):
+    # With the non-unit gammas tried in reverse, the pair takes another walk, with other
+    # constants and R, to a stop cusp; its value agrees with d_sum's at a norm no table
+    # reaches.  h + k*m, for three m, take the walk of h, and d_sum is shift invariant and
+    # odd bit for bit.
     ctx = SumContext(QuadOrder(dk, f))
     order = ctx.order
     h, k = order.element(*h), order.element(*k)
     assert k.norm() > 10**29
     value = d_sum(h, k, ctx)
+    walk = _walk(h, k)
+    gammas = _gammas(order)
+    monkeypatch.setattr(sl2, "_gammas", lambda o: gammas[:1] + gammas[:0:-1])
+    other = _walk(h, k)
+    monkeypatch.undo()
+    assert other.counts != walk.counts and other.r != walk.r
+    assert other.cusp is not None and other.cusp[1].u ** 2 <= _gamma_bound(order)
+    assert abs(_walk_value(other, ctx) - value) <= 1e-12 * (1 + abs(value))
     rng = random.Random(52)
     for bound in (3, 10**6, 10**15):
         m = order.element(rng.randint(-bound, bound), rng.randint(-bound, bound))
-        walk = sl2._walk(h + k * m, k)
-        assert walk.cusp is not None and walk.cusp[1].u ** 2 <= _gamma_bound(order)
-        assert abs(_walk_value(1, walk, ctx) - value) <= 1e-12 * (1 + abs(value))
+        assert _walk(h + k * m, k) == walk
         assert d_sum(h + k * m, k, ctx) == value
         assert d_sum(-h - k * m, k, ctx) == -value
 
@@ -310,13 +319,13 @@ def test_walk_decides_every_step_without_floats(dk, f, monkeypatch):
 
     monkeypatch.setattr(QuadOrder, "theta_embedding", no_floats)
     monkeypatch.setattr(OrderElem, "embed", no_floats)
-    walks = [_signed_walk(h, k) for h, k in pairs]
+    walks = [_walk(h, k) for h, k in pairs]
     monkeypatch.undo()
-    assert any(walk.counts for _, walk in walks)
-    assert any(walk.cusp for _, walk in walks) == (dk != -163)
-    for (h, k), (sign, walk) in zip(pairs, walks):
+    assert any(walk.counts for walk in walks)
+    assert any(walk.cusp for walk in walks) == (dk != -163)
+    for (h, k), walk in zip(pairs, walks):
         expected = _d_sum_table(h, k, ctx)
-        assert abs(_walk_value(sign, walk, ctx) - expected) <= 1e-12 * (1 + abs(expected))
+        assert abs(_walk_value(walk, ctx) - expected) <= 1e-12 * (1 + abs(expected))
 
 
 @pytest.mark.parametrize("dk, f", [(-8, 1), (-20, 1), (-8, 3), (-3, 7), (-4, 2)])
@@ -404,7 +413,7 @@ def test_walk_steps_grow_like_log_norm(dk, f, monkeypatch):
             if h.is_zero() or not _generates_order(h, k):
                 continue
             calls.clear()
-            _signed_walk(h, k)
+            _walk(h, k)
             steps = len(calls)
             assert steps <= 6 * math.log(k.norm())
             counts.append(steps)
@@ -427,7 +436,7 @@ def test_d_norm_exact_needs_a_walk_without_constants(monkeypatch):
     order = ctx.order
     # k = 5 + theta has norm 67; the walk of (1, k) takes unit steps only.
     h, k = order.one(), order.element(5, 1)
-    assert _signed_walk(h, k)[1].counts == ()
+    assert _walk(h, k).counts == ()
     exact = d_norm_exact(h, k, ctx)
     assert exact.denominator == 67
     assert abs(float(exact) - d_norm(h, k, ctx)) <= 1e-15
@@ -436,13 +445,13 @@ def test_d_norm_exact_needs_a_walk_without_constants(monkeypatch):
     readme = [((1081, 0), (1560, 130), Fraction(899, 1170)), ((3313, 0), (4584, 382), Fraction(35, 3438))]
     for h, k, expected in readme:
         h, k = order.element(*h), order.element(*k)
-        _, walk, constants = walk_constants(monkeypatch, h, k)
+        walk, constants = walk_constants(monkeypatch, h, k)
         assert constants and walk.counts == ()
         assert d_norm_exact(h, k, ctx) == expected
         assert abs(d_norm(h, k, ctx) - expected) <= 1e-14 * expected
     # A walk to c = 0 at N(k) ~ 1e30 whose constants keep four nonzero net counts.
     h, k = order.element(-9044522756396, 55413830901490), order.element(105942611429219, 67534340783344)
-    walk = _signed_walk(h, k)[1]
+    walk = _walk(h, k)
     assert walk.cusp is None and len(walk.counts) == 4
     with pytest.raises(PreconditionError, match="constants"):
         d_norm_exact(h, k, ctx)
@@ -453,7 +462,7 @@ def test_d_norm_exact_refuses_the_rings_where_e2_vanishes(dk):
     # On Z[i] and Z[rho] the walk takes Euclidean steps only, yet Dtilde is undefined there.
     ctx = SumContext(QuadOrder(dk))
     h, k = ctx.order.element(2), ctx.order.element(4, 1)
-    assert _generates_order(h, k) and _signed_walk(h, k)[1].counts == ()
+    assert _generates_order(h, k) and _walk(h, k).counts == ()
     with pytest.raises(ExcludedRingError):
         d_norm(h, k, ctx)
     with pytest.raises(ExcludedRingError):
@@ -506,7 +515,7 @@ def test_d_sum_builds_only_small_tables_in_one_e1_evaluation(dk, f, monkeypatch)
             h, k = (order.element(*(rng.randint(-(10**digits), 10**digits) for _ in range(2))) for _ in range(2))
             if h.is_zero() or k.is_zero():
                 continue
-            kinds.add(_signed_walk(h, k)[1].cusp is None)
+            kinds.add(_walk(h, k).cusp is None)
             fills.clear()
             evaluations.clear()
             d_sum(h, k, ctx)
@@ -548,7 +557,7 @@ def test_walk_builds_one_e1_table_per_gamma(monkeypatch, capsys):
     for (dk, f), h, k, pinned, counts, n_keys in fixtures:
         ctx = SumContext(QuadOrder(dk, f))
         order = ctx.order
-        _, walk, constants = walk_constants(monkeypatch, order.element(*h), order.element(*k))
+        walk, constants = walk_constants(monkeypatch, order.element(*h), order.element(*k))
         gammas = {gamma for _, _, gamma in constants}
         assert (len(constants), len({(alpha, gamma) for alpha, _, gamma in constants}), len(gammas)) == counts
         keys = [_key_pair(key, order) for key, _ in walk.counts]
@@ -575,8 +584,9 @@ def test_walk_builds_one_e1_table_per_gamma(monkeypatch, capsys):
         assert sums == keys
 
 
-# (d_K, f, h, k), (sign, R) and the constants (alpha_u, alpha_v, gamma_u, gamma_v) of
-# _signed_walk, recorded from the walk on OrderElem arithmetic: one pair at N(k) ~ 1e30
+# (d_K, f, h, k), (sign, R) and the constants (alpha_u, alpha_v, gamma_u, gamma_v) of the
+# walk of h's box representative, whose R and counts _walk returns times sign, recorded from
+# the walk on OrderElem arithmetic: one pair at N(k) ~ 1e30
 # on each of five orders (drawn with random.Random(47)), then README's fifth sum.
 PINNED_WALKS = [
     (
@@ -657,19 +667,23 @@ PINNED_WALKS = [
 def test_walk_reproduces_pinned_walks_bit_for_bit(pair, expected, constants, monkeypatch):
     dk, f, h, k = pair
     ctx = SumContext(QuadOrder(dk, f))
-    sign, walk, steps = walk_constants(monkeypatch, ctx.order.element(*h), ctx.order.element(*k))
-    assert (sign, walk.r) == (expected[0], Fraction(expected[1]))
+    h, k = ctx.order.element(*h), ctx.order.element(*k)
+    walk, steps = walk_constants(monkeypatch, h, k)
+    sign = ref_sign(h, k)
+    assert (sign, walk.r) == (expected[0], expected[0] * Fraction(expected[1]))
     assert [(*alpha, *gamma) for alpha, _, gamma in steps] == constants
     # The net counts carry the constants' sum: sum_i D(alpha_i, gamma_i) = sum n*D(key), with and
-    # without the conj merge of the two-stage reference, each side a sum of E1-table values.
+    # without the conj merge of the two-stage reference, each side a sum of E1-table values;
+    # the walk's counts are those times sign.
     pairs = [(ctx.order.element(*alpha), ctx.order.element(*gamma)) for alpha, _, gamma in steps]
     raw = sum(_d_sum_tables(pairs, ctx))
     unmerged = three_symmetry_counts(steps, ctx.order)
-    assert merge_conj(unmerged, ctx.order) == walk.counts
-    for counts in (unmerged, walk.counts):
+    assert walk.cusp is None
+    assert tuple((key, sign * n) for key, n in merge_conj(unmerged, ctx.order)) == walk.counts
+    for counts, s in ((unmerged, 1), (walk.counts, sign)):
         values = _d_sum_tables([_key_pair(key, ctx.order) for key, _ in counts], ctx)
         folded = sum(n * value for (_, n), value in zip(counts, values))
-        assert abs(folded - raw) <= 1e-13 * (1 + abs(raw))
+        assert abs(folded - s * raw) <= 1e-13 * (1 + abs(raw))
 
 
 def window_extra_step(num, n, order, tr, nt, c0):
@@ -732,7 +746,7 @@ def test_ellipse_step_matches_the_window_step(dk, f, monkeypatch):
         k = order.element(rng.randint(-bound, bound), rng.randint(-bound, bound))
         if h.is_zero() or not _generates_order(h, k):
             continue
-        _signed_walk(h, k)
+        _walk(h, k)
         walks += 1
     assert len(steps) >= 20
     for args, result in steps:
@@ -748,7 +762,7 @@ def test_ellipse_step_matches_the_window_step_on_fixtures(dk, f, h, k, count, mo
     # README's fifth sum, and 291 extra steps beside the singular cusp (1 + sqrt(-5))/2 of d = -20.
     order = QuadOrder(dk, f)
     steps = record_extra_steps(monkeypatch)
-    _signed_walk(order.element(*h), order.element(*k))
+    _walk(order.element(*h), order.element(*k))
     assert len(steps) >= count
     for args, result in steps:
         assert window_extra_step(*args) == result
@@ -808,8 +822,8 @@ def test_walk_to_zero_with_negative_sign_gives_positive_zero():
     # 11 is taken to -11 mod 2 + 5*theta, whose walk ends at R = 0: the value is +0 + 0i.
     ctx = SumContext(QuadOrder(-8))
     h, k = ctx.order.element(11), ctx.order.element(2, 5)
-    sign, walk = _signed_walk(h, k)
-    assert (sign, walk.r) == (-1, 0)
+    walk = _walk(h, k)
+    assert (ref_sign(h, k), walk.r) == (-1, 0)
     z = d_sum(h, k, ctx)
     assert z == 0j
     assert math.copysign(1, z.real) > 0 and math.copysign(1, z.imag) > 0
