@@ -219,6 +219,8 @@ def _cmd_sum(args) -> int:
     k = order.element(*args.k)
     value = d_sum(h, k, ctx)
     normalized = normalize_value(value, ctx)
+    # The sign of an exactly-zero part follows rounding order, not the sum: print it as 0.
+    value = complex(value.real + 0.0, value.imag + 0.0)
     e2 = ctx.lattice.e2_zero()
     elapsed = time.perf_counter() - started
     record = {

@@ -12,9 +12,9 @@ at (h, k), and takes the first M with N(gamma*a + delta*c) < N(c):
     Euclidean step M = [[0, 1], [-1, q]], whenever it lowers N(c);
   - otherwise gamma runs over -1, then the non-units up to the norm
     max(72, 8*|disc|) by increasing norm (_gammas), delta over the lattice
-    points within distance 1 of -gamma*a/c, the points of an ellipse, nearest
-    first (_extra_step), and (gamma, delta) = O is required; _complete_row
-    finds alpha and beta.
+    points within distance 1 of -gamma*a/c, the points of an ellipse; the
+    nearest with (gamma, delta) = O, decided by a gcd on its integers, wins
+    (_extra_step), and _complete_row finds alpha and beta for it alone.
 
 Every step, test and completion runs on int pairs (u, v) for u + v*theta,
 with ring's pair arithmetic (_mul, _times_conj, _norm, ...), and so do Mat2
@@ -231,43 +231,60 @@ def _extra_step(num: _Pair, n: int, order: QuadOrder, tr: int, nt: int, c0: int)
     num = a*conj(c) and n = N(c), so a/c = num/n = z0 + zf with z0 in the
     order and zf in [0, 1) + [0, 1)*theta.  gamma runs over _gammas.  For
     each, delta = delta' - gamma*z0, where delta' = s + t*theta runs over the
-    lattice points within distance 1 of -gamma*zf, nearest first.  Then
+    lattice points within distance 1 of -gamma*zf.  Then
     gamma*a + delta*c = c*(gamma*zf + delta'), and (gamma, delta) = O exactly
-    when (gamma, delta') = O, so the completion runs on small numbers.  With
+    when (gamma, delta') = O, so the search runs on small numbers.  With
     x0 + y0*theta = gamma*n*zf, x = x0 + n*s and y = y0 + n*t, the candidate
     lowers N(c) exactly when 4*N(x + y*theta) = (2x + y*tr)^2 + y^2*|d| is
     at most 4n^2 - 1, d = tr^2 - 4*N(theta).  So the rows are those with
     |y| <= isqrt((4n^2 - 1) // |d|), and row y holds the s with
     |2x + y*tr| <= isqrt(4n^2 - 1 - y^2*|d|); a gamma whose ellipse holds no
-    row costs two floor divisions.  None when no gamma up to _gamma_bound
-    qualifies.
+    row costs one remainder.  The step takes, of the points with
+    (gamma, delta') = O, the least by (N(x + y*theta), s, t), the nearest.
+    The scan, row by row, meets the points in (s, t) order: two of them with
+    s1 > s2 and t1 < t2 would differ by n*(a - b*theta), a, b >= 1, of norm
+    n^2*(a^2 + |tr|*a*b + nt*b^2) >= 7*n^2 (tr = f*d_K <= -3, nt >= 3), yet
+    the difference of two points of norm below n^2 has norm below 4*n^2.  So
+    the first point of least norm that passes wins.  The test is ring._generates'
+    gcd(N(gamma), N(delta'), gamma*conj(delta')) = 1, decided on the
+    integers of each point that beats the best so far; a unit gamma passes
+    it.  Only the winner is completed (_complete_row).  None when no gamma up
+    to _gamma_bound qualifies.
     """
     nu, nv = num
     z0 = (nu // n, nv // n)
     fu, fv = nu % n, nv % n  # n*zf
+    fu_tr, fv_nt = fu + fv * tr, fv * nt
     abs_d = 4 * nt - tr * tr
-    n2, r2 = 2 * n, 4 * n * n - 1
-    y_max = math.isqrt(r2 // abs_d)
+    n2, n4 = 2 * n, 4 * n * n
+    y_max = math.isqrt((n4 - 1) // abs_d)
+    y_span = 2 * y_max
     for gamma in _gammas(order):
         gu, gv = gamma
-        y0 = gu * fv + gv * fu + gv * fv * tr
-        t_lo, t_hi = -((y_max + y0) // n), (y_max - y0) // n
-        if t_lo > t_hi:
+        # ys = y0 + y_max: row t is in the ellipse when 0 <= ys + n*t <= 2*y_max.
+        ys = gu * fv + gv * fu_tr + y_max
+        if ys % n > y_span:
             continue
-        x0 = gu * fu - gv * fv * nt
-        near = []
-        for t in range(t_lo, t_hi + 1):
-            y = y0 + n * t
+        x0 = gu * fu - gv * fv_nt
+        n_gamma = gu * gu + gu * gv * tr + gv * gv * nt
+        # gamma*conj(delta') = (gu*s + g_t*t) + (gv*s - gu*t)*theta.
+        g_t = gu * tr + gv * nt
+        best, best_s, best_t = n4, 0, 0  # 4*N(x + y*theta) is below n4 on the ellipse
+        for t in range(-(ys // n), (y_span - ys) // n + 1):
+            y = ys - y_max + n * t
+            yy = y * y * abs_d
             w0 = 2 * x0 + y * tr  # 2x + y*tr at s = 0
-            w_max = math.isqrt(r2 - y * y * abs_d)
+            w_max = math.isqrt(n4 - 1 - yy)
             for s in range(-((w_max + w0) // n2), (w_max - w0) // n2 + 1):
-                x = x0 + n * s
-                near.append((x * x + x * y * tr + y * y * nt, s, t))
-        for _, s, t in sorted(near):
-            row = _complete_row(gamma, (s, t), tr, nt, c0)
-            if row is not None:
-                alpha, beta = row
-                return alpha, _sub(beta, _mul(alpha, z0, tr, nt)), gamma, _sub((s, t), _mul(gamma, z0, tr, nt))
+                w = w0 + n2 * s
+                norm4 = w * w + yy
+                if norm4 < best and (
+                    n_gamma == 1 or math.gcd(n_gamma, s * s + s * t * tr + t * t * nt, gu * s + g_t * t, gv * s - gu * t) == 1
+                ):
+                    best, best_s, best_t = norm4, s, t
+        if best < n4:
+            alpha, beta = _complete_row(gamma, (best_s, best_t), tr, nt, c0)
+            return alpha, _sub(beta, _mul(alpha, z0, tr, nt)), gamma, _sub((best_s, best_t), _mul(gamma, z0, tr, nt))
     return None
 
 
@@ -325,10 +342,10 @@ def _walk(h: OrderElem, k: OrderElem) -> _Walk:
     in [0, N(k))^2, sign picking the smaller (s, t), so the steps, and every
     bit of the value, are shift invariant and odd in h; D_L(h, k) =
     sign*D_L(h', k), so R, the counts and w are those of h' times sign.  The
-    Euclidean steps add only integers to R, so at either end R is one
-    Fraction of an integer numerator over N(k), or N(k)*N(c_n) at a cusp,
-    plus the J-terms of the extra steps, a Fraction sum only where there are
-    extra steps (_fraction).
+    Euclidean steps add only integers to R, and the extra steps' J-terms are
+    summed as one integer over the lcm of their N(gamma), so at either end R
+    is one Fraction, built once (_fraction), of an integer numerator over
+    N(k), or N(k)*N(c_n) at a cusp, plus that sum.
     """
     h._check(k)
     order = h.order
@@ -344,7 +361,8 @@ def _walk(h: OrderElem, k: OrderElem) -> _Walk:
     a, c = hk, kk
     x0, x1 = (1, 0), (0, 0)
     q_sum = 0
-    extra = 0
+    # The extra steps' J-terms, summed as extra_num/extra_den, extra_den the lcm of their N(gamma).
+    extra_num, extra_den = 0, 1
     counts: dict[_Key, int] = {}
     while c != (0, 0):
         n = _norm(c, tr, nt)
@@ -362,7 +380,10 @@ def _walk(h: OrderElem, k: OrderElem) -> _Walk:
             break
         alpha, beta, gamma, delta = step
         n_gamma = _norm(gamma, tr, nt)
-        extra += Fraction(_times_conj(_add(alpha, delta), gamma, tr, nt)[1], n_gamma)
+        if extra_den % n_gamma:
+            scale = n_gamma // math.gcd(extra_den, n_gamma)
+            extra_num, extra_den = extra_num * scale, extra_den * scale
+        extra_num += _times_conj(_add(alpha, delta), gamma, tr, nt)[1] * (extra_den // n_gamma)
         if n_gamma > 1:
             found = _orbit_key(gamma, _times_conj(alpha, gamma, tr, nt), _times_conj(delta, gamma, tr, nt), n_gamma, tr)
             if found is not None:
@@ -375,7 +396,7 @@ def _walk(h: OrderElem, k: OrderElem) -> _Walk:
         # (h'/a, k/a) takes the same steps to (1, 0), x0 inverts h'/a mod k/a and x/k = x0/(k/a).
         x = _times_conj(x0, a, tr, nt) if _norm(a, tr, nt) == 1 else _mul(x0, a, tr, nt)
         # J(z/w) = 2*Im(z/w)/sqrt(|d|) is the theta-coordinate of z/w, as Im(theta) = sqrt(|d|)/2.
-        r = _fraction(_times_conj(_add(hk, x), kk, tr, nt)[1] - q_sum * n_k, n_k, extra)
+        r = _fraction(_times_conj(_add(hk, x), kk, tr, nt)[1] - q_sum * n_k, n_k, extra_num, extra_den)
         cusp = None
     else:
         # No step lowers N(c): a/c = num/n = r/t mod O, t the least positive integer with t*a/c in O.
@@ -392,13 +413,12 @@ def _walk(h: OrderElem, k: OrderElem) -> _Walk:
         found = _orbit_key((t, 0), (ru * t, rv * t), (ru * t, rv * t), t * t, tr)
         if found is not None:
             counts[found[0]] = counts.get(found[0], 0) - found[1]
-        r = _fraction(_times_conj(hk, kk, tr, nt)[1] * n - (num[1] + q_sum * n) * n_k, n_k * n, extra)
+        r = _fraction(_times_conj(hk, kk, tr, nt)[1] * n - (num[1] + q_sum * n) * n_k, n_k * n, extra_num, extra_den)
         w = tuple(Fraction(sign * x, t * t * n_k) for x in _times_conj(_mul(c, x1, tr, nt), kk, tr, nt))
         cusp = (OrderElem(ru, rv, order), order.element(t), w)
     return _Walk(sign * r, tuple(sorted((key, sign * count) for key, count in counts.items() if count)), cusp)
 
 
-def _fraction(numerator: int, denominator: int, extra: Fraction | int) -> Fraction:
-    """numerator/denominator + extra as one Fraction; extra is 0, an int, on a walk with no extra step."""
-    r = Fraction(numerator, denominator)
-    return r + extra if extra else r
+def _fraction(numerator: int, denominator: int, extra_num: int, extra_den: int) -> Fraction:
+    """numerator/denominator + extra_num/extra_den as one Fraction, reduced once."""
+    return Fraction(numerator * extra_den + extra_num * denominator, denominator * extra_den)

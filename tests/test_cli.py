@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import elliptic_dedekind
-from elliptic_dedekind import QuadOrder, SumContext, Target, approximate, cli, d_norm, d_norm_exact
+from elliptic_dedekind import QuadOrder, SumContext, Target, approximate, cli, d_norm, d_norm_exact, d_sum
 from elliptic_dedekind.cli import main
 from elliptic_dedekind.errors import (
     ConstructionError,
@@ -52,6 +52,20 @@ def test_sum_json_roundtrip_and_determinism(capsys):
     assert abs(rec["d_norm"] - 8 / 9) < 1e-8
     # 17 significant digits survive the round trip
     assert json.loads(json.dumps(doc)) == doc
+
+
+def test_sum_prints_an_exactly_zero_part_as_zero(capsys):
+    # d_sum's real part is -0.0 on this (-8, 3) pair: sum prints 0 in every format.
+    ctx = SumContext(QuadOrder(-8, 3))
+    value = d_sum(ctx.order.element(-16, -98), ctx.order.element(-79, -66), ctx)
+    assert value.real == 0 and math.copysign(1, value.real) < 0
+    argv = ("sum", "--dk", "-8", "-f", "3", "--h=-16,-98", "--k=-79,-66", "--format")
+    code, out, _ = run_cli(capsys, *argv, "json")
+    assert code == 0 and '"d_sum":{"re":0,"im":-22.020407929387517}' in out
+    code, out, _ = run_cli(capsys, *argv, "csv")
+    assert code == 0 and out.splitlines()[1].startswith('"-16,-98","-79,-66",0.0,-22.020407929387517,')
+    code, out, _ = run_cli(capsys, *argv, "text")
+    assert code == 0 and "D_L(h,k)  = +0.000000000000e+00 -2.202040792939e+01i\n" in out
 
 
 def test_sum_zero_modulus(capsys):
@@ -116,9 +130,9 @@ def test_sum_zero_h_needs_no_table(capsys):
     assert code == 0
     rec = json.loads(out)["records"][0]
     assert rec["d_sum"] == {"re": 0, "im": 0} and rec["d_norm"] == 0 and rec["coset_count"] == 2147488281
-    # 0j/k keeps the sign of zero that dividing by k gives.
+    # 0j/k has an imaginary part of -0 here; sum prints it as 0.
     code, out, _ = run_cli(capsys, "sum", "--dk", "-8", "--h", "0,0", "--k", "3,1", "--format", "json")
-    assert code == 0 and '"d_sum":{"re":0,"im":-0}' in out
+    assert code == 0 and '"d_sum":{"re":0,"im":0}' in out
     # A k whose embedding leaves the double range is refused, not a traceback.
     code, out, err = run_cli(capsys, "sum", "--dk", "-8", "--h", "0,0", "--k", f"{10**400},0", "--format", "json")
     assert code == 2

@@ -9,6 +9,7 @@ when it is stuck.
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -31,7 +32,7 @@ from elliptic_dedekind import dedekind, sl2
 from elliptic_dedekind.cli import main
 from elliptic_dedekind.cosets import CosetSystem
 from elliptic_dedekind.dedekind import _d_sum_table, _d_sum_tables, _walk_value
-from elliptic_dedekind.ring import _mul, _norm, _sub
+from elliptic_dedekind.ring import _mul, _norm, _sub, _times_conj
 from elliptic_dedekind.sl2 import _complete_row, _gamma_bound, _gammas, _generates_order, _key_pair, _walk
 from test_fold import merge_conj, three_symmetry_counts
 from test_sl2 import ref_sign
@@ -735,31 +736,37 @@ def record_extra_steps(monkeypatch):
 
 @pytest.mark.parametrize("dk, f", [(-8, 3), (-15, 1), (-20, 1), (-23, 1), (-163, 1), (-3, 7), (-4, 3)])
 def test_ellipse_step_matches_the_window_step(dk, f, monkeypatch):
-    # Every extra step of 20 random walks at N(k) ~ 1e30 returns what the 3x3 window returned.
+    # Every extra step of 20 random walks at N(k) ~ 1e30 with (h, k) = O returns what the 3x3
+    # window returned, and so does every step of 20 walks of non-principal pairs, which stop at
+    # a cusp on a step that finds nothing, where the window finds nothing either.  d = -163 has
+    # class number 1, so no pair stops there.
     order = QuadOrder(dk, f)
     rng = random.Random(48)
     bound = math.isqrt(10**30 // abs(order.discriminant))
     steps = record_extra_steps(monkeypatch)
-    walks = 0
-    while walks < 20:
+    walks, stops = 0, 0
+    while walks < 20 or stops < (0 if dk == -163 else 20):
         h = order.element(rng.randint(-bound, bound), rng.randint(-bound, bound))
         k = order.element(rng.randint(-bound, bound), rng.randint(-bound, bound))
-        if h.is_zero() or not _generates_order(h, k):
+        if h.is_zero():
             continue
-        _walk(h, k)
-        walks += 1
-    assert len(steps) >= 20
+        walks += _generates_order(h, k)
+        stops += _walk(h, k).cusp is not None
+    assert len(steps) >= 20 and sum(result is None for _, result in steps) == stops
     for args, result in steps:
-        assert window_extra_step(*args) == result
+        if result is None:
+            with pytest.raises(SearchLimitError):
+                window_extra_step(*args)
+        else:
+            assert window_extra_step(*args) == result
 
 
-@pytest.mark.parametrize(
-    "dk, f, h, k, count",
-    [(-8, 3, (3313, 0), (4584, 382), 9), (-20, 1, (3196, 291), (600, 2), 291)],
-    ids=["readme-fifth-sum", "d-20-singular-cusp"],
-)
+# README's fifth sum, and 291 extra steps beside the singular cusp (1 + sqrt(-5))/2 of d = -20.
+STEP_FIXTURES = [(-8, 3, (3313, 0), (4584, 382), 9), (-20, 1, (3196, 291), (600, 2), 291)]
+
+
+@pytest.mark.parametrize("dk, f, h, k, count", STEP_FIXTURES, ids=["readme-fifth-sum", "d-20-singular-cusp"])
 def test_ellipse_step_matches_the_window_step_on_fixtures(dk, f, h, k, count, monkeypatch):
-    # README's fifth sum, and 291 extra steps beside the singular cusp (1 + sqrt(-5))/2 of d = -20.
     order = QuadOrder(dk, f)
     steps = record_extra_steps(monkeypatch)
     _walk(order.element(*h), order.element(*k))
@@ -768,36 +775,74 @@ def test_ellipse_step_matches_the_window_step_on_fixtures(dk, f, h, k, count, mo
         assert window_extra_step(*args) == result
 
 
+@pytest.mark.parametrize("dk, f, h, k, count", STEP_FIXTURES, ids=["readme-fifth-sum", "d-20-singular-cusp"])
+def test_extra_step_completes_only_its_winner(dk, f, h, k, count, monkeypatch):
+    # The rejected candidates are decided on their integers: _complete_row runs once per step.
+    order = QuadOrder(dk, f)
+    steps = record_extra_steps(monkeypatch)
+    rows = []
+    complete_row = sl2._complete_row
+    monkeypatch.setattr(sl2, "_complete_row", lambda *args: rows.append(args) or complete_row(*args))
+    _walk(order.element(*h), order.element(*k))
+    assert len(steps) == len(rows) == count
+    assert [row[0] for row in rows] == [result[2] for _, result in steps]
+
+
 @pytest.mark.parametrize("dk, f", [(-8, 3), (-15, 1), (-20, 1), (-3, 7), (-7, 1), (-4, 1), (-163, 1)])
 def test_ellipse_bounds_list_exactly_the_points_of_norm_below_n_squared(dk, f, monkeypatch):
-    # With one gamma and every completion refused, _extra_step tries each candidate (s, t) in
-    # turn; they must be every (s, t) with N(x + y*theta) < n^2, by (norm, s, t).
+    # With one gamma, _extra_step decides (gamma, delta') = O by the gcd of N(gamma), N(delta')
+    # and the coordinates of gamma*conj(delta'), which names the point delta' = (s, t).  The
+    # candidates must be every (s, t) with N(x + y*theta) < n^2, by (norm, s, t): with every gcd
+    # refused each is tested once, and with the first i of them refused the step completes the
+    # (i + 1)-th, or nothing once all are.  A unit gamma passes every point untested, so the
+    # first completes.  The first case has, on d = -4, a unit gamma and four points of norm 2 at
+    # (s, t) = (0, 0), (1, 0), (2, 1), (3, 1): of equal norms the first scanned wins.
     order = QuadOrder(dk, f)
     tr, nt = order.theta_trace, order.theta_norm
     rng = random.Random(49)
-    listed = 0
+    cases = [(2, (2, 1), (1, 1))]
     for _ in range(200):
         n = rng.randint(1, 40)
         gamma = (rng.randint(-5, 5), rng.randint(-3, 3))
-        num = (rng.randint(-10**4, 10**4), rng.randint(-10**4, 10**4))
-        tried = []
-        monkeypatch.setattr(sl2, "_gammas", lambda o: (gamma,))
-        monkeypatch.setattr(sl2, "_complete_row", lambda g, delta, *args: tried.append(delta))
-        assert sl2._extra_step(num, n, order, tr, nt, tr // 2) is None
-        monkeypatch.undo()
+        cases.append((n, gamma, (rng.randint(-10**4, 10**4), rng.randint(-10**4, 10**4))))
+    listed = 0
+    for n, gamma, num in cases:
+        n_gamma = _norm(gamma, tr, nt)
+        if n_gamma == 0:
+            continue
         fu, fv = num[0] % n, num[1] % n
         x0, y0 = _mul(gamma, (fu, fv), tr, nt)
         # A point of norm below n^2 has |y| < 2n/sqrt(3) and |x| < n*(1 + |tr|), so it lies
         # in this box around (s, t) = (-x0/n, -y0/n).
         s_c, t_c, reach = -x0 // n, -y0 // n, abs(tr) + 3
-        expected = sorted(
+        found = sorted(
             (norm, s, t)
             for s in range(s_c - reach, s_c + reach + 1)
             for t in range(t_c - 3, t_c + 4)
             if (norm := _norm((x0 + n * s, y0 + n * t), tr, nt)) < n * n
         )
-        assert tried == [(s, t) for _, s, t in expected]
-        listed += len(tried)
+        expected = [(s, t) for _, s, t in found]
+        gcd_args = {(n_gamma, _norm(delta, tr, nt), *_times_conj(gamma, delta, tr, nt)): delta for delta in expected}
+        for refused in range(len(expected) + 1 if n_gamma > 1 else 1):
+            tested, rows = [], []
+
+            def gcd(*args):
+                delta = gcd_args.get(args, args)
+                tested.append(delta)
+                return 2 if delta in expected[:refused] else 1
+
+            monkeypatch.setattr(sl2, "math", SimpleNamespace(isqrt=math.isqrt, gcd=gcd))
+            monkeypatch.setattr(sl2, "_gammas", lambda o: (gamma,))
+            monkeypatch.setattr(sl2, "_complete_row", lambda g, delta, *args: rows.append(delta) or ((0, 0), (0, 0)))
+            step = sl2._extra_step(num, n, order, tr, nt, tr // 2)
+            monkeypatch.undo()
+            if n_gamma == 1:
+                assert rows == expected[:1] and tested == []
+            elif refused == len(expected):
+                assert step is None and rows == [] and sorted(tested) == sorted(expected)
+            else:
+                assert rows == [expected[refused]] and set(tested) <= set(expected)
+        listed += len(expected)
     assert listed >= 50
 
 
