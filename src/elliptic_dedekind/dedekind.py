@@ -102,6 +102,7 @@ refuses a larger N(k) before allocating any table.
 
 from __future__ import annotations
 
+import cmath
 import math
 import random
 from collections.abc import Sequence
@@ -366,16 +367,35 @@ def d_norm(h: OrderElem, k: OrderElem, ctx: SumContext) -> float:
     return normalize_value(d_sum(h, k, ctx), ctx)
 
 
+def _finite(value: complex, what: str) -> complex:
+    """value, or PreconditionError where it is not finite: what leaves the double range."""
+    if not cmath.isfinite(value):
+        raise PreconditionError(f"{what} leaves the double range")
+    return value
+
+
+def _embed(x: OrderElem, what: str) -> complex:
+    """x.embed(), or PreconditionError where it leaves the double range."""
+    try:
+        return _finite(x.embed(), what)
+    except OverflowError as exc:
+        raise PreconditionError(f"{what} leaves the double range") from exc
+
+
 def phi(a_mat: Mat2, ctx: SumContext) -> complex:
-    """The Phi homomorphism SL2(O_L) -> (C, +)."""
+    """The Phi homomorphism SL2(O_L) -> (C, +).
+
+    Its head E2(0)*I(z) is taken in complex floats, so PreconditionError
+    where an entry or the head leaves the double range.
+    """
     ctx._check(a_mat.a)  # Mat2 keeps its entries in one order
     if not a_mat.is_unimodular():
         raise NotUnimodularError(f"determinant is {a_mat.det()!r}, expected 1")
     e2 = ctx.lattice.e2_zero()
     if a_mat.c.is_zero():
-        return e2 * i_map(a_mat.b.embed() / a_mat.d.embed())
-    head = e2 * i_map((a_mat.a.embed() + a_mat.d.embed()) / a_mat.c.embed())
-    return head - d_sum(a_mat.a, a_mat.c, ctx)
+        return _finite(e2 * i_map(_embed(a_mat.b, "entry b") / _embed(a_mat.d, "entry d")), "the head of Phi")
+    z = (_embed(a_mat.a, "entry a") + _embed(a_mat.d, "entry d")) / _embed(a_mat.c, "entry c")
+    return _finite(e2 * i_map(z), "the head of Phi") - d_sum(a_mat.a, a_mat.c, ctx)
 
 
 def three_term_residual(a1: Mat2, a2: Mat2, a3: Mat2, ctx: SumContext) -> complex:
@@ -386,13 +406,36 @@ def three_term_residual(a1: Mat2, a2: Mat2, a3: Mat2, ctx: SumContext) -> comple
 
 
 def three_term_closed_form(c: OrderElem, c3: OrderElem, ctx: SumContext) -> complex:
-    """Closed form E2(0)*I(2/c3 + c3/c^2) for the collapsed three-term relation."""
+    """Closed form E2(0)*I(2/c3 + c3/c^2) for the collapsed three-term relation.
+
+    It is taken in complex floats, so PreconditionError where c, c3, c*c
+    (from entries near 1e155 on) or the value leaves the double range.
+    """
     ctx._check(c, c3)
     if c.is_zero() or c3.is_zero():
         raise ZeroDivisorError("c and c3 must be nonzero")
-    cc = c.embed()
-    c3c = c3.embed()
-    return ctx.lattice.e2_zero() * i_map(2.0 / c3c + c3c / (cc * cc))
+    cc = _embed(c, "c")
+    c3c = _embed(c3, "c3")
+    square = _finite(cc * cc, "c*c")
+    return _finite(ctx.lattice.e2_zero() * i_map(2.0 / c3c + c3c / square), "the closed form")
+
+
+def _randint(rng: random.Random, lo: int, hi: int) -> int:
+    """An integer uniform in [lo, hi]: the value of rng.randint(lo, hi), from the same generator words.
+
+    randint(lo, hi) draws r = rng.getrandbits(k), k = width.bit_length() for
+    width = hi - lo + 1, draws again while r >= width, and returns lo + r,
+    through three Python frames.  This runs the same rule in one, so every
+    seed keeps its draws and leaves rng in the same state.
+    """
+    width = hi - lo + 1
+    if width < 1:
+        raise ValueError(f"empty range [{lo}, {hi}]")
+    k = width.bit_length()
+    r = rng.getrandbits(k)
+    while r >= width:
+        r = rng.getrandbits(k)
+    return lo + r
 
 
 def gen_sl2_triple(seed: int, ctx: SumContext) -> tuple[Mat2, Mat2, Mat2]:
@@ -408,22 +451,29 @@ def gen_sl2_triple(seed: int, ctx: SumContext) -> tuple[Mat2, Mat2, Mat2]:
     c0 = tr // 2
     rng = random.Random(seed)
     for _ in range(800):
-        c = (rng.randint(-4, 4), rng.randint(-2, 2))
+        c = (_randint(rng, -4, 4), _randint(rng, -2, 2))
         n_c = _norm(c, tr, nt)
         if not 2 <= n_c <= 40:
             continue
-        a1 = (rng.randint(-4, 4), rng.randint(-2, 2))
+        a1 = (_randint(rng, -4, 4), _randint(rng, -2, 2))
         col1 = _column(a1, c, tr, nt, c0)
         if col1 is None:
             continue
         b1, d1 = col1
         # a2 = d1 + m*c runs over a1^-1 (mod c); c3 = c*(a2 - a1), so
-        # N(c3) = N(c)*N(d1 - a1 + m*c).  The smallest N(c3) wins.
+        # N(c3) = N(c)*N(d1 - a1 + m*c).  For m = mu + mv*theta that norm is
+        # the quadratic form n_d + mu*q_u + mv*q_v + N(c)*(mu^2 + tr*mu*mv + nt*mv^2)
+        # in (mu, mv): N(x + y) = N(x) + N(y) + Tr(x*conj(y)) gives q_u and q_v
+        # from N(diff + c) and N(diff + theta*c), and N(theta*c) = nt*N(c).
+        # The smallest N(c3) wins, ties broken on (mu, mv).
         diff = _sub(d1, a1)
+        n_d = _norm(diff, tr, nt)
+        q_u = _norm(_add(diff, c), tr, nt) - n_d - n_c
+        q_v = _norm(_add(diff, _mul((0, 1), c, tr, nt)), tr, nt) - n_d - nt * n_c
         best = None
         for mu in range(-2, 3):
             for mv in range(-2, 3):
-                n3 = n_c * _norm(_add(diff, _mul((mu, mv), c, tr, nt)), tr, nt)
+                n3 = n_c * (n_d + mu * q_u + mv * q_v + n_c * (mu * mu + tr * mu * mv + nt * mv * mv))
                 if n3 == 0 or n3 > _MAX_C3_NORM:
                     continue
                 if best is None or (n3, mu, mv) < best:

@@ -344,8 +344,8 @@ def _walk(h: OrderElem, k: OrderElem) -> _Walk:
     sign*D_L(h', k), so R, the counts and w are those of h' times sign.  The
     Euclidean steps add only integers to R, and the extra steps' J-terms are
     summed as one integer over the lcm of their N(gamma), so at either end R
-    is one Fraction, built once (_fraction), of an integer numerator over
-    N(k), or N(k)*N(c_n) at a cusp, plus that sum.
+    is one Fraction, built once with its sign (_fraction), of an integer
+    numerator over N(k), or N(k)*N(c_n) at a cusp, plus that sum.
     """
     h._check(k)
     order = h.order
@@ -396,7 +396,7 @@ def _walk(h: OrderElem, k: OrderElem) -> _Walk:
         # (h'/a, k/a) takes the same steps to (1, 0), x0 inverts h'/a mod k/a and x/k = x0/(k/a).
         x = _times_conj(x0, a, tr, nt) if _norm(a, tr, nt) == 1 else _mul(x0, a, tr, nt)
         # J(z/w) = 2*Im(z/w)/sqrt(|d|) is the theta-coordinate of z/w, as Im(theta) = sqrt(|d|)/2.
-        r = _fraction(_times_conj(_add(hk, x), kk, tr, nt)[1] - q_sum * n_k, n_k, extra_num, extra_den)
+        r = _fraction(sign, _times_conj(_add(hk, x), kk, tr, nt)[1] - q_sum * n_k, n_k, extra_num, extra_den)
         cusp = None
     else:
         # No step lowers N(c): a/c = num/n = r/t mod O, t the least positive integer with t*a/c in O.
@@ -413,12 +413,14 @@ def _walk(h: OrderElem, k: OrderElem) -> _Walk:
         found = _orbit_key((t, 0), (ru * t, rv * t), (ru * t, rv * t), t * t, tr)
         if found is not None:
             counts[found[0]] = counts.get(found[0], 0) - found[1]
-        r = _fraction(_times_conj(hk, kk, tr, nt)[1] * n - (num[1] + q_sum * n) * n_k, n_k * n, extra_num, extra_den)
+        r = _fraction(
+            sign, _times_conj(hk, kk, tr, nt)[1] * n - (num[1] + q_sum * n) * n_k, n_k * n, extra_num, extra_den
+        )
         w = tuple(Fraction(sign * x, t * t * n_k) for x in _times_conj(_mul(c, x1, tr, nt), kk, tr, nt))
         cusp = (OrderElem(ru, rv, order), order.element(t), w)
-    return _Walk(sign * r, tuple(sorted((key, sign * count) for key, count in counts.items() if count)), cusp)
+    return _Walk(r, tuple(sorted((key, sign * count) for key, count in counts.items() if count)), cusp)
 
 
-def _fraction(numerator: int, denominator: int, extra_num: int, extra_den: int) -> Fraction:
-    """numerator/denominator + extra_num/extra_den as one Fraction, reduced once."""
-    return Fraction(numerator * extra_den + extra_num * denominator, denominator * extra_den)
+def _fraction(sign: int, numerator: int, denominator: int, extra_num: int, extra_den: int) -> Fraction:
+    """sign*(numerator/denominator + extra_num/extra_den) as one Fraction, reduced once."""
+    return Fraction(sign * (numerator * extra_den + extra_num * denominator), denominator * extra_den)

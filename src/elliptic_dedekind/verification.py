@@ -10,6 +10,16 @@ calls: the lemma suite's reference tables share one E1 evaluation
 the dual lattice (oracles.e1_ewald_many), and the cosets suite reduces and
 key-tests the random points of all its moduli in one array pass and checks
 their transversals with one np.unique (_colliding_pairs).
+
+The suites draw their inputs from random.Random(seed) at the generator's
+cost.  Every integer comes from dedekind._randint, which applies randint's
+own rule to rng.getrandbits (k = width.bit_length() bits, drawn again while
+at or above the width) in one Python frame, not three, and the e1 suite's
+points are -1.5 + 3.0*rng.random(), which is what rng.uniform(-1.5, 1.5)
+computes.  So each draw equals the rng.randint or rng.uniform call it
+replaces, uses the same generator words, and every seed keeps its inputs and
+its records.  numpy.random is never imported: it would add about 5.5 MB of
+peak RSS.
 """
 
 from __future__ import annotations
@@ -25,6 +35,7 @@ from .cosets import CosetSystem, _reduce_coords, _torsion_key
 from .dedekind import (
     SumContext,
     _d_sum_tables,
+    _randint,
     _walk_value,
     d_sum,
     gen_sl2_triple,
@@ -36,7 +47,7 @@ from .density import Target, approximate
 from .errors import GenerationError
 from .lattice import Lattice
 from .oracles import e1_ewald_many, e2_hecke_limit, weierstrass_zeta_direct
-from .ring import OrderElem, QuadOrder
+from .ring import OrderElem, QuadOrder, _norm
 from .sl2 import Mat2, _column, _walk
 
 __all__ = [
@@ -89,8 +100,8 @@ def random_sl2(rng: random.Random, order: QuadOrder) -> Mat2:
     c0 = tr // 2
 
     def draw() -> tuple[int, int]:
-        s = rng.randint(-4, 4)
-        t = rng.randint(-2, 2)
+        s = _randint(rng, -4, 4)
+        t = _randint(rng, -2, 2)
         return s - c0 * t, t
 
     while True:
@@ -100,10 +111,12 @@ def random_sl2(rng: random.Random, order: QuadOrder) -> Mat2:
 
 
 def _random_elem(rng: random.Random, order: QuadOrder) -> OrderElem:
+    """u + v*theta with u, v uniform in [-12, 12], drawn again until 0 < N <= _COSET_MAX_NORM."""
+    tr, nt = order.theta_trace, order.theta_norm
     while True:
-        e = order.element(rng.randint(-12, 12), rng.randint(-12, 12))
-        if 0 < e.norm() <= _COSET_MAX_NORM:
-            return e
+        u, v = _randint(rng, -12, 12), _randint(rng, -12, 12)
+        if 0 < _norm((u, v), tr, nt) <= _COSET_MAX_NORM:
+            return order.element(u, v)
 
 
 def run_phi_suite(order: QuadOrder, seed: int) -> list[CheckResult]:
@@ -193,7 +206,8 @@ def run_lemma_suite(order: QuadOrder, seed: int) -> list[CheckResult]:
 
 
 def _random_points(rng: random.Random) -> np.ndarray:
-    return np.array([complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)) for _ in range(_E1_POINTS)])
+    """_E1_POINTS points x + y*i, x then y drawn as rng.uniform(-1.5, 1.5) = -1.5 + 3.0*rng.random(), bit for bit."""
+    return (-1.5 + 3.0 * np.array([rng.random() for _ in range(2 * _E1_POINTS)])).view(complex)
 
 
 def _e2_hecke_check(name: str, lattice: Lattice) -> CheckResult:
@@ -214,7 +228,7 @@ def _e1_ewald_residual(lattice: Lattice, z: np.ndarray, seed: int, scale: float)
     drawn with `seed`.  One e1_ewald_many call evaluates the oracle at all of them.
     """
     rng = random.Random(seed)
-    seeded = [(rng.randrange(997), rng.randrange(997)) for _ in range(7)]
+    seeded = [(_randint(rng, 0, 996), _randint(rng, 0, 996)) for _ in range(7)]
     values, points = list(lattice.e1_many(z)), list(z)
     for n, st in ((4, [(1, 2), (2, 2), (3, 2)]), (997, seeded)):
         s, t = np.array(st).T
@@ -232,7 +246,7 @@ def run_e1_suite(order: QuadOrder, seed: int) -> list[CheckResult]:
 
     # E1 periodicity over random (z, small omega).
     z = _random_points(rng)
-    mn = np.array([(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(_E1_POINTS)])
+    mn = np.array([(_randint(rng, -3, 3), _randint(rng, -3, 3)) for _ in range(_E1_POINTS)])
     v0 = lattice.e1_many(z)
     v1 = lattice.e1_many(z + mn[:, 0] * lattice.omega1 + mn[:, 1] * lattice.omega2)
     results.append(_check("e1-periodicity", np.max(np.abs(v1 - v0) / (1.0 + np.abs(v0))), 1e-8))
@@ -341,7 +355,7 @@ def run_cosets_suite(order: QuadOrder, seed: int) -> list[CheckResult]:
         groups.append((system, coords))
         moduli.append((system.h11, system.h12, system.h22, system.size, *system.adj))
         counts.append(min(k.norm(), 40))
-        drawn += [rng.randint(-100, 100) for _ in range(2 * counts[-1])]  # x, y of each point in turn
+        drawn += [_randint(rng, -100, 100) for _ in range(2 * counts[-1])]  # x, y of each point in turn
     h11, h12, h22, size, *adj = np.repeat(np.array(moduli, dtype=np.int64), counts, axis=0).T
     px, py = np.array(drawn, dtype=np.int64).reshape(-1, 2).T
     x, y = _reduce_coords(px, py, h11, h12, h22)

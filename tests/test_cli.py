@@ -521,6 +521,22 @@ def test_usage_error_leaves_later_calls_unchanged(capsys):
         assert (code, out) == (alone.returncode, alone.stdout)
 
 
+def test_cli_leaves_numpy_random_unimported():
+    # numpy.random adds about 5.5 MB of peak RSS; verify draws its inputs with the random module.
+    code = (
+        "import contextlib, io, sys\n"
+        "from elliptic_dedekind import cli\n"
+        "assert 'numpy.random' not in sys.modules, 'after the import'\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    assert cli.main(['verify', '--suite', 'all']) == 0\n"
+        "assert 'numpy.random' not in sys.modules, 'after verify'\n"
+    )
+    src = str(Path(elliptic_dedekind.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=False)
+    assert done.returncode == 0, done.stderr
+
+
 def test_parser_is_built_once_across_calls(capsys, monkeypatch):
     run_cli(capsys, *LATER_CALLS[0])
     built = []

@@ -756,6 +756,70 @@ def test_lemma_purely_imaginary_doubling(ctx_m8):
     assert abs(val - ctx_m8.lattice.e2_zero() * 2.0 * w) < 1e-12
 
 
+# --- float heads at huge entries --------------------------------------------------------
+
+
+def huge_pair(rng, digits):
+    """An int pair whose coordinates have digits + 1 digits and random signs."""
+    return tuple(rng.choice((-1, 1)) * rng.randrange(10**digits, 10 ** (digits + 1)) for _ in range(2))
+
+
+def huge_sl2(rng, order, digits):
+    """A random element of SL2(O) whose first column has coordinates of digits + 1 digits."""
+    tr, nt = order.theta_trace, order.theta_norm
+    while True:
+        a, c = huge_pair(rng, digits), huge_pair(rng, digits)
+        col = sl2._column(a, c, tr, nt, tr // 2)
+        if col is not None:
+            return Mat2._of_pairs(order, a, col[0], c, col[1])
+
+
+@pytest.mark.parametrize("digits", [0, 50, 100, 150])
+def test_float_heads_keep_their_values_where_finite(digits):
+    ctx = SumContext(QuadOrder(-20))
+    e2 = ctx.lattice.e2_zero()
+    rng = random.Random(digits)
+    for _ in range(5):
+        c, c3 = (ctx.order.element(*huge_pair(rng, digits)) for _ in range(2))
+        cc, c3c = c.embed(), c3.embed()
+        assert three_term_closed_form(c, c3, ctx) == e2 * i_map(2.0 / c3c + c3c / (cc * cc))
+        m = huge_sl2(rng, ctx.order, digits)
+        head = e2 * i_map((m.a.embed() + m.d.embed()) / m.c.embed())
+        assert phi(m, ctx) == head - d_sum(m.a, m.c, ctx)
+
+
+@pytest.mark.parametrize("digits", [155, 160, 200, 300, 400])
+def test_closed_form_refuses_entries_beyond_the_double_range(digits):
+    # From entries near 1e155 on, c*c overflows in complex floats, and the value would be nan + nan*i.
+    ctx = SumContext(QuadOrder(-20))
+    rng = random.Random(digits)
+    for _ in range(5):
+        c, c3 = (ctx.order.element(*huge_pair(rng, digits)) for _ in range(2))
+        with pytest.raises(PreconditionError):
+            three_term_closed_form(c, c3, ctx)
+
+
+def test_closed_form_refuses_an_overflowing_square_of_a_rational_c():
+    # c*c = inf + 0j would read c3/c^2 as 0: a finite value, and a wrong one.
+    ctx = SumContext(QuadOrder(-20))
+    with pytest.raises(PreconditionError, match="c\\*c"):
+        three_term_closed_form(ctx.order.element(10**160), ctx.order.element(3, 10**300), ctx)
+
+
+@pytest.mark.parametrize("digits", [400, 1500])
+def test_phi_refuses_entries_beyond_the_double_range(digits):
+    # OrderElem.embed cannot convert these entries to floats.
+    ctx = SumContext(QuadOrder(-20))
+    rng = random.Random(digits)
+    order = ctx.order
+    for _ in range(3):
+        with pytest.raises(PreconditionError):
+            phi(huge_sl2(rng, order, digits), ctx)
+    upper = Mat2(order.one(), order.element(*huge_pair(rng, digits)), order.zero(), order.one())
+    with pytest.raises(PreconditionError):
+        phi(upper, ctx)
+
+
 # --- triple generator -----------------------------------------------------------------------
 
 
@@ -816,6 +880,31 @@ def test_gen_sl2_triple_invariants(dk, f):
         assert m1.a != m2.a
         assert (m1.a * m2.a - one).exact_div(m1.c) is not None
         assert 0 < m3.c.norm() <= 300
+
+
+@pytest.mark.parametrize("dk, f", [(-8, 1), (-15, 1), (-20, 1), (-23, 1), (-8, 3), (-3, 7)])
+def test_gen_sl2_triple_takes_the_least_c3_by_norm_then_shift(dk, f):
+    # a2 = d1 + m*c with m = mu + mv*theta, and c3 = c*(d1 - a1 + m*c): of the 25 m with
+    # |mu|, |mv| <= 2 and 0 < N(c3) <= 300, the least (N(c3), mu, mv) wins, each norm taken directly.
+    ctx = SumContext(QuadOrder(dk, f))
+    order = ctx.order
+    produced = 0
+    for seed in range(1, 40):
+        try:
+            m1, m2, m3 = gen_sl2_triple(seed, ctx)
+        except GenerationError:
+            continue
+        produced += 1
+        c, diff = m1.c, m1.d - m1.a
+        m = (m2.a - m1.d).exact_div(c)
+        candidates = [
+            (n3, mu, mv)
+            for mu in range(-2, 3)
+            for mv in range(-2, 3)
+            if 0 < (n3 := (c * (diff + order.element(mu, mv) * c)).norm()) <= 300
+        ]
+        assert min(candidates) == (m3.c.norm(), m.u, m.v)
+    assert produced >= 20
 
 
 def test_mat2_inverse_and_product(ctx_m8):

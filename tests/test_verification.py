@@ -376,3 +376,51 @@ def test_lemma_suite_shortfall(failing, produced, monkeypatch):
         assert made < 20 and attempts[:800] == list(range(1, 801))
         (generation,) = [r for r in results if r.name == "lemma-generation"]
         assert generation.residual == 20 - made and not generation.passed
+
+
+# --- Random inputs: dedekind._randint draws what random.Random.randint draws -----------
+
+# The (lo, hi) of every integer draw of the suites and of gen_sl2_triple.
+SUITE_RANGES = [(-4, 4), (-2, 2), (-12, 12), (-3, 3), (0, 996), (-100, 100)]
+# Every width from 1 to 300, and 2**k - 1, 2**k, 2**k + 1 up to widths that take several 32-bit words a draw.
+WIDTHS = sorted(set(range(1, 301)) | {2**k + s for k in range(1, 100) for s in (-1, 0, 1)})
+
+
+def test_randint_equals_randint_and_leaves_the_same_state():
+    ranges = SUITE_RANGES + [(lo, lo + width - 1) for width in WIDTHS for lo in (-(width // 2), 0, 7)]
+    for i, (lo, hi) in enumerate(ranges):
+        ours, theirs = random.Random(i), random.Random(i)
+        for n in range(1, 42):
+            assert dedekind._randint(ours, lo, hi) == theirs.randint(lo, hi), (lo, hi, n)
+            if n in (1, 2, 41):
+                assert ours.getstate() == theirs.getstate(), (lo, hi, n)
+
+
+def test_randint_refuses_an_empty_range():
+    with pytest.raises(ValueError):
+        dedekind._randint(random.Random(1), 1, 0)
+
+
+def test_random_points_equal_uniform_draws():
+    for seed in range(20):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        expected = np.array([complex(theirs.uniform(-1.5, 1.5), theirs.uniform(-1.5, 1.5)) for _ in range(100)])
+        points = verification._random_points(ours)
+        assert points.dtype == expected.dtype and points.tobytes() == expected.tobytes()
+        assert ours.getstate() == theirs.getstate()
+
+
+@pytest.mark.parametrize("dk, f", [(-8, 1), (-20, 1), (-8, 3)])
+def test_suites_keep_their_records_with_randint_draws(dk, f, monkeypatch):
+    order = QuadOrder(dk, f)
+    ours = run_suite("all", order, seed=12345)
+    ranges = set()
+
+    def stand_in(rng, lo, hi):
+        ranges.add((lo, hi))
+        return rng.randint(lo, hi)
+
+    for module in (dedekind, verification):
+        monkeypatch.setattr(module, "_randint", stand_in)
+    assert run_suite("all", order, seed=12345) == ours
+    assert ranges == set(SUITE_RANGES)
