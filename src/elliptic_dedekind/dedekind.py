@@ -13,7 +13,10 @@ Phi is a homomorphism into (C, +); for triples A1 = A2*A3 with
 c1 = c2 = c != 0 and a1*a2 = 1 (mod c) this collapses to the closed form
 D_L(a3, c3) = E2(0)*I(2/c3 + c3/c^2).
 
-d_sum takes one of two paths, chosen by h alone: h = 0 gives 0/k at once, at
+I(z) = i*sqrt(|d|)*J(z) with J exact on order elements (_j): each head below is
+an exact J times i*sqrt(|d|)*E2(0), and _head is the one step that makes a float.
+
+d_sum takes one of two paths, chosen by h alone: h = 0 gives an exact 0 at
 any N(k), and the walk (sl2._walk) serves every other pair, on any order and
 any lattice the order acts on.  It walks h', the box representative of +-h
 mod k, and returns R, the counts and w times that sign.  Its steps
@@ -122,7 +125,7 @@ from .errors import (
     ZeroDivisorError,
 )
 from .lattice import Lattice
-from .ring import OrderElem, QuadOrder, _add, _mul, _norm, _sub
+from .ring import OrderElem, QuadOrder, _add, _mul, _norm, _Pair, _sub, _times_conj
 from .ring import egcd_order  # noqa: F401  (unused here; bench/tracing.py rebinds it to count calls)
 from .sl2 import Mat2, _column, _key_pair, _walk, _Walk
 
@@ -239,7 +242,7 @@ def _d_sum_tables(pairs: Sequence[tuple[OrderElem, OrderElem]], ctx: SumContext)
     """D_L(h, k) for each (h, k) in `pairs`, each from one E1 table at N(k): the walk's constants and its reference.
 
     Each distinct pair is checked first, in first-seen order: ctx._check,
-    h = 0 gives 0/k, and N(k) >= 2**31 raises PreconditionError, before any
+    h = 0 gives 0, and N(k) >= 2**31 raises PreconditionError, before any
     table is built.  The tables of the distinct k then share one E1
     evaluation (_e1_tables), and each distinct pair is one _table_sum, bit
     for bit the value of the pair alone.
@@ -263,7 +266,7 @@ def _d_sum_tables(pairs: Sequence[tuple[OrderElem, OrderElem]], ctx: SumContext)
 
 
 def _d_sum_table(h: OrderElem, k: OrderElem, ctx: SumContext) -> complex:
-    """D_L(h, k) from one E1 table at N(k), the one-pair case of _d_sum_tables; h = 0 gives 0/k.
+    """D_L(h, k) from one E1 table at N(k), the one-pair case of _d_sum_tables; h = 0 gives 0.
 
     Raises PreconditionError when N(k) >= 2**31, before building the table.
     """
@@ -274,13 +277,11 @@ def _d_sum_table(h: OrderElem, k: OrderElem, ctx: SumContext) -> complex:
 def _walk_value(walk: _Walk, ctx: SumContext) -> complex:
     """D_L(h, k) from walk = _walk(h, k), by the laws of the module docstring.
 
-    R is one Fraction, rounded to a float by one integer division, so R = 0
-    gives +0.0; a walk to c = 0 with no nonzero net count ends there.
-    Otherwise the keys go to _d_sum_tables and count*D_L(key) is subtracted
-    in key order, then the cusp's E2(0) terms are added.
+    Its head is _head(R), so R = 0 gives +0.0; a walk to c = 0 with no nonzero
+    net count ends there.  Otherwise the keys go to _d_sum_tables and
+    count*D_L(key) is subtracted in key order, then the cusp's E2(0) terms are added.
     """
-    r = walk.r
-    value = 1j * math.sqrt(abs(ctx.order.discriminant)) * ctx.lattice.e2_zero() * (r.numerator / r.denominator)
+    value = _head(walk.r, ctx)
     if walk.counts:
         sums = _d_sum_tables([_key_pair(key, ctx.order) for key, _ in walk.counts], ctx)
         value -= sum(count * d for (_, count), d in zip(walk.counts, sums))
@@ -314,21 +315,38 @@ def d_norm_exact(h: OrderElem, k: OrderElem, ctx: SumContext) -> Fraction:
 
 
 def d_sum(h: OrderElem, k: OrderElem, ctx: SumContext) -> complex:
-    """Elliptic Dedekind sum D_L(h, k): 0/k for h = 0, else the walk (see the module docstring).
+    """Elliptic Dedekind sum D_L(h, k): an exact 0j for h = 0, else the walk (see the module docstring).
 
-    Raises PreconditionError when h = 0 and k leaves the double range, and
+    Raises PreconditionError when the walk's R or its head leaves the double range (_head),
     SearchLimitError when the walk stops at a cusp r/t with t*t above the gamma bound,
     and OrderMismatchError when h or k is not in ctx.order.
     """
     ctx._check(h, k)
     if k.is_zero():
         raise ZeroDivisorError("zero modulus")
-    if h.is_zero():
-        try:
-            return 0j / k.embed()
-        except OverflowError as exc:
-            raise PreconditionError(f"k = {k!r} leaves the double range") from exc
-    return _walk_value(_walk(h, k), ctx)
+    return 0j if h.is_zero() else _walk_value(_walk(h, k), ctx)
+
+
+def _factor(ctx: SumContext) -> complex:
+    """i*sqrt(|disc|)*E2(0), multiplied in this order: the factor of every head and the Dtilde normalization."""
+    return 1j * math.sqrt(abs(ctx.order.discriminant)) * ctx.lattice.e2_zero()
+
+
+def _j(z: _Pair, w: _Pair, order: QuadOrder) -> Fraction:
+    """J(z/w) = 2*Im(z/w)/sqrt(|d|) = v(z*conj(w))/N(w), exact, for int pairs z and w != 0."""
+    tr, nt = order.theta_trace, order.theta_norm
+    return Fraction(_times_conj(z, w, tr, nt)[1], _norm(w, tr, nt))
+
+
+def _head(q: Fraction, ctx: SumContext) -> complex:
+    """i*sqrt(|d|)*E2(0)*q, q rounded by one integer division; PreconditionError where q or the head leaves the double range."""
+    try:
+        value = _factor(ctx) * (q.numerator / q.denominator)
+    except OverflowError as exc:
+        raise PreconditionError("the exact J of a head leaves the double range") from exc
+    if not cmath.isfinite(value):
+        raise PreconditionError("a head leaves the double range")
+    return value
 
 
 def _normalizer(ctx: SumContext) -> complex:
@@ -342,12 +360,10 @@ def _normalizer(ctx: SumContext) -> complex:
     """
     e2 = ctx.lattice.e2_zero()
     if abs(e2) * ctx.lattice.area() < 1e-12:
-        raise ExcludedRingError(
-            f"E2(0) = {e2:.3e} vanishes for this ring; normalized sums are undefined"
-        )
+        raise ExcludedRingError(f"E2(0) = {e2:.3e} vanishes for this ring; normalized sums are undefined")
     if not ctx.lattice._j_is_real():
         raise PreconditionError(f"j(L) is not real at tau = {ctx.lattice._tau:.6g}; normalized sums need a real j")
-    return 1j * math.sqrt(abs(ctx.order.discriminant)) * e2
+    return _factor(ctx)
 
 
 def normalize_value(value: complex, ctx: SumContext) -> float:
@@ -367,35 +383,20 @@ def d_norm(h: OrderElem, k: OrderElem, ctx: SumContext) -> float:
     return normalize_value(d_sum(h, k, ctx), ctx)
 
 
-def _finite(value: complex, what: str) -> complex:
-    """value, or PreconditionError where it is not finite: what leaves the double range."""
-    if not cmath.isfinite(value):
-        raise PreconditionError(f"{what} leaves the double range")
-    return value
-
-
-def _embed(x: OrderElem, what: str) -> complex:
-    """x.embed(), or PreconditionError where it leaves the double range."""
-    try:
-        return _finite(x.embed(), what)
-    except OverflowError as exc:
-        raise PreconditionError(f"{what} leaves the double range") from exc
-
-
 def phi(a_mat: Mat2, ctx: SumContext) -> complex:
     """The Phi homomorphism SL2(O_L) -> (C, +).
 
-    Its head E2(0)*I(z) is taken in complex floats, so PreconditionError
-    where an entry or the head leaves the double range.
+    Its head is _head of the exact J((a+d)/c), or of J(b/d) when c = 0, at
+    any size of the entries.  Raises PreconditionError where that J or the
+    head leaves the double range, and what d_sum(a, c) raises.
     """
     ctx._check(a_mat.a)  # Mat2 keeps its entries in one order
     if not a_mat.is_unimodular():
         raise NotUnimodularError(f"determinant is {a_mat.det()!r}, expected 1")
-    e2 = ctx.lattice.e2_zero()
-    if a_mat.c.is_zero():
-        return _finite(e2 * i_map(_embed(a_mat.b, "entry b") / _embed(a_mat.d, "entry d")), "the head of Phi")
-    z = (_embed(a_mat.a, "entry a") + _embed(a_mat.d, "entry d")) / _embed(a_mat.c, "entry c")
-    return _finite(e2 * i_map(z), "the head of Phi") - d_sum(a_mat.a, a_mat.c, ctx)
+    a, b, c, d = a_mat._pairs()
+    if c == (0, 0):
+        return _head(_j(b, d, ctx.order), ctx)
+    return _head(_j(_add(a, d), c, ctx.order), ctx) - d_sum(a_mat.a, a_mat.c, ctx)
 
 
 def three_term_residual(a1: Mat2, a2: Mat2, a3: Mat2, ctx: SumContext) -> complex:
@@ -408,16 +409,14 @@ def three_term_residual(a1: Mat2, a2: Mat2, a3: Mat2, ctx: SumContext) -> comple
 def three_term_closed_form(c: OrderElem, c3: OrderElem, ctx: SumContext) -> complex:
     """Closed form E2(0)*I(2/c3 + c3/c^2) for the collapsed three-term relation.
 
-    It is taken in complex floats, so PreconditionError where c, c3, c*c
-    (from entries near 1e155 on) or the value leaves the double range.
+    It is _head of the exact J(2/c3) + J(c3/c^2) at any size of c and c3, so
+    PreconditionError only where that rational or the head leaves the double range.
     """
     ctx._check(c, c3)
     if c.is_zero() or c3.is_zero():
         raise ZeroDivisorError("c and c3 must be nonzero")
-    cc = _embed(c, "c")
-    c3c = _embed(c3, "c3")
-    square = _finite(cc * cc, "c*c")
-    return _finite(ctx.lattice.e2_zero() * i_map(2.0 / c3c + c3c / square), "the closed form")
+    c3p, cc = (c3.u, c3.v), c * c
+    return _head(_j((2, 0), c3p, ctx.order) + _j(c3p, (cc.u, cc.v), ctx.order), ctx)
 
 
 def _randint(rng: random.Random, lo: int, hi: int) -> int:

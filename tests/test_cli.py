@@ -125,16 +125,30 @@ def test_sum_walks_a_principal_gcd_above_the_table_bound(capsys, argv, walked, d
 
 
 def test_sum_zero_h_needs_no_table(capsys):
-    # D_L(0, k) = 0/k exactly, at any N(k): here above 2**31, where a table is refused.
+    # D_L(0, k) = 0 exactly, at any N(k): here above 2**31, where a table is refused.
     code, out, _ = run_cli(capsys, "sum", "--dk", "-8", "--h", "0,0", "--k", "46341,0", "--format", "json")
     assert code == 0
     rec = json.loads(out)["records"][0]
     assert rec["d_sum"] == {"re": 0, "im": 0} and rec["d_norm"] == 0 and rec["coset_count"] == 2147488281
-    # 0j/k has an imaginary part of -0 here; sum prints it as 0.
     code, out, _ = run_cli(capsys, "sum", "--dk", "-8", "--h", "0,0", "--k", "3,1", "--format", "json")
     assert code == 0 and '"d_sum":{"re":0,"im":0}' in out
-    # A k whose embedding leaves the double range is refused, not a traceback.
-    code, out, err = run_cli(capsys, "sum", "--dk", "-8", "--h", "0,0", "--k", f"{10**400},0", "--format", "json")
+    # So does a k beyond the double range: no float of k is taken.
+    code, out, _ = run_cli(capsys, "sum", "--dk", "-8", "--h", "0,0", "--k", f"{10**400},0", "--format", "json")
+    assert code == 0
+    assert '"d_sum":{"re":0,"im":0},"d_norm":0,' in out
+
+
+@pytest.mark.parametrize("argv", ["--dk -20 --h 0,0 --k 7,2", "--dk -8 -f 3 --h 0,0 --k 5,1"])
+def test_sum_zero_h_prints_an_unsigned_zero(capsys, argv):
+    # D_L(0, k) is an exact 0, so neither part nor its normalization is a -0.
+    code, out, _ = run_cli(capsys, "sum", *argv.split(), "--format", "json")
+    assert code == 0
+    assert '"d_sum":{"re":0,"im":0},"d_norm":0,' in out
+
+
+def test_sum_refuses_an_exact_r_beyond_the_double_range(capsys):
+    # The walk of (1, 10**400*theta) finishes; its exact R does not fit a double.  Exit 2, not a traceback.
+    code, out, err = run_cli(capsys, "sum", "--dk", "-8", "--h", "1,0", "--k", f"0,{10**400}", "--format", "json")
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "double range" in err

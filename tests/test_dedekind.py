@@ -756,7 +756,7 @@ def test_lemma_purely_imaginary_doubling(ctx_m8):
     assert abs(val - ctx_m8.lattice.e2_zero() * 2.0 * w) < 1e-12
 
 
-# --- float heads at huge entries --------------------------------------------------------
+# --- exact heads at huge entries --------------------------------------------------------
 
 
 def huge_pair(rng, digits):
@@ -774,50 +774,118 @@ def huge_sl2(rng, order, digits):
             return Mat2._of_pairs(order, a, col[0], c, col[1])
 
 
+def exact_j(z, w):
+    """J(z/w) = v(z*conj(w))/N(w) for order elements, by OrderElem arithmetic."""
+    return Fraction((z * w.conjugate()).v, w.norm())
+
+
+def head_factor(ctx):
+    return 1j * math.sqrt(abs(ctx.order.discriminant)) * ctx.lattice.e2_zero()
+
+
 @pytest.mark.parametrize("digits", [0, 50, 100, 150])
-def test_float_heads_keep_their_values_where_finite(digits):
+def test_heads_round_the_exact_j_once(digits):
+    # Each head is i*sqrt(|d|)*E2(0) times the exact J rounded once to a float.
+    ctx = SumContext(QuadOrder(-20))
+    rng = random.Random(digits)
+    for _ in range(5):
+        c, c3 = (ctx.order.element(*huge_pair(rng, digits)) for _ in range(2))
+        j = exact_j(2 * ctx.order.one(), c3) + exact_j(c3, c * c)
+        assert three_term_closed_form(c, c3, ctx) == head_factor(ctx) * float(j)
+        m = huge_sl2(rng, ctx.order, digits)
+        assert phi(m, ctx) == head_factor(ctx) * float(exact_j(m.a + m.d, m.c)) - d_sum(m.a, m.c, ctx)
+
+
+@pytest.mark.parametrize("digits", [0, 155, 160, 200, 300, 400, 1500])
+def test_closed_form_matches_a_high_precision_value(digits):
+    # N(c3) ~ N(c)^2 keeps the value of order 1; c*c leaves the double range from entries near 1e155 on.
+    mpmath = pytest.importorskip("mpmath")
     ctx = SumContext(QuadOrder(-20))
     e2 = ctx.lattice.e2_zero()
     rng = random.Random(digits)
-    for _ in range(5):
-        c, c3 = (ctx.order.element(*huge_pair(rng, digits)) for _ in range(2))
-        cc, c3c = c.embed(), c3.embed()
-        assert three_term_closed_form(c, c3, ctx) == e2 * i_map(2.0 / c3c + c3c / (cc * cc))
-        m = huge_sl2(rng, ctx.order, digits)
-        head = e2 * i_map((m.a.embed() + m.d.embed()) / m.c.embed())
-        assert phi(m, ctx) == head - d_sum(m.a, m.c, ctx)
+    with mpmath.workdps(2 * digits + 60):
+        theta = (-20 + mpmath.sqrt(-20)) / 2
+        for _ in range(5):
+            c = ctx.order.element(*huge_pair(rng, digits))
+            c3 = ctx.order.element(*huge_pair(rng, 2 * digits))
+            z = 2 / (c3.u + c3.v * theta) + (c3.u + c3.v * theta) / (c.u + c.v * theta) ** 2
+            expected = complex(mpmath.mpc(e2) * 2j * mpmath.im(z))
+            assert abs(expected) > 1e-3
+            assert abs(three_term_closed_form(c, c3, ctx) - expected) <= 1e-15 * abs(expected)
 
 
-@pytest.mark.parametrize("digits", [155, 160, 200, 300, 400])
-def test_closed_form_refuses_entries_beyond_the_double_range(digits):
-    # From entries near 1e155 on, c*c overflows in complex floats, and the value would be nan + nan*i.
+def test_closed_form_of_a_rational_c_is_exact():
+    # c*c = 10**320 is beyond the double range, and c3/c^2 = 1e-20*theta + 3e-320 is far from 0.
     ctx = SumContext(QuadOrder(-20))
-    rng = random.Random(digits)
-    for _ in range(5):
-        c, c3 = (ctx.order.element(*huge_pair(rng, digits)) for _ in range(2))
-        with pytest.raises(PreconditionError):
-            three_term_closed_form(c, c3, ctx)
-
-
-def test_closed_form_refuses_an_overflowing_square_of_a_rational_c():
-    # c*c = inf + 0j would read c3/c^2 as 0: a finite value, and a wrong one.
-    ctx = SumContext(QuadOrder(-20))
-    with pytest.raises(PreconditionError, match="c\\*c"):
-        three_term_closed_form(ctx.order.element(10**160), ctx.order.element(3, 10**300), ctx)
-
-
-@pytest.mark.parametrize("digits", [400, 1500])
-def test_phi_refuses_entries_beyond_the_double_range(digits):
-    # OrderElem.embed cannot convert these entries to floats.
-    ctx = SumContext(QuadOrder(-20))
-    rng = random.Random(digits)
     order = ctx.order
-    for _ in range(3):
-        with pytest.raises(PreconditionError):
-            phi(huge_sl2(rng, order, digits), ctx)
-    upper = Mat2(order.one(), order.element(*huge_pair(rng, digits)), order.zero(), order.one())
-    with pytest.raises(PreconditionError):
-        phi(upper, ctx)
+    c3 = order.element(3, 10**300)
+    j = Fraction(-2 * 10**300, c3.norm()) + Fraction(10**300, 10**320)
+    value = three_term_closed_form(order.element(10**160), c3, ctx)
+    assert value == head_factor(ctx) * float(j)
+    assert abs(value.imag - math.sqrt(20) * ctx.lattice.e2_zero().real * 1e-20) <= 1e-30
+
+
+@pytest.mark.parametrize("dk", [-8, -20])
+def test_phi_is_a_homomorphism_at_huge_entries(dk):
+    # Entries near 1e400 are beyond the double range; only the heads' exact J are rounded.
+    ctx = SumContext(QuadOrder(dk))
+    rng = random.Random(400)
+    for _ in range(2):
+        w1, w2 = (huge_sl2(rng, ctx.order, 400) for _ in range(2))
+        p1, p2, p12 = phi(w1, ctx), phi(w2, ctx), phi(w1 @ w2, ctx)
+        assert abs(p12 - p1 - p2) <= 1e-12 * (1 + abs(p1) + abs(p2) + abs(p12))
+
+
+@pytest.mark.parametrize(
+    "b",
+    [huge_pair(random.Random(400), 400), huge_pair(random.Random(1500), 1500), (0, 10**308)],
+    ids=["1e400", "1e1500", "theta*1e308"],
+)
+def test_phi_refuses_a_head_beyond_the_double_range(b):
+    # The head of [[1, b], [0, 1]] is E2(0)*I(b) = i*sqrt(20)*E2(0)*v(b).  v(b) leaves the double range at
+    # entries near 1e400; at b = 10**308*theta it is a double, but the head is not.
+    ctx = SumContext(QuadOrder(-20))
+    order = ctx.order
+    with pytest.raises(PreconditionError, match="double range"):
+        phi(Mat2(order.one(), order.element(*b), order.zero(), order.one()), ctx)
+
+
+@pytest.mark.parametrize("v", [10**400, 10**308], ids=["1e400", "1e308"])
+def test_closed_form_refuses_a_head_beyond_the_double_range(v):
+    # With c = 1 and c3 = 1 + v*theta, J(2/c3) + J(c3/c^2) is about v: beyond the double range at 1e400;
+    # at 1e308 a double, but i*sqrt(20)*E2(0) times it is not.
+    ctx = SumContext(QuadOrder(-20))
+    order = ctx.order
+    with pytest.raises(PreconditionError, match="double range"):
+        three_term_closed_form(order.one(), order.element(1, v), ctx)
+
+
+def test_d_sum_refuses_an_exact_r_beyond_the_double_range():
+    # The walks finish; only R, the exact rational of the head, leaves the double range.
+    ctx = SumContext(QuadOrder(-8))
+    order = ctx.order
+    n = 10**400
+    for h, k in [((n, 1), (n + 1, 3)), ((n // 10, 0), (0, n + 1))]:
+        with pytest.raises(PreconditionError, match="double range"):
+            d_sum(order.element(*h), order.element(*k), ctx)
+
+
+@pytest.mark.parametrize("dk", [-7, -8, -11])
+def test_closed_form_equals_the_walk_bit_for_bit(dk):
+    # These walks end at c = 0 with no constant, so D_L(a3, c3) is the head of R, and the lemma is an
+    # identity of rationals: both sides round the same exact J once.
+    ctx = SumContext(QuadOrder(dk))
+    triples = []
+    for seed in range(200):
+        try:
+            m1, _, m3 = gen_sl2_triple(seed, ctx)
+        except GenerationError:
+            continue
+        triples.append((m1.c, m3.a, m3.c))
+    triples += [(s.A1.c, s.A3.a, s.A3.c) for s in approximate(Target(1234, 10007, ctx.order), 40)]
+    assert len(triples) == 240
+    for c, a3, c3 in triples:
+        assert three_term_closed_form(c, c3, ctx) == d_sum(a3, c3, ctx)
 
 
 # --- triple generator -----------------------------------------------------------------------
