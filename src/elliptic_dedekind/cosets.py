@@ -92,18 +92,19 @@ def mult_matrix(k: OrderElem, lattice: Lattice) -> MultMatrix:
 def _colon_lattice(r: OrderElem, t: int, lattice: Lattice) -> Lattice:
     """B^-1 L = (1/t)*{y in L : r*y in t*L} for the ideal B = (r, t), t > 0.
 
-    y = x*omega1 + z*omega2 qualifies when mult_matrix(r)*(x, z) = 0 (mod t).
-    Those (x, z) contain t*Z^2, so the column HNF [[h11, h12], [0, h22]] of
-    their lattice is read off its points with 0 <= x, z <= t, in (z, x) order.
+    y = x*omega1 + z*omega2 qualifies when m*(x, z) = 0 (mod t), m = mult_matrix(r).  The
+    column HNF [[h11, h12], [0, h22]] of those (x, z) is read off m: h11 = t/g1, g1 = gcd(t, m11, m21);
+    h11*h22 is their index, the size of m's image mod t, by m's Smith invariants d1 and det/d1;
+    s*(p*row1 + q*row2), s*(p*m11 + q*m21) = g1 mod t, gives g1*x = -s*(p*m12 + q*m22)*h22 (mod t),
+    one class mod h11, so the class of h12.
     """
     m = mult_matrix(r, lattice)
-    points = [
-        (z, x)
-        for z in range(t + 1)
-        for x in range(t + 1)
-        if (z or x) and (m.a11 * x + m.a12 * z) % t == 0 == (m.a21 * x + m.a22 * z) % t
-    ]
-    (_, h11), (h22, h12) = points[0], next(p for p in points if p[0])
+    d1 = math.gcd(m.a11, m.a12, m.a21, m.a22)
+    g, p, q = egcd(m.a11, m.a21)
+    g1, s, _ = egcd(g, t)
+    h11 = t // g1
+    h22 = t * t // (h11 * math.gcd(t, d1) * math.gcd(t, m.det // d1))
+    h12 = -s * (p * m.a12 + q * m.a22) * h22 // g1 % h11
     return Lattice(h11 * lattice.omega1 / t, (h12 * lattice.omega1 + h22 * lattice.omega2) / t)
 
 

@@ -38,8 +38,8 @@ a_n/c_n = r/t mod O.  With B = (r, t) and x1 the lower-left entry of P,
     R         = J(h/k) - J(a_n/c_n) + sum_i J((alpha_i + delta_i)/gamma_i),
     w         = c_n*x1/(t^2*k),
 
-the keys holding D_L(r, t), on gamma = t with count -1, beside the steps'
-constants, and B^-1 L = (1/t)*{y in L : r*y in t*L} (cosets._colon_lattice).
+the keys holding D_L(r, t) with count -1 beside the steps' constants,
+and B^-1 L = (1/t)*{y in L : r*y in t*L} (cosets._colon_lattice).
 Where (a_n, c_n) = O, B = (t/c_n)*O and the last two terms are
 E2(0)*I(x1/(k*c_n)): the first law, stopped early.  The law is in D_L units,
 so it needs no real j and no nonzero E2(0).  R and w are exact, each step
@@ -64,49 +64,52 @@ D_L(h, k) = conj(k)*sum 1/(lambda*lambda') over them.  lambda' -> -lambda'
 turns that into the Eisenstein sum of E1(conj(h)*mu/conj(k))*E1(mu/conj(k)),
 mu in L/conj(k)L, with the sign flipped: -D_L(conj h, conj k).
 
+D_L depends on h/k in K/O alone: D_L(g*h, g*k) = D_L(h, k) for nonzero g
+in O.  Write mu in L/gkL as mu0 + k*nu, mu0 in L/kL, nu in L/gL; then
+E1(g*h*mu/(g*k)) = E1(h*mu0/k), and E1's distribution relation, the sum
+over nu of E1(z + nu/g) = E1(z; g^-1 L) = g*E1(g*z), at z = mu0/(g*k),
+leaves (1/k)*sum over mu0 of E1(h*mu0/k)*E1(mu0/k).  So a stop's D_L(r, t)
+is D_L(a_n, c_n), as t*a_n = r*c_n mod t*c_n*O.
+
 alpha^-1 mod gamma is the step's own delta, as alpha*delta - beta*gamma = 1,
 and the walk's gammas are one of each +-gamma.  The walk keys each constant
 by its orbit under all four, with a sign, in one step (sl2._orbit_key), and
 keeps signed net counts n_key; a key that its orbit reaches with both signs
-is 0.  The cusp's r need not be invertible mod t, so its key drops only
+is 0.  The cusp's D_L(r, t) is keyed on gamma = t or on +-c_n, whichever
+table is smaller; r and a_n need not be invertible, so its key drops only
 alpha^-1.  Every D_L(r, 2) is 0: each mu/2 is a 2-torsion point, where the
 odd, periodic E1 vanishes, and the fold sees it, as x = 2r has -x = x
 mod 4.  The keys depend on (h, k) alone, so the order's own basis, the same
 lattice as a float basis, and a scaled copy take the same keys.  Only the
 keys with n_key != 0 go to _d_sum_tables, each an E1-table sum on the
-lattice itself at N(gamma), at most the gamma bound, and n_key*D_L(key) is
-subtracted in key order, so no hash order reaches the value.  A walk to
-c = 0 with no nonzero count gives Dtilde = R exactly
-(d_norm_exact, _Walk.exact): every walk on d_K = -7, -8, -11, which takes no
-extra step, and those whose constants cancel, as in README's fourth and
-fifth sums.
+lattice itself at N(gamma), and n_key*D_L(key) is subtracted in key order,
+so no hash order reaches the value.  A walk to c = 0 with no nonzero count
+gives Dtilde = R exactly (d_norm_exact, _Walk.exact): every walk on
+d_K = -7, -8, -11, which takes no extra step, and those whose constants
+cancel, as in README's fourth and fifth sums.
 
 _d_sum_tables is the one path from pairs to E1-table values: one E1
 evaluation for the tables of all its distinct k, one table sum per distinct
 pair.  It sums the walk's small tables and, at N(k), is the reference the
-suites and tests check the walk against.  CosetSystem(k) gives the box
-{a*omega1 + b*omega2 : 0 <= a < h11, 0 <= b < h22}, a transversal of L/kL
-with N(k) members, stored column by column at
-CosetSystem.index((a, b)) = b*h11 + a.  Each torsion point mu/k is
-(s*omega1 + t*omega2)/det(M) for the integers (s, t) = adj(M)*(a, b) mod
-det(M), M the integer matrix of k; Lattice._torsion_coords maps it into the
-lattice's reduced basis with one integer matrix, and Lattice._e1_reduced
-evaluates E1 there.  mu = 0 and the 2-torsion points get exactly 0, and E1,
-being odd, is evaluated once per pair {mu, -mu}, at the member of
-CosetSystem.half, and stored negated at index(-mu): 0.5 times per coset, on
-every lattice.  A system builds its half once, for its fill and every sum
-over it; each is one pass over the points, in slices of _CHUNK.
+suites and tests check the walk against.  CosetSystem(k) is the box
+transversal of L/kL, with N(k) members at CosetSystem.index((a, b)) =
+b*h11 + a and exact torsion coordinates (the cosets module);
+Lattice._torsion_coords maps those into the lattice's reduced basis with one
+integer matrix, and Lattice._e1_reduced evaluates E1 there, once per pair
+{mu, -mu} of CosetSystem.half (_e1_tables), in slices of _CHUNK.
 Multiplication by h permutes (1/k)L/L, so h enters only modulo k, through
 int64 table indices, and the terms at mu and -mu are bitwise equal:
 D_L(h, k) = 2*sum over half of table[index(h*mu)] * table[index(mu)] / k.
-Those operations stay below 2*N(k)**2, exact for N(k) < 2**31; _d_sum_tables
-refuses a larger N(k) before allocating any table.
+Those operations stay below 2*N(k)**2, exact for N(k) < 2**31.  Before
+allocating any table, _d_sum_tables refuses a larger N(k), and tables
+whose cosets, at _BYTES_PER_COSET each, would not fit in physical memory.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import os
 import random
 from collections.abc import Sequence
 from fractions import Fraction
@@ -146,6 +149,8 @@ __all__ = [
 _CHUNK = 4096
 # The E1 table works with int64 coset indices, exact for N(k) below this bound.
 _MAX_NORM = 2**31
+# Peak bytes per coset of one _d_sum_table call, by tracemalloc at N(k) ~ 1e6 on d = -8 and -20 (72.0).
+_BYTES_PER_COSET = 72
 # gen_sl2_triple keeps N(c3) at or below this, so the reference _d_sum_table of a lemma check stays small.
 _MAX_C3_NORM = 300
 
@@ -242,10 +247,10 @@ def _d_sum_tables(pairs: Sequence[tuple[OrderElem, OrderElem]], ctx: SumContext)
     """D_L(h, k) for each (h, k) in `pairs`, each from one E1 table at N(k): the walk's constants and its reference.
 
     Each distinct pair is checked first, in first-seen order: ctx._check,
-    h = 0 gives 0, and N(k) >= 2**31 raises PreconditionError, before any
-    table is built.  The tables of the distinct k then share one E1
-    evaluation (_e1_tables), and each distinct pair is one _table_sum, bit
-    for bit the value of the pair alone.
+    h = 0 gives 0, and PreconditionError refuses N(k) >= 2**31, or tables
+    too large for memory, before any table is built.  The tables of the
+    distinct k then share one E1 evaluation (_e1_tables), and each distinct
+    pair is one _table_sum, bit for bit the value of the pair alone.
     """
     distinct = dict.fromkeys(pairs)
     values, systems = {}, {}
@@ -254,22 +259,21 @@ def _d_sum_tables(pairs: Sequence[tuple[OrderElem, OrderElem]], ctx: SumContext)
         if h.is_zero():
             values[h, k] = d_sum(h, k, ctx)
         elif k not in systems:
-            system = CosetSystem(k, ctx.lattice)
-            if system.size >= _MAX_NORM:
-                raise PreconditionError(
-                    f"N(k) = {system.size} is at or above {_MAX_NORM} = 2**31, the bound for exact int64 coset indices"
-                )
-            systems[k] = system
+            systems[k] = CosetSystem(k, ctx.lattice)
+    sizes = [system.size for system in systems.values()] or [0]
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") if hasattr(os, "sysconf") else math.inf
+    if max(sizes) >= _MAX_NORM or _BYTES_PER_COSET * sum(sizes) > memory:
+        raise PreconditionError(
+            f"tables of {sum(sizes)} cosets, the largest N(k) = {max(sizes)}, need N(k) < {_MAX_NORM} = 2**31 for "
+            f"int64 coset indices and {_BYTES_PER_COSET} bytes per coset within {memory} bytes of physical memory"
+        )
     tables = dict(zip(systems, _e1_tables(list(systems.values())))) if systems else {}
     values.update({(h, k): _table_sum(h, systems[k], tables[k], ctx) for h, k in distinct if (h, k) not in values})
     return [values[pair] for pair in pairs]
 
 
 def _d_sum_table(h: OrderElem, k: OrderElem, ctx: SumContext) -> complex:
-    """D_L(h, k) from one E1 table at N(k), the one-pair case of _d_sum_tables; h = 0 gives 0.
-
-    Raises PreconditionError when N(k) >= 2**31, before building the table.
-    """
+    """D_L(h, k) from one E1 table at N(k), the one-pair case of _d_sum_tables, with its refusals; h = 0 gives 0."""
     (value,) = _d_sum_tables([(h, k)], ctx)
     return value
 
@@ -300,7 +304,7 @@ def d_norm_exact(h: OrderElem, k: OrderElem, ctx: SumContext) -> Fraction:
     which take no extra step, and wherever the walk's constants cancel by
     the symmetries of D_L (the module docstring).  Raises what d_norm raises
     on the lattice (ExcludedRingError on Z[i] and Z[rho]), PreconditionError
-    for any other pair, SearchLimitError as d_sum.
+    for any other pair.
     """
     ctx._check(h, k)
     if k.is_zero():
@@ -318,8 +322,7 @@ def d_sum(h: OrderElem, k: OrderElem, ctx: SumContext) -> complex:
     """Elliptic Dedekind sum D_L(h, k): an exact 0j for h = 0, else the walk (see the module docstring).
 
     Raises PreconditionError when the walk's R or its head leaves the double range (_head),
-    SearchLimitError when the walk stops at a cusp r/t with t*t above the gamma bound,
-    and OrderMismatchError when h or k is not in ctx.order.
+    or when a table it needs is refused (_d_sum_tables), and OrderMismatchError when h or k is not in ctx.order.
     """
     ctx._check(h, k)
     if k.is_zero():

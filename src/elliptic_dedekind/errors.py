@@ -66,7 +66,7 @@ class InadmissibleTargetError(DedekindError):
 
 
 class SearchLimitError(DedekindError):
-    """A search (the prime search, or a walk's steps) exceeded its bound."""
+    """The prime search (density.find_prime) exceeded its bound."""
 
 
 class ConstructionError(DedekindError):

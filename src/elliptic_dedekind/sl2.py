@@ -28,14 +28,14 @@ else (h/g, k/g) takes the same steps to (1, 0) and x = x0*g gives
 (h + x)/k = (h/g + x0)/(k/g); on d_K = -7, -8, -11 every step has
 gamma = -1.  Where no gamma under the bound lowers N(c), as on every
 non-principal (h, k), the walk stops at (a_n, c_n), c_n != 0, the cusp
-a_n/c_n = r/t mod O, and raises SearchLimitError unless t*t <= _gamma_bound,
-so that D_L(r, t) is a small table.  It returns, for (h, k) itself, all
-exact, for the laws of dedekind's docstring: R; the signed net counts, on
-their canonical keys, of the constants D_L(alpha_i, gamma_i) of the steps
-with N(gamma_i) > 1 and of the cusp's D_L(r, t); and the cusp (r, t, w) of
-the E2(0) terms.  A key (_orbit_key) stands for the orbit of a constant
-under the symmetries of dedekind's docstring, which hold on every lattice,
-so the counts are final and the same for every lattice the order acts on.
+a_n/c_n = r/t mod O, whose D_L(r, t) = D_L(a_n, c_n) is keyed on the
+smaller of its tables, t*t or N(c_n) cosets.  It returns, for (h, k)
+itself, all exact, for the laws of dedekind's docstring: R; the signed net
+counts, on their canonical keys, of the constants D_L(alpha_i, gamma_i) of
+the steps with N(gamma_i) > 1 and of the cusp's D_L(r, t); and the cusp
+(r, t, w) of the E2(0) terms.  A key (_orbit_key) stands for the orbit of
+a constant under the symmetries of dedekind's docstring, which hold on every
+lattice, so the counts are final and the same for every lattice the order acts on.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ConstructionError, NotUnimodularError, OrderMismatchError, SearchLimitError
+from .errors import ConstructionError, NotUnimodularError, OrderMismatchError
 from .ring import OrderElem, QuadOrder, _add, _combine, _generates, _mul, _norm, _Pair, _rounded_coords, _sub
 from .ring import _times_conj, inverse_mod
 
@@ -336,7 +336,7 @@ class _Walk:
 
 
 def _walk(h: OrderElem, k: OrderElem) -> _Walk:
-    """The walk of (h, k), for h != 0, to c = 0 or to its stop cusp r/t; SearchLimitError if t*t > _gamma_bound.
+    """The walk of (h, k), for h != 0, to c = 0 or to its stop cusp r/t.
 
     It walks h', the representative of sign*h mod k with h'*conj(k) = (s, t)
     in [0, N(k))^2, sign picking the smaller (s, t), so the steps, and every
@@ -402,15 +402,11 @@ def _walk(h: OrderElem, k: OrderElem) -> _Walk:
         # No step lowers N(c): a/c = num/n = r/t mod O, t the least positive integer with t*a/c in O.
         g = math.gcd(*num, n)
         t = n // g
-        if t * t > _gamma_bound(order):
-            raise SearchLimitError(
-                f"no gamma of norm <= {_gamma_bound(order)} lowers N(c) = {n} on the order "
-                f"(d_K={order.d_k}, f={order.f}), and t*t > {_gamma_bound(order)} at the cusp r/{t}; the walk is stuck"
-            )
         ru, rv = num[0] // g % t, num[1] // g % t
-        # D_L(h', k) holds +D_L(r, t): a constant of count -1 on gamma = t, x = r*conj(t) = r*t.  An r that
-        # shares a factor with t has no inverse, so x stands for its own: that drops only alpha^-1.
-        found = _orbit_key((t, 0), (ru * t, rv * t), (ru * t, rv * t), t * t, tr)
+        # D_L(h', k) holds +D_L(r, t) = D_L(a_n, c_n), count -1, keyed on the smaller table: gamma = t, x = r*t, or the
+        # listed one of +-c_n, x = a_n*conj(c_n) = num for either.  x stands for its own inverse, as none need exist.
+        gamma, x = ((t, 0), (ru * t, rv * t)) if t * t <= n else (c if (c[1], c[0]) > (0, 0) else (-c[0], -c[1]), num)
+        found = _orbit_key(gamma, x, x, min(t * t, n), tr)
         if found is not None:
             counts[found[0]] = counts.get(found[0], 0) - found[1]
         r = _fraction(

@@ -12,6 +12,7 @@ from elliptic_dedekind import (
     ZeroDivisorError,
     mult_matrix,
 )
+from elliptic_dedekind import cosets
 from elliptic_dedekind.cosets import MultMatrix, _colon_lattice, _theta_matrix
 
 SQRT2 = math.sqrt(2.0)
@@ -267,3 +268,41 @@ def test_colon_lattice_kappa_of_the_prime_over_two():
     assert abs(colon.area() * 2 - lat.area()) <= 1e-12 * lat.area()
     kappa = colon.e2_zero() / lat.e2_zero()
     assert abs(kappa - (7 - 3 * math.sqrt(5.0))) <= 1e-14
+
+
+def scan_colon_hnf(m, t):
+    """The column HNF (h11, h12, h22) of {(x, z) : m*(x, z) = 0 (mod t)} as _colon_lattice read it
+    before, off the points with 0 <= x, z <= t in (z, x) order, kept as a reference: h11 is the
+    least x > 0 of row z = 0, and (h12, h22) the first point of a row z > 0, scanned row by row."""
+    h11 = next(x for x in range(1, t + 1) if (m.a11 * x) % t == 0 == (m.a21 * x) % t)
+    xs = np.arange(t + 1, dtype=np.int64)
+    for z in range(1, t + 1):
+        row = xs[((m.a11 * xs + m.a12 * z) % t == 0) & ((m.a21 * xs + m.a22 * z) % t == 0)]
+        if row.size:
+            return h11, int(row[0]), z
+
+
+def assert_colon_lattice_is_the_scan(r, t, lattice):
+    """_colon_lattice(r, t, lattice) is the lattice of the scan's HNF, bit for bit."""
+    h11, h12, h22 = scan_colon_hnf(cosets.mult_matrix(r, lattice), t)
+    colon = _colon_lattice(r, t, lattice)
+    assert colon.omega1 == h11 * lattice.omega1 / t
+    assert colon.omega2 == (h12 * lattice.omega1 + h22 * lattice.omega2) / t
+
+
+def test_colon_lattice_hnf_matches_the_scan_on_random_matrices(monkeypatch):
+    # The HNF read off m's gcds, Smith invariants and one congruence is the scan's, on integer
+    # matrices of either sign of det, with t from 1 to 60.
+    lat = Lattice(1.0, 1j)
+    rng = random.Random(54)
+    seen = set()
+    for _ in range(1500):
+        m = MultMatrix(*(rng.randint(-60, 60) for _ in range(4)))
+        if m.det == 0:
+            continue
+        t = rng.randint(1, 60)
+        monkeypatch.setattr(cosets, "mult_matrix", lambda r, lattice: m)
+        assert_colon_lattice_is_the_scan(None, t, lat)
+        h11, h12, h22 = scan_colon_hnf(m, t)
+        seen.add((h11 < t, h12 > 0, 1 < h22 < t, m.det < 0))
+    assert {len({s[i] for s in seen}) for i in range(4)} == {2}

@@ -33,6 +33,7 @@ from elliptic_dedekind import (
     three_term_residual,
 )
 from elliptic_dedekind import dedekind, mult_matrix, sl2
+from elliptic_dedekind.cli import main
 from elliptic_dedekind.dedekind import _d_sum_table, _e1_tables
 from elliptic_dedekind.verification import random_sl2
 
@@ -574,6 +575,52 @@ def test_entry_points_refuse_elements_of_another_order(entry):
     for call in calls:
         with pytest.raises(OrderMismatchError):
             call()
+
+
+def fake_memory(monkeypatch, pages):
+    """Make os.sysconf report `pages` pages of 4096 bytes of physical memory."""
+    sizes = {"SC_PHYS_PAGES": pages, "SC_PAGE_SIZE": 4096}
+    monkeypatch.setattr(dedekind.os, "sysconf", lambda name: sizes[name])
+
+
+def test_tables_beyond_physical_memory_are_refused_before_allocation(ctx_m8, monkeypatch):
+    # 4 MiB of memory at 72 bytes per coset holds 58,254 cosets: one table of 60,516 is refused,
+    # and so are two of 36,100 and 25,600 together, each of which alone is summed.  No E1 table
+    # is allocated for a refused call.
+    order = ctx_m8.order
+    h, big, k1, k2 = order.element(1, 1), order.element(246), order.element(190), order.element(160)
+    expected = [_d_sum_table(h, k, ctx_m8) for k in (big, k1, k2)]
+    fake_memory(monkeypatch, 1024)
+    filled = []
+    e1_tables = dedekind._e1_tables
+    monkeypatch.setattr(dedekind, "_e1_tables", lambda systems: filled.append(len(systems)) or e1_tables(systems))
+    for pairs in ([(h, big)], [(h, k1), (h, k2)]):
+        with pytest.raises(PreconditionError, match="72 bytes per coset within 4194304 bytes"):
+            dedekind._d_sum_tables(pairs, ctx_m8)
+    assert filled == []
+    assert [_d_sum_table(h, k, ctx_m8) for k in (k1, k2)] == expected[1:]
+    # Where os.sysconf is missing, only the 2**31 bound applies.
+    monkeypatch.delattr(dedekind.os, "sysconf")
+    assert _d_sum_table(h, big, ctx_m8) == expected[0]
+    with pytest.raises(PreconditionError, match="2\\*\\*31"):
+        _d_sum_table(h, order.element(46341), ctx_m8)
+
+
+def test_a_stop_table_beyond_memory_exits_2(monkeypatch, capsys):
+    # d = -100004's pair with t = 12501, times 10**5: its stop keys on (r, t), t*t = 156,275,001
+    # cosets, about 11 GB at 72 bytes each.  With 1 GiB of memory the CLI refuses it with exit 2
+    # before any E1 table is allocated.
+    fake_memory(monkeypatch, 2**18)
+
+    def forbidden(systems):
+        raise AssertionError("the table must not be allocated")
+
+    monkeypatch.setattr(dedekind, "_e1_tables", forbidden)
+    h, k = (-2241142900000, -9201353100000), (-8114952400000, 5116734800000)
+    argv = ["sum", "--dk", "-100004", "--h=%d,%d" % h, "--k=%d,%d" % k, "--format", "json"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "156275001" in err and "bytes of physical memory" in err
 
 
 def test_euclid_d_sum_above_the_table_bound(ctx_m8):

@@ -1,11 +1,13 @@
 """The pseudo-Euclidean walk that d_sum takes on every pair with h != 0.
 
 It is checked against the E1 table on many orders and lattices, on pairs whose
-ideal (h, k) is principal and on pairs whose walk stops at a cusp, for its
-exact symmetries and step counts, for its exact values, and for failing loudly
-when it is stuck.
+ideal (h, k) is principal and on pairs whose walk stops at a cusp, wherever
+that cusp is, for its exact symmetries and step counts, and for its exact
+values.
 """
 
+import cmath
+import json
 import math
 import random
 from fractions import Fraction
@@ -27,13 +29,15 @@ from elliptic_dedekind import (
     d_norm,
     d_norm_exact,
     d_sum,
+    normalize_value,
 )
 from elliptic_dedekind import dedekind, sl2
 from elliptic_dedekind.cli import main
 from elliptic_dedekind.cosets import CosetSystem
 from elliptic_dedekind.dedekind import _d_sum_table, _d_sum_tables, _walk_value
-from elliptic_dedekind.ring import _mul, _norm, _sub, _times_conj
+from elliptic_dedekind.ring import _is_fundamental, _mul, _norm, _sub, _times_conj
 from elliptic_dedekind.sl2 import _complete_row, _gamma_bound, _gammas, _generates_order, _key_pair, _walk
+from test_cosets import assert_colon_lattice_is_the_scan
 from test_fold import merge_conj, three_symmetry_counts
 from test_sl2 import ref_sign
 
@@ -122,6 +126,22 @@ def walk_constants(monkeypatch, h, k):
             alpha, _, gamma, delta = step
             constants.append((alpha, delta, gamma))
     return walk, constants
+
+
+def stop_key(monkeypatch, h, k):
+    """(walk, (gamma, x, n)) of _walk(h, k): for a walk that stops at a cusp, the arguments of its
+    last sl2._orbit_key call, the table of N(gamma) = n cosets its D_L(r, t) is keyed on; else None."""
+    calls = []
+    orbit_key = sl2._orbit_key
+
+    def recording(gamma, x, y, n, tr):
+        calls.append((gamma, x, n))
+        return orbit_key(gamma, x, y, n, tr)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sl2, "_orbit_key", recording)
+        walk = _walk(h, k)
+    return walk, calls[-1] if walk.cusp else None
 
 
 def record_table_sizes(monkeypatch):
@@ -245,29 +265,153 @@ def test_walk_matches_table_at_a_stop_cusp(dk, f, lattice, monkeypatch):
 @pytest.mark.parametrize("dk, f", [(-20, 1), (-8, 3), (-3, 7)])
 def test_the_cusp_law_holds_wherever_the_walk_stops(dk, f, monkeypatch):
     # With -1 as the only gamma, walks stop early, on principal pairs too, at cusps r/t with
-    # t up to 31.  Where t*t is within the gamma bound the stop is accepted, and the law at
-    # that cusp still matches the E1 table: accepting a stop never costs correctness.
+    # t from 47 to 13813, most keyed on (a_n, c_n) as N(c_n) < t*t.  The law at every such
+    # cusp still matches the E1 table: accepting a stop never costs correctness.  Each stop's
+    # two colon lattices are those of the HNF the (t+1)^2 scan read.
     ctx = SumContext(QuadOrder(dk, f))
     order = ctx.order
     rng = random.Random(53)
-    checked, principal, stops = 0, 0, set()
+    checked, principal, stops, on_column = 0, 0, set(), 0
     while checked < 10:
         h, k = random_elem(rng, order), random_elem(rng, order)
-        monkeypatch.setattr(sl2, "_gammas", lambda o: ((-1, 0),))
-        try:
-            walk = _walk(h, k)
+        with monkeypatch.context() as patch:
+            patch.setattr(sl2, "_gammas", lambda o: ((-1, 0),))
+            walk, key = stop_key(patch, h, k)
             value = d_sum(h, k, ctx)
-        except SearchLimitError:
-            continue
-        finally:
-            monkeypatch.undo()
         if walk.cusp is not None:
             checked += 1
             principal += _generates_order(h, k)
-            stops.add(walk.cusp[1].u)
+            r, t, _ = walk.cusp
+            stops.add(t.u)
+            on_column += key[2] < t.u**2
             expected = _d_sum_table(h, k, ctx)
             assert abs(value - expected) <= 1e-12 * (1 + abs(expected))
-    assert len(stops) > 2 and principal > 0
+            for b in (r, r.conjugate()):
+                assert_colon_lattice_is_the_scan(b, t.u, ctx.lattice)
+    assert len(stops) > 2 and principal > 0 and on_column > 0
+
+
+# Stops whose t*t was above the gamma bound max(72, 8*|d|), which the walk refused as stuck:
+# r/155 with N(c_n) = 310 on d = -1240, and r/233 with N(c_n) = 466 on d = -1860.
+STOP_WITNESSES = [(-1240, (-48, -1), (52, 0), 155, 310), (-1860, (25, -1), (-42, 0), 233, 466)]
+
+
+@pytest.mark.parametrize("dk, h, k, t, n", STOP_WITNESSES, ids=["d-1240", "d-1860"])
+def test_a_stop_beyond_the_gamma_bound_keys_on_its_column(dk, h, k, t, n, monkeypatch, capsys):
+    # D_L(r, t) = D_L(a_n, c_n), keyed on the listed one of +-c_n: a table of N(c_n) cosets in
+    # place of t*t.  d_sum matches the E1 table at N(k), and the CLI prints it with exit 0.
+    ctx = SumContext(QuadOrder(dk))
+    order = ctx.order
+    h, k = order.element(*h), order.element(*k)
+    walk, (gamma, _, n_key) = stop_key(monkeypatch, h, k)
+    assert walk.cusp[1].u == t and n_key == n == _norm(gamma, order.theta_trace, order.theta_norm) < t * t
+    assert gamma[1] > 0
+    sizes = record_table_sizes(monkeypatch)
+    value = d_sum(h, k, ctx)
+    monkeypatch.undo()
+    assert n in sizes and t * t not in sizes
+    expected = _d_sum_table(h, k, ctx)
+    assert abs(value - expected) <= 1e-12 * (1 + abs(expected))
+    argv = ["sum", "--dk", str(dk), "--h=%d,%d" % (h.u, h.v), "--k=%d,%d" % (k.u, k.v), "--format", "json"]
+    assert main(argv) == 0
+    d_norm_printed = json.loads(capsys.readouterr().out)["records"][0]["d_norm"]
+    assert abs(d_norm_printed - normalize_value(expected, ctx)) <= 1e-12 * (1 + abs(d_norm_printed))
+
+
+def test_a_stop_at_t_954_agrees_with_another_walk(monkeypatch):
+    # On (-212, 3) this pair, N(k) ~ 3.6e20, stops at r/954 with N(c_n) = 1908.  Its D_L(r, t), a
+    # table of 910,116 cosets, equals D_L(a_n, c_n), the table of 1908 the walk keys it on.  With
+    # the non-unit gammas tried in reverse, the pair takes another walk, to a stop r/2, and the
+    # values agree.
+    ctx = SumContext(QuadOrder(-212, 3))
+    order = ctx.order
+    h, k = order.element(14340079, -73932835), order.element(19953539, 59214481)
+    walk, (gamma, x, n) = stop_key(monkeypatch, h, k)
+    r, t, _ = walk.cusp
+    assert (t.u, n) == (954, 1908)
+    by_t, by_column = _d_sum_tables([(r, t), _key_pair((gamma, x, x), order)], ctx)
+    assert abs(by_t - by_column) <= 1e-12 * (1 + abs(by_t))
+    value = d_sum(h, k, ctx)
+    gammas = _gammas(order)
+    monkeypatch.setattr(sl2, "_gammas", lambda o: gammas[:1] + gammas[:0:-1])
+    other = _walk(h, k)
+    monkeypatch.undo()
+    assert other.cusp[1].u == 2 and other.counts != walk.counts
+    assert abs(_walk_value(other, ctx) - value) <= 1e-12 * (1 + abs(value))
+
+
+def test_a_stop_at_t_12501_keys_on_a_table_of_25002(monkeypatch, capsys):
+    # On d = -100004 this pair, N(k) ~ 6.5e24, stops at r/12501 with N(c_n) = 25002: its D_L(r, t)
+    # is keyed on (a_n, c_n), a table of 25,002 cosets in place of 156,275,001, and the CLI prints
+    # the sum with exit 0, filling no table above the gamma bound.
+    order = QuadOrder(-100004)
+    h, k = order.element(-22411429, -92013531), order.element(-81149524, 51167348)
+    walk, (_, _, n) = stop_key(monkeypatch, h, k)
+    assert (walk.cusp[1].u, n) == (12501, 25002)
+    sizes = record_table_sizes(monkeypatch)
+    assert main(["sum", "--dk", "-100004", "--h=%d,%d" % (h.u, h.v), "--k=%d,%d" % (k.u, k.v), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["summary"] == {"status": "ok"}
+    assert 25002 in sizes and max(sizes) <= _gamma_bound(order)
+
+
+HOMOGENEITY_ORDERS = [(-20, 1), (-23, 1), (-8, 3), (-1240, 1)]
+
+
+def test_d_sum_is_homogeneous_across_the_stop_tables(monkeypatch):
+    # D_L(g*h, g*k) = D_L(h, k) (dedekind's docstring).  (g*h, g*k) takes the steps of (h, k) to
+    # g*(a_n, c_n): the same t, and N(g)*N(c_n) > t*t.  A stop keyed on the same table gives the same
+    # bits; one keyed on (a_n, c_n), as some on d = -1240 are, moves to (r, t), and the values agree.
+    moved = 0
+    for dk, f in HOMOGENEITY_ORDERS:
+        ctx = SumContext(QuadOrder(dk, f))
+        order = ctx.order
+        rng = random.Random(56)
+        bound = math.isqrt(10**30 // abs(order.discriminant))
+        checked = 0
+        while checked < 4 or (dk == -1240 and not moved):
+            h = order.element(rng.randint(-bound, bound), rng.randint(-bound, bound))
+            k = order.element(rng.randint(-bound, bound), rng.randint(-bound, bound))
+            walk, key = stop_key(monkeypatch, h, k)
+            if walk.cusp is None:
+                continue
+            checked += 1
+            t = walk.cusp[1].u
+            g = order.zero()
+            while g.norm() <= t * t:
+                g = order.element(rng.randint(-4 * t, 4 * t), rng.randint(-4 * t, 4 * t))
+            scaled_walk, scaled_key = stop_key(monkeypatch, g * h, g * k)
+            assert scaled_walk.cusp[1].u == t and scaled_key[0] == (t, 0)
+            value, scaled = d_sum(h, k, ctx), d_sum(g * h, g * k, ctx)
+            if key[0] == (t, 0):
+                assert scaled == value
+            else:
+                moved += 1
+                assert abs(scaled - value) <= 1e-12 * (1 + abs(value))
+    assert moved > 0
+
+
+def test_walk_serves_every_fundamental_order_from_800_to_2000(monkeypatch):
+    # Two pairs at coordinates up to 1e8 on each of the 366 fundamental d_K in [-2000, -800],
+    # where stops reach t = |d|/8 and t*t passes the gamma bound: every value is served, and two
+    # stops here are keyed on (a_n, c_n), on d = -1096 and -1780.
+    rng = random.Random(60)
+    orders, on_column = 0, []
+    for dk in range(-800, -2001, -1):
+        if not _is_fundamental(dk):
+            continue
+        orders += 1
+        ctx = SumContext(QuadOrder(dk))
+        order = ctx.order
+        for _ in range(2):
+            h = order.element(rng.randint(-(10**8), 10**8), rng.randint(-(10**8), 10**8))
+            k = order.element(rng.randint(-(10**8), 10**8), rng.randint(-(10**8), 10**8))
+            walk, key = stop_key(monkeypatch, h, k)
+            assert cmath.isfinite(_walk_value(walk, ctx))
+            # A stop keys on gamma = t or on the one of +-c_n that _gammas would list.
+            if walk.cusp is not None and key[2] < walk.cusp[1].u ** 2:
+                assert (key[0][1], key[0][0]) > (0, 0)
+                on_column.append(dk)
+    assert (orders, on_column) == (366, [-1096, -1780])
 
 
 # Non-principal pairs at N(k) ~ 1e30, drawn with random.Random(50).
@@ -468,20 +612,6 @@ def test_d_norm_exact_refuses_the_rings_where_e2_vanishes(dk):
         d_norm(h, k, ctx)
     with pytest.raises(ExcludedRingError):
         d_norm_exact(h, k, ctx)
-
-
-def test_a_stuck_walk_fails_loudly(monkeypatch, capsys):
-    # With -1 as the only gamma, the conductor-3 order has no step that lowers N(c) on this pair:
-    # the walk stops at once, at a cusp r/6876, and 6876**2 is far above the gamma bound 576.
-    order = QuadOrder(-8, 3)
-    monkeypatch.setattr(sl2, "_gammas", lambda o: ((-1, 0),))
-    with pytest.raises(SearchLimitError, match="stuck"):
-        d_sum(order.element(3313), order.element(4584, 382), SumContext(order))
-    code = main(["sum", "--dk", "-8", "-f", "3", "--h", "3313,0", "--k", "4584,382", "--format", "json"])
-    out, err = capsys.readouterr()
-    assert code == 3
-    assert out == ""
-    assert err.startswith("internal error: ") and "stuck" in err
 
 
 # The orders of test_sl2.ORDERS: class number one, and class number two or three.
