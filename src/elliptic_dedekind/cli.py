@@ -58,10 +58,11 @@ def _to_json(obj) -> str:
 
     Each piece is appended to a list, and each dict's pieces are joined once,
     as it closes, so only the pieces of the dicts still open are alive at a
-    time.  Exact float, int, dict, list and tuple come first.  Then, in this order:
-    None, True, False, int and float subclasses such as np.float64, complex as
-    {"re", "im"}, subclasses of list, tuple and dict, and str; any other type
-    raises TypeError.  A non-finite float raises ValueError.
+    time.  Exact float, int, complex (as {"re", "im"}, in one piece), str,
+    dict, list and tuple come first.  Then, in this order: None, True, False,
+    int and float subclasses such as np.float64, complex subclasses, subclasses
+    of list, tuple and dict, and str subclasses; any other type raises
+    TypeError.  A non-finite float, or part of a complex, raises ValueError.
     """
     out = []
     _write_json(obj, out)
@@ -74,6 +75,10 @@ def _write_json(obj, out: list[str]) -> None:
         out.append(_fmt_float(obj))
     elif kind is int:
         out.append(str(obj))
+    elif kind is complex:
+        out.append(f'{{"re":{_fmt_float(obj.real)},"im":{_fmt_float(obj.imag)}}}')
+    elif kind is str:
+        out.append(_json_str(obj))
     elif kind is dict:
         parts = []
         sep = "{"

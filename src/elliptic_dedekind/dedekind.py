@@ -69,7 +69,8 @@ in O.  Write mu in L/gkL as mu0 + k*nu, mu0 in L/kL, nu in L/gL; then
 E1(g*h*mu/(g*k)) = E1(h*mu0/k), and E1's distribution relation, the sum
 over nu of E1(z + nu/g) = E1(z; g^-1 L) = g*E1(g*z), at z = mu0/(g*k),
 leaves (1/k)*sum over mu0 of E1(h*mu0/k)*E1(mu0/k).  So a stop's D_L(r, t)
-is D_L(a_n, c_n), as t*a_n = r*c_n mod t*c_n*O.
+is D_L(a_n, c_n), as t*a_n = r*c_n mod t*c_n*O, and the walk divides the
+pair's rational-integer content out before its first step.
 
 alpha^-1 mod gamma is the step's own delta, as alpha*delta - beta*gamma = 1,
 and the walk's gammas are one of each +-gamma.  The walk keys each constant
@@ -158,14 +159,18 @@ _MAX_C3_NORM = 300
 class SumContext:
     """An order and a lattice it acts on, for sum evaluation.
 
-    The lattice defaults to the order itself, basis (1, theta).  Construction
-    checks that the order's generator actually multiplies the lattice into
-    itself (so all OrderElem arguments are valid multipliers).
+    The lattice defaults to the order itself, basis (1, theta), which theta
+    multiplies into itself by construction.  A lattice the caller gives is
+    checked: the order's generator must multiply it into itself (so all
+    OrderElem arguments are valid multipliers).
     """
 
     def __init__(self, order: QuadOrder, lattice: Lattice | None = None):
         self.order = order
-        self.lattice = lattice if lattice is not None else Lattice.from_order(order)
+        if lattice is None:
+            self.lattice = Lattice.from_order(order)
+            return
+        self.lattice = lattice
         try:
             mult_matrix(order.theta(), self.lattice)
         except NotAMultiplierError as exc:

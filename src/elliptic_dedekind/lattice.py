@@ -18,7 +18,8 @@ expm1(2*pi*i*u), accurate near u = 0; the series takes w = exp(2*pi*i*u)
 from its own exponential, since 1 + expm1 keeps w only to an absolute 1e-16
 and |w| falls to exp(-pi*Im tau) at Im u = Im tau/2, where beta = qbar/w
 would divide that rounding.  The same count
-truncates the q-expansions of G2 and E4; j = E4^3/Delta takes
+truncates the q-expansions of G2 and E4, whose divisor sums come from one
+module table of 16 terms; j = E4^3/Delta takes
 Delta = qbar*prod(1 - qbar^n)^24, which keeps its relative accuracy at any
 Im tau.  zeta adds G2(tau)*u back,
 and eta(1) = G2(tau), eta(tau) = G2(tau)*tau - 2*pi*i un-reduce it.  E1 needs
@@ -34,6 +35,10 @@ _torsion_coords itself, with cosets.CosetSystem.adj as its matrix.
 Lattice.from_order records its order, which serves only the exact integer
 matrix of theta on (1, theta) (cosets._theta_matrix); the walk folds its
 constants alike on every basis.
+Construction (Lattice setup) keeps only what every call reads: the checks,
+the reduction and the G2 series behind E2(0) and the quasi-periods.  The
+theta-quotient weights wait for the first E1 or zeta evaluation, which an
+exact walk never makes, and j for the first j_invariant call.
 The verify suites check E1, zeta and E2(0) against elliptic_dedekind.oracles,
 which sums Ewald's theta split over the given basis and its dual and shares
 neither the reduced basis nor the series.
@@ -64,13 +69,13 @@ __all__ = [
 _TOL = 1e-10
 
 
-def _divisor_sums(n_max: int, power: int) -> list[int]:
-    sig = [0] * (n_max + 1)
-    for d in range(1, n_max + 1):
-        dp = d**power
-        for m in range(d, n_max + 1, d):
-            sig[m] += dp
-    return sig
+# The longest q-series: the reduced tau has Im tau >= sqrt(3)/2, so
+# ceil(18*ln(10)/(pi*Im tau)) <= 16.
+_MAX_TERMS = 16
+# The divisor sums sigma1(m) and sigma3(m) of the G2 and E4 q-expansions, m = 0..._MAX_TERMS.
+_SIGMA1, _SIGMA3 = (
+    [sum(d**power for d in range(1, m + 1) if m % d == 0) for m in range(_MAX_TERMS + 1)] for power in (1, 3)
+)
 
 
 def _horner(coef: list[complex], x: np.ndarray) -> np.ndarray:
@@ -85,8 +90,9 @@ class Lattice:
     """Oriented complex lattice Z*omega1 + Z*omega2 with Im(omega2/omega1) > 0.
 
     The q-series length is fixed by Im tau of the reduced basis.  Instances are
-    immutable after construction apart from the lazily cached j-invariant; the
-    cache is idempotent, so concurrent use is safe.
+    immutable after construction apart from two lazy caches: the theta-quotient
+    weights (_coef and _coef_alpha), built on the first E1 or zeta evaluation,
+    and the j-invariant.  Each cache is idempotent, so concurrent use is safe.
     """
 
     def __init__(self, omega1: complex, omega2: complex):
@@ -158,14 +164,14 @@ class Lattice:
     def _prepare_series(self):
         tau = self._tau
         n_terms = math.ceil(18.0 * math.log(10.0) / (math.pi * tau.imag))
+        assert n_terms <= _MAX_TERMS, n_terms
         self._n_terms = n_terms
         qbar = cmath.exp(2j * math.pi * tau)
-        sig1 = _divisor_sums(n_terms, 1)
         acc = 0.0 + 0.0j
         qn = 1.0 + 0.0j
         for m in range(1, n_terms + 1):
             qn *= qbar
-            acc += sig1[m] * qn
+            acc += _SIGMA1[m] * qn
         g2 = (math.pi**2 / 3.0) * (1.0 - 24.0 * acc)
         self._qbar = qbar
         # A basis too small (or too large) for doubles squares to 0 (or inf).
@@ -175,10 +181,18 @@ class Lattice:
             raise DegenerateLatticeError(f"E2(0) is not a finite double on a basis of length {abs(self._r1):.3g}")
         self._eta1_tau = g2
         self._eta2_tau = g2 * tau - 2j * math.pi
-        # -2*pi*i/(1 - qbar^n), the weights of the theta-quotient series; the
-        # alpha series needs only the first ceil(n_terms/2) of them.
-        self._coef = [-2j * math.pi / (1.0 - qbar**n) for n in range(1, n_terms + 1)]
-        self._coef_alpha = self._coef[: (n_terms + 1) // 2]
+        self._coef = None  # the theta-quotient weights, built by _prepare_weights on first use
+
+    def _prepare_weights(self):
+        """-2*pi*i/(1 - qbar^n), the weights of the theta-quotient series, n = 1..n_terms.
+
+        The alpha series needs only the first ceil(n_terms/2) of them.  They are
+        built on the first evaluation of _theta_quotient, which an exact walk
+        never makes; _coef is set last, so a reader that sees it sees both.
+        """
+        coef = [-2j * math.pi / (1.0 - self._qbar**n) for n in range(1, self._n_terms + 1)]
+        self._coef_alpha = coef[: (self._n_terms + 1) // 2]
+        self._coef = coef
 
     # -- point reduction -------------------------------------------------------
 
@@ -211,6 +225,8 @@ class Lattice:
         cot = math.pi * 1j * (1.0 + 2.0 / em1)  # pi*cot(pi*v)
         alpha = self._qbar * w
         beta = self._qbar / w if self._qbar else np.zeros_like(w)
+        if self._coef is None:
+            self._prepare_weights()
         return sign * (cot + _horner(self._coef_alpha, alpha) - _horner(self._coef, beta))
 
     def _e1_reduced(self, x: np.ndarray, y: np.ndarray, on_lattice: np.ndarray) -> np.ndarray:
@@ -290,13 +306,12 @@ class Lattice:
         1728*E4^3/(E4^3 - E6^2) cancels down to the size of qbar.
         """
         if self._j is None:
-            sig3 = _divisor_sums(self._n_terms, 3)
             e4 = 1.0 + 0.0j
             delta = self._qbar
             qn = 1.0 + 0.0j
             for m in range(1, self._n_terms + 1):
                 qn *= self._qbar
-                e4 += 240.0 * sig3[m] * qn
+                e4 += 240.0 * _SIGMA3[m] * qn
                 delta *= (1.0 - qn) ** 24
             j = e4**3 / delta if delta != 0 else complex("inf")
             if not cmath.isfinite(j):

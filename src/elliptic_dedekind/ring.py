@@ -15,10 +15,9 @@ OrderElem and the SL2(O) walk of sl2 both use them.
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     InvalidModulusError,
@@ -378,6 +377,11 @@ class QuadOrder:
 
     d_k: int
     f: int = 1
+    # Derived once, by __post_init__, as plain attributes that every context and walk reads;
+    # equality, hashing and repr stay on (d_k, f).
+    discriminant: int = field(init=False, repr=False, compare=False)  # f^2*d_k
+    theta_trace: int = field(init=False, repr=False, compare=False)  # theta + conj(theta) = f*d_k
+    theta_norm: int = field(init=False, repr=False, compare=False)  # theta*conj(theta) = f^2*(d_k^2 - d_k)/4
 
     def __post_init__(self):
         if self.d_k >= 0:
@@ -386,21 +390,10 @@ class QuadOrder:
             raise ValueError(f"{self.d_k} is not a fundamental discriminant")
         if self.f < 1:
             raise ValueError(f"conductor must be >= 1, got {self.f}")
-
-    # Computed once per order; equality and hashing stay on (d_k, f).
-    @functools.cached_property
-    def discriminant(self) -> int:
-        return self.f * self.f * self.d_k
-
-    @functools.cached_property
-    def theta_trace(self) -> int:
-        """theta + conj(theta) = f*d_k."""
-        return self.f * self.d_k
-
-    @functools.cached_property
-    def theta_norm(self) -> int:
-        """theta * conj(theta) = f^2*(d_k^2 - d_k)/4 (always an integer)."""
-        return self.f * self.f * (self.d_k * self.d_k - self.d_k) // 4
+        d_k, f = self.d_k, self.f
+        object.__setattr__(self, "discriminant", f * f * d_k)
+        object.__setattr__(self, "theta_trace", f * d_k)
+        object.__setattr__(self, "theta_norm", f * f * (d_k * d_k - d_k) // 4)
 
     def theta_embedding(self) -> complex:
         return complex(self.f * self.d_k / 2.0, self.f * math.sqrt(-self.d_k) / 2.0)

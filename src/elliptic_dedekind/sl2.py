@@ -345,18 +345,22 @@ def _walk(h: OrderElem, k: OrderElem) -> _Walk:
     Euclidean steps add only integers to R, and the extra steps' J-terms are
     summed as one integer over the lcm of their N(gamma), so at either end R
     is one Fraction, built once with its sign (_fraction), of an integer
-    numerator over N(k), or N(k)*N(c_n) at a cusp, plus that sum.
+    numerator over N(k), or N(k)*N(c_n) at a cusp, plus that sum.  The
+    pair's rational-integer content is divided out first, as
+    D_L(g*h, g*k) = D_L(h, k) (dedekind's docstring): a stop's key, chosen by
+    its table size, is then that of the primitive pair.
     """
     h._check(k)
     order = h.order
     tr, nt = order.theta_trace, order.theta_norm
     c0 = tr // 2
-    kk = (k.u, k.v)
+    content = math.gcd(h.u, h.v, k.u, k.v)
+    hh, kk = (h.u // content, h.v // content), (k.u // content, k.v // content)
     n_k = _norm(kk, tr, nt)
-    su, sv = _times_conj((h.u, h.v), kk, tr, nt)
+    su, sv = _times_conj(hh, kk, tr, nt)
     sign = -1 if ((-su) % n_k, (-sv) % n_k) < (su % n_k, sv % n_k) else 1
     # h' = sign*h - k*q, q the floor of sign*h*conj(k)/N(k) coordinate by coordinate.
-    hk = _sub((sign * h.u, sign * h.v), _mul(kk, ((sign * su) // n_k, (sign * sv) // n_k), tr, nt))
+    hk = _sub((sign * hh[0], sign * hh[1]), _mul(kk, ((sign * su) // n_k, (sign * sv) // n_k), tr, nt))
     # The walk (a, c) -> M*(a, c) keeps a = x0*h' and c = x1*h' modulo k.
     a, c = hk, kk
     x0, x1 = (1, 0), (0, 0)

@@ -750,6 +750,14 @@ class Record(dict):
     pass
 
 
+class Complex(complex):
+    pass
+
+
+class Text(str):
+    pass
+
+
 JSON_CORPUS = [
     {"f64": np.float64(0.1), "arr": [np.float64(-2.5), np.float64(5e-324)], "c": complex(np.float64(1.5), -0.0)},
     [True, [False, True], None, 1, (True,)],
@@ -760,6 +768,11 @@ JSON_CORPUS = [
     {"z": [0j, complex(-1e300, 1e-300)], "s": "", "n": 0, "m": -0.0},
     1e16,
     "plain",
+    # The exact complex and str are written in one step, their subclasses by the general branches.
+    complex(2.5, -1e-300),
+    [Complex(-0.0, 3.0), Complex()],
+    {"s": "é \u2028 \x00", "sub": Text('t"x'), "empty": "", "empty_sub": Text("")},
+    "",
 ]
 
 
@@ -783,9 +796,28 @@ def test_to_json_matches_the_recursive_encoder_on_cli_output(capsys):
         ([np.int64(3)], TypeError),
         ((b"bytes",), TypeError),
         (object(), TypeError),
+        (complex(float("inf"), 1.0), ValueError),
+        ([Complex(1.0, float("-inf"))], ValueError),
     ],
 )
 def test_to_json_raises_as_the_recursive_encoder(obj, error):
     for encode in (cli._to_json, recursive_to_json):
         with pytest.raises(error):
+            encode(obj)
+
+
+@pytest.mark.parametrize(
+    "obj, part",
+    [
+        (complex(float("inf"), 1.0), "inf"),
+        (complex(2.0, float("nan")), "nan"),
+        (complex(float("nan"), float("-inf")), "nan"),
+        ({"z": complex(0.5, -float("inf"))}, "-inf"),
+        (Complex(-float("inf"), 0.0), "-inf"),
+    ],
+)
+def test_to_json_names_the_part_of_a_complex_that_is_not_finite(obj, part):
+    # Either part is checked, the real part first, as the {"re", "im"} dict of the recursive encoder does.
+    for encode in (cli._to_json, recursive_to_json):
+        with pytest.raises(ValueError, match=f"non-finite value {part} in JSON output"):
             encode(obj)

@@ -607,20 +607,25 @@ def test_tables_beyond_physical_memory_are_refused_before_allocation(ctx_m8, mon
 
 
 def test_a_stop_table_beyond_memory_exits_2(monkeypatch, capsys):
-    # d = -100004's pair with t = 12501, times 10**5: its stop keys on (r, t), t*t = 156,275,001
-    # cosets, about 11 GB at 72 bytes each.  With 1 GiB of memory the CLI refuses it with exit 2
-    # before any E1 table is allocated.
-    fake_memory(monkeypatch, 2**18)
+    # d = -100004's pair with t = 12501 needs tables of 519,367 cosets, its stop's 25,002 among them:
+    # about 37 MB at 72 bytes each.  With 16 MiB of memory the CLI refuses it with exit 2 before any
+    # E1 table is allocated.  The pair times 10**5 walks as the primitive pair, so it needs the same
+    # tables (not its stop's t*t = 156,275,001 cosets) and is refused with the same message.
+    fake_memory(monkeypatch, 2**12)
 
     def forbidden(systems):
         raise AssertionError("the table must not be allocated")
 
     monkeypatch.setattr(dedekind, "_e1_tables", forbidden)
-    h, k = (-2241142900000, -9201353100000), (-8114952400000, 5116734800000)
-    argv = ["sum", "--dk", "-100004", "--h=%d,%d" % h, "--k=%d,%d" % k, "--format", "json"]
-    assert main(argv) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and "156275001" in err and "bytes of physical memory" in err
+    errors = []
+    for g in (1, 10**5):
+        h, k = (-22411429 * g, -92013531 * g), (-81149524 * g, 51167348 * g)
+        argv = ["sum", "--dk", "-100004", "--h=%d,%d" % h, "--k=%d,%d" % k, "--format", "json"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "bytes of physical memory" in err
+        errors.append(err)
+    assert errors[0] == errors[1] and "tables of 519367 cosets, the largest N(k) = 35202" in errors[0]
 
 
 def test_euclid_d_sum_above_the_table_bound(ctx_m8):

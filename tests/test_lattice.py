@@ -1,4 +1,5 @@
 import cmath
+import copy
 import math
 import random
 
@@ -8,6 +9,7 @@ import pytest
 from elliptic_dedekind import (
     DegenerateLatticeError,
     Lattice,
+    NotAMultiplierError,
     PoleError,
     PreconditionError,
     QuadOrder,
@@ -19,6 +21,8 @@ from elliptic_dedekind import (
     j_invariant,
     weierstrass_zeta,
 )
+from elliptic_dedekind import dedekind
+from elliptic_dedekind import lattice as lattice_module
 from elliptic_dedekind.oracles import _points_in_disk, e1_ewald_many, e2_hecke_limit, weierstrass_zeta_direct
 
 SQRT2 = math.sqrt(2.0)
@@ -338,3 +342,115 @@ def test_j_real_for_conjugation_symmetric_bases():
 def test_j_from_order_lattice_real():
     j = j_invariant(Lattice.from_order(QuadOrder(-8)))
     assert abs(j.imag) < 1e-8
+
+
+# --- Lattice setup: divisor-sum table, lazy weights ----------------------------------
+
+
+def divisor_sums(n_max, power):
+    """sigma_power(m) for m = 0..n_max, by the double loop each construction once ran."""
+    sig = [0] * (n_max + 1)
+    for d in range(1, n_max + 1):
+        dp = d**power
+        for m in range(d, n_max + 1, d):
+            sig[m] += dp
+    return sig
+
+
+def eager_copy(lat):
+    """A copy of lat whose series are prepared as construction once prepared them, eagerly and with its own divisor sums."""
+    ref = copy.copy(lat)
+    tau = ref._tau
+    n_terms = math.ceil(18.0 * math.log(10.0) / (math.pi * tau.imag))
+    qbar = cmath.exp(2j * math.pi * tau)
+    sig1 = divisor_sums(n_terms, 1)
+    acc = 0.0 + 0.0j
+    qn = 1.0 + 0.0j
+    for m in range(1, n_terms + 1):
+        qn *= qbar
+        acc += sig1[m] * qn
+    g2 = (math.pi**2 / 3.0) * (1.0 - 24.0 * acc)
+    r1_sq = ref._r1 * ref._r1
+    ref._n_terms, ref._qbar = n_terms, qbar
+    ref._s2 = (g2 - math.pi / tau.imag) / r1_sq if r1_sq else complex("inf")
+    ref._eta1_tau, ref._eta2_tau = g2, g2 * tau - 2j * math.pi
+    coef = [-2j * math.pi / (1.0 - qbar**n) for n in range(1, n_terms + 1)]
+    ref._coef, ref._coef_alpha = coef, coef[: (n_terms + 1) // 2]
+    sig3 = divisor_sums(n_terms, 3)
+    e4, delta, qn = 1.0 + 0.0j, qbar, 1.0 + 0.0j
+    for m in range(1, n_terms + 1):
+        qn *= qbar
+        e4 += 240.0 * sig3[m] * qn
+        delta *= (1.0 - qn) ** 24
+    ref._j = e4**3 / delta if delta != 0 else complex("inf")
+    return ref
+
+
+def same_bits(a, b):
+    return np.asarray(a, dtype=complex).tobytes() == np.asarray(b, dtype=complex).tobytes()
+
+
+CI_ORDERS = [(d, 1) for d in (-8, -7, -11, -4, -3, -20, -23, -15, -163, -43, -19, -67)]
+CI_ORDERS += [(-8, 3), (-4, 3), (-3, 7), (-7, 11), (-4, 5)]
+# Im tau of each n_terms from 1 to 16: ceil(C/y) = n at y = C/(n - 1/2), C = 18*ln(10)/pi, and y up to 120.
+SETUP_HEIGHTS = [math.sqrt(3.0) / 2.0] + [18.0 * math.log(10.0) / math.pi / (n - 0.5) for n in range(1, 16)] + [120.0]
+SETUP_LATTICES = (
+    [pytest.param(lambda d=d, f=f: Lattice.from_order(QuadOrder(d, f)), id=f"order{d},{f}") for d, f in CI_ORDERS]
+    + [pytest.param(lambda y=y: Lattice(1.0, 1j * y), id=f"iy{y:.4g}") for y in SETUP_HEIGHTS]
+    + [pytest.param(lambda y=y: Lattice(1.0, complex(0.5, y)), id=f"half+iy{y:.4g}") for y in SETUP_HEIGHTS]
+    + [pytest.param(lambda: Lattice.from_order(QuadOrder(-20)).scaled(complex(0.3, -1.7)), id="scaled-20")]
+)
+
+
+def test_the_divisor_sum_table_equals_the_loops():
+    assert lattice_module._SIGMA1 == divisor_sums(lattice_module._MAX_TERMS, 1)
+    assert lattice_module._SIGMA3 == divisor_sums(lattice_module._MAX_TERMS, 3)
+
+
+def test_the_setup_heights_run_n_terms_from_16_down_to_1():
+    n_terms = {Lattice(1.0, om2)._n_terms for y in SETUP_HEIGHTS for om2 in (1j * y, complex(0.5, y))}
+    assert n_terms == set(range(1, 17))
+
+
+@pytest.mark.parametrize("make", SETUP_LATTICES)
+def test_lazy_setup_equals_the_eager_series_bit_for_bit(make):
+    lat = make()
+    ref = eager_copy(make())
+    assert lat._coef is None
+    assert same_bits(lat.e2_zero(), ref.e2_zero())
+    assert same_bits(lat.quasi_periods(), ref.quasi_periods())
+    try:
+        j = lat.j_invariant()
+    except DegenerateLatticeError:
+        assert not cmath.isfinite(ref.j_invariant())
+    else:
+        assert same_bits(j, ref.j_invariant())
+    # Nothing so far has read the theta-quotient weights.
+    assert lat._coef is None
+    xy = [(0.1, 0.2), (-0.45, 0.3), (0.5, -0.5), (0.0, 0.25), (3.3, -2.05), (1e-7, 0.0), (2.0, 1.0)]
+    z = np.array([x * lat.omega1 + y * lat.omega2 for x, y in xy])
+    assert same_bits(lat.e1_many(z), ref.e1_many(z))
+    s, t = np.arange(-9, 12), np.arange(30, 9, -1)
+    for n in (1, 2, 7, 360):
+        assert same_bits(lat.e1_torsion(s, t, n), ref.e1_torsion(s, t, n))
+    for x, y in xy[:5]:
+        zeta = x * lat.omega1 + y * lat.omega2
+        assert same_bits(lat.weierstrass_zeta(zeta), ref.weierstrass_zeta(zeta))
+    assert same_bits(lat._coef, ref._coef) and same_bits(lat._coef_alpha, ref._coef_alpha)
+
+
+def test_the_order_context_builds_no_multiplier_matrix(monkeypatch):
+    calls = []
+    mult_matrix = dedekind.mult_matrix
+    monkeypatch.setattr(dedekind, "mult_matrix", lambda *args: calls.append(args) or mult_matrix(*args))
+    for d, f in CI_ORDERS:
+        ctx = SumContext(QuadOrder(d, f))
+        assert ctx.lattice.order == ctx.order
+    assert calls == []
+    # A lattice the caller gives is checked, once.
+    order = QuadOrder(-20)
+    SumContext(order, Lattice(2, complex(1.0, math.sqrt(5.0))))
+    assert len(calls) == 1
+    for lat in (Lattice(1.0, 1.3j), Lattice(2, complex(-0.5, 2.3979157616563596)), Lattice.from_order(QuadOrder(-8))):
+        with pytest.raises(NotAMultiplierError, match="does not act on this lattice"):
+            SumContext(order, lat)

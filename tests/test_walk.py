@@ -354,6 +354,57 @@ def test_a_stop_at_t_12501_keys_on_a_table_of_25002(monkeypatch, capsys):
     assert 25002 in sizes and max(sizes) <= _gamma_bound(order)
 
 
+def test_a_pair_with_integer_content_walks_as_its_primitive_part(monkeypatch, capsys):
+    # The t = 12501 pair times 10**5 has N(c_n) = 10**10 * 25002 > t*t at its stop, so without its
+    # content divided out the stop keyed on (r, t), 156,275,001 cosets, which the memory check refused.
+    # It takes the primitive pair's walk and keys, and the CLI prints the primitive pair's d_norm.
+    order = QuadOrder(-100004)
+    h, k = order.element(-22411429, -92013531), order.element(-81149524, 51167348)
+    gh, gk = h * 10**5, k * 10**5
+    walk, key = stop_key(monkeypatch, gh, gk)
+    assert (walk, key) == stop_key(monkeypatch, h, k) and (walk.cusp[1].u, key[2]) == (12501, 25002)
+    argv = ["sum", "--dk", "-100004", "--h=%d,%d" % (gh.u, gh.v), "--k=%d,%d" % (gk.u, gk.v), "--format", "json"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["records"][0]["d_norm"] == -0.021774382754761852
+
+
+@pytest.mark.parametrize("dk, h, k, t, n", STOP_WITNESSES, ids=["d-1240", "d-1860"])
+def test_a_stop_keyed_on_its_column_keeps_its_key_under_integer_content(dk, h, k, t, n, monkeypatch):
+    # The stop keys on (a_n, c_n), N(c_n) = n < t*t.  Times g with g*g*n > t*t, the pair's own c_n
+    # would key it on (r, t); the walk divides g out and keeps the primitive key, walk and bits.
+    ctx = SumContext(QuadOrder(dk))
+    h, k = ctx.order.element(*h), ctx.order.element(*k)
+    walk, key = stop_key(monkeypatch, h, k)
+    g = math.isqrt(t * t // n) + 1
+    assert key[2] == n and g * g * n > t * t
+    for c in (g, 101 * g):
+        assert stop_key(monkeypatch, h * c, k * c) == (walk, key)
+        assert d_sum(h * c, k * c, ctx) == d_sum(h, k, ctx)
+
+
+CONTENT_ORDERS = [(-8, 1), (-7, 1), (-20, 1), (-8, 3), (-23, 1), (-1240, 1)]
+
+
+@pytest.mark.parametrize("dk, f", CONTENT_ORDERS)
+def test_integer_content_leaves_the_walk_and_the_value(dk, f):
+    # D_L(g*h, g*k) = D_L(h, k): (g*h, g*k) walks as (h, k) and gives the same bits.
+    ctx = SumContext(QuadOrder(dk, f))
+    order = ctx.order
+    rng = random.Random(57)
+    stops = 0
+    for _ in range(12):
+        h, k = (order.element(rng.randint(-(10**6), 10**6), rng.randint(-(10**6), 10**6)) for _ in range(2))
+        content = math.gcd(h.u, h.v, k.u, k.v)
+        h, k = order.element(h.u // content, h.v // content), order.element(k.u // content, k.v // content)
+        walk = _walk(h, k)
+        stops += walk.cusp is not None
+        value = d_sum(h, k, ctx)
+        for g in (2, 3, 6, 10, 101):
+            assert _walk(h * g, k * g) == walk
+            assert d_sum(h * g, k * g, ctx) == value
+    assert stops > 0 or dk in (-8, -7)
+
+
 HOMOGENEITY_ORDERS = [(-20, 1), (-23, 1), (-8, 3), (-1240, 1)]
 
 
