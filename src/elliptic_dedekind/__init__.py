@@ -13,7 +13,6 @@ from .dedekind import (
     d_norm_exact,
     d_sum,
     gen_sl2_triple,
-    i_map,
     three_term_closed_form,
     normalize_value,
     phi,
@@ -40,7 +39,7 @@ from .errors import (
     UnsupportedOrderError,
     ZeroDivisorError,
 )
-from .lattice import Lattice, area, e1, e2_zero, j_invariant, quasi_periods, weierstrass_zeta
+from .lattice import Lattice
 from .ring import (
     OrderElem,
     QuadOrder,
@@ -69,18 +68,11 @@ __all__ = [
     "is_probable_prime",
     "egcd_order",
     "Lattice",
-    "area",
-    "weierstrass_zeta",
-    "quasi_periods",
-    "e2_zero",
-    "e1",
-    "j_invariant",
     "MultMatrix",
     "mult_matrix",
     "CosetSystem",
     "Mat2",
     "SumContext",
-    "i_map",
     "d_sum",
     "d_norm",
     "d_norm_exact",

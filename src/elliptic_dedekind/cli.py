@@ -49,7 +49,7 @@ def _fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-# A str as json.dumps(s, ensure_ascii=False) writes it; any other type raises TypeError.
+# A str as json.dumps(s, ensure_ascii=False) writes it.
 _json_str = json.encoder.encode_basestring
 
 
@@ -58,11 +58,11 @@ def _to_json(obj) -> str:
 
     Each piece is appended to a list, and each dict's pieces are joined once,
     as it closes, so only the pieces of the dicts still open are alive at a
-    time.  Exact float, int, complex (as {"re", "im"}, in one piece), str,
-    dict, list and tuple come first.  Then, in this order: None, True, False,
-    int and float subclasses such as np.float64, complex subclasses, subclasses
-    of list, tuple and dict, and str subclasses; any other type raises
-    TypeError.  A non-finite float, or part of a complex, raises ValueError.
+    time.  It takes exactly the types the commands emit: float, int, complex
+    (as {"re", "im"}, in one piece), str, dict, list, tuple and bool.  Any
+    other type raises TypeError naming it: None, np.float64, a subclass of
+    one of these.  A non-finite float, or part of a complex, raises
+    ValueError.
     """
     out = []
     _write_json(obj, out)
@@ -95,24 +95,10 @@ def _write_json(obj, out: list[str]) -> None:
             _write_json(val, out)
             sep = ","
         out.append("]" if sep == "," else "[]")
-    elif obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        out.append(_fmt_float(obj))
-    elif isinstance(obj, complex):
-        _write_json({"re": obj.real, "im": obj.imag}, out)
-    elif isinstance(obj, (list, tuple)):
-        _write_json(list(obj), out)
-    elif isinstance(obj, dict):
-        _write_json(dict(obj.items()), out)
+    elif kind is bool:
+        out.append("true" if obj else "false")
     else:
-        out.append(_json_str(obj))  # a str; any other type raises TypeError
+        raise TypeError(f"no JSON form for type {kind.__name__}")
 
 
 def _emit_json(config: dict, records: list, summary: dict) -> None:

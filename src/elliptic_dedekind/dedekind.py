@@ -136,7 +136,6 @@ from .sl2 import Mat2, _column, _key_pair, _walk, _Walk
 __all__ = [
     "Mat2",
     "SumContext",
-    "i_map",
     "d_sum",
     "normalize_value",
     "d_norm",
@@ -184,12 +183,6 @@ class SumContext:
         for x in elems:
             if x.order is not self.order and x.order != self.order:
                 raise OrderMismatchError(f"element of {x.order}, expected {self.order}")
-
-
-def i_map(z: complex) -> complex:
-    """I(z) = z - conj(z) = 2i*Im(z)."""
-    zc = complex(z)
-    return zc - zc.conjugate()
 
 
 def _e1_tables(systems: list[CosetSystem]) -> list[np.ndarray]:

@@ -53,15 +53,7 @@ import numpy as np
 
 from .errors import DegenerateLatticeError, PoleError, PreconditionError
 
-__all__ = [
-    "Lattice",
-    "area",
-    "weierstrass_zeta",
-    "quasi_periods",
-    "e2_zero",
-    "e1",
-    "j_invariant",
-]
+__all__ = ["Lattice"]
 
 
 # Reduced coordinates of a float point closer than this to an integer pair
@@ -321,30 +313,3 @@ class Lattice:
 
     def __repr__(self) -> str:
         return f"Lattice({self.omega1!r}, {self.omega2!r})"
-
-
-# Functional aliases matching the operation vocabulary.
-
-
-def area(lattice: Lattice) -> float:
-    return lattice.area()
-
-
-def weierstrass_zeta(z: complex, lattice: Lattice) -> complex:
-    return lattice.weierstrass_zeta(z)
-
-
-def quasi_periods(lattice: Lattice) -> tuple[complex, complex]:
-    return lattice.quasi_periods()
-
-
-def e2_zero(lattice: Lattice) -> complex:
-    return lattice.e2_zero()
-
-
-def e1(z: complex, lattice: Lattice) -> complex:
-    return lattice.e1(z)
-
-
-def j_invariant(lattice: Lattice) -> complex:
-    return lattice.j_invariant()

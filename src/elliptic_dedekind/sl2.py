@@ -11,7 +11,7 @@ at (h, k), and takes the first M with N(gamma*a + delta*c) < N(c):
   - gamma = -1 and delta = q, the rounded quotient a/c, that is the
     Euclidean step M = [[0, 1], [-1, q]], whenever it lowers N(c);
   - otherwise gamma runs over -1, then the non-units up to the norm
-    max(72, 8*|disc|) by increasing norm (_gammas), delta over the lattice
+    8*|disc| by increasing norm (_gammas), delta over the lattice
     points within distance 1 of -gamma*a/c, the points of an ellipse; the
     nearest with (gamma, delta) = O, decided by a gcd on its integers, wins
     (_extra_step), and _complete_row finds alpha and beta for it alone.
@@ -51,10 +51,9 @@ from .ring import _times_conj, inverse_mod
 
 __all__ = ["Mat2"]
 
-# A walk step tries gamma up to the norm max(_GAMMA_NORM, _GAMMA_DISC*|disc|).  Random
-# pairs on every fundamental d_K down to -300, and on orders with f > 1 up to
-# |disc| = 507, needed at most 72 and 4.03*|disc|.
-_GAMMA_NORM = 72
+# A walk step tries gamma up to the norm _GAMMA_DISC*|disc|.  Random pairs on every
+# fundamental d_K down to -300, and on orders with f > 1 up to |disc| = 507, needed
+# at most 72 and 4.03*|disc|; every order with 8*|disc| < 72 is norm-Euclidean.
 _GAMMA_DISC = 8
 
 
@@ -119,9 +118,6 @@ class Mat2:
             raise NotUnimodularError(f"determinant is {self.det()!r}, expected 1")
         return Mat2(self.d, -self.b, -self.c, self.a)
 
-    def max_entry_norm(self) -> int:
-        return max(self.a.norm(), self.b.norm(), self.c.norm(), self.d.norm())
-
 
 def _column(a: _Pair, c: _Pair, tr: int, nt: int, c0: int) -> tuple[_Pair, _Pair] | None:
     """(b, d) with [[a, b], [c, d]] in SL2(O) for c != 0, or None unless gcd(N(a), N(c)) = 1.
@@ -148,7 +144,7 @@ def _generates_order(h: OrderElem, k: OrderElem) -> bool:
 
 def _gamma_bound(order: QuadOrder) -> int:
     """The largest N(gamma) a walk step on this order tries."""
-    return max(_GAMMA_NORM, _GAMMA_DISC * abs(order.discriminant))
+    return _GAMMA_DISC * abs(order.discriminant)
 
 
 @functools.cache
@@ -288,10 +284,12 @@ def _extra_step(num: _Pair, n: int, order: QuadOrder, tr: int, nt: int, c0: int)
     return None
 
 
-def _complete_row(gamma: _Pair, delta: _Pair, tr: int, nt: int, c0: int) -> tuple[_Pair, _Pair] | None:
-    """(alpha, beta) with [[alpha, beta], [gamma, delta]] in SL2(O), or None unless (gamma, delta) = O.
+def _complete_row(gamma: _Pair, delta: _Pair, tr: int, nt: int, c0: int) -> tuple[_Pair, _Pair]:
+    """(alpha, beta) with [[alpha, beta], [gamma, delta]] in SL2(O), for (gamma, delta) = O.
 
-    A unit gamma takes [[0, -1/gamma], [gamma, delta]].  Otherwise
+    The caller has decided (gamma, delta) = O, as _extra_step does by its gcd
+    test on the winner's integers.  A unit gamma takes
+    [[0, -1/gamma], [gamma, delta]].  Otherwise
     _column(delta + gamma*m, gamma) = (beta', alpha) completes
     [[delta + gamma*m, beta'], [gamma, alpha]] and gives beta = beta' - m*alpha.
     It needs gcd(N(gamma), N(delta + gamma*m)) = 1: m = 0 where the norms are
@@ -301,8 +299,6 @@ def _complete_row(gamma: _Pair, delta: _Pair, tr: int, nt: int, c0: int) -> tupl
     """
     if _norm(gamma, tr, nt) == 1:
         return (0, 0), (-gamma[0] - gamma[1] * tr, gamma[1])
-    if not _generates(gamma, delta, tr, nt):
-        return None
     for s in (0, 1, -1, 2, -2, 3, -3):
         for t in (0, 1, -1, 2, -2, 3, -3):
             col = _column(_add(delta, _mul(gamma, (s, t), tr, nt)), gamma, tr, nt, c0)

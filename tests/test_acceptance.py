@@ -67,11 +67,8 @@ def test_criterion_2_homomorphism_suite():
     rng = random.Random(202)
     worst = 0.0
     for _ in range(50):
-        while True:
-            w1 = random_sl2(rng, ctx.order)
-            w2 = random_sl2(rng, ctx.order)
-            if (w1 @ w2).max_entry_norm() <= 20000:
-                break
+        w1 = random_sl2(rng, ctx.order)
+        w2 = random_sl2(rng, ctx.order)
         p1, p2, p12 = phi(w1, ctx), phi(w2, ctx), phi(w1 @ w2, ctx)
         worst = max(worst, abs(p12 - p1 - p2) / (1.0 + abs(p1) + abs(p2) + abs(p12)))
     elapsed = time.time() - started

@@ -25,7 +25,6 @@ from elliptic_dedekind import (
     d_sum,
     egcd_order,
     gen_sl2_triple,
-    i_map,
     normalize_value,
     three_term_closed_form,
     phi,
@@ -74,19 +73,6 @@ def random_elem(rng, order, max_norm=60, bound=8):
         e = order.element(rng.randint(-bound, bound), rng.randint(-bound, bound))
         if 0 < e.norm() <= max_norm:
             return e
-
-
-# --- I map -------------------------------------------------------------------
-
-
-def test_i_map_examples():
-    assert i_map(3.0) == 0.0
-    assert i_map(3 + 2j) == 4j
-    rng = random.Random(20)
-    for _ in range(50):
-        z = complex(rng.uniform(-5, 5), rng.uniform(-5, 5))
-        assert abs(i_map(z) + i_map(z.conjugate())) == 0.0
-        assert i_map(z).real == 0.0
 
 
 # --- d_sum --------------------------------------------------------------------
@@ -732,8 +718,6 @@ def test_three_term_random_words(ctx_m8):
         w2 = random_sl2(rng, ctx_m8.order)
         w3 = random_sl2(rng, ctx_m8.order)
         w1 = w2 @ w3
-        if w1.max_entry_norm() > 20000:
-            continue
         res = three_term_residual(w1, w2, w3, ctx_m8)
         scale = 1 + abs(phi(w1, ctx_m8)) + abs(phi(w2, ctx_m8)) + abs(phi(w3, ctx_m8))
         assert abs(res) <= 1e-7 * scale
@@ -790,7 +774,8 @@ def test_lemma_sign_flip_in_c3(ctx_m8):
     plus = three_term_closed_form(c, c3, ctx_m8)
     minus = three_term_closed_form(c, -c3, ctx_m8)
     cc, c3c = c.embed(), c3.embed()
-    expected = e2 * i_map(-2.0 / c3c - c3c / (cc * cc))
+    w = -2.0 / c3c - c3c / (cc * cc)
+    expected = e2 * (w - w.conjugate())
     assert abs(minus - expected) < 1e-12
 
 

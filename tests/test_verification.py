@@ -46,11 +46,29 @@ def test_phi_suite_generates_words_on_hard_seeds(dk, seed):
     assert all(c.passed for c in checks)
 
 
+def test_phi_suite_walks_products_of_any_size(monkeypatch):
+    # Every drawn pair is checked: on d = -163 some products have an entry of norm above 20,000.
+    norms = []
+    phi = verification.phi
+
+    def recording(w, ctx):
+        norms.append(max(entry.norm() for entry in (w.a, w.b, w.c, w.d)))
+        return phi(w, ctx)
+
+    monkeypatch.setattr(verification, "phi", recording)
+    checks = run_phi_suite(QuadOrder(-163), seed=12345)
+    assert len(norms) == 150 and max(norms) > 20_000
+    assert len(checks) == 50 and all(c.passed for c in checks)
+
+
 @pytest.mark.parametrize("dk", [-4, -3])
 def test_all_suites_pass_where_e2_vanishes(dk):
     # E2(0) = 0 on Z[i] and Z[rho]; e2-homogeneity is relative to 1/area there.
     checks = run_suite("all", QuadOrder(dk), seed=12345)
     assert [c.name for c in checks if not c.passed] == []
+    # The lemma suite compares the walk with the table there too; only the density steps are skipped.
+    assert sum(c.name.startswith("lemma-euclid-") for c in checks) == 20
+    assert not any(c.name == "euclid-density-steps" for c in checks)
     (homogeneity,) = [c for c in checks if c.name == "e2-homogeneity"]
     assert homogeneity.residual < 1e-14
 

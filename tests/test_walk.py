@@ -35,7 +35,7 @@ from elliptic_dedekind import dedekind, sl2
 from elliptic_dedekind.cli import main
 from elliptic_dedekind.cosets import CosetSystem
 from elliptic_dedekind.dedekind import _d_sum_table, _d_sum_tables, _walk_value
-from elliptic_dedekind.ring import _is_fundamental, _mul, _norm, _sub, _times_conj
+from elliptic_dedekind.ring import _generates, _is_fundamental, _mul, _norm, _sub, _times_conj
 from elliptic_dedekind.sl2 import _complete_row, _gamma_bound, _gammas, _generates_order, _key_pair, _walk
 from test_cosets import assert_colon_lattice_is_the_scan
 from test_fold import merge_conj, three_symmetry_counts
@@ -291,7 +291,7 @@ def test_the_cusp_law_holds_wherever_the_walk_stops(dk, f, monkeypatch):
     assert len(stops) > 2 and principal > 0 and on_column > 0
 
 
-# Stops whose t*t was above the gamma bound max(72, 8*|d|), which the walk refused as stuck:
+# Stops whose t*t was above the gamma bound 8*|d|, which the walk refused as stuck:
 # r/155 with N(c_n) = 310 on d = -1240, and r/233 with N(c_n) = 466 on d = -1860.
 STOP_WITNESSES = [(-1240, (-48, -1), (52, 0), 155, 310), (-1860, (25, -1), (-42, 0), 233, 466)]
 
@@ -553,11 +553,10 @@ def test_complete_row_completes_every_coprime_row(dk, f):
         delta = order.element(rng.randint(-12, 12), rng.randint(-2, 2))
         if gamma.is_zero():
             continue
+        if not _generates_order(gamma, delta):
+            continue
         tr = order.theta_trace
         row = _complete_row((gamma.u, gamma.v), (delta.u, delta.v), tr, order.theta_norm, tr // 2)
-        if not _generates_order(gamma, delta):
-            assert row is None
-            continue
         m = Mat2(order.element(*row[0]), order.element(*row[1]), gamma, delta)
         assert m.is_unimodular()
         coprime_norms[math.gcd(gamma.norm(), delta.norm()) == 1] += 1
@@ -894,9 +893,8 @@ def window_extra_step(num, n, order, tr, nt, c0):
                 if norm < nn:
                     near.append((norm, s, t))
         for _, s, t in sorted(near):
-            row = _complete_row(gamma, (s, t), tr, nt, c0)
-            if row is not None:
-                alpha, beta = row
+            if _generates(gamma, (s, t), tr, nt):
+                alpha, beta = _complete_row(gamma, (s, t), tr, nt, c0)
                 return alpha, _sub(beta, _mul(alpha, z0, tr, nt)), gamma, _sub((s, t), _mul(gamma, z0, tr, nt))
     raise SearchLimitError("no gamma lowers N(c)")
 
@@ -967,6 +965,25 @@ def test_extra_step_completes_only_its_winner(dk, f, h, k, count, monkeypatch):
     _walk(order.element(*h), order.element(*k))
     assert len(steps) == len(rows) == count
     assert [row[0] for row in rows] == [result[2] for _, result in steps]
+
+
+@pytest.mark.parametrize("dk", [-3, -4, -7, -8, -11])
+def test_every_extra_step_on_a_norm_euclidean_order_takes_gamma_minus_one(dk, monkeypatch):
+    # The gamma bound 8*|d| is below 72 only on d = -3, -4, -7 and -8, which are norm-Euclidean
+    # like -11: where the rounded quotient does not lower N(c), another delta with gamma = -1
+    # does, so no larger gamma is ever tried.  400 walks at N(k) ~ 1e40 take extra steps on -7
+    # and -11; every step on -3, -4 and -8 is Euclidean.
+    order = QuadOrder(dk)
+    rng = random.Random(50)
+    bound = math.isqrt(10**40 // abs(order.discriminant))
+    steps = record_extra_steps(monkeypatch)
+    for _ in range(400):
+        h = order.element(rng.randint(-bound, bound), rng.randint(-bound, bound))
+        k = order.element(rng.randint(-bound, bound), rng.randint(-bound, bound))
+        if not h.is_zero():
+            _walk(h, k)
+    assert (len(steps) > 0) == (dk in (-7, -11))
+    assert all(result is not None and result[2] == (-1, 0) for _, result in steps)
 
 
 @pytest.mark.parametrize("dk, f", [(-8, 3), (-15, 1), (-20, 1), (-3, 7), (-7, 1), (-4, 1), (-163, 1)])
