@@ -16,15 +16,15 @@ D_L(a3, c3) = E2(0)*I(2/c3 + c3/c^2).
 I(z) = i*sqrt(|d|)*J(z) with J exact on order elements (_j): each head below is
 an exact J times i*sqrt(|d|)*E2(0), and _head is the one step that makes a float.
 
-d_sum takes one of two paths, chosen by h alone: h = 0 gives an exact 0 at
-any N(k), and the walk (sl2._walk) serves every other pair, on any order and
-any lattice the order acts on.  It walks h', the box representative of +-h
-mod k, and returns R, the counts and w times that sign.  Its steps
-M_i = [[alpha_i, beta_i], [gamma_i, delta_i]] take (h, k) to
-(a_n, c_n) = P*(h, k), P = M_n...M_1, and Phi is additive.  If (h, k) = gO
-(let g = 1: D_L(h, k) = D_L(h/g, k/g), and the walk takes the steps of
-(h/g, k/g)), P takes the SL2(O) matrix with first column (h, k) and
-lower-right entry x = h^-1 mod k to diag(u, 1/u), u a unit, whose Phi is 0:
+d_sum takes one path, the walk (sl2._walk), for every pair, h = 0 too, on
+any order and any lattice the order acts on.  It walks h', the box
+representative of +-h mod k, and returns R, the counts and w times that
+sign.  Its steps M_i = [[alpha_i, beta_i], [gamma_i, delta_i]] take
+(h, k) to (a_n, c_n) = P*(h, k), P = M_n...M_1, and Phi is additive.  If
+(h, k) = gO (let g = 1: D_L(h, k) = D_L(h/g, k/g), and the walk takes the
+steps of (h/g, k/g), a unit g or not), P takes the SL2(O) matrix with first
+column (h, k) and lower-right entry x = h^-1 mod k to the identity, whose
+Phi is 0:
 
     D_L(h, k)   = i*sqrt(|d|)*E2(0)*R - sum over keys of n_key*D_L(key),
     R           = J((h + x)/k) + sum_i J((alpha_i + delta_i)/gamma_i),
@@ -86,8 +86,14 @@ keys with n_key != 0 go to _d_sum_tables, each an E1-table sum on the
 lattice itself at N(gamma), and n_key*D_L(key) is subtracted in key order,
 so no hash order reaches the value.  A walk to c = 0 with no nonzero count
 gives Dtilde = R exactly (d_norm_exact, _Walk.exact): every walk on
-d_K = -7, -8, -11, which takes no extra step, and those whose constants
-cancel, as in README's fourth and fifth sums.
+d_K = -7, -8, -11, which takes no extra step, the walk of (0, k), whose
+R is 0, and those whose constants cancel, as in README's fourth and fifth
+sums.
+
+Phi(A) = i*sqrt(|d|)*E2(0)*J((a+d)/c) - D_L(a, c), c != 0, and
+-D_L(a, c) = D_L(-a, c), whose walk is that of (a, c) negated, as the walk
+is odd in h.  So Phi(A) is the value of the walk of (-a, c) with R replaced
+by R + J((a+d)/c): one walk, and one head that rounds one exact rational.
 
 _d_sum_tables is the one path from pairs to E1-table values: one E1
 evaluation for the tables of all its distinct k, one table sum per distinct
@@ -254,8 +260,8 @@ def _d_sum_tables(pairs: Sequence[tuple[OrderElem, OrderElem]], ctx: SumContext)
     values, systems = {}, {}
     for h, k in distinct:
         ctx._check(h, k)
-        if h.is_zero():
-            values[h, k] = d_sum(h, k, ctx)
+        if h.is_zero() and not k.is_zero():
+            values[h, k] = 0j  # D_L(0, k) = 0 term by term, as E1(0) = 0
         elif k not in systems:
             systems[k] = CosetSystem(k, ctx.lattice)
     sizes = [system.size for system in systems.values()] or [0]
@@ -279,9 +285,10 @@ def _d_sum_table(h: OrderElem, k: OrderElem, ctx: SumContext) -> complex:
 def _walk_value(walk: _Walk, ctx: SumContext) -> complex:
     """D_L(h, k) from walk = _walk(h, k), by the laws of the module docstring.
 
-    Its head is _head(R), so R = 0 gives +0.0; a walk to c = 0 with no nonzero
-    net count ends there.  Otherwise the keys go to _d_sum_tables and
-    count*D_L(key) is subtracted in key order, then the cusp's E2(0) terms are added.
+    Its head is _head(R), an exact 0j for R = 0; a walk to c = 0 with no
+    nonzero net count ends there, as that of (0, k) does.  Otherwise the
+    keys go to _d_sum_tables and count*D_L(key) is subtracted in key order,
+    then the cusp's E2(0) terms are added.
     """
     value = _head(walk.r, ctx)
     if walk.counts:
@@ -298,26 +305,24 @@ def _walk_value(walk: _Walk, ctx: SumContext) -> complex:
 def d_norm_exact(h: OrderElem, k: OrderElem, ctx: SumContext) -> Fraction:
     """Dtilde(h, k) as an exact rational, where the walk of (h, k) ends at c = 0 and its net counts all vanish.
 
-    That holds for every pair with h != 0 on d_K = -7, -8, -11 with f = 1,
-    which take no extra step, and wherever the walk's constants cancel by
-    the symmetries of D_L (the module docstring).  Raises what d_norm raises
-    on the lattice (ExcludedRingError on Z[i] and Z[rho]), PreconditionError
-    for any other pair.
+    That holds for every pair on d_K = -7, -8, -11 with f = 1, which take
+    no extra step, for every (0, k), whose walk gives 0, and wherever the
+    walk's constants cancel by the symmetries of D_L (the module docstring).
+    Raises what d_norm raises on the lattice (ExcludedRingError on Z[i] and
+    Z[rho]), PreconditionError for any other pair.
     """
     ctx._check(h, k)
     if k.is_zero():
         raise ZeroDivisorError("zero modulus")
     _normalizer(ctx)
-    walk = None if h.is_zero() else _walk(h, k)
-    if walk is None or not walk.exact:
-        raise PreconditionError(
-            f"Dtilde(h={h!r}, k={k!r}) is exact only for h != 0 and a walk to c = 0 whose constants cancel"
-        )
+    walk = _walk(h, k)
+    if not walk.exact:
+        raise PreconditionError(f"Dtilde(h={h!r}, k={k!r}) is exact only for a walk to c = 0 whose constants cancel")
     return walk.r
 
 
 def d_sum(h: OrderElem, k: OrderElem, ctx: SumContext) -> complex:
-    """Elliptic Dedekind sum D_L(h, k): an exact 0j for h = 0, else the walk (see the module docstring).
+    """Elliptic Dedekind sum D_L(h, k), from its walk (see the module docstring); D_L(0, k) is an exact 0j.
 
     Raises PreconditionError when the walk's R or its head leaves the double range (_head),
     or when a table it needs is refused (_d_sum_tables), and OrderMismatchError when h or k is not in ctx.order.
@@ -325,7 +330,7 @@ def d_sum(h: OrderElem, k: OrderElem, ctx: SumContext) -> complex:
     ctx._check(h, k)
     if k.is_zero():
         raise ZeroDivisorError("zero modulus")
-    return 0j if h.is_zero() else _walk_value(_walk(h, k), ctx)
+    return _walk_value(_walk(h, k), ctx)
 
 
 def _factor(ctx: SumContext) -> complex:
@@ -340,7 +345,12 @@ def _j(z: _Pair, w: _Pair, order: QuadOrder) -> Fraction:
 
 
 def _head(q: Fraction, ctx: SumContext) -> complex:
-    """i*sqrt(|d|)*E2(0)*q, q rounded by one integer division; PreconditionError where q or the head leaves the double range."""
+    """i*sqrt(|d|)*E2(0)*q, q rounded by one integer division; PreconditionError where q or the head leaves the double range.
+
+    q = 0 gives an exact 0j, never a -0 part from the factor's rounding residues, which take either sign.
+    """
+    if not q:
+        return 0j
     try:
         value = _factor(ctx) * (q.numerator / q.denominator)
     except OverflowError as exc:
@@ -387,9 +397,11 @@ def d_norm(h: OrderElem, k: OrderElem, ctx: SumContext) -> float:
 def phi(a_mat: Mat2, ctx: SumContext) -> complex:
     """The Phi homomorphism SL2(O_L) -> (C, +).
 
-    Its head is _head of the exact J((a+d)/c), or of J(b/d) when c = 0, at
-    any size of the entries.  Raises PreconditionError where that J or the
-    head leaves the double range, and what d_sum(a, c) raises.
+    For c != 0 it is the value of the walk of (-a, c), D_L(-a, c) = -D_L(a, c),
+    with R replaced by the exact R + J((a+d)/c): one head (_head) of one
+    rational, at any size of the entries.  For c = 0 it is _head of the exact J(b/d).
+    Raises PreconditionError where that rational or the head leaves the
+    double range, and what d_sum(a, c) raises.
     """
     ctx._check(a_mat.a)  # Mat2 keeps its entries in one order
     if not a_mat.is_unimodular():
@@ -397,7 +409,8 @@ def phi(a_mat: Mat2, ctx: SumContext) -> complex:
     a, b, c, d = a_mat._pairs()
     if c == (0, 0):
         return _head(_j(b, d, ctx.order), ctx)
-    return _head(_j(_add(a, d), c, ctx.order), ctx) - d_sum(a_mat.a, a_mat.c, ctx)
+    walk = _walk(-a_mat.a, a_mat.c)
+    return _walk_value(_Walk(walk.r + _j(_add(a, d), c, ctx.order), walk.counts, walk.cusp), ctx)
 
 
 def three_term_residual(a1: Mat2, a2: Mat2, a3: Mat2, ctx: SumContext) -> complex:

@@ -111,8 +111,6 @@ def inverse_mod(a: int, m: int) -> int:
     """Inverse of a modulo m, in [0, m)."""
     if m < 1:
         raise InvalidModulusError(f"modulus must be positive, got {m}")
-    if m == 1:
-        return 0
     try:
         return pow(a, -1, m)
     except ValueError:

@@ -1,6 +1,6 @@
 """Exact SL2(O) algebra: 2x2 matrices, their completion, and the pseudo-Euclidean walk.
 
-The walk serves d_sum on every pair (h, k) with h != 0, on any order.  h is
+The walk serves d_sum on every pair (h, k), h = 0 too, on any order.  h is
 first replaced by its representative mod k in a fixed box, up to sign
 (_walk), so that the value is shift invariant and odd in h bit for bit.
 The walk is the pseudo-Euclidean algorithm of modular symbols
@@ -18,24 +18,25 @@ at (h, k), and takes the first M with N(gamma*a + delta*c) < N(c):
 
 Every step, test and completion runs on int pairs (u, v) for u + v*theta,
 with ring's pair arithmetic (_mul, _times_conj, _norm, ...), and so do Mat2
-products and the unimodularity test; OrderElems are built only from h, k, for
+products and determinants; OrderElems are built only from h, k, for
 the values the walk returns and for the entries of a Mat2.
 
 The steps keep the ideal (a, c) = (h, k), and a = x0*h, c = x1*h mod k for
 the first column (x0, x1) of P = M_n...M_1.  On a principal (h, k) the walk
-ends at (g, 0), (g) = (h, k): x = x0*conj(g) inverts h mod k for a unit g,
-else (h/g, k/g) takes the same steps to (1, 0) and x = x0*g gives
-(h + x)/k = (h/g + x0)/(k/g); on d_K = -7, -8, -11 every step has
-gamma = -1.  Where no gamma under the bound lowers N(c), as on every
-non-principal (h, k), the walk stops at (a_n, c_n), c_n != 0, the cusp
-a_n/c_n = r/t mod O, whose D_L(r, t) = D_L(a_n, c_n) is keyed on the
-smaller of its tables, t*t or N(c_n) cosets.  It returns, for (h, k)
-itself, all exact, for the laws of dedekind's docstring: R; the signed net
-counts, on their canonical keys, of the constants D_L(alpha_i, gamma_i) of
-the steps with N(gamma_i) > 1 and of the cusp's D_L(r, t); and the cusp
-(r, t, w) of the E2(0) terms.  A key (_orbit_key) stands for the orbit of
-a constant under the symmetries of dedekind's docstring, which hold on every
-lattice, so the counts are final and the same for every lattice the order acts on.
+ends at (g, 0), (g) = (h, k), a unit g or not: (h/g, k/g) takes the same
+steps to (1, 0), x0 inverts h/g mod k/g, and x = x0*g gives
+(h + x)/k = (h/g + x0)/(k/g).  (0, k) takes one Euclidean step to (k, 0),
+with x0 = 0 and R = 0.  On d_K = -7, -8, -11 every step has gamma = -1.
+Where no gamma under the bound lowers N(c), as on every non-principal
+(h, k), the walk stops at (a_n, c_n), c_n != 0, the cusp a_n/c_n = r/t
+mod O, whose D_L(r, t) = D_L(a_n, c_n) is keyed on the smaller of its
+tables, t*t or N(c_n) cosets.  It returns, for (h, k) itself, all exact,
+for the laws of dedekind's docstring: R; the signed net counts, on their
+canonical keys, of the constants D_L(alpha_i, gamma_i) of the steps with
+N(gamma_i) > 1 and of the cusp's D_L(r, t); and the cusp (r, t, w) of the
+E2(0) terms.  A key (_orbit_key) stands for the orbit of a constant under
+the symmetries of dedekind's docstring, which hold on every lattice, so the
+counts are final and the same for every lattice the order acts on.
 """
 
 from __future__ import annotations
@@ -88,15 +89,17 @@ class Mat2:
         a, b, c, d = self.a, self.b, self.c, self.d
         return (a.u, a.v), (b.u, b.v), (c.u, c.v), (d.u, d.v)
 
+    def _det(self) -> _Pair:
+        """a*d - b*c as an int pair: the one determinant det() and is_unimodular() read."""
+        tr, nt = self.order.theta_trace, self.order.theta_norm
+        a, b, c, d = self._pairs()
+        return _sub(_mul(a, d, tr, nt), _mul(b, c, tr, nt))
+
     def det(self) -> OrderElem:
-        return self.a * self.d - self.b * self.c
+        return OrderElem(*self._det(), self.order)
 
     def is_unimodular(self) -> bool:
-        """Whether det() is 1, decided on int pairs."""
-        order = self.order
-        tr, nt = order.theta_trace, order.theta_norm
-        a, b, c, d = self._pairs()
-        return _sub(_mul(a, d, tr, nt), _mul(b, c, tr, nt)) == (1, 0)
+        return self._det() == (1, 0)
 
     def __matmul__(self, other: "Mat2") -> "Mat2":
         order = self.order
@@ -332,7 +335,7 @@ class _Walk:
 
 
 def _walk(h: OrderElem, k: OrderElem) -> _Walk:
-    """The walk of (h, k), for h != 0, to c = 0 or to its stop cusp r/t.
+    """The walk of (h, k), for k != 0, to c = 0 or to its stop cusp r/t.
 
     It walks h', the representative of sign*h mod k with h'*conj(k) = (s, t)
     in [0, N(k))^2, sign picking the smaller (s, t), so the steps, and every
@@ -392,9 +395,8 @@ def _walk(h: OrderElem, k: OrderElem) -> _Walk:
         a, c = _combine(alpha, a, beta, c, tr, nt), _combine(gamma, a, delta, c, tr, nt)
         x0, x1 = _combine(alpha, x0, beta, x1, tr, nt), _combine(gamma, x0, delta, x1, tr, nt)
     if c == (0, 0):
-        # a generates (h', k).  A unit a has norm 1 and h'*x0*conj(a) = 1 (mod k).  Otherwise
-        # (h'/a, k/a) takes the same steps to (1, 0), x0 inverts h'/a mod k/a and x/k = x0/(k/a).
-        x = _times_conj(x0, a, tr, nt) if _norm(a, tr, nt) == 1 else _mul(x0, a, tr, nt)
+        # a generates (h', k): (h'/a, k/a) takes the same steps to (1, 0), x0 inverts h'/a mod k/a and x/k = x0/(k/a).
+        x = _mul(x0, a, tr, nt)
         # J(z/w) = 2*Im(z/w)/sqrt(|d|) is the theta-coordinate of z/w, as Im(theta) = sqrt(|d|)/2.
         r = _fraction(sign, _times_conj(_add(hk, x), kk, tr, nt)[1] - q_sum * n_k, n_k, extra_num, extra_den)
         cusp = None

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import random
@@ -821,16 +822,27 @@ def head_factor(ctx):
 
 
 @pytest.mark.parametrize("digits", [0, 50, 100, 150])
-def test_heads_round_the_exact_j_once(digits):
-    # Each head is i*sqrt(|d|)*E2(0) times the exact J rounded once to a float.
+def test_heads_round_the_exact_j_once(digits, monkeypatch):
+    # Each head is i*sqrt(|d|)*E2(0) times the exact J rounded once to a float.  Phi's one head
+    # rounds J((a+d)/c) - R, R that of the walk of (a, c): Phi is the value of the walk of (-a, c),
+    # D_L(-a, c) = -D_L(a, c), with R replaced by R + J((a+d)/c).
     ctx = SumContext(QuadOrder(-20))
     rng = random.Random(digits)
+    head = dedekind._head
     for _ in range(5):
         c, c3 = (ctx.order.element(*huge_pair(rng, digits)) for _ in range(2))
         j = exact_j(2 * ctx.order.one(), c3) + exact_j(c3, c * c)
         assert three_term_closed_form(c, c3, ctx) == head_factor(ctx) * float(j)
         m = huge_sl2(rng, ctx.order, digits)
-        assert phi(m, ctx) == head_factor(ctx) * float(exact_j(m.a + m.d, m.c)) - d_sum(m.a, m.c, ctx)
+        walk = sl2._walk(-m.a, m.c)
+        q = walk.r + exact_j(m.a + m.d, m.c)
+        assert q == exact_j(m.a + m.d, m.c) - sl2._walk(m.a, m.c).r
+        heads = []
+        monkeypatch.setattr(dedekind, "_head", lambda q, ctx: heads.append((q, head(q, ctx))) or heads[-1][1])
+        value = phi(m, ctx)
+        monkeypatch.undo()
+        assert heads == [(q, head_factor(ctx) * float(q))]
+        assert value == dedekind._walk_value(dataclasses.replace(walk, r=q), ctx)
 
 
 @pytest.mark.parametrize("digits", [0, 155, 160, 200, 300, 400, 1500])
@@ -871,6 +883,36 @@ def test_phi_is_a_homomorphism_at_huge_entries(dk):
         w1, w2 = (huge_sl2(rng, ctx.order, 400) for _ in range(2))
         p1, p2, p12 = phi(w1, ctx), phi(w2, ctx), phi(w1 @ w2, ctx)
         assert abs(p12 - p1 - p2) <= 1e-12 * (1 + abs(p1) + abs(p2) + abs(p12))
+
+
+def exact_phi(m):
+    """Q(A) = J((a+d)/c) - R, R that of the walk of (a, c), or J(b/d) for c = 0: on d_K = -7, -8, -11, where
+    every walk ends at c = 0 with no key, Phi(A) = i*sqrt(|d|)*E2(0)*Q(A)."""
+    if m.c.is_zero():
+        return exact_j(m.b, m.d)
+    walk = sl2._walk(m.a, m.c)
+    assert walk.exact
+    return exact_j(m.a + m.d, m.c) - walk.r
+
+
+@pytest.mark.parametrize("dk", [-7, -8, -11])
+def test_phi_is_one_head_of_an_exact_homomorphism(dk, monkeypatch):
+    # Phi walks (a, c) once and rounds one rational: Phi(A) is _head(Q(A)) bit for bit, and
+    # Q(W1 W2) = Q(W1) + Q(W2) holds exactly, at small entries and at entries near 1e400.
+    ctx = SumContext(QuadOrder(dk))
+    rng = random.Random(dk)
+    pairs = [(random_sl2(rng, ctx.order), random_sl2(rng, ctx.order)) for _ in range(200)]
+    pairs += [(huge_sl2(rng, ctx.order, 400), huge_sl2(rng, ctx.order, 400)) for _ in range(3)]
+    walks = []
+    walk = sl2._walk
+    monkeypatch.setattr(dedekind, "_walk", lambda h, k: walks.append((h, k)) or walk(h, k))
+    for w1, w2 in pairs:
+        for m in (w1, w2, w1 @ w2):
+            walks.clear()
+            value, head = phi(m, ctx), dedekind._head(exact_phi(m), ctx)
+            assert walks == ([] if m.c.is_zero() else [(-m.a, m.c)])
+            assert (value.real.hex(), value.imag.hex()) == (head.real.hex(), head.imag.hex())
+        assert exact_phi(w1 @ w2) == exact_phi(w1) + exact_phi(w2)
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,4 @@
-"""The pseudo-Euclidean walk that d_sum takes on every pair with h != 0.
+"""The pseudo-Euclidean walk that d_sum takes on every pair.
 
 It is checked against the E1 table on many orders and lattices, on pairs whose
 ideal (h, k) is principal and on pairs whose walk stops at a cusp, wherever
@@ -35,10 +35,10 @@ from elliptic_dedekind import dedekind, sl2
 from elliptic_dedekind.cli import main
 from elliptic_dedekind.cosets import CosetSystem
 from elliptic_dedekind.dedekind import _d_sum_table, _d_sum_tables, _walk_value
-from elliptic_dedekind.ring import _generates, _is_fundamental, _mul, _norm, _sub, _times_conj
-from elliptic_dedekind.sl2 import _complete_row, _gamma_bound, _gammas, _generates_order, _key_pair, _walk
+from elliptic_dedekind.ring import _generates, _is_fundamental, _mul, _norm, _rounded_coords, _sub, _times_conj
+from elliptic_dedekind.sl2 import _complete_row, _gamma_bound, _gammas, _generates_order, _key_pair, _walk, _Walk
 from test_cosets import assert_colon_lattice_is_the_scan
-from test_fold import merge_conj, three_symmetry_counts
+from test_fold import CI_ORDERS, merge_conj, three_symmetry_counts
 from test_sl2 import ref_sign
 
 # Class-number-one orders with E2(0) != 0 (maximal and f > 1), orders of
@@ -662,6 +662,68 @@ def test_d_norm_exact_refuses_the_rings_where_e2_vanishes(dk):
         d_norm(h, k, ctx)
     with pytest.raises(ExcludedRingError):
         d_norm_exact(h, k, ctx)
+
+
+# Every order CI verifies, and the ideal class (2, 1 + sqrt(-5)) of d = -20 as a float basis.
+ZERO_CONTEXTS = [(dk, f, None) for dk, f in CI_ORDERS + [(-4, 5)]] + [(-20, 1, "form")]
+ZERO_MODULI = [(7, 2), (1, 0), (0, -1), (10**400, 0), (3, 10**400), (10**400 + 1, -(10**399))]
+
+
+@pytest.mark.parametrize("dk, f, lattice", ZERO_CONTEXTS)
+def test_h_zero_walks_to_an_exact_zero(dk, f, lattice):
+    # (0, k) takes one Euclidean step to (k, 0): R = 0, no key and no cusp, at any N(k).  Its head
+    # is an exact 0j, with no -0 part, though E2(0) keeps an imaginary residue of either sign, as on
+    # (-3, 7) and (-7, 11).  Dtilde(0, k) is then an exact 0 wherever E2(0) does not vanish.
+    ctx = make_ctx(dk, f, lattice)
+    zero = ctx.order.zero()
+    vanishes = abs(ctx.lattice.e2_zero()) * ctx.lattice.area() < 1e-12
+    for k in ZERO_MODULI:
+        k = ctx.order.element(*k)
+        assert _walk(zero, k) == _Walk(Fraction(0), ())
+        z = d_sum(zero, k, ctx)
+        assert (z.real.hex(), z.imag.hex()) == ("0x0.0p+0", "0x0.0p+0")
+        if vanishes:
+            for entry in (d_norm, d_norm_exact):
+                with pytest.raises(ExcludedRingError):
+                    entry(zero, k, ctx)
+        else:
+            assert d_norm(zero, k, ctx).hex() == "0x0.0p+0"
+            assert d_norm_exact(zero, k, ctx) == 0
+
+
+def walk_end(h, k):
+    """The a of the (a, 0) at which _walk(h, k) ends, for (h, k) = O on Z[i] or Z[rho], where every
+    step is Euclidean: the walk of the box representative h' (test_sl2.ref_walk)."""
+    order = h.order
+    n = k.norm()
+    sign = ref_sign(h, k)
+    num = sign * h * k.conjugate()
+    a, c = sign * h - k * order.element(num.u // n, num.v // n), k
+    while not c.is_zero():
+        num = a * c.conjugate()
+        q = order.element(*_rounded_coords(num.u, num.v, c.norm(), order.theta_trace // 2))
+        a, c = c, q * c - a
+    return a
+
+
+@pytest.mark.parametrize("dk", [-4, -3])
+def test_walks_ending_at_a_unit_other_than_one_match_the_table(dk):
+    # On Z[i] and Z[rho] a walk can end at (u, 0) with u = +-i or a primitive sixth or third root of
+    # unity.  It takes x = x0*u, as at any other end; E2(0) = 0 there, so D_L vanishes to rounding.
+    ctx = SumContext(QuadOrder(dk))
+    order = ctx.order
+    rng = random.Random(dk)
+    ends = set()
+    for _ in range(40):
+        h, k = unit_gcd_pair(rng, order, 400)
+        end = walk_end(h, k)
+        assert end.norm() == 1
+        if end in (order.one(), -order.one()):
+            continue
+        ends.add(end)
+        expected = _d_sum_table(h, k, ctx)
+        assert abs(d_sum(h, k, ctx) - expected) <= 1e-12 * (1 + abs(expected))
+    assert len(ends) == {-4: 2, -3: 4}[dk]
 
 
 # The orders of test_sl2.ORDERS: class number one, and class number two or three.
