@@ -7,8 +7,16 @@ stderr and in the text/CSV formats only).
 
 Each call parses its arguments once: the parser is built on the first call
 and shared by every later one, and an argv whose first word names a
-subcommand goes straight to that subcommand's parser.  The top-level parser
-sees only what it must report itself: -h, no command, an unknown command.
+subcommand goes straight to that subcommand.  There one exact pass
+(_parse_exact) parses a well-formed argv into the Namespace that the
+subcommand's argparse parser would return, from the Actions that
+build_parser declared.  It takes exact option strings only, as --opt=value,
+--opt value or -o value, and declines everything else: help, abbreviations,
+attached short values, a value that starts with '-' and is no plain negative
+integer, unknown words, and any type, choice or required failure.  What it
+declines goes to the subcommand's argparse parser, so argparse alone prints
+help, usage and error texts.  The top-level parser sees only what it must
+report itself: -h, no command, an unknown command.
 """
 
 from __future__ import annotations
@@ -18,8 +26,10 @@ import csv
 import functools
 import json
 import math
+import re
 import sys
 import time
+from typing import NamedTuple
 
 from .dedekind import SumContext, d_sum, normalize_value
 from .density import Target, approximate
@@ -143,38 +153,64 @@ def _parse_complex(text: str) -> complex:
         raise argparse.ArgumentTypeError(f"cannot parse complex number {text!r}") from exc
 
 
+class _Command(NamedTuple):
+    """A subcommand's argparse parser and the table its exact pass reads, built from the same Actions."""
+
+    parser: argparse.ArgumentParser
+    options: dict[str, argparse.Action]  # every option string of the subcommand's own arguments
+    defaults: dict[str, object]  # each argument's default, then the set_defaults values
+    required: tuple[argparse.Action, ...]
+
+
 @functools.cache
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The CLI's parser and its {name: subcommand parser} table, built on the first call and shared by later ones."""
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Command]]:
+    """The CLI's parser and its {name: subcommand} table, built on the first call and shared by later ones."""
     parser = argparse.ArgumentParser(
         prog="elliptic-dedekind",
         description="Elliptic Dedekind sums over imaginary quadratic orders",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {}
+    declared = {}
 
     def add_subcommand(name, help_text, run):
-        p = commands[name] = sub.add_parser(name, help=help_text)
-        p.set_defaults(command=name, run=run)
-        p.add_argument("--dk", type=int, default=-8, help="fundamental discriminant d_K < 0 (default -8)")
-        p.add_argument("-f", "--conductor", type=int, default=1, help="conductor f >= 1 (default 1)")
-        p.add_argument("--format", choices=("text", "json", "csv"), default="text", help="output format")
-        return p
+        """The subcommand's add_argument, which also records each Action it returns."""
+        p = sub.add_parser(name, help=help_text)
+        defaults = {"command": name, "run": run}
+        p.set_defaults(**defaults)
+        actions = []
+        declared[name] = p, actions, defaults
 
-    p_sum = add_subcommand("sum", "compute D_L and the normalized sum for one (h, k) pair", _cmd_sum)
-    p_sum.add_argument("--omega1", type=_parse_complex, default=None, help="custom basis vector omega1")
-    p_sum.add_argument("--omega2", type=_parse_complex, default=None, help="custom basis vector omega2")
-    p_sum.add_argument("--h", type=_parse_coords, required=True, metavar="U,V", help="h in theta-coordinates")
-    p_sum.add_argument("--k", type=_parse_coords, required=True, metavar="U,V", help="k in theta-coordinates")
+        def add_argument(*flags, **kwargs):
+            actions.append(p.add_argument(*flags, **kwargs))
 
-    p_verify = add_subcommand("verify", "run an invariant suite", _cmd_verify)
-    p_verify.add_argument("--suite", choices=SUITE_NAMES, required=True)
-    p_verify.add_argument("--seed", type=int, default=_DEFAULT_SEED, help="PRNG seed for randomized suites")
+        add_argument("--dk", type=int, default=-8, help="fundamental discriminant d_K < 0 (default -8)")
+        add_argument("-f", "--conductor", type=int, default=1, help="conductor f >= 1 (default 1)")
+        add_argument("--format", choices=("text", "json", "csv"), default="text", help="output format")
+        return add_argument
 
-    p_approx = add_subcommand("approximate", "approximate 2a/b by normalized sums", _cmd_approximate)
-    p_approx.add_argument("--a", type=int, required=True)
-    p_approx.add_argument("--b", type=int, required=True)
-    p_approx.add_argument("--steps", type=_parse_steps, default=3)
+    add_sum = add_subcommand("sum", "compute D_L and the normalized sum for one (h, k) pair", _cmd_sum)
+    add_sum("--omega1", type=_parse_complex, default=None, help="custom basis vector omega1")
+    add_sum("--omega2", type=_parse_complex, default=None, help="custom basis vector omega2")
+    add_sum("--h", type=_parse_coords, required=True, metavar="U,V", help="h in theta-coordinates")
+    add_sum("--k", type=_parse_coords, required=True, metavar="U,V", help="k in theta-coordinates")
+
+    add_verify = add_subcommand("verify", "run an invariant suite", _cmd_verify)
+    add_verify("--suite", choices=SUITE_NAMES, required=True)
+    add_verify("--seed", type=int, default=_DEFAULT_SEED, help="PRNG seed for randomized suites")
+
+    add_approx = add_subcommand("approximate", "approximate 2a/b by normalized sums", _cmd_approximate)
+    add_approx("--a", type=int, required=True)
+    add_approx("--b", type=int, required=True)
+    add_approx("--steps", type=_parse_steps, default=3)
+    commands = {
+        name: _Command(
+            p,
+            {flag: action for action in actions for flag in action.option_strings},
+            {**{action.dest: action.default for action in actions}, **defaults},
+            tuple(action for action in actions if action.required),
+        )
+        for name, (p, actions, defaults) in declared.items()
+    }
     return parser, commands
 
 
@@ -325,8 +361,47 @@ def _cmd_approximate(args) -> int:
     return _EXIT_OK
 
 
+# A separate value may start with '-' only as a plain negative integer, which argparse takes as a value on 3.10-3.12.
+_NEGATIVE_INT = re.compile("-[0-9]+")
+
+
+def _parse_exact(command: _Command, words: list[str]) -> argparse.Namespace | None:
+    """words parsed as command.parser.parse_known_args parses them, or None where the pass declines them.
+
+    It takes only a strict subset of what argparse takes (see the module
+    docstring), each word an exact option string of one of the subcommand's
+    own arguments, each of which stores one value.  On that subset it runs
+    every check argparse runs: action.type converts each value, its choices
+    hold, every required argument is given, and the last repeat wins.
+    """
+    options = command.options
+    given = {}
+    rest = iter(words)
+    for word in rest:
+        flag, eq, value = word.partition("=") if word.startswith("--") else (word, "", "")
+        action = options.get(flag)
+        if action is None:
+            return None
+        if not eq:
+            value = next(rest, None)
+            if value is None or value.startswith("-") and not _NEGATIVE_INT.fullmatch(value):
+                return None
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        given[action.dest] = value
+    for action in command.required:
+        if action.dest not in given:
+            return None
+    return argparse.Namespace(**{**command.defaults, **given})
+
+
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """argv parsed once, by the subcommand's parser when argv[0] names one (see the module docstring).
+    """argv parsed once, by the subcommand when argv[0] names one (see the module docstring).
 
     Words the subcommand's parser leaves over are reported by the top-level
     parser, as its own parse reports them.
@@ -335,9 +410,11 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     command = commands.get(argv[0]) if argv else None
     if command is None:
         return parser.parse_args(argv)
-    args, extras = command.parse_known_args(argv[1:])
-    if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args = _parse_exact(command, argv[1:])
+    if args is None:
+        args, extras = command.parser.parse_known_args(argv[1:])
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
     return args
 
 

@@ -410,7 +410,11 @@ def phi(a_mat: Mat2, ctx: SumContext) -> complex:
     if c == (0, 0):
         return _head(_j(b, d, ctx.order), ctx)
     walk = _walk(-a_mat.a, a_mat.c)
-    return _walk_value(_Walk(walk.r + _j(_add(a, d), c, ctx.order), walk.counts, walk.cusp), ctx)
+    tr, nt = ctx.order.theta_trace, ctx.order.theta_norm
+    # R + J((a+d)/c), J = v((a+d)*conj(c))/N(c) as in _j, as one Fraction of integers, reduced once.
+    num, den, n_c = walk.r.numerator, walk.r.denominator, _norm(c, tr, nt)
+    r = Fraction(num * n_c + _times_conj(_add(a, d), c, tr, nt)[1] * den, den * n_c)
+    return _walk_value(_Walk(r, walk.counts, walk.cusp), ctx)
 
 
 def three_term_residual(a1: Mat2, a2: Mat2, a3: Mat2, ctx: SumContext) -> complex:

@@ -5,6 +5,8 @@ import io
 import json
 import math
 import os
+import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -701,18 +703,123 @@ def test_subcommand_dispatch_parses_as_the_top_level_parser(capsys, monkeypatch,
 
 def test_each_call_parses_its_arguments_once(capsys, monkeypatch):
     run_cli(capsys, *LATER_CALLS[0])
-    parsed = []
+    parsed, exact = [], []
     parse_known_args = argparse.ArgumentParser.parse_known_args
+    parse_exact = cli._parse_exact
 
     def counting(self, *args, **kwargs):
         parsed.append(self.prog)
         return parse_known_args(self, *args, **kwargs)
 
+    def counting_exact(command, words):
+        args = parse_exact(command, words)
+        exact.append(args is not None)
+        return args
+
     monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+    monkeypatch.setattr(cli, "_parse_exact", counting_exact)
     for argv in LATER_CALLS:
         parsed.clear()
+        exact.clear()
         assert run_cli(capsys, *argv)[0] == 0
-        assert parsed == [f"elliptic-dedekind {argv[0]}"]
+        assert (exact, parsed) == ([True], [])
+    # An abbreviation is argparse's to expand: the exact pass declines it and the sum parser parses it, once.
+    parsed.clear()
+    exact.clear()
+    assert run_cli(capsys, "sum", "--dk", "-8", "--h", "1,0", "--k", "0,1", "--form", "json")[0] == 0
+    assert (exact, parsed) == ([False], ["elliptic-dedekind sum"])
+
+
+# Values the exact pass takes, by dest: each converts and passes its choices.
+EXACT_VALUES = {
+    "dk": ["-8", "-20", "5", "-0", " 7"],
+    "conductor": ["1", "3", "-2"],
+    "format": ["text", "json", "csv"],
+    "omega1": ["1", "2.5", "3j", "1+2j", "-1.5"],
+    "omega2": ["1.4142135623730951j", "7", "2+1j", "-1+2j"],
+    "h": ["1,0", "-3,2", "0,-7", "12345678901234567890,1"],
+    "k": ["0,1", "5,-1", "-4,-4"],
+    "suite": ["phi", "lemma", "e1", "cosets", "all"],
+    "seed": ["0", "-5", "12345"],
+    "a": ["1", "-2", "1234"],
+    "b": ["3", "-10007"],
+    "steps": ["0", "3", "40"],
+}
+
+
+def exact_argvs(rng: random.Random, command) -> list[list[tuple[str, str, list[str]]]]:
+    """150 argvs of one subcommand that the exact pass takes, each option as (option string, form, words).
+
+    Every argument is given or omitted at random, required ones always, some
+    two or three times.  A value goes in = form or, where argparse takes it as
+    a separate word, in space form; a short option takes only the space form.
+    """
+    argvs = []
+    by_dest = {}
+    for flag, action in command.options.items():
+        by_dest.setdefault(action.dest, (action, []))[1].append(flag)
+    for _ in range(150):
+        words = []
+        for action, flags in by_dest.values():
+            for _ in range(rng.choice((1, 1, 2, 3) if action.required else (0, 0, 1, 1, 2, 3))):
+                flag, value = rng.choice(flags), rng.choice(EXACT_VALUES[action.dest])
+                spaced = not value.startswith("-") or re.fullmatch("-[0-9]+", value)
+                form = " " if not flag.startswith("--") or spaced and rng.random() < 0.5 else "="
+                words.append((flag, form, [flag, value] if form == " " else [f"{flag}={value}"]))
+        rng.shuffle(words)
+        argvs.append(words)
+    return argvs
+
+
+@pytest.mark.parametrize("name", ["sum", "verify", "approximate"])
+def test_exact_pass_parses_as_argparse(name):
+    _, commands = cli.build_parser()
+    command = commands[name]
+    forms = set()
+    for words in exact_argvs(random.Random(name), command):
+        argv = [w for _, _, ws in words for w in ws]
+        forms.update((flag, form) for flag, form, _ in words)
+        expected, extras = command.parser.parse_known_args(argv)
+        assert extras == []
+        args = cli._parse_exact(command, argv)
+        assert args is not None, argv
+        assert vars(args) == vars(expected), argv
+    # Every option string in each form it takes, = only for long ones.
+    assert forms == {(flag, form) for flag in command.options for form in (" =" if flag.startswith("--") else " ")}
+
+
+# Argvs the exact pass declines, each left to argparse: help, an abbreviation, attached short values,
+# a value that starts with '-' and is no plain negative integer, an unknown flag, a missing required
+# argument, a bad choice, a failed type, a trailing flag with no value.
+DECLINED = [
+    ["sum", "-h"],
+    ["sum", "--dk", "-8", "--h", "1,0", "--k", "0,1", "--form", "json"],
+    ["sum", "-f3", "--h", "1,0", "--k", "5,1", "--format", "json"],
+    ["sum", "-f=3", "--h", "1,0", "--k", "5,1", "--format", "json"],
+    ["sum", "--dk", "-8", "--h", "-1,2", "--k", "3,0"],
+    ["sum", "--h", "1,0", "--k", "0,1", "--omega1", "1", "--omega2", "-0.5+1j"],
+    ["sum", "--h", "1,0", "--k", "0,1", "--bogus", "4"],
+    ["sum", "--k", "0,1"],
+    ["verify", "--suite", "nonsense"],
+    ["approximate", "--a", "1", "--b", "3", "--steps", "-1"],
+    ["sum", "--dk", "x", "--h", "1,0", "--k", "0,1"],
+    ["sum", "--h", "1,0", "--k"],
+]
+
+
+@pytest.mark.parametrize("argv", DECLINED)
+def test_exact_pass_declines_what_argparse_reports(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    parser, commands = cli.build_parser()
+    assert cli._parse_exact(commands[argv[0]], argv[1:]) is None
+
+    def outcome():
+        code, out, err = run_main(capsys, argv)
+        return code, out, re.sub(r"in \d+\.\d+ s$", "in T s", err)  # the run's timing line
+
+    declined = outcome()
+    monkeypatch.setattr(cli, "_parse_args", parser.parse_args)
+    assert declined == outcome()
 
 
 # --- The one-pass JSON encoder --------------------------------------------------
